@@ -230,7 +230,8 @@ def run_spectrum_experiment(cfg):
 
 
 def run_sweep(sweep):
-    """One spectrum run per grid point; failed points become failed rows."""
+    """One cocycle run per grid point over geodesics coded once; failed
+    points become failed rows."""
     spec = fuchsian.parse_group_spec(sweep.base.group)
     bundle = fuchsian.build_group(spec)
     rep = resolve_rep(sweep.base.rep_source, bundle)
@@ -239,13 +240,14 @@ def run_sweep(sweep):
     if rep.n != 2:
         raise Refusal("sweep needs a rank-2 base representation")
     split = _bend_split_for(rep, spec)
+    coding = oseledets.code_samples(bundle[0], sweep.base.run)  # shared by all points
     rows = []
     for v in sweep.grid:
         s = complex(0.0, v) if sweep.axis == "imag" else complex(v, 0.0)
         try:
             bent = rep if s == 0 else fuchsian.bend_representation(rep, split, s)
             _gate_relations(bent)
-            est = oseledets.estimate_spectrum(bundle[0], bent, sweep.base.run)
+            est = oseledets.estimate_spectrum(bundle[0], bent, sweep.base.run, coding)
             rows.append((v, est.values[0], est.stderr[0], "ok"))
         except (Refusal, fuchsian.DegenerateBendingError,
                 linrep.RepresentationError,
@@ -527,13 +529,10 @@ def _selftest_suites(inject_corruption=False):
         return worst < 1e-9, f"max functoriality defect {worst:.2e}"
 
     def suite_qr_invariance():
-        ests = [
-            oseledets.estimate_spectrum(
-                dom3, rep3,
-                oseledets.RunConfig(T=150.0, samples=8, seed=77, qr_interval=q),
-            )
-            for q in (1, 4, 16)
-        ]
+        configs = [oseledets.RunConfig(T=150.0, samples=8, seed=77, qr_interval=q)
+                   for q in (1, 4, 16)]
+        coding = oseledets.code_samples(dom3, configs[0])
+        ests = [oseledets.estimate_spectrum(dom3, rep3, c, coding) for c in configs]
         spread = max(abs(e.values[0] - ests[0].values[0]) for e in ests)
         bound = 3.0 * max(math.hypot(e.stderr[0], ests[0].stderr[0]) for e in ests)
         return spread <= max(bound, 1e-9), f"spread {spread:.2e} vs 3se {bound:.2e}"

@@ -123,9 +123,6 @@ class CodingStream:
     end_state: UnitTangent
     perturbations: int = 0
 
-    def words(self):
-        return [(int(g),) for g in self.gens]
-
 
 class FundamentalDomain:
     """Convex fundamental polygon with side pairings.

@@ -16,12 +16,11 @@ from .fuchsian import iter_crossings
 from .hypgeo import HPoint, UnitTangent
 
 FRAME_OVERFLOW = 1e120
+FRAME_BUDGET = 1 << 25  # bytes of the (lanes, n, n) frame stack of one chunk
 
 
 class NumericCocycleError(ArithmeticError):
-    def __init__(self, msg, step=None):
-        super().__init__(msg)
-        self.step = step
+    pass
 
 
 class InsufficientDataError(RuntimeError):
@@ -53,88 +52,128 @@ class RunConfig:
             raise ValueError("burn_in must lie in [0, T)")
 
 
-class CocycleAccumulator:
-    """Orthonormal frame + accumulated log R diagonals.
-
-    advance() multiplies a holonomy matrix onto the frame; every
-    qr_interval steps (or on overflow risk) the frame is re-orthonormalized
-    by a positive-diagonal QR and the log of the diagonal accumulates.
+@dataclass(frozen=True)
+class CodingBatch:
+    """Side crossings of the sample geodesics of one run: lane i codes
+    sample index[i], with crossing times times[i] in (0, T] and the signed
+    generators gens[i] applied there.  The coding depends only on the curve
+    and key = (T, samples, seed, random_base), never on the representation.
+    failures holds (sample index, exception repr) of each failed trace.
     """
 
-    def __init__(self, n, complex_field=False, qr_interval=8):
-        self.frame = np.eye(n, dtype=complex if complex_field else float)
-        self.log_diag = np.zeros(n)
-        self.steps = 0
-        self.elapsed_length = 0.0
-        self.qr_interval = qr_interval
-        self._pending = 0
-
-    def advance(self, m):
-        self.frame = m @ self.frame
-        self.steps += 1
-        self._pending += 1
-        if self._pending >= self.qr_interval or \
-                np.abs(self.frame).max() > FRAME_OVERFLOW:
-            self.flush()
-        return self
-
-    def flush(self):
-        if self._pending == 0:
-            return
-        q, r = np.linalg.qr(self.frame)
-        d = np.abs(np.diagonal(r))
-        if not np.all(np.isfinite(d)) or np.any(d == 0.0):
-            raise NumericCocycleError("cocycle frame degenerated", step=self.steps)
-        ph = np.diagonal(r) / d
-        self.frame = q * ph  # positive-diagonal convention
-        self.log_diag += np.log(d)
-        self._pending = 0
-
-    def finalize(self):
-        self.flush()
-        return self.log_diag.copy()
+    index: tuple
+    times: tuple
+    gens: tuple
+    key: tuple = None
+    failures: tuple = ()
 
 
-def advance(acc, m):
-    """Functional alias for CocycleAccumulator.advance."""
-    return acc.advance(m)
+def _coding_key(config):
+    return (config.T, config.samples, config.seed, config.random_base)
 
 
-def run_sample(dom, rep, ut, T, qr_interval=8, normalization="minus4",
-               burn_in=0.0):
-    """Exponent vector (sorted nonincreasing) from one geodesic of length T.
+def code_samples(dom, config):
+    """Trace the geodesic of every sample of config into a CodingBatch;
+    sample i starts from default_rng([seed, i]), whatever the batching."""
+    index, times, gens, failures = [], [], [], []
+    for i in range(config.samples):
+        rng = np.random.default_rng([config.seed, i])
+        angle = rng.uniform(0.0, 2.0 * math.pi)
+        base = _sample_base(dom, rng) if config.random_base else dom.interior_point
+        try:
+            tg = [c[:2] for c in iter_crossings(dom, UnitTangent(base, angle), config.T)]
+        except (ArithmeticError, RuntimeError) as exc:  # keep sampling
+            failures.append((i, repr(exc)))
+            continue
+        t, g = np.array(tg, dtype=float).reshape(-1, 2).T
+        index.append(i)
+        times.append(t.copy())
+        gens.append(g.astype(np.int64))
+    return CodingBatch(tuple(index), tuple(times), tuple(gens),
+                       _coding_key(config), tuple(failures))
+
+
+class CocycleAccumulator:
+    """Orthonormal frames of a batch of lanes + accumulated log R diagonals.
+    flush(lanes) re-orthonormalizes those frames by a positive-diagonal QR,
+    accumulates the log diagonal and returns the lanes that degenerated."""
+
+    def __init__(self, lanes, n, complex_field=False):
+        self.frames = np.zeros((lanes, n, n), dtype=complex if complex_field else float)
+        self.frames[:, np.arange(n), np.arange(n)] = 1.0
+        self.log_diag = np.zeros((lanes, n))
+        self.pending = np.zeros(lanes, dtype=np.int64)
+
+    def flush(self, lanes):
+        q, r = np.linalg.qr(self.frames[lanes])
+        diag = np.diagonal(r, axis1=1, axis2=2)
+        d = np.abs(diag)
+        ok = np.all(np.isfinite(d) & (d != 0.0), axis=1)
+        self.frames[lanes[ok]] = q[ok] * (diag[ok] / d[ok])[:, None, :]
+        self.log_diag[lanes[ok]] += np.log(d[ok])
+        self.pending[lanes] = 0
+        return lanes[~ok]
+
+
+def cocycle(rep, batch, config):
+    """Exponent rows (sorted nonincreasing) of the lanes that ran through,
+    in lane order, and (sample index, repr) of those whose frame degenerated.
 
     Between crossings the constant norm is flat, so the cocycle is exactly
-    the product of the crossing holonomies; the rate divides by flow time.
-    A positive burn_in discards the log increments before that time, where
-    the frame is still aligning to the Oseledets flag (an O(1/T) bias of
-    the plain time average); sums and the zero-sum law are unaffected.
-    """
-    acc = CocycleAccumulator(rep.n, rep.is_complex, qr_interval)
-    base_log = np.zeros(rep.n)
-    t_base = 0.0
-    t_last = 0.0
-    for t, g, _ in iter_crossings(dom, ut, T):
-        acc.advance(rep.generator_image(g))
-        t_last = t
-        if burn_in > 0.0 and t <= burn_in:
-            acc.flush()
-            base_log = acc.log_diag.copy()
-            t_base = t
-    log = acc.finalize() - base_log
-    acc.elapsed_length = T
-    if burn_in > 0.0:
+    the product of the crossing holonomies.  Lanes step in lockstep; each is
+    QR'd at every crossing up to burn_in (log increments there, an O(1/T)
+    frame-alignment bias, are discarded), then every qr_interval of its own
+    steps and on overflow risk, so its values never depend on its batch."""
+    m = rep.num_generators
+    table = np.stack([rep.generator_image(g) if g else np.eye(rep.n)  # row m + g
+                      for g in range(-m, m + 1)]).astype(complex if rep.is_complex else float)
+    chunk = max(1, FRAME_BUDGET // (rep.n * rep.n * table.itemsize))
+    rows, failures = [], []
+    for lo in range(0, len(batch.index), chunk):
+        _lockstep(table, batch, slice(lo, lo + chunk), config, rows, failures)
+    return np.array(rows).reshape(len(rows), rep.n), failures
+
+
+def _lockstep(table, batch, part, config, rows, failures):
+    """Run the lanes batch[part]; append their rows and failures."""
+    index, times, gens = batch.index[part], batch.times[part], batch.gens[part]
+    lengths = np.array([len(t) for t in times], dtype=np.int64)
+    width = lengths.max(initial=0)  # lanes padded to lockstep; padding is never read
+    steps = np.array([np.pad(g, (0, width - len(g))) for g in gens]).T + len(table) // 2
+    burn = np.array([np.searchsorted(t, config.burn_in, "right") for t in times])
+    acc = CocycleAccumulator(len(index), table.shape[1], table.dtype == complex)
+    base_log, failed, ends = np.zeros_like(acc.log_diag), {}, set(lengths.tolist())
+    live = np.flatnonzero(lengths)
+    for j in range(len(steps)):
+        if j in ends:
+            live = live[lengths[live] > j]
+        frames = table[steps[j, live]] @ acc.frames[live]
+        acc.frames[live] = frames
+        acc.pending[live] += 1
+        due = ((acc.pending[live] >= config.qr_interval) | (burn[live] > j)
+               | (np.abs(frames).max(axis=(1, 2)) > FRAME_OVERFLOW))
+        if due.any():
+            bad = acc.flush(live[due]).tolist()
+            if bad:
+                failed.update(dict.fromkeys(bad, j + 1))
+                live = np.setdiff1d(live, bad)
+        snap = live[burn[live] == j + 1]
+        base_log[snap] = acc.log_diag[snap]
+    for lane in acc.flush(np.flatnonzero(acc.pending)).tolist():
+        failed[lane] = int(lengths[lane])
+    for lane, (i, t) in enumerate(zip(index, times)):
+        if lane in failed:
+            exc = NumericCocycleError(f"cocycle frame degenerated at step {failed[lane]}")
+            failures.append((i, repr(exc)))
+            continue
+        log = np.sort(acc.log_diag[lane] - base_log[lane])[::-1]
         # both window ends at crossing epochs: the log accrues only at
         # crossings, so pairing it with a time span ending mid-gap would
         # bias the rate by the mean residual gap over T
-        if t_last <= t_base:
-            return np.zeros(rep.n)
-        lam = np.sort(log)[::-1] / (t_last - t_base)
-    else:
-        lam = np.sort(log)[::-1] / T
-    if normalization == "minus4":
-        lam = 2.0 * lam
-    return lam
+        t0 = np.append(0.0, t)  # crossing epochs from the start
+        span = t0[-1] - t0[burn[lane]] if config.burn_in > 0.0 else config.T
+        lam = log / span if span > 0.0 else np.zeros(len(log))
+        rows.append(2.0 * lam if config.normalization == "minus4" else lam)
 
 
 @dataclass(frozen=True)
@@ -143,7 +182,8 @@ class SpectrumEstimate:
 
     values are sorted nonincreasing in the requested normalization;
     sample_values holds the per-sample vectors (samples x n) for
-    downstream combined-error computations.
+    downstream combined-error computations; failures holds (sample index,
+    exception repr) of each dropped sample.
     """
 
     values: np.ndarray
@@ -155,6 +195,7 @@ class SpectrumEstimate:
     seed: int = 0
     sample_values: np.ndarray = field(default=None, repr=False)
     caveat: str = ""
+    failures: tuple = ()
 
 
 def _sample_base(dom, rng, max_tries=20000):
@@ -169,44 +210,25 @@ def _sample_base(dom, rng, max_tries=20000):
     raise RuntimeError("rejection sampling failed to land in the domain")
 
 
-def estimate_spectrum(dom, rep, config):
-    """Monte-Carlo spectrum: one long geodesic per sample, averaged.
+def estimate_spectrum(dom, rep, config, coding=None):
+    """Monte-Carlo spectrum: one long geodesic per sample, averaged, along
+    coding (the CodingBatch of config, traced here when not given)."""
+    batch = code_samples(dom, config) if coding is None else coding
+    if batch.key != _coding_key(config):
+        raise ValueError("coding batch was traced for another run configuration")
+    sample_values, lost = cocycle(rep, batch, config)
+    return _summary(rep, config, sample_values, sorted(batch.failures + tuple(lost)),
+                    config.normalization, min_rows=2)
 
-    Per-sample RNG streams are derived as default_rng([seed, index]), so
-    the estimate is bit-identical for a fixed config regardless of how
-    samples would be partitioned across workers; results merge in sample
-    index order.
-    """
-    rows = []
-    failures = []
-    for i in range(config.samples):
-        rng = np.random.default_rng([config.seed, i])
-        angle = rng.uniform(0.0, 2.0 * math.pi)
-        base = _sample_base(dom, rng) if config.random_base else dom.interior_point
-        ut = UnitTangent(base, angle)
-        try:
-            rows.append(run_sample(dom, rep, ut, config.T,
-                                   config.qr_interval, config.normalization,
-                                   config.burn_in))
-        except (ArithmeticError, RuntimeError) as exc:  # keep sampling
-            failures.append((i, repr(exc)))
-    if len(rows) < 2:
-        raise InsufficientDataError(
-            f"only {len(rows)} successful samples; failures: {failures[:3]}"
-        )
-    sample_values = np.vstack(rows)
-    values = sample_values.mean(axis=0)
-    stderr = sample_values.std(axis=0, ddof=1) / math.sqrt(len(rows))
-    return SpectrumEstimate(
-        values=values,
-        stderr=stderr,
-        samples=len(rows),
-        normalization_tag=config.normalization,
-        label=rep.label,
-        T=config.T,
-        seed=config.seed,
-        sample_values=sample_values,
-    )
+
+def _summary(rep, config, sample_values, failures, tag, min_rows, caveat=""):
+    rows = len(sample_values)
+    if rows < min_rows:
+        raise InsufficientDataError(f"only {rows} successful samples; failures: {failures[:3]}")
+    stderr = (sample_values.std(axis=0, ddof=1) / math.sqrt(rows) if rows > 1
+              else np.zeros(rep.n))
+    return SpectrumEstimate(sample_values.mean(axis=0), stderr, rows, tag, rep.label,
+                            config.T, config.seed, sample_values, caveat, tuple(failures))
 
 
 @dataclass(frozen=True)
@@ -223,27 +245,20 @@ def wedge_crosscheck(dom, rep, k, config):
     """Compare lambda_1 of wedge^k(rep) with the k-th partial sum of rep.
 
     The top exponent of the exterior power is the sum of the first k
-    exponents of the original cocycle; both sides are estimated with the
-    same config and the discrepancy reported in combined-stderr units.
+    exponents of the original cocycle; both sides run along the same coded
+    geodesics and the discrepancy is reported in combined-stderr units.
     """
     from .linrep import ext_power
 
-    base = estimate_spectrum(dom, rep, config)
-    wedge = estimate_spectrum(dom, ext_power(rep, k), config)
+    coding = code_samples(dom, config)
+    base = estimate_spectrum(dom, rep, config, coding)
+    wedge = estimate_spectrum(dom, ext_power(rep, k), config, coding)
     partial_samples = base.sample_values[:, :k].sum(axis=1)
     partial = partial_samples.mean()
     partial_se = partial_samples.std(ddof=1) / math.sqrt(len(partial_samples))
-    top = wedge.values[0]
-    top_se = wedge.stderr[0]
-    combined = math.hypot(partial_se, top_se)
-    return WedgeCheck(
-        wedge_top=top,
-        wedge_stderr=top_se,
-        partial_sum=partial,
-        partial_stderr=partial_se,
-        discrepancy=top - partial,
-        combined_stderr=combined,
-    )
+    top, top_se = wedge.values[0], wedge.stderr[0]
+    return WedgeCheck(top, top_se, partial, partial_se, top - partial,
+                      math.hypot(partial_se, top_se))
 
 
 def random_walk_spectrum(rep, steps, samples, seed):
@@ -251,36 +266,19 @@ def random_walk_spectrum(rep, steps, samples, seed):
 
     Reported per step, NOT per geodesic length: the stationary measure of
     this walk is not the geodesic one, so the values are comparable to the
-    flow spectrum only through their zero/nonzero pattern.
+    flow spectrum only through their zero/nonzero pattern.  The draws form
+    a coding batch with one crossing per unit time.
     """
-    rows = []
     m = rep.num_generators
-    for i in range(samples):
-        rng = np.random.default_rng([seed, i])
-        acc = CocycleAccumulator(rep.n, rep.is_complex, qr_interval=8)
-        draws = rng.integers(0, 2 * m, size=steps)
-        for d in draws:
-            s = int(d) + 1
-            acc.advance(rep.generator_image(s if s <= m else m - s))
-        rows.append(np.sort(acc.finalize())[::-1] / steps)
-    sample_values = np.vstack(rows)
-    stderr = (
-        sample_values.std(axis=0, ddof=1) / math.sqrt(samples)
-        if samples > 1
-        else np.zeros(rep.n)
-    )
-    return SpectrumEstimate(
-        values=sample_values.mean(axis=0),
-        stderr=stderr,
-        samples=samples,
-        normalization_tag="per-step",
-        label=rep.label,
-        T=float(steps),
-        seed=seed,
-        sample_values=sample_values,
-        caveat="random-walk exponents; only the zero/nonzero pattern is "
-               "comparable to geodesic-flow exponents",
-    )
+    draws = [np.random.default_rng([seed, i]).integers(0, 2 * m, size=steps) + 1
+             for i in range(samples)]
+    batch = CodingBatch(tuple(range(samples)), (np.arange(1.0, steps + 1),) * samples,
+                        tuple(np.where(s <= m, s, m - s) for s in draws))
+    config = RunConfig(T=float(steps), samples=samples, seed=seed,
+                       normalization="minus1", burn_in=0.0)
+    return _summary(rep, config, *cocycle(rep, batch, config), "per-step", min_rows=1,
+                    caveat="random-walk exponents; only the zero/nonzero pattern is "
+                           "comparable to geodesic-flow exponents")
 
 
 def spectrum_csv(est):

@@ -122,6 +122,21 @@ class TestSweepCommand:
         assert all(r[3] == "ok" for r in rows)
         assert float(rows[1][1]) > float(rows[0][1]) > 1.0
 
+    def test_each_geodesic_traced_once(self, tmp_path, monkeypatch):
+        from lyaplab import oseledets
+
+        real, traced = oseledets.iter_crossings, []
+
+        def counting(dom, ut, T, **kw):
+            traced.append(ut)
+            return real(dom, ut, T, **kw)
+
+        monkeypatch.setattr(oseledets, "iter_crossings", counting)
+        assert run_cli(["sweep", "--group", "surface:2", "--axis", "imag",
+                        "--grid", "0:1:3", "--time", "60", "--samples", "4",
+                        "--seed", "4", "--out", str(tmp_path / "s.csv")]) == 0
+        assert len(traced) == 4
+
 
 class TestErrCommand:
     def test_identity_lower_half_zero(self, tmp_path):

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from lyaplab import cli, oseledets
+from lyaplab.fuchsian import DegenerateDirectionError, code_geodesic
 from lyaplab.hypgeo import UnitTangent
 from lyaplab.linrep import (
     Representation,
@@ -12,52 +14,159 @@ from lyaplab.linrep import (
 )
 from lyaplab.oseledets import (
     CocycleAccumulator,
+    CodingBatch,
     InsufficientDataError,
     RunConfig,
     SpectrumEstimate,
-    advance,
+    code_samples,
+    cocycle,
     estimate_spectrum,
     random_walk_spectrum,
-    run_sample,
     spectrum_csv,
     wedge_crosscheck,
 )
 
 
+def walk_rates(rep, gens, qr_interval=8):
+    """Per-step exponents of one lane multiplying the given generators."""
+    k = len(gens)
+    batch = CodingBatch((0,), (np.arange(1.0, k + 1),), (np.asarray(gens),))
+    cfg = RunConfig(T=float(k), samples=1, seed=0, qr_interval=qr_interval,
+                    normalization="minus1", burn_in=0.0)
+    values, failures = cocycle(rep, batch, cfg)
+    assert failures == []
+    return values[0]
+
+
+def geodesic_exponents(dom, rep, ut, T):
+    """Exponents along the single geodesic from ut, with no burn-in."""
+    c = code_geodesic(dom, ut, T)
+    values, failures = cocycle(rep, CodingBatch((0,), (c.times,), (c.gens,)),
+                               RunConfig(T=T, samples=1, seed=0, burn_in=0.0))
+    assert failures == []
+    return values[0]
+
+
+def single_matrix_rep(m):
+    return Representation(2, "real", [m], (), "m")
+
+
 class TestAccumulator:
     def test_identity_advances(self):
-        acc = CocycleAccumulator(2)
-        for _ in range(20):
-            advance(acc, np.eye(2))
-        assert np.array_equal(acc.finalize(), np.zeros(2))
+        lam = walk_rates(single_matrix_rep(np.eye(2)), [1] * 20)
+        assert np.array_equal(lam, np.zeros(2))
 
     def test_diagonal_rates(self):
-        acc = CocycleAccumulator(2, qr_interval=4)
-        k = 64
-        for _ in range(k):
-            advance(acc, np.diag([2.0, 0.5]))
-        lam = np.sort(acc.finalize())[::-1] / k
+        lam = walk_rates(single_matrix_rep(np.diag([2.0, 0.5])), [1] * 64, qr_interval=4)
         assert np.allclose(lam, [math.log(2.0), -math.log(2.0)], atol=1e-12)
 
     def test_overflow_forces_flush(self):
-        acc = CocycleAccumulator(2, qr_interval=10**9)
-        for _ in range(20):
-            advance(acc, np.diag([1e40, 1e-40]))
-        assert np.isfinite(acc.finalize()).all()
+        lam = walk_rates(single_matrix_rep(np.diag([1e40, 1e-40])), [1] * 20,
+                         qr_interval=10**9)
+        assert np.isfinite(lam).all()
+        assert np.allclose(lam, [40 * math.log(10.0), -40 * math.log(10.0)])
 
 
 class TestRunSample:
     def test_trivial_rep_exact_zero(self, tri334):
         dom, gens, rels = tri334
         rep = trivial_rep(2, len(gens), rels)
-        lam = run_sample(dom, rep, UnitTangent(dom.interior_point, 0.9), 100.0)
+        lam = geodesic_exponents(dom, rep, UnitTangent(dom.interior_point, 0.9), 100.0)
         assert np.array_equal(lam, np.zeros(2))
 
     def test_fuchsian_per_sample_window(self, tri334, fuchs334):
         dom, _, _ = tri334
-        lam = run_sample(dom, fuchs334, UnitTangent(dom.interior_point, 2.3), 2000.0)
+        lam = geodesic_exponents(dom, fuchs334, UnitTangent(dom.interior_point, 2.3), 2000.0)
         assert abs(lam[0] - 1.0) < 0.05
         assert abs(lam[1] + 1.0) < 0.05
+
+
+class _StubRep:
+    """Two generators; the second maps every frame to zero (never a valid
+    Representation, so it stands in for a frame that degenerates)."""
+
+    n, is_complex, num_generators, label = 2, False, 2, "stub"
+
+    def generator_image(self, g):
+        return np.diag([2.0, 0.5]) if abs(g) == 1 else np.zeros((2, 2))
+
+
+class TestBatchedCocycle:
+    def test_degenerate_lane_reported_others_unchanged(self):
+        times = tuple(np.arange(1.0, 13.0) for _ in range(3))
+        gens = (np.full(12, 1), np.array([1, 1, 2] + [1] * 9), np.full(12, -1))
+        cfg = RunConfig(T=12.0, samples=3, seed=0, burn_in=0.0, qr_interval=4)
+        values, failures = cocycle(_StubRep(), CodingBatch((0, 1, 2), times, gens), cfg)
+        assert [i for i, _ in failures] == [1]
+        assert "NumericCocycleError" in failures[0][1]
+        alone, none = cocycle(_StubRep(), CodingBatch((0, 2), times[::2], gens[::2]), cfg)
+        assert none == []
+        assert np.array_equal(values, alone)
+
+    def test_trace_failure_in_failures(self, tri334, fuchs334, monkeypatch):
+        dom, _, _ = tri334
+        cfg = RunConfig(T=100.0, samples=5, seed=4)
+        full = estimate_spectrum(dom, fuchs334, cfg)
+        assert full.failures == ()
+        real = oseledets.iter_crossings
+        calls = []
+
+        def failing_third(dom, ut, T, **kw):
+            calls.append(ut)
+            if len(calls) == 3:
+                raise DegenerateDirectionError("injected")
+            return real(dom, ut, T, **kw)
+
+        monkeypatch.setattr(oseledets, "iter_crossings", failing_third)
+        est = estimate_spectrum(dom, fuchs334, cfg)
+        assert est.samples == 4
+        assert [i for i, _ in est.failures] == [2]
+        assert "injected" in est.failures[0][1]
+        assert np.array_equal(est.sample_values, np.delete(full.sample_values, 2, axis=0))
+
+    def test_csv_independent_of_lane_chunking(self, tmp_path, monkeypatch):
+        args = ["spectrum", "--group", "triangle:3,3,4", "--time", "120",
+                "--samples", "8", "--seed", "31"]
+        together, alone = tmp_path / "together.csv", tmp_path / "alone.csv"
+        assert cli.main(args + ["--out", str(together)]) == 0
+        monkeypatch.setattr(oseledets, "FRAME_BUDGET", 1)  # one lane per chunk
+        assert cli.main(args + ["--out", str(alone)]) == 0
+        assert together.read_bytes() == alone.read_bytes()
+
+    def test_frame_budget_bounds_chunk(self, tri334, fuchs334, monkeypatch):
+        dom, _, _ = tri334
+        rep = sym_power(fuchs334, 3)
+        cfg = RunConfig(T=100.0, samples=7, seed=2)
+        coding = code_samples(dom, cfg)
+        full = estimate_spectrum(dom, rep, cfg, coding)
+        sizes = []
+
+        class Recording(CocycleAccumulator):
+            def __init__(self, lanes, n, complex_field=False):
+                sizes.append(lanes)
+                super().__init__(lanes, n, complex_field)
+
+        monkeypatch.setattr(oseledets, "CocycleAccumulator", Recording)
+        monkeypatch.setattr(oseledets, "FRAME_BUDGET", 3 * rep.n * rep.n * 8)
+        chunked = estimate_spectrum(dom, rep, cfg, coding)
+        assert sizes == [3, 3, 1]
+        assert np.array_equal(chunked.sample_values, full.sample_values)
+
+    def test_coding_shared_across_reps_and_intervals(self, tri334, fuchs334):
+        dom, _, _ = tri334
+        cfg = RunConfig(T=150.0, samples=4, seed=12)
+        coding = code_samples(dom, cfg)
+        for rep in (fuchs334, sym_power(fuchs334, 2)):
+            for q in (1, 8):
+                c = RunConfig(T=150.0, samples=4, seed=12, qr_interval=q)
+                assert np.array_equal(estimate_spectrum(dom, rep, c, coding).sample_values,
+                                      estimate_spectrum(dom, rep, c).sample_values)
+
+    def test_coding_of_other_config_refused(self, tri334, fuchs334):
+        dom, _, _ = tri334
+        coding = code_samples(dom, RunConfig(T=100.0, samples=4, seed=1))
+        with pytest.raises(ValueError):
+            estimate_spectrum(dom, fuchs334, RunConfig(T=100.0, samples=4, seed=2), coding)
 
 
 @pytest.fixture(scope="module")
