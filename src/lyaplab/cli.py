@@ -71,21 +71,27 @@ def _pick(ns_value, config, key, default, cast=str):
 
 
 def resolve_rep(source, group_bundle):
-    """builtin:fuchsian | builtin:trivial | builtin:unitary-cube | file path."""
+    """builtin:fuchsian | builtin:trivial | builtin:unitary-cube | file path.
+
+    Refuses a representation with another generator count than the group.
+    """
     dom, gens, rels = group_bundle
     if source == "builtin:fuchsian":
         return linrep.uniformizing_rep(gens, rels, "fuchsian")
     if source == "builtin:trivial":
         return linrep.trivial_rep(2, len(gens), rels, "trivial")
-    if source == "builtin:unitary-cube":
-        rep = linrep.unitary_cube_rep()
-        if rels and tuple(tuple(w) for w in rels) != rep.relations:
-            rep = linrep.Representation(
-                rep.n, rep.field, rep.generators, rels, rep.label,
-                rep.projective_flag, rep.unit_det,
-            )
-        return rep
-    return linrep.load_rep(source)
+    cube = source == "builtin:unitary-cube"
+    rep = linrep.unitary_cube_rep() if cube else linrep.load_rep(source)
+    if rep.num_generators != len(gens):
+        raise Refusal(
+            f"{source} has {rep.num_generators} generators; the group has {len(gens)}"
+        )
+    if cube and rels and tuple(tuple(w) for w in rels) != rep.relations:
+        rep = linrep.Representation(
+            rep.n, rep.field, rep.generators, rels, rep.label,
+            rep.projective_flag, rep.unit_det,
+        )
+    return rep
 
 
 def apply_transforms(rep, chain, group_spec=None):
@@ -113,15 +119,12 @@ def _bend_split_for(rep, group_spec):
             "bend transform needs a surface group (no canonical amalgam "
             "for triangle groups); supply surface:g"
         )
-    moving = frozenset(range(3, 2 * group_spec.params[0] + 1))
-    return fuchsian.BendingSplit(moving, (1, 2, -1, -2))
+    return fuchsian.BendingSplit.surface_standard(group_spec.params[0])
 
 
 def _gate_relations(rep):
     report = linrep.check_relations(rep)
-    # large-entry reps (big twists) cannot satisfy any absolute residual in
-    # float64, so backward stability is the fallback certificate
-    if report.max_residual > RELATION_GATE and report.max_relative > 1e-8:
+    if not report.holds(RELATION_GATE):
         raise Refusal(
             f"relation check failed: residual {report.max_residual:.3e} "
             f"(relative {report.max_relative:.3e})"
@@ -245,12 +248,11 @@ def run_sweep(sweep):
     for v in sweep.grid:
         s = complex(0.0, v) if sweep.axis == "imag" else complex(v, 0.0)
         try:
+            # bend_representation gates relations at 1e-8, inside RELATION_GATE
             bent = rep if s == 0 else fuchsian.bend_representation(rep, split, s)
-            _gate_relations(bent)
             est = oseledets.estimate_spectrum(bundle[0], bent, sweep.base.run, coding)
             rows.append((v, est.values[0], est.stderr[0], "ok"))
-        except (Refusal, fuchsian.DegenerateBendingError,
-                linrep.RepresentationError,
+        except (fuchsian.DegenerateBendingError, linrep.RepresentationError,
                 oseledets.InsufficientDataError) as exc:
             rows.append((v, math.nan, math.nan, f"failed:{type(exc).__name__}"))
     return rows, rep
@@ -344,13 +346,8 @@ def cmd_err(ns, config):
     center = hypgeo.HPoint(cx, cy)
     t_max = _pick(ns.tmax, config, "tmax", 20.0, float)
     nodes = _pick(ns.grid_nodes, config, "grid-nodes", 400, int)
-    grid = _err_grid(t_max, nodes)
-    cf = errterm.count_in_balls((dev, u), center, grid)
-    est = errterm.err_estimate(cf, t_max)
-    _write_text(ns.out, errterm.count_csv(cf, est))
-    if ns.svg:
-        _write_err_svg(ns.svg, cf)
-    return 0
+    cf = errterm.count_in_balls((dev, u), center, _err_grid(t_max, nodes))
+    return _write_err_outputs(ns, cf, t_max)
 
 
 def _err_grid(t_max, nodes):
@@ -363,18 +360,20 @@ def _err_grid(t_max, nodes):
     return np.concatenate([head, tail])
 
 
-def _write_err_svg(path, cf):
-    vols = np.array([hypgeo.ball_volume(v) for v in cf.t])
-    g = cf.counts / vols
-    run_int = np.concatenate([[0.0], np.cumsum(0.5 * (g[1:] + g[:-1]) * np.diff(cf.t))])
-    run_err = math.pi * run_int / cf.t
-    svg = svg_line_plot(
-        [(list(cf.t), list(run_err), "steelblue", False),
-         (list(cf.t), list(math.pi * g), "gray", False)],
-        "running error-term estimate (blue) and instantaneous ratio (gray)",
-        "t", "estimate",
-    )
-    _write_text(path, svg)
+def _write_err_outputs(ns, cf, t_max):
+    """CSV (and SVG when asked) of an err or orbit-count run."""
+    est = errterm.err_estimate(cf, t_max)
+    _write_text(ns.out, errterm.count_csv(cf, est))
+    if ns.svg:
+        _, g, running = errterm.running_err(cf)
+        svg = svg_line_plot(
+            [(list(cf.t), list(running), "steelblue", False),
+             (list(cf.t), list(math.pi * g), "gray", False)],
+            "running error-term estimate (blue) and instantaneous ratio (gray)",
+            "t", "estimate",
+        )
+        _write_text(ns.svg, svg)
+    return 0
 
 
 def cmd_orbit_count(ns, config):
@@ -388,13 +387,8 @@ def cmd_orbit_count(ns, config):
     else:
         center = dom.interior_point
     pts, dists = fuchsian.orbit_ball(dom, gens, center, t_max)
-    grid = np.linspace(0.3, t_max, nodes)
-    cf = errterm.count_in_balls((pts, dists), center, grid)
-    est = errterm.err_estimate(cf, t_max)
-    _write_text(ns.out, errterm.count_csv(cf, est))
-    if ns.svg:
-        _write_err_svg(ns.svg, cf)
-    return 0
+    cf = errterm.count_in_balls((pts, dists), center, np.linspace(0.3, t_max, nodes))
+    return _write_err_outputs(ns, cf, t_max)
 
 
 def cmd_rep(ns, config):
@@ -403,9 +397,7 @@ def cmd_rep(ns, config):
     bundle = fuchsian.build_group(spec)
     rep = resolve_rep(_pick(ns.rep, config, "rep", "builtin:fuchsian"), bundle)
     rep = apply_transforms(rep, ns.transform or [], spec)
-    report = linrep.check_relations(rep)
-    if ns.check and report.max_residual > RELATION_GATE and report.max_relative > 1e-8:
-        raise Refusal(f"relation residual {report.max_residual:.3e}")
+    report = _gate_relations(rep) if ns.check else linrep.check_relations(rep)
     _write_text(ns.out, linrep.format_rep_text(rep))
     sys.stderr.write(
         f"relations: max residual {report.max_residual:.3e} "

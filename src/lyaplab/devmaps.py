@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hypgeo import BallSpec, HPoint, ball_euclidean, hyp_dist
+from .hypgeo import HPoint, ball_euclidean, hyp_dist
 from .linrep import sym_power
 
 
@@ -60,20 +60,6 @@ class DevelopingMap:
 
     def __call__(self, z):
         return self.evaluator(complex(z))
-
-
-@dataclass(frozen=True)
-class PreimageQuery:
-    """A bad-locus counting request: which hyperplane, which ball, how."""
-
-    covector: Covector
-    ball: BallSpec
-    method: str = "auto"  # 'auto' | 'roots' | 'winding'
-    resolution: float = 1e-9
-
-    def __post_init__(self):
-        if self.resolution <= 0:
-            raise ValueError("resolution must be positive")
 
 
 def identity_dev(rep2):

@@ -14,8 +14,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .devmaps import Covector, BallSpec, OdeDevelopingMap, bad_locus_points
-from .hypgeo import HPoint, ball_volume, hyp_dist
+from .devmaps import Covector, OdeDevelopingMap, bad_locus_points
+from .hypgeo import BallSpec, HPoint, ball_volume, hyp_dist
 
 
 class ResolutionError(ValueError):
@@ -106,10 +106,17 @@ class ErrEstimate:
     unaveraged: float
     uncertainty: float = 0.0
 
-    @property
-    def tail_spread(self):
-        vals = [v for _, v in self.tail_estimates]
-        return max(vals) - min(vals)
+
+def running_err(cf):
+    """(ball volumes, count/vol, running estimate) at every node of cf.t;
+    the running estimate at t is pi/t times the trapezoidal integral of
+    count/vol from the first node to t."""
+    vols = np.array([ball_volume(v) for v in cf.t])
+    g = cf.counts / vols
+    running_int = np.concatenate(
+        [[0.0], np.cumsum(0.5 * (g[1:] + g[:-1]) * np.diff(cf.t))]
+    )
+    return vols, g, math.pi * running_int / cf.t
 
 
 def err_estimate(cf, T_max, min_nodes=50):
@@ -117,28 +124,21 @@ def err_estimate(cf, T_max, min_nodes=50):
     t = cf.t
     if t[-1] < T_max - 1e-9:
         raise ResolutionError(f"grid ends at {t[-1]:g} before T_max={T_max:g}")
-    mask = t <= T_max + 1e-12
-    if mask.sum() < min_nodes:
-        raise ResolutionError(
-            f"only {int(mask.sum())} grid nodes below T_max; need {min_nodes}"
-        )
-    tt = t[mask]
-    vols = np.array([ball_volume(v) for v in tt])
-    g = cf.counts[mask] / vols
-    running_int = np.concatenate(
-        [[0.0], np.cumsum(0.5 * (g[1:] + g[:-1]) * np.diff(tt))]
-    )
-    running_err = math.pi * running_int / tt
+    n = int(np.searchsorted(t, T_max + 1e-12, side="right"))  # nodes <= T_max
+    if n < min_nodes:
+        raise ResolutionError(f"only {n} grid nodes below T_max; need {min_nodes}")
+    tt = t[:n]
+    vols, _, running = (a[:n] for a in running_err(cf))
     tails = []
     for frac in (0.6, 0.8, 1.0):
         target = frac * T_max
-        tails.append((target, float(np.interp(target, tt, running_err))))
+        tails.append((target, float(np.interp(target, tt, running))))
     value = tails[-1][1]
     spread = max(v for _, v in tails) - min(v for _, v in tails)
     converged = spread < 0.1 * abs(value) or abs(value) < 1e-3
-    gu = cf.uncertain[mask] / vols
+    gu = cf.uncertain[:n] / vols
     band = math.pi * float(np.sum(0.5 * (gu[1:] + gu[:-1]) * np.diff(tt))) / tt[-1]
-    unavg = math.pi * cf.counts[mask][-1] / vols[-1]
+    unavg = math.pi * cf.counts[n - 1] / vols[-1]
     return ErrEstimate(
         value=float(value),
         tail_estimates=tuple(tails),
@@ -188,16 +188,11 @@ def sum_rule_check(spectrum, degree_ratio, err, k=1):
 def count_csv(cf, est=None):
     """CSV rows t,count,count_over_vol,running_err plus a comment summary."""
     tt = cf.t
-    vols = np.array([ball_volume(v) for v in tt])
-    g = cf.counts / vols
-    running_int = np.concatenate(
-        [[0.0], np.cumsum(0.5 * (g[1:] + g[:-1]) * np.diff(tt))]
-    )
-    running_err = math.pi * running_int / tt
+    _, g, running = running_err(cf)
     lines = ["t,count,count_over_vol,running_err"]
     for i in range(len(tt)):
         lines.append(
-            f"{tt[i]:.12g},{int(cf.counts[i])},{g[i]:.12g},{running_err[i]:.12g}"
+            f"{tt[i]:.12g},{int(cf.counts[i])},{g[i]:.12g},{running[i]:.12g}"
         )
     if est is not None:
         tails = " ".join(f"tail_{tp:g}={tv:.12g}" for tp, tv in est.tail_estimates)

@@ -18,16 +18,10 @@ import numpy as np
 
 # membership / degeneracy predicates
 MEMBERSHIP_TOL = 1e-12
-# flow-property and pairing checks
-FLOW_TOL = 1e-9
 
 
 class NumericDegeneracyError(ArithmeticError):
     """A Mobius image or geodesic computation left the model (y <= eps)."""
-
-
-class TangencyError(ValueError):
-    """A crossing query hit a side tangentially or at its endpoint."""
 
 
 @dataclass(frozen=True)
@@ -46,10 +40,6 @@ class HPoint:
     @property
     def z(self):
         return complex(self.x, self.y)
-
-    @staticmethod
-    def from_complex(z):
-        return HPoint(float(z.real), float(z.imag))
 
 
 @dataclass(frozen=True)
@@ -129,13 +119,6 @@ class Mobius:
     def apply_tangent(self, ut):
         return UnitTangent(self.apply(ut.base), ut.angle + self.deriv_arg(ut.base.z))
 
-    def is_identity(self, tol=1e-9):
-        m = self.mat
-        return min(np.abs(m - np.eye(2)).max(), np.abs(m + np.eye(2)).max()) < tol
-
-    def trace(self):
-        return self.mat[0, 0] + self.mat[1, 1]
-
     @staticmethod
     def to_point(p):
         """The upper-triangular map sending i to p (derivative real positive)."""
@@ -172,21 +155,11 @@ class Mobius:
         return b @ a.inv()
 
 
-def mobius_apply(m, z):
-    """Action z -> (az+b)/(cz+d) on the upper half-plane."""
-    return m.apply(z)
-
-
 def hyp_dist(p, q):
     """Hyperbolic distance, d = arccosh(1 + |p-q|^2 / (2 y_p y_q))."""
     dx = p.x - q.x
     dy = p.y - q.y
     t = 1.0 + (dx * dx + dy * dy) / (2.0 * p.y * q.y)
-    return math.acosh(t) if t > 1.0 else 0.0
-
-
-def _dist_complex(z, w):
-    t = 1.0 + abs(z - w) ** 2 / (2.0 * z.imag * w.imag)
     return math.acosh(t) if t > 1.0 else 0.0
 
 
@@ -283,18 +256,14 @@ def _carrier_param(car, x, y):
 
 @dataclass(frozen=True)
 class GeodesicArc:
-    """Oriented geodesic segment or ray, unit-speed in curvature -1.
+    """Oriented geodesic segment, unit-speed in curvature -1.
 
     `carrier` is the closed-form description above; the arc covers
-    parameters [0, length] (length may be inf for rays).
+    parameters [0, length].
     """
 
     carrier: tuple
     length: float
-
-    @staticmethod
-    def ray(ut):
-        return GeodesicArc(_carrier_from_tangent(ut.base.x, ut.base.y, ut.angle), math.inf)
 
     @staticmethod
     def segment(p, q):
@@ -304,9 +273,6 @@ class GeodesicArc:
     def point_at(self, t):
         x, y = _carrier_point(self.carrier, t)
         return HPoint(x, y)
-
-    def tangent_at(self, t):
-        return UnitTangent(self.point_at(t), _carrier_angle(self.carrier, t))
 
     @property
     def start(self):
@@ -353,37 +319,6 @@ def _carrier_intersections(car1, car2):
     if disc <= 1e-24 * r1 * r1:
         return []
     return [(x, math.sqrt(disc))]
-
-
-def arc_side_crossing(arc, side, min_t=1e-12, side_tol=1e-10, vertex_tol=1e-9):
-    """Smallest parameter > min_t where `arc` crosses `side` inside the segment.
-
-    Returns the arc parameter or None when the arc misses the side.  Raises
-    TangencyError when the carriers coincide or when the crossing sits at a
-    segment endpoint within vertex_tol (the caller perturbs the direction);
-    a crossing at parameter ~0 (arc starting on the side) is reported the
-    same way.
-    """
-    pts = _carrier_intersections(arc.carrier, side.carrier)
-    if pts is None:
-        raise TangencyError("arc runs along the side's geodesic")
-    best = None
-    for x, y in pts:
-        u_side = _carrier_param(side.carrier, x, y)
-        if u_side < -side_tol or u_side > side.length + side_tol:
-            continue
-        t = _carrier_param(arc.carrier, x, y)
-        if t > arc.length + side_tol:
-            continue
-        if -min_t <= t <= min_t:
-            raise TangencyError("arc starts on the side")
-        if t < min_t:
-            continue
-        if u_side < vertex_tol or u_side > side.length - vertex_tol:
-            raise TangencyError("crossing at a vertex")
-        if best is None or t < best:
-            best = t
-    return best
 
 
 def geodesic_flow(ut, t):

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 DET_MIN, DET_MAX = 1e-6, 1e6
+# backward-stability fallback of every relation gate (see RelationReport.holds)
+RELATIVE_GATE = 1e-8
 
 
 class RepresentationError(ValueError):
@@ -108,26 +110,31 @@ def eval_word(rep, word):
 @dataclass(frozen=True)
 class RelationReport:
     max_residual: float
-    worst_relation: tuple
-    residuals: tuple
-    max_relative: float = 0.0  # residual / largest intermediate prefix norm
+    max_relative: float  # residual / largest intermediate prefix norm
+
+    def holds(self, atol):
+        """True when every relation closes to the absolute residual atol or,
+        failing that, to rounding level relative to its intermediate
+        products: large-entry reps (big twists) cannot satisfy any absolute
+        residual in float64, so backward stability is the fallback
+        certificate.  A non-finite residual never holds."""
+        return self.max_residual <= atol or self.max_relative <= RELATIVE_GATE
 
 
-def check_relations(rep, tol=1e-9):
+def check_relations(rep):
     """Frobenius residual min over sign of |eval(w) -+ I| per relation.
 
     Sign minimization only applies when projective_flag is set.  Alongside
     the absolute residual the report carries a backward-stability measure:
     the residual divided by the largest intermediate prefix norm, which
     stays at rounding level for any float realization of a true relation
-    even when conjugated generators have huge entries.
+    even when conjugated generators have huge entries.  A product that
+    overflows gets an infinite residual on both measures.
     """
     eye = np.eye(rep.n)
-    residuals = []
-    worst, worst_w = -1.0, ()
-    max_rel = 0.0
+    dtype = complex if rep.is_complex else float
+    max_res = max_rel = 0.0
     for w in rep.relations:
-        dtype = complex if rep.is_complex else float
         prefixes = [np.eye(rep.n, dtype=dtype)]
         for s in w:
             prefixes.append(prefixes[-1] @ rep.generator_image(s))
@@ -145,14 +152,11 @@ def check_relations(rep, tol=1e-9):
         res = np.linalg.norm(m - eye)
         if rep.projective_flag:
             res = min(res, np.linalg.norm(m + eye))
-        residuals.append(res)
-        max_rel = max(max_rel, res / scale)
-        if res > worst:
-            worst, worst_w = res, w
-    del tol  # kept for signature stability; thresholds live with callers
-    return RelationReport(
-        max(residuals, default=0.0), worst_w, tuple(residuals), max_rel
-    )
+        if not math.isfinite(res):
+            res = math.inf  # overflowed: inf / inf would be a NaN that max() drops
+        max_res = max(max_res, res)
+        max_rel = max(max_rel, res / scale if res < math.inf else res)
+    return RelationReport(max_res, max_rel)
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +279,7 @@ def _is_invariant_line(rep, v, tol):
     return True
 
 
-def classify(rep, sample_budget=64, tol=1e-8, seed=7):
+def classify(rep, sample_budget=64, seed=7):
     """Advisory label: unitary | reducible-suspected | elementary-suspected
     | non-elementary-suspected.
 
@@ -328,7 +332,6 @@ def classify(rep, sample_budget=64, tol=1e-8, seed=7):
                 return "elementary-suspected"
     if not pinching:
         return "elementary-suspected"
-    del tol
     return "non-elementary-suspected"
 
 

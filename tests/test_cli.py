@@ -1,10 +1,27 @@
 import math
 
-from lyaplab import cli
+import numpy as np
+import pytest
+
+from lyaplab import cli, fuchsian, linrep
 
 
 def run_cli(args):
     return cli.main(args)
+
+
+def write_rep(path, generators, relations):
+    linrep.save_rep(linrep.Representation(2, "real", generators, relations, "t",
+                                          projective_flag=True), path)
+    return str(path)
+
+
+def last_row_and_err(csv_text):
+    """(running_err of the last row, the # err= value) of an err CSV."""
+    lines = csv_text.strip().split("\n")
+    summary = [l for l in lines if l.startswith("#")][0]
+    rows = [l for l in lines if not l.startswith("#")]
+    return rows[-1].split(",")[3], summary.split("err=")[1].split()[0]
 
 
 class TestSpectrumCommand:
@@ -65,6 +82,40 @@ class TestSpectrumCommand:
         assert run_cli(["spectrum", "--config", str(cfg), "--time", "60",
                         "--out", str(out2)]) == 0
         assert ",60," in out2.read_text()
+
+
+class TestRepresentationRefusals:
+    def test_builtin_generator_count_mismatch(self, tmp_path):
+        # unitary-cube has 3 generators; surface:2 has 4
+        assert run_cli(["spectrum", "--group", "surface:2", "--rep",
+                        "builtin:unitary-cube", "--time", "50", "--samples", "2",
+                        "--seed", "1", "--out", str(tmp_path / "x.csv")]) == 2
+
+    def test_file_with_too_few_generators(self, tmp_path):
+        rep = write_rep(tmp_path / "two.rep", [np.eye(2), np.eye(2)], [(1, 2, -1, -2)])
+        assert run_cli(["spectrum", "--group", "surface:2", "--rep", rep,
+                        "--time", "50", "--samples", "2", "--seed", "1",
+                        "--out", str(tmp_path / "x.csv")]) == 2
+
+    def test_file_with_extra_generator(self, tmp_path):
+        _, gens, rels = fuchsian.build_group(fuchsian.GroupSpec.triangle(3, 3, 4))
+        mats = [np.real_if_close(g.mat) for g in gens] + [np.eye(2)]
+        rep = write_rep(tmp_path / "four.rep", mats, rels)
+        out = tmp_path / "never.csv"
+        assert run_cli(["spectrum", "--group", "triangle:3,3,4", "--rep", rep,
+                        "--time", "50", "--samples", "2", "--seed", "1",
+                        "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflowed_relation_refused(self, tmp_path):
+        big = np.diag([1e200, 1e-200])
+        rep = write_rep(tmp_path / "big.rep", [big, np.eye(2), np.eye(2)], [(1, 1)])
+        assert run_cli(["rep", "--group", "triangle:3,3,4", "--rep", rep,
+                        "--check", "--out", str(tmp_path / "x.rep")]) == 2
+        assert run_cli(["spectrum", "--group", "triangle:3,3,4", "--rep", rep,
+                        "--time", "50", "--samples", "2", "--seed", "1",
+                        "--out", str(tmp_path / "x.csv")]) == 2
 
 
 class TestTransforms:
@@ -161,6 +212,14 @@ class TestErrCommand:
         counts = [int(r.split(",")[1]) for r in rows]
         assert counts[0] == 0 and counts[-1] == 1
 
+    def test_last_running_err_is_err(self, tmp_path):
+        out = tmp_path / "err.csv"
+        assert run_cli(["err", "--dev", "veronese:3", "--covector", "1 0 1",
+                        "--center", "0,2", "--tmax", "20", "--grid-nodes", "150",
+                        "--out", str(out)]) == 0
+        last, err = last_row_and_err(out.read_text())
+        assert float(err) > 0 and last == err
+
     def test_missing_covector_refused(self):
         assert run_cli(["err", "--dev", "identity"]) == 2
 
@@ -179,6 +238,13 @@ class TestOrbitCountCommand:
                    if l.startswith("#")][0]
         err = float(summary.split("err=")[1].split()[0])
         assert abs(err - 6.0) / 6.0 < 0.15
+
+    def test_last_running_err_is_err(self, tmp_path):
+        out = tmp_path / "orbit.csv"
+        assert run_cli(["orbit-count", "--tmax", "6", "--grid-nodes", "80",
+                        "--out", str(out)]) == 0
+        last, err = last_row_and_err(out.read_text())
+        assert float(err) > 0 and last == err
 
 
 class TestRepCommand:

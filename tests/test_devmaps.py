@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 
 from lyaplab.devmaps import (
-    BallSpec,
     Covector,
     DevelopingMap,
     OdeDevelopingMap,
-    PreimageQuery,
     bad_locus_count,
     equivariance_residual,
     identity_dev,
@@ -20,7 +18,7 @@ from lyaplab.devmaps import (
     projective_sine,
     veronese_dev,
 )
-from lyaplab.hypgeo import HPoint, UnitTangent, geodesic_flow
+from lyaplab.hypgeo import BallSpec, HPoint, UnitTangent, geodesic_flow
 
 
 def phi_zero(z):
@@ -33,11 +31,6 @@ class TestCovector:
             Covector((0.0, 0.0))
 
     def test_query_validation(self):
-        q = PreimageQuery(Covector((1.0, 0.0)), BallSpec(HPoint(0, 1), 2.0))
-        assert q.method == "auto"
-        with pytest.raises(ValueError):
-            PreimageQuery(Covector((1.0,)), BallSpec(HPoint(0, 1), 1.0),
-                          resolution=0.0)
         with pytest.raises(ValueError):
             BallSpec(HPoint(0, 1), -1.0)
 

@@ -285,6 +285,10 @@ class TestOrbit:
 
 
 class TestBending:
+    def test_surface_split(self):
+        assert BendingSplit.genus2_standard() == BendingSplit(frozenset({3, 4}), (1, 2, -1, -2))
+        assert BendingSplit.surface_standard(3).moving == frozenset(range(3, 7))
+
     def test_zero_is_identity(self, fuchs_g2):
         assert bend_representation(fuchs_g2, BendingSplit.genus2_standard(), 0.0) is fuchs_g2
 

@@ -6,18 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad, solve_ivp
 
+from lyaplab.fuchsian import _crossing_candidates
 from lyaplab.hypgeo import (
     GeodesicArc,
     HPoint,
     Mobius,
-    TangencyError,
     UnitTangent,
-    arc_side_crossing,
+    _carrier_from_tangent,
+    _carrier_param,
     ball_euclidean,
     ball_volume,
     geodesic_flow,
     hyp_dist,
-    mobius_apply,
+    side_clearance,
 )
 
 I = HPoint(0.0, 1.0)
@@ -37,15 +38,15 @@ def rand_mobius(seed):
 
 class TestMobius:
     def test_identity(self):
-        assert mobius_apply(Mobius.identity(), I) == I
+        assert Mobius.identity().apply(I) == I
 
     def test_translation(self):
         m = Mobius(np.array([[1.0, 1.0], [0.0, 1.0]]))
-        assert mobius_apply(m, I) == HPoint(1.0, 1.0)
+        assert m.apply(I) == HPoint(1.0, 1.0)
 
     def test_rotation_fixes_i(self):
         m = Mobius(np.array([[0.0, -1.0], [1.0, 0.0]]))
-        w = mobius_apply(m, I)
+        w = m.apply(I)
         assert abs(w.z - 1j) < 1e-15
 
     def test_rejects_boundary_point(self):
@@ -69,8 +70,8 @@ class TestMobius:
     def test_group_law(self, s1, s2, x, y):
         m1, m2 = rand_mobius(s1), rand_mobius(s2)
         z = HPoint(x, y)
-        lhs = mobius_apply(m1 @ m2, z)
-        rhs = mobius_apply(m1, mobius_apply(m2, z))
+        lhs = (m1 @ m2).apply(z)
+        rhs = m1.apply(m2.apply(z))
         assert abs(lhs.z - rhs.z) < 1e-10 * max(1.0, abs(lhs.z))
 
 
@@ -174,31 +175,44 @@ class TestBallVolume:
         assert np.all(np.diff(v, 2) > -1e-12)
 
 
+def ray(ut):
+    return _carrier_from_tangent(ut.base.x, ut.base.y, ut.angle)
+
+
+def raw_side(p, q, inside):
+    """Side p -> q as FundamentalDomain stores it for tracing, with the
+    polygon interior on the side of `inside`."""
+    car = GeodesicArc.segment(p, q).carrier
+    u0, u1 = _carrier_param(car, p.x, p.y), _carrier_param(car, q.x, q.y)
+    sign = 1.0 if side_clearance(car, inside.x, inside.y) > 0 else -1.0
+    return car, min(u0, u1), max(u0, u1), sign
+
+
 class TestCrossing:
     def setup_method(self):
-        self.side = GeodesicArc.segment(HPoint(-1.2, 1.6), HPoint(1.2, 1.6))
-        self.ray = GeodesicArc.ray(UnitTangent(I, math.pi / 2))
+        self.up = UnitTangent(I, math.pi / 2)
+        self.side = raw_side(HPoint(-1.2, 1.6), HPoint(1.2, 1.6), I)
 
     def test_far_side_missed(self):
-        far = GeodesicArc.segment(HPoint(10.0, 1.0), HPoint(11.0, 1.0))
-        assert arc_side_crossing(self.ray, far) is None
+        far = raw_side(HPoint(10.0, 1.0), HPoint(11.0, 1.0), HPoint(10.5, 0.5))
+        assert _crossing_candidates(ray(self.up), far, 1e-12) == []
 
     def test_start_on_side_flagged(self):
         # the unit semicircle passes through i; a vertical ray from i starts
-        # on it
-        side = GeodesicArc.segment(HPoint(-0.6, 0.8), HPoint(0.6, 0.8))
-        with pytest.raises(TangencyError):
-            arc_side_crossing(GeodesicArc.ray(UnitTangent(I, math.pi / 2)), side)
+        # on it, and that crossing is not reported
+        side = raw_side(HPoint(-0.6, 0.8), HPoint(0.6, 0.8), HPoint(0.0, 0.5))
+        assert _crossing_candidates(ray(self.up), side, 1e-12) == []
+        # a ray along the side's own geodesic is flagged as a tangency
+        along = ray(UnitTangent(I, 0.0))
+        assert _crossing_candidates(along, side, 1e-12) == "tangent"
 
     def test_bisection_oracle(self):
-        t = arc_side_crossing(self.ray, self.side)
+        ((t, _, xx, yy),) = _crossing_candidates(ray(self.up), self.side, 1e-12)
         # bisection on the sign of the side-carrier clearance along the ray
-        from lyaplab.hypgeo import side_clearance
-
-        car = self.side.carrier
+        car = self.side[0]
 
         def val(tt):
-            p = self.ray.point_at(tt)
+            p = geodesic_flow(self.up, tt).base
             return side_clearance(car, p.x, p.y)
 
         lo, hi = 1e-6, 3.0
@@ -210,11 +224,15 @@ class TestCrossing:
             else:
                 lo = mid
         assert abs(t - 0.5 * (lo + hi)) < 1e-10
+        assert abs(complex(xx, yy) - geodesic_flow(self.up, t).base.z) < 1e-12
 
     def test_crossing_angles(self):
-        # oblique ray against a vertical side
-        ray = GeodesicArc.ray(UnitTangent(HPoint(-0.5, 1.0), 0.4))
-        side = GeodesicArc.segment(HPoint(0.0, 0.5), HPoint(0.0, 3.0))
-        t = arc_side_crossing(ray, side)
-        assert t is not None
-        assert abs(ray.point_at(t).x) < 1e-12
+        # oblique ray against a vertical side, leaving the interior on the left
+        ut = UnitTangent(HPoint(-0.5, 1.0), 0.4)
+        side = raw_side(HPoint(0.0, 0.5), HPoint(0.0, 3.0), HPoint(-0.5, 1.0))
+        ((t, _, xx, _),) = _crossing_candidates(ray(ut), side, 1e-12)
+        assert abs(xx) < 1e-12
+        assert abs(geodesic_flow(ut, t).base.x) < 1e-12
+        # with the interior on the right the ray enters there: no exit
+        entering = raw_side(HPoint(0.0, 0.5), HPoint(0.0, 3.0), HPoint(0.5, 1.0))
+        assert _crossing_candidates(ray(ut), entering, 1e-12) == []
