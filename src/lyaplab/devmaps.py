@@ -279,12 +279,6 @@ def oper_identity_init(z0):
     return np.array([[z0, 1.0], [1.0, 0.0]], dtype=complex)
 
 
-def loop_monodromy(phi, init, loop, rtol=1e-10):
-    """Frame transfer around a closed polyline: end_frame @ init^{-1}."""
-    res = ode_develop(phi, init, list(loop) + [loop[0]], rtol=rtol)
-    return res.frames[-1] @ np.linalg.inv(res.frames[0])
-
-
 class OdeDevelopingMap:
     """Developing map backed by ODE integration from an anchor point.
 

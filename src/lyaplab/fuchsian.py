@@ -20,8 +20,7 @@ from .hypgeo import (
     HPoint,
     Mobius,
     UnitTangent,
-    _carrier_from_tangent,
-    _carrier_intersections,
+    _VERTICAL_COS,
     _carrier_param,
     geodesic_flow,
     hyp_dist,
@@ -32,6 +31,12 @@ Word = tuple  # signed 1-based generator indices, negative = inverse
 
 SIDE_TOL = 1e-10      # side membership tolerance (sinh of distance)
 VERTEX_TOL = 1e-9     # arclength window around vertices treated as hits
+# carriers closer than this are one geodesic numerically: a ray mapped
+# through a vertex rotation can land on a side's geodesic up to rounding,
+# and the intersection formula degenerates there
+_COINCIDE_TOL = 1e-8
+_HALF_PI = math.pi / 2.0
+_TWO_PI = 2.0 * math.pi
 
 
 class NonConvergenceError(RuntimeError):
@@ -148,7 +153,9 @@ class FundamentalDomain:
             u1 = _carrier_param(car, arc.end.x, arc.end.y)
             sign = 1.0 if side_clearance(car, interior_point.x, interior_point.y) > 0 else -1.0
             self._raw.append((car, min(u0, u1), max(u0, u1), sign))
-        self._pair_mats = [p.mobius.mat for p in self.pairings]
+        self._trace_sides = [_side_record(*raw) for raw in self._raw]
+        self._trace_pairs = [(*(float(v) for v in p.mobius.mat.ravel()), p.word[0])
+                             for p in self.pairings]
         self.inradius = min(
             math.asinh(abs(side_clearance(car, interior_point.x, interior_point.y)))
             for car, _, _, _ in self._raw
@@ -335,37 +342,138 @@ def pull_back(dom, z, max_factor=10.0):
     raise NonConvergenceError(f"pull_back did not converge from {z}")
 
 
-def _crossing_candidates(ray_car, raw_side, t_min):
-    """Outward (t, u, x, y) crossings of the ray with one side, t > t_min.
+def _side_record(car, lo, hi, s_in):
+    """Flat constants of one polygon side for the ray tracer: its carrier,
+    the arclength window [lo, hi] of the side on it, and the sign s_in of
+    the interior clearance.  A vertical carrier stores x0 as c and r = 0."""
+    if car[0] == "v":
+        (_, c, u0, s), r = car, 0.0
+    else:
+        _, c, r, u0, s = car
+    return (car[0] == "v", c, r, r * r, 1e-24 * r * r, max(1.0, r, abs(c)), c * c,
+            u0, s, lo - SIDE_TOL, hi + SIDE_TOL, lo + VERTEX_TOL, hi - VERTEX_TOL,
+            s_in, 2.0 * r)
 
-    Outward means the interior clearance of the side decreases through the
-    crossing, i.e. the ray actually exits there; inward re-entries (the
-    point where the previous pull-back landed) and tangential grazes are
-    not crossings.
+
+def _first_exit(sides, x, y, th):
+    """The first outward crossing of the ray from (x, y) at angle th with
+    the sides (records of _side_record), and whether the ray runs along some
+    side's carrier (a tangency the caller must perturb away).
+
+    The crossing is (t, k, xx, yy, th_c, near_vertex): ray arclength t >
+    1e-12, side index k, the point, the ray's angle there, and whether the
+    point lies within VERTEX_TOL of an end of the side.  Outward means the
+    interior clearance of the side decreases through the crossing, i.e. the
+    ray actually exits there; inward re-entries (the point where the
+    previous pull-back landed) and tangential grazes are not crossings.
+
+    Carriers follow hypgeo's closed forms with the same floating-point
+    operations in the same order, so codings repeat bit for bit; the flow
+    is chaotic and any ulp of difference grows like e^t.
     """
-    car, lo, hi, s_in = raw_side
-    pts = _carrier_intersections(ray_car, car)
-    if pts is None:
-        return "tangent"
-    out = []
-    for xx, yy in pts:
-        u = _carrier_param(car, xx, yy)
-        if u < lo - SIDE_TOL or u > hi + SIDE_TOL:
-            continue
-        t = _carrier_param(ray_car, xx, yy)
-        if t <= t_min:
-            continue
-        th = _angle_on_ray(ray_car, xx, yy)
-        if car[0] == "v":
-            deriv = math.cos(th)
+    ct = math.cos(th)
+    vertical = abs(ct) < _VERTICAL_COS
+    if vertical:
+        rs = 1.0 if math.sin(th) > 0 else -1.0
+        ru0 = math.log(y)
+        th_v = _HALF_PI if rs > 0 else -_HALF_PI
+    else:
+        rc = x + y * math.tan(th)
+        rr = y / abs(ct)
+        phi = math.atan2(y, x - rc)
+        ru0 = math.log(math.tan(phi / 2.0))
+        # increasing phi moves with tangent angle phi + pi/2
+        rs = 1.0 if math.cos(th - phi - _HALF_PI) > 0 else -1.0
+        rr2, rc2, rtiny, rscale = rr * rr, rc * rc, 1e-24 * rr * rr, max(1.0, rr, abs(rc))
+    best, tangent = None, False
+    for k, (vert, c, r, rsq, tiny, scale, csq, u0, s, u_lo, u_hi, v_lo, v_hi, s_in,
+            _) in enumerate(sides):
+        if vertical:
+            if vert:
+                if abs(x - c) < _COINCIDE_TOL * max(1.0, abs(x)):
+                    tangent = True
+                continue
+            disc = rsq - (x - c) ** 2
+            if disc <= tiny:
+                continue
+            xx = x
+        elif vert:
+            disc = rr2 - (c - rc) ** 2
+            if disc <= rtiny:
+                continue
+            xx = c
         else:
-            dx, dy = xx - car[1], yy
-            norm = math.hypot(dx, dy)
-            deriv = (dx * math.cos(th) + dy * math.sin(th)) / norm
+            if rscale > scale:
+                scale = rscale
+            if abs(rc - c) < _COINCIDE_TOL * scale:
+                if abs(rr - r) < _COINCIDE_TOL * scale:
+                    tangent = True
+                continue
+            xx = (rr2 - rsq + csq - rc2) / (2.0 * (c - rc))
+            disc = rr2 - (xx - rc) ** 2
+            if disc <= rtiny:
+                continue
+        yy = math.sqrt(disc)
+        if vert:
+            u = s * (math.log(yy) - u0)
+        else:
+            dx = xx - c
+            u = s * (math.log(math.tan(math.atan2(yy, dx) / 2.0)) - u0)
+        if u < u_lo or u > u_hi:
+            continue
+        if vertical:
+            t = rs * (math.log(yy) - ru0)
+        else:
+            phi = math.atan2(yy, xx - rc)
+            t = rs * (math.log(math.tan(phi / 2.0)) - ru0)
+        if t <= 1e-12:
+            continue
+        th_c = th_v if vertical else phi + rs * _HALF_PI
+        if vert:
+            deriv = math.cos(th_c)
+        else:
+            deriv = (dx * math.cos(th_c) + yy * math.sin(th_c)) / math.hypot(dx, yy)
         if s_in * deriv >= -1e-12:
             continue  # inward or tangential
-        out.append((t, u, xx, yy))
-    return out
+        if best is None or t < best[0]:
+            best = (t, k, xx, yy, th_c, u < v_lo or u > v_hi)
+    return best, tangent
+
+
+def _outside_side(sides, x, y):
+    """Index of the side whose signed clearance at (x, y) is least (the
+    first such; a NaN counts as least, as in np.argmin) when it is below
+    -SIDE_TOL or NaN, else None.  Clearances are side_clearance's."""
+    k_min = m = None
+    for k, (vert, c, r, rsq, _, _, _, _, _, _, _, _, _, s_in, r2) in enumerate(sides):
+        v = s_in * ((x - c) / y if vert else ((x - c) ** 2 + y * y - rsq) / (r2 * y))
+        if m is None or v < m or (v != v and m == m):
+            k_min, m = k, v
+    return None if m >= -SIDE_TOL else k_min
+
+
+def _pair_step(pair, x, y, th):
+    """Apply the side pairing (a, b, c, d, gen) to the state (x, y, th).
+
+    This is numpy's complex128 arithmetic for w = (a z + b) / (c z + d),
+    written out on floats: the real coefficients are promoted to a + 0j, and
+    the quotient multiplies by the reciprocal of the denominator's norm
+    (CPython's complex division divides instead, which differs by ulps).
+    """
+    a, b, c, d, _ = pair
+    dr = c * x - 0.0 * y + d
+    di = c * y + 0.0 * x + 0.0
+    nr = a * x - 0.0 * y + b
+    ni = a * y + 0.0 * x + 0.0
+    if abs(dr) >= abs(di):
+        rat = di / dr
+        scl = 1.0 / (dr + di * rat)
+        wr, wi = (nr + ni * rat) * scl, (ni - nr * rat) * scl
+    else:
+        rat = dr / di
+        scl = 1.0 / (di + dr * rat)
+        wr, wi = (nr * rat + ni) * scl, (ni * rat - nr) * scl
+    return wr, wi, (th - 2.0 * math.atan2(di, dr)) % _TWO_PI
 
 
 def iter_crossings(dom, ut, T, eps0=1e-9, max_retries=5, perturb_log=None):
@@ -379,6 +487,7 @@ def iter_crossings(dom, ut, T, eps0=1e-9, max_retries=5, perturb_log=None):
     any outside drift is repaired by extra pairing hops (the corner routes
     of the unfolded geodesic).  The final partial segment is not yielded.
     """
+    sides, pairs = dom._trace_sides, dom._trace_pairs
     x, y, th = ut.base.x, ut.base.y, ut.angle
     t_acc = 0.0
     max_steps = int(64 + 16.0 * T / dom.inradius)
@@ -388,22 +497,10 @@ def iter_crossings(dom, ut, T, eps0=1e-9, max_retries=5, perturb_log=None):
             return
         hit = None
         for attempt in range(max_retries + 1):
-            ray = _carrier_from_tangent(x, y, th)
-            best = None
-            tangent = False
-            for k in range(len(dom._raw)):
-                cands = _crossing_candidates(ray, dom._raw[k], 1e-12)
-                if cands == "tangent":
-                    tangent = True
-                    continue
-                for t, u, xx, yy in cands:
-                    if best is None or t < best[0]:
-                        lo, hi = dom._raw[k][1], dom._raw[k][2]
-                        near_vertex = u < lo + VERTEX_TOL or u > hi - VERTEX_TOL
-                        best = (t, k, xx, yy, near_vertex)
+            best, tangent = _first_exit(sides, x, y, th)
             if best is not None and best[0] > remaining:
                 return  # segment ends inside the domain
-            if best is not None and not best[4] and not tangent:
+            if best is not None and not best[5] and not tangent:
                 hit = best
                 break
             if best is not None and not tangent and attempt == max_retries:
@@ -411,48 +508,28 @@ def iter_crossings(dom, ut, T, eps0=1e-9, max_retries=5, perturb_log=None):
                 if perturb_log is not None:
                     perturb_log.append((t_acc, 0.0))
                 break
-            th = (th + eps0 * (32.0**attempt)) % (2.0 * math.pi)
-            hit = None
+            th = (th + eps0 * (32.0**attempt)) % _TWO_PI
             if perturb_log is not None:
                 perturb_log.append((t_acc, eps0 * (32.0**attempt)))
         if hit is None:
             raise DegenerateDirectionError(
                 f"ray tracing stuck near a vertex at t={t_acc:.6f}"
             )
-        t, k, xx, yy, _ = hit
-        ray = _carrier_from_tangent(x, y, th)
-        th_c = _angle_on_ray(ray, xx, yy)
-        x, y, th = _apply_pairing(dom, k, xx, yy, th_c)
+        t, k, xx, yy, th_c, _ = hit
+        x, y, th = _pair_step(pairs[k], xx, yy, th_c)
         t_acc += t
-        yield t_acc, dom.pairings[k].word[0], (x, y, th)
+        yield t_acc, pairs[k][4], (x, y, th)
         for hop in range(1, 9):
-            clear = dom.clearances(x, y)
-            k2 = int(np.argmin(clear))
-            if clear[k2] >= -SIDE_TOL:
+            k2 = _outside_side(sides, x, y)
+            if k2 is None:
                 break
-            x, y, th = _apply_pairing(dom, k2, x, y, th)
-            yield t_acc + hop * 1e-12, dom.pairings[k2].word[0], (x, y, th)
+            x, y, th = _pair_step(pairs[k2], x, y, th)
+            yield t_acc + hop * 1e-12, pairs[k2][4], (x, y, th)
         else:
             raise DegenerateDirectionError(
                 f"state failed to re-enter the domain at t={t_acc:.6f}"
             )
     raise ResourceError("crossing budget exceeded (tracing runaway)")
-
-
-def _apply_pairing(dom, k, xx, yy, th):
-    a, b, c, d = dom._pair_mats[k].ravel()
-    z = complex(xx, yy)
-    den = c * z + d
-    w = (a * z + b) / den
-    return w.real, w.imag, (th - 2.0 * math.atan2(den.imag, den.real)) % (2.0 * math.pi)
-
-
-def _angle_on_ray(ray_car, xx, yy):
-    if ray_car[0] == "v":
-        return math.pi / 2.0 if ray_car[3] > 0 else -math.pi / 2.0
-    _, c, r, _, s = ray_car
-    phi = math.atan2(yy, xx - c)
-    return phi + s * math.pi / 2.0
 
 
 def code_geodesic(dom, ut, T):

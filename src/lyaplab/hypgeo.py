@@ -116,9 +116,6 @@ class Mobius:
         a, b, c, d = self.mat.ravel()
         return -2.0 * cmath.phase(c * z + d)
 
-    def apply_tangent(self, ut):
-        return UnitTangent(self.apply(ut.base), ut.angle + self.deriv_arg(ut.base.z))
-
     @staticmethod
     def to_point(p):
         """The upper-triangular map sending i to p (derivative real positive)."""
@@ -281,44 +278,6 @@ class GeodesicArc:
     @property
     def end(self):
         return self.point_at(self.length)
-
-
-_COINCIDE_TOL = 1e-8  # carriers closer than this are one geodesic numerically
-
-
-def _carrier_intersections(car1, car2):
-    """(x, y) intersection candidates of two carriers, y > 0; [] or [pt].
-
-    Returns None when the carriers coincide within tolerance (the ray runs
-    along the geodesic: a tangency the caller must perturb away).  The
-    tolerance is generous because a ray mapped through a vertex rotation
-    can land on a side's geodesic up to accumulated rounding, and the
-    intersection formula below degenerates there.
-    """
-    k1, k2 = car1[0], car2[0]
-    if k1 == "v" and k2 == "v":
-        if abs(car1[1] - car2[1]) < _COINCIDE_TOL * max(1.0, abs(car1[1])):
-            return None
-        return []
-    if k1 == "v" or k2 == "v":
-        vx = car1[1] if k1 == "v" else car2[1]
-        _, c, r = (car2[:3] if k1 == "v" else car1[:3])
-        disc = r * r - (vx - c) ** 2
-        if disc <= 1e-24 * r * r:
-            return []
-        return [(vx, math.sqrt(disc))]
-    _, c1, r1, _, _ = car1
-    _, c2, r2, _, _ = car2
-    scale = max(1.0, r1, r2, abs(c1), abs(c2))
-    if abs(c1 - c2) < _COINCIDE_TOL * scale:
-        if abs(r1 - r2) < _COINCIDE_TOL * scale:
-            return None
-        return []
-    x = (r1 * r1 - r2 * r2 + c2 * c2 - c1 * c1) / (2.0 * (c2 - c1))
-    disc = r1 * r1 - (x - c1) ** 2
-    if disc <= 1e-24 * r1 * r1:
-        return []
-    return [(x, math.sqrt(disc))]
 
 
 def geodesic_flow(ut, t):

@@ -134,28 +134,31 @@ def check_relations(rep):
     eye = np.eye(rep.n)
     dtype = complex if rep.is_complex else float
     max_res = max_rel = 0.0
-    for w in rep.relations:
-        prefixes = [np.eye(rep.n, dtype=dtype)]
-        for s in w:
-            prefixes.append(prefixes[-1] @ rep.generator_image(s))
-        suffix_scale = [1.0]
-        m = np.eye(rep.n, dtype=dtype)
-        for s in reversed(w):
-            m = rep.generator_image(s) @ m
-            suffix_scale.append(max(1.0, np.abs(m).max()))
-        suffix_scale.reverse()
-        # a backward-stable product has |prod - I| <~ eps * max_i |prefix_i||suffix_i|
-        scale = max(
-            max(1.0, np.abs(p).max()) * ss for p, ss in zip(prefixes, suffix_scale)
-        )
-        m = prefixes[-1]
-        res = np.linalg.norm(m - eye)
-        if rep.projective_flag:
-            res = min(res, np.linalg.norm(m + eye))
-        if not math.isfinite(res):
-            res = math.inf  # overflowed: inf / inf would be a NaN that max() drops
-        max_res = max(max_res, res)
-        max_rel = max(max_rel, res / scale if res < math.inf else res)
+    # an overflowed product is reported as an infinite residual below, so
+    # numpy's overflow warnings would only repeat it on stderr
+    with np.errstate(over="ignore", invalid="ignore"):
+        for w in rep.relations:
+            prefixes = [np.eye(rep.n, dtype=dtype)]
+            for s in w:
+                prefixes.append(prefixes[-1] @ rep.generator_image(s))
+            suffix_scale = [1.0]
+            m = np.eye(rep.n, dtype=dtype)
+            for s in reversed(w):
+                m = rep.generator_image(s) @ m
+                suffix_scale.append(max(1.0, np.abs(m).max()))
+            suffix_scale.reverse()
+            # a backward-stable product has |prod - I| <~ eps * max_i |prefix_i||suffix_i|
+            scale = max(
+                max(1.0, np.abs(p).max()) * ss for p, ss in zip(prefixes, suffix_scale)
+            )
+            m = prefixes[-1]
+            res = np.linalg.norm(m - eye)
+            if rep.projective_flag:
+                res = min(res, np.linalg.norm(m + eye))
+            if not math.isfinite(res):
+                res = math.inf  # overflowed: inf / inf would be a NaN that max() drops
+            max_res = max(max_res, res)
+            max_rel = max(max_rel, res / scale if res < math.inf else res)
     return RelationReport(max_res, max_rel)
 
 

@@ -135,30 +135,39 @@ def cocycle(rep, batch, config):
 
 
 def _lockstep(table, batch, part, config, rows, failures):
-    """Run the lanes batch[part]; append their rows and failures."""
+    """Run the lanes batch[part]; append their rows and failures.
+
+    Lane i takes its own step j at global step off[i] + j, with off chosen
+    so that every burn-in ends at the same global step: from there on the
+    lanes' qr_interval phases coincide and one QR call serves them all."""
     index, times, gens = batch.index[part], batch.times[part], batch.gens[part]
     lengths = np.array([len(t) for t in times], dtype=np.int64)
-    width = lengths.max(initial=0)  # lanes padded to lockstep; padding is never read
-    steps = np.array([np.pad(g, (0, width - len(g))) for g in gens]).T + len(table) // 2
     burn = np.array([np.searchsorted(t, config.burn_in, "right") for t in times])
+    settle = burn.max(initial=0)  # global step at which every burn-in ends
+    off = settle - burn
+    ends = off + lengths
+    width = ends.max(initial=0)  # lanes padded to lockstep; padding is never read
+    steps = np.array([np.pad(g, (o, width - e)) for g, o, e in zip(gens, off, ends)]
+                     ).T + len(table) // 2
     acc = CocycleAccumulator(len(index), table.shape[1], table.dtype == complex)
-    base_log, failed, ends = np.zeros_like(acc.log_diag), {}, set(lengths.tolist())
-    live = np.flatnonzero(lengths)
-    for j in range(len(steps)):
-        if j in ends:
-            live = live[lengths[live] > j]
+    base_log, failed = np.zeros_like(acc.log_diag), {}
+    changes, alive = set(off.tolist()) | set(ends.tolist()), lengths > 0
+    for j in range(width):
+        if j in changes:
+            live = np.flatnonzero(alive & (off <= j) & (j < ends))
         frames = table[steps[j, live]] @ acc.frames[live]
         acc.frames[live] = frames
         acc.pending[live] += 1
-        due = ((acc.pending[live] >= config.qr_interval) | (burn[live] > j)
+        due = ((acc.pending[live] >= config.qr_interval) | (j < settle)
                | (np.abs(frames).max(axis=(1, 2)) > FRAME_OVERFLOW))
         if due.any():
-            bad = acc.flush(live[due]).tolist()
-            if bad:
-                failed.update(dict.fromkeys(bad, j + 1))
+            bad = acc.flush(live[due])
+            if len(bad):
+                failed.update(zip(bad.tolist(), (j + 1 - off[bad]).tolist()))
+                alive[bad] = False
                 live = np.setdiff1d(live, bad)
-        snap = live[burn[live] == j + 1]
-        base_log[snap] = acc.log_diag[snap]
+        if j + 1 == settle:
+            base_log[live] = acc.log_diag[live]
     for lane in acc.flush(np.flatnonzero(acc.pending)).tolist():
         failed[lane] = int(lengths[lane])
     for lane, (i, t) in enumerate(zip(index, times)):

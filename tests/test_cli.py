@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lyaplab
 from lyaplab import cli, fuchsian, linrep
 
 
@@ -107,7 +112,6 @@ class TestRepresentationRefusals:
                         "--out", str(out)]) == 2
         assert not out.exists()
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_overflowed_relation_refused(self, tmp_path):
         big = np.diag([1e200, 1e-200])
         rep = write_rep(tmp_path / "big.rep", [big, np.eye(2), np.eye(2)], [(1, 1)])
@@ -116,6 +120,19 @@ class TestRepresentationRefusals:
         assert run_cli(["spectrum", "--group", "triangle:3,3,4", "--rep", rep,
                         "--time", "50", "--samples", "2", "--seed", "1",
                         "--out", str(tmp_path / "x.csv")]) == 2
+
+    def test_overflow_refusal_is_the_only_stderr_line(self, tmp_path):
+        big = np.diag([1e200, 1e-200])
+        rep = write_rep(tmp_path / "big.rep", [big, np.eye(2), np.eye(2)], [(1, 1)])
+        src = str(Path(lyaplab.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "lyaplab.cli", "rep", "--group", "triangle:3,3,4",
+             "--rep", rep, "--check", "--out", str(tmp_path / "x.rep")],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [
+            "lyaplab: refused: relation check failed: residual inf (relative inf)"]
 
 
 class TestTransforms:

@@ -10,7 +10,6 @@ from lyaplab.devmaps import (
     bad_locus_count,
     equivariance_residual,
     identity_dev,
-    loop_monodromy,
     ode_develop,
     oper_identity_init,
     pairing_poly_coeffs,
@@ -130,7 +129,8 @@ class TestOde:
     def test_loop_monodromy_trivial(self):
         loop = [complex(0.9 * math.cos(a), 2.0 + 0.9 * math.sin(a))
                 for a in np.linspace(0, 2 * math.pi, 24)[:-1]]
-        m = loop_monodromy(phi_zero, oper_identity_init(loop[0]), loop)
+        res = ode_develop(phi_zero, oper_identity_init(loop[0]), loop + [loop[0]])
+        m = res.frames[-1] @ np.linalg.inv(res.frames[0])
         assert min(np.abs(m - np.eye(2)).max(), np.abs(m + np.eye(2)).max()) < 1e-7
 
     def test_linearity_in_initial_frame(self):

@@ -162,12 +162,13 @@ class TestCoding:
         ut = UnitTangent(dom.interior_point, 0.61)
         ref = code_geodesic(dom, ut, 8.0)
         g = dom.pairings[2].mobius
-        moved = g.apply_tangent(ut)
+        moved = UnitTangent(g.apply(ut.base), ut.angle + g.deriv_arg(ut.base.z))
         base_back, _ = pull_back(dom, moved.base)
         assert abs(base_back.z - ut.base.z) < 1e-9
         # recoding from the translated-and-pulled-back state reproduces the
         # stream (the pulled-back tangent is the original state)
-        pulled = g.inv().apply_tangent(moved)
+        h = g.inv()
+        pulled = UnitTangent(h.apply(moved.base), moved.angle + h.deriv_arg(moved.base.z))
         again = code_geodesic(dom, pulled, 8.0)
         assert (again.gens == ref.gens).all()
 

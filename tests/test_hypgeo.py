@@ -6,13 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad, solve_ivp
 
-from lyaplab.fuchsian import _crossing_candidates
+from lyaplab.fuchsian import _first_exit, _side_record
 from lyaplab.hypgeo import (
     GeodesicArc,
     HPoint,
     Mobius,
     UnitTangent,
-    _carrier_from_tangent,
     _carrier_param,
     ball_euclidean,
     ball_volume,
@@ -175,8 +174,9 @@ class TestBallVolume:
         assert np.all(np.diff(v, 2) > -1e-12)
 
 
-def ray(ut):
-    return _carrier_from_tangent(ut.base.x, ut.base.y, ut.angle)
+def exit_of(ut, *sides):
+    """(first outward crossing, tangency) of the ray from ut with the sides."""
+    return _first_exit(list(sides), ut.base.x, ut.base.y, ut.angle)
 
 
 def raw_side(p, q, inside):
@@ -185,7 +185,7 @@ def raw_side(p, q, inside):
     car = GeodesicArc.segment(p, q).carrier
     u0, u1 = _carrier_param(car, p.x, p.y), _carrier_param(car, q.x, q.y)
     sign = 1.0 if side_clearance(car, inside.x, inside.y) > 0 else -1.0
-    return car, min(u0, u1), max(u0, u1), sign
+    return _side_record(car, min(u0, u1), max(u0, u1), sign)
 
 
 class TestCrossing:
@@ -195,21 +195,20 @@ class TestCrossing:
 
     def test_far_side_missed(self):
         far = raw_side(HPoint(10.0, 1.0), HPoint(11.0, 1.0), HPoint(10.5, 0.5))
-        assert _crossing_candidates(ray(self.up), far, 1e-12) == []
+        assert exit_of(self.up, far) == (None, False)
 
     def test_start_on_side_flagged(self):
         # the unit semicircle passes through i; a vertical ray from i starts
         # on it, and that crossing is not reported
         side = raw_side(HPoint(-0.6, 0.8), HPoint(0.6, 0.8), HPoint(0.0, 0.5))
-        assert _crossing_candidates(ray(self.up), side, 1e-12) == []
+        assert exit_of(self.up, side) == (None, False)
         # a ray along the side's own geodesic is flagged as a tangency
-        along = ray(UnitTangent(I, 0.0))
-        assert _crossing_candidates(along, side, 1e-12) == "tangent"
+        assert exit_of(UnitTangent(I, 0.0), side) == (None, True)
 
     def test_bisection_oracle(self):
-        ((t, _, xx, yy),) = _crossing_candidates(ray(self.up), self.side, 1e-12)
+        (t, _, xx, yy, _, _), _ = exit_of(self.up, self.side)
         # bisection on the sign of the side-carrier clearance along the ray
-        car = self.side[0]
+        car = GeodesicArc.segment(HPoint(-1.2, 1.6), HPoint(1.2, 1.6)).carrier
 
         def val(tt):
             p = geodesic_flow(self.up, tt).base
@@ -230,9 +229,10 @@ class TestCrossing:
         # oblique ray against a vertical side, leaving the interior on the left
         ut = UnitTangent(HPoint(-0.5, 1.0), 0.4)
         side = raw_side(HPoint(0.0, 0.5), HPoint(0.0, 3.0), HPoint(-0.5, 1.0))
-        ((t, _, xx, _),) = _crossing_candidates(ray(ut), side, 1e-12)
+        (t, _, xx, _, th_c, _), _ = exit_of(ut, side)
         assert abs(xx) < 1e-12
         assert abs(geodesic_flow(ut, t).base.x) < 1e-12
+        assert abs(math.remainder(th_c - geodesic_flow(ut, t).angle, 2 * math.pi)) < 1e-9
         # with the interior on the right the ray enters there: no exit
         entering = raw_side(HPoint(0.0, 0.5), HPoint(0.0, 3.0), HPoint(0.5, 1.0))
-        assert _crossing_candidates(ray(ut), entering, 1e-12) == []
+        assert exit_of(ut, entering) == (None, False)

@@ -152,6 +152,25 @@ class TestBatchedCocycle:
         assert sizes == [3, 3, 1]
         assert np.array_equal(chunked.sample_values, full.sample_values)
 
+    def test_lanes_share_qr_calls(self, tri334, fuchs334, monkeypatch):
+        dom, _, _ = tri334
+        cfg = RunConfig(T=120.0, samples=4, seed=6, burn_in=12.0)
+        coding = code_samples(dom, cfg)
+        burns = [int(np.searchsorted(t, cfg.burn_in, "right")) for t in coding.times]
+        assert len(coding.index) == 4 and len(set(burns)) > 1
+        calls = []
+        real = CocycleAccumulator.flush
+        monkeypatch.setattr(CocycleAccumulator, "flush",
+                            lambda acc, lanes: calls.append(lanes) or real(acc, lanes))
+        rows, failures = cocycle(fuchs334, coding, cfg)
+        assert failures == []
+        steps = max(len(t) for t in coding.times)
+        assert len(calls) <= math.ceil(steps / cfg.qr_interval) + max(burns) + 1
+        for lane in range(4):
+            one = CodingBatch(coding.index[lane:lane + 1], coding.times[lane:lane + 1],
+                              coding.gens[lane:lane + 1], coding.key)
+            assert np.array_equal(cocycle(fuchs334, one, cfg)[0], rows[lane:lane + 1])
+
     def test_coding_shared_across_reps_and_intervals(self, tri334, fuchs334):
         dom, _, _ = tri334
         cfg = RunConfig(T=150.0, samples=4, seed=12)
