@@ -685,7 +685,7 @@ def main(argv=None):
             return 3
     try:
         return ns.fn(ns, config)
-    except Refusal as exc:
+    except (Refusal, fuchsian.ResourceError) as exc:
         sys.stderr.write(f"lyaplab: refused: {exc}\n")
         return 2
     except (linrep.RepresentationError, ValueError) as exc:

@@ -39,7 +39,15 @@ _HALF_PI = math.pi / 2.0
 _TWO_PI = 2.0 * math.pi
 
 
-class NonConvergenceError(RuntimeError):
+class ResourceError(RuntimeError):
+    """Refusal in place of a truncated or uncertified result (see partial)."""
+
+    def __init__(self, msg, partial=None):
+        super().__init__(msg)
+        self.partial = partial
+
+
+class NonConvergenceError(ResourceError):
     """pull_back failed to reach the fundamental domain in its budget."""
 
 
@@ -49,12 +57,6 @@ class DegenerateDirectionError(RuntimeError):
 
 class DegenerateBendingError(ValueError):
     """The bending curve is parabolic or its centralizer is ill-conditioned."""
-
-
-class ResourceError(RuntimeError):
-    def __init__(self, msg, partial=None):
-        super().__init__(msg)
-        self.partial = partial
 
 
 @dataclass(frozen=True)
@@ -133,11 +135,13 @@ class FundamentalDomain:
     """Convex fundamental polygon with side pairings.
 
     vertices are listed counterclockwise; side k joins vertex k to k+1;
-    pairings[k].mobius maps side k onto side pairings[k].partner setwise.
+    pairings[k].mobius maps side k onto side pairings[k].partner setwise;
+    area is the exact orbifold area, from the group signature.
     """
 
-    def __init__(self, vertices, pairings, interior_point):
+    def __init__(self, vertices, pairings, interior_point, area):
         self.vertices = list(vertices)
+        self.area = area
         self.sides = [
             GeodesicArc.segment(self.vertices[k], self.vertices[(k + 1) % len(vertices)])
             for k in range(len(vertices))
@@ -159,9 +163,6 @@ class FundamentalDomain:
         self.inradius = min(
             math.asinh(abs(side_clearance(car, interior_point.x, interior_point.y)))
             for car, _, _, _ in self._raw
-        )
-        self.diameter = max(
-            hyp_dist(u, v) for u in self.vertices for v in self.vertices
         )
 
     def clearances(self, x, y):
@@ -246,9 +247,10 @@ def _build_triangle(p, q, r):
         SidePairing(0, gen_a, (1,)),
     ]
     vertices = [A, C, B, Cb]
-    probe = FundamentalDomain(vertices, pairings, HPoint(0.0, math.exp(c_ab / 2.0)))
+    area = 2.0 * math.pi * (1.0 - 1.0 / p - 1.0 / q - 1.0 / r)
+    probe = FundamentalDomain(vertices, pairings, HPoint(0.0, math.exp(c_ab / 2.0)), area)
     interior = _axis_incenter(probe._raw, 1.0 + 1e-9, math.exp(c_ab) - 1e-9)
-    dom = FundamentalDomain(vertices, pairings, interior)
+    dom = FundamentalDomain(vertices, pairings, interior, area)
     _check_build(dom, gens, relations)
     return dom, gens, relations
 
@@ -284,7 +286,7 @@ def _build_surface(g):
         ia, ib = 2 * j + 1, 2 * j + 2
         relation += (ia, ib, -ia, -ib)
     relations = [relation]
-    dom = FundamentalDomain(V, pairings, ctr)
+    dom = FundamentalDomain(V, pairings, ctr, 4.0 * math.pi * (g - 1))
     _check_build(dom, gens, relations)
     return dom, gens, relations
 
@@ -557,6 +559,17 @@ def code_geodesic(dom, ut, T):
 
 # ---------------------------------------------------------------------------
 # orbit enumeration
+#
+# Reverse search (Avis & Fukuda 1996) over the face pairings S_D of the
+# Dirichlet domain D about z0 (Voight, JTNB 2009).  The geodesic from g.z0 to
+# z0 leaves g.D through a face shared with g.s.D, s in S_D, at a point
+# equidistant from g.z0 and g.s.z0, so g.s is strictly closer to z0 unless z0
+# is a cone point.  Keeping g.s only when g is its least S_D-neighbour yields
+# each element once, with no seen-set.  In the frame z0 = i, cosh d = |g|_F^2/2.
+
+ORBIT_MAX_POINTS = 6_000_000  # cap on a ball; past it ResourceError (partial)
+TIE_BAND = 1e-11  # neighbour norms this close (relative) tie; lower index wins
+CERT_TOL = 1e-9  # relative area tolerance of a Dirichlet cell; least face length
 
 
 @dataclass(frozen=True)
@@ -565,183 +578,167 @@ class OrbitBall:
 
     points: np.ndarray  # complex coordinates
     dists: np.ndarray
-    parents: np.ndarray  # BFS tree: index of parent element, -1 for identity
-    gen_ids: np.ndarray  # signed generator applied last (0 for identity)
-    truncated: bool = False
 
 
-_HASH_MULT = np.uint64(0x9E3779B97F4A7C15)
+def _inverse(g):
+    return np.stack([g[..., 1, 1], -g[..., 0, 1], -g[..., 1, 0], g[..., 0, 0]], -1).reshape(g.shape)
 
 
-def _canonical_entries(mats):
-    """Sign-canonicalized (n, 4) entry rows (PSL representative)."""
-    e = mats.reshape(len(mats), 4)
-    amax = np.abs(e).max(axis=1)
-    qual = np.abs(e) >= 0.25 * amax[:, None]
-    first = qual.argmax(axis=1)
-    sign = np.sign(e[np.arange(len(e)), first])
-    return e * sign[:, None]
+def _index(S, g):
+    """Index of g in the stack S as elements of PSL(2, R), or -1."""
+    err = np.minimum(np.abs(S - g).max(axis=(1, 2)), np.abs(S + g).max(axis=(1, 2)))
+    hit = np.flatnonzero(err < 1e-9 * (1.0 + np.abs(g).max()))
+    return hit[0] if len(hit) else -1
 
 
-def _grid_hash(entries, q, offset):
-    """64-bit hash of the rounded entry grid cell (polynomial + splitmix64).
-
-    Plain xor-of-products is degenerate on the +-symmetric entry patterns
-    of rotation matrices; the polynomial accumulation breaks that symmetry.
-    """
-    k = np.rint(entries / q + offset).astype(np.int64).astype(np.uint64)
-    with np.errstate(over="ignore"):
-        h = k[:, 0].copy()
-        for j in (1, 2, 3):
-            h = h * _HASH_MULT + k[:, j]
-        h ^= h >> np.uint64(30)
-        h *= np.uint64(0xBF58476D1CE4E5B9)
-        h ^= h >> np.uint64(27)
-        h *= np.uint64(0x94D049BB133111EB)
-        h ^= h >> np.uint64(31)
-    return h
+def _distinct(mats):
+    out = np.empty((0, 2, 2))
+    for g in mats:
+        if _index(out, g) < 0:
+            out = np.concatenate([out, g[None]])
+    return out
 
 
-def _orbit_bfs(generators, z0, t_max, margin, max_points, chunk=500_000):
-    """Vectorized breadth-first expansion over the tiling adjacency graph.
-
-    Children are parent @ generator (right multiplication), so one BFS step
-    moves to a neighboring copy of the fundamental domain; every copy whose
-    base point lies within t_max is then reachable through copies crossing
-    the geodesic to it, all within t_max + diam(domain).  That makes a
-    margin of one polygon diameter sufficient, which the tests validate
-    against larger margins.
-
-    Elements are deduplicated by sign-canonicalized matrix entries rounded
-    on two staggered grids: an element straddling one grid's cell boundary
-    lands inside a cell of the other, while distinct group elements stay
-    many cells apart (discreteness separates entries by >> q up to the
-    supported radius).
-    """
-    if t_max + margin > 18.0:
-        raise ValueError("orbit enumeration supported up to radius 18")
-    z = complex(z0.x, z0.y) if isinstance(z0, HPoint) else complex(z0)
-    gmats, gids = [], []
-    for i, g in enumerate(generators, start=1):
-        gmats.append(np.asarray(g.mat, dtype=float))
-        gids.append(i)
-        gmats.append(np.asarray(g.inv().mat, dtype=float))
-        gids.append(-i)
-    gstack = np.stack(gmats)
-    gid_arr = np.array(gids, dtype=np.int64)
-
-    q = 1e-5
-    eye_entries = _canonical_entries(np.eye(2)[None, :, :])
-    seenA = np.sort(_grid_hash(eye_entries, q, 0.0))
-    seenB = np.sort(_grid_hash(eye_entries, q, 0.5))
-
-    pts = [np.array([z])]
-    dists = [np.array([0.0])]
-    parents = [np.array([-1], dtype=np.int64)]
-    genids = [np.array([0], dtype=np.int64)]
-    frontier = np.eye(2)[None, :, :]
-    frontier_idx = np.array([0], dtype=np.int64)
-    total = 1
-    truncated = False
-    cutoff = t_max + margin
-
-    while len(frontier) and not truncated:
-        new_mats, new_idx = [], []
-        for s in range(0, len(frontier), chunk):
-            fm = frontier[s : s + chunk]
-            fi = frontier_idx[s : s + chunk]
-            cand = np.einsum("nij,gjk->gnik", fm, gstack).reshape(-1, 2, 2)
-            cand_par = np.broadcast_to(fi, (len(gstack), len(fi))).reshape(-1)
-            cand_gen = np.repeat(gid_arr, len(fi))
-            ent = _canonical_entries(cand)
-            hA = _grid_hash(ent, q, 0.0)
-            hB = _grid_hash(ent, q, 0.5)
-            _, keep = np.unique(hA, return_index=True)
-            keep = keep[np.unique(hB[keep], return_index=True)[1]]
-            cand, cand_par, cand_gen = cand[keep], cand_par[keep], cand_gen[keep]
-            hA, hB = hA[keep], hB[keep]
-            fresh = ~(np.isin(hA, seenA) | np.isin(hB, seenB))
-            cand, cand_par, cand_gen = cand[fresh], cand_par[fresh], cand_gen[fresh]
-            hA, hB = hA[fresh], hB[fresh]
-            den = cand[:, 1, 0] * z + cand[:, 1, 1]
-            w = (cand[:, 0, 0] * z + cand[:, 0, 1]) / den
-            d = np.arccosh(
-                1.0 + (np.abs(w - z) ** 2) / (2.0 * z.imag * np.clip(w.imag, 1e-300, None))
-            )
-            inside = d <= cutoff
-            cand, cand_par, cand_gen = cand[inside], cand_par[inside], cand_gen[inside]
-            hA, hB, w, d = hA[inside], hB[inside], w[inside], d[inside]
-            # stable sort exploits the two presorted runs
-            seenA = np.sort(np.concatenate([seenA, np.sort(hA)]), kind="stable")
-            seenB = np.sort(np.concatenate([seenB, np.sort(hB)]), kind="stable")
-            idx0 = total
-            total += len(cand)
-            pts.append(w)
-            dists.append(d)
-            parents.append(cand_par)
-            genids.append(cand_gen)
-            new_mats.append(cand)
-            new_idx.append(np.arange(idx0, total, dtype=np.int64))
-            if total > max_points:
-                truncated = True
-                break
-        frontier = np.concatenate(new_mats) if new_mats else np.empty((0, 2, 2))
-        frontier_idx = (
-            np.concatenate(new_idx) if new_idx else np.empty(0, dtype=np.int64)
-        )
-
-    return OrbitBall(
-        points=np.concatenate(pts),
-        dists=np.concatenate(dists),
-        parents=np.concatenate(parents),
-        gen_ids=np.concatenate(genids),
-        truncated=truncated,
-    )
+def _gram(g):
+    """Entries of g^T g; |g s|_F^2 = tr(g^T g s s^T) is linear in them."""
+    return np.stack([g[:, 0, 0] ** 2 + g[:, 1, 0] ** 2,
+                     g[:, 0, 0] * g[:, 0, 1] + g[:, 1, 0] * g[:, 1, 1],
+                     g[:, 0, 1] ** 2 + g[:, 1, 1] ** 2], axis=1)
 
 
-def orbit_ball(dom, generators, z0, t_max, margin=None, max_points=6_000_000):
+def _descend(S, limit):
+    """Reverse search over the pairings S (closed under inverses), yielding
+    (elements g with |g|_F^2 <= limit, their norms, local minima) in blocks
+    of about 2^20 neighbour norms.  g.s is kept when g is its least
+    S-neighbour (norms within TIE_BAND tie, the lower index wins; a gap too
+    near the band raises).  A local minimum is a cone point, a descent tie,
+    or one the search cannot reach while S lacks Dirichlet faces."""
+    inv = np.array([_index(S, s) for s in _inverse(S)])
+    if np.any(inv < 0):
+        raise ResourceError("orbit pairings are not closed under inverses")
+    W = _gram(np.swapaxes(S, 1, 2)).T * np.array([[1.0], [2.0], [1.0]])
+    front, gen, total, step = np.eye(2)[None], np.array([-1]), 1, max(1, 2**20 // len(S) ** 2)
+    yield front, np.array([2.0]), front[:0]
+    while len(front):
+        nxt = []
+        for i in range(0, len(front), step):
+            par, pgen = front[i:i + step], gen[i:i + step]
+            if total > ORBIT_MAX_POINTS:
+                raise ResourceError(f"orbit ball exceeds {ORBIT_MAX_POINTS} points")
+            nf = _gram(par) @ W
+            back = np.flatnonzero(pgen >= 0)
+            nf[back, inv[pgen[back]]] = np.inf  # the step back to the parent
+            fi, ki = np.nonzero(nf <= limit)
+            kids, norms = par[fi] @ S[ki], nf[fi, ki]
+            rel = _gram(kids) @ W
+            least = rel.min(axis=1, initial=np.inf)
+            rel = rel / least[:, None] - 1.0
+            if np.any((rel > TIE_BAND) & (rel <= 10.0 * TIE_BAND)):
+                raise ResourceError("orbit descent: a neighbour tie the band cannot settle")
+            strict = norms > least * (1.0 + 10.0 * TIE_BAND)
+            keep = strict & (np.argmax(rel <= TIE_BAND, axis=1) == inv[ki])
+            nxt.append((kids[keep], ki[keep]))
+            total += keep.sum()
+            yield kids[keep], norms[keep], kids[~strict]
+        front, gen = (np.concatenate(x) for x in zip(*nxt))
+
+
+def _cell(F):
+    """Klein-model polygon about i cut out by the bisectors of i and g.i, g in
+    F: vertices, and the index in F of each edge's bisector (-1: unbounded)."""
+    a, b, c, d = F[:, 0, 0], F[:, 0, 1], F[:, 1, 0], F[:, 1, 1]
+    qx, qy = 0.5 * (a * a + b * b - c * c - d * d), a * c + b * d
+    rhs = 0.5 * (a * a + b * b + c * c + d * d) - 1.0  # qx X + qy Y <= rhs
+    poly = [((-2.0, -2.0), -1), ((2.0, -2.0), -1), ((2.0, 2.0), -1), ((-2.0, 2.0), -1)]
+    for j in np.argsort(rhs / np.hypot(qx, qy)):  # nearest bisector first
+        if rhs[j] > math.hypot(qx[j], qy[j]) * max(math.hypot(*v) for v, _ in poly):
+            break
+        s = [qx[j] * x + qy[j] * y - rhs[j] for (x, y), _ in poly]
+        out = []
+        for i, (v, tag) in enumerate(poly):
+            w, s2 = poly[(i + 1) % len(poly)][0], s[(i + 1) % len(poly)]
+            if s[i] <= 0.0:
+                out.append((v, tag))
+            if (s[i] <= 0.0) != (s2 <= 0.0):
+                f = s[i] / (s[i] - s2)
+                out.append(((v[0] + f * (w[0] - v[0]), v[1] + f * (w[1] - v[1])),
+                            j if s[i] <= 0.0 else tag))
+        poly = out
+    return np.array([v for v, _ in poly]), np.array([t for _, t in poly])
+
+
+def _cell_area(V):
+    """Area of a Klein polygon star-shaped about 0, as the fan of triangles
+    (o, p, q) with tan(A/2) = det(o, p, q) / (1 + cosh op + cosh pq + cosh qo)."""
+    p = np.column_stack([np.ones(len(V)), V]) / np.sqrt(1.0 - (V * V).sum(axis=1))[:, None]
+    q = np.roll(p, -1, axis=0)
+    det = p[:, 1] * q[:, 2] - p[:, 2] * q[:, 1]
+    cosh_pq = p[:, 0] * q[:, 0] - p[:, 1] * q[:, 1] - p[:, 2] * q[:, 2]
+    return float(np.sum(2.0 * np.arctan2(np.abs(det), 1.0 + p[:, 0] + q[:, 0] + cosh_pq)))
+
+
+def _dirichlet(S, R, area, Q=None, delta=0.0):
+    """Face pairings of the Dirichlet domain about Q.i (as Q^-1 g Q), from
+    searches over S about i (delta = d(i, Q.i); R bounds the circumradius).
+    The bootstrap ball of radius rho grows until rho >= 2r, r the circumradius
+    of the cell its bisectors cut out (a complete ball then misses no face),
+    and the cell must have the orbifold area.  Without Q, S starts as the
+    generators and gains each round's faces and local minima."""
+    grow, Q, rho = Q is None, np.eye(2) if Q is None else Q, R
+    for _ in range(8):
+        S = _distinct(np.concatenate([S, _inverse(S)]))
+        levels = list(_descend(S, 2.0 * math.cosh(rho + 2.0 * delta)))
+        minima = np.concatenate([m for _, _, m in levels])
+        F = _inverse(Q) @ np.concatenate([g for g, _, _ in levels[1:]]
+                                         + [minima, _inverse(minima)]) @ Q
+        nF = (F * F).sum(axis=(1, 2))
+        if np.any(nF <= 2.0 * (1.0 + 10.0 * TIE_BAND)):
+            raise ResourceError("the orbit centre is a cone point")
+        F = F[nF <= 2.0 * math.cosh(rho)]
+        V, tags = _cell(F)
+        edge = np.hypot(*(np.roll(V, -1, axis=0) - V).T)
+        faces = _distinct(F[np.unique(tags[(edge > CERT_TOL) & (tags >= 0)])])
+        r2 = (V * V).sum(axis=1).max()
+        r = math.atanh(math.sqrt(r2)) if tags.min() >= 0 and r2 < 1.0 else math.inf
+        if rho >= 2.0 * r and not len(minima) and abs(_cell_area(V) - area) <= CERT_TOL * area:
+            return faces
+        S = np.concatenate([S, faces, minima]) if grow else S
+        rho = max(rho, 2.0 * min(r, R) + 1e-6) if r < math.inf else min(1.25 * rho, 2.0 * R)
+    raise ResourceError("Dirichlet domain not certified: its cell misses the orbifold area")
+
+
+def _orbit_bfs(pairings, frame, t_max):
+    """The orbit ball over Dirichlet face pairings; points (frame @ g).i."""
+    pts, dists = [], []
+    for g, norms, minima in _descend(pairings, 2.0 * math.cosh(t_max)):
+        if len(minima):
+            raise ResourceError("orbit descent: an element has no strictly closer neighbour")
+        m = frame @ g
+        pts.append((m[:, 0, 0] * m[:, 1, 0] + m[:, 0, 1] * m[:, 1, 1] + 1j)
+                   / (m[:, 1, 0] ** 2 + m[:, 1, 1] ** 2))
+        dists.append(np.arccosh(np.maximum(0.5 * norms, 1.0)))
+        if sum(map(len, dists)) > ORBIT_MAX_POINTS:
+            raise ResourceError(f"orbit ball exceeds {ORBIT_MAX_POINTS} points",
+                                partial=(np.concatenate(pts), np.concatenate(dists)))
+    return OrbitBall(points=np.concatenate(pts), dists=np.concatenate(dists))
+
+
+def orbit_ball(dom, generators, z0, t_max):
     """(points, dists) arrays for the orbit points with d(z0, g z0) <= t_max.
 
-    margin defaults to the polygon diameter plus a safety pad, which makes
-    the adjacency-graph BFS complete (see _orbit_bfs); the tests validate
-    the default against larger margins.
-    """
-    if margin is None:
-        margin = dom.diameter + 0.25
-    ball = _orbit_bfs(generators, z0, t_max, margin, max_points)
-    keep = ball.dists <= t_max
-    if ball.truncated:
-        raise ResourceError(
-            "orbit enumeration exceeded max_points",
-            partial=(ball.points[keep], ball.dists[keep]),
-        )
-    return ball.points[keep], ball.dists[keep]
-
-
-def orbit_points(dom, generators, z0, t_max, margin=None, max_points=6_000_000):
-    """Orbit points Gamma.z0 within distance t_max as (HPoint, Word) pairs.
-
-    Each orbit point appears exactly once; the word evaluates (left to
-    right) to the group element g with g(z0) = point, read off the BFS tree.
-    """
-    if t_max < 0:
-        raise ValueError("t_max must be nonnegative")
-    if margin is None:
-        margin = dom.diameter + 0.25
-    full = _orbit_bfs(generators, z0, t_max, margin, max_points)
-    if full.truncated:
-        raise ResourceError("orbit enumeration exceeded max_points")
-    out = []
-    for idx in np.flatnonzero(full.dists <= t_max):
-        chain = []
-        j = idx
-        while j >= 0 and full.gen_ids[j] != 0:
-            chain.append(int(full.gen_ids[j]))
-            j = int(full.parents[j])
-        chain.reverse()
-        zz = full.points[idx]
-        out.append((HPoint(zz.real, zz.imag), tuple(chain)))
-    return out
+    z0 is pulled back into the polygon (the distances stay); the Dirichlet
+    domain about the polygon's interior point gives complete bootstrap balls
+    for the one about z0.  Refuses (ResourceError) a cone point, a tie, an
+    uncertified domain and a ball past ORBIT_MAX_POINTS."""
+    if not 0.0 <= t_max <= 18.0:
+        raise ValueError("orbit enumeration supports radii in [0, 18]")
+    c, (q, word) = dom.interior_point, pull_back(dom, z0)
+    Mc, Mq = Mobius.to_point(c).mat, Mobius.to_point(q).mat
+    reach = [max(hyp_dist(p, v) for v in dom.vertices) for p in (c, q)]
+    Sc = _dirichlet(np.array([_inverse(Mc) @ g.mat @ Mc for g in generators]), reach[0], dom.area)
+    Sq = _dirichlet(Sc, reach[1], dom.area, _inverse(Mc) @ Mq, hyp_dist(c, q))
+    ball = _orbit_bfs(Sq, _mobius_word(generators, word).mat @ Mq, t_max)
+    return ball.points, ball.dists
 
 
 # ---------------------------------------------------------------------------

@@ -263,6 +263,19 @@ class TestOrbitCountCommand:
         last, err = last_row_and_err(out.read_text())
         assert float(err) > 0 and last == err
 
+    def test_truncation_refused(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(fuchsian, "ORBIT_MAX_POINTS", 1000)
+        out = tmp_path / "orbit.csv"
+        assert run_cli(["orbit-count", "--tmax", "8", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("lyaplab: refused: orbit ball exceeds 1000")
+        assert not out.exists()
+
+    def test_cone_point_center_refused(self, capsys):
+        # (0, 1) is the order-3 vertex of triangle:3,3,4: its stabilizer
+        # would count each orbit point three times
+        assert run_cli(["orbit-count", "--tmax", "4", "--center", "0,1"]) == 2
+        assert "cone point" in capsys.readouterr().err
+
 
 class TestRepCommand:
     def test_round_trip_and_transform(self, tmp_path):

@@ -1,16 +1,18 @@
+import copy
 import math
 
 import numpy as np
 import pytest
 
+from lyaplab import fuchsian
 from lyaplab.fuchsian import (
     BendingSplit,
     DegenerateBendingError,
     GroupSpec,
     build_group,
     code_geodesic,
+    ResourceError,
     orbit_ball,
-    orbit_points,
     parse_group_spec,
     pull_back,
     bend_representation,
@@ -226,22 +228,21 @@ class TestCoding:
 class TestOrbit:
     def test_tmax_zero(self, tri334):
         dom, gens, _ = tri334
-        pts = orbit_points(dom, gens, dom.interior_point, 0.0)
-        assert len(pts) == 1
-        assert pts[0][1] == ()
+        pts, dists = orbit_ball(dom, gens, dom.interior_point, 0.0)
+        assert len(pts) == 1 and dists[0] == 0.0
+        assert abs(pts[0] - dom.interior_point.z) < 1e-12
 
     def test_counts_monotone(self, tri334):
         dom, gens, _ = tri334
-        counts = [len(orbit_points(dom, gens, dom.interior_point, t))
+        counts = [len(orbit_ball(dom, gens, dom.interior_point, t)[0])
                   for t in (0.0, 1.0, 2.0, 3.5, 5.0)]
         assert counts == sorted(counts)
 
-    def test_words_evaluate_to_points(self, tri334):
+    def test_radius_range(self, tri334):
         dom, gens, _ = tri334
-        pts = orbit_points(dom, gens, dom.interior_point, 5.0)
-        for p, w in pts[::7]:
-            back = mobius_of_word(gens, w).apply(dom.interior_point)
-            assert abs(back.z - p.z) < 1e-7
+        for t in (-0.5, 18.5):
+            with pytest.raises(ValueError):
+                orbit_ball(dom, gens, dom.interior_point, t)
 
     def test_count_asymptotics(self, tri334):
         dom, gens, _ = tri334
@@ -250,12 +251,39 @@ class TestOrbit:
         ratio = len(pts) * covol / ball_volume(8.0)
         assert 0.9 <= ratio <= 1.1
 
-    def test_margin_robustness(self, tri334):
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_cone_point_refused(self, tri334, k):
+        # every vertex of the (3,3,4) quadrilateral is a cone point; moved
+        # by a generator, it must still be refused, never counted |Stab| times
         dom, gens, _ = tri334
-        a, _ = orbit_ball(dom, gens, dom.interior_point, 7.0)
-        b, _ = orbit_ball(dom, gens, dom.interior_point, 7.0,
-                          margin=dom.diameter + 1.5)
-        assert len(a) == len(b)
+        v = gens[1].apply(dom.vertices[k])
+        with pytest.raises(ResourceError, match="cone point"):
+            orbit_ball(dom, gens, v, 4.0)
+
+    def test_near_cone_point_counts(self, tri334):
+        dom, gens, _ = tri334
+        z0 = HPoint(dom.vertices[0].x + 1e-3, dom.vertices[0].y + 1e-3)
+        pts, dists = orbit_ball(dom, gens, z0, 6.0)
+        assert np.sort(dists)[1] > 1e-3  # the nearest other orbit point
+        ratio = len(pts) * (math.pi / 6) / ball_volume(6.0)
+        assert 0.9 <= ratio <= 1.1
+
+    def test_wrong_area_refused(self, tri334):
+        # the Dirichlet cell's area certifies its faces: a domain claiming
+        # twice the orbifold area can never be matched
+        dom, gens, _ = tri334
+        fake = copy.copy(dom)
+        fake.area = 2.0 * dom.area
+        with pytest.raises(ResourceError, match="not certified"):
+            orbit_ball(fake, gens, dom.interior_point, 4.0)
+
+    def test_truncation_keeps_partial_counts(self, tri334, monkeypatch):
+        dom, gens, _ = tri334
+        monkeypatch.setattr(fuchsian, "ORBIT_MAX_POINTS", 1000)
+        with pytest.raises(ResourceError) as info:
+            orbit_ball(dom, gens, dom.interior_point, 8.0)
+        pts, dists = info.value.partial
+        assert 1000 < len(pts) == len(dists) < 17813 and np.all(dists <= 8.0)
 
     def test_off_center_base_point(self, tri334):
         dom, gens, _ = tri334

@@ -1,0 +1,73 @@
+"""Per-node orbit counts pinned from the hashed breadth-first enumerator
+that the Dirichlet reverse search replaced, run with the provably
+sufficient margin 2R + 0.5 (R the largest distance from the centre to a
+polygon vertex), on 50-node grids linspace(0.3, t_max, 50).
+
+The centres cover the interior point of each built-in group, two centres
+where descent over the polygon generators fails ((0.3, 0.9) and
+surface:2 (0.1, 1.1)), and the off-polygon centre (2.0, 0.5), where the
+old default margin (diameter + 0.25) missed 490 of the 2,584 points.
+"""
+
+import numpy as np
+import pytest
+
+from lyaplab.errterm import count_in_balls
+from lyaplab.fuchsian import build_group, orbit_ball, parse_group_spec
+from lyaplab.hypgeo import HPoint
+
+PINNED = [
+    ("triangle:3,3,4", None, 8.0,
+        [1, 1, 1, 5, 5, 5, 9, 13, 19, 19, 27, 39, 39, 47, 57, 77, 81, 109, 127, 147,
+         167, 203, 243, 279, 339, 395, 471, 555, 629, 757, 879, 1023, 1203, 1475,
+         1671, 1975, 2303, 2685, 3125, 3697, 4329, 5021, 5921, 6977, 8141, 9515,
+         11055, 13013, 15277, 17813]),
+    ("triangle:2,3,7", None, 8.0,
+        [4, 4, 8, 14, 18, 26, 38, 48, 62, 74, 96, 126, 148, 180, 216, 245, 305, 375,
+         445, 532, 610, 716, 854, 1000, 1196, 1404, 1636, 1934, 2270, 2642, 3154,
+         3678, 4262, 5026, 5897, 6873, 8129, 9500, 11092, 12908, 15102, 17788, 20816,
+         24302, 28518, 33404, 38948, 45676, 53544, 62532]),
+    ("surface:2", None, 9.0,
+        [1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 9, 9, 9, 9, 9, 9, 9, 25, 25,
+         25, 49, 49, 49, 65, 65, 65, 97, 105, 137, 137, 169, 265, 297, 345, 441, 537,
+         649, 761, 857, 1001, 1161, 1353, 1609, 2057]),
+    ("surface:3", None, 9.0,
+        [1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 13, 13, 13,
+         13, 13, 13, 13, 13, 37, 37, 37, 61, 61, 61, 85, 145, 145, 169, 169, 193, 193,
+         265, 337, 397, 445, 541, 661, 853, 949]),
+    ("triangle:3,3,4", (0.15, 1.2), 8.0,
+        [1, 3, 3, 3, 3, 7, 7, 18, 20, 24, 27, 33, 40, 52, 58, 78, 91, 107, 121, 148,
+         172, 217, 243, 288, 336, 400, 460, 556, 653, 774, 873, 1050, 1215, 1428,
+         1692, 1982, 2327, 2729, 3138, 3690, 4297, 5060, 6011, 6968, 8149, 9530,
+         11062, 13018, 15234, 17910]),
+    ("triangle:3,3,4", (0.3, 0.9), 8.0,
+        [1, 1, 3, 5, 5, 7, 7, 16, 20, 22, 29, 35, 41, 51, 58, 71, 89, 109, 125, 151,
+         170, 211, 244, 277, 345, 413, 472, 551, 649, 770, 890, 1031, 1236, 1455,
+         1682, 1963, 2316, 2712, 3164, 3695, 4317, 5088, 5967, 6953, 8155, 9579,
+         11113, 13063, 15253, 17854]),
+    ("triangle:3,3,4", (2.0, 0.5), 6.0,
+        [4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 36, 36, 36, 36, 36, 36, 36, 36, 68, 68, 68,
+         68, 132, 162, 164, 164, 164, 164, 228, 228, 234, 356, 356, 418, 474, 612,
+         638, 654, 708, 804, 816, 1060, 1158, 1346, 1634, 1656, 1906, 2210, 2584]),
+    ("triangle:2,3,7", (0.05, 1.05), 8.0,
+        [2, 6, 10, 10, 17, 29, 36, 52, 64, 69, 99, 124, 146, 184, 212, 246, 310, 368,
+         442, 532, 602, 712, 864, 1003, 1208, 1412, 1624, 1931, 2268, 2649, 3151,
+         3649, 4280, 5022, 5867, 6887, 8151, 9415, 11061, 12935, 15126, 17823, 20849,
+         24312, 28486, 33329, 38962, 45760, 53473, 62590]),
+    ("surface:2", (0.1, 1.1), 9.0,
+        [1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 3, 7, 9, 9, 9, 9, 11, 17, 23,
+         27, 33, 45, 49, 51, 59, 63, 73, 83, 105, 121, 153, 195, 245, 297, 357, 423,
+         533, 637, 731, 855, 991, 1141, 1365, 1637, 2009]),
+]
+
+
+@pytest.mark.parametrize("group, centre, t_max, counts", PINNED,
+                         ids=[f"{g}@{c or 'interior'}" for g, c, _, _ in PINNED])
+def test_pinned_counts(group, centre, t_max, counts):
+    dom, gens, _ = build_group(parse_group_spec(group))
+    z0 = dom.interior_point if centre is None else HPoint(*centre)
+    pts, dists = orbit_ball(dom, gens, z0, t_max)
+    assert dists[0] == 0.0 and np.all(dists <= t_max)
+    cf = count_in_balls((pts, dists), z0, np.linspace(0.3, t_max, 50))
+    assert list(cf.counts) == counts
+    assert len(pts) == counts[-1]
