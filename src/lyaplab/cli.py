@@ -478,17 +478,16 @@ def _selftest_suites(inject_corruption=False):
         return worst < 1e-9, f"max pairing defect {worst:.2e}"
 
     def suite_coding():
+        # recoding from a yielded state continues the coding of the whole segment
         ut = hypgeo.UnitTangent(dom3.interior_point, 0.8346)
-        c1 = fuchsian.code_geodesic(dom3, ut, 6.0)
-        c2 = fuchsian.code_geodesic(dom3, c1.end_state, 7.0)
-        both = fuchsian.code_geodesic(dom3, ut, 13.0)
-        gens_match = (
-            len(both.gens) == len(c1.gens) + len(c2.gens)
-            and (both.gens[: len(c1.gens)] == c1.gens).all()
-            and (both.gens[len(c1.gens):] == c2.gens).all()
-        )
-        times = np.concatenate([c1.times, c1.total_time + c2.times])
-        dt = np.abs(times - both.times).max() if gens_match else math.inf
+        both = list(fuchsian.iter_crossings(dom3, ut, 13.0))
+        k = sum(t <= 6.0 for t, _, _ in both) - 1  # the last crossing by t = 6
+        t0, _, (x, y, th) = both[k]
+        rest = list(fuchsian.iter_crossings(
+            dom3, hypgeo.UnitTangent(hypgeo.HPoint(x, y), th), 13.0 - t0))
+        gens_match = [g for _, g, _ in rest] == [g for _, g, _ in both[k + 1:]]
+        dt = (max((abs(t0 + t - u) for (t, _, _), (u, _, _) in zip(rest, both[k + 1:])),
+                  default=0.0) if gens_match else math.inf)
         return gens_match and dt < 1e-7, f"concatenation defect {dt:.2e}"
 
     def suite_homomorphism():

@@ -3,10 +3,11 @@
 A developing map is an equivariant holomorphic map from the half-plane to
 a projective space, given by homogeneous coordinates; pairing it with a
 covector u gives a holomorphic function whose zero set is the bad locus
-of u.  Built-ins: the identity chart on P^1 (uniformizing case) and the
-Veronese curve of symmetric powers.  Rank-2 opers come from integrating
-u'' + phi/2 u = 0 along paths; their zeros are counted by adaptive
-boundary-winding subdivision.
+of u.  Built-in: the Veronese curves of symmetric powers, whose pairings
+are polynomials; the identity chart on P^1 (uniformizing case) is the one
+with two coordinates.  Rank-2 opers come from integrating u'' + phi/2 u = 0
+along paths; their zeros are counted by adaptive boundary-winding
+subdivision.
 """
 
 import math
@@ -51,104 +52,41 @@ class Covector:
 
 @dataclass(frozen=True)
 class DevelopingMap:
-    """evaluator: complex z in H -> homogeneous coordinate vector."""
-
-    evaluator: object
-    kind: str  # 'identity' | 'veronese' | 'ode'
-    dim: int   # number of homogeneous coordinates
-    equivariance_rep: object = None
-
-    def __call__(self, z):
-        return self.evaluator(complex(z))
-
-
-def identity_dev(rep2):
-    """Uniformizing developing map z -> [z : 1] on P^1."""
-    return DevelopingMap(
-        evaluator=lambda z: np.array([z, 1.0], dtype=complex),
-        kind="identity",
-        dim=2,
-        equivariance_rep=rep2,
-    )
-
-
-def veronese_dev(n, rep2=None):
-    """Rational normal curve of degree n-1 in the Sym^(n-1) monomial basis.
+    """Rational normal curve of degree dim-1 in the Sym^(dim-1) monomial basis.
 
     Coordinates are binomially weighted so the curve is exactly the image
     of [z : 1] under the symmetric power: with e1 > e2 monomial order,
-    (z e1 + e2)^(n-1) has coordinates C(n-1,j) z^(n-1-j).  For n = 2 this
-    reduces to the identity chart.
+    (z e1 + e2)^(dim-1) has coordinates C(dim-1,j) z^(dim-1-j).  For dim = 2
+    this is the identity chart.  equivariance_rep is the representation the
+    curve is equivariant for.
     """
+
+    dim: int  # number of homogeneous coordinates
+    equivariance_rep: object = None
+
+    def __call__(self, z):
+        n = self.dim
+        weights = np.array([math.comb(n - 1, j) for j in range(n)], dtype=float)
+        return weights * np.power(complex(z), np.arange(n - 1, -1, -1))
+
+
+def identity_dev(rep2):
+    """Uniformizing developing map z -> [z : 1] on P^1, the Veronese curve
+    with two coordinates."""
+    return veronese_dev(2, rep2)
+
+
+def veronese_dev(n, rep2=None):
+    """The Veronese curve with n coordinates, equivariant for Sym^(n-1) rep2."""
     if n < 2:
         raise ValueError("veronese needs n >= 2")
-    weights = np.array([math.comb(n - 1, j) for j in range(n)], dtype=float)
-    powers = np.arange(n - 1, -1, -1)
-
-    def ev(z):
-        return weights * np.power(complex(z), powers)
-
-    eq_rep = sym_power(rep2, n - 1) if rep2 is not None else None
-    return DevelopingMap(evaluator=ev, kind="veronese", dim=n,
-                         equivariance_rep=eq_rep)
+    return DevelopingMap(n, sym_power(rep2, n - 1) if rep2 is not None else None)
 
 
 def pairing_poly_coeffs(dev, u):
-    """Descending-power coefficients of z -> <u, dev(z)> for closed forms."""
-    ua = u.array()
-    if dev.kind == "identity":
-        return np.array([ua[0], ua[1]])
-    if dev.kind == "veronese":
-        n = dev.dim
-        return np.array([ua[j] * math.comb(n - 1, j) for j in range(n)])
-    raise ValueError(f"no closed-form pairing for kind {dev.kind!r}")
-
-
-def projective_sine(v, w):
-    """sin of the angle between homogeneous vectors (0 iff same point).
-
-    Computed as the relative norm of w minus its projection onto v, which
-    keeps full precision near zero (no sqrt(1 - cos^2) cancellation).
-    """
-    nv, nw = np.linalg.norm(v), np.linalg.norm(w)
-    if nv == 0 or nw == 0:
-        return 1.0
-    r = w - v * (np.vdot(v, w) / (nv * nv))
-    return min(1.0, np.linalg.norm(r) / nw)
-
-
-def equivariance_residual(dev, mobius_list, samples=100, seed=0):
-    """max projective distance between s(g z) and rho(g) s(z) over samples."""
-    rep = dev.equivariance_rep
-    if rep is None:
-        raise ValueError("developing map carries no equivariance data")
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(samples):
-        z = complex(rng.uniform(-2, 2), rng.uniform(0.2, 3.0))
-        gi = int(rng.integers(0, len(mobius_list)))
-        g = mobius_list[gi]
-        gz = g.apply_complex(z)
-        lhs = dev(gz)
-        rhs = rep.generators[gi] @ dev(z)
-        worst = max(worst, projective_sine(lhs, rhs))
-    return worst
-
-
-def phi_equivariance_residual(phi, mobius_list, samples=60, seed=0):
-    """Spot check of the quadratic-differential contract
-    phi(g z) g'(z)^2 = phi(z); returns the worst relative residual."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(samples):
-        z = complex(rng.uniform(-2, 2), rng.uniform(0.2, 3.0))
-        g = mobius_list[int(rng.integers(0, len(mobius_list)))]
-        a, b, c, d = g.mat.ravel()
-        dg = 1.0 / (c * z + d) ** 2
-        lhs = phi(g.apply_complex(z)) * dg * dg
-        rhs = phi(z)
-        worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
-    return worst
+    """Descending-power coefficients of the polynomial z -> <u, dev(z)>."""
+    ua, n = u.array(), dev.dim
+    return np.array([ua[j] * math.comb(n - 1, j) for j in range(n)])
 
 
 # ---------------------------------------------------------------------------
@@ -299,14 +237,6 @@ class OdeDevelopingMap:
     def _key(z):
         return (round(z.real, 13), round(z.imag, 13))
 
-    def as_developing_map(self, equivariance_rep=None):
-        return DevelopingMap(
-            evaluator=lambda z: self.frame_at(z)[0].copy(),
-            kind="ode",
-            dim=2,
-            equivariance_rep=equivariance_rep,
-        )
-
     def frame_at(self, z):
         z = complex(z)
         key = self._key(z)
@@ -340,44 +270,9 @@ class OdeDevelopingMap:
             out.append(ua[0] * f[0, 0] + ua[1] * f[0, 1])
         return np.asarray(out)
 
-    def pairing_fn(self, u):
-        return lambda za, zb, taus: self.segment_pairings(u, za, zb, taus)
-
-    def bad_locus_count(self, u, ball, boundary_tol=1e-9, resolution=1e-9):
-        dev = self.as_developing_map()
-        return bad_locus_count(dev, u, ball, boundary_tol, resolution,
-                               pair_fn=self.pairing_fn(u))
-
-    def bad_locus_points(self, u, ball, resolution=1e-9):
-        dev = self.as_developing_map()
-        return bad_locus_points(dev, u, ball, resolution,
-                                pair_fn=self.pairing_fn(u))
-
 
 # ---------------------------------------------------------------------------
 # zero counting
-
-
-@dataclass(frozen=True)
-class LocusCount:
-    """Zeros in the closed ball, counted without multiplicity.
-
-    boundary_uncertain is the number of zeros within tolerance of the ball
-    boundary (the count is reliable to +- that band).
-    """
-
-    count: int
-    boundary_uncertain: int
-    points: tuple
-
-
-def _closed_form_zeros(dev, u):
-    coeffs = np.trim_zeros(pairing_poly_coeffs(dev, u), "f")
-    if len(coeffs) <= 1:
-        return []
-    roots = np.roots(coeffs)
-    zeros = [z for z in roots if z.imag > 1e-10 * max(1.0, abs(z.real))]
-    return _dedupe_points(zeros)
 
 
 def _dedupe_points(pts, tol=1e-7):
@@ -450,26 +345,27 @@ def _winding_zeros(pair_fn, lo, hi, restol, depth=0, jiggle=0):
     return out
 
 
-def bad_locus_points(dev, u, ball, resolution=1e-9, pair_fn=None):
+def bad_locus_points(dev, u, ball, resolution=1e-9):
     """Zeros of <u, dev(.)> in the closed ball, without multiplicity.
 
-    A hair of slack (1e-6 in radius) is kept so boundary grazers survive
-    to the counting stage, which classifies them into the uncertainty band.
+    An OdeDevelopingMap is counted by boundary-winding subdivision of the
+    ball's Euclidean bounding box; any other map is a Veronese curve, whose
+    pairing is a polynomial with closed-form roots.  A hair of slack (1e-6
+    in radius) is kept so boundary grazers survive to the counting stage,
+    which classifies them into the uncertainty band.
     """
-    if dev.kind in ("identity", "veronese"):
-        zeros = _closed_form_zeros(dev, u)
-    elif dev.kind == "ode" or pair_fn is not None:
-        if pair_fn is None:
-            raise ValueError("ode counting needs the OdeDevelopingMap pairing")
+    if isinstance(dev, OdeDevelopingMap):
         ec, er = ball_euclidean(ball.center, ball.radius_t)
         lo = ec - er * (1 + 1e-9) - 1j * er * (1 + 1e-9)
         hi = ec + er * (1 + 1e-9) + 1j * er * (1 + 1e-9)
         lo = complex(lo.real, max(lo.imag, 1e-12))
-        zeros = _dedupe_points(
-            _winding_zeros(pair_fn, lo, hi, restol=resolution * max(1.0, er))
-        )
+        zeros = _dedupe_points(_winding_zeros(
+            lambda za, zb, taus: dev.segment_pairings(u, za, zb, taus),
+            lo, hi, restol=resolution * max(1.0, er)))
     else:
-        raise ValueError(f"kind {dev.kind!r} does not support counting")
+        coeffs = np.trim_zeros(pairing_poly_coeffs(dev, u), "f")
+        roots = np.roots(coeffs) if len(coeffs) > 1 else ()
+        zeros = _dedupe_points([z for z in roots if z.imag > 1e-10 * max(1.0, abs(z.real))])
     out = []
     for z in zeros:
         if z.imag <= 0:
@@ -477,23 +373,3 @@ def bad_locus_points(dev, u, ball, resolution=1e-9, pair_fn=None):
         if hyp_dist(ball.center, HPoint(z.real, z.imag)) <= ball.radius_t + 1e-6:
             out.append(z)
     return out
-
-
-def bad_locus_count(dev, u, ball, boundary_tol=1e-9, resolution=1e-9,
-                    pair_fn=None):
-    """Number of bad-locus points in the closed ball (no multiplicity)."""
-    zeros = bad_locus_points(dev, u, ball, resolution, pair_fn)
-    count = 0
-    uncertain = 0
-    inside = []
-    for z in zeros:
-        d = hyp_dist(ball.center, HPoint(z.real, z.imag))
-        if abs(d - ball.radius_t) <= boundary_tol:
-            uncertain += 1
-            count += 1 if d <= ball.radius_t else 0
-            inside.append(z)
-        elif d < ball.radius_t:
-            count += 1
-            inside.append(z)
-    return LocusCount(count=count, boundary_uncertain=uncertain,
-                      points=tuple(inside))

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .devmaps import Covector, OdeDevelopingMap, bad_locus_points
+from .devmaps import Covector, bad_locus_points
 from .hypgeo import BallSpec, HPoint, ball_volume, hyp_dist
 
 
@@ -64,17 +64,17 @@ def count_in_balls(source, center, t_grid, boundary_tol=1e-9, resolution=1e-9):
 
     source is either an explicit point collection (anything iterable of
     complex/HPoint, or a (points, dists) pair from orbit_ball), or a
-    (developing map, covector) pair; ODE-backed maps pass their
-    OdeDevelopingMap so counting can integrate along cell boundaries.
+    (developing map, covector) pair, whose points bad_locus_points finds.
+    Boundary rule: at radius t a point at distance d is counted when
+    d <= t + boundary_tol, and flagged uncertain when |d - t| <= boundary_tol
+    (d in (t - tol, t + tol]); so a point in (t, t + tol] is counted and
+    flagged uncertain.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if isinstance(source, tuple) and len(source) == 2 and isinstance(source[1], Covector):
         dev, u = source
         ball = BallSpec(center, float(t_grid[-1]) + boundary_tol)
-        if isinstance(dev, OdeDevelopingMap):
-            pts = dev.bad_locus_points(u, ball, resolution=resolution)
-        else:
-            pts = bad_locus_points(dev, u, ball, resolution=resolution)
+        pts = bad_locus_points(dev, u, ball, resolution=resolution)
         dists = _point_distances(pts, center)
         tag = "devmap"
     else:

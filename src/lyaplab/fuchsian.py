@@ -7,7 +7,7 @@ bending deformations.
 
 Domains and generator data are immutable after construction; coding and
 orbit enumeration are pure functions of their inputs, so Monte-Carlo
-workers can share one domain and own their streams.
+workers can share one domain and own their codings.
 """
 
 import math
@@ -113,22 +113,6 @@ class SidePairing:
     partner: int
     mobius: Mobius
     word: Word  # single signed generator index
-
-
-@dataclass(frozen=True)
-class CodingStream:
-    """Side crossings of a geodesic segment of length total_time.
-
-    times are strictly increasing in (0, total_time]; gens[i] is the signed
-    generator index of the pairing applied at crossing i (the element whose
-    holonomy the cocycle multiplies next).
-    """
-
-    times: np.ndarray
-    gens: np.ndarray
-    total_time: float
-    end_state: UnitTangent
-    perturbations: int = 0
 
 
 class FundamentalDomain:
@@ -488,6 +472,8 @@ def iter_crossings(dom, ut, T, eps0=1e-9, max_retries=5, perturb_log=None):
     pinned inside the vertex window after all retries is taken anyway and
     any outside drift is repaired by extra pairing hops (the corner routes
     of the unfolded geodesic).  The final partial segment is not yielded.
+    DegenerateDirectionError says whether the last retry found no outward
+    exit or ran along a side's carrier.
     """
     sides, pairs = dom._trace_sides, dom._trace_pairs
     x, y, th = ut.base.x, ut.base.y, ut.angle
@@ -514,9 +500,8 @@ def iter_crossings(dom, ut, T, eps0=1e-9, max_retries=5, perturb_log=None):
             if perturb_log is not None:
                 perturb_log.append((t_acc, eps0 * (32.0**attempt)))
         if hit is None:
-            raise DegenerateDirectionError(
-                f"ray tracing stuck near a vertex at t={t_acc:.6f}"
-            )
+            why = "ray runs along a side's carrier" if tangent else "no outward exit"
+            raise DegenerateDirectionError(f"ray tracing: {why} at t={t_acc:.6f}")
         t, k, xx, yy, th_c, _ = hit
         x, y, th = _pair_step(pairs[k], xx, yy, th_c)
         t_acc += t
@@ -532,29 +517,6 @@ def iter_crossings(dom, ut, T, eps0=1e-9, max_retries=5, perturb_log=None):
                 f"state failed to re-enter the domain at t={t_acc:.6f}"
             )
     raise ResourceError("crossing budget exceeded (tracing runaway)")
-
-
-def code_geodesic(dom, ut, T):
-    """Ray-trace the geodesic from ut for time T into a CodingStream."""
-    if T <= 0:
-        raise ValueError("coding time must be positive")
-    if not dom.contains(ut.base, tol=1e-8):
-        raise ValueError("start point is not in the closed fundamental domain")
-    times, gens, perturbs = [], [], []
-    state = (ut.base.x, ut.base.y, ut.angle)
-    for t, g, st in iter_crossings(dom, ut, T, perturb_log=perturbs):
-        times.append(t)
-        gens.append(g)
-        state = st
-    last_t = times[-1] if times else 0.0
-    end = geodesic_flow(UnitTangent(HPoint(state[0], state[1]), state[2]), T - last_t)
-    return CodingStream(
-        times=np.asarray(times, dtype=float),
-        gens=np.asarray(gens, dtype=np.int64),
-        total_time=float(T),
-        end_state=end,
-        perturbations=len(perturbs),
-    )
 
 
 # ---------------------------------------------------------------------------

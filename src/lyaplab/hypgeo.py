@@ -10,7 +10,6 @@ All types are immutable values and all operations are pure, so everything
 can be shared freely across workers.
 """
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -110,11 +109,6 @@ class Mobius:
         if w.imag <= MEMBERSHIP_TOL * max(1.0, abs(w)):
             raise NumericDegeneracyError("image degenerated to the boundary")
         return HPoint(w.real, w.imag)
-
-    def deriv_arg(self, z):
-        """arg of the derivative 1/(cz+d)^2 at z; rotates tangent angles."""
-        a, b, c, d = self.mat.ravel()
-        return -2.0 * cmath.phase(c * z + d)
 
     @staticmethod
     def to_point(p):

@@ -481,11 +481,6 @@ def parse_rep_text(text):
     return Representation(n, fieldname, gens, relations, label, projective)
 
 
-def save_rep(rep, path):
-    with open(path, "w") as fh:
-        fh.write(format_rep_text(rep))
-
-
 def load_rep(path):
     with open(path) as fh:
         return parse_rep_text(fh.read())

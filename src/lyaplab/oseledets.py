@@ -203,7 +203,6 @@ class SpectrumEstimate:
     T: float = 0.0
     seed: int = 0
     sample_values: np.ndarray = field(default=None, repr=False)
-    caveat: str = ""
     failures: tuple = ()
 
 
@@ -226,68 +225,13 @@ def estimate_spectrum(dom, rep, config, coding=None):
     if batch.key != _coding_key(config):
         raise ValueError("coding batch was traced for another run configuration")
     sample_values, lost = cocycle(rep, batch, config)
-    return _summary(rep, config, sample_values, sorted(batch.failures + tuple(lost)),
-                    config.normalization, min_rows=2)
-
-
-def _summary(rep, config, sample_values, failures, tag, min_rows, caveat=""):
+    failures = sorted(batch.failures + tuple(lost))
     rows = len(sample_values)
-    if rows < min_rows:
+    if rows < 2:
         raise InsufficientDataError(f"only {rows} successful samples; failures: {failures[:3]}")
-    stderr = (sample_values.std(axis=0, ddof=1) / math.sqrt(rows) if rows > 1
-              else np.zeros(rep.n))
-    return SpectrumEstimate(sample_values.mean(axis=0), stderr, rows, tag, rep.label,
-                            config.T, config.seed, sample_values, caveat, tuple(failures))
-
-
-@dataclass(frozen=True)
-class WedgeCheck:
-    wedge_top: float
-    wedge_stderr: float
-    partial_sum: float
-    partial_stderr: float
-    discrepancy: float
-    combined_stderr: float
-
-
-def wedge_crosscheck(dom, rep, k, config):
-    """Compare lambda_1 of wedge^k(rep) with the k-th partial sum of rep.
-
-    The top exponent of the exterior power is the sum of the first k
-    exponents of the original cocycle; both sides run along the same coded
-    geodesics and the discrepancy is reported in combined-stderr units.
-    """
-    from .linrep import ext_power
-
-    coding = code_samples(dom, config)
-    base = estimate_spectrum(dom, rep, config, coding)
-    wedge = estimate_spectrum(dom, ext_power(rep, k), config, coding)
-    partial_samples = base.sample_values[:, :k].sum(axis=1)
-    partial = partial_samples.mean()
-    partial_se = partial_samples.std(ddof=1) / math.sqrt(len(partial_samples))
-    top, top_se = wedge.values[0], wedge.stderr[0]
-    return WedgeCheck(top, top_se, partial, partial_se, top - partial,
-                      math.hypot(partial_se, top_se))
-
-
-def random_walk_spectrum(rep, steps, samples, seed):
-    """Exponents of i.i.d. uniform products over the symmetric generator set.
-
-    Reported per step, NOT per geodesic length: the stationary measure of
-    this walk is not the geodesic one, so the values are comparable to the
-    flow spectrum only through their zero/nonzero pattern.  The draws form
-    a coding batch with one crossing per unit time.
-    """
-    m = rep.num_generators
-    draws = [np.random.default_rng([seed, i]).integers(0, 2 * m, size=steps) + 1
-             for i in range(samples)]
-    batch = CodingBatch(tuple(range(samples)), (np.arange(1.0, steps + 1),) * samples,
-                        tuple(np.where(s <= m, s, m - s) for s in draws))
-    config = RunConfig(T=float(steps), samples=samples, seed=seed,
-                       normalization="minus1", burn_in=0.0)
-    return _summary(rep, config, *cocycle(rep, batch, config), "per-step", min_rows=1,
-                    caveat="random-walk exponents; only the zero/nonzero pattern is "
-                           "comparable to geodesic-flow exponents")
+    stderr = sample_values.std(axis=0, ddof=1) / math.sqrt(rows)
+    return SpectrumEstimate(sample_values.mean(axis=0), stderr, rows, config.normalization,
+                            rep.label, config.T, config.seed, sample_values, tuple(failures))
 
 
 def spectrum_csv(est):

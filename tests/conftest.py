@@ -1,3 +1,6 @@
+import cmath
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -47,3 +50,29 @@ def random_sl2(rng):
                 a = a[[1, 0]]
                 d = -d
             return a / np.sqrt(d)
+
+
+def coding(dom, ut, T):
+    """The crossings of the geodesic from ut up to time T, collected from
+    fuchsian.iter_crossings: times, signed generators, the states after each
+    crossing and the number of direction perturbations."""
+    perturbs = []
+    out = list(fuchsian.iter_crossings(dom, ut, T, perturb_log=perturbs))
+    return SimpleNamespace(
+        times=np.array([t for t, _, _ in out], dtype=float),
+        gens=np.array([g for _, g, _ in out], dtype=np.int64),
+        states=[s for _, _, s in out],
+        perturbations=len(perturbs),
+    )
+
+
+def deriv_arg(m, z):
+    """arg of the derivative 1/(cz+d)^2 of the Mobius map m at z; it rotates
+    tangent angles."""
+    a, b, c, d = m.mat.ravel()
+    return -2.0 * cmath.phase(c * z + d)
+
+
+def save_rep(rep, path):
+    with open(path, "w") as fh:
+        fh.write(linrep.format_rep_text(rep))

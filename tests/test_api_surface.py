@@ -1,0 +1,67 @@
+"""Every public top-level function or class of the package has a caller.
+
+A name defined in src/lyaplab counts as used when the package names it
+outside its own definition, when the benchmark (perfbench/*.py) names it, or
+when it is the console entry point of pyproject.toml.  Names that only the
+tests use belong in the tests.  The package is read with ast, so nothing is
+imported.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "lyaplab"
+
+# library entry points that no module calls on purpose
+EXEMPT = {
+    "errterm.sum_rule_check",  # the paper's compact-base equality, checked by C7
+}
+
+
+def _names(node):
+    """Identifiers that node's code refers to (names, attributes, imports)."""
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.alias):
+            out.add(n.name.rsplit(".", 1)[-1])
+    return out
+
+
+def _surface():
+    """(module.name of every public top-level def, names used per def)."""
+    defs, uses = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            owner = None
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                owner = node.name
+                if not owner.startswith("_"):
+                    defs.append((path.stem, owner))
+            uses.append((owner, _names(node)))
+    return defs, uses
+
+
+def _used_outside_package():
+    text = "\n".join(p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py")))
+    scripts = re.findall(r"=\s*\"[\w.]+:(\w+)\"", (ROOT / "pyproject.toml").read_text())
+    return set(re.findall(r"\w+", text)) | set(scripts)
+
+
+def test_every_public_name_has_a_caller():
+    defs, uses = _surface()
+    outside = _used_outside_package()
+    unused = [f"{module}.{name}" for module, name in defs
+              if f"{module}.{name}" not in EXEMPT and name not in outside
+              and not any(name in names for owner, names in uses if owner != name)]
+    assert not unused, f"public names only tests (or nobody) use: {unused}"
+
+
+def test_exemptions_are_defined():
+    defs, _ = _surface()
+    assert EXEMPT <= {f"{module}.{name}" for module, name in defs}

@@ -10,14 +10,16 @@ import pytest
 import lyaplab
 from lyaplab import cli, fuchsian, linrep
 
+from conftest import save_rep
+
 
 def run_cli(args):
     return cli.main(args)
 
 
 def write_rep(path, generators, relations):
-    linrep.save_rep(linrep.Representation(2, "real", generators, relations, "t",
-                                          projective_flag=True), path)
+    save_rep(linrep.Representation(2, "real", generators, relations, "t",
+                                   projective_flag=True), path)
     return str(path)
 
 

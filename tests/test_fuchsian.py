@@ -10,7 +10,6 @@ from lyaplab.fuchsian import (
     DegenerateBendingError,
     GroupSpec,
     build_group,
-    code_geodesic,
     ResourceError,
     orbit_ball,
     parse_group_spec,
@@ -19,8 +18,9 @@ from lyaplab.fuchsian import (
 )
 from lyaplab.hypgeo import HPoint, UnitTangent, ball_volume, geodesic_flow, hyp_dist
 from lyaplab.linrep import Representation, check_relations, eval_word
+from lyaplab.oseledets import RunConfig, code_samples
 
-from conftest import mobius_of_word
+from conftest import coding, deriv_arg, mobius_of_word
 
 
 class TestGroupSpec:
@@ -127,14 +127,18 @@ class TestPullBack:
 class TestCoding:
     def test_short_segment_empty(self, tri334):
         dom, _, _ = tri334
-        cs = code_geodesic(dom, UnitTangent(dom.interior_point, 0.3), 0.05)
+        ut = UnitTangent(dom.interior_point, 0.3)
+        cs = coding(dom, ut, 0.05)
         assert len(cs.times) == 0
-        assert abs(hyp_dist(cs.end_state.base, dom.interior_point) - 0.05) < 1e-9
+        # with no crossing the segment ends at the flow from the start
+        end = geodesic_flow(ut, 0.05)
+        assert dom.contains(end.base)
+        assert abs(hyp_dist(end.base, dom.interior_point) - 0.05) < 1e-9
 
     def test_first_crossing_dense_sampling_oracle(self, tri334):
         dom, _, _ = tri334
         ut = UnitTangent(dom.interior_point, 1.1)
-        cs = code_geodesic(dom, ut, 2.0)
+        cs = coding(dom, ut, 2.0)
         t1 = cs.times[0]
         # dense sampling: first time the ray leaves the closed domain
         step = 1e-4
@@ -151,27 +155,27 @@ class TestCoding:
     def test_concatenation(self, tri334):
         dom, _, _ = tri334
         ut = UnitTangent(dom.interior_point, 0.7345)
-        c1 = code_geodesic(dom, ut, 6.0)
-        c2 = code_geodesic(dom, c1.end_state, 7.0)
-        both = code_geodesic(dom, ut, 13.0)
-        assert len(both.gens) == len(c1.gens) + len(c2.gens)
-        assert (both.gens == np.concatenate([c1.gens, c2.gens])).all()
-        times = np.concatenate([c1.times, c1.total_time + c2.times])
-        assert np.abs(times - both.times).max() < 1e-7
+        both = coding(dom, ut, 13.0)
+        k = int(np.searchsorted(both.times, 6.0, "right")) - 1  # last crossing by t = 6
+        x, y, th = both.states[k]
+        c2 = coding(dom, UnitTangent(HPoint(x, y), th), 13.0 - both.times[k])
+        assert len(both.gens) == k + 1 + len(c2.gens)
+        assert (both.gens[k + 1:] == c2.gens).all()
+        assert np.abs(both.times[k] + c2.times - both.times[k + 1:]).max() < 1e-7
 
     def test_coding_covariance_under_pairing(self, tri334):
         dom, _, _ = tri334
         ut = UnitTangent(dom.interior_point, 0.61)
-        ref = code_geodesic(dom, ut, 8.0)
+        ref = coding(dom, ut, 8.0)
         g = dom.pairings[2].mobius
-        moved = UnitTangent(g.apply(ut.base), ut.angle + g.deriv_arg(ut.base.z))
+        moved = UnitTangent(g.apply(ut.base), ut.angle + deriv_arg(g, ut.base.z))
         base_back, _ = pull_back(dom, moved.base)
         assert abs(base_back.z - ut.base.z) < 1e-9
         # recoding from the translated-and-pulled-back state reproduces the
-        # stream (the pulled-back tangent is the original state)
+        # coding (the pulled-back tangent is the original state)
         h = g.inv()
-        pulled = UnitTangent(h.apply(moved.base), moved.angle + h.deriv_arg(moved.base.z))
-        again = code_geodesic(dom, pulled, 8.0)
+        pulled = UnitTangent(h.apply(moved.base), moved.angle + deriv_arg(h, moved.base.z))
+        again = coding(dom, pulled, 8.0)
         assert (again.gens == ref.gens).all()
 
     @pytest.mark.parametrize("specname,bound", [("triangle:3,3,4", 8),
@@ -182,14 +186,28 @@ class TestCoding:
         worst = 0
         for _ in range(100):
             ang = rng.uniform(0, 2 * math.pi)
-            cs = code_geodesic(dom, UnitTangent(dom.interior_point, ang), 1.0)
+            cs = coding(dom, UnitTangent(dom.interior_point, ang), 1.0)
             worst = max(worst, len(cs.times))
         assert worst <= bound
 
-    def test_rejects_outside_start(self, tri334):
+    def test_no_exit_reported_as_such(self, tri334):
+        # lane 0 of this batch reaches a state 1e-10 inside side 1 whose
+        # only exit is a grazing re-crossing of that side, 0.18 from the
+        # nearest vertex: the tracer must say it found no exit, not a vertex
         dom, _, _ = tri334
-        with pytest.raises(ValueError):
-            code_geodesic(dom, UnitTangent(HPoint(50.0, 50.0), 0.1), 1.0)
+        batch = code_samples(dom, RunConfig(T=1000.0, samples=4, seed=4200))
+        assert batch.index == (1, 2, 3)
+        [(i, text)] = batch.failures
+        assert i == 0
+        assert "no outward exit at t=357.857" in text
+        assert "vertex" not in text
+
+    def test_carrier_run_reported_as_such(self, tri334, monkeypatch):
+        dom, _, _ = tri334
+        monkeypatch.setattr(fuchsian, "_first_exit", lambda *a: (None, True))
+        with pytest.raises(fuchsian.DegenerateDirectionError,
+                           match="along a side's carrier at t=0.000000"):
+            coding(dom, UnitTangent(dom.interior_point, 0.3), 1.0)
 
     def test_vertex_aimed_ray_perturbs_and_completes(self, tri334):
         from lyaplab.hypgeo import direction_to
@@ -197,7 +215,7 @@ class TestCoding:
         dom, _, _ = tri334
         ut = UnitTangent(dom.interior_point,
                          direction_to(dom.interior_point, dom.vertices[1]))
-        cs = code_geodesic(dom, ut, 5.0)
+        cs = coding(dom, ut, 5.0)
         assert cs.perturbations >= 1
         assert len(cs.times) > 0
 
@@ -212,7 +230,7 @@ class TestCoding:
         for v in dom.vertices:
             ut = UnitTangent(dom.interior_point,
                              direction_to(dom.interior_point, v))
-            cs = code_geodesic(dom, ut, 15.0)
+            cs = coding(dom, ut, 15.0)
             assert len(cs.times) > 3
             assert np.all(np.diff(cs.times) > 0)
 
@@ -220,7 +238,7 @@ class TestCoding:
         # the order-2 corner of triangle(2,3,7) is a straight angle; the
         # two collinear sides must not confuse the tracer
         dom, gens, rels = build_group(GroupSpec.triangle(2, 3, 7))
-        cs = code_geodesic(dom, UnitTangent(dom.interior_point, 0.37), 50.0)
+        cs = coding(dom, UnitTangent(dom.interior_point, 0.37), 50.0)
         assert len(cs.times) > 20
         assert np.all(np.diff(cs.times) > 0)
 

@@ -16,7 +16,6 @@ from lyaplab.linrep import (
     format_rep_text,
     load_rep,
     parse_rep_text,
-    save_rep,
     sym_monomials,
     sym_power,
     trivial_rep,
@@ -24,7 +23,7 @@ from lyaplab.linrep import (
     uniformizing_rep,
 )
 
-from conftest import random_sl2
+from conftest import random_sl2, save_rep
 
 
 def sl2_pair(seed):

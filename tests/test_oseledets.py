@@ -1,13 +1,15 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from lyaplab import cli, oseledets
-from lyaplab.fuchsian import DegenerateDirectionError, code_geodesic
+from lyaplab.fuchsian import DegenerateDirectionError
 from lyaplab.hypgeo import UnitTangent
 from lyaplab.linrep import (
     Representation,
+    ext_power,
     sym_power,
     trivial_rep,
     unitary_cube_rep,
@@ -21,10 +23,10 @@ from lyaplab.oseledets import (
     code_samples,
     cocycle,
     estimate_spectrum,
-    random_walk_spectrum,
     spectrum_csv,
-    wedge_crosscheck,
 )
+
+from conftest import coding
 
 
 def walk_rates(rep, gens, qr_interval=8):
@@ -40,11 +42,51 @@ def walk_rates(rep, gens, qr_interval=8):
 
 def geodesic_exponents(dom, rep, ut, T):
     """Exponents along the single geodesic from ut, with no burn-in."""
-    c = code_geodesic(dom, ut, T)
+    c = coding(dom, ut, T)
     values, failures = cocycle(rep, CodingBatch((0,), (c.times,), (c.gens,)),
                                RunConfig(T=T, samples=1, seed=0, burn_in=0.0))
     assert failures == []
     return values[0]
+
+
+def wedge_crosscheck(dom, rep, k, config):
+    """Compare lambda_1 of wedge^k(rep) with the k-th partial sum of rep.
+
+    The top exponent of the exterior power is the sum of the first k
+    exponents of the original cocycle; both sides run along the same coded
+    geodesics and the discrepancy is reported in combined-stderr units.
+    """
+    batch = code_samples(dom, config)
+    base = estimate_spectrum(dom, rep, config, batch)
+    wedge = estimate_spectrum(dom, ext_power(rep, k), config, batch)
+    partial_samples = base.sample_values[:, :k].sum(axis=1)
+    partial = partial_samples.mean()
+    partial_se = partial_samples.std(ddof=1) / math.sqrt(len(partial_samples))
+    top, top_se = wedge.values[0], wedge.stderr[0]
+    return SimpleNamespace(wedge_top=top, partial_sum=partial, discrepancy=top - partial,
+                           combined_stderr=math.hypot(partial_se, top_se))
+
+
+def random_walk_spectrum(rep, steps, samples, seed):
+    """Exponents of i.i.d. uniform products over the symmetric generator set.
+
+    Reported per step, NOT per geodesic length: the stationary measure of
+    this walk is not the geodesic one, so the values are comparable to the
+    flow spectrum only through their zero/nonzero pattern.  The draws form
+    a coding batch with one crossing per unit time.
+    """
+    m = rep.num_generators
+    draws = [np.random.default_rng([seed, i]).integers(0, 2 * m, size=steps) + 1
+             for i in range(samples)]
+    batch = CodingBatch(tuple(range(samples)), (np.arange(1.0, steps + 1),) * samples,
+                        tuple(np.where(s <= m, s, m - s) for s in draws))
+    config = RunConfig(T=float(steps), samples=samples, seed=seed,
+                       normalization="minus1", burn_in=0.0)
+    values, failures = cocycle(rep, batch, config)
+    assert failures == []
+    return SimpleNamespace(values=values.mean(axis=0), normalization_tag="per-step",
+                           caveat="random-walk exponents; only the zero/nonzero "
+                                  "pattern is comparable to geodesic-flow exponents")
 
 
 def single_matrix_rep(m):
