@@ -233,8 +233,9 @@ def run_spectrum_experiment(cfg):
 
 
 def run_sweep(sweep):
-    """One cocycle run per grid point over geodesics coded once; failed
-    points become failed rows."""
+    """Bend every grid point, then run each scalar field's points as one
+    fused cocycle over geodesics coded once; failed points become failed
+    rows."""
     spec = fuchsian.parse_group_spec(sweep.base.group)
     bundle = fuchsian.build_group(spec)
     rep = resolve_rep(sweep.base.rep_source, bundle)
@@ -244,17 +245,23 @@ def run_sweep(sweep):
         raise Refusal("sweep needs a rank-2 base representation")
     split = _bend_split_for(rep, spec)
     coding = oseledets.code_samples(bundle[0], sweep.base.run)  # shared by all points
-    rows = []
-    for v in sweep.grid:
+    rows, fields = [], {}  # fields: is_complex -> [(grid position, bent rep)]
+    for k, v in enumerate(sweep.grid):
         s = complex(0.0, v) if sweep.axis == "imag" else complex(v, 0.0)
         try:
             # bend_representation gates relations at 1e-8, inside RELATION_GATE
             bent = rep if s == 0 else fuchsian.bend_representation(rep, split, s)
-            est = oseledets.estimate_spectrum(bundle[0], bent, sweep.base.run, coding)
-            rows.append((v, est.values[0], est.stderr[0], "ok"))
-        except (fuchsian.DegenerateBendingError, linrep.RepresentationError,
-                oseledets.InsufficientDataError) as exc:
+            fields.setdefault(bent.is_complex, []).append((k, bent))
+            rows.append(None)
+        except (fuchsian.DegenerateBendingError, linrep.RepresentationError) as exc:
             rows.append((v, math.nan, math.nan, f"failed:{type(exc).__name__}"))
+    for group in fields.values():  # a real rep is never promoted to complex
+        ests = oseledets.estimate_spectra(bundle[0], [r for _, r in group], sweep.base.run, coding)
+        for (k, _), est in zip(group, ests):
+            v = sweep.grid[k]
+            rows[k] = ((v, math.nan, math.nan, f"failed:{type(est).__name__}")
+                       if isinstance(est, oseledets.InsufficientDataError)
+                       else (v, est.values[0], est.stderr[0], "ok"))
     return rows, rep
 
 

@@ -147,11 +147,14 @@ class Mobius:
 
 
 def hyp_dist(p, q):
-    """Hyperbolic distance, d = arccosh(1 + |p-q|^2 / (2 y_p y_q))."""
+    """Hyperbolic distance, d = 2 arcsinh(|p-q| / (2 sqrt(y_p y_q))).
+
+    Equal to arccosh(1 + |p-q|^2 / (2 y_p y_q)), but keeps full relative
+    precision for nearby points, where 1 + eps cancels in the arccosh form.
+    """
     dx = p.x - q.x
     dy = p.y - q.y
-    t = 1.0 + (dx * dx + dy * dy) / (2.0 * p.y * q.y)
-    return math.acosh(t) if t > 1.0 else 0.0
+    return 2.0 * math.asinh(math.sqrt((dx * dx + dy * dy) / (4.0 * p.y * q.y)))
 
 
 def ball_volume(t):

@@ -16,7 +16,7 @@ from .fuchsian import iter_crossings
 from .hypgeo import HPoint, UnitTangent
 
 FRAME_OVERFLOW = 1e120
-FRAME_BUDGET = 1 << 25  # bytes of the (lanes, n, n) frame stack of one chunk
+FRAME_BUDGET = 1 << 25  # bytes of one chunk's frame stack: (reps x samples lanes, n, n)
 
 
 class NumericCocycleError(ArithmeticError):
@@ -115,47 +115,60 @@ class CocycleAccumulator:
         return lanes[~ok]
 
 
-def cocycle(rep, batch, config):
-    """Exponent rows (sorted nonincreasing) of the lanes that ran through,
-    in lane order, and (sample index, repr) of those whose frame degenerated.
+def cocycle(reps, batch, config):
+    """Per representation of reps, the exponent rows (sorted nonincreasing)
+    of the lanes that ran through, in lane order, and (sample index, repr)
+    of those whose frame degenerated.
 
     Between crossings the constant norm is flat, so the cocycle is exactly
-    the product of the crossing holonomies.  Lanes step in lockstep; each is
-    QR'd at every crossing up to burn_in (log increments there, an O(1/T)
+    the product of the crossing holonomies.  The reps share size, generator
+    count and scalar field, and run fused: lane (r, i) multiplies rep r's
+    images along lane i of batch.  Lanes step in lockstep; each is QR'd at
+    every crossing up to burn_in (log increments there, an O(1/T)
     frame-alignment bias, are discarded), then every qr_interval of its own
     steps and on overflow risk, so its values never depend on its batch."""
-    m = rep.num_generators
-    table = np.stack([rep.generator_image(g) if g else np.eye(rep.n)  # row m + g
-                      for g in range(-m, m + 1)]).astype(complex if rep.is_complex else float)
-    chunk = max(1, FRAME_BUDGET // (rep.n * rep.n * table.itemsize))
-    rows, failures = [], []
-    for lo in range(0, len(batch.index), chunk):
-        _lockstep(table, batch, slice(lo, lo + chunk), config, rows, failures)
-    return np.array(rows).reshape(len(rows), rep.n), failures
+    n, m, field = reps[0].n, reps[0].num_generators, reps[0].is_complex
+    if any((rep.n, rep.num_generators, rep.is_complex) != (n, m, field) for rep in reps):
+        raise ValueError("fused representations differ in size or scalar field")
+    table = np.stack([  # table[r, m + g] is rep r's image of g
+        np.stack([rep.generator_image(g) if g else np.eye(n) for g in range(-m, m + 1)])
+        for rep in reps]).astype(complex if field else float)
+    chunk = max(1, FRAME_BUDGET // (n * n * table.itemsize))
+    lanes = len(reps) * len(batch.index)
+    rows, failures = [[] for _ in reps], [[] for _ in reps]
+    for lo in range(0, lanes, chunk):
+        _lockstep(table, batch, np.arange(lo, min(lo + chunk, lanes)), config, rows, failures)
+    return [(np.array(r).reshape(len(r), n), f) for r, f in zip(rows, failures)]
 
 
 def _lockstep(table, batch, part, config, rows, failures):
-    """Run the lanes batch[part]; append their rows and failures.
+    """Run the fused lanes part (lane r·len(batch.index) + i is lane i of
+    batch under rep r); append their rows and failures to those of rep r.
 
-    Lane i takes its own step j at global step off[i] + j, with off chosen
+    Lane k takes its own step j at global step off[k] + j, with off chosen
     so that every burn-in ends at the same global step: from there on the
     lanes' qr_interval phases coincide and one QR call serves them all."""
-    index, times, gens = batch.index[part], batch.times[part], batch.gens[part]
+    samples = len(batch.index)
+    rep_of, lane_of = np.divmod(part, samples)
+    times = [batch.times[i] for i in lane_of]
     lengths = np.array([len(t) for t in times], dtype=np.int64)
     burn = np.array([np.searchsorted(t, config.burn_in, "right") for t in times])
     settle = burn.max(initial=0)  # global step at which every burn-in ends
     off = settle - burn
     ends = off + lengths
     width = ends.max(initial=0)  # lanes padded to lockstep; padding is never read
-    steps = np.array([np.pad(g, (o, width - e)) for g, o, e in zip(gens, off, ends)]
-                     ).T + len(table) // 2
-    acc = CocycleAccumulator(len(index), table.shape[1], table.dtype == complex)
+    # lanes k and k + samples of part follow one sample and share its coding column
+    column = np.arange(len(part)) % samples
+    steps = np.array([np.pad(batch.gens[i], (o, width - e))
+                      for i, o, e in zip(lane_of[:samples], off, ends)]).T + table.shape[1] // 2
+    acc = CocycleAccumulator(len(part), table.shape[2], table.dtype == complex)
     base_log, failed = np.zeros_like(acc.log_diag), {}
     changes, alive = set(off.tolist()) | set(ends.tolist()), lengths > 0
     for j in range(width):
         if j in changes:
             live = np.flatnonzero(alive & (off <= j) & (j < ends))
-        frames = table[steps[j, live]] @ acc.frames[live]
+            live_rep, live_column = rep_of[live], column[live]
+        frames = table[live_rep, steps[j, live_column]] @ acc.frames[live]
         acc.frames[live] = frames
         acc.pending[live] += 1
         due = ((acc.pending[live] >= config.qr_interval) | (j < settle)
@@ -165,15 +178,15 @@ def _lockstep(table, batch, part, config, rows, failures):
             if len(bad):
                 failed.update(zip(bad.tolist(), (j + 1 - off[bad]).tolist()))
                 alive[bad] = False
-                live = np.setdiff1d(live, bad)
+                changes.add(j + 1)  # drop them from the next step on
         if j + 1 == settle:
             base_log[live] = acc.log_diag[live]
     for lane in acc.flush(np.flatnonzero(acc.pending)).tolist():
         failed[lane] = int(lengths[lane])
-    for lane, (i, t) in enumerate(zip(index, times)):
+    for lane, (r, i, t) in enumerate(zip(rep_of, lane_of, times)):
         if lane in failed:
             exc = NumericCocycleError(f"cocycle frame degenerated at step {failed[lane]}")
-            failures.append((i, repr(exc)))
+            failures[r].append((batch.index[i], repr(exc)))
             continue
         log = np.sort(acc.log_diag[lane] - base_log[lane])[::-1]
         # both window ends at crossing epochs: the log accrues only at
@@ -182,7 +195,7 @@ def _lockstep(table, batch, part, config, rows, failures):
         t0 = np.append(0.0, t)  # crossing epochs from the start
         span = t0[-1] - t0[burn[lane]] if config.burn_in > 0.0 else config.T
         lam = log / span if span > 0.0 else np.zeros(len(log))
-        rows.append(2.0 * lam if config.normalization == "minus4" else lam)
+        rows[r].append(2.0 * lam if config.normalization == "minus4" else lam)
 
 
 @dataclass(frozen=True)
@@ -218,20 +231,35 @@ def _sample_base(dom, rng, max_tries=20000):
     raise RuntimeError("rejection sampling failed to land in the domain")
 
 
-def estimate_spectrum(dom, rep, config, coding=None):
-    """Monte-Carlo spectrum: one long geodesic per sample, averaged, along
-    coding (the CodingBatch of config, traced here when not given)."""
+def estimate_spectra(dom, reps, config, coding=None):
+    """Monte-Carlo spectra of reps (one size and scalar field, run fused):
+    one long geodesic per sample, averaged, along coding (the CodingBatch
+    of config, traced here when not given).  A rep left with fewer than 2
+    samples gets its InsufficientDataError in place of an estimate."""
     batch = code_samples(dom, config) if coding is None else coding
     if batch.key != _coding_key(config):
         raise ValueError("coding batch was traced for another run configuration")
-    sample_values, lost = cocycle(rep, batch, config)
-    failures = sorted(batch.failures + tuple(lost))
-    rows = len(sample_values)
-    if rows < 2:
-        raise InsufficientDataError(f"only {rows} successful samples; failures: {failures[:3]}")
-    stderr = sample_values.std(axis=0, ddof=1) / math.sqrt(rows)
-    return SpectrumEstimate(sample_values.mean(axis=0), stderr, rows, config.normalization,
-                            rep.label, config.T, config.seed, sample_values, tuple(failures))
+    out = []
+    for rep, (sample_values, lost) in zip(reps, cocycle(reps, batch, config)):
+        failures = sorted(batch.failures + tuple(lost))
+        rows = len(sample_values)
+        if rows < 2:
+            out.append(InsufficientDataError(
+                f"only {rows} successful samples; failures: {failures[:3]}"))
+            continue
+        stderr = sample_values.std(axis=0, ddof=1) / math.sqrt(rows)
+        out.append(SpectrumEstimate(sample_values.mean(axis=0), stderr, rows,
+                                    config.normalization, rep.label, config.T, config.seed,
+                                    sample_values, tuple(failures)))
+    return out
+
+
+def estimate_spectrum(dom, rep, config, coding=None):
+    """The spectrum of one representation (see estimate_spectra)."""
+    (est,) = estimate_spectra(dom, [rep], config, coding)
+    if isinstance(est, InsufficientDataError):
+        raise est
+    return est
 
 
 def spectrum_csv(est):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import lyaplab
-from lyaplab import cli, fuchsian, linrep
+from lyaplab import cli, fuchsian, linrep, oseledets
 
 from conftest import save_rep
 
@@ -21,6 +21,27 @@ def write_rep(path, generators, relations):
     save_rep(linrep.Representation(2, "real", generators, relations, "t",
                                    projective_flag=True), path)
     return str(path)
+
+
+def per_point_sweep_csv(axis, grid, run):
+    """The sweep CSV of surface:2 as a loop over the grid: one
+    estimate_spectrum per bent representation on one shared coding."""
+    spec = fuchsian.parse_group_spec("surface:2")
+    bundle = fuchsian.build_group(spec)
+    rep = cli.resolve_rep("builtin:fuchsian", bundle)
+    split = cli._bend_split_for(rep, spec)
+    coding = oseledets.code_samples(bundle[0], run)
+    lines = ["parameter,lambda1,stderr,status"]
+    for v in grid:
+        s = complex(0.0, v) if axis == "imag" else complex(v, 0.0)
+        try:
+            bent = rep if s == 0 else fuchsian.bend_representation(rep, split, s)
+            est = oseledets.estimate_spectrum(bundle[0], bent, run, coding)
+            lines.append(f"{v:.12g},{est.values[0]:.12g},{est.stderr[0]:.12g},ok")
+        except (fuchsian.DegenerateBendingError, linrep.RepresentationError,
+                oseledets.InsufficientDataError) as exc:
+            lines.append(f"{v:.12g},nan,nan,failed:{type(exc).__name__}")
+    return "\n".join(lines) + "\n"
 
 
 def last_row_and_err(csv_text):
@@ -193,8 +214,6 @@ class TestSweepCommand:
         assert float(rows[1][1]) > float(rows[0][1]) > 1.0
 
     def test_each_geodesic_traced_once(self, tmp_path, monkeypatch):
-        from lyaplab import oseledets
-
         real, traced = oseledets.iter_crossings, []
 
         def counting(dom, ut, T, **kw):
@@ -206,6 +225,38 @@ class TestSweepCommand:
                         "--grid", "0:1:3", "--time", "60", "--samples", "4",
                         "--seed", "4", "--out", str(tmp_path / "s.csv")]) == 0
         assert len(traced) == 4
+
+    @pytest.mark.parametrize("axis,grid", [("imag", "0:2:11"), ("real", "0,1,2,4,8,16")])
+    def test_fused_csv_equals_per_point_loop(self, tmp_path, monkeypatch, axis, grid):
+        # the real grid's twists reach entries of about e^32
+        run = oseledets.RunConfig(T=100.0, samples=5, seed=4)
+        expected = per_point_sweep_csv(axis, cli._parse_grid(grid), run)
+        args = ["sweep", "--group", "surface:2", "--axis", axis, "--grid", grid,
+                "--time", "100", "--samples", "5", "--seed", "4"]
+        fused, chunked = tmp_path / "fused.csv", tmp_path / "chunked.csv"
+        assert run_cli(args + ["--out", str(fused)]) == 0
+        assert fused.read_text() == expected
+        # one fused lane per chunk, then chunks of 3 (complex) or 6 (real)
+        # lanes that cut across the 5 samples of a representation
+        for budget in (1, 200):
+            monkeypatch.setattr(oseledets, "FRAME_BUDGET", budget)
+            assert run_cli(args + ["--out", str(chunked)]) == 0
+            assert chunked.read_bytes() == fused.read_bytes()
+
+    @pytest.mark.parametrize("axis,fields", [("imag", [False, True]), ("real", [False])])
+    def test_real_rep_never_promoted(self, tmp_path, monkeypatch, axis, fields):
+        built = []
+
+        class Recording(oseledets.CocycleAccumulator):
+            def __init__(self, lanes, n, complex_field=False):
+                built.append(complex_field)
+                super().__init__(lanes, n, complex_field)
+
+        monkeypatch.setattr(oseledets, "CocycleAccumulator", Recording)
+        assert run_cli(["sweep", "--group", "surface:2", "--axis", axis,
+                        "--grid", "0,0.5,1", "--time", "60", "--samples", "4",
+                        "--seed", "4", "--out", str(tmp_path / "s.csv")]) == 0
+        assert sorted(built) == fields  # one chunk per scalar field
 
 
 class TestErrCommand:

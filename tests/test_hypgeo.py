@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad, solve_ivp
 
@@ -87,6 +87,7 @@ class TestDistance:
         assert abs(oracle - 0.693147) < 1e-6
 
     @given(finite, ypos, finite, ypos, finite, ypos)
+    @example(0.0, 1.5, 1.192092896e-07, 1.5, 1.5, 0.5)
     @settings(max_examples=40, deadline=None)
     def test_metric_axioms(self, x1, y1, x2, y2, x3, y3):
         a, b, c = HPoint(x1, y1), HPoint(x2, y2), HPoint(x3, y3)

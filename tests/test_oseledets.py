@@ -35,7 +35,7 @@ def walk_rates(rep, gens, qr_interval=8):
     batch = CodingBatch((0,), (np.arange(1.0, k + 1),), (np.asarray(gens),))
     cfg = RunConfig(T=float(k), samples=1, seed=0, qr_interval=qr_interval,
                     normalization="minus1", burn_in=0.0)
-    values, failures = cocycle(rep, batch, cfg)
+    [(values, failures)] = cocycle([rep], batch, cfg)
     assert failures == []
     return values[0]
 
@@ -43,8 +43,8 @@ def walk_rates(rep, gens, qr_interval=8):
 def geodesic_exponents(dom, rep, ut, T):
     """Exponents along the single geodesic from ut, with no burn-in."""
     c = coding(dom, ut, T)
-    values, failures = cocycle(rep, CodingBatch((0,), (c.times,), (c.gens,)),
-                               RunConfig(T=T, samples=1, seed=0, burn_in=0.0))
+    [(values, failures)] = cocycle([rep], CodingBatch((0,), (c.times,), (c.gens,)),
+                                   RunConfig(T=T, samples=1, seed=0, burn_in=0.0))
     assert failures == []
     return values[0]
 
@@ -82,7 +82,7 @@ def random_walk_spectrum(rep, steps, samples, seed):
                         tuple(np.where(s <= m, s, m - s) for s in draws))
     config = RunConfig(T=float(steps), samples=samples, seed=seed,
                        normalization="minus1", burn_in=0.0)
-    values, failures = cocycle(rep, batch, config)
+    [(values, failures)] = cocycle([rep], batch, config)
     assert failures == []
     return SimpleNamespace(values=values.mean(axis=0), normalization_tag="per-step",
                            caveat="random-walk exponents; only the zero/nonzero "
@@ -138,10 +138,10 @@ class TestBatchedCocycle:
         times = tuple(np.arange(1.0, 13.0) for _ in range(3))
         gens = (np.full(12, 1), np.array([1, 1, 2] + [1] * 9), np.full(12, -1))
         cfg = RunConfig(T=12.0, samples=3, seed=0, burn_in=0.0, qr_interval=4)
-        values, failures = cocycle(_StubRep(), CodingBatch((0, 1, 2), times, gens), cfg)
+        [(values, failures)] = cocycle([_StubRep()], CodingBatch((0, 1, 2), times, gens), cfg)
         assert [i for i, _ in failures] == [1]
         assert "NumericCocycleError" in failures[0][1]
-        alone, none = cocycle(_StubRep(), CodingBatch((0, 2), times[::2], gens[::2]), cfg)
+        [(alone, none)] = cocycle([_StubRep()], CodingBatch((0, 2), times[::2], gens[::2]), cfg)
         assert none == []
         assert np.array_equal(values, alone)
 
@@ -204,14 +204,14 @@ class TestBatchedCocycle:
         real = CocycleAccumulator.flush
         monkeypatch.setattr(CocycleAccumulator, "flush",
                             lambda acc, lanes: calls.append(lanes) or real(acc, lanes))
-        rows, failures = cocycle(fuchs334, coding, cfg)
+        [(rows, failures)] = cocycle([fuchs334], coding, cfg)
         assert failures == []
         steps = max(len(t) for t in coding.times)
         assert len(calls) <= math.ceil(steps / cfg.qr_interval) + max(burns) + 1
         for lane in range(4):
             one = CodingBatch(coding.index[lane:lane + 1], coding.times[lane:lane + 1],
                               coding.gens[lane:lane + 1], coding.key)
-            assert np.array_equal(cocycle(fuchs334, one, cfg)[0], rows[lane:lane + 1])
+            assert np.array_equal(cocycle([fuchs334], one, cfg)[0][0], rows[lane:lane + 1])
 
     def test_coding_shared_across_reps_and_intervals(self, tri334, fuchs334):
         dom, _, _ = tri334
@@ -228,6 +228,60 @@ class TestBatchedCocycle:
         coding = code_samples(dom, RunConfig(T=100.0, samples=4, seed=1))
         with pytest.raises(ValueError):
             estimate_spectrum(dom, fuchs334, RunConfig(T=100.0, samples=4, seed=2), coding)
+
+
+class _SteadyRep(_StubRep):
+    """_StubRep whose second generator is invertible: its lanes never degenerate."""
+
+    def generator_image(self, g):
+        return np.diag([3.0, 1.0 / 3.0]) if abs(g) == 2 else super().generator_image(g)
+
+
+class _DeadSurfaceRep(_StubRep):
+    """_StubRep with the four generators of surface:2, all mapped to zero."""
+
+    num_generators, label = 4, "dead"
+
+    def generator_image(self, g):
+        return np.zeros((2, 2))
+
+
+class TestFusedReps:
+    def test_degenerate_lane_isolated_to_its_rep(self):
+        times = tuple(np.arange(1.0, 13.0) for _ in range(3))
+        gens = (np.full(12, 1), np.array([1, 1, 2] + [1] * 9), np.array([2, -1] * 6))
+        batch = CodingBatch((0, 1, 2), times, gens)
+        cfg = RunConfig(T=12.0, samples=3, seed=0, burn_in=0.0, qr_interval=4)
+        reps = [_SteadyRep(), _StubRep(), _SteadyRep()]
+        fused = cocycle(reps, batch, cfg)
+        assert [[i for i, _ in lost] for _, lost in fused] == [[], [1, 2], []]
+        for rep, (rows, lost) in zip(reps, fused):
+            [(alone, alone_lost)] = cocycle([rep], batch, cfg)
+            assert np.array_equal(rows, alone)
+            assert lost == alone_lost
+        assert np.array_equal(fused[0][0], fused[2][0])
+
+    def test_mixed_fields_refused(self):
+        real = Representation(2, "real", [np.eye(2)], (), "r")
+        cplx = Representation(2, "complex", [np.eye(2, dtype=complex)], (), "c")
+        with pytest.raises(ValueError):
+            cocycle([real, cplx], CodingBatch((), (), ()), RunConfig(T=1.0, samples=1, seed=0))
+
+    def test_rep_without_rows_fails_only_its_sweep_row(self, tmp_path, monkeypatch):
+        args = ["sweep", "--group", "surface:2", "--axis", "real", "--grid", "0,1,2,4",
+                "--time", "60", "--samples", "4", "--seed", "4"]
+        clean, patched = tmp_path / "clean.csv", tmp_path / "patched.csv"
+        assert cli.main(args + ["--out", str(clean)]) == 0
+        real = cli.fuchsian.bend_representation
+        monkeypatch.setattr(cli.fuchsian, "bend_representation",
+                            lambda rep, split, s: _DeadSurfaceRep() if s == 2 else
+                            real(rep, split, s))
+        assert cli.main(args + ["--out", str(patched)]) == 0
+        want = clean.read_text().splitlines()
+        got = patched.read_text().splitlines()
+        assert got[3] == "2,nan,nan,failed:InsufficientDataError"
+        assert got[:3] + got[4:] == want[:3] + want[4:]
+        assert all(row.endswith(",ok") for row in want[1:])
 
 
 @pytest.fixture(scope="module")
