@@ -305,27 +305,43 @@ def _edge_winding(pair_fn, za, zb, max_doublings=12):
     raise CountingError(f"winding refinement failed on edge {za} -> {zb}")
 
 
-def _rect_winding(pair_fn, lo, hi):
+def _rect_winding(edge_fn, lo, hi):
     corners = [lo, complex(hi.real, lo.imag), hi, complex(lo.real, hi.imag)]
     total = 0.0
     for a, b in zip(corners, corners[1:] + corners[:1]):
-        w, _ = _edge_winding(pair_fn, a, b)
+        w = edge_fn(a, b)
         if w is None:
             return None
         total += w
     return int(round(total / (2.0 * math.pi)))
 
 
-def _winding_zeros(pair_fn, lo, hi, restol, depth=0, jiggle=0):
+def _memo_edges(pair_fn):
+    """_edge_winding's phase as edge_fn(a, b), integrated once per edge: the
+    edge two neighbouring cells share is read back reversed, as -w."""
+    memo = {}
+
+    def edge_fn(a, b):
+        if (b, a) in memo:
+            w = memo[b, a]
+            return None if w is None else -w
+        if (a, b) not in memo:
+            memo[a, b] = _edge_winding(pair_fn, a, b)[0]
+        return memo[a, b]
+
+    return edge_fn
+
+
+def _winding_zeros(edge_fn, lo, hi, restol, depth=0, jiggle=0):
     """Recursive dyadic subdivision; returns representative zero locations."""
     if depth > 60:
         raise CountingError("subdivision depth exceeded")
-    w = _rect_winding(pair_fn, lo, hi)
+    w = _rect_winding(edge_fn, lo, hi)
     if w is None:
         if jiggle >= 4:
             raise CountingError("zero pinned to a cell boundary")
         pad = (hi - lo) * (0.013 * (jiggle + 1))
-        return _winding_zeros(pair_fn, lo - pad, hi + pad, restol,
+        return _winding_zeros(edge_fn, lo - pad, hi + pad, restol,
                               depth, jiggle + 1)
     if w == 0:
         return []
@@ -341,7 +357,7 @@ def _winding_zeros(pair_fn, lo, hi, restol, depth=0, jiggle=0):
         cells = [(lo, complex(hi.real, mid)), (complex(lo.real, mid), hi)]
     out = []
     for a, b in cells:
-        out.extend(_winding_zeros(pair_fn, a, b, restol, depth + 1))
+        out.extend(_winding_zeros(edge_fn, a, b, restol, depth + 1))
     return out
 
 
@@ -360,7 +376,7 @@ def bad_locus_points(dev, u, ball, resolution=1e-9):
         hi = ec + er * (1 + 1e-9) + 1j * er * (1 + 1e-9)
         lo = complex(lo.real, max(lo.imag, 1e-12))
         zeros = _dedupe_points(_winding_zeros(
-            lambda za, zb, taus: dev.segment_pairings(u, za, zb, taus),
+            _memo_edges(lambda za, zb, taus: dev.segment_pairings(u, za, zb, taus)),
             lo, hi, restol=resolution * max(1.0, er)))
     else:
         coeffs = np.trim_zeros(pairing_poly_coeffs(dev, u), "f")

@@ -15,7 +15,7 @@ import numpy as np
 from .fuchsian import iter_crossings
 from .hypgeo import HPoint, UnitTangent
 
-FRAME_OVERFLOW = 1e120
+FRAME_OVERFLOW = 1e120  # no frame entry reaches it: cocycle sets its QR interval a priori
 FRAME_BUDGET = 1 << 25  # bytes of one chunk's frame stack: (reps x samples lanes, n, n)
 
 
@@ -95,24 +95,25 @@ def code_samples(dom, config):
 
 class CocycleAccumulator:
     """Orthonormal frames of a batch of lanes + accumulated log R diagonals.
-    flush(lanes) re-orthonormalizes those frames by a positive-diagonal QR,
-    accumulates the log diagonal and returns the lanes that degenerated."""
+    flush(lanes) re-orthonormalizes them by a positive-diagonal QR, adds the
+    log diagonal and returns the lanes that degenerated, their frames zeroed."""
 
     def __init__(self, lanes, n, complex_field=False):
         self.frames = np.zeros((lanes, n, n), dtype=complex if complex_field else float)
         self.frames[:, np.arange(n), np.arange(n)] = 1.0
         self.log_diag = np.zeros((lanes, n))
-        self.pending = np.zeros(lanes, dtype=np.int64)
 
     def flush(self, lanes):
         q, r = np.linalg.qr(self.frames[lanes])
         diag = np.diagonal(r, axis1=1, axis2=2)
-        d = np.abs(diag)
-        ok = np.all(np.isfinite(d) & (d != 0.0), axis=1)
-        self.frames[lanes[ok]] = q[ok] * (diag[ok] / d[ok])[:, None, :]
-        self.log_diag[lanes[ok]] += np.log(d[ok])
-        self.pending[lanes] = 0
-        return lanes[~ok]
+        d, bad = np.abs(diag), lanes[:0]
+        if not (0.0 < d.min() and d.max() < math.inf):  # set the degenerate lanes aside
+            ok = np.all(np.isfinite(d) & (d != 0.0), axis=1)
+            self.frames[lanes[~ok]] = 0.0
+            q, diag, d, lanes, bad = q[ok], diag[ok], d[ok], lanes[ok], lanes[~ok]
+        self.frames[lanes] = q * (diag / d)[:, None, :]
+        self.log_diag[lanes] += np.log(d)
+        return bad
 
 
 def cocycle(reps, batch, config):
@@ -123,31 +124,41 @@ def cocycle(reps, batch, config):
     Between crossings the constant norm is flat, so the cocycle is exactly
     the product of the crossing holonomies.  The reps share size, generator
     count and scalar field, and run fused: lane (r, i) multiplies rep r's
-    images along lane i of batch.  Lanes step in lockstep; each is QR'd at
-    every crossing up to burn_in (log increments there, an O(1/T)
-    frame-alignment bias, are discarded), then every qr_interval of its own
-    steps and on overflow risk, so its values never depend on its batch."""
+    images along lane i of batch.  Each lane is QR'd at every crossing up to
+    burn_in (log increments there, an O(1/T) frame-alignment bias, are
+    discarded), then every q of its own steps and at its last one, with
+    q = max(1, min(qr_interval, floor((log FRAME_OVERFLOW - log(n)/2 - 1) / log G)))
+    for G the largest Frobenius norm of a generator image: a product of q
+    images keeps an orthonormal frame's entries below FRAME_OVERFLOW / e,
+    so no overflow test is needed.  A lane's values never depend on its batch."""
     n, m, field = reps[0].n, reps[0].num_generators, reps[0].is_complex
     if any((rep.n, rep.num_generators, rep.is_complex) != (n, m, field) for rep in reps):
         raise ValueError("fused representations differ in size or scalar field")
     table = np.stack([  # table[r, m + g] is rep r's image of g
         np.stack([rep.generator_image(g) if g else np.eye(n) for g in range(-m, m + 1)])
         for rep in reps]).astype(complex if field else float)
+    growth = math.log(np.linalg.norm(table, axis=(2, 3)).max())  # table holds eye: >= log(n)/2
+    budget = math.log(FRAME_OVERFLOW) - 0.5 * math.log(n) - 1.0
+    q = max(1, min(config.qr_interval, int(budget // growth))) if growth > 0 else config.qr_interval
     chunk = max(1, FRAME_BUDGET // (n * n * table.itemsize))
     lanes = len(reps) * len(batch.index)
     rows, failures = [[] for _ in reps], [[] for _ in reps]
     for lo in range(0, lanes, chunk):
-        _lockstep(table, batch, np.arange(lo, min(lo + chunk, lanes)), config, rows, failures)
+        _lockstep(table, batch, np.arange(lo, min(lo + chunk, lanes)), config, q, rows, failures)
     return [(np.array(r).reshape(len(r), n), f) for r, f in zip(rows, failures)]
 
 
-def _lockstep(table, batch, part, config, rows, failures):
+def _lockstep(table, batch, part, config, q, rows, failures):
     """Run the fused lanes part (lane r·len(batch.index) + i is lane i of
     batch under rep r); append their rows and failures to those of rep r.
 
     Lane k takes its own step j at global step off[k] + j, with off chosen
-    so that every burn-in ends at the same global step: from there on the
-    lanes' qr_interval phases coincide and one QR call serves them all."""
+    so that every burn-in ends at the same global step settle.  A step is
+    one matmul over all lanes: before its start a lane multiplies image 0,
+    the identity, so its frame stays exactly the identity; after its end or
+    failure (a flush zeroes a failed frame) it is never read.  The live
+    lanes are flushed at every step before settle, then every q steps, and
+    a lane ending between two of those flushes at its last step."""
     samples = len(batch.index)
     rep_of, lane_of = np.divmod(part, samples)
     times = [batch.times[i] for i in lane_of]
@@ -156,33 +167,32 @@ def _lockstep(table, batch, part, config, rows, failures):
     settle = burn.max(initial=0)  # global step at which every burn-in ends
     off = settle - burn
     ends = off + lengths
-    width = ends.max(initial=0)  # lanes padded to lockstep; padding is never read
+    width = ends.max(initial=0)
     # lanes k and k + samples of part follow one sample and share its coding column
     column = np.arange(len(part)) % samples
     steps = np.array([np.pad(batch.gens[i], (o, width - e))
                       for i, o, e in zip(lane_of[:samples], off, ends)]).T + table.shape[1] // 2
+    idx = steps[:, column] + rep_of * table.shape[1]  # rows of the flattened table
+    flat = table.reshape(-1, *table.shape[2:])
     acc = CocycleAccumulator(len(part), table.shape[2], table.dtype == complex)
-    base_log, failed = np.zeros_like(acc.log_diag), {}
+    base_log, failed, spare = np.zeros_like(acc.log_diag), {}, np.empty_like(acc.frames)
     changes, alive = set(off.tolist()) | set(ends.tolist()), lengths > 0
     for j in range(width):
+        np.matmul(flat[idx[j]], acc.frames, out=spare)  # out=frames would copy them first
+        acc.frames, spare = spare, acc.frames
         if j in changes:
             live = np.flatnonzero(alive & (off <= j) & (j < ends))
-            live_rep, live_column = rep_of[live], column[live]
-        frames = table[live_rep, steps[j, live_column]] @ acc.frames[live]
-        acc.frames[live] = frames
-        acc.pending[live] += 1
-        due = ((acc.pending[live] >= config.qr_interval) | (j < settle)
-               | (np.abs(frames).max(axis=(1, 2)) > FRAME_OVERFLOW))
-        if due.any():
-            bad = acc.flush(live[due])
-            if len(bad):
-                failed.update(zip(bad.tolist(), (j + 1 - off[bad]).tolist()))
-                alive[bad] = False
-                changes.add(j + 1)  # drop them from the next step on
+        if j < settle or (j + 1 - settle) % q == 0:
+            due = live
+        else:  # lanes ending between two scheduled flushes; every end is in changes
+            due = live[ends[live] == j + 1] if j + 1 in changes else live[:0]
+        bad = acc.flush(due) if len(due) else due
+        if len(bad):
+            failed.update(zip(bad.tolist(), (j + 1 - off[bad]).tolist()))
+            alive[bad] = False
+            changes.add(j + 1)  # drop them from the next step on
         if j + 1 == settle:
-            base_log[live] = acc.log_diag[live]
-    for lane in acc.flush(np.flatnonzero(acc.pending)).tolist():
-        failed[lane] = int(lengths[lane])
+            base_log = acc.log_diag.copy()
     for lane, (r, i, t) in enumerate(zip(rep_of, lane_of, times)):
         if lane in failed:
             exc = NumericCocycleError(f"cocycle frame degenerated at step {failed[lane]}")

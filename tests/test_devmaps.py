@@ -215,6 +215,19 @@ class TestWindingCount:
         c = counts(om, u, HPoint(0, 1), (0.2, 0.8, 1.4, 2.5), resolution=1e-5)
         assert c == sorted(c)
 
+    def test_shared_edges_integrated_once(self, monkeypatch):
+        # neighbouring cells share an edge; its winding is read back
+        # reversed, not integrated again (each refinement level runs once)
+        calls = []
+        real = OdeDevelopingMap.segment_pairings
+        monkeypatch.setattr(OdeDevelopingMap, "segment_pairings", lambda om, u, za, zb, taus: (
+            calls.append((frozenset((za, zb)), len(taus))) or real(om, u, za, zb, taus)))
+        om = OdeDevelopingMap(phi_zero, oper_identity_init(1j), 1j)
+        u = Covector((1.0, -(0.4 + 1.7j)))
+        points = bad_locus_points(om, u, BallSpec(HPoint(0, 1), 1.0), resolution=1e-6)
+        assert len(points) == 1 and abs(points[0] - (0.4 + 1.7j)) < 1e-4
+        assert len(calls) == len(set(calls))
+
 
 class TestContracts:
     def test_phi_contract_spot_check(self, tri334):

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from lyaplab import cli, oseledets
+from lyaplab import cli, fuchsian, oseledets
 from lyaplab.fuchsian import DegenerateDirectionError
 from lyaplab.hypgeo import UnitTangent
 from lyaplab.linrep import (
@@ -107,6 +107,30 @@ class TestAccumulator:
                          qr_interval=10**9)
         assert np.isfinite(lam).all()
         assert np.allclose(lam, [40 * math.log(10.0), -40 * math.log(10.0)])
+
+    @pytest.fixture
+    def flushed_max(self, monkeypatch):
+        """The largest |entry| of each frame stack handed to a flush."""
+        largest = []
+        real = CocycleAccumulator.flush
+        monkeypatch.setattr(CocycleAccumulator, "flush", lambda acc, lanes: largest.append(
+            np.abs(acc.frames[lanes]).max()) or real(acc, lanes))
+        return largest
+
+    def test_diagonal_flushed_below_overflow(self, flushed_max):
+        # the QR interval is shortened a priori (here to 2), so no frame
+        # reaches FRAME_OVERFLOW before its flush
+        lam = walk_rates(single_matrix_rep(np.diag([1e40, 1e-40])), [1] * 20, qr_interval=8)
+        assert np.allclose(lam, [40 * math.log(10.0), -40 * math.log(10.0)])
+        assert max(flushed_max) < oseledets.FRAME_OVERFLOW
+
+    def test_bend_flushed_below_overflow(self, genus2, fuchs_g2, flushed_max):
+        bent = fuchsian.bend_representation(
+            fuchs_g2, fuchsian.BendingSplit.surface_standard(2), 12.0)
+        cfg = RunConfig(T=300.0, samples=4, seed=3, qr_interval=32)
+        [(rows, failures)] = cocycle([bent], code_samples(genus2[0], cfg), cfg)
+        assert len(rows) == 4 and failures == []
+        assert max(flushed_max) < oseledets.FRAME_OVERFLOW
 
 
 class TestRunSample:
