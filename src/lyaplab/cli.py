@@ -8,66 +8,37 @@ error.  All CSV output is a deterministic function of the command line
 import argparse
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import devmaps, errterm, fuchsian, hypgeo, linrep, oseledets
 
 RELATION_GATE = 1e-6
+# keys a --config file may set, spelled as the options
+CONFIG_KEYS = (
+    "group", "rep", "time", "samples", "seed", "qr-interval", "normalization",
+    "random-base", "axis", "grid", "dev", "covector", "center", "tmax", "grid-nodes",
+)
 
 
 class Refusal(Exception):
     """Validation refusal (exit code 2)."""
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """One spectrum run: group, representation source, transform chain
-    (applied left to right), run parameters, output paths."""
-
-    group: str
-    rep_source: str
-    transforms: tuple
-    run: oseledets.RunConfig
-    out: str = None
-    svg: str = None
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """A bending sweep: which part of the bend parameter varies, over which
-    grid, on top of a base experiment configuration."""
-
-    axis: str  # 'real' | 'imag'
-    grid: tuple
-    base: ExperimentConfig
-
-    def __post_init__(self):
-        if self.axis not in ("real", "imag"):
-            raise Refusal("sweep axis must be real|imag")
-        if not self.grid or not all(math.isfinite(v) for v in self.grid):
-            raise Refusal("sweep grid must be nonempty and finite")
-
-
 def _load_config(path):
-    out = {}
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, val = line.partition("=")
-            out[key.strip()] = val.strip()
-    return out
+        lines = [line.strip() for line in fh]
+    pairs = (line.partition("=") for line in lines if line and not line.startswith("#"))
+    return {key.strip(): val.strip() for key, _, val in pairs}
 
 
-def _pick(ns_value, config, key, default, cast=str):
-    if ns_value is not None:
-        return ns_value
-    if key in config:
-        return cast(config[key])
-    return default
+def _config_defaults(ns, config):
+    """The option defaults a config file sets; a subcommand reads only the
+    keys of its own options."""
+    unknown = [key for key in config if key not in CONFIG_KEYS]
+    if unknown:
+        raise Refusal(f"unknown config key {unknown[0]!r} in {ns.config}")
+    return {key.replace("-", "_"): val for key, val in config.items()}
 
 
 def resolve_rep(source, group_bundle):
@@ -94,7 +65,7 @@ def resolve_rep(source, group_bundle):
     return rep
 
 
-def apply_transforms(rep, chain, group_spec=None):
+def apply_transforms(rep, chain, group_spec):
     """Transform chain, left to right: sym:k | ext:k | bend:re,im."""
     for item in chain:
         name, _, arg = item.partition(":")
@@ -111,10 +82,18 @@ def apply_transforms(rep, chain, group_spec=None):
     return rep
 
 
+def _resolve(ns):
+    """(group spec, domain, representation) of --group, --rep, --transform."""
+    spec = fuchsian.parse_group_spec(ns.group)
+    bundle = fuchsian.build_group(spec)
+    rep = apply_transforms(resolve_rep(ns.rep, bundle), ns.transform, spec)
+    return spec, bundle[0], rep
+
+
 def _bend_split_for(rep, group_spec):
     if rep.n != 2:
         raise Refusal("bend transform needs a rank-2 representation")
-    if group_spec is None or group_spec.kind != "surface":
+    if group_spec.kind != "surface":
         raise Refusal(
             "bend transform needs a surface group (no canonical amalgam "
             "for triangle groups); supply surface:g"
@@ -144,9 +123,9 @@ def _write_text(path, text):
 # SVG: minimal deterministic polyline plots
 
 
-def svg_line_plot(series, title, xlabel, ylabel, width=640, height=420):
+def svg_line_plot(series, title, xlabel, ylabel):
     """series: list of (xs, ys, color, marker_flag)."""
-    pad = 56
+    width, height, pad = 640, 420, 56
     xs_all = [x for xs, _, _, _ in series for x in xs]
     ys_all = [y for _, ys, _, _ in series for y in ys]
     if not xs_all:
@@ -210,44 +189,48 @@ def svg_line_plot(series, title, xlabel, ylabel, width=640, height=420):
 # subcommands
 
 
-def _common_run_config(ns, config):
+def _run_config(ns):
     return oseledets.RunConfig(
-        T=_pick(ns.time, config, "time", 2000.0, float),
-        samples=_pick(ns.samples, config, "samples", 64, int),
-        seed=_pick(ns.seed, config, "seed", 1, int),
-        qr_interval=_pick(ns.qr_interval, config, "qr-interval", 8, int),
-        normalization=_pick(ns.normalization, config, "normalization", "minus4"),
-        random_base=bool(_pick(ns.random_base, config, "random-base", 0, int)),
+        T=ns.time, samples=ns.samples, seed=ns.seed, qr_interval=ns.qr_interval,
+        normalization=ns.normalization, random_base=bool(ns.random_base),
     )
 
 
-def run_spectrum_experiment(cfg):
-    """Resolve, validate, and run one ExperimentConfig."""
-    spec = fuchsian.parse_group_spec(cfg.group)
-    bundle = fuchsian.build_group(spec)
-    rep = resolve_rep(cfg.rep_source, bundle)
-    rep = apply_transforms(rep, cfg.transforms, spec)
+def cmd_spectrum(ns):
+    run = _run_config(ns)
+    _, dom, rep = _resolve(ns)
     _gate_relations(rep)
-    est = oseledets.estimate_spectrum(bundle[0], rep, cfg.run)
-    return est, rep
+    est = oseledets.estimate_spectrum(dom, rep, run)
+    _write_text(ns.out, oseledets.spectrum_csv(est))
+    if ns.svg:
+        idx = list(range(1, len(est.values) + 1))
+        svg = svg_line_plot(
+            [(idx, list(est.values), "steelblue", True)],
+            f"Lyapunov spectrum: {rep.label}", "exponent index", "lambda",
+        )
+        _write_text(ns.svg, svg)
+    return 0
 
 
-def run_sweep(sweep):
+def cmd_sweep(ns):
     """Bend every grid point, then run each scalar field's points as one
     fused cocycle over geodesics coded once; failed points become failed
     rows."""
-    spec = fuchsian.parse_group_spec(sweep.base.group)
-    bundle = fuchsian.build_group(spec)
-    rep = resolve_rep(sweep.base.rep_source, bundle)
-    rep = apply_transforms(rep, sweep.base.transforms, spec)
+    run = _run_config(ns)
+    if ns.axis not in ("real", "imag"):  # a config value skips argparse's choices
+        raise Refusal("sweep axis must be real|imag")
+    grid = _parse_grid(ns.grid)
+    if not grid or not all(math.isfinite(v) for v in grid):
+        raise Refusal("sweep grid must be nonempty and finite")
+    spec, dom, rep = _resolve(ns)
     _gate_relations(rep)
     if rep.n != 2:
         raise Refusal("sweep needs a rank-2 base representation")
     split = _bend_split_for(rep, spec)
-    coding = oseledets.code_samples(bundle[0], sweep.base.run)  # shared by all points
+    coding = oseledets.code_samples(dom, run)  # shared by all points
     rows, fields = [], {}  # fields: is_complex -> [(grid position, bent rep)]
-    for k, v in enumerate(sweep.grid):
-        s = complex(0.0, v) if sweep.axis == "imag" else complex(v, 0.0)
+    for k, v in enumerate(grid):
+        s = complex(0.0, v) if ns.axis == "imag" else complex(v, 0.0)
         try:
             # bend_representation gates relations at 1e-8, inside RELATION_GATE
             bent = rep if s == 0 else fuchsian.bend_representation(rep, split, s)
@@ -256,63 +239,24 @@ def run_sweep(sweep):
         except (fuchsian.DegenerateBendingError, linrep.RepresentationError) as exc:
             rows.append((v, math.nan, math.nan, f"failed:{type(exc).__name__}"))
     for group in fields.values():  # a real rep is never promoted to complex
-        ests = oseledets.estimate_spectra(bundle[0], [r for _, r in group], sweep.base.run, coding)
+        ests = oseledets.estimate_spectra(dom, [r for _, r in group], run, coding)
         for (k, _), est in zip(group, ests):
-            v = sweep.grid[k]
+            v = grid[k]
             rows[k] = ((v, math.nan, math.nan, f"failed:{type(est).__name__}")
                        if isinstance(est, oseledets.InsufficientDataError)
                        else (v, est.values[0], est.stderr[0], "ok"))
-    return rows, rep
-
-
-def cmd_spectrum(ns, config):
-    cfg = ExperimentConfig(
-        group=_pick(ns.group, config, "group", "triangle:3,3,4"),
-        rep_source=_pick(ns.rep, config, "rep", "builtin:fuchsian"),
-        transforms=tuple(ns.transform or ()),
-        run=_common_run_config(ns, config),
-        out=ns.out,
-        svg=ns.svg,
-    )
-    est, rep = run_spectrum_experiment(cfg)
-    _write_text(cfg.out, oseledets.spectrum_csv(est))
-    if cfg.svg:
-        idx = list(range(1, len(est.values) + 1))
-        svg = svg_line_plot(
-            [(idx, list(est.values), "steelblue", True)],
-            f"Lyapunov spectrum: {rep.label}", "exponent index", "lambda",
-        )
-        _write_text(cfg.svg, svg)
-    return 0
-
-
-def cmd_sweep(ns, config):
-    base = ExperimentConfig(
-        group=_pick(ns.group, config, "group", "surface:2"),
-        rep_source=_pick(ns.rep, config, "rep", "builtin:fuchsian"),
-        transforms=tuple(ns.transform or ()),
-        run=_common_run_config(ns, config),
-        out=ns.out,
-        svg=ns.svg,
-    )
-    sweep = SweepSpec(
-        axis=_pick(ns.axis, config, "axis", "imag"),
-        grid=tuple(_parse_grid(_pick(ns.grid, config, "grid", "0:2:11"))),
-        base=base,
-    )
-    rows, rep = run_sweep(sweep)
     lines = ["parameter,lambda1,stderr,status"]
     for v, lam, se, status in rows:
         lines.append(f"{v:.12g},{lam:.12g},{se:.12g},{status}")
-    _write_text(base.out, "\n".join(lines) + "\n")
-    if base.svg:
+    _write_text(ns.out, "\n".join(lines) + "\n")
+    if ns.svg:
         ok = [(v, lam) for v, lam, _, st in rows if st == "ok"]
         svg = svg_line_plot(
             [([v for v, _ in ok], [lam for _, lam in ok], "firebrick", True)],
-            f"bending sweep ({sweep.axis} axis): {rep.label}",
-            f"bend parameter ({sweep.axis} part)", "lambda1",
+            f"bending sweep ({ns.axis} axis): {rep.label}",
+            f"bend parameter ({ns.axis} part)", "lambda1",
         )
-        _write_text(base.svg, svg)
+        _write_text(ns.svg, svg)
     return 0
 
 
@@ -330,31 +274,27 @@ def _parse_covector(text):
     return devmaps.Covector(tuple(vals))
 
 
-def cmd_err(ns, config):
-    kind = _pick(ns.dev, config, "dev", "identity")
-    spec = fuchsian.parse_group_spec(_pick(ns.group, config, "group", "triangle:3,3,4"))
-    bundle = fuchsian.build_group(spec)
-    rep2 = linrep.uniformizing_rep(bundle[1], bundle[2], "fuchsian")
-    if kind == "identity":
-        dev = devmaps.identity_dev(rep2)
-    elif kind.startswith("veronese:"):
-        dev = devmaps.veronese_dev(int(kind.split(":")[1]), rep2)
-    else:
+def _parse_center(text):
+    cx, cy = (float(v) for v in text.split(","))
+    return hypgeo.HPoint(cx, cy)
+
+
+def cmd_err(ns):
+    kind = "veronese:2" if ns.dev == "identity" else ns.dev
+    if not kind.startswith("veronese:"):
         raise Refusal(
-            f"dev kind {kind!r} unsupported from the CLI (ode maps take a "
+            f"dev kind {ns.dev!r} unsupported from the CLI (ode maps take a "
             "quadratic-differential callable; use the library API)"
         )
-    if ns.covector is None and "covector" not in config:
+    dev = devmaps.veronese_dev(int(kind.split(":")[1]))
+    if ns.covector is None:
         raise Refusal("err needs --covector")
-    u = _parse_covector(_pick(ns.covector, config, "covector", None))
+    u = _parse_covector(ns.covector)
     if len(u) != dev.dim:
         raise Refusal(f"covector length {len(u)} != dev dimension {dev.dim}")
-    cx, cy = (float(v) for v in _pick(ns.center, config, "center", "0,2").split(","))
-    center = hypgeo.HPoint(cx, cy)
-    t_max = _pick(ns.tmax, config, "tmax", 20.0, float)
-    nodes = _pick(ns.grid_nodes, config, "grid-nodes", 400, int)
-    cf = errterm.count_in_balls((dev, u), center, _err_grid(t_max, nodes))
-    return _write_err_outputs(ns, cf, t_max)
+    center = _parse_center(ns.center)
+    cf = errterm.count_in_balls((dev, u), center, _err_grid(ns.tmax, ns.grid_nodes))
+    return _write_err_outputs(ns, cf)
 
 
 def _err_grid(t_max, nodes):
@@ -367,9 +307,9 @@ def _err_grid(t_max, nodes):
     return np.concatenate([head, tail])
 
 
-def _write_err_outputs(ns, cf, t_max):
+def _write_err_outputs(ns, cf):
     """CSV (and SVG when asked) of an err or orbit-count run."""
-    est = errterm.err_estimate(cf, t_max)
+    est = errterm.err_estimate(cf, ns.tmax)
     _write_text(ns.out, errterm.count_csv(cf, est))
     if ns.svg:
         _, g, running = errterm.running_err(cf)
@@ -383,27 +323,17 @@ def _write_err_outputs(ns, cf, t_max):
     return 0
 
 
-def cmd_orbit_count(ns, config):
-    spec = fuchsian.parse_group_spec(_pick(ns.group, config, "group", "triangle:3,3,4"))
-    dom, gens, _ = fuchsian.build_group(spec)
-    t_max = _pick(ns.tmax, config, "tmax", 12.0, float)
-    nodes = _pick(ns.grid_nodes, config, "grid-nodes", 240, int)
-    if ns.center is not None or "center" in config:
-        cx, cy = (float(v) for v in _pick(ns.center, config, "center", None).split(","))
-        center = hypgeo.HPoint(cx, cy)
-    else:
-        center = dom.interior_point
-    pts, dists = fuchsian.orbit_ball(dom, gens, center, t_max)
-    cf = errterm.count_in_balls((pts, dists), center, np.linspace(0.3, t_max, nodes))
-    return _write_err_outputs(ns, cf, t_max)
+def cmd_orbit_count(ns):
+    dom, gens, _ = fuchsian.build_group(fuchsian.parse_group_spec(ns.group))
+    center = dom.interior_point if ns.center is None else _parse_center(ns.center)
+    pts, dists = fuchsian.orbit_ball(dom, gens, center, ns.tmax)
+    cf = errterm.count_in_balls((pts, dists), center,
+                                np.linspace(0.3, ns.tmax, ns.grid_nodes))
+    return _write_err_outputs(ns, cf)
 
 
-def cmd_rep(ns, config):
-    spec_text = _pick(ns.group, config, "group", "triangle:3,3,4")
-    spec = fuchsian.parse_group_spec(spec_text)
-    bundle = fuchsian.build_group(spec)
-    rep = resolve_rep(_pick(ns.rep, config, "rep", "builtin:fuchsian"), bundle)
-    rep = apply_transforms(rep, ns.transform or [], spec)
+def cmd_rep(ns):
+    _, _, rep = _resolve(ns)
     report = _gate_relations(rep) if ns.check else linrep.check_relations(rep)
     _write_text(ns.out, linrep.format_rep_text(rep))
     sys.stderr.write(
@@ -418,7 +348,7 @@ def cmd_rep(ns, config):
 # selftest
 
 
-def _selftest_suites(inject_corruption=False):
+def _selftest_suites():
     rng = np.random.default_rng(20240901)
     dom3, gens3, rels3 = fuchsian.build_group(fuchsian.GroupSpec.triangle(3, 3, 4))
     dom2, gens2, rels2 = fuchsian.build_group(fuchsian.GroupSpec.surface(2))
@@ -464,12 +394,6 @@ def _selftest_suites(inject_corruption=False):
 
     def suite_relations():
         reps = [rep3, rep2, linrep.unitary_cube_rep()]
-        if inject_corruption:
-            g = np.array(rep3.generators[0])
-            g[0, 0] += 1e-3
-            reps.append(linrep.Representation(
-                2, "real", [g, rep3.generators[1], rep3.generators[2]],
-                rels3, "corrupted", True))
         worst = max(linrep.check_relations(r).max_residual for r in reps)
         return worst < 1e-9, f"max relation residual {worst:.2e}"
 
@@ -588,10 +512,9 @@ def _selftest_suites(inject_corruption=False):
     ]
 
 
-def cmd_selftest(ns, config):
-    del config
+def cmd_selftest(_ns):
     failures = []
-    for name, fn in _selftest_suites(bool(ns.inject_corruption)):
+    for name, fn in _selftest_suites():
         try:
             ok, detail = fn()
         except Exception as exc:  # a crashed suite is a failed suite
@@ -623,65 +546,66 @@ def build_parser():
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, with_run=True):
+    def add_parser(name, fn, text, group="triangle:3,3,4", svg=True):
+        sp = sub.add_parser(name, help=text)
+        sp.set_defaults(fn=fn, subparser=sp)
         sp.add_argument("--config", help="key=value file; flags override it")
-        sp.add_argument("--group", help="triangle:p,q,r or surface:g")
+        if group:
+            sp.add_argument("--group", default=group, help="triangle:p,q,r or surface:g")
         sp.add_argument("--out", help="output path (default stdout)")
-        sp.add_argument("--svg", help="also write an SVG plot here")
-        if with_run:
-            sp.add_argument("--rep", help="builtin:fuchsian|builtin:trivial|"
-                                          "builtin:unitary-cube|FILE")
-            sp.add_argument("--transform", action="append",
-                            help="sym:k | ext:k | bend:re,im (repeatable)")
-            sp.add_argument("--time", type=float, help="flow time per sample")
-            sp.add_argument("--samples", type=int)
-            sp.add_argument("--seed", type=int)
-            sp.add_argument("--qr-interval", type=int, dest="qr_interval")
-            sp.add_argument("--normalization", choices=["minus4", "minus1"])
-            sp.add_argument("--random-base", type=int, dest="random_base",
-                            help="1: sample base points uniformly in the domain")
+        if svg:
+            sp.add_argument("--svg", help="also write an SVG plot here")
+        return sp
 
-    sp = sub.add_parser("spectrum", help="estimate a Lyapunov spectrum")
-    add_common(sp)
-    sp.set_defaults(fn=cmd_spectrum)
+    def add_rep(sp):
+        sp.add_argument("--rep", default="builtin:fuchsian",
+                        help="builtin:fuchsian|builtin:trivial|builtin:unitary-cube|FILE")
+        sp.add_argument("--transform", action="append", default=[],
+                        help="sym:k | ext:k | bend:re,im (repeatable)")
 
-    sp = sub.add_parser("sweep", help="bending sweep of lambda1")
-    add_common(sp)
-    sp.add_argument("--axis", choices=["real", "imag"])
-    sp.add_argument("--grid", help="start:stop:npoints or comma list")
-    sp.set_defaults(fn=cmd_sweep)
+    def add_run(sp):
+        add_rep(sp)
+        sp.add_argument("--time", type=float, default=2000.0, help="flow time per sample")
+        sp.add_argument("--samples", type=int, default=64)
+        sp.add_argument("--seed", type=int, default=1)
+        sp.add_argument("--qr-interval", type=int, default=8)
+        sp.add_argument("--normalization", choices=["minus4", "minus1"], default="minus4")
+        sp.add_argument("--random-base", type=int, default=0,
+                        help="1: sample base points uniformly in the domain")
 
-    sp = sub.add_parser("err", help="error-term estimate for a developing map")
-    add_common(sp, with_run=False)
-    sp.add_argument("--dev", help="identity | veronese:n")
+    def add_count(sp, tmax, nodes, center, center_help):
+        sp.add_argument("--center", default=center, help=center_help)
+        sp.add_argument("--tmax", type=float, default=tmax)
+        sp.add_argument("--grid-nodes", type=int, default=nodes)
+
+    add_run(add_parser("spectrum", cmd_spectrum, "estimate a Lyapunov spectrum"))
+
+    sp = add_parser("sweep", cmd_sweep, "bending sweep of lambda1", group="surface:2")
+    add_run(sp)
+    sp.add_argument("--axis", choices=["real", "imag"], default="imag")
+    sp.add_argument("--grid", default="0:2:11", help="start:stop:npoints or comma list")
+
+    sp = add_parser("err", cmd_err, "error-term estimate for a developing map", group=None)
+    sp.add_argument("--dev", default="identity", help="identity | veronese:n")
     sp.add_argument("--covector", help="homogeneous coords, e.g. '1 0 1'")
-    sp.add_argument("--center", help="x,y of the ball center")
-    sp.add_argument("--tmax", type=float)
-    sp.add_argument("--grid-nodes", type=int, dest="grid_nodes")
-    sp.set_defaults(fn=cmd_err)
+    add_count(sp, 20.0, 400, "0,2", "x,y of the ball center")
 
-    sp = sub.add_parser("orbit-count", help="orbit-counting calibration mode")
-    add_common(sp, with_run=False)
-    sp.add_argument("--center", help="x,y (default: domain interior point)")
-    sp.add_argument("--tmax", type=float)
-    sp.add_argument("--grid-nodes", type=int, dest="grid_nodes")
-    sp.set_defaults(fn=cmd_orbit_count)
+    sp = add_parser("orbit-count", cmd_orbit_count, "orbit-counting calibration mode")
+    add_count(sp, 12.0, 240, None, "x,y (default: domain interior point)")
 
-    sp = sub.add_parser("rep", help="read/transform/write representation files")
-    add_common(sp, with_run=True)
+    sp = add_parser("rep", cmd_rep, "read/transform/write representation files", svg=False)
+    add_rep(sp)
     sp.add_argument("--check", action="store_true",
                     help="refuse (exit 2) when relations fail")
-    sp.set_defaults(fn=cmd_rep)
 
     sp = sub.add_parser("selftest", help="run the invariant suites")
-    sp.add_argument("--inject-corruption", action="store_true",
-                    help=argparse.SUPPRESS)
-    sp.set_defaults(fn=cmd_selftest, config=None)
+    sp.set_defaults(fn=cmd_selftest)
     return p
 
 
 def main(argv=None):
-    ns = build_parser().parse_args(argv)
+    parser = build_parser()
+    ns = parser.parse_args(argv)
     config = {}
     if getattr(ns, "config", None):
         try:
@@ -690,8 +614,13 @@ def main(argv=None):
             sys.stderr.write(f"lyaplab: cannot read config: {exc}\n")
             return 3
     try:
-        return ns.fn(ns, config)
-    except (Refusal, fuchsian.ResourceError) as exc:
+        if config:
+            # argparse passes string defaults through each option's type
+            ns.subparser.set_defaults(**_config_defaults(ns, config))
+            ns = parser.parse_args(argv)
+        return ns.fn(ns)
+    except (Refusal, fuchsian.ResourceError, hypgeo.NumericDegeneracyError,
+            oseledets.InsufficientDataError) as exc:
         sys.stderr.write(f"lyaplab: refused: {exc}\n")
         return 2
     except (linrep.RepresentationError, ValueError) as exc:

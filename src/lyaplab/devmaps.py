@@ -107,6 +107,7 @@ _DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
 _DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
           187 / 2100, 1 / 40)
 _DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
+ODE_RTOL, ODE_ATOL = 1e-10, 1e-13  # Dormand-Prince step error tolerances
 
 
 def _ode_rhs(phi, z, y, dz):
@@ -116,7 +117,7 @@ def _ode_rhs(phi, z, y, dz):
     return np.concatenate([dz * up, dz * (-0.5 * phi(z)) * u])
 
 
-def _integrate_outputs(phi, frame, za, zb, taus, rtol=1e-10, atol=1e-13):
+def _integrate_outputs(phi, frame, za, zb, taus):
     """Dormand-Prince 4(5) from za to zb, recording frames at the given
     sorted tau targets in (0, 1]; returns (list of frames, end frame)."""
     dz = zb - za
@@ -150,7 +151,7 @@ def _integrate_outputs(phi, frame, za, zb, taus, rtol=1e-10, atol=1e-13):
             if h < min_h:
                 raise StiffnessError("step size underflow", location=za + tau * dz)
             continue
-        scale = atol + rtol * max(np.abs(y5).max(), np.abs(y).max())
+        scale = ODE_ATOL + ODE_RTOL * max(np.abs(y5).max(), np.abs(y).max())
         err = np.abs(y5 - y4).max() / scale
         if err <= 1.0:
             tau += h
@@ -169,9 +170,9 @@ def _integrate_outputs(phi, frame, za, zb, taus, rtol=1e-10, atol=1e-13):
     return outputs, y.reshape(2, 2)
 
 
-def _integrate_segment(phi, frame, za, zb, rtol=1e-10, atol=1e-13):
+def _integrate_segment(phi, frame, za, zb):
     """Dormand-Prince 4(5) from za to zb; returns the end frame."""
-    _, end = _integrate_outputs(phi, frame, za, zb, (), rtol=rtol, atol=atol)
+    _, end = _integrate_outputs(phi, frame, za, zb, ())
     return end
 
 
@@ -182,7 +183,7 @@ class OdePathResult:
     wronskian_drift: float
 
 
-def ode_develop(phi, init, path, rtol=1e-10):
+def ode_develop(phi, init, path):
     """Integrate the oper ODE along a polyline of points in H.
 
     init is the frame [[u1, u2], [u1', u2']] at path[0] selecting the basis
@@ -199,7 +200,7 @@ def ode_develop(phi, init, path, rtol=1e-10):
     w0 = np.linalg.det(frame)
     frames = [frame]
     for za, zb in zip(pts[:-1], pts[1:]):
-        frame = _integrate_segment(phi, frame, za, zb, rtol=rtol)
+        frame = _integrate_segment(phi, frame, za, zb)
         frames.append(frame)
     drift = max(
         abs(np.linalg.det(f) - w0) / max(1e-300, abs(w0)) for f in frames
@@ -226,11 +227,10 @@ class OdeDevelopingMap:
     pairing at many parameters, which is what winding counting needs.
     """
 
-    def __init__(self, phi, init, anchor, rtol=1e-10):
+    def __init__(self, phi, init, anchor):
         self.phi = phi
         self.anchor = complex(anchor.z) if isinstance(anchor, HPoint) else complex(anchor)
         self.init = np.asarray(init, dtype=complex)
-        self.rtol = rtol
         self._frame_cache = {self._key(self.anchor): self.init}
 
     @staticmethod
@@ -242,8 +242,7 @@ class OdeDevelopingMap:
         key = self._key(z)
         cached = self._frame_cache.get(key)
         if cached is None:
-            cached = _integrate_segment(self.phi, self.init, self.anchor, z,
-                                        rtol=self.rtol)
+            cached = _integrate_segment(self.phi, self.init, self.anchor, z)
             self._frame_cache[key] = cached
         return cached
 
@@ -256,8 +255,7 @@ class OdeDevelopingMap:
         za, zb = complex(za), complex(zb)
         start = self.frame_at(za)
         inner = [t for t in taus if t > 1e-15]
-        frames, end = _integrate_outputs(self.phi, start, za, zb, inner,
-                                         rtol=self.rtol)
+        frames, end = _integrate_outputs(self.phi, start, za, zb, inner)
         self._frame_cache[self._key(zb)] = end
         out = []
         fi = 0
@@ -275,22 +273,22 @@ class OdeDevelopingMap:
 # zero counting
 
 
-def _dedupe_points(pts, tol=1e-7):
+def _dedupe_points(pts):
     out = []
     for z in pts:
-        if all(abs(z - w) > tol * max(1.0, abs(z)) for w in out):
+        if all(abs(z - w) > 1e-7 * max(1.0, abs(z)) for w in out):
             out.append(complex(z))
     return out
 
 
-def _edge_winding(pair_fn, za, zb, max_doublings=12):
+def _edge_winding(pair_fn, za, zb):
     """Total phase increment of the pairing along one edge.
 
     Refines until consecutive phase steps are < pi/2; returns (total phase,
     min |f| seen / max |f| seen) so the caller can detect boundary zeros.
     """
     ns = 17
-    for _ in range(max_doublings):
+    for _ in range(12):  # at most 2^15 + 1 samples
         taus = np.linspace(0.0, 1.0, ns)
         vals = pair_fn(za, zb, taus)
         mags = np.abs(vals)

@@ -17,6 +17,8 @@ import numpy as np
 from .devmaps import Covector, bad_locus_points
 from .hypgeo import BallSpec, HPoint, ball_volume, hyp_dist
 
+MIN_NODES = 50  # grid nodes an err estimate needs at or below T_max
+
 
 class ResolutionError(ValueError):
     pass
@@ -119,14 +121,14 @@ def running_err(cf):
     return vols, g, math.pi * running_int / cf.t
 
 
-def err_estimate(cf, T_max, min_nodes=50):
+def err_estimate(cf, T_max):
     """Trapezoidal time average of count/vol over [t0, T], times pi/T."""
     t = cf.t
     if t[-1] < T_max - 1e-9:
         raise ResolutionError(f"grid ends at {t[-1]:g} before T_max={T_max:g}")
     n = int(np.searchsorted(t, T_max + 1e-12, side="right"))  # nodes <= T_max
-    if n < min_nodes:
-        raise ResolutionError(f"only {n} grid nodes below T_max; need {min_nodes}")
+    if n < MIN_NODES:
+        raise ResolutionError(f"only {n} grid nodes below T_max; need {MIN_NODES}")
     tt = t[:n]
     vols, _, running = (a[:n] for a in running_err(cf))
     tails = []
@@ -185,7 +187,7 @@ def sum_rule_check(spectrum, degree_ratio, err, k=1):
                          sigma_units=float(sigma))
 
 
-def count_csv(cf, est=None):
+def count_csv(cf, est):
     """CSV rows t,count,count_over_vol,running_err plus a comment summary."""
     tt = cf.t
     _, g, running = running_err(cf)
@@ -194,10 +196,9 @@ def count_csv(cf, est=None):
         lines.append(
             f"{tt[i]:.12g},{int(cf.counts[i])},{g[i]:.12g},{running[i]:.12g}"
         )
-    if est is not None:
-        tails = " ".join(f"tail_{tp:g}={tv:.12g}" for tp, tv in est.tail_estimates)
-        lines.append(
-            f"# err={est.value:.12g} {tails} converged={int(est.converged_flag)} "
-            f"unaveraged={est.unaveraged:.12g} uncertainty={est.uncertainty:.12g}"
-        )
+    tails = " ".join(f"tail_{tp:g}={tv:.12g}" for tp, tv in est.tail_estimates)
+    lines.append(
+        f"# err={est.value:.12g} {tails} converged={int(est.converged_flag)} "
+        f"unaveraged={est.unaveraged:.12g} uncertainty={est.uncertainty:.12g}"
+    )
     return "\n".join(lines) + "\n"

@@ -31,6 +31,8 @@ Word = tuple  # signed 1-based generator indices, negative = inverse
 
 SIDE_TOL = 1e-10      # side membership tolerance (sinh of distance)
 VERTEX_TOL = 1e-9     # arclength window around vertices treated as hits
+# a vertex hit turns the ray by VERTEX_EPS * 32^attempt, up to VERTEX_RETRIES times
+VERTEX_EPS, VERTEX_RETRIES = 1e-9, 5
 # carriers closer than this are one geodesic numerically: a ray mapped
 # through a vertex rotation can land on a side's geodesic up to rounding,
 # and the intersection formula degenerates there
@@ -298,7 +300,7 @@ def _check_build(dom, gens, relations):
                 raise AssertionError(f"pairing of side {k} misses its partner")
 
 
-def pull_back(dom, z, max_factor=10.0):
+def pull_back(dom, z):
     """Translate z into the closed fundamental domain.
 
     Returns (z', word) with z' in the closed domain and the word evaluating
@@ -308,7 +310,10 @@ def pull_back(dom, z, max_factor=10.0):
     """
     p = z if isinstance(z, HPoint) else HPoint(z.real, z.imag)
     x0 = dom.interior_point
-    budget = int(max_factor * (1.0 + hyp_dist(p, x0) / dom.inradius)) + 4
+    d = hyp_dist(p, x0)
+    if not math.isfinite(d):
+        raise NonConvergenceError(f"pull_back: {z} is at infinite distance")
+    budget = int(10.0 * (1.0 + d / dom.inradius)) + 4
     applied = []
     for _ in range(budget):
         if dom.contains(p):
@@ -462,7 +467,7 @@ def _pair_step(pair, x, y, th):
     return wr, wi, (th - 2.0 * math.atan2(di, dr)) % _TWO_PI
 
 
-def iter_crossings(dom, ut, T, eps0=1e-9, max_retries=5, perturb_log=None):
+def iter_crossings(dom, ut, T, perturb_log=None):
     """Yield (time, signed generator, state) for each side crossing in (0, T].
 
     state is the (x, y, angle) tuple after the pairing pull-back.  Only
@@ -484,21 +489,21 @@ def iter_crossings(dom, ut, T, eps0=1e-9, max_retries=5, perturb_log=None):
         if remaining <= 0.0:
             return
         hit = None
-        for attempt in range(max_retries + 1):
+        for attempt in range(VERTEX_RETRIES + 1):
             best, tangent = _first_exit(sides, x, y, th)
             if best is not None and best[0] > remaining:
                 return  # segment ends inside the domain
             if best is not None and not best[5] and not tangent:
                 hit = best
                 break
-            if best is not None and not tangent and attempt == max_retries:
+            if best is not None and not tangent and attempt == VERTEX_RETRIES:
                 hit = best
                 if perturb_log is not None:
                     perturb_log.append((t_acc, 0.0))
                 break
-            th = (th + eps0 * (32.0**attempt)) % _TWO_PI
+            th = (th + VERTEX_EPS * (32.0**attempt)) % _TWO_PI
             if perturb_log is not None:
-                perturb_log.append((t_acc, eps0 * (32.0**attempt)))
+                perturb_log.append((t_acc, VERTEX_EPS * (32.0**attempt)))
         if hit is None:
             why = "ray runs along a side's carrier" if tangent else "no outward exit"
             raise DegenerateDirectionError(f"ray tracing: {why} at t={t_acc:.6f}")

@@ -16,6 +16,7 @@ import numpy as np
 DET_MIN, DET_MAX = 1e-6, 1e6
 # backward-stability fallback of every relation gate (see RelationReport.holds)
 RELATIVE_GATE = 1e-8
+MAX_POWER_DIM = 512  # largest Sym^k / wedge^k dimension built
 
 
 class RepresentationError(ValueError):
@@ -89,12 +90,6 @@ class Representation:
         if signed > 0:
             return self.generators[signed - 1]
         return self._inverses[-signed - 1]
-
-    def relabel(self, label):
-        return Representation(
-            self.n, self.field, self.generators, self.relations, label,
-            self.projective_flag, self.unit_det,
-        )
 
 
 def eval_word(rep, word):
@@ -207,15 +202,15 @@ def _sym_matrix(a, k):
     return out
 
 
-def sym_power(rep, k, max_dim=512):
+def sym_power(rep, k):
     """Symmetric power functor; dimension binom(n+k-1, k)."""
     if k < 1:
         raise ValueError("k must be >= 1")
     dim = math.comb(rep.n + k - 1, k)
-    if dim > max_dim:
-        raise RepresentationError(f"Sym^{k} dimension {dim} over budget {max_dim}")
+    if dim > MAX_POWER_DIM:
+        raise RepresentationError(f"Sym^{k} dimension {dim} over budget {MAX_POWER_DIM}")
     if k == 1:
-        return rep.relabel(rep.label)
+        return rep
     gens = [_sym_matrix(g, k) for g in rep.generators]
     return Representation(
         dim, rep.field, gens, rep.relations,
@@ -237,16 +232,16 @@ def _ext_matrix(a, k):
     return out
 
 
-def ext_power(rep, k, max_dim=512):
+def ext_power(rep, k):
     """Exterior power functor; entries are k x k minors in canonical
     (lexicographic subset) order; wedge^n is the determinant character."""
     if not 1 <= k <= rep.n:
         raise ValueError("need 1 <= k <= n")
     dim = math.comb(rep.n, k)
-    if dim > max_dim:
-        raise RepresentationError(f"wedge^{k} dimension {dim} over budget {max_dim}")
+    if dim > MAX_POWER_DIM:
+        raise RepresentationError(f"wedge^{k} dimension {dim} over budget {MAX_POWER_DIM}")
     if k == 1:
-        return rep.relabel(rep.label)
+        return rep
     gens = [_ext_matrix(g, k) for g in rep.generators]
     return Representation(
         dim, rep.field, gens, rep.relations,
@@ -259,10 +254,10 @@ def ext_power(rep, k, max_dim=512):
 # classification heuristics
 
 
-def _random_words(rep, budget, rng, max_len=8):
+def _random_words(rep, budget, rng):
     words = []
     for _ in range(budget):
-        ln = int(rng.integers(2, max_len + 1))
+        ln = int(rng.integers(2, 9))  # lengths 2..8
         w = tuple(
             int(s) * int(rng.choice((-1, 1)))
             for s in rng.integers(1, rep.num_generators + 1, size=ln)
@@ -282,7 +277,7 @@ def _is_invariant_line(rep, v, tol):
     return True
 
 
-def classify(rep, sample_budget=64, seed=7):
+def classify(rep):
     """Advisory label: unitary | reducible-suspected | elementary-suspected
     | non-elementary-suspected.
 
@@ -292,10 +287,10 @@ def classify(rep, sample_budget=64, seed=7):
     eye = np.eye(rep.n)
     if all(np.linalg.norm(g.conj().T @ g - eye) < 1e-8 for g in rep.generators):
         return "unitary"
-    rng = np.random.default_rng(seed)
-    words = _random_words(rep, sample_budget, rng)
+    rng = np.random.default_rng(7)
+    words = _random_words(rep, 64, rng)
     # common invariant line among the eigenvectors of a sampled word
-    probe = eval_word(rep, words[0]) if words else rep.generators[0]
+    probe = eval_word(rep, words[0])
     _, vecs = np.linalg.eig(probe)
     for i in range(rep.n):
         if _is_invariant_line(rep, vecs[:, i], 1e-6):
@@ -306,7 +301,7 @@ def classify(rep, sample_budget=64, seed=7):
         sv = np.linalg.svd(m, compute_uv=False)
         ratios.append((sv[0] / sv[-1], w))
     ratios.sort(key=lambda rw: -rw[0])
-    pinching = bool(ratios) and ratios[0][0] > 1.0 + 1e-3
+    pinching = ratios[0][0] > 1.0 + 1e-3
     if rep.n == 2:
         # dihedral-type elementarity: some pinching word has a fixed pair of
         # lines preserved (possibly swapped) by every generator; words with
@@ -365,8 +360,7 @@ def _su2_rotation(axis, theta):
     return math.cos(theta / 2) * np.eye(2) - 1j * math.sin(theta / 2) * h
 
 
-def unitary_cube_rep(relations=((1,) * 3, (2,) * 3, (3,) * 4, (1, 2, 3)),
-                     label="unitary-cube"):
+def unitary_cube_rep():
     """Finite-image SU(2) representation of the (3,3,4) triangle group.
 
     a, b are lifted order-3 rotations about cube diagonals and c = (ab)^-1
@@ -374,6 +368,7 @@ def unitary_cube_rep(relations=((1,) * 3, (2,) * 3, (3,) * 4, (1, 2, 3)),
     up to sign and the image is finite (binary octahedral subgroup), hence
     the norm is preserved and the Lyapunov spectrum is forced to zero.
     """
+    rels = ((1,) * 3, (2,) * 3, (3,) * 4, (1, 2, 3))  # a^3, b^3, c^4, abc
     diag1 = (1.0, 1.0, 1.0)
     a = _su2_rotation(diag1, 2 * math.pi / 3)
     for axis in [(1, -1, -1), (-1, 1, -1), (-1, -1, 1), (1, 1, -1), (1, -1, 1), (-1, 1, 1)]:
@@ -381,7 +376,7 @@ def unitary_cube_rep(relations=((1,) * 3, (2,) * 3, (3,) * 4, (1, 2, 3)),
             b = _su2_rotation(axis, sgn * 2 * math.pi / 3)
             c = np.linalg.inv(a @ b)
             if abs(np.trace(c)) < 1e-12:  # order-2 rotation: c^2 = -I
-                rep = Representation(2, "complex", [a, b, c], relations, label,
+                rep = Representation(2, "complex", [a, b, c], rels, "unitary-cube",
                                      projective_flag=True, unit_det=True)
                 if check_relations(rep).max_residual < 1e-12:
                     return rep

@@ -229,9 +229,9 @@ class SpectrumEstimate:
     failures: tuple = ()
 
 
-def _sample_base(dom, rng, max_tries=20000):
+def _sample_base(dom, rng):
     x0, x1, y0, y1 = dom.bounding_box()
-    for _ in range(max_tries):
+    for _ in range(20000):
         x = rng.uniform(x0, x1)
         u = rng.uniform(0.0, 1.0)
         # hyperbolic area density 1/y^2 on [y0, y1]

@@ -1,5 +1,6 @@
 """Every public top-level function or class of the package, and every
-public method of a public class, has a caller.
+public method of a public class, has a caller; every defaulted parameter
+is passed by some call.
 
 A name defined in src/lyaplab counts as used when the package names it
 outside its own definition, when the benchmark (perfbench/*.py) names it, or
@@ -19,6 +20,7 @@ PACKAGE = ROOT / "src" / "lyaplab"
 EXEMPT = {
     "errterm.sum_rule_check",  # the paper's compact-base equality, checked by C7
     "fuchsian.BendingSplit.genus2_standard",  # acceptance tests C8a and C8b call it
+    "devmaps.identity_dev",  # the uniformizing developing map, checked by C7
 }
 
 
@@ -94,3 +96,59 @@ def test_every_public_name_has_a_caller():
 def test_exemptions_are_defined():
     defs, _ = _surface()
     assert EXEMPT <= {f"{module}.{name}" for module, name in defs}
+
+
+def _defaulted_params():
+    """(module.def, parameter, called name, positional index or None) of
+    every defaulted parameter of a top-level function or of a method of a
+    top-level class; nested closures are not read.  The index skips self
+    or cls, and a constructor is called by its class name."""
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            fns = []
+            if isinstance(node, ast.FunctionDef):
+                fns.append((node.name, node, node.name, 0))
+            elif isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef):
+                        static = any(getattr(d, "id", None) == "staticmethod"
+                                     for d in item.decorator_list)
+                        called = node.name if item.name == "__init__" else item.name
+                        fns.append((f"{node.name}.{item.name}", item, called,
+                                    0 if static else 1))
+            for qual, fn, called, skip in fns:
+                a = fn.args
+                pos = a.posonlyargs + a.args
+                for i in range(len(pos) - len(a.defaults), len(pos)):
+                    out.append((f"{path.stem}.{qual}", pos[i].arg, called, i - skip))
+                out += [(f"{path.stem}.{qual}", arg.arg, called, None)
+                        for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+    return out
+
+
+def _calls():
+    """Called name -> every ast.Call of it in src/, tests/ and perfbench/."""
+    out = {}
+    for folder in ("src", "tests", "perfbench"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            for n in ast.walk(ast.parse(path.read_text())):
+                if isinstance(n, ast.Call):
+                    name = getattr(n.func, "id", None) or getattr(n.func, "attr", None)
+                    out.setdefault(name, []).append(n)
+    return out
+
+
+def _passes(call, param, index):
+    """Whether call passes param by name, by position or by a * / ** expansion."""
+    if any(k.arg in (param, None) for k in call.keywords):
+        return True
+    return index is not None and (
+        len(call.args) > index or any(isinstance(a, ast.Starred) for a in call.args))
+
+
+def test_every_defaulted_parameter_is_passed():
+    calls = _calls()
+    dead = [f"{qual}({param})" for qual, param, called, index in _defaulted_params()
+            if not any(_passes(c, param, index) for c in calls.get(called, ()))]
+    assert not dead, f"defaulted parameters no call passes: {dead}"

@@ -354,9 +354,111 @@ class TestSelftest:
         assert "all selftest suites passed" in out
         assert "FAIL" not in out
 
-    def test_corruption_hook_fails_relation_suite(self, capsys):
-        assert run_cli(["selftest", "--inject-corruption"]) == 1
+    def test_corruption_hook_fails_relation_suite(self, capsys, monkeypatch):
+        _, gens, rels = fuchsian.build_group(fuchsian.GroupSpec.triangle(3, 3, 4))
+        rep3 = linrep.uniformizing_rep(gens, rels, "fuchsian")
+        g = np.array(rep3.generators[0])
+        g[0, 0] += 1e-3
+        corrupted = linrep.Representation(
+            2, "real", [g, rep3.generators[1], rep3.generators[2]], rels,
+            "corrupted", True)
+        # the relation suite checks the unitary cube representation
+        monkeypatch.setattr(linrep, "unitary_cube_rep", lambda: corrupted)
+        assert run_cli(["selftest"]) == 1
         out = capsys.readouterr().out
         assert "relation-check" in [
             l.split()[1].rstrip(":") for l in out.splitlines() if l.startswith("FAIL")
         ][0]
+
+
+# each config key with two values that give different outputs on a short run
+CONFIG_CASES = [
+    ("spectrum", "group", "surface:2", "triangle:3,3,4"),
+    ("spectrum", "rep", "builtin:trivial", "builtin:fuchsian"),
+    ("spectrum", "time", "55", "40"),
+    ("spectrum", "samples", "5", "3"),
+    ("spectrum", "seed", "7", "2"),
+    ("spectrum", "qr-interval", "32", "8"),
+    ("spectrum", "normalization", "minus1", "minus4"),
+    ("spectrum", "random-base", "1", "0"),
+    ("sweep", "axis", "real", "imag"),
+    ("sweep", "grid", "0:1:3", "0,0.5"),
+    ("err", "dev", "veronese:3", "identity"),
+    ("err", "covector", "1 0 2", "1 0 1"),
+    ("err", "center", "0.1,1.5", "0,2"),
+    ("err", "tmax", "9", "8"),
+    ("orbit-count", "grid-nodes", "70", "60"),
+]
+CONFIG_BASE = {
+    "spectrum": ["--time", "40", "--samples", "3", "--seed", "2"],
+    # the QR interval shows in the printed digits only on ill-conditioned
+    # products, such as those of a large twist
+    "qr-interval": ["--group", "surface:2", "--transform", "bend:12,0", "--time", "40",
+                    "--samples", "3", "--seed", "2"],
+    "sweep": ["--grid", "0,0.5", "--time", "40", "--samples", "3", "--seed", "2"],
+    "err": ["--dev", "veronese:3", "--covector", "1 0 1", "--tmax", "8",
+            "--grid-nodes", "60"],
+    "orbit-count": ["--tmax", "5", "--grid-nodes", "60"],
+}
+
+
+class TestConfigFile:
+    @staticmethod
+    def outputs(args, capsys):
+        code = run_cli(args)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    @pytest.mark.parametrize("command,key,value,other", CONFIG_CASES)
+    def test_key_equals_flag_and_flag_wins(self, tmp_path, capsys, command, key, value,
+                                           other):
+        base = list(CONFIG_BASE.get(key, CONFIG_BASE[command]))
+        if f"--{key}" in base:
+            i = base.index(f"--{key}")
+            del base[i:i + 2]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# {key}\n{key} = {value}\n")
+        flag = self.outputs([command, *base, f"--{key}={value}"], capsys)
+        flag_other = self.outputs([command, *base, f"--{key}={other}"], capsys)
+        assert flag[0] == 0 and flag != flag_other
+        assert self.outputs([command, *base, "--config", str(cfg)], capsys) == flag
+        assert self.outputs([command, *base, "--config", str(cfg), f"--{key}={other}"],
+                            capsys) == flag_other
+
+    def test_other_subcommands_keys_ignored(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("time=40\nsamples=3\nseed=2\naxis=real\ngrid=0,1\n")
+        args = ["spectrum", "--time", "40", "--samples", "3", "--seed", "2"]
+        assert (self.outputs(["spectrum", "--config", str(cfg)], capsys)
+                == self.outputs(args, capsys))
+
+    def test_unknown_key_refused(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("qr_interval=4\ntime=40\nsamples=3\n")
+        assert run_cli(["spectrum", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("lyaplab: refused: unknown config key 'qr_interval'")
+
+
+class TestCommandLineRefusals:
+    @pytest.mark.parametrize("args,why", [
+        (["spectrum", "--samples", "1", "--time", "20"], "successful samples"),
+        (["orbit-count", "--tmax", "4", "--center=0,1e-200"], "boundary"),
+        (["orbit-count", "--tmax", "4", "--center=1e200,1"], "infinite distance"),
+    ])
+    def test_exit_2_with_one_refusal_line(self, capsys, args, why):
+        assert run_cli(args) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("lyaplab: refused: ")
+        assert why in err[0]
+
+    @pytest.mark.parametrize("args", [
+        ["rep", "--time", "5"],
+        ["err", "--group", "surface:2", "--covector", "1 0"],
+        ["selftest", "--inject-corruption"],
+    ])
+    def test_removed_options_exit_2(self, args):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(args)
+        assert exc.value.code == 2
