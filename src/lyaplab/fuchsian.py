@@ -20,7 +20,6 @@ from .hypgeo import (
     HPoint,
     Mobius,
     UnitTangent,
-    _VERTICAL_COS,
     _carrier_param,
     geodesic_flow,
     hyp_dist,
@@ -30,14 +29,6 @@ from .hypgeo import (
 Word = tuple  # signed 1-based generator indices, negative = inverse
 
 SIDE_TOL = 1e-10      # side membership tolerance (sinh of distance)
-VERTEX_TOL = 1e-9     # arclength window around vertices treated as hits
-# a vertex hit turns the ray by VERTEX_EPS * 32^attempt, up to VERTEX_RETRIES times
-VERTEX_EPS, VERTEX_RETRIES = 1e-9, 5
-# carriers closer than this are one geodesic numerically: a ray mapped
-# through a vertex rotation can land on a side's geodesic up to rounding,
-# and the intersection formula degenerates there
-_COINCIDE_TOL = 1e-8
-_HALF_PI = math.pi / 2.0
 _TWO_PI = 2.0 * math.pi
 
 
@@ -51,10 +42,6 @@ class ResourceError(RuntimeError):
 
 class NonConvergenceError(ResourceError):
     """pull_back failed to reach the fundamental domain in its budget."""
-
-
-class DegenerateDirectionError(RuntimeError):
-    """Ray tracing kept hitting vertices after the perturbation retries."""
 
 
 class DegenerateBendingError(ValueError):
@@ -122,10 +109,11 @@ class FundamentalDomain:
 
     vertices are listed counterclockwise; side k joins vertex k to k+1;
     pairings[k].mobius maps side k onto side pairings[k].partner setwise;
-    area is the exact orbifold area, from the group signature.
+    area is the exact orbifold area, from the group signature; flat lists
+    the vertices of interior angle pi, where two sides share a carrier.
     """
 
-    def __init__(self, vertices, pairings, interior_point, area):
+    def __init__(self, vertices, pairings, interior_point, area, flat=()):
         self.vertices = list(vertices)
         self.area = area
         self.sides = [
@@ -143,9 +131,21 @@ class FundamentalDomain:
             u1 = _carrier_param(car, arc.end.x, arc.end.y)
             sign = 1.0 if side_clearance(car, interior_point.x, interior_point.y) > 0 else -1.0
             self._raw.append((car, min(u0, u1), max(u0, u1), sign))
-        self._trace_sides = [_side_record(*raw) for raw in self._raw]
-        self._trace_pairs = [(*(float(v) for v in p.mobius.mat.ravel()), p.word[0])
-                             for p in self.pairings]
+        # the ray tracer's data on the hyperboloid: a covector per side, a
+        # flattened SO(2,1) matrix and generator per pairing, and per side of
+        # a flat vertex k the tangent functional of the shared carrier at k
+        # (positive toward side k) with the sides k-1 and k it separates
+        lifts = [np.array(_lift(v.x, v.y)) for v in self.vertices]
+        inside, n = np.array(_lift(interior_point.x, interior_point.y)), len(lifts)
+        cov = [_unit_covector(lifts[k], lifts[(k + 1) % n], inside) for k in range(n)]
+        self._normals = [tuple(c.tolist()) for c in cov]
+        self._pairs = [(tuple(_so21(p.mobius.mat).ravel().tolist()), p.word[0])
+                       for p in self.pairings]
+        self._flat = {}
+        for k in flat:
+            f = np.cross(cov[k] * [1.0, -1.0, -1.0], lifts[k])
+            f = f if f @ lifts[(k + 1) % n] > 0.0 else -f
+            self._flat[k] = self._flat[(k - 1) % n] = (tuple(f.tolist()), (k - 1) % n, k)
         self.inradius = min(
             math.asinh(abs(side_clearance(car, interior_point.x, interior_point.y)))
             for car, _, _, _ in self._raw
@@ -236,7 +236,9 @@ def _build_triangle(p, q, r):
     area = 2.0 * math.pi * (1.0 - 1.0 / p - 1.0 / q - 1.0 / r)
     probe = FundamentalDomain(vertices, pairings, HPoint(0.0, math.exp(c_ab / 2.0)), area)
     interior = _axis_incenter(probe._raw, 1.0 + 1e-9, math.exp(c_ab) - 1e-9)
-    dom = FundamentalDomain(vertices, pairings, interior, area)
+    # A and B have angles 2 pi/p and 2 pi/q: an order-2 one is flat
+    flat = [k for k, order in ((0, p), (2, q)) if order == 2]
+    dom = FundamentalDomain(vertices, pairings, interior, area, flat)
     _check_build(dom, gens, relations)
     return dom, gens, relations
 
@@ -333,194 +335,85 @@ def pull_back(dom, z):
     raise NonConvergenceError(f"pull_back did not converge from {z}")
 
 
-def _side_record(car, lo, hi, s_in):
-    """Flat constants of one polygon side for the ray tracer: its carrier,
-    the arclength window [lo, hi] of the side on it, and the sign s_in of
-    the interior clearance.  A vertical carrier stores x0 as c and r = 0."""
-    if car[0] == "v":
-        (_, c, u0, s), r = car, 0.0
-    else:
-        _, c, r, u0, s = car
-    return (car[0] == "v", c, r, r * r, 1e-24 * r * r, max(1.0, r, abs(c)), c * c,
-            u0, s, lo - SIDE_TOL, hi + SIDE_TOL, lo + VERTEX_TOL, hi - VERTEX_TOL,
-            s_in, 2.0 * r)
+def _lift(x, y):
+    """The point x + iy on the hyperboloid X0^2 - X1^2 - X2^2 = 1: the
+    coordinates of M(z) = (1/y)[[|z|^2, x], [x, 1]] = [[X0 + X1, X2], [X2, X0 - X1]]."""
+    r = x * x + y * y
+    return (1.0 + r) / (2.0 * y), (r - 1.0) / (2.0 * y), x / y
 
 
-def _first_exit(sides, x, y, th):
-    """The first outward crossing of the ray from (x, y) at angle th with
-    the sides (records of _side_record), and whether the ray runs along some
-    side's carrier (a tangency the caller must perturb away).
-
-    The crossing is (t, k, xx, yy, th_c, near_vertex): ray arclength t >
-    1e-12, side index k, the point, the ray's angle there, and whether the
-    point lies within VERTEX_TOL of an end of the side.  Outward means the
-    interior clearance of the side decreases through the crossing, i.e. the
-    ray actually exits there; inward re-entries (the point where the
-    previous pull-back landed) and tangential grazes are not crossings.
-
-    Carriers follow hypgeo's closed forms with the same floating-point
-    operations in the same order, so codings repeat bit for bit; the flow
-    is chaotic and any ulp of difference grows like e^t.
-    """
-    ct = math.cos(th)
-    vertical = abs(ct) < _VERTICAL_COS
-    if vertical:
-        rs = 1.0 if math.sin(th) > 0 else -1.0
-        ru0 = math.log(y)
-        th_v = _HALF_PI if rs > 0 else -_HALF_PI
-    else:
-        rc = x + y * math.tan(th)
-        rr = y / abs(ct)
-        phi = math.atan2(y, x - rc)
-        ru0 = math.log(math.tan(phi / 2.0))
-        # increasing phi moves with tangent angle phi + pi/2
-        rs = 1.0 if math.cos(th - phi - _HALF_PI) > 0 else -1.0
-        rr2, rc2, rtiny, rscale = rr * rr, rc * rc, 1e-24 * rr * rr, max(1.0, rr, abs(rc))
-    best, tangent = None, False
-    for k, (vert, c, r, rsq, tiny, scale, csq, u0, s, u_lo, u_hi, v_lo, v_hi, s_in,
-            _) in enumerate(sides):
-        if vertical:
-            if vert:
-                if abs(x - c) < _COINCIDE_TOL * max(1.0, abs(x)):
-                    tangent = True
-                continue
-            disc = rsq - (x - c) ** 2
-            if disc <= tiny:
-                continue
-            xx = x
-        elif vert:
-            disc = rr2 - (c - rc) ** 2
-            if disc <= rtiny:
-                continue
-            xx = c
-        else:
-            if rscale > scale:
-                scale = rscale
-            if abs(rc - c) < _COINCIDE_TOL * scale:
-                if abs(rr - r) < _COINCIDE_TOL * scale:
-                    tangent = True
-                continue
-            xx = (rr2 - rsq + csq - rc2) / (2.0 * (c - rc))
-            disc = rr2 - (xx - rc) ** 2
-            if disc <= rtiny:
-                continue
-        yy = math.sqrt(disc)
-        if vert:
-            u = s * (math.log(yy) - u0)
-        else:
-            dx = xx - c
-            u = s * (math.log(math.tan(math.atan2(yy, dx) / 2.0)) - u0)
-        if u < u_lo or u > u_hi:
-            continue
-        if vertical:
-            t = rs * (math.log(yy) - ru0)
-        else:
-            phi = math.atan2(yy, xx - rc)
-            t = rs * (math.log(math.tan(phi / 2.0)) - ru0)
-        if t <= 1e-12:
-            continue
-        th_c = th_v if vertical else phi + rs * _HALF_PI
-        if vert:
-            deriv = math.cos(th_c)
-        else:
-            deriv = (dx * math.cos(th_c) + yy * math.sin(th_c)) / math.hypot(dx, yy)
-        if s_in * deriv >= -1e-12:
-            continue  # inward or tangential
-        if best is None or t < best[0]:
-            best = (t, k, xx, yy, th_c, u < v_lo or u > v_hi)
-    return best, tangent
+def _so21(g):
+    """The matrix of M -> g M g^T in those coordinates: it maps the lift of z
+    to the lift of g.z and preserves the Minkowski form."""
+    cols = [g @ e @ g.T for e in (np.eye(2), np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]]))]
+    return np.array([[0.5 * (s[0, 0] + s[1, 1]), 0.5 * (s[0, 0] - s[1, 1]), s[0, 1]] for s in cols]).T
 
 
-def _outside_side(sides, x, y):
-    """Index of the side whose signed clearance at (x, y) is least (the
-    first such; a NaN counts as least, as in np.argmin) when it is below
-    -SIDE_TOL or NaN, else None.  Clearances are side_clearance's."""
-    k_min = m = None
-    for k, (vert, c, r, rsq, _, _, _, _, _, _, _, _, _, s_in, r2) in enumerate(sides):
-        v = s_in * ((x - c) / y if vert else ((x - c) ** 2 + y * y - rsq) / (r2 * y))
-        if m is None or v < m or (v != v and m == m):
-            k_min, m = k, v
-    return None if m >= -SIDE_TOL else k_min
-
-
-def _pair_step(pair, x, y, th):
-    """Apply the side pairing (a, b, c, d, gen) to the state (x, y, th).
-
-    This is numpy's complex128 arithmetic for w = (a z + b) / (c z + d),
-    written out on floats: the real coefficients are promoted to a + 0j, and
-    the quotient multiplies by the reciprocal of the denominator's norm
-    (CPython's complex division divides instead, which differs by ulps).
-    """
-    a, b, c, d, _ = pair
-    dr = c * x - 0.0 * y + d
-    di = c * y + 0.0 * x + 0.0
-    nr = a * x - 0.0 * y + b
-    ni = a * y + 0.0 * x + 0.0
-    if abs(dr) >= abs(di):
-        rat = di / dr
-        scl = 1.0 / (dr + di * rat)
-        wr, wi = (nr + ni * rat) * scl, (ni - nr * rat) * scl
-    else:
-        rat = dr / di
-        scl = 1.0 / (di + dr * rat)
-        wr, wi = (nr * rat + ni) * scl, (ni * rat - nr) * scl
-    return wr, wi, (th - 2.0 * math.atan2(di, dr)) % _TWO_PI
+def _unit_covector(u, v, inside):
+    """The covector c (c . X is the Minkowski product with a unit spacelike
+    normal) of the plane through the lifts u and v, positive at inside."""
+    c = np.cross(u, v)
+    c = c / math.sqrt(c[1] ** 2 + c[2] ** 2 - c[0] ** 2)
+    return c if c @ inside > 0.0 else -c
 
 
 def iter_crossings(dom, ut, T, perturb_log=None):
     """Yield (time, signed generator, state) for each side crossing in (0, T].
 
-    state is the (x, y, angle) tuple after the pairing pull-back.  Only
-    outward transversal crossings count, so the side just entered through
-    is never immediately re-crossed.  Vertex hits perturb the direction by
-    a growing epsilon (appended to perturb_log when given); a crossing
-    pinned inside the vertex window after all retries is taken anyway and
-    any outside drift is repaired by extra pairing hops (the corner routes
-    of the unfolded geodesic).  The final partial segment is not yielded.
-    DegenerateDirectionError says whether the last retry found no outward
-    exit or ran along a side's carrier.
+    The geodesic runs on the hyperboloid as P(t) = P cosh t + V sinh t.  A
+    side k's carrier is the plane n_k . X = 0 with the polygon at n_k . X > 0,
+    so along the flow n_k . X = a cosh t + b sinh t (a = n_k . P, b = n_k . V)
+    and the polygon being convex, the exit is the side of least
+    tau = max(a, 0) / -b over the sides with b < 0, at t = atanh tau.  A state
+    rounding left a hair outside a side it is leaving exits through it at
+    t = 0; corner routes through a vertex come out that way.  Where two sides
+    share a carrier (a vertex of angle pi), the side of the exit point is read
+    off the carrier's tangent functional at that vertex.  The side's pairing
+    then maps (P, V), which are put back on the hyperboloid and its tangent
+    plane.  state is (x, y, angle) after the pairing; the final partial
+    segment is not yielded.  perturb_log is kept for callers that pass it:
+    no direction is ever perturbed, so it stays empty.
     """
-    sides, pairs = dom._trace_sides, dom._trace_pairs
-    x, y, th = ut.base.x, ut.base.y, ut.angle
+    normals, pairs, flat = dom._normals, dom._pairs, dom._flat
+    x, y, c, s = ut.base.x, ut.base.y, math.cos(ut.angle), math.sin(ut.angle)
+    p0, p1, p2 = _lift(x, y)
+    w = s / (2.0 * y)
+    v0, v1, v2 = x * c + (y * y - x * x - 1.0) * w, x * c + (y * y - x * x + 1.0) * w, c - 2.0 * x * w
     t_acc = 0.0
-    max_steps = int(64 + 16.0 * T / dom.inradius)
-    for _ in range(max_steps):
-        remaining = T - t_acc
-        if remaining <= 0.0:
+    for _ in range(int(64 + 16.0 * T / dom.inradius)):
+        tau, k = 1.0, -1
+        for j, (n0, n1, n2) in enumerate(normals):
+            b = n0 * v0 + n1 * v1 + n2 * v2
+            if b < 0.0:
+                a = n0 * p0 + n1 * p1 + n2 * p2
+                q = a / -b if a > 0.0 else 0.0
+                if q < tau:
+                    tau, k = q, j
+        if k < 0:
+            raise ResourceError(f"ray tracing: no outward exit at t={t_acc:.6f}")
+        t = math.atanh(tau)
+        if t > T - t_acc:
             return
-        hit = None
-        for attempt in range(VERTEX_RETRIES + 1):
-            best, tangent = _first_exit(sides, x, y, th)
-            if best is not None and best[0] > remaining:
-                return  # segment ends inside the domain
-            if best is not None and not best[5] and not tangent:
-                hit = best
-                break
-            if best is not None and not tangent and attempt == VERTEX_RETRIES:
-                hit = best
-                if perturb_log is not None:
-                    perturb_log.append((t_acc, 0.0))
-                break
-            th = (th + VERTEX_EPS * (32.0**attempt)) % _TWO_PI
-            if perturb_log is not None:
-                perturb_log.append((t_acc, VERTEX_EPS * (32.0**attempt)))
-        if hit is None:
-            why = "ray runs along a side's carrier" if tangent else "no outward exit"
-            raise DegenerateDirectionError(f"ray tracing: {why} at t={t_acc:.6f}")
-        t, k, xx, yy, th_c, _ = hit
-        x, y, th = _pair_step(pairs[k], xx, yy, th_c)
         t_acc += t
-        yield t_acc, pairs[k][4], (x, y, th)
-        for hop in range(1, 9):
-            k2 = _outside_side(sides, x, y)
-            if k2 is None:
-                break
-            x, y, th = _pair_step(pairs[k2], x, y, th)
-            yield t_acc + hop * 1e-12, pairs[k2][4], (x, y, th)
-        else:
-            raise DegenerateDirectionError(
-                f"state failed to re-enter the domain at t={t_acc:.6f}"
-            )
+        ch = 1.0 / math.sqrt(1.0 - tau * tau)
+        sh = tau * ch
+        p0, p1, p2, v0, v1, v2 = (ch * p0 + sh * v0, ch * p1 + sh * v1, ch * p2 + sh * v2,
+                                  sh * p0 + ch * v0, sh * p1 + ch * v1, sh * p2 + ch * v2)
+        if k in flat:
+            (f0, f1, f2), before, after = flat[k]
+            k = after if f0 * p0 + f1 * p1 + f2 * p2 > 0.0 else before
+        (l00, l01, l02, l10, l11, l12, l20, l21, l22), gen = pairs[k]
+        p0, p1, p2 = l00 * p0 + l01 * p1 + l02 * p2, l10 * p0 + l11 * p1 + l12 * p2, l20 * p0 + l21 * p1 + l22 * p2
+        v0, v1, v2 = l00 * v0 + l01 * v1 + l02 * v2, l10 * v0 + l11 * v1 + l12 * v2, l20 * v0 + l21 * v1 + l22 * v2
+        r = 1.0 / math.sqrt(p0 * p0 - p1 * p1 - p2 * p2)
+        p0, p1, p2 = r * p0, r * p1, r * p2
+        d = p0 * v0 - p1 * v1 - p2 * v2
+        v0, v1, v2 = v0 - d * p0, v1 - d * p1, v2 - d * p2
+        r = 1.0 / math.sqrt(v1 * v1 + v2 * v2 - v0 * v0)
+        v0, v1, v2 = r * v0, r * v1, r * v2
+        y = 1.0 / (p0 - p1)
+        x, w = p2 * y, v0 - v1
+        yield t_acc, gen, (x, y, math.atan2(-y * w, v2 - x * w) % _TWO_PI)
     raise ResourceError("crossing budget exceeded (tracing runaway)")
 
 

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,13 +7,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad, solve_ivp
 
-from lyaplab.fuchsian import _first_exit, _side_record
+from lyaplab.fuchsian import ResourceError, _lift, _unit_covector, iter_crossings
 from lyaplab.hypgeo import (
     GeodesicArc,
     HPoint,
     Mobius,
     UnitTangent,
-    _carrier_param,
     ball_euclidean,
     ball_volume,
     geodesic_flow,
@@ -178,38 +178,42 @@ class TestBallVolume:
 
 
 def exit_of(ut, *sides):
-    """(first outward crossing, tangency) of the ray from ut with the sides."""
-    return _first_exit(list(sides), ut.base.x, ut.base.y, ut.angle)
-
-
-def raw_side(p, q, inside):
-    """Side p -> q as FundamentalDomain stores it for tracing, with the
-    polygon interior on the side of `inside`."""
-    car = GeodesicArc.segment(p, q).carrier
-    u0, u1 = _carrier_param(car, p.x, p.y), _carrier_param(car, q.x, q.y)
-    sign = 1.0 if side_clearance(car, inside.x, inside.y) > 0 else -1.0
-    return _side_record(car, min(u0, u1), max(u0, u1), sign)
+    """The first crossing (time, side index, (x, y, angle) there) of the ray
+    from ut with the sides (p, q, inside) of a polygon whose interior lies on
+    the side of `inside`, each side paired to itself by the identity."""
+    lift = lambda p: np.array(_lift(p.x, p.y))
+    dom = SimpleNamespace(
+        _normals=[tuple(_unit_covector(lift(p), lift(q), lift(inside)).tolist())
+                  for p, q, inside in sides],
+        _pairs=[((1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0), k) for k in range(len(sides))],
+        _flat={}, inradius=1.0)
+    return next(iter_crossings(dom, ut, 10.0))
 
 
 class TestCrossing:
     def setup_method(self):
         self.up = UnitTangent(I, math.pi / 2)
-        self.side = raw_side(HPoint(-1.2, 1.6), HPoint(1.2, 1.6), I)
+        self.side = (HPoint(-1.2, 1.6), HPoint(1.2, 1.6), I)
 
     def test_far_side_missed(self):
-        far = raw_side(HPoint(10.0, 1.0), HPoint(11.0, 1.0), HPoint(10.5, 0.5))
-        assert exit_of(self.up, far) == (None, False)
+        far = (HPoint(10.0, 1.0), HPoint(11.0, 1.0), HPoint(10.5, 0.5))
+        with pytest.raises(ResourceError, match="no outward exit at t=0.000000"):
+            exit_of(self.up, far)
 
     def test_start_on_side_flagged(self):
-        # the unit semicircle passes through i; a vertical ray from i starts
-        # on it, and that crossing is not reported
-        side = raw_side(HPoint(-0.6, 0.8), HPoint(0.6, 0.8), HPoint(0.0, 0.5))
-        assert exit_of(self.up, side) == (None, False)
-        # a ray along the side's own geodesic is flagged as a tangency
-        assert exit_of(UnitTangent(I, 0.0), side) == (None, True)
+        # the unit semicircle passes through i: a vertical ray from i starts
+        # on it, leaving the interior below, and crosses it at t = 0 (how a
+        # state rounded a hair outside a side is put back); the reverse ray
+        # enters there and has no exit
+        side = (HPoint(-0.6, 0.8), HPoint(0.6, 0.8), HPoint(0.0, 0.5))
+        t, k, (x, y, _) = exit_of(self.up, side)
+        assert (t, k) == (0.0, 0)
+        assert abs(complex(x, y) - I.z) < 1e-15
+        with pytest.raises(ResourceError, match="no outward exit"):
+            exit_of(UnitTangent(I, -math.pi / 2), side)
 
     def test_bisection_oracle(self):
-        (t, _, xx, yy, _, _), _ = exit_of(self.up, self.side)
+        t, _, (xx, yy, _) = exit_of(self.up, self.side)
         # bisection on the sign of the side-carrier clearance along the ray
         car = GeodesicArc.segment(HPoint(-1.2, 1.6), HPoint(1.2, 1.6)).carrier
 
@@ -231,11 +235,12 @@ class TestCrossing:
     def test_crossing_angles(self):
         # oblique ray against a vertical side, leaving the interior on the left
         ut = UnitTangent(HPoint(-0.5, 1.0), 0.4)
-        side = raw_side(HPoint(0.0, 0.5), HPoint(0.0, 3.0), HPoint(-0.5, 1.0))
-        (t, _, xx, _, th_c, _), _ = exit_of(ut, side)
+        side = (HPoint(0.0, 0.5), HPoint(0.0, 3.0), HPoint(-0.5, 1.0))
+        t, _, (xx, _, th_c) = exit_of(ut, side)
         assert abs(xx) < 1e-12
         assert abs(geodesic_flow(ut, t).base.x) < 1e-12
         assert abs(math.remainder(th_c - geodesic_flow(ut, t).angle, 2 * math.pi)) < 1e-9
         # with the interior on the right the ray enters there: no exit
-        entering = raw_side(HPoint(0.0, 0.5), HPoint(0.0, 3.0), HPoint(0.5, 1.0))
-        assert exit_of(ut, entering) == (None, False)
+        entering = (HPoint(0.0, 0.5), HPoint(0.0, 3.0), HPoint(0.5, 1.0))
+        with pytest.raises(ResourceError, match="no outward exit"):
+            exit_of(ut, entering)

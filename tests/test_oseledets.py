@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from lyaplab import cli, fuchsian, oseledets
-from lyaplab.fuchsian import DegenerateDirectionError
 from lyaplab.hypgeo import UnitTangent
 from lyaplab.linrep import (
     Representation,
@@ -180,7 +179,7 @@ class TestBatchedCocycle:
         def failing_third(dom, ut, T, **kw):
             calls.append(ut)
             if len(calls) == 3:
-                raise DegenerateDirectionError("injected")
+                raise fuchsian.ResourceError("injected")
             return real(dom, ut, T, **kw)
 
         monkeypatch.setattr(oseledets, "iter_crossings", failing_third)
