@@ -124,9 +124,9 @@ def cocycle(reps, batch, config):
     Between crossings the constant norm is flat, so the cocycle is exactly
     the product of the crossing holonomies.  The reps share size, generator
     count and scalar field, and run fused: lane (r, i) multiplies rep r's
-    images along lane i of batch.  Each lane is QR'd at every crossing up to
-    burn_in (log increments there, an O(1/T) frame-alignment bias, are
-    discarded), then every q of its own steps and at its last one, with
+    images along lane i of batch.  Each lane is QR'd every q of its own
+    steps, counted from the end of its burn_in (log increments up to there,
+    an O(1/T) frame-alignment bias, are discarded), and at its last one, with
     q = max(1, min(qr_interval, floor((log FRAME_OVERFLOW - log(n)/2 - 1) / log G)))
     for G the largest Frobenius norm of a generator image: a product of q
     images keeps an orthonormal frame's entries below FRAME_OVERFLOW / e,
@@ -157,8 +157,9 @@ def _lockstep(table, batch, part, config, q, rows, failures):
     one matmul over all lanes: before its start a lane multiplies image 0,
     the identity, so its frame stays exactly the identity; after its end or
     failure (a flush zeroes a failed frame) it is never read.  The live
-    lanes are flushed at every step before settle, then every q steps, and
-    a lane ending between two of those flushes at its last step."""
+    lanes are flushed every q steps counted from settle (so also at settle,
+    where the burn-in logs are taken), and a lane ending between two of
+    those flushes at its last step."""
     samples = len(batch.index)
     rep_of, lane_of = np.divmod(part, samples)
     times = [batch.times[i] for i in lane_of]
@@ -182,7 +183,7 @@ def _lockstep(table, batch, part, config, q, rows, failures):
         acc.frames, spare = spare, acc.frames
         if j in changes:
             live = np.flatnonzero(alive & (off <= j) & (j < ends))
-        if j < settle or (j + 1 - settle) % q == 0:
+        if (j + 1 - settle) % q == 0:
             due = live
         else:  # lanes ending between two scheduled flushes; every end is in changes
             due = live[ends[live] == j + 1] if j + 1 in changes else live[:0]
