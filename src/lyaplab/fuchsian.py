@@ -1,9 +1,10 @@
 """Cocompact Fuchsian groups as geometric objects.
 
 Triangle groups D(p,q,r) and genus-g surface groups with explicit
-fundamental polygons and side pairings, geodesic ray tracing producing
-the side-crossing coding, orbit enumeration in balls, and quasi-Fuchsian
-bending deformations.
+fundamental polygons and side pairings, the ray tracer producing the
+side-crossing coding (it flows geodesics on the hyperboloid model, where
+sides are planes and pairings SO(2,1) matrices), orbit enumeration in
+balls, and quasi-Fuchsian bending deformations.
 
 Domains and generator data are immutable after construction; coding and
 orbit enumeration are pure functions of their inputs, so Monte-Carlo
@@ -122,8 +123,8 @@ class FundamentalDomain:
         ]
         self.pairings = list(pairings)
         self.interior_point = interior_point
-        # raw side data for the tracing hot loop: carrier, [u_lo, u_hi] in
-        # carrier arclength, orientation sign of the interior clearance
+        # raw side data for clearances and the bounding box: carrier,
+        # [u_lo, u_hi] in carrier arclength, sign of the interior clearance
         self._raw = []
         for arc in self.sides:
             car = arc.carrier
@@ -135,17 +136,17 @@ class FundamentalDomain:
         # flattened SO(2,1) matrix and generator per pairing, and per side of
         # a flat vertex k the tangent functional of the shared carrier at k
         # (positive toward side k) with the sides k-1 and k it separates
-        lifts = [np.array(_lift(v.x, v.y)) for v in self.vertices]
-        inside, n = np.array(_lift(interior_point.x, interior_point.y)), len(lifts)
-        cov = [_unit_covector(lifts[k], lifts[(k + 1) % n], inside) for k in range(n)]
-        self._normals = [tuple(c.tolist()) for c in cov]
+        lifts = [_lift(v.x, v.y) for v in self.vertices]
+        inside, n = _lift(interior_point.x, interior_point.y), len(lifts)
+        self._normals = [_unit_covector(lifts[k], lifts[(k + 1) % n], inside) for k in range(n)]
         self._pairs = [(tuple(_so21(p.mobius.mat).ravel().tolist()), p.word[0])
                        for p in self.pairings]
         self._flat = {}
         for k in flat:
-            f = np.cross(cov[k] * [1.0, -1.0, -1.0], lifts[k])
-            f = f if f @ lifts[(k + 1) % n] > 0.0 else -f
-            self._flat[k] = self._flat[(k - 1) % n] = (tuple(f.tolist()), (k - 1) % n, k)
+            c0, c1, c2 = self._normals[k]
+            f = _cross((c0, -c1, -c2), lifts[k])
+            f = f if _dot(f, lifts[(k + 1) % n]) > 0.0 else tuple(-v for v in f)
+            self._flat[k] = self._flat[(k - 1) % n] = (f, (k - 1) % n, k)
         self.inradius = min(
             math.asinh(abs(side_clearance(car, interior_point.x, interior_point.y)))
             for car, _, _, _ in self._raw
@@ -337,7 +338,8 @@ def pull_back(dom, z):
 
 def _lift(x, y):
     """The point x + iy on the hyperboloid X0^2 - X1^2 - X2^2 = 1: the
-    coordinates of M(z) = (1/y)[[|z|^2, x], [x, 1]] = [[X0 + X1, X2], [X2, X0 - X1]]."""
+    coordinates of M(z) = (1/y)[[|z|^2, x], [x, 1]] = [[X0 + X1, X2], [X2, X0 - X1]];
+    y = 1/(X0 - X1) and x = X2 y invert it."""
     r = x * x + y * y
     return (1.0 + r) / (2.0 * y), (r - 1.0) / (2.0 * y), x / y
 
@@ -345,23 +347,34 @@ def _lift(x, y):
 def _so21(g):
     """The matrix of M -> g M g^T in those coordinates: it maps the lift of z
     to the lift of g.z and preserves the Minkowski form."""
-    cols = [g @ e @ g.T for e in (np.eye(2), np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]]))]
-    return np.array([[0.5 * (s[0, 0] + s[1, 1]), 0.5 * (s[0, 0] - s[1, 1]), s[0, 1]] for s in cols]).T
+    basis = (np.eye(2), np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]]))
+    cols = [g @ e @ g.T for e in basis]
+    return np.array([[0.5 * (s[0, 0] + s[1, 1]), 0.5 * (s[0, 0] - s[1, 1]), s[0, 1]]
+                     for s in cols]).T
+
+
+def _cross(u, v):
+    return u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0]
+
+
+def _dot(u, v):
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
 
 def _unit_covector(u, v, inside):
     """The covector c (c . X is the Minkowski product with a unit spacelike
     normal) of the plane through the lifts u and v, positive at inside."""
-    c = np.cross(u, v)
-    c = c / math.sqrt(c[1] ** 2 + c[2] ** 2 - c[0] ** 2)
-    return c if c @ inside > 0.0 else -c
+    c = _cross(u, v)
+    r = math.copysign(math.sqrt(c[1] ** 2 + c[2] ** 2 - c[0] ** 2), _dot(c, inside))
+    return c[0] / r, c[1] / r, c[2] / r
 
 
 def iter_crossings(dom, ut, T, perturb_log=None):
     """Yield (time, signed generator, state) for each side crossing in (0, T].
 
     The geodesic runs on the hyperboloid as P(t) = P cosh t + V sinh t.  A
-    side k's carrier is the plane n_k . X = 0 with the polygon at n_k . X > 0,
+    side k's carrier is the plane n_k . X = 0 with the polygon at n_k . X > 0
+    (n_k . X: the plain dot product of the side's covector in dom._normals),
     so along the flow n_k . X = a cosh t + b sinh t (a = n_k . P, b = n_k . V)
     and the polygon being convex, the exit is the side of least
     tau = max(a, 0) / -b over the sides with b < 0, at t = atanh tau.  A state
@@ -377,8 +390,8 @@ def iter_crossings(dom, ut, T, perturb_log=None):
     normals, pairs, flat = dom._normals, dom._pairs, dom._flat
     x, y, c, s = ut.base.x, ut.base.y, math.cos(ut.angle), math.sin(ut.angle)
     p0, p1, p2 = _lift(x, y)
-    w = s / (2.0 * y)
-    v0, v1, v2 = x * c + (y * y - x * x - 1.0) * w, x * c + (y * y - x * x + 1.0) * w, c - 2.0 * x * w
+    w, h = s / (2.0 * y), y * y - x * x  # V = dP/dt for dz/dt = y e^(i angle)
+    v0, v1, v2 = x * c + (h - 1.0) * w, x * c + (h + 1.0) * w, c - 2.0 * x * w
     t_acc = 0.0
     for _ in range(int(64 + 16.0 * T / dom.inradius)):
         tau, k = 1.0, -1
@@ -403,8 +416,10 @@ def iter_crossings(dom, ut, T, perturb_log=None):
             (f0, f1, f2), before, after = flat[k]
             k = after if f0 * p0 + f1 * p1 + f2 * p2 > 0.0 else before
         (l00, l01, l02, l10, l11, l12, l20, l21, l22), gen = pairs[k]
-        p0, p1, p2 = l00 * p0 + l01 * p1 + l02 * p2, l10 * p0 + l11 * p1 + l12 * p2, l20 * p0 + l21 * p1 + l22 * p2
-        v0, v1, v2 = l00 * v0 + l01 * v1 + l02 * v2, l10 * v0 + l11 * v1 + l12 * v2, l20 * v0 + l21 * v1 + l22 * v2
+        p0, p1, p2 = (l00 * p0 + l01 * p1 + l02 * p2, l10 * p0 + l11 * p1 + l12 * p2,
+                      l20 * p0 + l21 * p1 + l22 * p2)
+        v0, v1, v2 = (l00 * v0 + l01 * v1 + l02 * v2, l10 * v0 + l11 * v1 + l12 * v2,
+                      l20 * v0 + l21 * v1 + l22 * v2)
         r = 1.0 / math.sqrt(p0 * p0 - p1 * p1 - p2 * p2)
         p0, p1, p2 = r * p0, r * p1, r * p2
         d = p0 * v0 - p1 * v1 - p2 * v2

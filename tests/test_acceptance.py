@@ -23,7 +23,7 @@ from lyaplab.fuchsian import (
 )
 from lyaplab.hypgeo import HPoint
 from lyaplab.linrep import ext_power, sym_power, trivial_rep, unitary_cube_rep, uniformizing_rep
-from lyaplab.oseledets import RunConfig, estimate_spectrum
+from lyaplab.oseledets import RunConfig, code_samples, estimate_spectrum
 
 COVOL_334 = math.pi / 6
 
@@ -57,18 +57,23 @@ def bench1(bundle334, rep334):
     return est, time.perf_counter() - t0
 
 
-@pytest.fixture(scope="module")
-def sym2_spec(bundle334, rep334):
-    dom, _, _ = bundle334
-    return estimate_spectrum(dom, sym_power(rep334, 2),
-                             RunConfig(T=2000.0, samples=64, seed=7))
+SYM_CONFIG = RunConfig(T=2000.0, samples=64, seed=7)
 
 
 @pytest.fixture(scope="module")
-def sym3_spec(bundle334, rep334):
-    dom, _, _ = bundle334
-    return estimate_spectrum(dom, sym_power(rep334, 3),
-                             RunConfig(T=2000.0, samples=64, seed=7))
+def sym_coding(bundle334):
+    """The seed-7 geodesics that both symmetric powers run along."""
+    return code_samples(bundle334[0], SYM_CONFIG)
+
+
+@pytest.fixture(scope="module")
+def sym2_spec(bundle334, rep334, sym_coding):
+    return estimate_spectrum(bundle334[0], sym_power(rep334, 2), SYM_CONFIG, sym_coding)
+
+
+@pytest.fixture(scope="module")
+def sym3_spec(bundle334, rep334, sym_coding):
+    return estimate_spectrum(bundle334[0], sym_power(rep334, 3), SYM_CONFIG, sym_coding)
 
 
 @pytest.fixture(scope="module")

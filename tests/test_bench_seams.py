@@ -8,6 +8,7 @@ is not imported and nothing gets wrapped here.
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -45,3 +46,10 @@ def test_every_traced_seam_resolves():
     missing = [f"{owner}.{attr}" for owner, attr in seams
                if not callable(getattr(_resolve(owner), attr, None))]
     assert not missing, f"benchmark seams missing from lyaplab: {missing}"
+
+
+def test_crossings_seam_takes_perturb_log():
+    # wrap_crossings calls the wrapped iter_crossings with perturb_log=
+    from lyaplab import oseledets
+
+    assert "perturb_log" in inspect.signature(oseledets.iter_crossings).parameters

@@ -199,6 +199,18 @@ class TestCoding:
         assert batch.failures == ()
         assert batch.times[0][-1] > 999.0
 
+    @pytest.mark.parametrize("specname,seed", [("triangle:3,3,4", 61), ("triangle:2,3,7", 62),
+                                               ("surface:2", 63), ("surface:3", 64)])
+    def test_every_geodesic_codes_at_the_santalo_rate(self, specname, seed):
+        # a random geodesic crosses the sides, which close up into curves of
+        # length perimeter/2 on the quotient, at rate perimeter/(pi area)
+        dom, _, _ = build_group(parse_group_spec(specname))
+        batch = code_samples(dom, RunConfig(T=500.0, samples=64, seed=seed))
+        assert batch.failures == ()
+        rate = sum(len(t) for t in batch.times) / (64 * 500.0)
+        perimeter = sum(side.length for side in dom.sides)
+        assert abs(rate / (perimeter / (math.pi * dom.area)) - 1.0) < 0.02
+
     def test_vertex_aimed_ray_completes_unperturbed(self, tri334):
         from lyaplab.hypgeo import direction_to
 

@@ -181,10 +181,9 @@ def exit_of(ut, *sides):
     """The first crossing (time, side index, (x, y, angle) there) of the ray
     from ut with the sides (p, q, inside) of a polygon whose interior lies on
     the side of `inside`, each side paired to itself by the identity."""
-    lift = lambda p: np.array(_lift(p.x, p.y))
+    lift = lambda p: _lift(p.x, p.y)
     dom = SimpleNamespace(
-        _normals=[tuple(_unit_covector(lift(p), lift(q), lift(inside)).tolist())
-                  for p, q, inside in sides],
+        _normals=[_unit_covector(lift(p), lift(q), lift(inside)) for p, q, inside in sides],
         _pairs=[((1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0), k) for k in range(len(sides))],
         _flat={}, inradius=1.0)
     return next(iter_crossings(dom, ut, 10.0))
