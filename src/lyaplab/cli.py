@@ -398,14 +398,7 @@ def _selftest_suites():
         return worst < 1e-9, f"max relation residual {worst:.2e}"
 
     def suite_pairing():
-        worst = 0.0
-        for dom in (dom3, dom2):
-            for k, pair in enumerate(dom.pairings):
-                arc = dom.sides[k]
-                car = dom._raw[pair.partner][0]
-                for t in np.linspace(0, arc.length, 20):
-                    w = pair.mobius.apply(arc.point_at(t))
-                    worst = max(worst, abs(hypgeo.side_clearance(car, w.x, w.y)))
+        worst = max(fuchsian.pairing_defect(dom) for dom in (dom3, dom2))
         return worst < 1e-9, f"max pairing defect {worst:.2e}"
 
     def suite_coding():

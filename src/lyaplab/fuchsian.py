@@ -2,9 +2,11 @@
 
 Triangle groups D(p,q,r) and genus-g surface groups with explicit
 fundamental polygons and side pairings, the ray tracer producing the
-side-crossing coding (it flows geodesics on the hyperboloid model, where
-sides are planes and pairings SO(2,1) matrices), orbit enumeration in
-balls, and quasi-Fuchsian bending deformations.
+side-crossing coding, orbit enumeration in balls, and quasi-Fuchsian
+bending deformations.  The polygon lives on the hyperboloid model: each
+side is the plane of a unit covector, which clearances, membership, the
+bounding box, the pairing check and the tracer all read, and each pairing
+is an SO(2,1) matrix.
 
 Domains and generator data are immutable after construction; coding and
 orbit enumeration are pure functions of their inputs, so Monte-Carlo
@@ -21,10 +23,8 @@ from .hypgeo import (
     HPoint,
     Mobius,
     UnitTangent,
-    _carrier_param,
     geodesic_flow,
     hyp_dist,
-    side_clearance,
 )
 
 Word = tuple  # signed 1-based generator indices, negative = inverse
@@ -123,18 +123,9 @@ class FundamentalDomain:
         ]
         self.pairings = list(pairings)
         self.interior_point = interior_point
-        # raw side data for clearances and the bounding box: carrier,
-        # [u_lo, u_hi] in carrier arclength, sign of the interior clearance
-        self._raw = []
-        for arc in self.sides:
-            car = arc.carrier
-            u0 = _carrier_param(car, arc.start.x, arc.start.y)
-            u1 = _carrier_param(car, arc.end.x, arc.end.y)
-            sign = 1.0 if side_clearance(car, interior_point.x, interior_point.y) > 0 else -1.0
-            self._raw.append((car, min(u0, u1), max(u0, u1), sign))
-        # the ray tracer's data on the hyperboloid: a covector per side, a
-        # flattened SO(2,1) matrix and generator per pairing, and per side of
-        # a flat vertex k the tangent functional of the shared carrier at k
+        # the polygon on the hyperboloid: a covector per side, a flattened
+        # SO(2,1) matrix and generator per pairing, and per side of a flat
+        # vertex k the tangent functional of the shared carrier at k
         # (positive toward side k) with the sides k-1 and k it separates
         lifts = [_lift(v.x, v.y) for v in self.vertices]
         inside, n = _lift(interior_point.x, interior_point.y), len(lifts)
@@ -147,27 +138,34 @@ class FundamentalDomain:
             f = _cross((c0, -c1, -c2), lifts[k])
             f = f if _dot(f, lifts[(k + 1) % n]) > 0.0 else tuple(-v for v in f)
             self._flat[k] = self._flat[(k - 1) % n] = (f, (k - 1) % n, k)
-        self.inradius = min(
-            math.asinh(abs(side_clearance(car, interior_point.x, interior_point.y)))
-            for car, _, _, _ in self._raw
-        )
+        self.inradius = math.asinh(min(self.clearances(interior_point.x, interior_point.y)))
 
     def clearances(self, x, y):
-        """Signed sinh-distances to each side carrier, positive inside."""
-        return [s * side_clearance(car, x, y) for car, _, _, s in self._raw]
+        """Signed sinh-distances n_k . lift(x, y) to each side carrier,
+        positive inside; x and y may be numpy arrays, which broadcast."""
+        p0, p1, p2 = _lift(x, y)
+        return [n0 * p0 + n1 * p1 + n2 * p2 for n0, n1, n2 in self._normals]
 
     def contains(self, p, tol=SIDE_TOL):
         x, y = (p.x, p.y) if isinstance(p, HPoint) else (p.real, p.imag)
         return all(c >= -tol for c in self.clearances(x, y))
 
     def bounding_box(self):
-        """Euclidean box guaranteed to contain the closed polygon."""
+        """Euclidean box (x_lo, x_hi, y_lo, y_hi) of the closed polygon.
+
+        Along a carrier x is monotone and y peaks only at a circle's apex, so
+        the box is that of the vertices, raised to the apex of each side whose
+        carrier centre lies strictly between the side's end x's.  Side k's
+        carrier n_k . lift(z) = 0 is the circle of centre -n2/(n0 + n1) and
+        radius 1/|n0 + n1|, or a vertical line when n0 + n1 = 0.
+        """
         xs = [v.x for v in self.vertices]
         ys = [v.y for v in self.vertices]
         y_hi = max(ys)
-        for car, lo, hi, _ in self._raw:
-            if car[0] == "c" and lo < 0.0 < hi:  # u=0 is the circle apex
-                y_hi = max(y_hi, car[2])
+        for k, (n0, n1, n2) in enumerate(self._normals):
+            s, ends = n0 + n1, (xs[k], xs[(k + 1) % len(xs)])
+            if s != 0.0 and min(ends) < -n2 / s < max(ends):
+                y_hi = max(y_hi, 1.0 / abs(s))
         return min(xs), max(xs), min(ys), y_hi
 
 
@@ -179,11 +177,11 @@ def _triangle_side(alpha, beta, gamma):
     )
 
 
-def _axis_incenter(dom_raw, y_lo, y_hi):
+def _axis_incenter(dom, y_lo, y_hi):
     """Point on the imaginary axis maximizing the minimal side clearance."""
 
     def worst(y):
-        return min(s * side_clearance(car, 0.0, y) for car, _, _, s in dom_raw)
+        return min(dom.clearances(0.0, y))
 
     lo, hi = y_lo, y_hi
     for _ in range(80):
@@ -236,7 +234,7 @@ def _build_triangle(p, q, r):
     vertices = [A, C, B, Cb]
     area = 2.0 * math.pi * (1.0 - 1.0 / p - 1.0 / q - 1.0 / r)
     probe = FundamentalDomain(vertices, pairings, HPoint(0.0, math.exp(c_ab / 2.0)), area)
-    interior = _axis_incenter(probe._raw, 1.0 + 1e-9, math.exp(c_ab) - 1e-9)
+    interior = _axis_incenter(probe, 1.0 + 1e-9, math.exp(c_ab) - 1e-9)
     # A and B have angles 2 pi/p and 2 pi/q: an order-2 one is flat
     flat = [k for k, order in ((0, p), (2, q)) if order == 2]
     dom = FundamentalDomain(vertices, pairings, interior, area, flat)
@@ -294,13 +292,24 @@ def _check_build(dom, gens, relations):
         res = min(np.abs(m - np.eye(2)).max(), np.abs(m + np.eye(2)).max())
         if res > 1e-9:
             raise AssertionError(f"relation {w} fails to close: residual {res:.2e}")
+    defect = pairing_defect(dom)
+    if defect > 1e-9:
+        raise AssertionError(f"side pairings miss their partners: defect {defect:.2e}")
+
+
+def pairing_defect(dom):
+    """Largest |n_j . lift(g_k v)| over the end vertices v of each side k,
+    with g_k its pairing and n_j the partner's covector: the sinh-distance
+    of the mapped ends from the partner's carrier.  g_k maps geodesics to
+    geodesics, so the two ends check the whole side.  (The SO(2,1) matrix
+    times the lift of v would lose 1e-9 to rounding on surface:14.)"""
+    worst, n = 0.0, len(dom.vertices)
     for k, pair in enumerate(dom.pairings):
-        arc = dom.sides[k]
-        car = dom._raw[pair.partner][0]
-        for t in np.linspace(0.0, arc.length, 5):
-            w = pair.mobius.apply(arc.point_at(t))
-            if abs(side_clearance(car, w.x, w.y)) > 1e-9:
-                raise AssertionError(f"pairing of side {k} misses its partner")
+        normal = dom._normals[pair.partner]
+        for v in (dom.vertices[k], dom.vertices[(k + 1) % n]):
+            w = pair.mobius.apply(v)
+            worst = max(worst, abs(_dot(normal, _lift(w.x, w.y))))
+    return worst
 
 
 def pull_back(dom, z):

@@ -238,16 +238,6 @@ def _carrier_angle(car, t):
     return phi + s * math.pi / 2.0
 
 
-def _carrier_param(car, x, y):
-    """Arclength parameter of a point assumed to lie on the carrier."""
-    if car[0] == "v":
-        _, x0, u0, s = car
-        return s * (math.log(y) - u0)
-    _, c, r, u0, s = car
-    phi = math.atan2(y, x - c)
-    return s * (math.log(math.tan(phi / 2.0)) - u0)
-
-
 @dataclass(frozen=True)
 class GeodesicArc:
     """Oriented geodesic segment, unit-speed in curvature -1.
@@ -264,18 +254,6 @@ class GeodesicArc:
         car = _carrier_from_tangent(p.x, p.y, direction_to(p, q))
         return GeodesicArc(car, hyp_dist(p, q))
 
-    def point_at(self, t):
-        x, y = _carrier_point(self.carrier, t)
-        return HPoint(x, y)
-
-    @property
-    def start(self):
-        return self.point_at(0.0)
-
-    @property
-    def end(self):
-        return self.point_at(self.length)
-
 
 def geodesic_flow(ut, t):
     """Unit-speed geodesic flow g_t on the unit tangent bundle."""
@@ -290,15 +268,3 @@ def geodesic_flow(ut, t):
     car = _carrier_from_tangent(ut.base.x, ut.base.y, ut.angle)
     x, y = _carrier_point(car, t)
     return UnitTangent(HPoint(x, y), _carrier_angle(car, t))
-
-
-def side_clearance(carrier, x, y):
-    """sinh of the signed distance from (x, y) to the carrier geodesic.
-
-    Sign convention: positive on the side of larger x for vertical lines
-    and outside the semicircle for circles; callers orient it per polygon.
-    """
-    if carrier[0] == "v":
-        return (x - carrier[1]) / y
-    _, c, r = carrier[:3]
-    return ((x - c) ** 2 + y * y - r * r) / (2.0 * r * y)

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import math
 
 import numpy as np
@@ -16,7 +17,7 @@ from lyaplab.fuchsian import (
     pull_back,
     bend_representation,
 )
-from lyaplab.hypgeo import HPoint, UnitTangent, ball_volume, geodesic_flow, hyp_dist
+from lyaplab.hypgeo import HPoint, Mobius, UnitTangent, ball_volume, geodesic_flow, hyp_dist
 from lyaplab.linrep import Representation, check_relations, eval_word
 from lyaplab.oseledets import RunConfig, code_samples
 
@@ -62,6 +63,8 @@ class TestBuildGroup:
             m = mobius_of_word(gens, w).mat
             res = min(np.abs(m - np.eye(2)).max(), np.abs(m + np.eye(2)).max())
             assert res < 1e-9
+        # the build's other check, with the margin it has in practice
+        assert fuchsian.pairing_defect(dom) < 1e-13
 
     def test_triangle_area_gauss_bonnet(self, tri334):
         dom, _, _ = tri334
@@ -71,27 +74,48 @@ class TestBuildGroup:
         dom, _, _ = genus2
         assert measured_polygon_area(dom) == pytest.approx(4 * math.pi, abs=1e-9)
 
-    def test_triangle_area_monte_carlo(self, tri334):
-        dom, _, _ = tri334
+    @pytest.mark.parametrize("specname", ["triangle:3,3,4", "triangle:2,3,7",
+                                          "surface:2", "surface:3"])
+    def test_triangle_area_monte_carlo(self, specname):
+        # samples of density 1/y^2 on the bounding box: the share inside times
+        # the box's hyperbolic area is the polygon's, unless the box cuts it
+        dom, _, _ = build_group(parse_group_spec(specname))
         rng = np.random.default_rng(7)
         x0, x1, y0, y1 = dom.bounding_box()
         n = 400_000
         xs = rng.uniform(x0, x1, n)
-        ys = rng.uniform(y0, y1, n)
-        inside = np.array([dom.contains(HPoint(x, y)) for x, y in zip(xs, ys)])
-        est = (x1 - x0) * (y1 - y0) * np.mean(np.where(inside, 1.0 / ys**2, 0.0))
-        assert abs(est - math.pi / 6) / (math.pi / 6) < 0.02
+        ys = 1.0 / rng.uniform(1.0 / y1, 1.0 / y0, n)
+        inside = np.all(np.array(dom.clearances(xs, ys)) >= -fuchsian.SIDE_TOL, axis=0)
+        est = (x1 - x0) * (1.0 / y0 - 1.0 / y1) * np.mean(inside)
+        assert abs(est - dom.area) / dom.area < 0.02
 
     def test_pairing_moves_sides_setwise(self, tri334):
-        from lyaplab.hypgeo import side_clearance
+        from lyaplab.hypgeo import direction_to
+        from test_hypgeo import side_clearance
 
         dom, _, _ = tri334
+        n = len(dom.vertices)
         for k, pair in enumerate(dom.pairings):
-            arc = dom.sides[k]
-            car = dom._raw[pair.partner][0]
-            for t in np.linspace(0.0, arc.length, 20):
-                w = pair.mobius.apply(arc.point_at(t))
+            p, q = dom.vertices[k], dom.vertices[(k + 1) % n]
+            car = dom.sides[pair.partner].carrier
+            for t in np.linspace(0.0, dom.sides[k].length, 20):
+                w = pair.mobius.apply(geodesic_flow(UnitTangent(p, direction_to(p, q)), t).base)
                 assert abs(side_clearance(car, w.x, w.y)) < 1e-9
+
+    def test_pairing_defect_sees_a_wrong_pairing(self, tri334):
+        # a wrong partner, and a pairing off by a 1e-6 rotation, both read
+        # far above the 1e-9 that the build accepts (the built groups read
+        # at most 1.4e-14, on surface:3)
+        dom, _, _ = tri334
+
+        def broken(**change):
+            pairs = list(dom.pairings)
+            pairs[0] = dataclasses.replace(pairs[0], **change)
+            return fuchsian.FundamentalDomain(dom.vertices, pairs, dom.interior_point, dom.area)
+
+        turned = dom.pairings[0].mobius @ Mobius.rotation_at_i(1e-6)
+        assert fuchsian.pairing_defect(broken(partner=dom.pairings[1].partner)) > 0.5
+        assert 5e-7 < fuchsian.pairing_defect(broken(mobius=turned)) < 2e-6
 
 
 class TestPullBack:

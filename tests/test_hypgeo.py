@@ -17,7 +17,6 @@ from lyaplab.hypgeo import (
     ball_volume,
     geodesic_flow,
     hyp_dist,
-    side_clearance,
 )
 
 from conftest import deriv_arg
@@ -175,6 +174,16 @@ class TestBallVolume:
         v = np.array([ball_volume(x) for x in t])
         assert np.all(np.diff(v) > 0)
         assert np.all(np.diff(v, 2) > -1e-12)
+
+
+def side_clearance(carrier, x, y):
+    """sinh of the signed distance from (x, y) to a half-plane carrier:
+    positive on the side of larger x for a vertical line, outside for a
+    semicircle."""
+    if carrier[0] == "v":
+        return (x - carrier[1]) / y
+    _, c, r = carrier[:3]
+    return ((x - c) ** 2 + y * y - r * r) / (2.0 * r * y)
 
 
 def exit_of(ut, *sides):
