@@ -22,6 +22,7 @@ from .hypgeo import (
     GeodesicArc,
     HPoint,
     Mobius,
+    NumericDegeneracyError,
     UnitTangent,
     geodesic_flow,
     hyp_dist,
@@ -291,10 +292,10 @@ def _check_build(dom, gens, relations):
         m = _mobius_word(gens, w).mat
         res = min(np.abs(m - np.eye(2)).max(), np.abs(m + np.eye(2)).max())
         if res > 1e-9:
-            raise AssertionError(f"relation {w} fails to close: residual {res:.2e}")
+            raise NumericDegeneracyError(f"relation {w} fails to close: residual {res:.2e}")
     defect = pairing_defect(dom)
     if defect > 1e-9:
-        raise AssertionError(f"side pairings miss their partners: defect {defect:.2e}")
+        raise NumericDegeneracyError(f"side pairings miss their partners: defect {defect:.2e}")
 
 
 def pairing_defect(dom):

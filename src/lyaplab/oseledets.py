@@ -16,7 +16,7 @@ from .fuchsian import iter_crossings
 from .hypgeo import HPoint, UnitTangent
 
 FRAME_OVERFLOW = 1e120  # no frame entry reaches it: cocycle sets its QR interval a priori
-FRAME_BUDGET = 1 << 25  # bytes of one chunk's frame stack: (reps x samples lanes, n, n)
+FRAME_BUDGET = 1 << 25  # bytes of one chunk's frame stack (lanes, n, n) and of its image blocks
 
 
 class NumericCocycleError(ArithmeticError):
@@ -124,9 +124,10 @@ def cocycle(reps, batch, config):
     Between crossings the constant norm is flat, so the cocycle is exactly
     the product of the crossing holonomies.  The reps share size, generator
     count and scalar field, and run fused: lane (r, i) multiplies rep r's
-    images along lane i of batch.  Each lane is QR'd every q of its own
-    steps, counted from the end of its burn_in (log increments up to there,
-    an O(1/T) frame-alignment bias, are discarded), and at its last one, with
+    images along lane i of batch, one QR window of q steps at a time (see
+    _lockstep).  Each lane is QR'd every q of its own steps, counted from
+    the end of its burn_in (log increments up to there, an O(1/T)
+    frame-alignment bias, are discarded), and after its last one, with
     q = max(1, min(qr_interval, floor((log FRAME_OVERFLOW - log(n)/2 - 1) / log G)))
     for G the largest Frobenius norm of a generator image: a product of q
     images keeps an orthonormal frame's entries below FRAME_OVERFLOW / e,
@@ -153,47 +154,53 @@ def _lockstep(table, batch, part, config, q, rows, failures):
     batch under rep r); append their rows and failures to those of rep r.
 
     Lane k takes its own step j at global step off[k] + j, with off chosen
-    so that every burn-in ends at the same global step settle.  A step is
-    one matmul over all lanes: before its start a lane multiplies image 0,
-    the identity, so its frame stays exactly the identity; after its end or
-    failure (a flush zeroes a failed frame) it is never read.  The live
-    lanes are flushed every q steps counted from settle (so also at settle,
-    where the burn-in logs are taken), and a lane ending between two of
-    those flushes at its last step."""
+    so that every burn-in ends at the same global step settle, a multiple of
+    q.  Before its start and after its end a lane multiplies image 0, the
+    identity, which leaves its frame exactly as it is.  The global steps run
+    in windows [wq, wq + q): a block of windows at a time is gathered and
+    folded into one product per window and lane by q - 1 batched matmuls,
+    then each window is one matmul of the frames and one flush of the live
+    lanes, those whose steps meet the window and whose frame has not
+    degenerated (a flush zeroes a failed frame).  So a lane is flushed at
+    its own steps burn + m·q (at burn the burn-in logs are taken) and at the
+    window end after its last step.  A block holds at most FRAME_BUDGET
+    bytes of images, or one window."""
     samples = len(batch.index)
     rep_of, lane_of = np.divmod(part, samples)
     times = [batch.times[i] for i in lane_of]
     lengths = np.array([len(t) for t in times], dtype=np.int64)
     burn = np.array([np.searchsorted(t, config.burn_in, "right") for t in times])
-    settle = burn.max(initial=0)  # global step at which every burn-in ends
+    settle = -(-burn.max(initial=0) // q) * q  # global step at which every burn-in ends
     off = settle - burn
     ends = off + lengths
-    width = ends.max(initial=0)
+    width = -(-ends.max(initial=0) // q) * q
     # lanes k and k + samples of part follow one sample and share its coding column
     column = np.arange(len(part)) % samples
     steps = np.array([np.pad(batch.gens[i], (o, width - e))
                       for i, o, e in zip(lane_of[:samples], off, ends)]).T + table.shape[1] // 2
-    idx = steps[:, column] + rep_of * table.shape[1]  # rows of the flattened table
+    # rows of the flattened table, (windows, q, lanes)
+    windows = (steps[:, column] + rep_of * table.shape[1]).reshape(-1, q, len(part))
     flat = table.reshape(-1, *table.shape[2:])
     acc = CocycleAccumulator(len(part), table.shape[2], table.dtype == complex)
     base_log, failed, spare = np.zeros_like(acc.log_diag), {}, np.empty_like(acc.frames)
-    changes, alive = set(off.tolist()) | set(ends.tolist()), lengths > 0
-    for j in range(width):
-        np.matmul(flat[idx[j]], acc.frames, out=spare)  # out=frames would copy them first
-        acc.frames, spare = spare, acc.frames
-        if j in changes:
-            live = np.flatnonzero(alive & (off <= j) & (j < ends))
-        if (j + 1 - settle) % q == 0:
-            due = live
-        else:  # lanes ending between two scheduled flushes; every end is in changes
-            due = live[ends[live] == j + 1] if j + 1 in changes else live[:0]
-        bad = acc.flush(due) if len(due) else due
-        if len(bad):
-            failed.update(zip(bad.tolist(), (j + 1 - off[bad]).tolist()))
-            alive[bad] = False
-            changes.add(j + 1)  # drop them from the next step on
-        if j + 1 == settle:
-            base_log = acc.log_diag.copy()
+    first, last, alive = off // q, (ends - 1) // q, lengths > 0
+    block = max(1, FRAME_BUDGET // (q * acc.frames.nbytes))
+    for w0 in range(0, len(windows), block):
+        images = flat[windows[w0:w0 + block]]  # (windows, q, lanes, n, n)
+        prods = images[:, 0]
+        for i in range(1, q):
+            prods = images[:, i] @ prods
+        for w, prod in enumerate(prods, w0):
+            np.matmul(prod, acc.frames, out=spare)  # out=frames would copy them first
+            acc.frames, spare = spare, acc.frames
+            live = np.flatnonzero(alive & (first <= w) & (w <= last))
+            bad = acc.flush(live) if len(live) else live
+            if len(bad):
+                step = np.minimum((w + 1) * q - off[bad], lengths[bad])
+                failed.update(zip(bad.tolist(), step.tolist()))
+                alive[bad] = False
+            if (w + 1) * q == settle:
+                base_log = acc.log_diag.copy()
     for lane, (r, i, t) in enumerate(zip(rep_of, lane_of, times)):
         if lane in failed:
             exc = NumericCocycleError(f"cocycle frame degenerated at step {failed[lane]}")

@@ -229,12 +229,41 @@ class TestBatchedCocycle:
                             lambda acc, lanes: calls.append(lanes) or real(acc, lanes))
         [(rows, failures)] = cocycle([fuchs334], coding, cfg)
         assert failures == []
-        steps = max(len(t) for t in coding.times)
-        assert len(calls) <= math.ceil(steps / cfg.qr_interval) + max(burns) + 1
+        # the windows are the global steps [wq, wq + q), with every burn-in
+        # ending at the first window end past the longest: one flush per
+        # window that some lane's steps meet
+        q = cfg.qr_interval
+        settle = -(-max(burns) // q) * q
+        windows = set()
+        for burn, t in zip(burns, coding.times):
+            off = settle - burn
+            windows.update(range(off // q, (off + len(t) - 1) // q + 1))
+        assert len(calls) == len(windows)
         for lane in range(4):
             one = CodingBatch(coding.index[lane:lane + 1], coding.times[lane:lane + 1],
                               coding.gens[lane:lane + 1], coding.key)
             assert np.array_equal(cocycle([fuchs334], one, cfg)[0][0], rows[lane:lane + 1])
+
+    def test_awkward_schedule_lane_alone_bit_identical(self, genus2, fuchs_g2, monkeypatch):
+        # q = 3 with a burn-in of 37: the settle step is padded up to a window
+        # end and lanes end mid-window; three reps over five samples, so the
+        # four-lane chunks below cut across samples
+        split = fuchsian.BendingSplit.surface_standard(2)
+        reps = [fuchs_g2] + [fuchsian.bend_representation(fuchs_g2, split, s) for s in (0.5, 1.0)]
+        cfg = RunConfig(T=150.0, samples=5, seed=6, qr_interval=3, burn_in=37.0)
+        coding = code_samples(genus2[0], cfg)
+        burns = [int(np.searchsorted(t, cfg.burn_in, "right")) for t in coding.times]
+        assert len(coding.index) == 5 and max(burns) % 3 != 0
+        assert any((len(t) - b) % 3 for t, b in zip(coding.times, burns))
+        fused = cocycle(reps, coding, cfg)
+        monkeypatch.setattr(oseledets, "FRAME_BUDGET", 4 * 2 * 2 * 8)
+        assert all(np.array_equal(a[0], b[0]) for a, b in zip(cocycle(reps, coding, cfg), fused))
+        for r, (rows, failures) in enumerate(fused):
+            assert failures == []
+            for lane in range(5):
+                one = CodingBatch(coding.index[lane:lane + 1], coding.times[lane:lane + 1],
+                                  coding.gens[lane:lane + 1], coding.key)
+                assert np.array_equal(cocycle([reps[r]], one, cfg)[0][0], rows[lane:lane + 1])
 
     def test_coding_shared_across_reps_and_intervals(self, tri334, fuchs334):
         dom, _, _ = tri334
