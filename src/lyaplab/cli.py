@@ -477,8 +477,7 @@ def _selftest_suites():
         return res.wronskian_drift < 1e-8, f"drift {res.wronskian_drift:.2e}"
 
     def suite_counting_monotone():
-        rep = linrep.uniformizing_rep(gens3, rels3, "fuchsian")
-        v = devmaps.veronese_dev(3, rep)
+        v = devmaps.veronese_dev(3)
         u = devmaps.Covector((1.0, 0.25, 1.0))
         grid = np.linspace(0.3, 6.0, 60)
         cf = errterm.count_in_balls((v, u), hypgeo.HPoint(0.0, 2.0), grid)

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hypgeo import HPoint, ball_euclidean, hyp_dist
-from .linrep import sym_power
+# not called here; the benchmark times linrep.sym_power under this name too
+from .linrep import sym_power  # noqa: F401
 
 
 class StiffnessError(RuntimeError):
@@ -57,12 +58,11 @@ class DevelopingMap:
     Coordinates are binomially weighted so the curve is exactly the image
     of [z : 1] under the symmetric power: with e1 > e2 monomial order,
     (z e1 + e2)^(dim-1) has coordinates C(dim-1,j) z^(dim-1-j).  For dim = 2
-    this is the identity chart.  equivariance_rep is the representation the
-    curve is equivariant for.
+    this is the identity chart.  The curve is equivariant for Sym^(dim-1)
+    of the uniformizing representation.
     """
 
     dim: int  # number of homogeneous coordinates
-    equivariance_rep: object = None
 
     def __call__(self, z):
         n = self.dim
@@ -70,17 +70,11 @@ class DevelopingMap:
         return weights * np.power(complex(z), np.arange(n - 1, -1, -1))
 
 
-def identity_dev(rep2):
-    """Uniformizing developing map z -> [z : 1] on P^1, the Veronese curve
-    with two coordinates."""
-    return veronese_dev(2, rep2)
-
-
-def veronese_dev(n, rep2=None):
-    """The Veronese curve with n coordinates, equivariant for Sym^(n-1) rep2."""
+def veronese_dev(n):
+    """The Veronese curve with n coordinates."""
     if n < 2:
         raise ValueError("veronese needs n >= 2")
-    return DevelopingMap(n, sym_power(rep2, n - 1) if rep2 is not None else None)
+    return DevelopingMap(n)
 
 
 def pairing_poly_coeffs(dev, u):

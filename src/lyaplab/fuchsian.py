@@ -15,11 +15,11 @@ workers can share one domain and own their codings.
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from .hypgeo import (
-    GeodesicArc,
     HPoint,
     Mobius,
     NumericDegeneracyError,
@@ -109,19 +109,18 @@ class SidePairing:
 class FundamentalDomain:
     """Convex fundamental polygon with side pairings.
 
-    vertices are listed counterclockwise; side k joins vertex k to k+1;
-    pairings[k].mobius maps side k onto side pairings[k].partner setwise;
-    area is the exact orbifold area, from the group signature; flat lists
-    the vertices of interior angle pi, where two sides share a carrier.
+    vertices are listed counterclockwise; side k joins vertex k to k+1 and
+    has hyperbolic length sides[k].length; pairings[k].mobius maps side k
+    onto side pairings[k].partner setwise; area is the exact orbifold area,
+    from the group signature; flat lists the vertices of interior angle pi,
+    where two sides share a carrier.
     """
 
     def __init__(self, vertices, pairings, interior_point, area, flat=()):
         self.vertices = list(vertices)
         self.area = area
-        self.sides = [
-            GeodesicArc.segment(self.vertices[k], self.vertices[(k + 1) % len(vertices)])
-            for k in range(len(vertices))
-        ]
+        ends = zip(self.vertices, self.vertices[1:] + self.vertices[:1])
+        self.sides = [SimpleNamespace(length=hyp_dist(p, q)) for p, q in ends]
         self.pairings = list(pairings)
         self.interior_point = interior_point
         # the polygon on the hyperboloid: a covector per side, a flattened

@@ -1,15 +1,17 @@
 """Upper half-plane geometry: points, isometries, geodesics, flow, balls.
 
-Everything here is in curvature -1 units (metric |dz|/y).  Geodesics are
-kept in closed form (vertical lines or Euclidean semicircles centered on
-the real axis), parametrized by arc length, so long flows accumulate no
-time-stepping error.  Conversion to the curvature -4 reporting convention
-happens elsewhere, at the spectrum-reporting edge.
+Everything here is in curvature -1 units (metric |dz|/y).  A geodesic is
+the image of the imaginary axis t -> i e^t under the isometry that aligns
+it with a unit tangent, so the flow is one Mobius map evaluated in closed
+form and long flows accumulate no time-stepping error.  Conversion to the
+curvature -4 reporting convention happens elsewhere, at the
+spectrum-reporting edge.
 
 All types are immutable values and all operations are pure, so everything
 can be shared freely across workers.
 """
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -189,82 +191,32 @@ class BallSpec:
 
 
 def direction_to(p, q):
-    """Initial angle of the geodesic from p to q."""
-    if abs(p.x - q.x) < 1e-14 * max(1.0, abs(p.x)):
-        return math.pi / 2.0 if q.y > p.y else -math.pi / 2.0
-    c = (abs(q.z) ** 2 - abs(p.z) ** 2) / (2.0 * (q.x - p.x))
-    phi_p = math.atan2(p.y, p.x - c)
-    phi_q = math.atan2(q.y, q.x - c)
-    return phi_p + math.copysign(math.pi / 2.0, phi_q - phi_p)
+    """Initial angle of the geodesic from p to q.
 
-
-# Geodesic carriers.  A carrier is a tuple:
-#   ('v', x0, u0, s)        vertical line x = x0, point at arclength t is
-#                           x0 + i*exp(u0 + s*t)
-#   ('c', c, r, u0, s)      semicircle |z - c| = r; with u = log tan(phi/2)
-#                           the point at arclength t has phi = 2*atan(e^u),
-#                           u = u0 + s*t.  u is arclength along the carrier.
-_VERTICAL_COS = 1e-13
-
-
-def _carrier_from_tangent(x, y, theta):
-    ct = math.cos(theta)
-    if abs(ct) < _VERTICAL_COS:
-        s = 1.0 if math.sin(theta) > 0 else -1.0
-        return ("v", x, math.log(y), s)
-    c = x + y * math.tan(theta)
-    r = y / abs(ct)
-    phi = math.atan2(y, x - c)
-    u0 = math.log(math.tan(phi / 2.0))
-    # increasing phi moves with tangent angle phi + pi/2
-    s = 1.0 if math.cos(theta - phi - math.pi / 2.0) > 0 else -1.0
-    return ("c", c, r, u0, s)
-
-
-def _carrier_point(car, t):
-    if car[0] == "v":
-        _, x0, u0, s = car
-        return x0, math.exp(u0 + s * t)
-    _, c, r, u0, s = car
-    phi = 2.0 * math.atan(math.exp(u0 + s * t))
-    return c + r * math.cos(phi), r * math.sin(phi)
-
-
-def _carrier_angle(car, t):
-    if car[0] == "v":
-        return math.pi / 2.0 if car[3] > 0 else -math.pi / 2.0
-    _, c, r, u0, s = car
-    phi = 2.0 * math.atan(math.exp(u0 + s * t))
-    return phi + s * math.pi / 2.0
-
-
-@dataclass(frozen=True)
-class GeodesicArc:
-    """Oriented geodesic segment, unit-speed in curvature -1.
-
-    `carrier` is the closed-form description above; the arc covers
-    parameters [0, length].
+    Its tangent at p is the radius p - c of its carrier (centre c on the
+    real axis) turned by -pi/2.  Scaled by 2 dx, dx = x_q - x_p, whose sign
+    picks the way toward q, that is (2 y_p dx, dx^2 + y_q^2 - y_p^2), which
+    also holds on a vertical carrier (dx = 0).
     """
-
-    carrier: tuple
-    length: float
-
-    @staticmethod
-    def segment(p, q):
-        car = _carrier_from_tangent(p.x, p.y, direction_to(p, q))
-        return GeodesicArc(car, hyp_dist(p, q))
+    dx = q.x - p.x
+    return math.atan2(dx * dx + (q.y - p.y) * (q.y + p.y), 2.0 * p.y * dx)
 
 
 def geodesic_flow(ut, t):
-    """Unit-speed geodesic flow g_t on the unit tangent bundle."""
+    """Unit-speed geodesic flow g_t on the unit tangent bundle.
+
+    Every geodesic is an isometric image of the imaginary axis: g_t(ut) is
+    the image of (i e^t, pi/2) under [[a, b], [c, d]] =
+    Mobius.align(ut.base, ut.angle), whose derivative 1/(cz + d)^2 at z
+    turns the direction by -2 arg(cz + d).
+    """
     if not math.isfinite(t):
         raise ValueError("non-finite flow time")
     if t == 0.0:
         return ut
-    if t < 0.0:
-        flipped = UnitTangent(ut.base, ut.angle + math.pi)
-        out = geodesic_flow(flipped, -t)
-        return UnitTangent(out.base, out.angle + math.pi)
-    car = _carrier_from_tangent(ut.base.x, ut.base.y, ut.angle)
-    x, y = _carrier_point(car, t)
-    return UnitTangent(HPoint(x, y), _carrier_angle(car, t))
+    m = Mobius.align(ut.base, ut.angle)
+    z = 1j * math.exp(t)
+    w = m.apply_complex(z)
+    c, d = m.mat[1]
+    return UnitTangent(HPoint(float(w.real), float(w.imag)),
+                       math.pi / 2.0 - 2.0 * cmath.phase(c * z + d))

@@ -20,7 +20,6 @@ PACKAGE = ROOT / "src" / "lyaplab"
 EXEMPT = {
     "errterm.sum_rule_check",  # the paper's compact-base equality, checked by C7
     "fuchsian.BendingSplit.genus2_standard",  # acceptance tests C8a and C8b call it
-    "devmaps.identity_dev",  # the uniformizing developing map, checked by C7
 }
 
 

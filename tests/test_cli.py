@@ -446,8 +446,8 @@ class TestCommandLineRefusals:
         (["spectrum", "--samples", "1", "--time", "20"], "successful samples"),
         (["orbit-count", "--tmax", "4", "--center=0,1e-200"], "boundary"),
         (["orbit-count", "--tmax", "4", "--center=1e200,1"], "infinite distance"),
-        # the relator of the 60-gon closes only to 1.25e-9, past the 1e-9 build gate
-        (["spectrum", "--group", "surface:15"], "fails to close"),
+        # the relator of the 64-gon closes only to 4.13e-9, past the 1e-9 build gate
+        (["spectrum", "--group", "surface:16"], "fails to close"),
     ])
     def test_exit_2_with_one_refusal_line(self, capsys, args, why):
         assert run_cli(args) == 2

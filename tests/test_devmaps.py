@@ -7,7 +7,6 @@ from lyaplab.devmaps import (
     Covector,
     OdeDevelopingMap,
     bad_locus_points,
-    identity_dev,
     ode_develop,
     oper_identity_init,
     pairing_poly_coeffs,
@@ -15,6 +14,7 @@ from lyaplab.devmaps import (
 )
 from lyaplab.errterm import count_in_balls
 from lyaplab.hypgeo import BallSpec, HPoint, UnitTangent, geodesic_flow
+from lyaplab.linrep import sym_power
 
 
 def phi_zero(z):
@@ -34,9 +34,8 @@ def projective_sine(v, w):
     return min(1.0, np.linalg.norm(r) / nw)
 
 
-def equivariance_residual(dev, mobius_list, samples=100, seed=0):
+def equivariance_residual(dev, rep, mobius_list, samples=100, seed=0):
     """max projective distance between s(g z) and rho(g) s(z) over samples."""
-    rep = dev.equivariance_rep
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(samples):
@@ -80,23 +79,23 @@ class TestCovector:
 
 
 class TestIdentityDev:
-    def test_value_at_i(self, fuchs334):
-        dev = identity_dev(fuchs334)
+    def test_value_at_i(self):
+        dev = veronese_dev(2)
         v = dev(1j)
         assert abs(v[0] / v[1] - 1j) < 1e-15
 
     def test_equivariance(self, tri334, fuchs334):
         dom, gens, _ = tri334
-        dev = identity_dev(fuchs334)
-        assert equivariance_residual(dev, gens, samples=1000) < 1e-9
+        dev = veronese_dev(2)
+        assert equivariance_residual(dev, sym_power(fuchs334, 1), gens, samples=1000) < 1e-9
 
-    def test_lower_half_plane_covector_empty(self, fuchs334):
-        dev = identity_dev(fuchs334)
+    def test_lower_half_plane_covector_empty(self):
+        dev = veronese_dev(2)
         u = Covector((1.0, -(0.5 - 2.0j)))  # target point in the lower half-plane
         assert counts(dev, u, HPoint(0, 1), (0.5, 3.0, 10.0)) == [0, 0, 0]
 
-    def test_upper_point_counted(self, fuchs334):
-        dev = identity_dev(fuchs334)
+    def test_upper_point_counted(self):
+        dev = veronese_dev(2)
         w = 0.3 + 1.4j
         u = Covector((1.0, -w))
         assert counts(dev, u, HPoint(0, 1), (3.0,)) == [1]
@@ -105,46 +104,45 @@ class TestIdentityDev:
 
 
 class TestVeroneseDev:
-    def test_n2_reduces_to_identity(self, fuchs334):
+    def test_n2_reduces_to_identity(self):
         v = veronese_dev(2)
-        ident = identity_dev(fuchs334)
         for z in (1j, 0.5 + 2j, -1 + 0.3j):
-            assert projective_sine(v(z), ident(z)) < 1e-15
+            assert projective_sine(v(z), np.array([z, 1.0])) < 1e-15
 
     def test_equivariance_n3(self, tri334, fuchs334):
         dom, gens, _ = tri334
-        dev = veronese_dev(3, fuchs334)
-        assert dev.equivariance_rep.n == 3
-        assert equivariance_residual(dev, gens, samples=1000) < 1e-7
+        dev, rep = veronese_dev(3), sym_power(fuchs334, 2)
+        assert rep.n == dev.dim == 3
+        assert equivariance_residual(dev, rep, gens, samples=1000) < 1e-7
 
-    def test_polynomial_pairing(self, fuchs334):
-        dev = veronese_dev(3, fuchs334)
+    def test_polynomial_pairing(self):
+        dev = veronese_dev(3)
         u = Covector((1.0, 0.0, 1.0))
         coeffs = pairing_poly_coeffs(dev, u)
         assert np.allclose(coeffs, [1.0, 0.0, 1.0])  # z^2 + 1
 
-    def test_root_enters_at_log2(self, fuchs334):
-        dev = veronese_dev(3, fuchs334)
+    def test_root_enters_at_log2(self):
+        dev = veronese_dev(3)
         u = Covector((1.0, 0.0, 1.0))  # zero of z^2+1 in H: z = i
         center = HPoint(0.0, 2.0)      # d(2i, i) = log 2
         radii = (0.5, math.log(2) - 1e-3, math.log(2) + 1e-3, 4.0)
         assert counts(dev, u, center, radii) == [0, 0, 1, 1]
 
-    def test_boundary_flag(self, fuchs334):
-        dev = veronese_dev(3, fuchs334)
+    def test_boundary_flag(self):
+        dev = veronese_dev(3)
         u = Covector((1.0, 0.0, 1.0))
         cf = count_in_balls((dev, u), HPoint(0.0, 2.0), [math.log(2.0)],
                             boundary_tol=1e-6)
         assert cf.uncertain.tolist() == [1]
 
-    def test_counts_nested_monotone(self, fuchs334):
-        dev = veronese_dev(4, fuchs334)
+    def test_counts_nested_monotone(self):
+        dev = veronese_dev(4)
         u = Covector((1.0, 0.5, -0.3, 1.0))
         c = counts(dev, u, HPoint(0, 1), (0.5, 1.5, 3.0, 6.0, 12.0))
         assert c == sorted(c)
 
-    def test_covector_scale_invariance(self, fuchs334):
-        dev = veronese_dev(3, fuchs334)
+    def test_covector_scale_invariance(self):
+        dev = veronese_dev(3)
         a = counts(dev, Covector((1.0, 0.0, 1.0)), HPoint(0.0, 2.0), (2.0,))
         b = counts(dev, Covector((3.7j, 0.0, 3.7j)), HPoint(0.0, 2.0), (2.0,))
         assert a == b

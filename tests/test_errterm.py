@@ -6,7 +6,6 @@ import pytest
 from lyaplab.devmaps import (
     Covector,
     OdeDevelopingMap,
-    identity_dev,
     oper_identity_init,
     veronese_dev,
 )
@@ -61,14 +60,14 @@ class TestCountFunction:
         assert (cf1.counts == cf2.counts).all()
         assert cf1.counts[-1] == len(pts)
 
-    def test_ode_count_equals_identity_chart(self, fuchs334):
+    def test_ode_count_equals_identity_chart(self):
         # with phi = 0 the oper's solutions (z, 1) develop onto the identity
         # chart, so winding counting must reproduce the closed-form count
         u = Covector((1.0, -(0.4 + 1.7j)))
         grid = np.linspace(0.1, 1.0, 40)
         ode = OdeDevelopingMap(lambda z: 0.0, oper_identity_init(1j), 1j)
         cf = count_in_balls((ode, u), HPoint(0, 1), grid, resolution=1e-6)
-        ref = count_in_balls((identity_dev(fuchs334), u), HPoint(0, 1), grid)
+        ref = count_in_balls((veronese_dev(2), u), HPoint(0, 1), grid)
         assert cf.counts.tolist() == ref.counts.tolist()
         assert cf.uncertain.tolist() == ref.uncertain.tolist()
         assert cf.counts[0] == 0 and cf.counts[-1] == 1
@@ -85,9 +84,9 @@ class TestCountFunction:
 
 
 class TestErrEstimate:
-    def test_empty_locus_exact_zero(self, tri334, fuchs334):
+    def test_empty_locus_exact_zero(self, tri334):
         dom, _, _ = tri334
-        dev = identity_dev(fuchs334)
+        dev = veronese_dev(2)
         u = Covector((1.0, -(0.1 - 1.0j)))
         grid = np.linspace(0.3, 20.0, 120)
         cf = count_in_balls((dev, u), dom.interior_point, grid)
@@ -95,8 +94,8 @@ class TestErrEstimate:
         assert est.value == 0.0
         assert est.converged_flag
 
-    def test_finite_locus_decays_like_one_over_T(self, fuchs334):
-        dev = veronese_dev(3, fuchs334)
+    def test_finite_locus_decays_like_one_over_T(self):
+        dev = veronese_dev(3)
         u = Covector((1.0, 0.0, 1.0))
         center = HPoint(0.0, 2.0)
         head = np.linspace(0.25, 12.0, 200)
@@ -154,8 +153,8 @@ class TestErrEstimate:
         with pytest.raises(ResolutionError):
             err_estimate(cf, 10.0)
 
-    def test_covector_rescale_invariance(self, fuchs334):
-        dev = veronese_dev(3, fuchs334)
+    def test_covector_rescale_invariance(self):
+        dev = veronese_dev(3)
         grid = np.linspace(0.3, 12.0, 100)
         vals = []
         for scale in (1.0, -2.3 + 0.7j):

@@ -66,6 +66,14 @@ class TestBuildGroup:
         # the build's other check, with the margin it has in practice
         assert fuchsian.pairing_defect(dom) < 1e-13
 
+    def test_surface15_closes_under_the_build_gate(self):
+        # the largest genus that builds: its relator closes to 5e-10 and its
+        # pairings to 1e-11, within the build's 1e-9 gate
+        dom, gens, (w,) = build_group(GroupSpec.surface(15))
+        m = mobius_of_word(gens, w).mat
+        assert min(np.abs(m - np.eye(2)).max(), np.abs(m + np.eye(2)).max()) < 1e-9
+        assert fuchsian.pairing_defect(dom) < 1e-9
+
     def test_triangle_area_gauss_bonnet(self, tri334):
         dom, _, _ = tri334
         assert measured_polygon_area(dom) == pytest.approx(math.pi / 6, abs=1e-9)
@@ -97,10 +105,10 @@ class TestBuildGroup:
         n = len(dom.vertices)
         for k, pair in enumerate(dom.pairings):
             p, q = dom.vertices[k], dom.vertices[(k + 1) % n]
-            car = dom.sides[pair.partner].carrier
+            ends = dom.vertices[pair.partner], dom.vertices[(pair.partner + 1) % n]
             for t in np.linspace(0.0, dom.sides[k].length, 20):
                 w = pair.mobius.apply(geodesic_flow(UnitTangent(p, direction_to(p, q)), t).base)
-                assert abs(side_clearance(car, w.x, w.y)) < 1e-9
+                assert abs(side_clearance(*ends, w.x, w.y)) < 1e-9
 
     def test_pairing_defect_sees_a_wrong_pairing(self, tri334):
         # a wrong partner, and a pairing off by a 1e-6 rotation, both read

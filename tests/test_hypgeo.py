@@ -3,13 +3,12 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad, solve_ivp
 
 from lyaplab.fuchsian import ResourceError, _lift, _unit_covector, iter_crossings
 from lyaplab.hypgeo import (
-    GeodesicArc,
     HPoint,
     Mobius,
     UnitTangent,
@@ -94,6 +93,32 @@ class TestDistance:
         assert hyp_dist(a, c) <= hyp_dist(a, b) + hyp_dist(b, c) + 1e-10
 
 
+def carrier_flow(ut, t):
+    """The closed-form flow that `geodesic_flow` replaced, kept as its oracle.
+
+    The geodesic is carried by a vertical line x = x0, where the point at arc
+    length t is x0 + i exp(u0 + s t), or by a semicircle |z - c| = r, where
+    it has polar angle phi = 2 atan(e^u) about c with u = u0 + s t
+    (u = log tan(phi/2) is arc length along the semicircle); s = +-1 is the
+    sense of travel.
+    """
+    if t < 0.0:
+        out = carrier_flow(UnitTangent(ut.base, ut.angle + math.pi), -t)
+        return UnitTangent(out.base, out.angle + math.pi)
+    x, y, theta = ut.base.x, ut.base.y, ut.angle
+    ct = math.cos(theta)
+    if abs(ct) < 1e-13:
+        s = 1.0 if math.sin(theta) > 0 else -1.0
+        return UnitTangent(HPoint(x, math.exp(math.log(y) + s * t)), s * math.pi / 2.0)
+    c = x + y * math.tan(theta)
+    r = y / abs(ct)
+    phi0 = math.atan2(y, x - c)
+    # increasing phi moves with tangent angle phi + pi/2
+    s = 1.0 if math.cos(theta - phi0 - math.pi / 2.0) > 0 else -1.0
+    phi = 2.0 * math.atan(math.exp(math.log(math.tan(phi0 / 2.0)) + s * t))
+    return UnitTangent(HPoint(c + r * math.cos(phi), r * math.sin(phi)), phi + s * math.pi / 2.0)
+
+
 def geodesic_ode_oracle(ut, t):
     """Integrate the geodesic equations x'' = 2x'y'/y, y'' = (y'^2 - x'^2)/y."""
 
@@ -119,6 +144,25 @@ class TestFlow:
         assert abs(out.base.z - 2j) < 1e-12
         assert abs(out.base.z - pt.z) < 1e-8
         assert abs(out.angle - math.pi / 2) < 1e-12
+
+    @pytest.mark.parametrize("eps", [1e-12, -1e-12])
+    def test_near_vertical_stays_near_the_axis(self, eps):
+        # the true point is 3e-12 from i e; the carrier flow, whose circle
+        # has radius 1e12 here, put it 1.2e-4 and 1.9e-4 away
+        out = geodesic_flow(UnitTangent(I, math.pi / 2 + eps), 1.0)
+        assert abs(out.base.z - 1j * math.e) < 1e-9
+
+    @given(finite, ypos, angles, st.floats(-4.0, 4.0))
+    @example(0.0, 1.0, math.acos(1e-3), 4.0)
+    @example(-3.0, 0.2, math.acos(-1e-3), -4.0)
+    @example(3.0, 4.0, 2.0 * math.pi - math.acos(1e-3), 4.0)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_carrier_flow_oracle(self, x, y, a, t):
+        assume(abs(math.cos(a)) >= 1e-3)
+        ut = UnitTangent(HPoint(x, y), a)
+        new, old = geodesic_flow(ut, t), carrier_flow(ut, t)
+        assert abs(new.base.z - old.base.z) <= 1e-10 * new.base.y
+        assert abs(math.remainder(new.angle - old.angle, 2 * math.pi)) <= 1e-10
 
     @pytest.mark.parametrize("angle", [0.3, 2.0, 4.4])
     def test_generic_ode_oracle(self, angle):
@@ -176,13 +220,14 @@ class TestBallVolume:
         assert np.all(np.diff(v, 2) > -1e-12)
 
 
-def side_clearance(carrier, x, y):
-    """sinh of the signed distance from (x, y) to a half-plane carrier:
-    positive on the side of larger x for a vertical line, outside for a
-    semicircle."""
-    if carrier[0] == "v":
-        return (x - carrier[1]) / y
-    _, c, r = carrier[:3]
+def side_clearance(p, q, x, y):
+    """sinh of the signed distance from (x, y) to the geodesic through p and
+    q: positive on the side of larger x for a vertical line, outside for a
+    semicircle, whose centre c on the real axis is equidistant from p and q."""
+    if p.x == q.x:
+        return (x - p.x) / y
+    c = (abs(q.z) ** 2 - abs(p.z) ** 2) / (2.0 * (q.x - p.x))
+    r = math.hypot(p.x - c, p.y)
     return ((x - c) ** 2 + y * y - r * r) / (2.0 * r * y)
 
 
@@ -223,11 +268,9 @@ class TestCrossing:
     def test_bisection_oracle(self):
         t, _, (xx, yy, _) = exit_of(self.up, self.side)
         # bisection on the sign of the side-carrier clearance along the ray
-        car = GeodesicArc.segment(HPoint(-1.2, 1.6), HPoint(1.2, 1.6)).carrier
-
         def val(tt):
             p = geodesic_flow(self.up, tt).base
-            return side_clearance(car, p.x, p.y)
+            return side_clearance(*self.side[:2], p.x, p.y)
 
         lo, hi = 1e-6, 3.0
         assert val(lo) * val(hi) < 0
