@@ -6,6 +6,7 @@ error.  All CSV output is a deterministic function of the command line
 """
 
 import argparse
+import cmath
 import math
 import sys
 
@@ -283,9 +284,7 @@ def cmd_err(ns):
     kind = "veronese:2" if ns.dev == "identity" else ns.dev
     if not kind.startswith("veronese:"):
         raise Refusal(
-            f"dev kind {ns.dev!r} unsupported from the CLI (ode maps take a "
-            "quadratic-differential callable; use the library API)"
-        )
+            f"dev kind {ns.dev!r} unsupported (use identity | veronese:n)")
     dev = devmaps.veronese_dev(int(kind.split(":")[1]))
     if ns.covector is None:
         raise Refusal("err needs --covector")
@@ -402,15 +401,24 @@ def _selftest_suites():
         return worst < 1e-9, f"max pairing defect {worst:.2e}"
 
     def suite_coding():
-        # recoding from a yielded state continues the coding of the whole segment
+        # recoding from the state at a crossing continues the coding of the
+        # whole segment; that state is the flow's, pushed by the crossed
+        # pairings g_k ... g_1
         ut = hypgeo.UnitTangent(dom3.interior_point, 0.8346)
         both = list(fuchsian.iter_crossings(dom3, ut, 13.0))
-        k = sum(t <= 6.0 for t, _, _ in both) - 1  # the last crossing by t = 6
-        t0, _, (x, y, th) = both[k]
-        rest = list(fuchsian.iter_crossings(
-            dom3, hypgeo.UnitTangent(hypgeo.HPoint(x, y), th), 13.0 - t0))
-        gens_match = [g for _, g, _ in rest] == [g for _, g, _ in both[k + 1:]]
-        dt = (max((abs(t0 + t - u) for (t, _, _), (u, _, _) in zip(rest, both[k + 1:])),
+        k = sum(t <= 6.0 for t, _ in both) - 1  # the last crossing by t = 6
+        pairing = {p.word[0]: p.mobius for p in dom3.pairings}
+        m = hypgeo.Mobius.identity()
+        for _, g in both[:k + 1]:
+            m = pairing[g] @ m
+        t0 = both[k][0]
+        end = hypgeo.geodesic_flow(ut, t0)
+        c, d = m.mat[1]
+        start = hypgeo.UnitTangent(m.apply(end.base),
+                                   end.angle - 2.0 * cmath.phase(c * end.base.z + d))
+        rest = list(fuchsian.iter_crossings(dom3, start, 13.0 - t0))
+        gens_match = [g for _, g in rest] == [g for _, g in both[k + 1:]]
+        dt = (max((abs(t0 + t - u) for (t, _), (u, _) in zip(rest, both[k + 1:])),
                   default=0.0) if gens_match else math.inf)
         return gens_match and dt < 1e-7, f"concatenation defect {dt:.2e}"
 

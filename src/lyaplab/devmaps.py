@@ -1,13 +1,13 @@
-"""Developing-map oracles and bad-locus counting.
+"""Developing maps and their bad loci.
 
 A developing map is an equivariant holomorphic map from the half-plane to
 a projective space, given by homogeneous coordinates; pairing it with a
 covector u gives a holomorphic function whose zero set is the bad locus
-of u.  Built-in: the Veronese curves of symmetric powers, whose pairings
-are polynomials; the identity chart on P^1 (uniformizing case) is the one
-with two coordinates.  Rank-2 opers come from integrating u'' + phi/2 u = 0
-along paths; their zeros are counted by adaptive boundary-winding
-subdivision.
+of u.  The developing maps are the Veronese curves of symmetric powers,
+whose pairings are polynomials; the identity chart on P^1 (uniformizing
+case) is the one with two coordinates.  Rank-2 opers are integrated from
+u'' + phi/2 u = 0 along paths (ode_develop); the selftest checks that
+integration's Wronskian.
 """
 
 import math
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hypgeo import HPoint, ball_euclidean, hyp_dist
+from .hypgeo import HPoint, hyp_dist
 # not called here; the benchmark times linrep.sym_power under this name too
 from .linrep import sym_power  # noqa: F401
 
@@ -26,10 +26,6 @@ class StiffnessError(RuntimeError):
     def __init__(self, msg, location=None):
         super().__init__(msg)
         self.location = location
-
-
-class CountingError(RuntimeError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -111,25 +107,19 @@ def _ode_rhs(phi, z, y, dz):
     return np.concatenate([dz * up, dz * (-0.5 * phi(z)) * u])
 
 
-def _integrate_outputs(phi, frame, za, zb, taus):
-    """Dormand-Prince 4(5) from za to zb, recording frames at the given
-    sorted tau targets in (0, 1]; returns (list of frames, end frame)."""
+def _integrate_segment(phi, frame, za, zb):
+    """Dormand-Prince 4(5) from za to zb; returns the end frame."""
     dz = zb - za
-    y = frame.reshape(-1).astype(complex)
-    outputs = []
     if abs(dz) == 0:
-        return [y.reshape(2, 2).copy() for _ in taus], frame
+        return frame
+    y = frame.reshape(-1).astype(complex)
     tau = 0.0
     h = 0.1
     min_h = 1e-12
-    ti = 0
     while tau < 1.0 - 1e-15:
         # step bounded by a quarter of the distance to the vertex ahead
-        # (floored so the approach terminates) and by the next output point
-        cap = max((1.0 - tau) / 4.0, 1e-3)
-        h = min(h, cap, 1.0 - tau)
-        if ti < len(taus):
-            h = min(h, max(taus[ti] - tau, 1e-15))
+        # (floored so the approach terminates)
+        h = min(h, max((1.0 - tau) / 4.0, 1e-3), 1.0 - tau)
         with np.errstate(over="ignore", invalid="ignore"):
             ks = []
             for stage in range(6):
@@ -150,24 +140,12 @@ def _integrate_outputs(phi, frame, za, zb, taus):
         if err <= 1.0:
             tau += h
             y = y5
-            while ti < len(taus) and tau >= taus[ti] - 1e-14:
-                outputs.append(y.reshape(2, 2).copy())
-                ti += 1
             h *= min(5.0, max(0.2, 0.9 * (err + 1e-30) ** -0.2))
         else:
             h *= max(0.2, 0.9 * err**-0.2)
         if h < min_h:
             raise StiffnessError("step size underflow", location=za + tau * dz)
-    while ti < len(taus):
-        outputs.append(y.reshape(2, 2).copy())
-        ti += 1
-    return outputs, y.reshape(2, 2)
-
-
-def _integrate_segment(phi, frame, za, zb):
-    """Dormand-Prince 4(5) from za to zb; returns the end frame."""
-    _, end = _integrate_outputs(phi, frame, za, zb, ())
-    return end
+    return y.reshape(2, 2)
 
 
 @dataclass(frozen=True)
@@ -212,57 +190,6 @@ def oper_identity_init(z0):
     return np.array([[z0, 1.0], [1.0, 0.0]], dtype=complex)
 
 
-class OdeDevelopingMap:
-    """Developing map backed by ODE integration from an anchor point.
-
-    Values at arbitrary points integrate along the straight segment from
-    the anchor (path independence on the simply connected half-plane);
-    segment_values integrates once along a segment and reports the dev
-    pairing at many parameters, which is what winding counting needs.
-    """
-
-    def __init__(self, phi, init, anchor):
-        self.phi = phi
-        self.anchor = complex(anchor.z) if isinstance(anchor, HPoint) else complex(anchor)
-        self.init = np.asarray(init, dtype=complex)
-        self._frame_cache = {self._key(self.anchor): self.init}
-
-    @staticmethod
-    def _key(z):
-        return (round(z.real, 13), round(z.imag, 13))
-
-    def frame_at(self, z):
-        z = complex(z)
-        key = self._key(z)
-        cached = self._frame_cache.get(key)
-        if cached is None:
-            cached = _integrate_segment(self.phi, self.init, self.anchor, z)
-            self._frame_cache[key] = cached
-        return cached
-
-    def segment_pairings(self, u, za, zb, taus):
-        """<u, dev> at za + tau (zb - za) for sorted taus in [0, 1].
-
-        One integration sweep along the segment with dense output at the
-        taus; frames at segment ends are cached (cell corners repeat)."""
-        ua = u.array()
-        za, zb = complex(za), complex(zb)
-        start = self.frame_at(za)
-        inner = [t for t in taus if t > 1e-15]
-        frames, end = _integrate_outputs(self.phi, start, za, zb, inner)
-        self._frame_cache[self._key(zb)] = end
-        out = []
-        fi = 0
-        for t in taus:
-            if t <= 1e-15:
-                f = start
-            else:
-                f = frames[fi]
-                fi += 1
-            out.append(ua[0] * f[0, 0] + ua[1] * f[0, 1])
-        return np.asarray(out)
-
-
 # ---------------------------------------------------------------------------
 # zero counting
 
@@ -275,109 +202,16 @@ def _dedupe_points(pts):
     return out
 
 
-def _edge_winding(pair_fn, za, zb):
-    """Total phase increment of the pairing along one edge.
-
-    Refines until consecutive phase steps are < pi/2; returns (total phase,
-    min |f| seen / max |f| seen) so the caller can detect boundary zeros.
-    """
-    ns = 17
-    for _ in range(12):  # at most 2^15 + 1 samples
-        taus = np.linspace(0.0, 1.0, ns)
-        vals = pair_fn(za, zb, taus)
-        mags = np.abs(vals)
-        if mags.min() < 1e-12 * max(1.0, mags.max()):
-            return None, 0.0  # zero (numerically) on the edge
-        args = np.angle(vals)
-        d = np.diff(args)
-        d = (d + math.pi) % (2.0 * math.pi) - math.pi
-        if np.abs(d).max() < math.pi / 2.0:
-            return float(d.sum()), float(mags.min() / max(1.0, mags.max()))
-        ns = 2 * ns - 1
-    raise CountingError(f"winding refinement failed on edge {za} -> {zb}")
-
-
-def _rect_winding(edge_fn, lo, hi):
-    corners = [lo, complex(hi.real, lo.imag), hi, complex(lo.real, hi.imag)]
-    total = 0.0
-    for a, b in zip(corners, corners[1:] + corners[:1]):
-        w = edge_fn(a, b)
-        if w is None:
-            return None
-        total += w
-    return int(round(total / (2.0 * math.pi)))
-
-
-def _memo_edges(pair_fn):
-    """_edge_winding's phase as edge_fn(a, b), integrated once per edge: the
-    edge two neighbouring cells share is read back reversed, as -w."""
-    memo = {}
-
-    def edge_fn(a, b):
-        if (b, a) in memo:
-            w = memo[b, a]
-            return None if w is None else -w
-        if (a, b) not in memo:
-            memo[a, b] = _edge_winding(pair_fn, a, b)[0]
-        return memo[a, b]
-
-    return edge_fn
-
-
-def _winding_zeros(edge_fn, lo, hi, restol, depth=0, jiggle=0):
-    """Recursive dyadic subdivision; returns representative zero locations."""
-    if depth > 60:
-        raise CountingError("subdivision depth exceeded")
-    w = _rect_winding(edge_fn, lo, hi)
-    if w is None:
-        if jiggle >= 4:
-            raise CountingError("zero pinned to a cell boundary")
-        pad = (hi - lo) * (0.013 * (jiggle + 1))
-        return _winding_zeros(edge_fn, lo - pad, hi + pad, restol,
-                              depth, jiggle + 1)
-    if w == 0:
-        return []
-    if abs(hi - lo) < restol or (w == 1 and abs(hi - lo) < 16 * restol):
-        return [(lo + hi) / 2.0]
-    dx = hi.real - lo.real
-    dy = hi.imag - lo.imag
-    if dx >= dy:
-        mid = lo.real + dx / 2.0
-        cells = [(lo, complex(mid, hi.imag)), (complex(mid, lo.imag), hi)]
-    else:
-        mid = lo.imag + dy / 2.0
-        cells = [(lo, complex(hi.real, mid)), (complex(lo.real, mid), hi)]
-    out = []
-    for a, b in cells:
-        out.extend(_winding_zeros(edge_fn, a, b, restol, depth + 1))
-    return out
-
-
-def bad_locus_points(dev, u, ball, resolution=1e-9):
+def bad_locus_points(dev, u, ball):
     """Zeros of <u, dev(.)> in the closed ball, without multiplicity.
 
-    An OdeDevelopingMap is counted by boundary-winding subdivision of the
-    ball's Euclidean bounding box; any other map is a Veronese curve, whose
-    pairing is a polynomial with closed-form roots.  A hair of slack (1e-6
-    in radius) is kept so boundary grazers survive to the counting stage,
-    which classifies them into the uncertainty band.
+    dev is a Veronese curve, whose pairing is a polynomial with closed-form
+    roots.  A hair of slack (1e-6 in radius) is kept so boundary grazers
+    survive to the counting stage, which classifies them into the
+    uncertainty band.
     """
-    if isinstance(dev, OdeDevelopingMap):
-        ec, er = ball_euclidean(ball.center, ball.radius_t)
-        lo = ec - er * (1 + 1e-9) - 1j * er * (1 + 1e-9)
-        hi = ec + er * (1 + 1e-9) + 1j * er * (1 + 1e-9)
-        lo = complex(lo.real, max(lo.imag, 1e-12))
-        zeros = _dedupe_points(_winding_zeros(
-            _memo_edges(lambda za, zb, taus: dev.segment_pairings(u, za, zb, taus)),
-            lo, hi, restol=resolution * max(1.0, er)))
-    else:
-        coeffs = np.trim_zeros(pairing_poly_coeffs(dev, u), "f")
-        roots = np.roots(coeffs) if len(coeffs) > 1 else ()
-        zeros = _dedupe_points([z for z in roots if z.imag > 1e-10 * max(1.0, abs(z.real))])
-    out = []
-    for z in zeros:
-        if z.imag <= 0:
-            continue
-        if hyp_dist(ball.center, HPoint(z.real, z.imag)) <= ball.radius_t + 1e-6:
-            out.append(z)
-    return out
+    coeffs = np.trim_zeros(pairing_poly_coeffs(dev, u), "f")
+    roots = np.roots(coeffs) if len(coeffs) > 1 else ()
+    zeros = _dedupe_points([z for z in roots if z.imag > 1e-10 * max(1.0, abs(z.real))])
+    return [z for z in zeros
+            if hyp_dist(ball.center, HPoint(z.real, z.imag)) <= ball.radius_t + 1e-6]

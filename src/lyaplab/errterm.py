@@ -61,7 +61,7 @@ def _point_distances(points, center):
     return np.sort(np.asarray(out))
 
 
-def count_in_balls(source, center, t_grid, boundary_tol=1e-9, resolution=1e-9):
+def count_in_balls(source, center, t_grid, boundary_tol=1e-9):
     """Per-radius bad-locus counts.
 
     source is either an explicit point collection (anything iterable of
@@ -76,7 +76,7 @@ def count_in_balls(source, center, t_grid, boundary_tol=1e-9, resolution=1e-9):
     if isinstance(source, tuple) and len(source) == 2 and isinstance(source[1], Covector):
         dev, u = source
         ball = BallSpec(center, float(t_grid[-1]) + boundary_tol)
-        pts = bad_locus_points(dev, u, ball, resolution=resolution)
+        pts = bad_locus_points(dev, u, ball)
         dists = _point_distances(pts, center)
         tag = "devmap"
     else:

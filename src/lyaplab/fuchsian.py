@@ -31,7 +31,6 @@ from .hypgeo import (
 Word = tuple  # signed 1-based generator indices, negative = inverse
 
 SIDE_TOL = 1e-10      # side membership tolerance (sinh of distance)
-_TWO_PI = 2.0 * math.pi
 
 
 class ResourceError(RuntimeError):
@@ -379,7 +378,7 @@ def _unit_covector(u, v, inside):
 
 
 def iter_crossings(dom, ut, T, perturb_log=None):
-    """Yield (time, signed generator, state) for each side crossing in (0, T].
+    """Yield (time, signed generator) for each side crossing in (0, T].
 
     The geodesic runs on the hyperboloid as P(t) = P cosh t + V sinh t.  A
     side k's carrier is the plane n_k . X = 0 with the polygon at n_k . X > 0
@@ -392,8 +391,9 @@ def iter_crossings(dom, ut, T, perturb_log=None):
     share a carrier (a vertex of angle pi), the side of the exit point is read
     off the carrier's tangent functional at that vertex.  The side's pairing
     then maps (P, V), which are put back on the hyperboloid and its tangent
-    plane.  state is (x, y, angle) after the pairing; the final partial
-    segment is not yielded.  perturb_log is kept for callers that pass it:
+    plane; the state after the k-th crossing is the flow's state at its time
+    pushed by the crossed pairings g_k ... g_1.  The final partial segment
+    is not yielded.  perturb_log is kept for callers that pass it:
     no direction is ever perturbed, so it stays empty.
     """
     normals, pairs, flat = dom._normals, dom._pairs, dom._flat
@@ -435,9 +435,7 @@ def iter_crossings(dom, ut, T, perturb_log=None):
         v0, v1, v2 = v0 - d * p0, v1 - d * p1, v2 - d * p2
         r = 1.0 / math.sqrt(v1 * v1 + v2 * v2 - v0 * v0)
         v0, v1, v2 = r * v0, r * v1, r * v2
-        y = 1.0 / (p0 - p1)
-        x, w = p2 * y, v0 - v1
-        yield t_acc, gen, (x, y, math.atan2(-y * w, v2 - x * w) % _TWO_PI)
+        yield t_acc, gen
     raise ResourceError("crossing budget exceeded (tracing runaway)")
 
 

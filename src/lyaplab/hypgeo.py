@@ -173,11 +173,6 @@ def ball_volume(t):
         return math.inf
 
 
-def ball_euclidean(center, t):
-    """Euclidean (center, radius) of the hyperbolic disk D_t(center)."""
-    return complex(center.x, center.y * math.cosh(t)), center.y * math.sinh(t)
-
-
 @dataclass(frozen=True)
 class BallSpec:
     """Hyperbolic disk D_t(center), radius in curvature -1 arc length."""

@@ -81,7 +81,7 @@ def code_samples(dom, config):
         angle = rng.uniform(0.0, 2.0 * math.pi)
         base = _sample_base(dom, rng) if config.random_base else dom.interior_point
         try:
-            tg = [c[:2] for c in iter_crossings(dom, UnitTangent(base, angle), config.T)]
+            tg = list(iter_crossings(dom, UnitTangent(base, angle), config.T))
         except (ArithmeticError, RuntimeError) as exc:  # keep sampling
             failures.append((i, repr(exc)))
             continue

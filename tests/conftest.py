@@ -54,14 +54,13 @@ def random_sl2(rng):
 
 def coding(dom, ut, T):
     """The crossings of the geodesic from ut up to time T, collected from
-    fuchsian.iter_crossings: times, signed generators, the states after each
-    crossing and the number of direction perturbations."""
+    fuchsian.iter_crossings: times, signed generators and the number of
+    direction perturbations."""
     perturbs = []
     out = list(fuchsian.iter_crossings(dom, ut, T, perturb_log=perturbs))
     return SimpleNamespace(
-        times=np.array([t for t, _, _ in out], dtype=float),
-        gens=np.array([g for _, g, _ in out], dtype=np.int64),
-        states=[s for _, _, s in out],
+        times=np.array([t for t, _ in out], dtype=float),
+        gens=np.array([g for _, g in out], dtype=np.int64),
         perturbations=len(perturbs),
     )
 

@@ -1,12 +1,14 @@
 """Every public top-level function or class of the package, and every
-public method of a public class, has a caller; every defaulted parameter
-is passed by some call.
+public method of a public class, has a caller; every public class is put to
+work outside the tests; every defaulted parameter is passed by some call.
 
 A name defined in src/lyaplab counts as used when the package names it
 outside its own definition, when the benchmark (perfbench/*.py) names it, or
-when it is the console entry point of pyproject.toml.  Names that only the
-tests use belong in the tests.  The package is read with ast, so nothing is
-imported.
+when it is the console entry point of pyproject.toml.  A class is put to
+work when the package or the benchmark constructs, subclasses, raises or
+catches it; an isinstance check alone keeps a class that nothing outside
+the tests ever makes.  Names that only the tests use belong in the tests.
+The package is read with ast, so nothing is imported.
 """
 
 import ast
@@ -95,6 +97,35 @@ def test_every_public_name_has_a_caller():
 def test_exemptions_are_defined():
     defs, _ = _surface()
     assert EXEMPT <= {f"{module}.{name}" for module, name in defs}
+
+
+def _put_to_work():
+    """Names that the package or the benchmark calls (a constructor among
+    them), subclasses, raises or catches."""
+    out = set()
+    for path in sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py")):
+        for n in ast.walk(ast.parse(path.read_text())):
+            if isinstance(n, ast.Call):
+                exprs = [n.func]
+            elif isinstance(n, ast.ClassDef):
+                exprs = n.bases
+            elif isinstance(n, ast.Raise) and n.exc is not None:
+                exprs = [n.exc]
+            elif isinstance(n, ast.ExceptHandler) and n.type is not None:
+                exprs = n.type.elts if isinstance(n.type, ast.Tuple) else [n.type]
+            else:
+                continue
+            out |= {getattr(e, "id", None) or getattr(e, "attr", None) for e in exprs}
+    return out
+
+
+def test_every_public_class_is_put_to_work():
+    work = _put_to_work()
+    idle = [f"{path.stem}.{node.name}" for path in sorted(PACKAGE.glob("*.py"))
+            for node in ast.parse(path.read_text()).body
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_")
+            and node.name not in work]
+    assert not idle, f"public classes nothing outside the tests makes or catches: {idle}"
 
 
 def _defaulted_params():

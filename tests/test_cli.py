@@ -293,8 +293,11 @@ class TestErrCommand:
     def test_missing_covector_refused(self):
         assert run_cli(["err", "--dev", "identity"]) == 2
 
-    def test_ode_kind_refused_from_cli(self):
+    def test_ode_kind_refused_from_cli(self, capsys):
         assert run_cli(["err", "--dev", "ode", "--covector", "1 0"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("lyaplab: refused: ")
+        assert "identity | veronese:n" in err[0]
 
 
 class TestOrbitCountCommand:

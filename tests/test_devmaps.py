@@ -5,7 +5,6 @@ import pytest
 
 from lyaplab.devmaps import (
     Covector,
-    OdeDevelopingMap,
     bad_locus_points,
     ode_develop,
     oper_identity_init,
@@ -63,9 +62,9 @@ def phi_equivariance_residual(phi, mobius_list, samples=60, seed=0):
     return worst
 
 
-def counts(dev, u, center, radii, **kw):
+def counts(dev, u, center, radii):
     """count_in_balls counts at the given radii."""
-    return count_in_balls((dev, u), center, radii, **kw).counts.tolist()
+    return count_in_balls((dev, u), center, radii).counts.tolist()
 
 
 class TestCovector:
@@ -191,40 +190,6 @@ class TestOde:
 
         with pytest.raises(StiffnessError):
             ode_develop(nasty, oper_identity_init(1j), [1j, 1 + 3j])
-
-
-class TestWindingCount:
-    def test_matches_closed_form(self):
-        om = OdeDevelopingMap(phi_zero, oper_identity_init(1j), 1j)
-        w = 0.4 + 1.7j
-        u = Covector((1.0, -w))
-        points = bad_locus_points(om, u, BallSpec(HPoint(0, 1), 2.0), resolution=1e-6)
-        assert count_in_balls(points, HPoint(0, 1), [2.0]).counts.tolist() == [1]
-        assert abs(points[0] - w) < 1e-4
-
-    def test_empty(self):
-        om = OdeDevelopingMap(phi_zero, oper_identity_init(1j), 1j)
-        u = Covector((1.0, -(0.2 - 1.0j)))  # zero in the lower half-plane
-        assert counts(om, u, HPoint(0, 1), (2.0,), resolution=1e-5) == [0]
-
-    def test_nested_monotone(self):
-        om = OdeDevelopingMap(phi_zero, oper_identity_init(1j), 1j)
-        u = Covector((1.0, -(0.4 + 1.7j)))
-        c = counts(om, u, HPoint(0, 1), (0.2, 0.8, 1.4, 2.5), resolution=1e-5)
-        assert c == sorted(c)
-
-    def test_shared_edges_integrated_once(self, monkeypatch):
-        # neighbouring cells share an edge; its winding is read back
-        # reversed, not integrated again (each refinement level runs once)
-        calls = []
-        real = OdeDevelopingMap.segment_pairings
-        monkeypatch.setattr(OdeDevelopingMap, "segment_pairings", lambda om, u, za, zb, taus: (
-            calls.append((frozenset((za, zb)), len(taus))) or real(om, u, za, zb, taus)))
-        om = OdeDevelopingMap(phi_zero, oper_identity_init(1j), 1j)
-        u = Covector((1.0, -(0.4 + 1.7j)))
-        points = bad_locus_points(om, u, BallSpec(HPoint(0, 1), 1.0), resolution=1e-6)
-        assert len(points) == 1 and abs(points[0] - (0.4 + 1.7j)) < 1e-4
-        assert len(calls) == len(set(calls))
 
 
 class TestContracts:

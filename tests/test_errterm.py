@@ -5,8 +5,6 @@ import pytest
 
 from lyaplab.devmaps import (
     Covector,
-    OdeDevelopingMap,
-    oper_identity_init,
     veronese_dev,
 )
 from lyaplab.errterm import (
@@ -59,18 +57,6 @@ class TestCountFunction:
         cf2 = count_in_balls((pts, dists), dom.interior_point, grid)
         assert (cf1.counts == cf2.counts).all()
         assert cf1.counts[-1] == len(pts)
-
-    def test_ode_count_equals_identity_chart(self):
-        # with phi = 0 the oper's solutions (z, 1) develop onto the identity
-        # chart, so winding counting must reproduce the closed-form count
-        u = Covector((1.0, -(0.4 + 1.7j)))
-        grid = np.linspace(0.1, 1.0, 40)
-        ode = OdeDevelopingMap(lambda z: 0.0, oper_identity_init(1j), 1j)
-        cf = count_in_balls((ode, u), HPoint(0, 1), grid, resolution=1e-6)
-        ref = count_in_balls((veronese_dev(2), u), HPoint(0, 1), grid)
-        assert cf.counts.tolist() == ref.counts.tolist()
-        assert cf.uncertain.tolist() == ref.uncertain.tolist()
-        assert cf.counts[0] == 0 and cf.counts[-1] == 1
 
     def test_monotonicity_enforced(self):
         with pytest.raises(ValueError):

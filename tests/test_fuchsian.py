@@ -185,12 +185,15 @@ class TestCoding:
         assert dom.pairings[side].word == (cs.gens[0],)
 
     def test_concatenation(self, tri334):
-        dom, _, _ = tri334
+        dom, gens, _ = tri334
         ut = UnitTangent(dom.interior_point, 0.7345)
         both = coding(dom, ut, 13.0)
         k = int(np.searchsorted(both.times, 6.0, "right")) - 1  # last crossing by t = 6
-        x, y, th = both.states[k]
-        c2 = coding(dom, UnitTangent(HPoint(x, y), th), 13.0 - both.times[k])
+        # the state there: the flow's, pushed by the crossed pairings g_k ... g_1
+        end = geodesic_flow(ut, both.times[k])
+        m = mobius_of_word(gens, tuple(both.gens[:k + 1].tolist())[::-1])
+        state = UnitTangent(m.apply(end.base), end.angle + deriv_arg(m, end.base.z))
+        c2 = coding(dom, state, 13.0 - both.times[k])
         assert len(both.gens) == k + 1 + len(c2.gens)
         assert (both.gens[k + 1:] == c2.gens).all()
         assert np.abs(both.times[k] + c2.times - both.times[k + 1:]).max() < 1e-7

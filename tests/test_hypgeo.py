@@ -12,7 +12,6 @@ from lyaplab.hypgeo import (
     HPoint,
     Mobius,
     UnitTangent,
-    ball_euclidean,
     ball_volume,
     geodesic_flow,
     hyp_dist,
@@ -200,9 +199,10 @@ class TestBallVolume:
             ball_volume(-1.0)
 
     def test_monte_carlo_area_oracle(self):
-        # rejection sampling of the hyperbolic measure dx dy / y^2 over D_2(i)
+        # rejection sampling of the hyperbolic measure dx dy / y^2 over D_2(i),
+        # the Euclidean disk of centre i cosh 2 and radius sinh 2
         rng = np.random.default_rng(12345)
-        ec, er = ball_euclidean(I, 2.0)
+        ec, er = complex(I.x, I.y * math.cosh(2.0)), I.y * math.sinh(2.0)
         n = 400_000
         xs = rng.uniform(ec.real - er, ec.real + er, n)
         ys = rng.uniform(ec.imag - er, ec.imag + er, n)
@@ -232,9 +232,10 @@ def side_clearance(p, q, x, y):
 
 
 def exit_of(ut, *sides):
-    """The first crossing (time, side index, (x, y, angle) there) of the ray
-    from ut with the sides (p, q, inside) of a polygon whose interior lies on
-    the side of `inside`, each side paired to itself by the identity."""
+    """The first crossing (time, side index) of the ray from ut with the
+    sides (p, q, inside) of a polygon whose interior lies on the side of
+    `inside`, each side paired to itself by the identity, so the state there
+    is geodesic_flow(ut, time)."""
     lift = lambda p: _lift(p.x, p.y)
     dom = SimpleNamespace(
         _normals=[_unit_covector(lift(p), lift(q), lift(inside)) for p, q, inside in sides],
@@ -259,14 +260,12 @@ class TestCrossing:
         # state rounded a hair outside a side is put back); the reverse ray
         # enters there and has no exit
         side = (HPoint(-0.6, 0.8), HPoint(0.6, 0.8), HPoint(0.0, 0.5))
-        t, k, (x, y, _) = exit_of(self.up, side)
-        assert (t, k) == (0.0, 0)
-        assert abs(complex(x, y) - I.z) < 1e-15
+        assert exit_of(self.up, side) == (0.0, 0)
         with pytest.raises(ResourceError, match="no outward exit"):
             exit_of(UnitTangent(I, -math.pi / 2), side)
 
     def test_bisection_oracle(self):
-        t, _, (xx, yy, _) = exit_of(self.up, self.side)
+        t, _ = exit_of(self.up, self.side)
         # bisection on the sign of the side-carrier clearance along the ray
         def val(tt):
             p = geodesic_flow(self.up, tt).base
@@ -281,16 +280,13 @@ class TestCrossing:
             else:
                 lo = mid
         assert abs(t - 0.5 * (lo + hi)) < 1e-10
-        assert abs(complex(xx, yy) - geodesic_flow(self.up, t).base.z) < 1e-12
 
     def test_crossing_angles(self):
         # oblique ray against a vertical side, leaving the interior on the left
         ut = UnitTangent(HPoint(-0.5, 1.0), 0.4)
         side = (HPoint(0.0, 0.5), HPoint(0.0, 3.0), HPoint(-0.5, 1.0))
-        t, _, (xx, _, th_c) = exit_of(ut, side)
-        assert abs(xx) < 1e-12
+        t, _ = exit_of(ut, side)
         assert abs(geodesic_flow(ut, t).base.x) < 1e-12
-        assert abs(math.remainder(th_c - geodesic_flow(ut, t).angle, 2 * math.pi)) < 1e-9
         # with the interior on the right the ray enters there: no exit
         entering = (HPoint(0.0, 0.5), HPoint(0.0, 3.0), HPoint(0.5, 1.0))
         with pytest.raises(ResourceError, match="no outward exit"):
