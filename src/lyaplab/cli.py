@@ -201,6 +201,9 @@ def cmd_spectrum(ns):
     run = _run_config(ns)
     _, dom, rep = _resolve(ns)
     _gate_relations(rep)
+    _, unresolved = oseledets.qr_interval(rep)
+    if unresolved:  # refused before any tracing
+        raise Refusal(unresolved)
     est = oseledets.estimate_spectrum(dom, rep, run)
     _write_text(ns.out, oseledets.spectrum_csv(est))
     if ns.svg:
@@ -215,8 +218,8 @@ def cmd_spectrum(ns):
 
 def cmd_sweep(ns):
     """Bend every grid point, then run each scalar field's points as one
-    fused cocycle over geodesics coded once; failed points become failed
-    rows."""
+    fused cocycle over geodesics coded once; failed and unresolved points
+    become failed rows."""
     run = _run_config(ns)
     if ns.axis not in ("real", "imag"):  # a config value skips argparse's choices
         raise Refusal("sweep axis must be real|imag")
@@ -243,9 +246,12 @@ def cmd_sweep(ns):
         ests = oseledets.estimate_spectra(dom, [r for _, r in group], run, coding)
         for (k, _), est in zip(group, ests):
             v = grid[k]
-            rows[k] = ((v, math.nan, math.nan, f"failed:{type(est).__name__}")
-                       if isinstance(est, oseledets.InsufficientDataError)
-                       else (v, est.values[0], est.stderr[0], "ok"))
+            if isinstance(est, oseledets.InsufficientDataError):
+                rows[k] = (v, math.nan, math.nan, f"failed:{type(est).__name__}")
+            elif est.unresolved:
+                rows[k] = (v, math.nan, math.nan, "failed:unresolved")
+            else:
+                rows[k] = (v, est.values[0], est.stderr[0], "ok")
     lines = ["parameter,lambda1,stderr,status"]
     for v, lam, se, status in rows:
         lines.append(f"{v:.12g},{lam:.12g},{se:.12g},{status}")
@@ -453,7 +459,7 @@ def _selftest_suites():
 
     def suite_qr_invariance():
         configs = [oseledets.RunConfig(T=150.0, samples=8, seed=77, qr_interval=q)
-                   for q in (1, 4, 16)]
+                   for q in (None, 1, 4, 16)]
         coding = oseledets.code_samples(dom3, configs[0])
         ests = [oseledets.estimate_spectrum(dom3, rep3, c, coding) for c in configs]
         spread = max(abs(e.values[0] - ests[0].values[0]) for e in ests)
@@ -568,7 +574,8 @@ def build_parser():
         sp.add_argument("--time", type=float, default=2000.0, help="flow time per sample")
         sp.add_argument("--samples", type=int, default=64)
         sp.add_argument("--seed", type=int, default=1)
-        sp.add_argument("--qr-interval", type=int, default=8)
+        sp.add_argument("--qr-interval", type=int, default=None,
+                        help="cap on the QR interval (default: set by conditioning)")
         sp.add_argument("--normalization", choices=["minus4", "minus1"], default="minus4")
         sp.add_argument("--random-base", type=int, default=0,
                         help="1: sample base points uniformly in the domain")

@@ -15,7 +15,9 @@ import numpy as np
 from .fuchsian import iter_crossings
 from .hypgeo import HPoint, UnitTangent
 
-FRAME_OVERFLOW = 1e120  # no frame entry reaches it: cocycle sets its QR interval a priori
+# the two a-priori bounds of a representation's QR interval (see qr_interval)
+FRAME_OVERFLOW = 1e120  # no frame entry reaches it, whatever the determinant
+QR_BUDGET = 25.0  # log cond of a window product: eps * e^25 ~ 1.6e-5 relative error
 FRAME_BUDGET = 1 << 25  # bytes of one chunk's frame stack (lanes, n, n) and of its image blocks
 
 
@@ -32,7 +34,7 @@ class RunConfig:
     T: float
     samples: int
     seed: int
-    qr_interval: int = 8
+    qr_interval: int = None  # cap on every representation's QR interval; None: no cap
     normalization: str = "minus4"
     random_base: bool = False
     burn_in: float = None  # None: min(50, T/10); frame-alignment transient
@@ -42,7 +44,7 @@ class RunConfig:
             raise ValueError("T must be positive")
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
-        if self.qr_interval < 1:
+        if self.qr_interval is not None and self.qr_interval < 1:
             raise ValueError("qr_interval must be >= 1")
         if self.normalization not in ("minus4", "minus1"):
             raise ValueError("normalization must be minus4|minus1")
@@ -116,37 +118,83 @@ class CocycleAccumulator:
         return bad
 
 
+def _images(rep):
+    """The signed generator images of rep, image m + g of g (image m the identity)."""
+    m = rep.num_generators
+    return np.stack([rep.generator_image(g) if g else np.eye(rep.n) for g in range(-m, m + 1)])
+
+
+def qr_interval(rep):
+    """(q, unresolved): the QR interval of rep and, when no interval can
+    resolve its spectrum, why ("" when q does).
+
+    q is the least of two a-priori bounds over the signed generator images,
+    and at least 1; cocycle caps it by config.qr_interval.  Overflow:
+    q <= (log FRAME_OVERFLOW - log(n)/2 - 1) / log G for G the largest
+    Frobenius norm (taken as at least e, so that q stays finite where
+    nothing grows), so a product of q images keeps an orthonormal frame's
+    entries below FRAME_OVERFLOW / e; this covers representations whose
+    determinant is not 1.  Conditioning: q <= QR_BUDGET / c for c the
+    largest log cond(g).  A window product A = g_q...g_1 has rounding error
+    about eps * prod |g_i| and smallest singular value at least
+    prod sigma_min(g_i), so its weakest direction carries a relative error
+    of at most eps * e^(q c) <= eps * e^QR_BUDGET (the QR scheme of
+    Benettin, Galgani, Giorgilli & Strelcyn, 1980).  When c > QR_BUDGET not
+    even q = 1 certifies it, and rep is unresolved."""
+    return _intervals(_images(rep)[None], None)[0]
+
+
+def _intervals(table, cap):
+    """qr_interval of each representation r of table, whose signed
+    generator images are table[r], with q capped by cap unless it is None:
+    one batched SVD for all, of the generators alone, since an inverse has
+    the condition number of its generator and the identity has 1."""
+    s = np.linalg.svd(table[:, table.shape[1] // 2 + 1:], compute_uv=False)  # nonincreasing
+    cond = np.full(s.shape[:2], math.inf)  # a singular image: infinite
+    np.divide(s[..., 0], s[..., -1], out=cond, where=s[..., -1] > 0.0)
+    growth = np.log(np.linalg.norm(table, axis=(2, 3)).max(axis=1)).clip(min=1.0)
+    budget = math.log(FRAME_OVERFLOW) - 0.5 * math.log(table.shape[-1]) - 1.0
+    out = []
+    for c, g in zip(np.log(cond.max(axis=1)).tolist(), growth.tolist()):
+        q = min(int(budget // g), int(QR_BUDGET // c) if c > 0.0 else math.inf,
+                math.inf if cap is None else cap)
+        out.append((max(1, q), "" if c <= QR_BUDGET else (
+            f"spectrum unresolved: a generator image has log cond {c:.4g}, past the QR "
+            f"budget {QR_BUDGET:g}, so no QR interval resolves its weakest exponents")))
+    return out
+
+
 def cocycle(reps, batch, config):
     """Per representation of reps, the exponent rows (sorted nonincreasing)
-    of the lanes that ran through, in lane order, and (sample index, repr)
-    of those whose frame degenerated.
+    of the lanes that ran through, in lane order, (sample index, repr) of
+    those whose frame degenerated, and why no QR interval resolves its
+    spectrum ("" when one does; see qr_interval).
 
     Between crossings the constant norm is flat, so the cocycle is exactly
     the product of the crossing holonomies.  The reps share size, generator
-    count and scalar field, and run fused: lane (r, i) multiplies rep r's
-    images along lane i of batch, one QR window of q steps at a time (see
-    _lockstep).  Each lane is QR'd every q of its own steps, counted from
-    the end of its burn_in (log increments up to there, an O(1/T)
-    frame-alignment bias, are discarded), and after its last one, with
-    q = max(1, min(qr_interval, floor((log FRAME_OVERFLOW - log(n)/2 - 1) / log G)))
-    for G the largest Frobenius norm of a generator image: a product of q
-    images keeps an orthonormal frame's entries below FRAME_OVERFLOW / e,
-    so no overflow test is needed.  A lane's values never depend on its batch."""
+    count and scalar field.  Each runs at its own QR interval q, from
+    qr_interval capped by config.qr_interval, and the reps of one q run
+    fused: lane (r, i) multiplies rep r's images along lane i of batch, one
+    QR window of q steps at a time (see _lockstep).  Each lane is QR'd every
+    q of its own steps, counted from the end of its burn_in (log increments
+    up to there, an O(1/T) frame-alignment bias, are discarded), and after
+    its last one.  A lane's values depend neither on its batch nor on the
+    other reps."""
     n, m, field = reps[0].n, reps[0].num_generators, reps[0].is_complex
     if any((rep.n, rep.num_generators, rep.is_complex) != (n, m, field) for rep in reps):
         raise ValueError("fused representations differ in size or scalar field")
-    table = np.stack([  # table[r, m + g] is rep r's image of g
-        np.stack([rep.generator_image(g) if g else np.eye(n) for g in range(-m, m + 1)])
-        for rep in reps]).astype(complex if field else float)
-    growth = math.log(np.linalg.norm(table, axis=(2, 3)).max())  # table holds eye: >= log(n)/2
-    budget = math.log(FRAME_OVERFLOW) - 0.5 * math.log(n) - 1.0
-    q = max(1, min(config.qr_interval, int(budget // growth))) if growth > 0 else config.qr_interval
+    table = np.stack([_images(rep) for rep in reps]).astype(complex if field else float)
+    schedule = _intervals(table, config.qr_interval)
     chunk = max(1, FRAME_BUDGET // (n * n * table.itemsize))
-    lanes = len(reps) * len(batch.index)
     rows, failures = [[] for _ in reps], [[] for _ in reps]
-    for lo in range(0, lanes, chunk):
-        _lockstep(table, batch, np.arange(lo, min(lo + chunk, lanes)), config, q, rows, failures)
-    return [(np.array(r).reshape(len(r), n), f) for r, f in zip(rows, failures)]
+    for q in sorted({q for q, _ in schedule}):
+        group = [r for r, (qr, _) in enumerate(schedule) if qr == q]
+        sub, lanes = table[group], len(group) * len(batch.index)
+        for lo in range(0, lanes, chunk):
+            _lockstep(sub, batch, np.arange(lo, min(lo + chunk, lanes)), config, q,
+                      [rows[r] for r in group], [failures[r] for r in group])
+    return [(np.array(r).reshape(len(r), n), f, why)
+            for r, f, (_, why) in zip(rows, failures, schedule)]
 
 
 def _lockstep(table, batch, part, config, q, rows, failures):
@@ -223,7 +271,9 @@ class SpectrumEstimate:
     values are sorted nonincreasing in the requested normalization;
     sample_values holds the per-sample vectors (samples x n) for
     downstream combined-error computations; failures holds (sample index,
-    exception repr) of each dropped sample.
+    exception repr) of each dropped sample.  unresolved, when not empty,
+    says why no QR interval resolves the spectrum (see qr_interval): the
+    values were run at q = 1 and their weakest exponents cannot be trusted.
     """
 
     values: np.ndarray
@@ -235,6 +285,7 @@ class SpectrumEstimate:
     seed: int = 0
     sample_values: np.ndarray = field(default=None, repr=False)
     failures: tuple = ()
+    unresolved: str = ""
 
 
 def _sample_base(dom, rng):
@@ -258,7 +309,7 @@ def estimate_spectra(dom, reps, config, coding=None):
     if batch.key != _coding_key(config):
         raise ValueError("coding batch was traced for another run configuration")
     out = []
-    for rep, (sample_values, lost) in zip(reps, cocycle(reps, batch, config)):
+    for rep, (sample_values, lost, unresolved) in zip(reps, cocycle(reps, batch, config)):
         failures = sorted(batch.failures + tuple(lost))
         rows = len(sample_values)
         if rows < 2:
@@ -268,7 +319,7 @@ def estimate_spectra(dom, reps, config, coding=None):
         stderr = sample_values.std(axis=0, ddof=1) / math.sqrt(rows)
         out.append(SpectrumEstimate(sample_values.mean(axis=0), stderr, rows,
                                     config.normalization, rep.label, config.T, config.seed,
-                                    sample_values, tuple(failures)))
+                                    sample_values, tuple(failures), unresolved))
     return out
 
 

@@ -37,7 +37,8 @@ def per_point_sweep_csv(axis, grid, run):
         try:
             bent = rep if s == 0 else fuchsian.bend_representation(rep, split, s)
             est = oseledets.estimate_spectrum(bundle[0], bent, run, coding)
-            lines.append(f"{v:.12g},{est.values[0]:.12g},{est.stderr[0]:.12g},ok")
+            lines.append(f"{v:.12g},nan,nan,failed:unresolved" if est.unresolved else
+                         f"{v:.12g},{est.values[0]:.12g},{est.stderr[0]:.12g},ok")
         except (fuchsian.DegenerateBendingError, linrep.RepresentationError,
                 oseledets.InsufficientDataError) as exc:
             lines.append(f"{v:.12g},nan,nan,failed:{type(exc).__name__}")
@@ -204,14 +205,15 @@ class TestSweepCommand:
 
     def test_large_twist_rows_not_refused(self, tmp_path):
         # entries reach ~e^32; the relation gate must fall back to the
-        # backward-stability residual instead of refusing
+        # backward-stability residual instead of refusing.  So twist 16 fails
+        # only by its conditioning, which no QR interval resolves
         out = tmp_path / "sweep.csv"
         assert run_cli(["sweep", "--group", "surface:2", "--axis", "real",
                         "--grid", "4,16", "--time", "60", "--samples", "4",
                         "--seed", "4", "--out", str(out)]) == 0
         rows = [r.split(",") for r in out.read_text().strip().split("\n")[1:]]
-        assert all(r[3] == "ok" for r in rows)
-        assert float(rows[1][1]) > float(rows[0][1]) > 1.0
+        assert rows[0][3] == "ok" and float(rows[0][1]) > 1.0
+        assert rows[1] == ["16", "nan", "nan", "failed:unresolved"]
 
     def test_each_geodesic_traced_once(self, tmp_path, monkeypatch):
         real, traced = oseledets.iter_crossings, []
@@ -243,7 +245,10 @@ class TestSweepCommand:
             assert run_cli(args + ["--out", str(chunked)]) == 0
             assert chunked.read_bytes() == fused.read_bytes()
 
-    @pytest.mark.parametrize("axis,fields", [("imag", [False, True]), ("real", [False])])
+    # one chunk per scalar field and QR interval: the real twists 0, 0.5 and
+    # 1 run at q = 8, 6 and 4
+    @pytest.mark.parametrize("axis,fields", [("imag", [False, True]),
+                                             ("real", [False, False, False])])
     def test_real_rep_never_promoted(self, tmp_path, monkeypatch, axis, fields):
         built = []
 
@@ -256,7 +261,39 @@ class TestSweepCommand:
         assert run_cli(["sweep", "--group", "surface:2", "--axis", axis,
                         "--grid", "0,0.5,1", "--time", "60", "--samples", "4",
                         "--seed", "4", "--out", str(tmp_path / "s.csv")]) == 0
-        assert sorted(built) == fields  # one chunk per scalar field
+        assert sorted(built) == fields
+
+
+def csv_rows(path):
+    return [r.split(",") for r in path.read_text().strip().split("\n")[1:]]
+
+
+class TestResolvedSpectra:
+    """Every printed exponent is resolved, or the run refuses or fails its row."""
+
+    @pytest.mark.parametrize("group,k", [("surface:2", 3), ("surface:3", 2)])
+    def test_sym_power_exact_at_default_flags(self, tmp_path, group, k):
+        out = tmp_path / "s.csv"
+        assert run_cli(["spectrum", "--group", group, "--transform", f"sym:{k}",
+                        "--out", str(out)]) == 0
+        rows = csv_rows(out)
+        lam, se = (np.array([float(r[i]) for r in rows]) for i in (2, 3))
+        assert np.all(np.abs(lam - np.arange(k, -k - 1, -2)) <= 3 * se)
+
+    def test_readme_real_sweep_fails_unresolved_twists(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert run_cli(["sweep", "--group", "surface:2", "--axis", "real", "--grid",
+                        "0,1,2,4,8,16", "--time", "500", "--samples", "16", "--seed", "9",
+                        "--out", str(out)]) == 0
+        assert [r[3] for r in csv_rows(out)] == ["ok"] * 4 + ["failed:unresolved"] * 2
+
+    def test_zero_row_independent_of_other_points(self, tmp_path):
+        args = ["sweep", "--group", "surface:2", "--axis", "real", "--time", "100",
+                "--samples", "4", "--seed", "4"]
+        both, alone = tmp_path / "both.csv", tmp_path / "alone.csv"
+        assert run_cli(args + ["--grid", "0,16", "--out", str(both)]) == 0
+        assert run_cli(args + ["--grid", "0", "--out", str(alone)]) == 0
+        assert csv_rows(both)[0] == csv_rows(alone)[0]
 
 
 class TestErrCommand:
@@ -381,7 +418,7 @@ CONFIG_CASES = [
     ("spectrum", "time", "55", "40"),
     ("spectrum", "samples", "5", "3"),
     ("spectrum", "seed", "7", "2"),
-    ("spectrum", "qr-interval", "32", "8"),
+    ("spectrum", "qr-interval", "1", "32"),
     ("spectrum", "normalization", "minus1", "minus4"),
     ("spectrum", "random-base", "1", "0"),
     ("sweep", "axis", "real", "imag"),
@@ -394,10 +431,9 @@ CONFIG_CASES = [
 ]
 CONFIG_BASE = {
     "spectrum": ["--time", "40", "--samples", "3", "--seed", "2"],
-    # the QR interval shows in the printed digits only on ill-conditioned
-    # products, such as those of a large twist
-    "qr-interval": ["--group", "surface:2", "--transform", "bend:12,0", "--time", "40",
-                    "--samples", "3", "--seed", "2"],
+    # a cap of 1 against one past the rule's q = 8 on surface:2; on
+    # triangle:3,3,4 the printed digits do not tell them apart
+    "qr-interval": ["--group", "surface:2", "--time", "40", "--samples", "3", "--seed", "2"],
     "sweep": ["--grid", "0,0.5", "--time", "40", "--samples", "3", "--seed", "2"],
     "err": ["--dev", "veronese:3", "--covector", "1 0 1", "--tmax", "8",
             "--grid-nodes", "60"],
@@ -451,6 +487,8 @@ class TestCommandLineRefusals:
         (["orbit-count", "--tmax", "4", "--center=1e200,1"], "infinite distance"),
         # the relator of the 64-gon closes only to 4.13e-9, past the 1e-9 build gate
         (["spectrum", "--group", "surface:16"], "fails to close"),
+        # a generator image of log cond 38.9, past any QR interval's budget
+        (["spectrum", "--group", "surface:2", "--transform", "bend:16,0"], "unresolved"),
     ])
     def test_exit_2_with_one_refusal_line(self, capsys, args, why):
         assert run_cli(args) == 2

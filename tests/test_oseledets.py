@@ -1,3 +1,4 @@
+import functools
 import math
 from types import SimpleNamespace
 
@@ -11,6 +12,7 @@ from lyaplab.linrep import (
     ext_power,
     sym_power,
     trivial_rep,
+    uniformizing_rep,
     unitary_cube_rep,
 )
 from lyaplab.oseledets import (
@@ -34,7 +36,7 @@ def walk_rates(rep, gens, qr_interval=8):
     batch = CodingBatch((0,), (np.arange(1.0, k + 1),), (np.asarray(gens),))
     cfg = RunConfig(T=float(k), samples=1, seed=0, qr_interval=qr_interval,
                     normalization="minus1", burn_in=0.0)
-    [(values, failures)] = cocycle([rep], batch, cfg)
+    [(values, failures, _)] = cocycle([rep], batch, cfg)
     assert failures == []
     return values[0]
 
@@ -42,8 +44,8 @@ def walk_rates(rep, gens, qr_interval=8):
 def geodesic_exponents(dom, rep, ut, T):
     """Exponents along the single geodesic from ut, with no burn-in."""
     c = coding(dom, ut, T)
-    [(values, failures)] = cocycle([rep], CodingBatch((0,), (c.times,), (c.gens,)),
-                                   RunConfig(T=T, samples=1, seed=0, burn_in=0.0))
+    [(values, failures, _)] = cocycle([rep], CodingBatch((0,), (c.times,), (c.gens,)),
+                                      RunConfig(T=T, samples=1, seed=0, burn_in=0.0))
     assert failures == []
     return values[0]
 
@@ -81,7 +83,7 @@ def random_walk_spectrum(rep, steps, samples, seed):
                         tuple(np.where(s <= m, s, m - s) for s in draws))
     config = RunConfig(T=float(steps), samples=samples, seed=seed,
                        normalization="minus1", burn_in=0.0)
-    [(values, failures)] = cocycle([rep], batch, config)
+    [(values, failures, _)] = cocycle([rep], batch, config)
     assert failures == []
     return SimpleNamespace(values=values.mean(axis=0), normalization_tag="per-step",
                            caveat="random-walk exponents; only the zero/nonzero "
@@ -102,10 +104,10 @@ class TestAccumulator:
         assert np.allclose(lam, [math.log(2.0), -math.log(2.0)], atol=1e-12)
 
     def test_overflow_forces_flush(self):
-        lam = walk_rates(single_matrix_rep(np.diag([1e40, 1e-40])), [1] * 20,
-                         qr_interval=10**9)
+        # 1e40 I is perfectly conditioned: only the overflow bound limits q
+        lam = walk_rates(single_matrix_rep(1e40 * np.eye(2)), [1] * 20, qr_interval=10**9)
         assert np.isfinite(lam).all()
-        assert np.allclose(lam, [40 * math.log(10.0), -40 * math.log(10.0)])
+        assert np.allclose(lam, [40 * math.log(10.0), 40 * math.log(10.0)])
 
     @pytest.fixture
     def flushed_max(self, monkeypatch):
@@ -119,15 +121,15 @@ class TestAccumulator:
     def test_diagonal_flushed_below_overflow(self, flushed_max):
         # the QR interval is shortened a priori (here to 2), so no frame
         # reaches FRAME_OVERFLOW before its flush
-        lam = walk_rates(single_matrix_rep(np.diag([1e40, 1e-40])), [1] * 20, qr_interval=8)
-        assert np.allclose(lam, [40 * math.log(10.0), -40 * math.log(10.0)])
+        lam = walk_rates(single_matrix_rep(1e40 * np.eye(2)), [1] * 20, qr_interval=8)
+        assert np.allclose(lam, [40 * math.log(10.0), 40 * math.log(10.0)])
         assert max(flushed_max) < oseledets.FRAME_OVERFLOW
 
     def test_bend_flushed_below_overflow(self, genus2, fuchs_g2, flushed_max):
         bent = fuchsian.bend_representation(
             fuchs_g2, fuchsian.BendingSplit.surface_standard(2), 12.0)
         cfg = RunConfig(T=300.0, samples=4, seed=3, qr_interval=32)
-        [(rows, failures)] = cocycle([bent], code_samples(genus2[0], cfg), cfg)
+        [(rows, failures, _)] = cocycle([bent], code_samples(genus2[0], cfg), cfg)
         assert len(rows) == 4 and failures == []
         assert max(flushed_max) < oseledets.FRAME_OVERFLOW
 
@@ -161,10 +163,10 @@ class TestBatchedCocycle:
         times = tuple(np.arange(1.0, 13.0) for _ in range(3))
         gens = (np.full(12, 1), np.array([1, 1, 2] + [1] * 9), np.full(12, -1))
         cfg = RunConfig(T=12.0, samples=3, seed=0, burn_in=0.0, qr_interval=4)
-        [(values, failures)] = cocycle([_StubRep()], CodingBatch((0, 1, 2), times, gens), cfg)
+        [(values, failures, _)] = cocycle([_StubRep()], CodingBatch((0, 1, 2), times, gens), cfg)
         assert [i for i, _ in failures] == [1]
         assert "NumericCocycleError" in failures[0][1]
-        [(alone, none)] = cocycle([_StubRep()], CodingBatch((0, 2), times[::2], gens[::2]), cfg)
+        [(alone, none, _)] = cocycle([_StubRep()], CodingBatch((0, 2), times[::2], gens[::2]), cfg)
         assert none == []
         assert np.array_equal(values, alone)
 
@@ -227,12 +229,13 @@ class TestBatchedCocycle:
         real = CocycleAccumulator.flush
         monkeypatch.setattr(CocycleAccumulator, "flush",
                             lambda acc, lanes: calls.append(lanes) or real(acc, lanes))
-        [(rows, failures)] = cocycle([fuchs334], coding, cfg)
+        [(rows, failures, _)] = cocycle([fuchs334], coding, cfg)
         assert failures == []
         # the windows are the global steps [wq, wq + q), with every burn-in
         # ending at the first window end past the longest: one flush per
         # window that some lane's steps meet
-        q = cfg.qr_interval
+        q, _ = oseledets.qr_interval(fuchs334)
+        assert q == 19
         settle = -(-max(burns) // q) * q
         windows = set()
         for burn, t in zip(burns, coding.times):
@@ -258,7 +261,7 @@ class TestBatchedCocycle:
         fused = cocycle(reps, coding, cfg)
         monkeypatch.setattr(oseledets, "FRAME_BUDGET", 4 * 2 * 2 * 8)
         assert all(np.array_equal(a[0], b[0]) for a, b in zip(cocycle(reps, coding, cfg), fused))
-        for r, (rows, failures) in enumerate(fused):
+        for r, (rows, failures, _) in enumerate(fused):
             assert failures == []
             for lane in range(5):
                 one = CodingBatch(coding.index[lane:lane + 1], coding.times[lane:lane + 1],
@@ -306,9 +309,9 @@ class TestFusedReps:
         cfg = RunConfig(T=12.0, samples=3, seed=0, burn_in=0.0, qr_interval=4)
         reps = [_SteadyRep(), _StubRep(), _SteadyRep()]
         fused = cocycle(reps, batch, cfg)
-        assert [[i for i, _ in lost] for _, lost in fused] == [[], [1, 2], []]
-        for rep, (rows, lost) in zip(reps, fused):
-            [(alone, alone_lost)] = cocycle([rep], batch, cfg)
+        assert [[i for i, _ in lost] for _, lost, _ in fused] == [[], [1, 2], []]
+        for rep, (rows, lost, _) in zip(reps, fused):
+            [(alone, alone_lost, _)] = cocycle([rep], batch, cfg)
             assert np.array_equal(rows, alone)
             assert lost == alone_lost
         assert np.array_equal(fused[0][0], fused[2][0])
@@ -431,6 +434,77 @@ class TestEstimateSpectrum:
         rep = uniformizing_rep(gens, rels, "fuchsian")
         est = estimate_spectrum(dom, rep, RunConfig(T=300.0, samples=8, seed=1))
         assert abs(est.values[0] - 1.0) < 0.02
+
+
+BUILTIN_GROUPS = ("triangle:3,3,4", "triangle:2,3,7", "surface:2", "surface:3")
+EXACT_CONFIG = RunConfig(T=200.0, samples=8, seed=1)
+
+
+@functools.lru_cache(maxsize=None)
+def _uniformized(spec):
+    """(domain, uniformizing rep, EXACT_CONFIG coding) of a built-in group."""
+    dom, gens, rels = fuchsian.build_group(fuchsian.parse_group_spec(spec))
+    return dom, uniformizing_rep(gens, rels, "fuchsian"), code_samples(dom, EXACT_CONFIG)
+
+
+class TestQrInterval:
+    """The rule's q pinned, so that a change of QR_BUDGET or of the
+    conditioning measure cannot silently move a sweep."""
+
+    def test_rule_pins_q(self, fuchs334, fuchs_g2):
+        split = fuchsian.BendingSplit.surface_standard(2)
+        assert oseledets.qr_interval(fuchs334) == (19, "")
+        for s in (0.5j, 1j, 1.5j, 2j):
+            assert oseledets.qr_interval(fuchsian.bend_representation(fuchs_g2, split, s)) \
+                == (8, "")
+        assert oseledets.qr_interval(fuchs_g2) == (8, "")
+        assert oseledets.qr_interval(fuchsian.bend_representation(fuchs_g2, split, 4.0)) \
+            == (1, "")
+        q, why = oseledets.qr_interval(fuchsian.bend_representation(fuchs_g2, split, 8.0))
+        assert q == 1 and why.startswith("spectrum unresolved")
+
+    def test_overflow_and_conditioning_bounds(self):
+        # perfectly conditioned, but entries grow by 1e40 a step
+        assert oseledets.qr_interval(single_matrix_rep(1e40 * np.eye(2))) == (2, "")
+        q, why = oseledets.qr_interval(single_matrix_rep(np.diag([1e40, 1e-40])))
+        assert q == 1 and "log cond 184.2" in why
+
+    def test_unresolved_estimate_keeps_its_values(self, genus2, fuchs_g2):
+        bent = fuchsian.bend_representation(
+            fuchs_g2, fuchsian.BendingSplit.surface_standard(2), 8.0)
+        est = estimate_spectrum(genus2[0], bent, RunConfig(T=100.0, samples=4, seed=3))
+        assert est.unresolved.startswith("spectrum unresolved")
+        assert est.samples == 4 and np.isfinite(est.values).all()
+
+    def test_each_rep_keeps_its_interval_when_fused(self, genus2, fuchs_g2):
+        split = fuchsian.BendingSplit.surface_standard(2)
+        reps = [fuchsian.bend_representation(fuchs_g2, split, s) for s in (1.5, 0.5, 16.0)]
+        cfg = RunConfig(T=100.0, samples=4, seed=3)
+        coding = code_samples(genus2[0], cfg)
+        fused = cocycle(reps, coding, cfg)
+        assert [why != "" for _, _, why in fused] == [False, False, True]
+        for rep, out in zip(reps, fused):
+            [alone] = cocycle([rep], coding, cfg)
+            assert np.array_equal(out[0], alone[0]) and out[1:] == alone[1:]
+
+
+class TestExactSpectra:
+    @pytest.mark.parametrize("k", range(1, 6))
+    @pytest.mark.parametrize("spec", BUILTIN_GROUPS)
+    def test_sym_power_spectrum_or_unresolved(self, spec, k):
+        """Sym^k of a uniformizing representation has the spectrum
+        (k, k - 2, ..., -k): within C2's tolerance of 0.02 k, or unresolved."""
+        dom, rep, coding = _uniformized(spec)
+        est = estimate_spectrum(dom, rep if k == 1 else sym_power(rep, k), EXACT_CONFIG, coding)
+        if not est.unresolved:
+            assert np.abs(est.values - np.arange(k, -k - 1, -2)).max() <= 0.02 * k
+
+    def test_twist_4_spectrum_symmetric(self, genus2, fuchs_g2):
+        bent = fuchsian.bend_representation(
+            fuchs_g2, fuchsian.BendingSplit.surface_standard(2), 4.0)
+        est = estimate_spectrum(genus2[0], bent, RunConfig(T=500.0, samples=4, seed=3))
+        assert est.unresolved == "" and est.values[0] > 2.0
+        assert abs(est.values[0] + est.values[1]) <= 3 * math.hypot(*est.stderr)
 
 
 class TestWedge:
