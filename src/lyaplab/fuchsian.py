@@ -5,14 +5,15 @@ fundamental polygons and side pairings, the ray tracer producing the
 side-crossing coding, orbit enumeration in balls, and quasi-Fuchsian
 bending deformations.  The polygon lives on the hyperboloid model: each
 side is the plane of a unit covector, which clearances, membership, the
-bounding box, the pairing check and the tracer all read, and each pairing
-is an SO(2,1) matrix.
+bounding box and the pairing check read; the tracer reads the signs of
+the vertices' lifts, and each pairing is an SO(2,1) matrix.
 
 Domains and generator data are immutable after construction; coding and
 orbit enumeration are pure functions of their inputs, so Monte-Carlo
 workers can share one domain and own their codings.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -111,33 +112,36 @@ class FundamentalDomain:
     vertices are listed counterclockwise; side k joins vertex k to k+1 and
     has hyperbolic length sides[k].length; pairings[k].mobius maps side k
     onto side pairings[k].partner setwise; area is the exact orbifold area,
-    from the group signature; flat lists the vertices of interior angle pi,
-    where two sides share a carrier.
+    from the group signature.
     """
 
-    def __init__(self, vertices, pairings, interior_point, area, flat=()):
+    def __init__(self, vertices, pairings, interior_point, area):
         self.vertices = list(vertices)
         self.area = area
         ends = zip(self.vertices, self.vertices[1:] + self.vertices[:1])
         self.sides = [SimpleNamespace(length=hyp_dist(p, q)) for p, q in ends]
         self.pairings = list(pairings)
         self.interior_point = interior_point
-        # the polygon on the hyperboloid: a covector per side, a flattened
-        # SO(2,1) matrix and generator per pairing, and per side of a flat
-        # vertex k the tangent functional of the shared carrier at k
-        # (positive toward side k) with the sides k-1 and k it separates
-        lifts = [_lift(v.x, v.y) for v in self.vertices]
+        # the polygon on the hyperboloid: vertex lifts and a covector per side
+        self._lifts = lifts = [_lift(v.x, v.y) for v in self.vertices]
         inside, n = _lift(interior_point.x, interior_point.y), len(lifts)
         self._normals = [_unit_covector(lifts[k], lifts[(k + 1) % n], inside) for k in range(n)]
-        self._pairs = [(tuple(_so21(p.mobius.mat).ravel().tolist()), p.word[0])
-                       for p in self.pairings]
-        self._flat = {}
-        for k in flat:
-            c0, c1, c2 = self._normals[k]
-            f = _cross((c0, -c1, -c2), lifts[k])
-            f = f if _dot(f, lifts[(k + 1) % n]) > 0.0 else tuple(-v for v in f)
-            self._flat[k] = self._flat[(k - 1) % n] = (f, (k - 1) % n, k)
         self.inradius = math.asinh(min(self.clearances(interior_point.x, interior_point.y)))
+
+    @functools.cached_property
+    def _exits(self):
+        """The tracer's table, built at its first call: per side k the flat
+        record of w_k, w_(k+1), 2 <w_k, w_(k+1)>, L_k^-1 = J L_k^T J (the image
+        of g_k's adjugate) by rows, the generator, the partner j's w_(j+1),
+        w_j, the walk (w_i, side i - 1) for i = j+2 .. j-1, and side j - 1."""
+        lifts, n, sides = self._lifts, len(self._lifts), [[] for _ in self.pairings]
+        for k, p in enumerate(self.pairings):
+            u, v, j, inverse = lifts[k], lifts[(k + 1) % n], p.partner, _inverse(p.mobius.mat)
+            sides[k] += [*u, *v, 2.0 * (u[0] * v[0] - u[1] * v[1] - u[2] * v[2]),
+                         *_so21(inverse).ravel().tolist(), p.word[0], *lifts[(j + 1) % n],
+                         *lifts[j], tuple((*lifts[(j + i) % n], sides[(j + i - 1) % n])
+                                          for i in range(2, n)), sides[j - 1]]
+        return sides
 
     def clearances(self, x, y):
         """Signed sinh-distances n_k . lift(x, y) to each side carrier,
@@ -234,9 +238,7 @@ def _build_triangle(p, q, r):
     area = 2.0 * math.pi * (1.0 - 1.0 / p - 1.0 / q - 1.0 / r)
     probe = FundamentalDomain(vertices, pairings, HPoint(0.0, math.exp(c_ab / 2.0)), area)
     interior = _axis_incenter(probe, 1.0 + 1e-9, math.exp(c_ab) - 1e-9)
-    # A and B have angles 2 pi/p and 2 pi/q: an order-2 one is flat
-    flat = [k for k, order in ((0, p), (2, q)) if order == 2]
-    dom = FundamentalDomain(vertices, pairings, interior, area, flat)
+    dom = FundamentalDomain(vertices, pairings, interior, area)
     _check_build(dom, gens, relations)
     return dom, gens, relations
 
@@ -380,62 +382,60 @@ def _unit_covector(u, v, inside):
 def iter_crossings(dom, ut, T, perturb_log=None):
     """Yield (time, signed generator) for each side crossing in (0, T].
 
-    The geodesic runs on the hyperboloid as P(t) = P cosh t + V sinh t.  A
-    side k's carrier is the plane n_k . X = 0 with the polygon at n_k . X > 0
-    (n_k . X: the plain dot product of the side's covector in dom._normals),
-    so along the flow n_k . X = a cosh t + b sinh t (a = n_k . P, b = n_k . V)
-    and the polygon being convex, the exit is the side of least
-    tau = max(a, 0) / -b over the sides with b < 0, at t = atanh tau.  A state
-    rounding left a hair outside a side it is leaving exits through it at
-    t = 0; corner routes through a vertex come out that way.  Where two sides
-    share a carrier (a vertex of angle pi), the side of the exit point is read
-    off the carrier's tangent functional at that vertex.  The side's pairing
-    then maps (P, V), which are put back on the hyperboloid and its tangent
-    plane; the state after the k-th crossing is the flow's state at its time
-    pushed by the crossed pairings g_k ... g_1.  The final partial segment
-    is not yielded.  perturb_log is kept for callers that pass it:
-    no direction is ever perturbed, so it stays empty.
+    A vertex-sign walk.  The geodesic from P with velocity V on the
+    hyperboloid is the covector l = V x P, negative at the polygon's vertices
+    w_i to its right.  The polygon is convex, so the exit is the side k with
+    s_k < 0 <= s_(k+1) (s_i = l . w_i), at the point
+    X = (s_(k+1) w_k - s_k w_(k+1)) / sqrt(s_k^2 + s_(k+1)^2 - 2 s_k s_(k+1) <w_k, w_(k+1)>),
+    2 asinh(|X - X_entry| / 2) after the entry (Minkowski <,> and norm).
+    Crossing maps l to l L_k^-1; the pairing L_k carries w_k, w_(k+1) onto
+    the partner's w_(j+1), w_j, whose signs and the entry's coefficients are
+    inherited exactly, and the walk from w_(j+1) stops at the first vertex
+    with s >= 0, w_j at the latest.  l's scale enters no sign and no X, so
+    it is never renormalized; s_k < 0 keeps X finite; a vertex of angle pi
+    is an ordinary one.  A geodesic through a vertex (s = 0 counts as left)
+    passes the corner copies around it in crossings of length 0.  The first
+    X is at asinh(-<X, V>) from P: a crossing behind P (from a start on or
+    along its exit side) comes out at t = 0.  The state at crossing k is the
+    flow's pushed by g_k ... g_1; the final partial segment is not yielded.
+    perturb_log stays empty.
     """
-    normals, pairs, flat = dom._normals, dom._pairs, dom._flat
+    sides, lifts = dom._exits, dom._lifts
     x, y, c, s = ut.base.x, ut.base.y, math.cos(ut.angle), math.sin(ut.angle)
-    p0, p1, p2 = _lift(x, y)
     w, h = s / (2.0 * y), y * y - x * x  # V = dP/dt for dz/dt = y e^(i angle)
-    v0, v1, v2 = x * c + (h - 1.0) * w, x * c + (h + 1.0) * w, c - 2.0 * x * w
-    t_acc = 0.0
+    vel = x * c + (h - 1.0) * w, x * c + (h + 1.0) * w, c - 2.0 * x * w
+    l0, l1, l2 = _cross(vel, _lift(x, y))
+    signs = [l0 * w0 + l1 * w1 + l2 * w2 for w0, w1, w2 in lifts]
+    k = next((k for k in range(-1, len(signs) - 1) if signs[k] < 0.0 <= signs[k + 1]), None)
+    if k is None:
+        raise ResourceError("ray tracing: no outward exit at t=0.000000")
+    side, s0, s1 = sides[k], signs[k], signs[k + 1]
+    r = 1.0 / math.sqrt(s0 * (s0 - side[6] * s1) + s1 * s1)
+    e0, e1, e2 = (s1 * r * u - s0 * r * v for u, v in zip(lifts[k], lifts[k + 1]))
+    t_acc = math.asinh(e1 * vel[1] + e2 * vel[2] - e0 * vel[0])
     for _ in range(int(64 + 16.0 * T / dom.inradius)):
-        tau, k = 1.0, -1
-        for j, (n0, n1, n2) in enumerate(normals):
-            b = n0 * v0 + n1 * v1 + n2 * v2
-            if b < 0.0:
-                a = n0 * p0 + n1 * p1 + n2 * p2
-                q = a / -b if a > 0.0 else 0.0
-                if q < tau:
-                    tau, k = q, j
-        if k < 0:
-            raise ResourceError(f"ray tracing: no outward exit at t={t_acc:.6f}")
-        t = math.atanh(tau)
+        (u0, u1, u2, v0, v1, v2, ck2, m00, m01, m02, m10, m11, m12, m20, m21, m22,
+         gen, p0, p1, p2, q0, q1, q2, walk, last) = side
+        r = 1.0 / math.sqrt(s0 * (s0 - ck2 * s1) + s1 * s1)
+        a, b = s1 * r, -s0 * r
+        d0, d1, d2 = a * u0 + b * v0 - e0, a * u1 + b * v1 - e1, a * u2 + b * v2 - e2
+        q = d1 * d1 + d2 * d2 - d0 * d0
+        t = 2.0 * math.asinh(0.5 * math.sqrt(q)) if q > 0.0 else 0.0
         if t > T - t_acc:
             return
         t_acc += t
-        ch = 1.0 / math.sqrt(1.0 - tau * tau)
-        sh = tau * ch
-        p0, p1, p2, v0, v1, v2 = (ch * p0 + sh * v0, ch * p1 + sh * v1, ch * p2 + sh * v2,
-                                  sh * p0 + ch * v0, sh * p1 + ch * v1, sh * p2 + ch * v2)
-        if k in flat:
-            (f0, f1, f2), before, after = flat[k]
-            k = after if f0 * p0 + f1 * p1 + f2 * p2 > 0.0 else before
-        (l00, l01, l02, l10, l11, l12, l20, l21, l22), gen = pairs[k]
-        p0, p1, p2 = (l00 * p0 + l01 * p1 + l02 * p2, l10 * p0 + l11 * p1 + l12 * p2,
-                      l20 * p0 + l21 * p1 + l22 * p2)
-        v0, v1, v2 = (l00 * v0 + l01 * v1 + l02 * v2, l10 * v0 + l11 * v1 + l12 * v2,
-                      l20 * v0 + l21 * v1 + l22 * v2)
-        r = 1.0 / math.sqrt(p0 * p0 - p1 * p1 - p2 * p2)
-        p0, p1, p2 = r * p0, r * p1, r * p2
-        d = p0 * v0 - p1 * v1 - p2 * v2
-        v0, v1, v2 = v0 - d * p0, v1 - d * p1, v2 - d * p2
-        r = 1.0 / math.sqrt(v1 * v1 + v2 * v2 - v0 * v0)
-        v0, v1, v2 = r * v0, r * v1, r * v2
-        yield t_acc, gen
+        yield (t_acc if t_acc > 0.0 else 0.0), gen
+        l0, l1, l2 = (l0 * m00 + l1 * m10 + l2 * m20, l0 * m01 + l1 * m11 + l2 * m21,
+                      l0 * m02 + l1 * m12 + l2 * m22)
+        e0, e1, e2 = a * p0 + b * q0, a * p1 + b * q1, a * p2 + b * q2
+        for w0, w1, w2, nxt in walk:
+            sw = l0 * w0 + l1 * w1 + l2 * w2
+            if sw >= 0.0:
+                side, s1 = nxt, sw
+                break
+            s0 = sw
+        else:
+            side = last
     raise ResourceError("crossing budget exceeded (tracing runaway)")
 
 

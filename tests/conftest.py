@@ -1,4 +1,5 @@
 import cmath
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -63,6 +64,73 @@ def coding(dom, ut, T):
         gens=np.array([g for _, g in out], dtype=np.int64),
         perturbations=len(perturbs),
     )
+
+
+def hyperboloid_crossings(dom, ut, T):
+    """The hyperboloid tracer that the vertex-sign walk of
+    `fuchsian.iter_crossings` replaced, kept as its oracle; it yields the
+    same (time, signed generator) pairs.
+
+    The geodesic runs as P(t) = P cosh t + V sinh t.  Along it a side k's
+    carrier n_k . X = 0 (n_k in dom._normals, the polygon at n_k . X > 0)
+    reads a cosh t + b sinh t with a = n_k . P and b = n_k . V, so the exit
+    is the side of least tau = max(a, 0) / -b over the sides with b < 0, at
+    t = atanh tau.  Where two sides share a carrier (a vertex of angle pi),
+    the side of the exit point is read off the carrier's tangent functional
+    at that vertex.  The side's pairing then maps (P, V), which are put back
+    on the hyperboloid and its tangent plane.
+    """
+    lifts = [fuchsian._lift(v.x, v.y) for v in dom.vertices]
+    normals, n = dom._normals, len(lifts)
+    pairs = [(tuple(fuchsian._so21(p.mobius.mat).ravel().tolist()), p.word[0])
+             for p in dom.pairings]
+    flat = {}
+    for k in range(n):  # a vertex of angle pi: both its sides on one carrier
+        if max(abs(a - b) for a, b in zip(normals[k - 1], normals[k])) < 1e-9:
+            c0, c1, c2 = normals[k]
+            f = fuchsian._cross((c0, -c1, -c2), lifts[k])
+            f = f if fuchsian._dot(f, lifts[(k + 1) % n]) > 0.0 else tuple(-v for v in f)
+            flat[k] = flat[(k - 1) % n] = (f, (k - 1) % n, k)
+    x, y, c, s = ut.base.x, ut.base.y, math.cos(ut.angle), math.sin(ut.angle)
+    p0, p1, p2 = fuchsian._lift(x, y)
+    w, h = s / (2.0 * y), y * y - x * x  # V = dP/dt for dz/dt = y e^(i angle)
+    v0, v1, v2 = x * c + (h - 1.0) * w, x * c + (h + 1.0) * w, c - 2.0 * x * w
+    t_acc = 0.0
+    for _ in range(int(64 + 16.0 * T / dom.inradius)):
+        tau, k = 1.0, -1
+        for j, (n0, n1, n2) in enumerate(normals):
+            b = n0 * v0 + n1 * v1 + n2 * v2
+            if b < 0.0:
+                a = n0 * p0 + n1 * p1 + n2 * p2
+                q = a / -b if a > 0.0 else 0.0
+                if q < tau:
+                    tau, k = q, j
+        if k < 0:
+            raise fuchsian.ResourceError(f"ray tracing: no outward exit at t={t_acc:.6f}")
+        t = math.atanh(tau)
+        if t > T - t_acc:
+            return
+        t_acc += t
+        ch = 1.0 / math.sqrt(1.0 - tau * tau)
+        sh = tau * ch
+        p0, p1, p2, v0, v1, v2 = (ch * p0 + sh * v0, ch * p1 + sh * v1, ch * p2 + sh * v2,
+                                  sh * p0 + ch * v0, sh * p1 + ch * v1, sh * p2 + ch * v2)
+        if k in flat:
+            (f0, f1, f2), before, after = flat[k]
+            k = after if f0 * p0 + f1 * p1 + f2 * p2 > 0.0 else before
+        (l00, l01, l02, l10, l11, l12, l20, l21, l22), gen = pairs[k]
+        p0, p1, p2 = (l00 * p0 + l01 * p1 + l02 * p2, l10 * p0 + l11 * p1 + l12 * p2,
+                      l20 * p0 + l21 * p1 + l22 * p2)
+        v0, v1, v2 = (l00 * v0 + l01 * v1 + l02 * v2, l10 * v0 + l11 * v1 + l12 * v2,
+                      l20 * v0 + l21 * v1 + l22 * v2)
+        r = 1.0 / math.sqrt(p0 * p0 - p1 * p1 - p2 * p2)
+        p0, p1, p2 = r * p0, r * p1, r * p2
+        d = p0 * v0 - p1 * v1 - p2 * v2
+        v0, v1, v2 = v0 - d * p0, v1 - d * p1, v2 - d * p2
+        r = 1.0 / math.sqrt(v1 * v1 + v2 * v2 - v0 * v0)
+        v0, v1, v2 = r * v0, r * v1, r * v2
+        yield t_acc, gen
+    raise fuchsian.ResourceError("crossing budget exceeded (tracing runaway)")
 
 
 def deriv_arg(m, z):

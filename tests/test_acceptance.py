@@ -259,13 +259,14 @@ def test_c8b_unbounded_growth_along_real_twisting(bundle_g2, g2_rep):
     vals = []
     for s in (4.0, 8.0, 16.0):
         est = estimate_spectrum(dom, bend_representation(g2_rep, split, s), cfg)
-        vals.append((s, est.values[0], est.stderr[0]))
+        vals.append((s, est.values[0], est.stderr[0], est.unresolved))
     increasing = vals[0][1] < vals[1][1] < vals[2][1]
+    # a value the library marks unresolved (no QR interval certifies it) says so
     verdict(
         "C8b",
         "lambda1 strictly increases along real twists |s| in {4, 8, 16}",
         increasing,
-        " -> ".join(f"{lam:.3f}" for _, lam, _ in vals),
+        " -> ".join(f"{lam:.3f}" + (" (unresolved)" if why else "") for _, lam, _, why in vals),
     )
 
 

@@ -1,5 +1,4 @@
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,7 +6,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad, solve_ivp
 
-from lyaplab.fuchsian import ResourceError, _lift, _unit_covector, iter_crossings
+from lyaplab.fuchsian import FundamentalDomain, ResourceError, SidePairing, iter_crossings
 from lyaplab.hypgeo import (
     HPoint,
     Mobius,
@@ -231,45 +230,55 @@ def side_clearance(p, q, x, y):
     return ((x - c) ** 2 + y * y - r * r) / (2.0 * r * y)
 
 
-def exit_of(ut, *sides):
+def polygon(*corners, inside):
+    """The closed convex polygon with these counterclockwise corners, each
+    side paired to itself by the identity: enough for its first crossing."""
+    pairings = [SidePairing(k, Mobius.identity(), (k + 1,)) for k in range(len(corners))]
+    return FundamentalDomain(corners, pairings, inside, area=1.0)
+
+
+def exit_of(ut, dom):
     """The first crossing (time, side index) of the ray from ut with the
-    sides (p, q, inside) of a polygon whose interior lies on the side of
-    `inside`, each side paired to itself by the identity, so the state there
-    is geodesic_flow(ut, time)."""
-    lift = lambda p: _lift(p.x, p.y)
-    dom = SimpleNamespace(
-        _normals=[_unit_covector(lift(p), lift(q), lift(inside)) for p, q, inside in sides],
-        _pairs=[((1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0), k) for k in range(len(sides))],
-        _flat={}, inradius=1.0)
-    return next(iter_crossings(dom, ut, 10.0))
+    polygon dom, whose pairings are the identity, so the state there is
+    geodesic_flow(ut, time)."""
+    t, gen = next(iter_crossings(dom, ut, 10.0))
+    return t, gen - 1
 
 
 class TestCrossing:
+    # a quadrilateral about i whose top side lies on |z| = 2, and one whose
+    # top side lies on the unit circle through i, with the interior below
+    box = polygon(HPoint(-0.3, 0.4), HPoint(0.3, 0.4), HPoint(1.2, 1.6), HPoint(-1.2, 1.6),
+                  inside=I)
+    cap = polygon(HPoint(-0.3, 0.2), HPoint(0.3, 0.2), HPoint(0.6, 0.8), HPoint(-0.6, 0.8),
+                  inside=HPoint(0.0, 0.5))
+
     def setup_method(self):
         self.up = UnitTangent(I, math.pi / 2)
-        self.side = (HPoint(-1.2, 1.6), HPoint(1.2, 1.6), I)
 
     def test_far_side_missed(self):
-        far = (HPoint(10.0, 1.0), HPoint(11.0, 1.0), HPoint(10.5, 0.5))
+        # a polygon the geodesic never meets has no exit
+        far = polygon(HPoint(10.0, 0.5), HPoint(11.0, 0.5), HPoint(11.0, 1.0), HPoint(10.0, 1.0),
+                      inside=HPoint(10.5, 0.75))
         with pytest.raises(ResourceError, match="no outward exit at t=0.000000"):
             exit_of(self.up, far)
 
     def test_start_on_side_flagged(self):
-        # the unit semicircle passes through i: a vertical ray from i starts
-        # on it, leaving the interior below, and crosses it at t = 0 (how a
-        # state rounded a hair outside a side is put back); the reverse ray
-        # enters there and has no exit
-        side = (HPoint(-0.6, 0.8), HPoint(0.6, 0.8), HPoint(0.0, 0.5))
-        assert exit_of(self.up, side) == (0.0, 0)
-        with pytest.raises(ResourceError, match="no outward exit"):
-            exit_of(UnitTangent(I, -math.pi / 2), side)
+        # a vertical ray from i starts on the unit circle, the cap's side 2,
+        # leaving the interior below, and crosses it at t = 0 (how a state
+        # rounded a hair outside a side is put back); the reverse ray enters
+        # there, so it leaves through the bottom side, at y = sqrt(0.13)
+        assert exit_of(self.up, self.cap) == (0.0, 2)
+        t, side = exit_of(UnitTangent(I, -math.pi / 2), self.cap)
+        assert side == 0 and abs(t - math.log(1.0 / math.sqrt(0.13))) < 1e-12
 
     def test_bisection_oracle(self):
-        t, _ = exit_of(self.up, self.side)
+        t, side = exit_of(self.up, self.box)
+        assert side == 2
         # bisection on the sign of the side-carrier clearance along the ray
         def val(tt):
             p = geodesic_flow(self.up, tt).base
-            return side_clearance(*self.side[:2], p.x, p.y)
+            return side_clearance(HPoint(-1.2, 1.6), HPoint(1.2, 1.6), p.x, p.y)
 
         lo, hi = 1e-6, 3.0
         assert val(lo) * val(hi) < 0
@@ -284,10 +293,28 @@ class TestCrossing:
     def test_crossing_angles(self):
         # oblique ray against a vertical side, leaving the interior on the left
         ut = UnitTangent(HPoint(-0.5, 1.0), 0.4)
-        side = (HPoint(0.0, 0.5), HPoint(0.0, 3.0), HPoint(-0.5, 1.0))
-        t, _ = exit_of(ut, side)
+        left = polygon(HPoint(-1.0, 0.5), HPoint(0.0, 0.5), HPoint(0.0, 3.0), HPoint(-1.0, 3.0),
+                       inside=HPoint(-0.5, 1.0))
+        t, side = exit_of(ut, left)
+        assert side == 1
         assert abs(geodesic_flow(ut, t).base.x) < 1e-12
-        # with the interior on the right the ray enters there: no exit
-        entering = (HPoint(0.0, 0.5), HPoint(0.0, 3.0), HPoint(0.5, 1.0))
-        with pytest.raises(ResourceError, match="no outward exit"):
-            exit_of(ut, entering)
+        # with the interior on the right the ray enters there: it leaves
+        # through another side, later
+        right = polygon(HPoint(0.0, 0.5), HPoint(1.0, 0.5), HPoint(1.0, 3.0), HPoint(0.0, 3.0),
+                        inside=HPoint(0.5, 1.0))
+        t_in, side = exit_of(ut, right)
+        assert side != 3 and t_in > t
+
+    @pytest.mark.parametrize("angle", [0.0, math.pi])
+    def test_ray_along_a_side_carrier(self, angle):
+        # from i along the unit circle, the cap's side 2: its two corners
+        # have sign 0 up to rounding, and no exit may divide by it.  Every
+        # point of the side is on the geodesic, so the ray may leave through
+        # side 2 anywhere or through a neighbour at a corner, or be refused
+        ut = UnitTangent(I, angle)
+        try:
+            t, side = exit_of(ut, self.cap)
+        except ResourceError:
+            return
+        assert side in (1, 2, 3)
+        assert abs(abs(geodesic_flow(ut, t).base.z) - 1.0) < 1e-9
