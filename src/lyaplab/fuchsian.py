@@ -398,6 +398,7 @@ def iter_crossings(dom, ut, T, perturb_log=None):
     X is at asinh(-<X, V>) from P: a crossing behind P (from a start on or
     along its exit side) comes out at t = 0.  The state at crossing k is the
     flow's pushed by g_k ... g_1; the final partial segment is not yielded.
+    A start outside the closed polygon (at SIDE_TOL) is refused.
     perturb_log stays empty.
     """
     sides, lifts = dom._exits, dom._lifts
@@ -409,6 +410,8 @@ def iter_crossings(dom, ut, T, perturb_log=None):
     k = next((k for k in range(-1, len(signs) - 1) if signs[k] < 0.0 <= signs[k + 1]), None)
     if k is None:
         raise ResourceError("ray tracing: no outward exit at t=0.000000")
+    if not dom.contains(ut.base):  # the entry into the polygon would go uncoded
+        raise ResourceError("ray tracing: the start lies outside the polygon")
     side, s0, s1 = sides[k], signs[k], signs[k + 1]
     r = 1.0 / math.sqrt(s0 * (s0 - side[6] * s1) + s1 * s1)
     e0, e1, e2 = (s1 * r * u - s0 * r * v for u, v in zip(lifts[k], lifts[k + 1]))

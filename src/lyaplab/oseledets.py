@@ -9,6 +9,7 @@ representation at lambda_1 = 1.
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -82,23 +83,26 @@ def code_samples(dom, config):
         rng = np.random.default_rng([config.seed, i])
         angle = rng.uniform(0.0, 2.0 * math.pi)
         base = _sample_base(dom, rng) if config.random_base else dom.interior_point
-        try:
-            tg = list(iter_crossings(dom, UnitTangent(base, angle), config.T))
+        try:  # the (time, generator) stream, flattened
+            tg = np.fromiter(chain.from_iterable(
+                iter_crossings(dom, UnitTangent(base, angle), config.T)), dtype=float)
         except (ArithmeticError, RuntimeError) as exc:  # keep sampling
             failures.append((i, repr(exc)))
             continue
-        t, g = np.array(tg, dtype=float).reshape(-1, 2).T
         index.append(i)
-        times.append(t.copy())
-        gens.append(g.astype(np.int64))
+        times.append(tg[0::2].copy())
+        gens.append(tg[1::2].astype(np.int64))
     return CodingBatch(tuple(index), tuple(times), tuple(gens),
                        _coding_key(config), tuple(failures))
 
 
 class CocycleAccumulator:
     """Orthonormal frames of a batch of lanes + accumulated log R diagonals.
-    flush(lanes) re-orthonormalizes them by a positive-diagonal QR, adds the
-    log diagonal and returns the lanes that degenerated, their frames zeroed."""
+    flush(lanes), lanes a slice or an index array, re-orthonormalizes them
+    by a QR, keeps Q as LAPACK returns it, adds log |diag R| and returns the
+    lanes that degenerated, their frames zeroed.  QR is sign-equivariant,
+    QR(F S) = (Q, R S) for S = diag(+-1), and R's diagonal is real for
+    complex frames too, so no |r_ii| depends on the signs of Q's columns."""
 
     def __init__(self, lanes, n, complex_field=False):
         self.frames = np.zeros((lanes, n, n), dtype=complex if complex_field else float)
@@ -107,13 +111,14 @@ class CocycleAccumulator:
 
     def flush(self, lanes):
         q, r = np.linalg.qr(self.frames[lanes])
-        diag = np.diagonal(r, axis1=1, axis2=2)
-        d, bad = np.abs(diag), lanes[:0]
-        if not (0.0 < d.min() and d.max() < math.inf):  # set the degenerate lanes aside
+        d, bad = np.abs(np.diagonal(r, axis1=1, axis2=2)), np.empty(0, dtype=np.intp)
+        if not (0.0 < d.min(initial=1.0) and d.max(initial=0.0) < math.inf):
+            # set the degenerate lanes aside
             ok = np.all(np.isfinite(d) & (d != 0.0), axis=1)
+            lanes = np.arange(len(self.frames))[lanes]
             self.frames[lanes[~ok]] = 0.0
-            q, diag, d, lanes, bad = q[ok], diag[ok], d[ok], lanes[ok], lanes[~ok]
-        self.frames[lanes] = q * (diag / d)[:, None, :]
+            q, d, lanes, bad = q[ok], d[ok], lanes[ok], lanes[~ok]
+        self.frames[lanes] = q
         self.log_diag[lanes] += np.log(d)
         return bad
 
@@ -175,11 +180,11 @@ def cocycle(reps, batch, config):
     count and scalar field.  Each runs at its own QR interval q, from
     qr_interval capped by config.qr_interval, and the reps of one q run
     fused: lane (r, i) multiplies rep r's images along lane i of batch, one
-    QR window of q steps at a time (see _lockstep).  Each lane is QR'd every
-    q of its own steps, counted from the end of its burn_in (log increments
-    up to there, an O(1/T) frame-alignment bias, are discarded), and after
-    its last one.  A lane's values depend neither on its batch nor on the
-    other reps."""
+    QR window of q steps at a time (see _lockstep).  Each lane's log R
+    diagonal counts a QR every q of its own steps, counted from the end of
+    its burn_in (log increments up to there, an O(1/T) frame-alignment bias,
+    are discarded), and one after its last step.  A lane's values depend
+    neither on its batch nor on the other reps."""
     n, m, field = reps[0].n, reps[0].num_generators, reps[0].is_complex
     if any((rep.n, rep.num_generators, rep.is_complex) != (n, m, field) for rep in reps):
         raise ValueError("fused representations differ in size or scalar field")
@@ -207,12 +212,13 @@ def _lockstep(table, batch, part, config, q, rows, failures):
     identity, which leaves its frame exactly as it is.  The global steps run
     in windows [wq, wq + q): a block of windows at a time is gathered and
     folded into one product per window and lane by q - 1 batched matmuls,
-    then each window is one matmul of the frames and one flush of the live
-    lanes, those whose steps meet the window and whose frame has not
-    degenerated (a flush zeroes a failed frame).  So a lane is flushed at
-    its own steps burn + m·q (at burn the burn-in logs are taken) and at the
-    window end after its last step.  A block holds at most FRAME_BUDGET
-    bytes of images, or one window."""
+    then each window is one matmul of the frames and one flush of every
+    live lane, all lanes until one degenerates (a flush zeroes a failed
+    frame).  A lane before its start holds the identity, whose flush is
+    exact (Q = R = I, log 0), and its log is read at the window of its last
+    step: so it counts the flushes at its own steps burn + m·q (at burn the
+    burn-in logs are taken) and at the window end after its last step.  A
+    block holds at most FRAME_BUDGET bytes of images, or one window."""
     samples = len(batch.index)
     rep_of, lane_of = np.divmod(part, samples)
     times = [batch.times[i] for i in lane_of]
@@ -231,7 +237,11 @@ def _lockstep(table, batch, part, config, q, rows, failures):
     flat = table.reshape(-1, *table.shape[2:])
     acc = CocycleAccumulator(len(part), table.shape[2], table.dtype == complex)
     base_log, failed, spare = np.zeros_like(acc.log_diag), {}, np.empty_like(acc.frames)
-    first, last, alive = off // q, (ends - 1) // q, lengths > 0
+    final = np.zeros_like(acc.log_diag)  # each lane's log at its last window
+    closing = {}  # window: the lanes whose last step falls in it
+    for lane, w in enumerate(((ends - 1) // q).tolist()):
+        closing.setdefault(w, []).append(lane)
+    live = slice(None)  # every lane, until one degenerates
     block = max(1, FRAME_BUDGET // (q * acc.frames.nbytes))
     for w0 in range(0, len(windows), block):
         images = flat[windows[w0:w0 + block]]  # (windows, q, lanes, n, n)
@@ -241,20 +251,21 @@ def _lockstep(table, batch, part, config, q, rows, failures):
         for w, prod in enumerate(prods, w0):
             np.matmul(prod, acc.frames, out=spare)  # out=frames would copy them first
             acc.frames, spare = spare, acc.frames
-            live = np.flatnonzero(alive & (first <= w) & (w <= last))
-            bad = acc.flush(live) if len(live) else live
+            bad = acc.flush(live)
             if len(bad):
                 step = np.minimum((w + 1) * q - off[bad], lengths[bad])
                 failed.update(zip(bad.tolist(), step.tolist()))
-                alive[bad] = False
+                live = np.setdiff1d(np.arange(len(part))[live], bad)
             if (w + 1) * q == settle:
                 base_log = acc.log_diag.copy()
+            if w in closing:
+                final[closing[w]] = acc.log_diag[closing[w]]
     for lane, (r, i, t) in enumerate(zip(rep_of, lane_of, times)):
         if lane in failed:
             exc = NumericCocycleError(f"cocycle frame degenerated at step {failed[lane]}")
             failures[r].append((batch.index[i], repr(exc)))
             continue
-        log = np.sort(acc.log_diag[lane] - base_log[lane])[::-1]
+        log = np.sort(final[lane] - base_log[lane])[::-1]
         # both window ends at crossing epochs: the log accrues only at
         # crossings, so pairing it with a time span ending mid-gap would
         # bias the rate by the mean residual gap over T

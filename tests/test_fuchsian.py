@@ -223,6 +223,21 @@ class TestCoding:
         again = coding(dom, pulled, 8.0)
         assert (again.gens == ref.gens).all()
 
+    def test_start_outside_refused(self, tri334):
+        # from the tile across side 2, aimed at the interior point, the ray
+        # enters D: that entry would go missing from its coding, so the start
+        # is refused; pulled back into D, the same state codes
+        dom, _, _ = tri334
+        g = dom.pairings[2].mobius
+        base = g.apply(dom.interior_point)
+        outside = UnitTangent(base, direction_to(base, dom.interior_point))
+        assert not dom.contains(outside.base)
+        with pytest.raises(ResourceError, match="start lies outside the polygon"):
+            coding(dom, outside, 8.0)
+        h = g.inv()
+        pulled = UnitTangent(h.apply(base), outside.angle + deriv_arg(h, base.z))
+        assert len(coding(dom, pulled, 8.0).gens) > 0
+
     @pytest.mark.parametrize("specname,bound", [("triangle:3,3,4", 8),
                                                 ("surface:2", 4)])
     def test_crossing_rate_bound(self, specname, bound):

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 from types import SimpleNamespace
 
@@ -109,6 +110,39 @@ class TestAccumulator:
         assert np.isfinite(lam).all()
         assert np.allclose(lam, [40 * math.log(10.0), 40 * math.log(10.0)])
 
+    # the two invariants on which the lockstep's flush of every lane at every
+    # window keeps the bits of flushing each lane only while its steps run,
+    # with Q's columns turned to a positive R diagonal
+
+    @pytest.mark.parametrize("complex_field", [False, True])
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_identity_frames_flush_exactly(self, n, complex_field):
+        # a lane before its start holds the identity
+        acc = CocycleAccumulator(3, n, complex_field)
+        identity = acc.frames.copy()
+        for lanes in (slice(None), np.array([0, 2])):
+            assert len(acc.flush(lanes)) == 0
+            assert np.array_equal(acc.frames, identity)
+            assert np.array_equal(acc.log_diag, np.zeros((3, n)))
+            assert not np.signbit(acc.log_diag).any()
+
+    @pytest.mark.parametrize("complex_field", [False, True])
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_qr_sign_equivariant(self, n, complex_field):
+        # QR(F S) = (Q, R S) for S = diag(+-1), bit for bit: so a frame whose
+        # columns differ from the positive-diagonal one by signs meets the
+        # same |r_ii| at every later flush
+        rng = np.random.default_rng([n, complex_field])
+        frames = rng.normal(size=(64, n, n))
+        if complex_field:
+            frames = frames + 1j * rng.normal(size=(64, n, n))
+        q, r = np.linalg.qr(frames)
+        d = np.abs(np.diagonal(r, axis1=1, axis2=2))
+        for signs in itertools.product((1.0, -1.0), repeat=n):
+            qs, rs = np.linalg.qr(frames * np.array(signs))
+            assert np.array_equal(qs, q)
+            assert np.array_equal(np.abs(np.diagonal(rs, axis1=1, axis2=2)), d)
+
     @pytest.fixture
     def flushed_max(self, monkeypatch):
         """The largest |entry| of each frame stack handed to a flush."""
@@ -190,6 +224,25 @@ class TestBatchedCocycle:
         assert [i for i, _ in est.failures] == [2]
         assert "injected" in est.failures[0][1]
         assert np.array_equal(est.sample_values, np.delete(full.sample_values, 2, axis=0))
+
+    @pytest.mark.parametrize("random_base", [False, True])
+    def test_coding_contract(self, tri334, random_base):
+        # _lockstep pads and gathers the lanes' codings as they are: float64
+        # times, int64 generators, both contiguous, the tracer's crossings
+        dom, _, _ = tri334
+        cfg = RunConfig(T=60.0, samples=3, seed=8, random_base=random_base)
+        batch = code_samples(dom, cfg)
+        assert batch.index == (0, 1, 2)
+        for i, times, gens in zip(batch.index, batch.times, batch.gens):
+            assert times.dtype == np.float64 and gens.dtype == np.int64
+            assert times.flags.c_contiguous and gens.flags.c_contiguous
+            rng = np.random.default_rng([cfg.seed, i])
+            angle = rng.uniform(0.0, 2.0 * math.pi)
+            base = oseledets._sample_base(dom, rng) if random_base else dom.interior_point
+            want = coding(dom, UnitTangent(base, angle), cfg.T)
+            assert len(times) > 0
+            assert times.tolist() == want.times.tolist()
+            assert gens.tolist() == want.gens.tolist()
 
     def test_csv_independent_of_lane_chunking(self, tmp_path, monkeypatch):
         args = ["spectrum", "--group", "triangle:3,3,4", "--time", "120",
