@@ -7,6 +7,7 @@ error.  All CSV output is a deterministic function of the command line
 
 import argparse
 import cmath
+import functools
 import math
 import sys
 
@@ -610,9 +611,15 @@ def build_parser():
     return p
 
 
+@functools.cache
+def _parser():
+    """The parser of every call, built once per process; parsing leaves it
+    unchanged, and a --config call sets its defaults on a parser of its own."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    ns = parser.parse_args(argv)
+    ns = _parser().parse_args(argv)
     config = {}
     if getattr(ns, "config", None):
         try:
@@ -622,6 +629,8 @@ def main(argv=None):
             return 3
     try:
         if config:
+            parser = build_parser()  # the config's defaults end with this call
+            ns = parser.parse_args(argv)
             # argparse passes string defaults through each option's type
             ns.subparser.set_defaults(**_config_defaults(ns, config))
             ns = parser.parse_args(argv)

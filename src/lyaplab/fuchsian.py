@@ -451,6 +451,14 @@ def iter_crossings(dom, ut, T, perturb_log=None):
 # equidistant from g.z0 and g.s.z0, so g.s is strictly closer to z0 unless z0
 # is a cone point.  Keeping g.s only when g is its least S_D-neighbour yields
 # each element once, with no seen-set.  In the frame z0 = i, cosh d = |g|_F^2/2.
+#
+# A level of the search is a (4, N) array of the entries a, b, c, d of its
+# elements.  The norms it tests are linear in a parent's Gram entries
+# G = (a^2 + c^2, ab + cd, b^2 + d^2): |g s|_F^2 = tr(g^T g s s^T) = w(s) . G,
+# so one product C @ G gives the (k, j, N) block of |g s_k s_j|_F^2, every
+# neighbour of every child of a block of parents, with the rows of C the
+# weights w(s_k s_j).  Each test reduces over j, an axis contiguous over N,
+# and entries are formed only for the children kept and the minima.
 
 ORBIT_MAX_POINTS = 6_000_000  # cap on a ball; past it ResourceError (partial)
 TIE_BAND = 1e-11  # neighbour norms this close (relative) tie; lower index wins
@@ -469,63 +477,83 @@ def _inverse(g):
     return np.stack([g[..., 1, 1], -g[..., 0, 1], -g[..., 1, 0], g[..., 0, 0]], -1).reshape(g.shape)
 
 
-def _index(S, g):
-    """Index of g in the stack S as elements of PSL(2, R), or -1."""
-    err = np.minimum(np.abs(S - g).max(axis=(1, 2)), np.abs(S + g).max(axis=(1, 2)))
-    hit = np.flatnonzero(err < 1e-9 * (1.0 + np.abs(g).max()))
-    return hit[0] if len(hit) else -1
+def _matches(S, g):
+    """[..., i]: whether S[i] equals g, or each matrix of a stack g, as
+    elements of PSL(2, R)."""
+    g = g[..., None, :, :]
+    err = np.minimum(np.abs(S - g).max(axis=(-2, -1)), np.abs(S + g).max(axis=(-2, -1)))
+    return err < 1e-9 * (1.0 + np.abs(g).max(axis=(-2, -1)))
 
 
 def _distinct(mats):
-    out = np.empty((0, 2, 2))
-    for g in mats:
-        if _index(out, g) < 0:
-            out = np.concatenate([out, g[None]])
-    return out
+    """The stack mats without repeats (as elements of PSL(2, R)), in order."""
+    return mats[~np.tril(_matches(mats, mats), -1).any(axis=1)]
 
 
-def _gram(g):
-    """Entries of g^T g; |g s|_F^2 = tr(g^T g s s^T) is linear in them."""
-    return np.stack([g[:, 0, 0] ** 2 + g[:, 1, 0] ** 2,
-                     g[:, 0, 0] * g[:, 0, 1] + g[:, 1, 0] * g[:, 1, 1],
-                     g[:, 0, 1] ** 2 + g[:, 1, 1] ** 2], axis=1)
+def _norm_weights(M):
+    """The rows w(M) with |g M|_F^2 = w(M) . G, G the Gram entries
+    (a^2 + c^2, ab + cd, b^2 + d^2) of g = [[a, b], [c, d]], for a stack M."""
+    P = M @ np.swapaxes(M, -1, -2)
+    return np.stack([P[:, 0, 0], 2.0 * P[:, 0, 1], P[:, 1, 1]], axis=1)
+
+
+def _children(par, mask, R):
+    """Entries of g s_k for the parents g (columns of par) and the k set in
+    mask[k], grouped by k, and those k; R[k] maps the entries of g to those
+    of g s_k."""
+    counts = np.count_nonzero(mask, axis=1)
+    kids = [R[k] @ np.compress(mask[k], par, axis=1) for k in np.flatnonzero(counts)]
+    ki = np.repeat(np.arange(len(R)), counts)
+    return (np.concatenate(kids, axis=1) if kids else par[:, :0]), ki
 
 
 def _descend(S, limit):
     """Reverse search over the pairings S (closed under inverses), yielding
-    (elements g with |g|_F^2 <= limit, their norms, local minima) in blocks
-    of about 2^20 neighbour norms.  g.s is kept when g is its least
+    (elements g with |g|_F^2 <= limit as (4, N) entries, their norms, local
+    minima) per block of parents.  g.s is kept when g is its least
     S-neighbour (norms within TIE_BAND tie, the lower index wins; a gap too
     near the band raises).  A local minimum is a cone point, a descent tie,
-    or one the search cannot reach while S lacks Dirichlet faces."""
-    inv = np.array([_index(S, s) for s in _inverse(S)])
-    if np.any(inv < 0):
+    or one the search cannot reach while S lacks Dirichlet faces.
+
+    A block's (k, j, N) neighbour norms, at most 2^17 of them so that they
+    stay in a core's cache, come from one product with the parents' Gram
+    entries; its children are grouped by generator, and the identity
+    comes first."""
+    m, hit = len(S), _matches(S, _inverse(S))
+    if not hit.any(axis=1).all():
         raise ResourceError("orbit pairings are not closed under inverses")
-    W = _gram(np.swapaxes(S, 1, 2)).T * np.array([[1.0], [2.0], [1.0]])
-    front, gen, total, step = np.eye(2)[None], np.array([-1]), 1, max(1, 2**20 // len(S) ** 2)
-    yield front, np.array([2.0]), front[:0]
-    while len(front):
+    inv = np.argmax(hit, axis=1)
+    W, C = _norm_weights(S), _norm_weights((S[:, None] @ S[None]).reshape(-1, 2, 2))
+    R = np.zeros((m, 4, 4))  # g -> g s_k on entries: diag(s_k^T, s_k^T)
+    R[:, :2, :2] = R[:, 2:, 2:] = np.swapaxes(S, 1, 2)
+    earlier = np.arange(m) < inv[:, None]  # [k, j]: j wins a tie over k's back step
+    front, gen, total, step = np.eye(2).reshape(4, 1), np.array([-1]), 1, max(1, 2**17 // m**2)
+    yield front, np.array([2.0]), front[:, :0]
+    while front.shape[1]:
         nxt = []
-        for i in range(0, len(front), step):
-            par, pgen = front[i:i + step], gen[i:i + step]
+        for i in range(0, front.shape[1], step):
+            par, pgen = front[:, i:i + step], gen[i:i + step]
             if total > ORBIT_MAX_POINTS:
                 raise ResourceError(f"orbit ball exceeds {ORBIT_MAX_POINTS} points")
-            nf = _gram(par) @ W
+            a, b, c, d = par
+            G = np.stack([a * a + c * c, a * b + c * d, b * b + d * d])
+            norms = W @ G
             back = np.flatnonzero(pgen >= 0)
-            nf[back, inv[pgen[back]]] = np.inf  # the step back to the parent
-            fi, ki = np.nonzero(nf <= limit)
-            kids, norms = par[fi] @ S[ki], nf[fi, ki]
-            rel = _gram(kids) @ W
-            least = rel.min(axis=1, initial=np.inf)
-            rel = rel / least[:, None] - 1.0
-            if np.any((rel > TIE_BAND) & (rel <= 10.0 * TIE_BAND)):
+            norms[inv[pgen[back]], back] = np.inf  # the step back to the parent
+            nbr = (C @ G).reshape(m, m, -1)
+            least = nbr.min(axis=1)
+            wide = least * (1.0 + 10.0 * TIE_BAND)
+            tie = nbr <= (least * (1.0 + TIE_BAND))[:, None]
+            cand = norms <= limit
+            if np.any(((nbr <= wide[:, None]) != tie).any(axis=1) & cand):
                 raise ResourceError("orbit descent: a neighbour tie the band cannot settle")
-            strict = norms > least * (1.0 + 10.0 * TIE_BAND)
-            keep = strict & (np.argmax(rel <= TIE_BAND, axis=1) == inv[ki])
-            nxt.append((kids[keep], ki[keep]))
-            total += keep.sum()
-            yield kids[keep], norms[keep], kids[~strict]
-        front, gen = (np.concatenate(x) for x in zip(*nxt))
+            strict = norms > wide
+            keep = cand & strict & tie[np.arange(m), inv] & ~(tie & earlier[..., None]).any(axis=1)
+            kids, ki = _children(par, keep, R)
+            nxt.append((kids, ki))
+            total += len(ki)
+            yield kids, norms[keep], _children(par, cand & ~strict, R)[0]
+        front, gen = np.concatenate([k for k, _ in nxt], axis=1), np.concatenate([g for _, g in nxt])
 
 
 def _cell(F):
@@ -573,9 +601,9 @@ def _dirichlet(S, R, area, Q=None, delta=0.0):
     for _ in range(8):
         S = _distinct(np.concatenate([S, _inverse(S)]))
         levels = list(_descend(S, 2.0 * math.cosh(rho + 2.0 * delta)))
-        minima = np.concatenate([m for _, _, m in levels])
-        F = _inverse(Q) @ np.concatenate([g for g, _, _ in levels[1:]]
-                                         + [minima, _inverse(minima)]) @ Q
+        minima = np.concatenate([m for _, _, m in levels], axis=1).T.reshape(-1, 2, 2)
+        ball = np.concatenate([g for g, _, _ in levels[1:]], axis=1).T.reshape(-1, 2, 2)
+        F = _inverse(Q) @ np.concatenate([ball, minima, _inverse(minima)]) @ Q
         nF = (F * F).sum(axis=(1, 2))
         if np.any(nF <= 2.0 * (1.0 + 10.0 * TIE_BAND)):
             raise ResourceError("the orbit centre is a cone point")
@@ -593,14 +621,14 @@ def _dirichlet(S, R, area, Q=None, delta=0.0):
 
 
 def _orbit_bfs(pairings, frame, t_max):
-    """The orbit ball over Dirichlet face pairings; points (frame @ g).i."""
-    pts, dists = [], []
-    for g, norms, minima in _descend(pairings, 2.0 * math.cosh(t_max)):
-        if len(minima):
+    """The orbit ball over Dirichlet face pairings; points (frame @ g).i,
+    from the entries of the elements g."""
+    pts, dists, ((p, q), (r, s)) = [], [], frame
+    for (a, b, c, d), norms, minima in _descend(pairings, 2.0 * math.cosh(t_max)):
+        if minima.shape[1]:
             raise ResourceError("orbit descent: an element has no strictly closer neighbour")
-        m = frame @ g
-        pts.append((m[:, 0, 0] * m[:, 1, 0] + m[:, 0, 1] * m[:, 1, 1] + 1j)
-                   / (m[:, 1, 0] ** 2 + m[:, 1, 1] ** 2))
+        u, v = r * a + s * c, r * b + s * d  # the bottom row of frame @ g
+        pts.append(((p * a + q * c) * u + (p * b + q * d) * v + 1j) / (u * u + v * v))
         dists.append(np.arccosh(np.maximum(0.5 * norms, 1.0)))
         if sum(map(len, dists)) > ORBIT_MAX_POINTS:
             raise ResourceError(f"orbit ball exceeds {ORBIT_MAX_POINTS} points",

@@ -133,6 +133,64 @@ def hyperboloid_crossings(dom, ut, T):
     raise fuchsian.ResourceError("crossing budget exceeded (tracing runaway)")
 
 
+def _stack_gram(g):
+    """Entries of g^T g for a stack g; |g s|_F^2 = tr(g^T g s s^T) is linear in them."""
+    return np.stack([g[:, 0, 0] ** 2 + g[:, 1, 0] ** 2,
+                     g[:, 0, 0] * g[:, 0, 1] + g[:, 1, 0] * g[:, 1, 1],
+                     g[:, 0, 1] ** 2 + g[:, 1, 1] ** 2], axis=1)
+
+
+def stack_descend(S, limit):
+    """The reverse search that `fuchsian._descend` replaced, kept as its
+    oracle: levels are (N, 2, 2) stacks, every candidate child is formed as
+    a matrix product, and its neighbour norms are read off that product.
+    It yields (elements, norms, local minima) under the same rules."""
+    hit = fuchsian._matches(S, fuchsian._inverse(S))
+    if not hit.any(axis=1).all():
+        raise fuchsian.ResourceError("orbit pairings are not closed under inverses")
+    inv = np.argmax(hit, axis=1)
+    W = _stack_gram(np.swapaxes(S, 1, 2)).T * np.array([[1.0], [2.0], [1.0]])
+    front, gen, total, step = np.eye(2)[None], np.array([-1]), 1, max(1, 2**20 // len(S) ** 2)
+    yield front, np.array([2.0]), front[:0]
+    while len(front):
+        nxt = []
+        for i in range(0, len(front), step):
+            par, pgen = front[i:i + step], gen[i:i + step]
+            if total > fuchsian.ORBIT_MAX_POINTS:
+                raise fuchsian.ResourceError(f"orbit ball exceeds {fuchsian.ORBIT_MAX_POINTS} points")
+            nf = _stack_gram(par) @ W
+            back = np.flatnonzero(pgen >= 0)
+            nf[back, inv[pgen[back]]] = np.inf  # the step back to the parent
+            fi, ki = np.nonzero(nf <= limit)
+            kids, norms = par[fi] @ S[ki], nf[fi, ki]
+            rel = _stack_gram(kids) @ W
+            least = rel.min(axis=1, initial=np.inf)
+            rel = rel / least[:, None] - 1.0
+            band = fuchsian.TIE_BAND
+            if np.any((rel > band) & (rel <= 10.0 * band)):
+                raise fuchsian.ResourceError("orbit descent: a neighbour tie the band cannot settle")
+            strict = norms > least * (1.0 + 10.0 * band)
+            keep = strict & (np.argmax(rel <= band, axis=1) == inv[ki])
+            nxt.append((kids[keep], ki[keep]))
+            total += keep.sum()
+            yield kids[keep], norms[keep], kids[~strict]
+        front, gen = (np.concatenate(x) for x in zip(*nxt))
+
+
+def stack_orbit_bfs(pairings, frame, t_max):
+    """`fuchsian._orbit_bfs` over stack_descend: points (frame @ g).i and
+    their distances, as an OrbitBall."""
+    pts, dists = [], []
+    for g, norms, minima in stack_descend(pairings, 2.0 * math.cosh(t_max)):
+        if len(minima):
+            raise fuchsian.ResourceError("orbit descent: an element has no strictly closer neighbour")
+        m = frame @ g
+        pts.append((m[:, 0, 0] * m[:, 1, 0] + m[:, 0, 1] * m[:, 1, 1] + 1j)
+                   / (m[:, 1, 0] ** 2 + m[:, 1, 1] ** 2))
+        dists.append(np.arccosh(np.maximum(0.5 * norms, 1.0)))
+    return fuchsian.OrbitBall(points=np.concatenate(pts), dists=np.concatenate(dists))
+
+
 def deriv_arg(m, z):
     """arg of the derivative 1/(cz+d)^2 of the Mobius map m at z; it rotates
     tangent angles."""

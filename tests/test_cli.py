@@ -471,6 +471,15 @@ class TestConfigFile:
         assert (self.outputs(["spectrum", "--config", str(cfg)], capsys)
                 == self.outputs(args, capsys))
 
+    def test_config_defaults_end_with_their_call(self, tmp_path, capsys):
+        # one process: a config call between two plain calls of one command
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("grid-nodes = 70\n")
+        args = ["orbit-count", "--tmax", "5"]
+        plain = self.outputs(args, capsys)
+        assert self.outputs([*args, "--config", str(cfg)], capsys) != plain
+        assert self.outputs(args, capsys) == plain
+
     def test_unknown_key_refused(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("qr_interval=4\ntime=40\nsamples=3\n")

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from lyaplab import fuchsian
 from lyaplab.fuchsian import (
@@ -29,7 +30,7 @@ from lyaplab.hypgeo import (
 from lyaplab.linrep import Representation, check_relations, eval_word
 from lyaplab.oseledets import RunConfig, _sample_base, code_samples
 
-from conftest import coding, deriv_arg, hyperboloid_crossings, mobius_of_word
+from conftest import coding, deriv_arg, hyperboloid_crossings, mobius_of_word, stack_descend
 
 BUILTIN = ("triangle:3,3,4", "triangle:2,3,7", "surface:2", "surface:3")
 
@@ -373,6 +374,21 @@ class TestCoding:
         assert np.all(np.diff(cs.times) > 0)
 
 
+def _bfs_inputs(dom, gens, z0):
+    """The Dirichlet face pairings and the frame that orbit_ball hands to
+    _orbit_bfs for the centre z0."""
+    seen = []
+
+    def record(pairings, frame, t_max):
+        seen.append((pairings, frame))
+        return fuchsian.OrbitBall(points=np.array([z0.z]), dists=np.zeros(1))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fuchsian, "_orbit_bfs", record)
+        orbit_ball(dom, gens, z0, 0.0)
+    return seen[0]
+
+
 class TestOrbit:
     def test_tmax_zero(self, tri334):
         dom, gens, _ = tri334
@@ -447,6 +463,46 @@ class TestOrbit:
         pts, _ = orbit_ball(dom, gens, dom.interior_point, 7.0)
         ratio = len(pts) * (math.pi / 21) / ball_volume(7.0)
         assert 0.9 <= ratio <= 1.1
+
+    @pytest.mark.parametrize("group, centre", [("triangle:3,3,4", (0.3, 0.9)),
+                                               ("surface:2", (0.1, 1.1))])
+    def test_polygon_pairings_strand_elements(self, group, centre):
+        # about these centres the polygon's pairings are not the Dirichlet
+        # faces, and descent over them meets elements with no closer neighbour
+        dom, _, _ = build_group(parse_group_spec(group))
+        frame = Mobius.to_point(HPoint(*centre)).mat
+        S = np.array([fuchsian._inverse(frame) @ p.mobius.mat @ frame for p in dom.pairings])
+        with pytest.raises(ResourceError, match="no strictly closer neighbour"):
+            fuchsian._orbit_bfs(S, frame, 8.0)
+
+    def test_pairings_without_inverses_refused(self, tri334):
+        _, gens, _ = tri334
+        with pytest.raises(ResourceError, match="not closed under inverses"):
+            fuchsian._orbit_bfs(np.array([g.mat for g in gens]), np.eye(2), 4.0)
+
+    def test_tie_gap_above_the_band_refused(self, tri334, monkeypatch):
+        # the interior point lies on the polygon's mirror axis, so neighbour
+        # norms tie in mirror pairs up to rounding; a band of half the largest
+        # such gap leaves that gap in (band, 10 band], which no rule settles
+        dom, gens, _ = tri334
+        S, frame = _bfs_inputs(dom, gens, dom.interior_point)
+        g = np.concatenate([x for x, _, _ in stack_descend(S, 2.0 * math.cosh(4.0))])
+        norms = ((g[:, None] @ S[None]) ** 2).sum(axis=(2, 3))
+        rel = norms / norms.min(axis=1, keepdims=True) - 1.0
+        gaps = rel[(rel > 0.0) & (rel <= fuchsian.TIE_BAND)]
+        assert len(gaps) and gaps.max() < 1e-13  # inexact ties, at rounding level
+        assert len(fuchsian._orbit_bfs(S, frame, 4.0).points) == len(g)
+        monkeypatch.setattr(fuchsian, "TIE_BAND", gaps.max() / 2.0)
+        with pytest.raises(ResourceError, match="tie the band cannot settle"):
+            fuchsian._orbit_bfs(S, frame, 4.0)
+
+    def test_mirror_ties_count_once(self, tri334):
+        dom, gens, _ = tri334
+        pts, _ = orbit_ball(dom, gens, dom.interior_point, 8.0)
+        tree = cKDTree(np.column_stack([pts.real, pts.imag]))
+        gap, _ = tree.query(np.column_stack([-pts.real, pts.imag]))
+        assert np.all(gap <= 1e-9 * np.abs(pts))  # its own mirror image: exact ties
+        assert not tree.query_pairs(1e-7)  # and no point twice
 
     def test_octagon_pull_back_round_trips(self, genus2):
         dom, gens, _ = genus2

@@ -7,14 +7,23 @@ The centres cover the interior point of each built-in group, two centres
 where descent over the polygon generators fails ((0.3, 0.9) and
 surface:2 (0.1, 1.1)), and the off-polygon centre (2.0, 0.5), where the
 old default margin (diameter + 0.25) missed 490 of the 2,584 points.
+
+The same centres, and the four centres of the orbit-calib benchmark at
+t = 10, also check the entry-array reverse search against the stack-based
+one it replaced (conftest.stack_descend): the same points and distances,
+and the same Dirichlet face pairings.
 """
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
+from lyaplab import fuchsian
 from lyaplab.errterm import count_in_balls
 from lyaplab.fuchsian import build_group, orbit_ball, parse_group_spec
 from lyaplab.hypgeo import HPoint
+
+from conftest import stack_descend, stack_orbit_bfs
 
 PINNED = [
     ("triangle:3,3,4", None, 8.0,
@@ -71,3 +80,48 @@ def test_pinned_counts(group, centre, t_max, counts):
     cf = count_in_balls((pts, dists), z0, np.linspace(0.3, t_max, 50))
     assert list(cf.counts) == counts
     assert len(pts) == counts[-1]
+
+
+CALIB_CENTRES = (None, (0.1, 1.2), (0.3, 1.5), (0.2, 2.0))  # perfbench orbit-calib
+ORACLE_CASES = ([(g, c, t) for g, c, t, _ in PINNED]
+                + [("triangle:3,3,4", c, 10.0) for c in CALIB_CENTRES])
+
+
+def _entries(levels):
+    """stack_descend's levels in _descend's layout: (4, N) entries a, b, c, d."""
+    for g, norms, minima in levels:
+        yield g.reshape(-1, 4).T, norms, minima.reshape(-1, 4).T
+
+
+@pytest.mark.parametrize("group, centre, t_max", ORACLE_CASES,
+                         ids=[f"{g}@{c or 'interior'}@{t:g}" for g, c, t in ORACLE_CASES])
+def test_matches_stack_oracle(group, centre, t_max, monkeypatch):
+    dom, gens, _ = build_group(parse_group_spec(group))
+    z0 = dom.interior_point if centre is None else HPoint(*centre)
+    bfs, dirichlet, balls, domains = fuchsian._orbit_bfs, fuchsian._dirichlet, [], []
+
+    def both_balls(pairings, frame, t):
+        balls.append((bfs(pairings, frame, t), stack_orbit_bfs(pairings, frame, t)))
+        return balls[-1][0]
+
+    def record_domain(*args):
+        domains.append((args, dirichlet(*args)))
+        return domains[-1][1]
+
+    monkeypatch.setattr(fuchsian, "_orbit_bfs", both_balls)
+    monkeypatch.setattr(fuchsian, "_dirichlet", record_domain)
+    orbit_ball(dom, gens, z0, t_max)
+    (ball, oracle), = balls
+    assert len(ball.dists) == len(oracle.dists)
+    assert np.abs(np.sort(ball.dists) - np.sort(oracle.dists)).max() <= 1e-12
+    gap, match = cKDTree(np.column_stack([oracle.points.real, oracle.points.imag])).query(
+        np.column_stack([ball.points.real, ball.points.imag]))
+    assert np.all(gap <= 1e-9 * np.abs(ball.points))
+    assert len(np.unique(match)) == len(match)
+    # the same face pairings, as sets of elements of PSL(2, R), from the same inputs
+    monkeypatch.setattr(fuchsian, "_descend", lambda S, limit: _entries(stack_descend(S, limit)))
+    assert len(domains) == 2
+    for args, faces in domains:
+        expect = dirichlet(*args)
+        assert len(faces) == len(expect)
+        assert fuchsian._matches(expect, faces).any(axis=1).all()
