@@ -15,7 +15,6 @@ import numpy as np
 
 from . import devmaps, errterm, fuchsian, hypgeo, linrep, oseledets
 
-RELATION_GATE = 1e-6
 # keys a --config file may set, spelled as the options
 CONFIG_KEYS = (
     "group", "rep", "time", "samples", "seed", "qr-interval", "normalization",
@@ -105,7 +104,7 @@ def _bend_split_for(rep, group_spec):
 
 def _gate_relations(rep):
     report = linrep.check_relations(rep)
-    if not report.holds(RELATION_GATE):
+    if not report.holds():
         raise Refusal(
             f"relation check failed: residual {report.max_residual:.3e} "
             f"(relative {report.max_relative:.3e})"
@@ -237,7 +236,6 @@ def cmd_sweep(ns):
     for k, v in enumerate(grid):
         s = complex(0.0, v) if ns.axis == "imag" else complex(v, 0.0)
         try:
-            # bend_representation gates relations at 1e-8, inside RELATION_GATE
             bent = rep if s == 0 else fuchsian.bend_representation(rep, split, s)
             fields.setdefault(bent.is_complex, []).append((k, bent))
             rows.append(None)
@@ -399,9 +397,9 @@ def _selftest_suites():
         return worst < 1e-9, f"max flow defect {worst:.2e}"
 
     def suite_relations():
-        reps = [rep3, rep2, linrep.unitary_cube_rep()]
-        worst = max(linrep.check_relations(r).max_residual for r in reps)
-        return worst < 1e-9, f"max relation residual {worst:.2e}"
+        reports = [linrep.check_relations(r) for r in (rep3, rep2, linrep.unitary_cube_rep())]
+        worst = max(r.max_relative for r in reports)
+        return all(r.holds() for r in reports), f"max relative residual {worst:.2e}"
 
     def suite_pairing():
         worst = max(fuchsian.pairing_defect(dom) for dom in (dom3, dom2))

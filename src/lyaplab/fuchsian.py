@@ -20,6 +20,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from . import linrep
 from .hypgeo import (
     HPoint,
     Mobius,
@@ -279,20 +280,11 @@ def _build_surface(g):
     return dom, gens, relations
 
 
-def _mobius_word(gens, word):
-    m = Mobius.identity()
-    for s in word:
-        g = gens[abs(s) - 1]
-        m = m @ (g if s > 0 else g.inv())
-    return m
-
-
 def _check_build(dom, gens, relations):
-    for w in relations:
-        m = _mobius_word(gens, w).mat
-        res = min(np.abs(m - np.eye(2)).max(), np.abs(m + np.eye(2)).max())
-        if res > 1e-9:
-            raise NumericDegeneracyError(f"relation {w} fails to close: residual {res:.2e}")
+    report = linrep.check_relations(linrep.uniformizing_rep(gens, relations))
+    if not report.holds():
+        raise NumericDegeneracyError(
+            f"relations fail to close: relative residual {report.max_relative:.2e}")
     defect = pairing_defect(dom)
     if defect > 1e-9:
         raise NumericDegeneracyError(f"side pairings miss their partners: defect {defect:.2e}")
@@ -650,7 +642,8 @@ def orbit_ball(dom, generators, z0, t_max):
     reach = [max(hyp_dist(p, v) for v in dom.vertices) for p in (c, q)]
     Sc = _dirichlet(np.array([_inverse(Mc) @ g.mat @ Mc for g in generators]), reach[0], dom.area)
     Sq = _dirichlet(Sc, reach[1], dom.area, _inverse(Mc) @ Mq, hyp_dist(c, q))
-    ball = _orbit_bfs(Sq, _mobius_word(generators, word).mat @ Mq, t_max)
+    frame = linrep.eval_word(linrep.uniformizing_rep(generators, ()), word)
+    ball = _orbit_bfs(Sq, frame @ Mq, t_max)
     return ball.points, ball.dists
 
 
@@ -684,8 +677,6 @@ def bend_representation(rep, split, s):
 
     s real twists along the curve; s imaginary bends into PSL(2, C).
     """
-    from . import linrep
-
     if rep.n != 2:
         raise ValueError("bending is defined for rank-2 representations")
     if s == 0:
@@ -721,9 +712,7 @@ def bend_representation(rep, split, s):
         unit_det=rep.unit_det,
     )
     report = linrep.check_relations(out)
-    # conjugation by exp(sX) scales entries like e^(2|Re s|), so large
-    # twists pass on the gate's backward-stability fallback
-    if not report.holds(1e-8):
+    if not report.holds():
         raise DegenerateBendingError(
             f"bent relations fail: residual {report.max_residual:.2e} "
             f"(relative {report.max_relative:.2e})"

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 DET_MIN, DET_MAX = 1e-6, 1e6
-# backward-stability fallback of every relation gate (see RelationReport.holds)
+# the one relation gate: backward stability (see RelationReport.holds)
 RELATIVE_GATE = 1e-8
 MAX_POWER_DIM = 512  # largest Sym^k / wedge^k dimension built
 
@@ -43,8 +43,8 @@ class Representation:
     def __post_init__(self):
         if self.field not in ("real", "complex"):
             raise RepresentationError(f"bad field {self.field!r}")
-        gens = []
-        for g in self.generators:
+        gens, invs = [], []
+        for i, g in enumerate(self.generators, start=1):
             m = np.array(g, dtype=complex if self.field == "complex" else float)
             if m.shape != (self.n, self.n):
                 raise RepresentationError(f"generator shape {m.shape} != n={self.n}")
@@ -62,20 +62,23 @@ class Representation:
                 det_tol = max(1e-9, 32 * np.finfo(float).eps * np.abs(m).max() ** 2)
                 if self.unit_det and abs(det - 1.0) > det_tol:
                     raise RepresentationError(f"determinant {det:g} != 1")
+            if self.unit_det and self.n == 2:
+                # adjugate inverse: entrywise exact even at extreme entry scales
+                inv = np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]])
+            else:
+                try:
+                    inv = np.linalg.inv(m)
+                except np.linalg.LinAlgError:  # entries past the det gate (Sym^k of a twist)
+                    raise RepresentationError(
+                        f"generator {i} of {self.label or 'the representation'} "
+                        "is singular in float64") from None
             m.setflags(write=False)
+            inv.setflags(write=False)
             gens.append(m)
+            invs.append(inv)
         object.__setattr__(self, "generators", tuple(gens))
         object.__setattr__(self, "relations", tuple(tuple(w) for w in self.relations))
-        if self.unit_det and self.n == 2:
-            # adjugate inverse: entrywise exact even at extreme entry scales
-            invs = tuple(
-                np.array([[g[1, 1], -g[0, 1]], [-g[1, 0], g[0, 0]]]) for g in gens
-            )
-        else:
-            invs = tuple(np.linalg.inv(g) for g in gens)
-        for m in invs:
-            m.setflags(write=False)
-        object.__setattr__(self, "_inverses", invs)
+        object.__setattr__(self, "_inverses", tuple(invs))
 
     @property
     def num_generators(self):
@@ -107,13 +110,13 @@ class RelationReport:
     max_residual: float
     max_relative: float  # residual / largest intermediate prefix norm
 
-    def holds(self, atol):
-        """True when every relation closes to the absolute residual atol or,
-        failing that, to rounding level relative to its intermediate
-        products: large-entry reps (big twists) cannot satisfy any absolute
-        residual in float64, so backward stability is the fallback
-        certificate.  A non-finite residual never holds."""
-        return self.max_residual <= atol or self.max_relative <= RELATIVE_GATE
+    def holds(self):
+        """True when every relation closes to rounding level relative to its
+        intermediate products: the backward-stability test (Higham 2002,
+        section 3), which no absolute residual can replace once entries grow
+        large (big twists, high Sym powers).  A non-finite residual never
+        holds."""
+        return self.max_relative <= RELATIVE_GATE
 
 
 def check_relations(rep):
@@ -378,7 +381,7 @@ def unitary_cube_rep():
             if abs(np.trace(c)) < 1e-12:  # order-2 rotation: c^2 = -I
                 rep = Representation(2, "complex", [a, b, c], rels, "unitary-cube",
                                      projective_flag=True, unit_det=True)
-                if check_relations(rep).max_residual < 1e-12:
+                if check_relations(rep).holds():
                     return rep
     raise AssertionError("no unitary (3,3,4) triple found")
 

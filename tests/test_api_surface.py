@@ -182,3 +182,30 @@ def test_every_defaulted_parameter_is_passed():
     dead = [f"{qual}({param})" for qual, param, called, index in _defaulted_params()
             if not any(_passes(c, param, index) for c in calls.get(called, ()))]
     assert not dead, f"defaulted parameters no call passes: {dead}"
+
+
+def _relation_gate_bypasses(tree):
+    """(line, what) of each residual comparison and each holds call with
+    arguments in a module tree, outside RelationReport.holds itself."""
+    gate = {id(n) for cls in tree.body
+            if isinstance(cls, ast.ClassDef) and cls.name == "RelationReport"
+            for fn in cls.body if isinstance(fn, ast.FunctionDef) and fn.name == "holds"
+            for n in ast.walk(fn)}
+    out = []
+    for n in ast.walk(tree):
+        if id(n) in gate:
+            continue
+        if isinstance(n, ast.Compare) and _names(n) & {"max_residual", "max_relative"}:
+            out.append((n.lineno, "compares a relation residual"))
+        elif (isinstance(n, ast.Call) and getattr(n.func, "attr", None) == "holds"
+              and (n.args or n.keywords)):
+            out.append((n.lineno, "passes holds a tolerance"))
+    return out
+
+
+def test_every_relation_verdict_is_holds():
+    """One relation gate: RelationReport.holds() decides every relation
+    check of the package, so no module sets a threshold of its own."""
+    bypasses = [f"{path.stem}:{line} {what}" for path in sorted(PACKAGE.glob("*.py"))
+                for line, what in _relation_gate_bypasses(ast.parse(path.read_text()))]
+    assert not bypasses, f"relation verdicts outside RelationReport.holds(): {bypasses}"

@@ -158,6 +158,25 @@ class TestRepresentationRefusals:
         assert proc.stderr.splitlines() == [
             "lyaplab: refused: relation check failed: residual inf (relative inf)"]
 
+    @pytest.mark.parametrize("command", [
+        ["spectrum", "--time", "50", "--samples", "2", "--seed", "1"],
+        ["rep", "--check"],
+    ])
+    def test_unit_scale_relations_closing_to_1e7_refused(self, tmp_path, capsys, command):
+        # the Fuchsian rep with one entry nudged by 5e-8: at unit scale its
+        # relations close only to 1.1e-7, far above rounding level
+        _, gens, rels = fuchsian.build_group(fuchsian.GroupSpec.triangle(3, 3, 4))
+        mats = [np.array(g.mat) for g in gens]
+        mats[0][0, 0] += 5e-8
+        rep = write_rep(tmp_path / "nudged.rep", mats, rels)
+        report = linrep.check_relations(linrep.load_rep(rep))
+        assert 1e-7 < report.max_relative <= report.max_residual < 2e-7
+        assert run_cli([*command, "--group", "triangle:3,3,4", "--rep", rep,
+                        "--out", str(tmp_path / "never.out")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "relation check failed" in err[0]
+        assert not (tmp_path / "never.out").exists()
+
 
 class TestTransforms:
     def test_sym_then_ext_chain(self, tmp_path):
@@ -494,8 +513,9 @@ class TestCommandLineRefusals:
         (["spectrum", "--samples", "1", "--time", "20"], "successful samples"),
         (["orbit-count", "--tmax", "4", "--center=0,1e-200"], "boundary"),
         (["orbit-count", "--tmax", "4", "--center=1e200,1"], "infinite distance"),
-        # the relator of the 64-gon closes only to 4.13e-9, past the 1e-9 build gate
-        (["spectrum", "--group", "surface:16"], "fails to close"),
+        # the pairings of the 192-gon miss their partners by 1.14e-9, past the
+        # build's absolute 1e-9 pairing gate
+        (["spectrum", "--group", "surface:48"], "miss their partners"),
         # a generator image of log cond 38.9, past any QR interval's budget
         (["spectrum", "--group", "surface:2", "--transform", "bend:16,0"], "unresolved"),
     ])
@@ -504,6 +524,15 @@ class TestCommandLineRefusals:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("lyaplab: refused: ")
         assert why in err[0]
+
+    def test_float_singular_image_is_invalid_input(self, capsys):
+        # sym:3 of a twist has images conditioned past 1/eps, which
+        # numpy's inverse finds exactly singular
+        assert run_cli(["spectrum", "--group", "surface:4", "--transform", "bend:2,0",
+                        "--transform", "sym:3"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["lyaplab: invalid input: generator 8 of "
+                       "fuchsian|bend:2,0|sym:3 is singular in float64"]
 
     @pytest.mark.parametrize("args", [
         ["rep", "--time", "5"],

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from lyaplab import fuchsian
+from lyaplab import cli, fuchsian
 from lyaplab.fuchsian import (
     BendingSplit,
     DegenerateBendingError,
@@ -27,7 +27,7 @@ from lyaplab.hypgeo import (
     geodesic_flow,
     hyp_dist,
 )
-from lyaplab.linrep import Representation, check_relations, eval_word
+from lyaplab.linrep import Representation, check_relations, eval_word, uniformizing_rep
 from lyaplab.oseledets import RunConfig, _sample_base, code_samples
 
 from conftest import coding, deriv_arg, hyperboloid_crossings, mobius_of_word, stack_descend
@@ -78,12 +78,23 @@ class TestBuildGroup:
         assert fuchsian.pairing_defect(dom) < 1e-13
 
     def test_surface15_closes_under_the_build_gate(self):
-        # the largest genus that builds: its relator closes to 5e-10 and its
-        # pairings to 1e-11, within the build's 1e-9 gate
+        # the largest genus whose relator closes within an absolute 1e-9
+        # (to 5e-10); its pairings close to 1e-11, within the 1e-9 pairing gate
         dom, gens, (w,) = build_group(GroupSpec.surface(15))
         m = mobius_of_word(gens, w).mat
         assert min(np.abs(m - np.eye(2)).max(), np.abs(m + np.eye(2)).max()) < 1e-9
         assert fuchsian.pairing_defect(dom) < 1e-9
+
+    @pytest.mark.parametrize("genus", [16, 32, 44])
+    def test_high_genus_builds_and_uniformizes(self, genus, tmp_path):
+        # relators of 1e-8 to 1e-6 absolute residual, backward stable to 1e-13
+        dom, gens, rels = build_group(GroupSpec.surface(genus))
+        assert check_relations(uniformizing_rep(gens, rels)).holds()
+        out = tmp_path / "spec.csv"
+        assert cli.main(["spectrum", "--group", f"surface:{genus}", "--time", "200",
+                         "--samples", "4", "--seed", "1", "--out", str(out)]) == 0
+        lam1 = float(out.read_text().splitlines()[1].split(",")[2])
+        assert abs(lam1 - 1.0) < 0.02
 
     def test_triangle_area_gauss_bonnet(self, tri334):
         dom, _, _ = tri334

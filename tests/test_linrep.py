@@ -89,13 +89,13 @@ class TestCheckRelations:
         assert check_relations(rep2).max_residual > 2.0
 
     def test_gate(self, fuchs_g2, tri334):
-        assert check_relations(fuchs_g2).holds(1e-8)
+        assert check_relations(fuchs_g2).holds()
         _, gens, rels = tri334
         g = np.array(uniformizing_rep(gens, rels).generators[0])
         g[0, 0] += 1e-3
         bad = Representation(2, "real", [g, gens[1].mat, gens[2].mat], rels,
                              projective_flag=True)
-        assert not check_relations(bad).holds(1e-6)
+        assert not check_relations(bad).holds()
         # an order-3 rotation conjugated to entries ~1e16: the absolute
         # residual fails, backward stability holds
         t = 2 * math.pi / 3
@@ -103,7 +103,7 @@ class TestCheckRelations:
         g = np.diag([1e8, 1e-8]) @ rot @ np.diag([1e-8, 1e8])
         twisted = Representation(2, "real", [g], ((1, 1, 1),), projective_flag=True)
         report = check_relations(twisted)
-        assert report.max_residual > 1e-6 and report.holds(1e-6)
+        assert report.max_residual > 1e-6 and report.holds()
 
     def test_overflowed_relation_fails_gate(self):
         # g^2 overflows: inf residual, and inf / inf must not pass as 0
@@ -112,7 +112,7 @@ class TestCheckRelations:
             report = check_relations(rep)
         assert report.max_residual == math.inf
         assert report.max_relative == math.inf
-        assert not report.holds(1e-6)
+        assert not report.holds()
 
 
 class TestSymPower:
