@@ -2,11 +2,12 @@
 
 Triangle groups D(p,q,r) and genus-g surface groups with explicit
 fundamental polygons and side pairings, the ray tracer producing the
-side-crossing coding, orbit enumeration in balls, and quasi-Fuchsian
-bending deformations.  The polygon lives on the hyperboloid model: each
-side is the plane of a unit covector, which clearances, membership, the
-bounding box and the pairing check read; the tracer reads the signs of
-the vertices' lifts, and each pairing is an SO(2,1) matrix.
+side-crossing coding and pulling points back into the polygon, orbit
+enumeration in balls, and quasi-Fuchsian bending deformations.  The
+polygon lives on the hyperboloid model: each side is the plane of a unit
+covector, which clearances, membership, the bounding box and the pairing
+check read; the tracer reads the signs of the vertices' lifts, and each
+pairing is an SO(2,1) matrix.
 
 Domains and generator data are immutable after construction; coding and
 orbit enumeration are pure functions of their inputs, so Monte-Carlo
@@ -26,6 +27,7 @@ from .hypgeo import (
     Mobius,
     NumericDegeneracyError,
     UnitTangent,
+    direction_to,
     geodesic_flow,
     hyp_dist,
 )
@@ -41,10 +43,6 @@ class ResourceError(RuntimeError):
     def __init__(self, msg, partial=None):
         super().__init__(msg)
         self.partial = partial
-
-
-class NonConvergenceError(ResourceError):
-    """pull_back failed to reach the fundamental domain in its budget."""
 
 
 class DegenerateBendingError(ValueError):
@@ -310,32 +308,21 @@ def pull_back(dom, z):
 
     Returns (z', word) with z' in the closed domain and the word evaluating
     (left-to-right product of generators) to the element sending z' back to
-    z.  Greedy distance descent toward the interior point, with a
-    side-crossing fallback; bounded by 10*(1 + d/inradius) steps.
+    z.  The tracer walks the geodesic segment from the interior point to z,
+    and z goes through the pairing of each side it crosses, in crossing
+    order; the word is the negated coding of that segment.  A point at
+    infinite distance is refused (ResourceError).
     """
     p = z if isinstance(z, HPoint) else HPoint(z.real, z.imag)
-    x0 = dom.interior_point
-    d = hyp_dist(p, x0)
+    c = dom.interior_point
+    d = hyp_dist(c, p)
     if not math.isfinite(d):
-        raise NonConvergenceError(f"pull_back: {z} is at infinite distance")
-    budget = int(10.0 * (1.0 + d / dom.inradius)) + 4
-    applied = []
-    for _ in range(budget):
-        if dom.contains(p):
-            return p, tuple(-s for s in applied)
-        best, best_d, best_side = None, hyp_dist(p, x0), None
-        for k, pair in enumerate(dom.pairings):
-            cand = pair.mobius.apply(p)
-            d = hyp_dist(cand, x0)
-            if d < best_d - 1e-15:
-                best, best_d, best_side = cand, d, k
-        if best is None:
-            clear = dom.clearances(p.x, p.y)
-            k = int(np.argmin(clear))
-            best, best_side = dom.pairings[k].mobius.apply(p), k
-        p = best
-        applied.append(dom.pairings[best_side].word[0])
-    raise NonConvergenceError(f"pull_back did not converge from {z}")
+        raise ResourceError(f"pull_back: {z} is at infinite distance")
+    pairing = {pair.word[0]: pair.mobius for pair in dom.pairings}
+    crossed = [g for _, g in iter_crossings(dom, UnitTangent(c, direction_to(c, p)), d)]
+    for g in crossed:
+        p = pairing[g].apply(p)
+    return p, tuple(-g for g in crossed)
 
 
 def _lift(x, y):
@@ -631,7 +618,8 @@ def _orbit_bfs(pairings, frame, t_max):
 def orbit_ball(dom, generators, z0, t_max):
     """(points, dists) arrays for the orbit points with d(z0, g z0) <= t_max.
 
-    z0 is pulled back into the polygon (the distances stay); the Dirichlet
+    z0 is pulled back into the polygon along the geodesic traced to it from
+    the interior point (pull_back; the distances stay); the Dirichlet
     domain about the polygon's interior point gives complete bootstrap balls
     for the one about z0.  Refuses (ResourceError) a cone point, a tie, an
     uncertified domain and a ball past ORBIT_MAX_POINTS."""

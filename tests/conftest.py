@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from lyaplab import fuchsian, linrep
+from lyaplab.hypgeo import hyp_dist
 
 
 @pytest.fixture(scope="session")
@@ -131,6 +132,31 @@ def hyperboloid_crossings(dom, ut, T):
         v0, v1, v2 = r * v0, r * v1, r * v2
         yield t_acc, gen
     raise fuchsian.ResourceError("crossing budget exceeded (tracing runaway)")
+
+
+def greedy_pull_back(dom, z):
+    """The greedy distance descent that `fuchsian.pull_back` replaced, kept
+    as its oracle: apply the pairing that brings z closest to the interior
+    point (the least clearance's side when none is closer), at most
+    10 (1 + d / inradius) + 4 times.  Returns (z', word) under the same
+    convention; its words may differ from the tracer's, its points may not."""
+    p, x0 = z, dom.interior_point
+    applied = []
+    for _ in range(int(10.0 * (1.0 + hyp_dist(p, x0) / dom.inradius)) + 4):
+        if dom.contains(p):
+            return p, tuple(-s for s in applied)
+        best, best_d, best_side = None, hyp_dist(p, x0), None
+        for k, pair in enumerate(dom.pairings):
+            cand = pair.mobius.apply(p)
+            d = hyp_dist(cand, x0)
+            if d < best_d - 1e-15:
+                best, best_d, best_side = cand, d, k
+        if best is None:
+            best_side = int(np.argmin(dom.clearances(p.x, p.y)))
+            best = dom.pairings[best_side].mobius.apply(p)
+        p = best
+        applied.append(dom.pairings[best_side].word[0])
+    raise fuchsian.ResourceError(f"greedy pull-back did not converge from {z}")
 
 
 def _stack_gram(g):

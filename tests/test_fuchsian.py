@@ -30,9 +30,11 @@ from lyaplab.hypgeo import (
 from lyaplab.linrep import Representation, check_relations, eval_word, uniformizing_rep
 from lyaplab.oseledets import RunConfig, _sample_base, code_samples
 
-from conftest import coding, deriv_arg, hyperboloid_crossings, mobius_of_word, stack_descend
+from conftest import (coding, deriv_arg, greedy_pull_back, hyperboloid_crossings, mobius_of_word,
+                      stack_descend)
 
 BUILTIN = ("triangle:3,3,4", "triangle:2,3,7", "surface:2", "surface:3")
+PULL_BACK_GROUPS = ("triangle:3,3,4", "triangle:2,3,7", "surface:2", "surface:8")
 
 
 class TestGroupSpec:
@@ -176,6 +178,56 @@ class TestPullBack:
             assert dom.contains(z)
             back = mobius_of_word(gens, w).apply(z)
             assert abs(back.z - target.z) < 1e-7
+
+    @pytest.mark.parametrize("specname", PULL_BACK_GROUPS)
+    def test_agrees_with_greedy_descent(self, specname):
+        # triangle-group words are not unique, so points are compared, not words
+        dom, _, _ = build_group(parse_group_spec(specname))
+        rng = np.random.default_rng(21)
+        for _ in range(300):
+            ut = UnitTangent(dom.interior_point, rng.uniform(0.0, 2.0 * math.pi))
+            target = geodesic_flow(ut, rng.uniform(0.0, 12.0)).base
+            z, _ = pull_back(dom, target)
+            assert dom.contains(z)
+            assert abs(z.z - greedy_pull_back(dom, target)[0].z) < 1e-9
+
+    @pytest.mark.parametrize("specname", PULL_BACK_GROUPS)
+    def test_vertices_and_sides_round_trip(self, specname):
+        dom, gens, _ = build_group(parse_group_spec(specname))
+        n = len(dom.vertices)
+        targets = []
+        for k, (v, pair) in enumerate(zip(dom.vertices, dom.pairings)):
+            mid = geodesic_flow(UnitTangent(v, direction_to(v, dom.vertices[(k + 1) % n])),
+                                0.5 * dom.sides[k].length).base
+            targets += [v, pair.mobius.apply(v), pair.mobius.inv().apply(v), mid]
+        for target in targets:
+            z, w = pull_back(dom, target)
+            assert dom.contains(z)
+            assert abs(mobius_of_word(gens, w).apply(z).z - target.z) < 1e-9
+
+    @pytest.mark.parametrize("specname", ["surface:2", "surface:8"])
+    def test_distance_25_round_trips(self, specname):
+        # some pairing sends such a point within 1e-12 of the boundary, where
+        # greedy_pull_back, which tries them all, is refused; the pairings
+        # crossed on the way out only move it inward
+        dom, gens, _ = build_group(parse_group_spec(specname))
+        rng = np.random.default_rng(25)
+        for _ in range(20):
+            ut = UnitTangent(dom.interior_point, rng.uniform(0.0, 2.0 * math.pi))
+            target = geodesic_flow(ut, 25.0).base
+            z, w = pull_back(dom, target)
+            assert dom.contains(z)
+            assert abs(mobius_of_word(gens, w).apply(z).z - target.z) < 1e-9
+
+    @pytest.mark.parametrize("specname", PULL_BACK_GROUPS)
+    def test_word_is_the_negated_coding(self, specname):
+        dom, _, _ = build_group(parse_group_spec(specname))
+        c, rng = dom.interior_point, np.random.default_rng(7)
+        for _ in range(50):
+            target = HPoint(rng.uniform(-3.0, 3.0), math.exp(rng.uniform(-4.0, 2.0)))
+            d = hyp_dist(c, target)
+            gens = coding(dom, UnitTangent(c, direction_to(c, target)), d).gens
+            assert pull_back(dom, target)[1] == tuple(-g for g in gens.tolist())
 
 
 class TestCoding:
