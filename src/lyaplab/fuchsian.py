@@ -621,7 +621,8 @@ def orbit_ball(dom, generators, z0, t_max):
     z0 is pulled back into the polygon along the geodesic traced to it from
     the interior point (pull_back; the distances stay); the Dirichlet
     domain about the polygon's interior point gives complete bootstrap balls
-    for the one about z0.  Refuses (ResourceError) a cone point, a tie, an
+    for the one about z0, and is that one when z0 pulls back to the interior
+    point itself.  Refuses (ResourceError) a cone point, a tie, an
     uncertified domain and a ball past ORBIT_MAX_POINTS."""
     if not 0.0 <= t_max <= 18.0:
         raise ValueError("orbit enumeration supports radii in [0, 18]")
@@ -629,7 +630,7 @@ def orbit_ball(dom, generators, z0, t_max):
     Mc, Mq = Mobius.to_point(c).mat, Mobius.to_point(q).mat
     reach = [max(hyp_dist(p, v) for v in dom.vertices) for p in (c, q)]
     Sc = _dirichlet(np.array([_inverse(Mc) @ g.mat @ Mc for g in generators]), reach[0], dom.area)
-    Sq = _dirichlet(Sc, reach[1], dom.area, _inverse(Mc) @ Mq, hyp_dist(c, q))
+    Sq = Sc if q == c else _dirichlet(Sc, reach[1], dom.area, _inverse(Mc) @ Mq, hyp_dist(c, q))
     frame = linrep.eval_word(linrep.uniformizing_rep(generators, ()), word)
     ball = _orbit_bfs(Sq, frame @ Mq, t_max)
     return ball.points, ball.dists

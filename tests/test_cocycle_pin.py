@@ -46,6 +46,14 @@ complex diag R / |diag R| as diag R * (1 / |diag R|), which is an ulp off
 by 1 +- 2^-53 at those flushes, and the new one is the exact one.
 `flush_positive_diagonal`, the old flush, is kept below as the oracle of
 that move; every configuration agrees with it, failures included.
+Only imag-bend-triple was recorded a ninth time, when complex windows of
+size n <= `oseledets.REAL_FOLD_MAX` came to be folded in real arithmetic,
+A + iB as [[A, -B], [B, A]], each step gathered on its own: its rows moved
+by at most 3.7e-11 relative, with the same (no) failures, and the real
+rows kept their bits.  `lockstep_complex_fold`, the complex matmul fold,
+is kept below as the oracle of that move.  cube-sym16 (n = 17, one past
+the limit, so still folded by complex matmul) was pinned then with the
+bits of the code before the move.
 
 Each configuration runs `oseledets.cocycle` on a fresh coding and compares
 every exponent row as `float.hex` strings, together with the trace and
@@ -159,6 +167,82 @@ def flush_positive_diagonal(acc, lanes):
     return bad
 
 
+def lockstep_complex_fold(table, batch, part, config, q, rows, failures):
+    """The windowed lockstep before complex windows folded in real
+    arithmetic, kept as the oracle of that move: every window folds in the
+    table's own scalar field, from images gathered a whole block at a time.
+    Run the fused lanes part (lane r·len(batch.index) + i is lane i of
+    batch under rep r); append their rows and failures to those of rep r.
+
+    Lane k takes its own step j at global step off[k] + j, with off chosen
+    so that every burn-in ends at the same global step settle, a multiple of
+    q.  Before its start and after its end a lane multiplies image 0, the
+    identity, which leaves its frame exactly as it is.  The global steps run
+    in windows [wq, wq + q): a block of windows at a time is gathered and
+    folded into one product per window and lane by q - 1 batched matmuls,
+    then each window is one matmul of the frames and one flush of every
+    live lane, all lanes until one degenerates (a flush zeroes a failed
+    frame).  A lane before its start holds the identity, whose flush is
+    exact (Q = R = I, log 0), and its log is read at the window of its last
+    step: so it counts the flushes at its own steps burn + m·q (at burn the
+    burn-in logs are taken) and at the window end after its last step.  A
+    block holds at most FRAME_BUDGET bytes of images, or one window."""
+    samples = len(batch.index)
+    rep_of, lane_of = np.divmod(part, samples)
+    times = [batch.times[i] for i in lane_of]
+    lengths = np.array([len(t) for t in times], dtype=np.int64)
+    burn = np.array([np.searchsorted(t, config.burn_in, "right") for t in times])
+    settle = -(-burn.max(initial=0) // q) * q  # global step at which every burn-in ends
+    off = settle - burn
+    ends = off + lengths
+    width = -(-ends.max(initial=0) // q) * q
+    # lanes k and k + samples of part follow one sample and share its coding column
+    column = np.arange(len(part)) % samples
+    steps = np.array([np.pad(batch.gens[i], (o, width - e))
+                      for i, o, e in zip(lane_of[:samples], off, ends)]).T + table.shape[1] // 2
+    # rows of the flattened table, (windows, q, lanes)
+    windows = (steps[:, column] + rep_of * table.shape[1]).reshape(-1, q, len(part))
+    flat = table.reshape(-1, *table.shape[2:])
+    acc = oseledets.CocycleAccumulator(len(part), table.shape[2], table.dtype == complex)
+    base_log, failed, spare = np.zeros_like(acc.log_diag), {}, np.empty_like(acc.frames)
+    final = np.zeros_like(acc.log_diag)  # each lane's log at its last window
+    closing = {}  # window: the lanes whose last step falls in it
+    for lane, w in enumerate(((ends - 1) // q).tolist()):
+        closing.setdefault(w, []).append(lane)
+    live = slice(None)  # every lane, until one degenerates
+    block = max(1, oseledets.FRAME_BUDGET // (q * acc.frames.nbytes))
+    for w0 in range(0, len(windows), block):
+        images = flat[windows[w0:w0 + block]]  # (windows, q, lanes, n, n)
+        prods = images[:, 0]
+        for i in range(1, q):
+            prods = images[:, i] @ prods
+        for w, prod in enumerate(prods, w0):
+            np.matmul(prod, acc.frames, out=spare)  # out=frames would copy them first
+            acc.frames, spare = spare, acc.frames
+            bad = acc.flush(live)
+            if len(bad):
+                step = np.minimum((w + 1) * q - off[bad], lengths[bad])
+                failed.update(zip(bad.tolist(), step.tolist()))
+                live = np.setdiff1d(np.arange(len(part))[live], bad)
+            if (w + 1) * q == settle:
+                base_log = acc.log_diag.copy()
+            if w in closing:
+                final[closing[w]] = acc.log_diag[closing[w]]
+    for lane, (r, i, t) in enumerate(zip(rep_of, lane_of, times)):
+        if lane in failed:
+            exc = oseledets.NumericCocycleError(f"cocycle frame degenerated at step {failed[lane]}")
+            failures[r].append((batch.index[i], repr(exc)))
+            continue
+        log = np.sort(final[lane] - base_log[lane])[::-1]
+        # both window ends at crossing epochs: the log accrues only at
+        # crossings, so pairing it with a time span ending mid-gap would
+        # bias the rate by the mean residual gap over T
+        t0 = np.append(0.0, t)  # crossing epochs from the start
+        span = t0[-1] - t0[burn[lane]] if config.burn_in > 0.0 else config.T
+        lam = log / span if span > 0.0 else np.zeros(len(log))
+        rows[r].append(2.0 * lam if config.normalization == "minus4" else lam)
+
+
 # name: (group, representations, RunConfig keyword arguments)
 CONFIGS = {
     "c1-seed4200": ("triangle:3,3,4", lambda rep: [rep],
@@ -175,16 +259,37 @@ CONFIGS = {
     "imag-bend-triple": ("surface:2", lambda rep: _bent([0.5j, 1j, 2j]),
                          dict(T=150.0, samples=4, seed=56)),
     "real-bend": ("surface:2", lambda rep: _bent([1.5]), dict(T=150.0, samples=4, seed=57)),
+    # n = 17, one past REAL_FOLD_MAX: the complex matmul fold
+    "cube-sym16": ("triangle:3,3,4", lambda rep: [linrep.sym_power(linrep.unitary_cube_rep(), 16)],
+                   dict(T=100.0, samples=4, seed=3)),
 }
+
+# complex configurations folded in real arithmetic, n = 2, 3 and REAL_FOLD_MAX,
+# with the bound on their move against lockstep_complex_fold, relative to
+# their largest exponent (see test_real_fold_matches_complex_fold_oracle)
+FOLDED = {
+    "imag-bends-n2": ("surface:2", lambda rep: _bent([0.2j * k for k in range(1, 11)]),
+                      dict(T=300.0, samples=4, seed=11), 1e-9),
+    "bend-sym2-n3": ("surface:2", lambda rep: [linrep.sym_power(b, 2) for b in _bent([0.5j])],
+                     dict(T=300.0, samples=4, seed=12), 1e-8),
+    "cube-sym15-n16": ("triangle:3,3,4",
+                       lambda rep: [linrep.sym_power(linrep.unitary_cube_rep(), 15)],
+                       dict(T=100.0, samples=4, seed=13), 1e-9),
+}
+
+
+def _setup(name):
+    """(domain, representations, RunConfig) of configuration name."""
+    spec, reps, kwargs = {**CONFIGS, **FOLDED}[name][:3]
+    dom, rep = _group(spec)
+    return dom, reps(rep), RunConfig(**kwargs)
 
 
 def _run(name):
     """(coding, per rep: (rows, cocycle failures)) of configuration name."""
-    spec, reps, kwargs = CONFIGS[name]
-    dom, rep = _group(spec)
-    config = RunConfig(**kwargs)
+    dom, reps, config = _setup(name)
     batch = code_samples(dom, config)
-    return batch, cocycle(reps(rep), batch, config)
+    return batch, cocycle(reps, batch, config)
 
 
 def _record(name):
@@ -211,22 +316,46 @@ PINS = {
             ["0x1.ff9a70b07807ap-1", "-0x1.ff9a70b077fcbp-1"],
             ["0x1.001058b1d0520p+0", "-0x1.001058b1d0535p+0"]],
            [])]),
+    "cube-sym16":
+        ([],
+         [([
+            ["0x1.b1820ace87e7bp-46", "0x1.a6f05fde2b1b3p-46", "0x1.74d06e6b4d30ep-47", "0x1.4bf715273337bp-47",
+             "0x1.055f0c7e5d870p-47", "0x1.993425e7b058bp-48", "0x1.8a0a9973dc5d7p-48", "0x1.f92c11556082fp-51",
+             "0x1.3fa82dae11adfp-51", "0x1.17b327f84f783p-53", "-0x1.1d6871edb45b5p-53", "-0x1.0f23390838239p-50",
+             "-0x1.ba61e3ca0ac0cp-48", "-0x1.1cdf72feb2e60p-46", "-0x1.2a405855d75a5p-46", "-0x1.3f1f2ebf1038bp-46",
+             "-0x1.9547830efafc9p-46"],
+            ["0x1.c829b8057a05dp-45", "0x1.a830ca760c75ap-45", "0x1.c63422b062e84p-46", "0x1.8c95069880ed1p-46",
+             "0x1.093824b8503dfp-46", "0x1.64dc904fdadc9p-47", "0x1.5f40362201652p-49", "0x1.efe22e4e20165p-51",
+             "0x1.119745af84764p-51", "-0x1.643cf811df24ap-50", "-0x1.15dda2c642881p-48", "-0x1.a0cc742963cc2p-48",
+             "-0x1.df23ec5fb7a5bp-48", "-0x1.e58d7801d4c08p-47", "-0x1.89a4a698de40cp-46", "-0x1.5082efd6420cfp-45",
+             "-0x1.7bc9f192d4424p-44"],
+            ["0x1.af09815480078p-46", "0x1.9f3cf356c1d80p-46", "0x1.95f47d327a980p-47", "0x1.1ee1cce123c01p-47",
+             "0x1.a1615d5f210e3p-48", "0x1.4b27b18e28ca2p-48", "-0x1.c90306fa02784p-54", "-0x1.0111b3eca163ap-53",
+             "-0x1.f6b687ac9c511p-52", "-0x1.70773d9ff8642p-51", "-0x1.8d076e0f988bap-50", "-0x1.0dec301edca8ap-49",
+             "-0x1.142bbab747b14p-47", "-0x1.353272b858defp-47", "-0x1.1da1e45c418b2p-46", "-0x1.5d2f83549f7cap-46",
+             "-0x1.a90e83fd20e5ap-46"],
+            ["0x1.9ee58ac671790p-4", "0x1.777b8f85cbdcdp-4", "0x1.02bd979564766p-4", "0x1.4fd98fa3e8437p-5",
+             "0x1.15296f99d90d9p-5", "0x1.4d94f4c77b49fp-7", "0x1.103e52e52bbbcp-7", "-0x1.26c351494f343p-7",
+             "-0x1.e43c4ab72abedp-7", "-0x1.8df75e13f028fp-6", "-0x1.fcd635f8dd4f9p-6", "-0x1.270742394f087p-5",
+             "-0x1.579f49fcffc82p-5", "-0x1.6afc4c56d9fe9p-5", "-0x1.8b8303de41796p-5", "-0x1.9303451d0d55fp-5",
+             "-0x1.9e65625d316d5p-5"]],
+           [])]),
     "imag-bend-triple":
         ([],
-         [([["0x1.ebcd8f40f39e4p-1", "-0x1.ebcd8f40dae68p-1"],
-            ["0x1.ddb7abbb3a69dp-1", "-0x1.ddb7abbb4159ep-1"],
-            ["0x1.ebb9865c9a29bp-1", "-0x1.ebb9865c9fc7ep-1"],
-            ["0x1.ef57830f3608bp-1", "-0x1.ef57830f20c9fp-1"]],
+         [([["0x1.ebcd8f40f39e4p-1", "-0x1.ebcd8f40f0967p-1"],
+            ["0x1.ddb7abbb3a69dp-1", "-0x1.ddb7abbb4dad8p-1"],
+            ["0x1.ebb9865c9a29bp-1", "-0x1.ebb9865c90ca0p-1"],
+            ["0x1.ef57830f3608bp-1", "-0x1.ef57830f6ebfep-1"]],
            []),
-          ([["0x1.a3a44ccd4119cp-1", "-0x1.a3a44ccd3cd30p-1"],
-            ["0x1.6875f7786fed6p-1", "-0x1.6875f7786f5a9p-1"],
-            ["0x1.9ecba81670c08p-1", "-0x1.9ecba8166dde5p-1"],
-            ["0x1.af5204322ac76p-1", "-0x1.af5204322c3f2p-1"]],
+          ([["0x1.a3a44ccd4119bp-1", "-0x1.a3a44ccd37342p-1"],
+            ["0x1.6875f7786fed7p-1", "-0x1.6875f77873900p-1"],
+            ["0x1.9ecba81670c08p-1", "-0x1.9ecba8166ee22p-1"],
+            ["0x1.af5204322ac76p-1", "-0x1.af5204323b707p-1"]],
            []),
-          ([["0x1.8c9ff892b7cf5p-1", "-0x1.8c9ff892b6598p-1"],
-            ["0x1.3496e735a44b4p-1", "-0x1.3496e735a439ep-1"],
-            ["0x1.7eadb0a383b8bp-1", "-0x1.7eadb0a38a8dcp-1"],
-            ["0x1.93b443a3811f8p-1", "-0x1.93b443a38566ep-1"]],
+          ([["0x1.8c9ff892b7cf5p-1", "-0x1.8c9ff892bc9d8p-1"],
+            ["0x1.3496e735a44b4p-1", "-0x1.3496e735a4778p-1"],
+            ["0x1.7eadb0a383b8ap-1", "-0x1.7eadb0a38515bp-1"],
+            ["0x1.93b443a3811f8p-1", "-0x1.93b443a385737p-1"]],
            [])]),
     "q1":
         ([],
@@ -313,6 +442,36 @@ def test_bare_qr_matches_positive_diagonal_oracle(name, monkeypatch):
             assert np.abs(rows - want).max() <= 1e-12
         else:
             assert np.all(np.abs(rows - want) <= 1e-9 * np.abs(want))
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS) + sorted(FOLDED))
+def test_real_fold_matches_complex_fold_oracle(name, monkeypatch):
+    """Real tables, and complex ones past REAL_FOLD_MAX, keep the bits of
+    the complex matmul fold; complex ones up to it fold in real arithmetic,
+    which moves their rows by rounding: at most 1e-9 of the largest
+    exponent over the representation's rows, or the bound FOLDED names, and
+    the failures are equal.  (The finite-image cube's rows can be rounding
+    noise of 1e-14, so no per-row scale would do.)  Sym^2 of a bend runs at
+    q = 4 and its weakest exponents carry the most rounding: over seeds 0-9
+    at T = 300 they moved by up to 3.7e-9."""
+    batch, folded = _run(name)
+    monkeypatch.setattr(oseledets, "_lockstep", lockstep_complex_fold)
+    oracle_batch, oracle = _run(name)
+    assert batch.failures == oracle_batch.failures
+    tol = FOLDED[name][3] if name in FOLDED else 1e-9
+    for rep, (rows, lost, _), (want, want_lost, _) in zip(_setup(name)[1], folded, oracle,
+                                                          strict=True):
+        assert lost == want_lost
+        assert rows.shape == want.shape
+        if rep.is_complex and rep.n <= oseledets.REAL_FOLD_MAX:
+            assert np.abs(rows - want).max() <= tol * np.abs(want).max()
+        else:
+            assert np.array_equal(rows, want)
+
+
+def test_folded_sizes_straddle_the_limit():
+    assert _setup("cube-sym15-n16")[1][0].n == oseledets.REAL_FOLD_MAX
+    assert _setup("cube-sym16")[1][0].n == oseledets.REAL_FOLD_MAX + 1
 
 
 class _SingularRep:
