@@ -20,11 +20,6 @@ from .hypgeo import HPoint, UnitTangent
 FRAME_OVERFLOW = 1e120  # no frame entry reaches it, whatever the determinant
 QR_BUDGET = 25.0  # log cond of a window product: eps * e^25 ~ 1.6e-5 relative error
 FRAME_BUDGET = 1 << 25  # bytes of one chunk's frame stack (lanes, n, n) and of a block's fold arrays
-# largest n whose complex windows fold in real arithmetic (see _lockstep):
-# stacked 2n x 2n real products took 0.14-0.17x the time of the n x n
-# complex ones at n = 2, 0.76-1.06x at n = 16, 1.25-1.34x at n = 20 and
-# 1.61-1.80x at n = 32 (numpy 2.4, OpenBLAS 0.3.31, one thread, 2-core host)
-REAL_FOLD_MAX = 16
 
 
 class NumericCocycleError(ArithmeticError):
@@ -225,14 +220,13 @@ def _lockstep(table, batch, part, config, q, rows, failures):
     flushes at its own steps burn + m·q (at burn the burn-in logs are taken)
     and at the window end after its last step.
 
-    Complex images of size n <= REAL_FOLD_MAX fold in real arithmetic:
-    A + iB maps to [[A, -B], [B, A]], a ring homomorphism, so the real fold
-    is the map of the complex one, read back as its top-left block plus i
-    times its bottom-left block.  Each real entry is a length-2n dot product
-    over the magnitudes of the complex one, so the QR_BUDGET bound stands.
-    A block holds the running products, one gathered step and their product
-    (of the real or the complex images), at most FRAME_BUDGET bytes, or one
-    window."""
+    Complex images fold in real arithmetic: A + iB maps to [[A, -B], [B, A]],
+    a ring homomorphism, so the real fold is the map of the complex one,
+    read back as its top-left block plus i times its bottom-left block.
+    Each real entry is a length-2n dot product over the magnitudes of the
+    complex one, so the QR_BUDGET bound stands.  A block holds the running
+    products, one gathered step and their product, at most FRAME_BUDGET
+    bytes, or one window."""
     samples = len(batch.index)
     rep_of, lane_of = np.divmod(part, samples)
     times = [batch.times[i] for i in lane_of]
@@ -250,8 +244,7 @@ def _lockstep(table, batch, part, config, q, rows, failures):
     windows = (steps[:, column] + rep_of * table.shape[1]).reshape(-1, q, len(part))
     n, field = table.shape[2], table.dtype == complex
     flat = table.reshape(-1, n, n)
-    realified = field and n <= REAL_FOLD_MAX
-    if realified:
+    if field:
         flat = np.block([[flat.real, -flat.imag], [flat.imag, flat.real]])
     acc = CocycleAccumulator(len(part), n, field)
     base_log, failed, spare = np.zeros_like(acc.log_diag), {}, np.empty_like(acc.frames)
@@ -263,10 +256,10 @@ def _lockstep(table, batch, part, config, q, rows, failures):
     block = max(1, FRAME_BUDGET // (3 * len(part) * flat[0].nbytes))
     for w0 in range(0, len(windows), block):
         idx = windows[w0:w0 + block]
-        prods = flat[idx[:, 0]]  # (windows, lanes, n, n), or 2n x 2n real
+        prods = flat[idx[:, 0]]  # (windows, lanes, n, n), 2n x 2n real if complex
         for i in range(1, q):
             prods = flat[idx[:, i]] @ prods
-        if realified:  # read the complex products back
+        if field:  # read the complex products back
             real, prods = prods, np.empty((*prods.shape[:2], n, n), dtype=complex)
             prods.real, prods.imag = real[..., :n, :n], real[..., n:, :n]
         for w, prod in enumerate(prods, w0):
