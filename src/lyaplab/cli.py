@@ -328,9 +328,9 @@ def _write_err_outputs(ns, cf):
 
 
 def cmd_orbit_count(ns):
-    dom, gens, _ = fuchsian.build_group(fuchsian.parse_group_spec(ns.group))
+    dom, _, _ = fuchsian.build_group(fuchsian.parse_group_spec(ns.group))
     center = dom.interior_point if ns.center is None else _parse_center(ns.center)
-    pts, dists = fuchsian.orbit_ball(dom, gens, center, ns.tmax)
+    pts, dists = fuchsian.orbit_ball(dom, center, ns.tmax)
     cf = errterm.count_in_balls((pts, dists), center,
                                 np.linspace(0.3, ns.tmax, ns.grid_nodes))
     return _write_err_outputs(ns, cf)
@@ -402,7 +402,8 @@ def _selftest_suites():
         return all(r.holds() for r in reports), f"max relative residual {worst:.2e}"
 
     def suite_pairing():
-        worst = max(fuchsian.pairing_defect(dom) for dom in (dom3, dom2))
+        # the build's Dirichlet gate: each side on its bisector of c and g.c
+        worst = max(fuchsian.dirichlet_defect(dom) for dom in (dom3, dom2))
         return worst < 1e-9, f"max pairing defect {worst:.2e}"
 
     def suite_coding():
@@ -495,7 +496,7 @@ def _selftest_suites():
         grid = np.linspace(0.3, 6.0, 60)
         cf = errterm.count_in_balls((v, u), hypgeo.HPoint(0.0, 2.0), grid)
         mono = bool(np.all(np.diff(cf.counts) >= 0))
-        pts, dists = fuchsian.orbit_ball(dom3, gens3, dom3.interior_point, 6.0)
+        pts, dists = fuchsian.orbit_ball(dom3, dom3.interior_point, 6.0)
         cf2 = errterm.count_in_balls((pts, dists), dom3.interior_point, grid)
         mono2 = bool(np.all(np.diff(cf2.counts) >= 0))
         return mono and mono2, "counts nondecreasing"

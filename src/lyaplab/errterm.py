@@ -18,6 +18,7 @@ from .devmaps import Covector, bad_locus_points
 from .hypgeo import BallSpec, HPoint, ball_volume, hyp_dist
 
 MIN_NODES = 50  # grid nodes an err estimate needs at or below T_max
+BOUNDARY_TOL = 1e-9  # a count's boundary band: |d - t| within it is flagged
 
 
 class ResolutionError(ValueError):
@@ -34,7 +35,6 @@ class CountFunction:
 
     t: np.ndarray
     counts: np.ndarray
-    source: str  # 'devmap' | 'point-set'
     uncertain: np.ndarray  # per-node count of boundary-ambiguous points
 
     def __post_init__(self):
@@ -61,36 +61,30 @@ def _point_distances(points, center):
     return np.sort(np.asarray(out))
 
 
-def count_in_balls(source, center, t_grid, boundary_tol=1e-9):
+def count_in_balls(source, center, t_grid):
     """Per-radius bad-locus counts.
 
     source is either an explicit point collection (anything iterable of
     complex/HPoint, or a (points, dists) pair from orbit_ball), or a
     (developing map, covector) pair, whose points bad_locus_points finds.
     Boundary rule: at radius t a point at distance d is counted when
-    d <= t + boundary_tol, and flagged uncertain when |d - t| <= boundary_tol
+    d <= t + BOUNDARY_TOL, and flagged uncertain when |d - t| <= BOUNDARY_TOL
     (d in (t - tol, t + tol]); so a point in (t, t + tol] is counted and
     flagged uncertain.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if isinstance(source, tuple) and len(source) == 2 and isinstance(source[1], Covector):
         dev, u = source
-        ball = BallSpec(center, float(t_grid[-1]) + boundary_tol)
+        ball = BallSpec(center, float(t_grid[-1]) + BOUNDARY_TOL)
         pts = bad_locus_points(dev, u, ball)
         dists = _point_distances(pts, center)
-        tag = "devmap"
+    elif isinstance(source, tuple) and len(source) == 2:
+        dists = np.sort(np.asarray(source[1], dtype=float))
     else:
-        if isinstance(source, tuple) and len(source) == 2:
-            pts, dists = source
-            dists = np.sort(np.asarray(dists, dtype=float))
-        else:
-            dists = _point_distances(list(source), center)
-        tag = "point-set"
-    counts = np.searchsorted(dists, t_grid + boundary_tol, side="right")
-    lo = np.searchsorted(dists, t_grid - boundary_tol, side="right")
-    return CountFunction(
-        t=t_grid, counts=counts, source=tag, uncertain=counts - lo
-    )
+        dists = _point_distances(list(source), center)
+    counts = np.searchsorted(dists, t_grid + BOUNDARY_TOL, side="right")
+    lo = np.searchsorted(dists, t_grid - BOUNDARY_TOL, side="right")
+    return CountFunction(t=t_grid, counts=counts, uncertain=counts - lo)
 
 
 @dataclass(frozen=True)

@@ -217,6 +217,38 @@ def stack_orbit_bfs(pairings, frame, t_max):
     return fuchsian.OrbitBall(points=np.concatenate(pts), dists=np.concatenate(dists))
 
 
+def generator_dirichlet(S, R, area):
+    """The generator mode that `fuchsian._dirichlet` dropped when the build
+    began to certify the polygon as the Dirichlet domain about its interior
+    point, kept as the oracle of that certificate: face pairings of the
+    Dirichlet domain about i, grown from the generators S (conjugated to i;
+    R bounds the circumradius).  Each round closes S under inverses and
+    certifies the cell of a search ball as `_dirichlet` does; S gains the
+    round's faces and local minima."""
+    rho = R
+    for _ in range(8):
+        S = fuchsian._distinct(np.concatenate([S, fuchsian._inverse(S)]))
+        levels = list(fuchsian._descend(S, 2.0 * math.cosh(rho)))
+        minima = np.concatenate([m for _, _, m in levels], axis=1).T.reshape(-1, 2, 2)
+        ball = np.concatenate([g for g, _, _ in levels[1:]], axis=1).T.reshape(-1, 2, 2)
+        F = np.concatenate([ball, minima, fuchsian._inverse(minima)])
+        nF = (F * F).sum(axis=(1, 2))
+        if np.any(nF <= 2.0 * (1.0 + 10.0 * fuchsian.TIE_BAND)):
+            raise fuchsian.ResourceError("the orbit centre is a cone point")
+        F = F[nF <= 2.0 * math.cosh(rho)]
+        V, tags = fuchsian._cell(F)
+        edge = np.hypot(*(np.roll(V, -1, axis=0) - V).T)
+        faces = fuchsian._distinct(F[np.unique(tags[(edge > fuchsian.CERT_TOL) & (tags >= 0)])])
+        r2 = (V * V).sum(axis=1).max()
+        r = math.atanh(math.sqrt(r2)) if tags.min() >= 0 and r2 < 1.0 else math.inf
+        if (rho >= 2.0 * r and not len(minima)
+                and abs(fuchsian._cell_area(V) - area) <= fuchsian.CERT_TOL * area):
+            return faces
+        S = np.concatenate([S, faces, minima])
+        rho = max(rho, 2.0 * min(r, R) + 1e-6) if r < math.inf else min(1.25 * rho, 2.0 * R)
+    raise fuchsian.ResourceError("Dirichlet domain not certified: its cell misses the orbifold area")
+
+
 def deriv_arg(m, z):
     """arg of the derivative 1/(cz+d)^2 of the Mobius map m at z; it rotates
     tangent angles."""

@@ -165,9 +165,9 @@ def test_c5_symmetry_and_zero_sum(bench1, sym2_spec, sym3_spec, unitary_spec):
 
 
 def test_c6_error_term_calibration(bundle334):
-    dom, gens, _ = bundle334
+    dom, _, _ = bundle334
     t0 = time.perf_counter()
-    pts, dists = orbit_ball(dom, gens, dom.interior_point, 12.0)
+    pts, dists = orbit_ball(dom, dom.interior_point, 12.0)
     grid = np.linspace(0.3, 12.0, 240)
     cf = count_in_balls((pts, dists), dom.interior_point, grid)
     est = err_estimate(cf, 12.0)

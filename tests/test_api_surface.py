@@ -1,6 +1,7 @@
 """Every public top-level function or class of the package, and every
 public method of a public class, has a caller; every public class is put to
-work outside the tests; every defaulted parameter is passed by some call.
+work outside the tests; every defaulted parameter is passed by some call of
+the package or the benchmark, since a knob only the tests turn is a constant.
 
 A name defined in src/lyaplab counts as used when the package names it
 outside its own definition, when the benchmark (perfbench/*.py) names it, or
@@ -22,6 +23,15 @@ PACKAGE = ROOT / "src" / "lyaplab"
 EXEMPT = {
     "errterm.sum_rule_check",  # the paper's compact-base equality, checked by C7
     "fuchsian.BendingSplit.genus2_standard",  # acceptance tests C8a and C8b call it
+}
+
+# defaulted parameters that no call of the package or the benchmark names
+EXEMPT_PARAMS = {
+    # perfbench/tracing.py's wrap_crossings passes it to the wrapped tracer,
+    # a call of the name fn that the lint cannot tie to iter_crossings
+    "fuchsian.iter_crossings(perturb_log)",
+    # sum_rule_check is an exempt entry point (above); C7 passes k = 2 for Sym^2
+    "errterm.sum_rule_check(k)",
 }
 
 
@@ -97,6 +107,7 @@ def test_every_public_name_has_a_caller():
 def test_exemptions_are_defined():
     defs, _ = _surface()
     assert EXEMPT <= {f"{module}.{name}" for module, name in defs}
+    assert EXEMPT_PARAMS <= {f"{qual}({param})" for qual, param, _, _ in _defaulted_params()}
 
 
 def _put_to_work():
@@ -158,9 +169,9 @@ def _defaulted_params():
 
 
 def _calls():
-    """Called name -> every ast.Call of it in src/, tests/ and perfbench/."""
+    """Called name -> every ast.Call of it in src/ and perfbench/."""
     out = {}
-    for folder in ("src", "tests", "perfbench"):
+    for folder in ("src", "perfbench"):
         for path in sorted((ROOT / folder).rglob("*.py")):
             for n in ast.walk(ast.parse(path.read_text())):
                 if isinstance(n, ast.Call):
@@ -180,8 +191,9 @@ def _passes(call, param, index):
 def test_every_defaulted_parameter_is_passed():
     calls = _calls()
     dead = [f"{qual}({param})" for qual, param, called, index in _defaulted_params()
-            if not any(_passes(c, param, index) for c in calls.get(called, ()))]
-    assert not dead, f"defaulted parameters no call passes: {dead}"
+            if f"{qual}({param})" not in EXEMPT_PARAMS
+            and not any(_passes(c, param, index) for c in calls.get(called, ()))]
+    assert not dead, f"defaulted parameters no call of the package passes: {dead}"
 
 
 def _relation_gate_bypasses(tree):

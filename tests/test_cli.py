@@ -513,9 +513,9 @@ class TestCommandLineRefusals:
         (["spectrum", "--samples", "1", "--time", "20"], "successful samples"),
         (["orbit-count", "--tmax", "4", "--center=0,1e-200"], "boundary"),
         (["orbit-count", "--tmax", "4", "--center=1e200,1"], "infinite distance"),
-        # the pairings of the 192-gon miss their partners by 1.14e-9, past the
-        # build's absolute 1e-9 pairing gate
-        (["spectrum", "--group", "surface:48"], "miss their partners"),
+        # the sides of the 512-gon miss their Dirichlet bisectors by 2.19e-9,
+        # past the build's absolute 1e-9 gate
+        (["spectrum", "--group", "surface:128"], "miss their Dirichlet bisectors"),
         # a generator image of log cond 38.9, past any QR interval's budget
         (["spectrum", "--group", "surface:2", "--transform", "bend:16,0"], "unresolved"),
     ])

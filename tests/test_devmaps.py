@@ -130,8 +130,7 @@ class TestVeroneseDev:
     def test_boundary_flag(self):
         dev = veronese_dev(3)
         u = Covector((1.0, 0.0, 1.0))
-        cf = count_in_balls((dev, u), HPoint(0.0, 2.0), [math.log(2.0)],
-                            boundary_tol=1e-6)
+        cf = count_in_balls((dev, u), HPoint(0.0, 2.0), [math.log(2.0)])
         assert cf.uncertain.tolist() == [1]
 
     def test_counts_nested_monotone(self):

@@ -26,8 +26,8 @@ COVOL_334 = math.pi / 6
 
 @pytest.fixture(scope="module")
 def orbit10(tri334):
-    dom, gens, _ = tri334
-    return orbit_ball(dom, gens, dom.interior_point, 10.0)
+    dom, _, _ = tri334
+    return orbit_ball(dom, dom.interior_point, 10.0)
 
 
 class TestCountFunction:
@@ -50,9 +50,9 @@ class TestCountFunction:
     def test_orbit_and_points_agree_exactly(self, tri334):
         # the returned points, measured afresh from the centre, count the
         # same as the distances the enumerator returns with them
-        dom, gens, _ = tri334
+        dom, _, _ = tri334
         grid = np.linspace(0.3, 5.0, 80)
-        pts, dists = orbit_ball(dom, gens, dom.interior_point, 5.0)
+        pts, dists = orbit_ball(dom, dom.interior_point, 5.0)
         cf1 = count_in_balls(list(pts), dom.interior_point, grid)
         cf2 = count_in_balls((pts, dists), dom.interior_point, grid)
         assert (cf1.counts == cf2.counts).all()
@@ -60,13 +60,11 @@ class TestCountFunction:
 
     def test_monotonicity_enforced(self):
         with pytest.raises(ValueError):
-            CountFunction(np.array([1.0, 2.0]), np.array([2, 1]), "point-set",
-                          np.array([0, 0]))
+            CountFunction(np.array([1.0, 2.0]), np.array([2, 1]), np.array([0, 0]))
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
-            CountFunction(np.array([0.0, 1.0]), np.array([0, 0]), "point-set",
-                          np.array([0, 0]))
+            CountFunction(np.array([0.0, 1.0]), np.array([0, 0]), np.array([0, 0]))
 
 
 class TestErrEstimate:
@@ -106,11 +104,11 @@ class TestErrEstimate:
         assert est.converged_flag
 
     def test_center_independence(self, tri334):
-        dom, gens, _ = tri334
+        dom, _, _ = tri334
         grid = np.linspace(0.3, 10.0, 160)
         vals = []
         for center in (dom.interior_point, HPoint(0.15, 1.2)):
-            pts, dists = orbit_ball(dom, gens, center, 10.0)
+            pts, dists = orbit_ball(dom, center, 10.0)
             cf = count_in_balls((pts, dists), center, grid)
             vals.append(err_estimate(cf, 10.0).value)
         assert abs(vals[0] - vals[1]) / vals[0] < 0.10

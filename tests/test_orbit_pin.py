@@ -11,7 +11,9 @@ old default margin (diameter + 0.25) missed 490 of the 2,584 points.
 The same centres, and the four centres of the orbit-calib benchmark at
 t = 10, also check the entry-array reverse search against the stack-based
 one it replaced (conftest.stack_descend): the same points and distances,
-and the same Dirichlet face pairings.
+and the same Dirichlet face pairings.  On triangle and surface groups the
+polygon's distinct pairings, which start every ball, are the faces that
+the generator-grown bootstrap (conftest.generator_dirichlet) certifies.
 """
 
 import numpy as np
@@ -21,9 +23,9 @@ from scipy.spatial import cKDTree
 from lyaplab import fuchsian
 from lyaplab.errterm import count_in_balls
 from lyaplab.fuchsian import build_group, orbit_ball, parse_group_spec
-from lyaplab.hypgeo import HPoint
+from lyaplab.hypgeo import HPoint, Mobius, hyp_dist
 
-from conftest import stack_descend, stack_orbit_bfs
+from conftest import generator_dirichlet, stack_descend, stack_orbit_bfs
 
 PINNED = [
     ("triangle:3,3,4", None, 8.0,
@@ -73,9 +75,9 @@ PINNED = [
 @pytest.mark.parametrize("group, centre, t_max, counts", PINNED,
                          ids=[f"{g}@{c or 'interior'}" for g, c, _, _ in PINNED])
 def test_pinned_counts(group, centre, t_max, counts):
-    dom, gens, _ = build_group(parse_group_spec(group))
+    dom, _, _ = build_group(parse_group_spec(group))
     z0 = dom.interior_point if centre is None else HPoint(*centre)
-    pts, dists = orbit_ball(dom, gens, z0, t_max)
+    pts, dists = orbit_ball(dom, z0, t_max)
     assert dists[0] == 0.0 and np.all(dists <= t_max)
     cf = count_in_balls((pts, dists), z0, np.linspace(0.3, t_max, 50))
     assert list(cf.counts) == counts
@@ -96,7 +98,7 @@ def _entries(levels):
 @pytest.mark.parametrize("group, centre, t_max", ORACLE_CASES,
                          ids=[f"{g}@{c or 'interior'}@{t:g}" for g, c, t in ORACLE_CASES])
 def test_matches_stack_oracle(group, centre, t_max, monkeypatch):
-    dom, gens, _ = build_group(parse_group_spec(group))
+    dom, _, _ = build_group(parse_group_spec(group))
     z0 = dom.interior_point if centre is None else HPoint(*centre)
     bfs, dirichlet, balls, domains = fuchsian._orbit_bfs, fuchsian._dirichlet, [], []
 
@@ -110,7 +112,7 @@ def test_matches_stack_oracle(group, centre, t_max, monkeypatch):
 
     monkeypatch.setattr(fuchsian, "_orbit_bfs", both_balls)
     monkeypatch.setattr(fuchsian, "_dirichlet", record_domain)
-    orbit_ball(dom, gens, z0, t_max)
+    orbit_ball(dom, z0, t_max)
     (ball, oracle), = balls
     assert len(ball.dists) == len(oracle.dists)
     assert np.abs(np.sort(ball.dists) - np.sort(oracle.dists)).max() <= 1e-12
@@ -120,9 +122,30 @@ def test_matches_stack_oracle(group, centre, t_max, monkeypatch):
     assert len(np.unique(match)) == len(match)
     # the same face pairings, as sets of elements of PSL(2, R), from the same inputs
     monkeypatch.setattr(fuchsian, "_descend", lambda S, limit: _entries(stack_descend(S, limit)))
-    # the interior point pulls back to itself, and its domain is certified once
-    assert len(domains) == (1 if centre is None else 2)
-    for args, faces in domains:
-        expect = dirichlet(*args)
-        assert len(faces) == len(expect)
-        assert fuchsian._matches(expect, faces).any(axis=1).all()
+    # one certified domain per ball, about the pulled-back centre
+    (args, faces), = domains
+    expect = dirichlet(*args)
+    assert len(faces) == len(expect)
+    assert fuchsian._matches(expect, faces).any(axis=1).all()
+
+
+DIRICHLET_GROUPS = ["triangle:3,3,4", "triangle:2,3,7", "triangle:2,4,5", "triangle:4,4,4",
+                    "triangle:7,7,7", "surface:2", "surface:3", "surface:4", "surface:5"]
+
+
+@pytest.mark.parametrize("group", DIRICHLET_GROUPS)
+def test_pairings_are_the_generator_grown_faces(group):
+    # an order-2 generator pairs its two sides by one element of PSL(2, R),
+    # so triangle:2,q,r has 3 faces from 4 pairings
+    dom, gens, _ = build_group(parse_group_spec(group))
+    frame = Mobius.to_point(dom.interior_point).mat
+
+    def about_c(mats):
+        return np.array([fuchsian._inverse(frame) @ g @ frame for g in mats])
+
+    pairings = about_c([p.mobius.mat for p in dom.pairings])
+    faces = fuchsian._distinct(pairings)
+    reach = max(hyp_dist(dom.interior_point, v) for v in dom.vertices)
+    expect = generator_dirichlet(about_c([g.mat for g in gens]), reach, dom.area)
+    assert len(faces) == len(expect) == len(pairings) - group.startswith("triangle:2,")
+    assert fuchsian._matches(expect, faces).any(axis=1).all()
