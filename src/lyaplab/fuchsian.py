@@ -36,6 +36,8 @@ from .hypgeo import (
 Word = tuple  # signed 1-based generator indices, negative = inverse
 
 SIDE_TOL = 1e-10      # side membership tolerance (sinh of distance)
+_CHUNK_MARGIN = 16    # crossings a tracer chunk walks past its expected count
+_CHUNK_MAX = 4096     # cap on a tracer chunk, which bounds its temporary lists
 
 
 class ResourceError(RuntimeError):
@@ -130,18 +132,27 @@ class FundamentalDomain:
 
     @functools.cached_property
     def _exits(self):
-        """The tracer's table, built at its first call: per side k the flat
-        record of w_k, w_(k+1), 2 <w_k, w_(k+1)>, L_k^-1 = J L_k^T J (the image
-        of g_k's adjugate) by rows, the generator, the partner j's w_(j+1),
-        w_j, the walk (w_i, side i - 1) for i = j+2 .. j-1, and side j - 1."""
-        lifts, n, sides = self._lifts, len(self._lifts), [[] for _ in self.pairings]
+        """The tracer's tables, built at its first call.  walk[k] is the
+        record its first pass reads at side k: L_k^-1 = J L_k^T J (the image
+        of g_k's adjugate) by rows, k, the walk (w_i, walk[i - 1]) for
+        i = j+2 .. j-1 over the partner j, and walk[j - 1].  Column k of table
+        holds what its second pass reads: w_k, w_(k+1), 2 <w_k, w_(k+1)>, and
+        the partner's w_(j+1), w_j; gens[k] is g_k.  rate is the expected
+        number of crossings per unit time, perimeter / (pi area) (Santalo,
+        Integral Geometry and Geometric Probability, 1976), which sizes the
+        chunks of the walk."""
+        lifts, n, walk = self._lifts, len(self._lifts), [[] for _ in self.pairings]
+        table = []
         for k, p in enumerate(self.pairings):
-            u, v, j, inverse = lifts[k], lifts[(k + 1) % n], p.partner, _inverse(p.mobius.mat)
-            sides[k] += [*u, *v, 2.0 * (u[0] * v[0] - u[1] * v[1] - u[2] * v[2]),
-                         *_so21(inverse).ravel().tolist(), p.word[0], *lifts[(j + 1) % n],
-                         *lifts[j], tuple((*lifts[(j + i) % n], sides[(j + i - 1) % n])
-                                          for i in range(2, n)), sides[j - 1]]
-        return sides
+            u, v, j = lifts[k], lifts[(k + 1) % n], p.partner
+            walk[k] += [*_so21(_inverse(p.mobius.mat)).ravel().tolist(), k,
+                        tuple((*lifts[(j + i) % n], walk[(j + i - 1) % n]) for i in range(2, n)),
+                        walk[j - 1]]
+            table.append([*u, *v, 2.0 * (u[0] * v[0] - u[1] * v[1] - u[2] * v[2]),
+                          *lifts[(j + 1) % n], *lifts[j]])
+        rate = sum(side.length for side in self.sides) / (math.pi * self.area)
+        gens = np.array([p.word[0] for p in self.pairings])
+        return walk, np.array(table).T.copy(), gens, rate
 
     def clearances(self, x, y):
         """Signed sinh-distances n_k . lift(x, y) to each side carrier,
@@ -381,9 +392,22 @@ def iter_crossings(dom, ut, T, perturb_log=None):
     along its exit side) comes out at t = 0.  The state at crossing k is the
     flow's pushed by g_k ... g_1; the final partial segment is not yielded.
     A start outside the closed polygon (at SIDE_TOL) is refused.
+
+    No sign needs a time, so the walk runs in two passes over chunks of
+    crossings.  The first, in Python, walks the signs and records k, s_k and
+    s_(k+1) per crossing.  The second computes the chunk's X, entries, times
+    and running time with numpy, in the scalar walk's expressions and order:
+    asinh is taken per element by math.asinh, since np.arcsinh may differ
+    from libm by an ulp and by CPU, and cumsum adds in sequence, so the times
+    are those of a one-crossing-at-a-time walk bit for bit and do not depend
+    on where the chunks end.  A chunk is the expected count of the time left,
+    rate (T - t) from dom._exits, plus a margin, at most _CHUNK_MAX.  At most
+    64 + 16 T / inradius crossings are walked; past that the trace is refused.
+    It stays a generator of pairs, yielding each chunk as it is timed, so the
+    callers and wrappers that count or cut its stream keep working.
     perturb_log stays empty.
     """
-    sides, lifts = dom._exits, dom._lifts
+    (walks, table, gens, rate), lifts = dom._exits, dom._lifts
     x, y, c, s = ut.base.x, ut.base.y, math.cos(ut.angle), math.sin(ut.angle)
     w, h = s / (2.0 * y), y * y - x * x  # V = dP/dt for dz/dt = y e^(i angle)
     vel = x * c + (h - 1.0) * w, x * c + (h + 1.0) * w, c - 2.0 * x * w
@@ -394,33 +418,50 @@ def iter_crossings(dom, ut, T, perturb_log=None):
         raise ResourceError("ray tracing: no outward exit at t=0.000000")
     if not dom.contains(ut.base):  # the entry into the polygon would go uncoded
         raise ResourceError("ray tracing: the start lies outside the polygon")
-    side, s0, s1 = sides[k], signs[k], signs[k + 1]
-    r = 1.0 / math.sqrt(s0 * (s0 - side[6] * s1) + s1 * s1)
-    e0, e1, e2 = (s1 * r * u - s0 * r * v for u, v in zip(lifts[k], lifts[k + 1]))
-    t_acc = math.asinh(e1 * vel[1] + e2 * vel[2] - e0 * vel[0])
-    for _ in range(int(64 + 16.0 * T / dom.inradius)):
-        (u0, u1, u2, v0, v1, v2, ck2, m00, m01, m02, m10, m11, m12, m20, m21, m22,
-         gen, p0, p1, p2, q0, q1, q2, walk, last) = side
-        r = 1.0 / math.sqrt(s0 * (s0 - ck2 * s1) + s1 * s1)
-        a, b = s1 * r, -s0 * r
-        d0, d1, d2 = a * u0 + b * v0 - e0, a * u1 + b * v1 - e1, a * u2 + b * v2 - e2
-        q = d1 * d1 + d2 * d2 - d0 * d0
-        t = 2.0 * math.asinh(0.5 * math.sqrt(q)) if q > 0.0 else 0.0
-        if t > T - t_acc:
+    side, s0, s1 = walks[k], signs[k], signs[k + 1]
+    r = 1.0 / math.sqrt(s0 * (s0 - float(table[6, k]) * s1) + s1 * s1)
+    e = [s1 * r * u - s0 * r * v for u, v in zip(lifts[k], lifts[k + 1])]
+    t_acc = math.asinh(e[1] * vel[1] + e[2] * vel[2] - e[0] * vel[0])
+    left = int(64 + 16.0 * T / dom.inradius)
+    while left > 0:
+        n = min(int(max(rate * (T - t_acc), 0.0)) + _CHUNK_MARGIN, _CHUNK_MAX, left)
+        left -= n
+        ks, s_k, s_k1 = [], [], []
+        put_k, put_s0, put_s1 = ks.append, s_k.append, s_k1.append
+        for _ in range(n):
+            m00, m01, m02, m10, m11, m12, m20, m21, m22, k, walk, last = side
+            put_k(k)
+            put_s0(s0)
+            put_s1(s1)
+            l0, l1, l2 = (l0 * m00 + l1 * m10 + l2 * m20, l0 * m01 + l1 * m11 + l2 * m21,
+                          l0 * m02 + l1 * m12 + l2 * m22)
+            for w0, w1, w2, nxt in walk:
+                sw = l0 * w0 + l1 * w1 + l2 * w2
+                if sw >= 0.0:
+                    side, s1 = nxt, sw
+                    break
+                s0 = sw
+            else:
+                side = last
+        ks = np.fromiter(ks, np.intp, n)
+        s_k, s_k1 = np.fromiter(s_k, float, n), np.fromiter(s_k1, float, n)
+        cols = table.take(ks, axis=1)
+        r = 1.0 / np.sqrt(s_k * (s_k - cols[6] * s_k1) + s_k1 * s_k1)
+        a, b = s_k1 * r, -s_k * r
+        exits, entries = a * cols[0:3] + b * cols[3:6], a * cols[7:10] + b * cols[10:13]
+        d = exits - np.column_stack((e, entries[:, :-1]))
+        e = entries[:, -1]
+        q = d[1] * d[1] + d[2] * d[2] - d[0] * d[0]
+        half = (0.5 * np.sqrt(np.where(q > 0.0, q, 0.0))).tolist()
+        t = 2.0 * np.fromiter(map(math.asinh, half), float, n)
+        acc = np.cumsum(np.concatenate(((t_acc,), t)))
+        stop = np.flatnonzero(t > T - acc[:-1])  # the first crossing past T ends the trace
+        m = stop[0] if len(stop) else n
+        reached = acc[1:m + 1]
+        yield from zip(np.where(reached > 0.0, reached, 0.0).tolist(), gens[ks[:m]].tolist())
+        if len(stop):
             return
-        t_acc += t
-        yield (t_acc if t_acc > 0.0 else 0.0), gen
-        l0, l1, l2 = (l0 * m00 + l1 * m10 + l2 * m20, l0 * m01 + l1 * m11 + l2 * m21,
-                      l0 * m02 + l1 * m12 + l2 * m22)
-        e0, e1, e2 = a * p0 + b * q0, a * p1 + b * q1, a * p2 + b * q2
-        for w0, w1, w2, nxt in walk:
-            sw = l0 * w0 + l1 * w1 + l2 * w2
-            if sw >= 0.0:
-                side, s1 = nxt, sw
-                break
-            s0 = sw
-        else:
-            side = last
+        t_acc = acc[-1]
     raise ResourceError("crossing budget exceeded (tracing runaway)")
 
 

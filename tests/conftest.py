@@ -67,6 +67,70 @@ def coding(dom, ut, T):
     )
 
 
+def _scalar_walk_sides(dom):
+    """The flat per-side records of the one-pass walk: w_k, w_(k+1),
+    2 <w_k, w_(k+1)>, L_k^-1 by rows, the generator, the partner j's
+    w_(j+1), w_j, the walk (w_i, side i - 1) for i = j+2 .. j-1, and
+    side j - 1."""
+    lifts, n, sides = dom._lifts, len(dom._lifts), [[] for _ in dom.pairings]
+    for k, p in enumerate(dom.pairings):
+        u, v, j, inverse = lifts[k], lifts[(k + 1) % n], p.partner, fuchsian._inverse(p.mobius.mat)
+        sides[k] += [*u, *v, 2.0 * (u[0] * v[0] - u[1] * v[1] - u[2] * v[2]),
+                     *fuchsian._so21(inverse).ravel().tolist(), p.word[0], *lifts[(j + 1) % n],
+                     *lifts[j], tuple((*lifts[(j + i) % n], sides[(j + i - 1) % n])
+                                      for i in range(2, n)), sides[j - 1]]
+    return sides
+
+
+def scalar_walk_crossings(dom, ut, T):
+    """The one-pass vertex-sign walk that the two-pass walk of
+    `fuchsian.iter_crossings` replaced, kept as its oracle: it computes each
+    crossing's time as it walks, one crossing at a time, and the two must
+    yield the same (time, signed generator) pairs bit for bit."""
+    _cross = fuchsian._cross
+    _lift = fuchsian._lift
+    ResourceError = fuchsian.ResourceError
+    sides, lifts = _scalar_walk_sides(dom), dom._lifts
+    x, y, c, s = ut.base.x, ut.base.y, math.cos(ut.angle), math.sin(ut.angle)
+    w, h = s / (2.0 * y), y * y - x * x  # V = dP/dt for dz/dt = y e^(i angle)
+    vel = x * c + (h - 1.0) * w, x * c + (h + 1.0) * w, c - 2.0 * x * w
+    l0, l1, l2 = _cross(vel, _lift(x, y))
+    signs = [l0 * w0 + l1 * w1 + l2 * w2 for w0, w1, w2 in lifts]
+    k = next((k for k in range(-1, len(signs) - 1) if signs[k] < 0.0 <= signs[k + 1]), None)
+    if k is None:
+        raise ResourceError("ray tracing: no outward exit at t=0.000000")
+    if not dom.contains(ut.base):  # the entry into the polygon would go uncoded
+        raise ResourceError("ray tracing: the start lies outside the polygon")
+    side, s0, s1 = sides[k], signs[k], signs[k + 1]
+    r = 1.0 / math.sqrt(s0 * (s0 - side[6] * s1) + s1 * s1)
+    e0, e1, e2 = (s1 * r * u - s0 * r * v for u, v in zip(lifts[k], lifts[k + 1]))
+    t_acc = math.asinh(e1 * vel[1] + e2 * vel[2] - e0 * vel[0])
+    for _ in range(int(64 + 16.0 * T / dom.inradius)):
+        (u0, u1, u2, v0, v1, v2, ck2, m00, m01, m02, m10, m11, m12, m20, m21, m22,
+         gen, p0, p1, p2, q0, q1, q2, walk, last) = side
+        r = 1.0 / math.sqrt(s0 * (s0 - ck2 * s1) + s1 * s1)
+        a, b = s1 * r, -s0 * r
+        d0, d1, d2 = a * u0 + b * v0 - e0, a * u1 + b * v1 - e1, a * u2 + b * v2 - e2
+        q = d1 * d1 + d2 * d2 - d0 * d0
+        t = 2.0 * math.asinh(0.5 * math.sqrt(q)) if q > 0.0 else 0.0
+        if t > T - t_acc:
+            return
+        t_acc += t
+        yield (t_acc if t_acc > 0.0 else 0.0), gen
+        l0, l1, l2 = (l0 * m00 + l1 * m10 + l2 * m20, l0 * m01 + l1 * m11 + l2 * m21,
+                      l0 * m02 + l1 * m12 + l2 * m22)
+        e0, e1, e2 = a * p0 + b * q0, a * p1 + b * q1, a * p2 + b * q2
+        for w0, w1, w2, nxt in walk:
+            sw = l0 * w0 + l1 * w1 + l2 * w2
+            if sw >= 0.0:
+                side, s1 = nxt, sw
+                break
+            s0 = sw
+        else:
+            side = last
+    raise ResourceError("crossing budget exceeded (tracing runaway)")
+
+
 def hyperboloid_crossings(dom, ut, T):
     """The hyperboloid tracer that the vertex-sign walk of
     `fuchsian.iter_crossings` replaced, kept as its oracle; it yields the

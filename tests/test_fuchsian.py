@@ -31,7 +31,7 @@ from lyaplab.linrep import Representation, check_relations, eval_word, uniformiz
 from lyaplab.oseledets import RunConfig, _sample_base, code_samples
 
 from conftest import (coding, deriv_arg, greedy_pull_back, hyperboloid_crossings, mobius_of_word,
-                      stack_descend)
+                      scalar_walk_crossings, stack_descend)
 
 BUILTIN = ("triangle:3,3,4", "triangle:2,3,7", "surface:2", "surface:3")
 PULL_BACK_GROUPS = ("triangle:3,3,4", "triangle:2,3,7", "surface:2", "surface:8")
@@ -414,14 +414,7 @@ class TestCoding:
         pairing = {p.word[0]: p.mobius for p in dom.pairings}
         n, coded = len(dom.vertices), 0
         for k in range(n):
-            a, b = dom.vertices[k], dom.vertices[(k + 1) % n]
-            mid = geodesic_flow(UnitTangent(a, direction_to(a, b)), 0.5 * hyp_dist(a, b))
-            inward = direction_to(a, dom.interior_point)
-            rays = [UnitTangent(mid.base, mid.angle + turn)
-                    for turn in (0.0, math.pi, math.pi / 2.0, -math.pi / 2.0)]
-            rays += [UnitTangent(a, direction_to(a, b)), UnitTangent(a, inward),
-                     UnitTangent(a, inward + math.pi)]
-            for i, ut in enumerate(rays):
+            for i, ut in enumerate(_side_and_vertex_rays(dom, k)):
                 try:
                     cs = list(fuchsian.iter_crossings(dom, ut, 10.0))
                 except ResourceError:
@@ -439,6 +432,61 @@ class TestCoding:
                 coded += 1
         assert coded >= 5 * n
 
+    @pytest.mark.parametrize("specname", BUILTIN)
+    def test_two_passes_match_the_scalar_walk(self, specname):
+        # the chunked walk yields the scalar walk's pairs bit for bit, and
+        # refuses where it refuses: random geodesics, half from random
+        # bases, rays through the vertices (whose corner crossings of
+        # length 0 can outrun the first chunk's estimate), and the rays from
+        # the sides and vertices; chunks of 7 make every long trace run on
+        # past its first chunk
+        dom, _, _ = build_group(parse_group_spec(specname))
+        rng = np.random.default_rng(72)
+        rays = [UnitTangent(_sample_base(dom, rng) if i % 2 else dom.interior_point,
+                            rng.uniform(0.0, 2.0 * math.pi)) for i in range(24)]
+        rays += [UnitTangent(dom.interior_point, direction_to(dom.interior_point, v))
+                 for v in dom.vertices]
+        traces = [(ut, T) for ut in rays for T in (0.05, 20.0, 300.0)]
+        traces += [(ut, 10.0) for k in range(len(dom.vertices))
+                   for ut in _side_and_vertex_rays(dom, k)]
+        for ut, T in traces:
+            oracle = _trace(scalar_walk_crossings, dom, ut, T)
+            assert _trace(fuchsian.iter_crossings, dom, ut, T) == oracle
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(fuchsian, "_CHUNK_MAX", 7)
+                assert _trace(fuchsian.iter_crossings, dom, ut, T) == oracle
+
+    @pytest.mark.parametrize("specname", BUILTIN)
+    def test_shorter_codings_are_prefixes(self, specname):
+        # chunks end where T puts them, so arithmetic that depended on the
+        # chunking would break these prefixes; each stops only at T
+        dom, _, _ = build_group(parse_group_spec(specname))
+        rng = np.random.default_rng(73)
+        for i in range(6):
+            ut = UnitTangent(_sample_base(dom, rng) if i % 2 else dom.interior_point,
+                             rng.uniform(0.0, 2.0 * math.pi))
+            full = list(fuchsian.iter_crossings(dom, ut, 300.0))
+            for T in (0.01, 1.0, 37.5, 150.0):
+                part = list(fuchsian.iter_crossings(dom, ut, T))
+                assert part == full[:len(part)]
+                assert len(part) == len(full) or full[len(part)][0] > T - 1e-9
+
+    def test_crossing_budget_refuses_after_the_scalar_walks_crossings(self):
+        # an inradius this large leaves a budget of 64 crossings, fewer than
+        # T = 100 needs: both walks yield the same 64 crossings, then refuse
+        dom, _, _ = build_group(GroupSpec.triangle(3, 3, 4))
+        dom.inradius = 1e6
+        assert int(64 + 16.0 * 100.0 / dom.inradius) == 64
+        ut = UnitTangent(dom.interior_point, 0.7)
+        walk = _trace(fuchsian.iter_crossings, dom, ut, 100.0)
+        assert walk == _trace(scalar_walk_crossings, dom, ut, 100.0)
+        assert len(walk[0]) == 64
+        assert walk[1] == "crossing budget exceeded (tracing runaway)"
+        batch = code_samples(dom, RunConfig(T=100.0, samples=2, seed=5))
+        assert batch.index == ()
+        assert [i for i, _ in batch.failures] == [0, 1]
+        assert all("crossing budget exceeded" in msg for _, msg in batch.failures)
+
     def test_flat_vertex_group_codes(self):
         # the order-2 corner of triangle(2,3,7) is a straight angle; the
         # two collinear sides must not confuse the tracer
@@ -446,6 +494,30 @@ class TestCoding:
         cs = coding(dom, UnitTangent(dom.interior_point, 0.37), 50.0)
         assert len(cs.times) > 20
         assert np.all(np.diff(cs.times) > 0)
+
+
+def _side_and_vertex_rays(dom, k):
+    """From the middle of side k along it both ways, into and out of the
+    polygon, then from vertex k along side k, inward and outward."""
+    a, b = dom.vertices[k], dom.vertices[(k + 1) % len(dom.vertices)]
+    mid = geodesic_flow(UnitTangent(a, direction_to(a, b)), 0.5 * hyp_dist(a, b))
+    inward = direction_to(a, dom.interior_point)
+    rays = [UnitTangent(mid.base, mid.angle + turn)
+            for turn in (0.0, math.pi, math.pi / 2.0, -math.pi / 2.0)]
+    return rays + [UnitTangent(a, direction_to(a, b)), UnitTangent(a, inward),
+                   UnitTangent(a, inward + math.pi)]
+
+
+def _trace(trace, dom, ut, T):
+    """The crossings a tracer yields before it returns or refuses, and its
+    refusal's message (None when it returns)."""
+    out = []
+    try:
+        for item in trace(dom, ut, T):
+            out.append(item)
+    except ResourceError as exc:
+        return out, str(exc)
+    return out, None
 
 
 def _bfs_inputs(dom, z0):
