@@ -481,7 +481,7 @@ def iter_crossings(dom, ut, T, perturb_log=None):
 # so one product C @ G gives the (k, j, N) block of |g s_k s_j|_F^2, every
 # neighbour of every child of a block of parents, with the rows of C the
 # weights w(s_k s_j).  Each test reduces over j, an axis contiguous over N,
-# and entries are formed only for the children kept and the minima.
+# and entries are formed only for the children kept.
 
 ORBIT_MAX_POINTS = 6_000_000  # cap on a ball; past it ResourceError (partial)
 TIE_BAND = 1e-11  # neighbour norms this close (relative) tie; lower index wins
@@ -520,23 +520,13 @@ def _norm_weights(M):
     return np.stack([P[:, 0, 0], 2.0 * P[:, 0, 1], P[:, 1, 1]], axis=1)
 
 
-def _children(par, mask, R):
-    """Entries of g s_k for the parents g (columns of par) and the k set in
-    mask[k], grouped by k, and those k; R[k] maps the entries of g to those
-    of g s_k."""
-    counts = np.count_nonzero(mask, axis=1)
-    kids = [R[k] @ np.compress(mask[k], par, axis=1) for k in np.flatnonzero(counts)]
-    ki = np.repeat(np.arange(len(R)), counts)
-    return (np.concatenate(kids, axis=1) if kids else par[:, :0]), ki
-
-
 def _descend(S, limit):
     """Reverse search over the pairings S (closed under inverses), yielding
-    (elements g with |g|_F^2 <= limit as (4, N) entries, their norms, local
-    minima) per block of parents.  g.s is kept when g is its least
-    S-neighbour (norms within TIE_BAND tie, the lower index wins; a gap too
-    near the band raises).  A local minimum is a cone point, a descent tie,
-    or one the search cannot reach while S lacks Dirichlet faces.
+    (elements g with |g|_F^2 <= limit as (4, N) entries, their norms) per
+    block of parents.  g.s is kept when g is its least S-neighbour (norms
+    within TIE_BAND tie, the lower index wins; a gap too near the band
+    raises).  S are certified Dirichlet faces, so a candidate with no
+    strictly closer neighbour (a cone point or a descent tie) raises too.
 
     A block's (k, j, N) neighbour norms, at most 2^17 of them so that they
     stay in a core's cache, come from one product with the parents' Gram
@@ -551,7 +541,7 @@ def _descend(S, limit):
     R[:, :2, :2] = R[:, 2:, 2:] = np.swapaxes(S, 1, 2)
     earlier = np.arange(m) < inv[:, None]  # [k, j]: j wins a tie over k's back step
     front, gen, total, step = np.eye(2).reshape(4, 1), np.array([-1]), 1, max(1, 2**17 // m**2)
-    yield front, np.array([2.0]), front[:, :0]
+    yield front, np.array([2.0])
     while front.shape[1]:
         nxt = []
         for i in range(0, front.shape[1], step):
@@ -571,36 +561,46 @@ def _descend(S, limit):
             if np.any(((nbr <= wide[:, None]) != tie).any(axis=1) & cand):
                 raise ResourceError("orbit descent: a neighbour tie the band cannot settle")
             strict = norms > wide
-            keep = cand & strict & tie[np.arange(m), inv] & ~(tie & earlier[..., None]).any(axis=1)
-            kids, ki = _children(par, keep, R)
-            nxt.append((kids, ki))
-            total += len(ki)
-            yield kids, norms[keep], _children(par, cand & ~strict, R)[0]
+            if np.any(cand & ~strict):
+                raise ResourceError("orbit descent: an element has no strictly closer neighbour")
+            keep = cand & tie[np.arange(m), inv] & ~(tie & earlier[..., None]).any(axis=1)
+            kids = [R[k] @ np.compress(keep[k], par, axis=1) for k in np.flatnonzero(keep.any(1))]
+            kids = np.concatenate(kids, axis=1) if kids else par[:, :0]
+            nxt.append((kids, np.repeat(np.arange(m), np.count_nonzero(keep, axis=1))))
+            total += kids.shape[1]
+            yield kids, norms[keep]
         front, gen = np.concatenate([k for k, _ in nxt], axis=1), np.concatenate([g for _, g in nxt])
 
 
 def _cell(F):
-    """Klein-model polygon about i cut out by the bisectors of i and g.i, g in
-    F: vertices, and the index in F of each edge's bisector (-1: unbounded)."""
+    """Klein-model polygon about i cut out by the bisectors qx X + qy Y <= rhs
+    of i and g.i, g in F: (vertices, the index in F of each edge's bisector),
+    or None where it is unbounded.  rhs > 0 off a cone point, so the cell is
+    the polar of the convex hull of the poles p_g = (qx, qy) / rhs (Andrew's
+    monotone chain): consecutive hull points meet at a vertex, and the next
+    one bounds its edge.  It is bounded when the hull surrounds 0."""
     a, b, c, d = F[:, 0, 0], F[:, 0, 1], F[:, 1, 0], F[:, 1, 1]
-    qx, qy = 0.5 * (a * a + b * b - c * c - d * d), a * c + b * d
-    rhs = 0.5 * (a * a + b * b + c * c + d * d) - 1.0  # qx X + qy Y <= rhs
-    poly = [((-2.0, -2.0), -1), ((2.0, -2.0), -1), ((2.0, 2.0), -1), ((-2.0, 2.0), -1)]
-    for j in np.argsort(rhs / np.hypot(qx, qy)):  # nearest bisector first
-        if rhs[j] > math.hypot(qx[j], qy[j]) * max(math.hypot(*v) for v, _ in poly):
-            break
-        s = [qx[j] * x + qy[j] * y - rhs[j] for (x, y), _ in poly]
-        out = []
-        for i, (v, tag) in enumerate(poly):
-            w, s2 = poly[(i + 1) % len(poly)][0], s[(i + 1) % len(poly)]
-            if s[i] <= 0.0:
-                out.append((v, tag))
-            if (s[i] <= 0.0) != (s2 <= 0.0):
-                f = s[i] / (s[i] - s2)
-                out.append(((v[0] + f * (w[0] - v[0]), v[1] + f * (w[1] - v[1])),
-                            j if s[i] <= 0.0 else tag))
-        poly = out
-    return np.array([v for v, _ in poly]), np.array([t for _, t in poly])
+    rhs = 0.5 * (a * a + b * b + c * c + d * d) - 1.0
+    P = np.column_stack([0.5 * (a * a + b * b - c * c - d * d), a * c + b * d]) / rhs[:, None]
+    order = np.lexsort((P[:, 1], P[:, 0]))
+    pts, hull = P[order].tolist(), []
+    for chain in (range(len(pts)), range(len(pts) - 1, -1, -1)):  # lower, then upper
+        start = len(hull)
+        for i in chain:
+            x, y = pts[i]
+            while len(hull) >= start + 2:
+                (x0, y0), (x1, y1) = pts[hull[-2]], pts[hull[-1]]
+                if (x1 - x0) * (y - y0) - (y1 - y0) * (x - x0) > 0.0:
+                    break
+                hull.pop()
+            hull.append(i)
+        del hull[-1:]  # the chain's last point starts the next chain
+    H, Hn = P[order[hull]], P[np.roll(order[hull], -1)]
+    det = H[:, 0] * Hn[:, 1] - H[:, 1] * Hn[:, 0]  # > 0 on every edge: 0 is inside
+    if len(hull) < 3 or det.min() <= 0.0:
+        return None
+    V = np.column_stack([Hn[:, 1] - H[:, 1], H[:, 0] - Hn[:, 0]]) / det[:, None]
+    return V, np.roll(order[hull], -1)
 
 
 def _cell_area(V):
@@ -617,25 +617,25 @@ def _dirichlet(S, R, area, Q, delta):
     """Face pairings of the Dirichlet domain about Q.i (as Q^-1 g Q), from
     searches over the faces S of the one about i (delta = d(i, Q.i); R bounds
     the circumradius).  The bootstrap ball of radius rho grows until rho >= 2r,
-    r the circumradius of the cell its bisectors cut out (a complete ball then
-    misses no face), and the cell must have the orbifold area."""
+    r the circumradius (inf if unbounded) of the cell its bisectors cut out (a
+    complete ball then misses no face), and the cell must have the orbifold area."""
     rho = R
     for _ in range(8):
-        levels = list(_descend(S, 2.0 * math.cosh(rho + 2.0 * delta)))
-        minima = np.concatenate([m for _, _, m in levels], axis=1).T.reshape(-1, 2, 2)
-        ball = np.concatenate([g for g, _, _ in levels[1:]], axis=1).T.reshape(-1, 2, 2)
-        F = _inverse(Q) @ np.concatenate([ball, minima, _inverse(minima)]) @ Q
+        ball = [g for g, _ in _descend(S, 2.0 * math.cosh(rho + 2.0 * delta))][1:]
+        F = _inverse(Q) @ np.concatenate(ball, axis=1).T.reshape(-1, 2, 2) @ Q
         nF = (F * F).sum(axis=(1, 2))
         if np.any(nF <= 2.0 * (1.0 + 10.0 * TIE_BAND)):
             raise ResourceError("the orbit centre is a cone point")
         F = F[nF <= 2.0 * math.cosh(rho)]
-        V, tags = _cell(F)
-        edge = np.hypot(*(np.roll(V, -1, axis=0) - V).T)
-        faces = _distinct(F[np.unique(tags[(edge > CERT_TOL) & (tags >= 0)])])
-        r2 = (V * V).sum(axis=1).max()
-        r = math.atanh(math.sqrt(r2)) if tags.min() >= 0 and r2 < 1.0 else math.inf
-        if rho >= 2.0 * r and not len(minima) and abs(_cell_area(V) - area) <= CERT_TOL * area:
-            return faces
+        cell = _cell(F)
+        r2 = (cell[0] ** 2).sum(axis=1).max() if cell else 1.0
+        r = math.atanh(math.sqrt(r2)) if r2 < 1.0 else math.inf
+        if rho >= 2.0 * r and abs(_cell_area(cell[0]) - area) <= CERT_TOL * area:
+            V, tags = cell
+            edge = np.hypot(*(np.roll(V, -1, axis=0) - V).T)
+            return _distinct(F[np.unique(tags[edge > CERT_TOL])])
+        # an unbounded cell creeps by 1.25 instead of jumping to 2R: that jump's
+        # search about a centre near a vertex of surface:8 passes ORBIT_MAX_POINTS
         rho = max(rho, 2.0 * min(r, R) + 1e-6) if r < math.inf else min(1.25 * rho, 2.0 * R)
     raise ResourceError("Dirichlet domain not certified: its cell misses the orbifold area")
 
@@ -644,9 +644,7 @@ def _orbit_bfs(pairings, frame, t_max):
     """The orbit ball over Dirichlet face pairings; points (frame @ g).i,
     from the entries of the elements g."""
     pts, dists, ((p, q), (r, s)) = [], [], frame
-    for (a, b, c, d), norms, minima in _descend(pairings, 2.0 * math.cosh(t_max)):
-        if minima.shape[1]:
-            raise ResourceError("orbit descent: an element has no strictly closer neighbour")
+    for (a, b, c, d), norms in _descend(pairings, 2.0 * math.cosh(t_max)):
         u, v = r * a + s * c, r * b + s * d  # the bottom row of frame @ g
         pts.append(((p * a + q * c) * u + (p * b + q * d) * v + 1j) / (u * u + v * v))
         dists.append(np.arccosh(np.maximum(0.5 * norms, 1.0)))
@@ -664,7 +662,8 @@ def orbit_ball(dom, z0, t_max):
     crossed frame its orbit.  The polygon's distinct pairings are the faces
     of the Dirichlet domain about c (dirichlet_defect, checked at build); one
     certification about z0 bootstraps from them.  Refuses (ResourceError) a
-    cone point, a tie, an uncertified domain and a ball past ORBIT_MAX_POINTS."""
+    cone point, a tie or local minimum of a search, an uncertified domain and
+    a ball past ORBIT_MAX_POINTS."""
     if not 0.0 <= t_max <= 18.0:
         raise ValueError("orbit enumeration supports radii in [0, 18]")
     c, (q, word) = dom.interior_point, pull_back(dom, z0)

@@ -281,26 +281,54 @@ def stack_orbit_bfs(pairings, frame, t_max):
     return fuchsian.OrbitBall(points=np.concatenate(pts), dists=np.concatenate(dists))
 
 
+def clip_cell(F):
+    """The half-plane clipping that the convex-hull polar `fuchsian._cell`
+    replaced, kept as its oracle: the Klein-model polygon about i cut out by
+    the bisectors of i and g.i, g in F, from the box |X|, |Y| <= 2, nearest
+    bisector first; vertices, and the index in F of each edge's bisector
+    (-1: a side of the box, so the cell is unbounded)."""
+    a, b, c, d = F[:, 0, 0], F[:, 0, 1], F[:, 1, 0], F[:, 1, 1]
+    qx, qy = 0.5 * (a * a + b * b - c * c - d * d), a * c + b * d
+    rhs = 0.5 * (a * a + b * b + c * c + d * d) - 1.0  # qx X + qy Y <= rhs
+    poly = [((-2.0, -2.0), -1), ((2.0, -2.0), -1), ((2.0, 2.0), -1), ((-2.0, 2.0), -1)]
+    for j in np.argsort(rhs / np.hypot(qx, qy)):  # nearest bisector first
+        if rhs[j] > math.hypot(qx[j], qy[j]) * max(math.hypot(*v) for v, _ in poly):
+            break
+        s = [qx[j] * x + qy[j] * y - rhs[j] for (x, y), _ in poly]
+        out = []
+        for i, (v, tag) in enumerate(poly):
+            w, s2 = poly[(i + 1) % len(poly)][0], s[(i + 1) % len(poly)]
+            if s[i] <= 0.0:
+                out.append((v, tag))
+            if (s[i] <= 0.0) != (s2 <= 0.0):
+                f = s[i] / (s[i] - s2)
+                out.append(((v[0] + f * (w[0] - v[0]), v[1] + f * (w[1] - v[1])),
+                            j if s[i] <= 0.0 else tag))
+        poly = out
+    return np.array([v for v, _ in poly]), np.array([t for _, t in poly])
+
+
 def generator_dirichlet(S, R, area):
     """The generator mode that `fuchsian._dirichlet` dropped when the build
     began to certify the polygon as the Dirichlet domain about its interior
     point, kept as the oracle of that certificate: face pairings of the
     Dirichlet domain about i, grown from the generators S (conjugated to i;
     R bounds the circumradius).  Each round closes S under inverses and
-    certifies the cell of a search ball as `_dirichlet` does; S gains the
-    round's faces and local minima."""
+    certifies the cell of a search ball as `_dirichlet` did, over the stack
+    search and the clipped cell, which keep the local minima and the box;
+    S gains the round's faces and local minima."""
     rho = R
     for _ in range(8):
         S = fuchsian._distinct(np.concatenate([S, fuchsian._inverse(S)]))
-        levels = list(fuchsian._descend(S, 2.0 * math.cosh(rho)))
-        minima = np.concatenate([m for _, _, m in levels], axis=1).T.reshape(-1, 2, 2)
-        ball = np.concatenate([g for g, _, _ in levels[1:]], axis=1).T.reshape(-1, 2, 2)
+        levels = list(stack_descend(S, 2.0 * math.cosh(rho)))
+        minima = np.concatenate([m for _, _, m in levels])
+        ball = np.concatenate([g for g, _, _ in levels[1:]])
         F = np.concatenate([ball, minima, fuchsian._inverse(minima)])
         nF = (F * F).sum(axis=(1, 2))
         if np.any(nF <= 2.0 * (1.0 + 10.0 * fuchsian.TIE_BAND)):
             raise fuchsian.ResourceError("the orbit centre is a cone point")
         F = F[nF <= 2.0 * math.cosh(rho)]
-        V, tags = fuchsian._cell(F)
+        V, tags = clip_cell(F)
         edge = np.hypot(*(np.roll(V, -1, axis=0) - V).T)
         faces = fuchsian._distinct(F[np.unique(tags[(edge > fuchsian.CERT_TOL) & (tags >= 0)])])
         r2 = (V * V).sum(axis=1).max()

@@ -612,7 +612,7 @@ class TestOrbit:
 
     @pytest.mark.parametrize("group, centre", [("triangle:3,3,4", (0.3, 0.9)),
                                                ("surface:2", (0.1, 1.1))])
-    def test_polygon_pairings_strand_elements(self, group, centre):
+    def test_polygon_pairings_strand_elements(self, group, centre, monkeypatch):
         # about these centres the polygon's pairings are not the Dirichlet
         # faces, and descent over them meets elements with no closer neighbour
         dom, _, _ = build_group(parse_group_spec(group))
@@ -620,6 +620,14 @@ class TestOrbit:
         S = np.array([fuchsian._inverse(frame) @ p.mobius.mat @ frame for p in dom.pairings])
         with pytest.raises(ResourceError, match="no strictly closer neighbour"):
             fuchsian._orbit_bfs(S, frame, 8.0)
+        # a certification over them refuses in the round whose search first
+        # meets such an element, not as uncertified after its 8 rounds
+        searches, descend = [], fuchsian._descend
+        monkeypatch.setattr(fuchsian, "_descend", lambda *a: searches.append(a) or descend(*a))
+        reach = max(hyp_dist(HPoint(*centre), v) for v in dom.vertices)
+        with pytest.raises(ResourceError, match="no strictly closer neighbour"):
+            fuchsian._dirichlet(S, reach, dom.area, np.eye(2), 0.0)
+        assert len(searches) < 8
 
     def test_pairings_without_inverses_refused(self, tri334):
         _, gens, _ = tri334

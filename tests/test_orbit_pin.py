@@ -14,7 +14,12 @@ one it replaced (conftest.stack_descend): the same points and distances,
 and the same Dirichlet face pairings.  On triangle and surface groups the
 polygon's distinct pairings, which start every ball, are the faces that
 the generator-grown bootstrap (conftest.generator_dirichlet) certifies.
+The convex-hull cell of a certification agrees with the clipped cell it
+replaced (conftest.clip_cell) on every bisector set those certifications
+cut and on random subsets of them.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -25,7 +30,7 @@ from lyaplab.errterm import count_in_balls
 from lyaplab.fuchsian import build_group, orbit_ball, parse_group_spec
 from lyaplab.hypgeo import HPoint, Mobius, hyp_dist
 
-from conftest import generator_dirichlet, stack_descend, stack_orbit_bfs
+from conftest import clip_cell, generator_dirichlet, stack_descend, stack_orbit_bfs
 
 PINNED = [
     ("triangle:3,3,4", None, 8.0,
@@ -86,13 +91,18 @@ def test_pinned_counts(group, centre, t_max, counts):
 
 CALIB_CENTRES = (None, (0.1, 1.2), (0.3, 1.5), (0.2, 2.0))  # perfbench orbit-calib
 ORACLE_CASES = ([(g, c, t) for g, c, t, _ in PINNED]
-                + [("triangle:3,3,4", c, 10.0) for c in CALIB_CENTRES])
+                + [("triangle:3,3,4", c, 10.0) for c in CALIB_CENTRES]
+                + [("surface:8", None, 4.0), ("surface:8", (0.1, 1.05), 5.0)])
 
 
 def _entries(levels):
-    """stack_descend's levels in _descend's layout: (4, N) entries a, b, c, d."""
+    """stack_descend's levels in _descend's layout: (4, N) entries a, b, c, d
+    and norms, refusing a local minimum as _descend does."""
     for g, norms, minima in levels:
-        yield g.reshape(-1, 4).T, norms, minima.reshape(-1, 4).T
+        if len(minima):
+            raise fuchsian.ResourceError(
+                "orbit descent: an element has no strictly closer neighbour")
+        yield g.reshape(-1, 4).T, norms
 
 
 @pytest.mark.parametrize("group, centre, t_max", ORACLE_CASES,
@@ -149,3 +159,60 @@ def test_pairings_are_the_generator_grown_faces(group):
     expect = generator_dirichlet(about_c([g.mat for g in gens]), reach, dom.area)
     assert len(faces) == len(expect) == len(pairings) - group.startswith("triangle:2,")
     assert fuchsian._matches(expect, faces).any(axis=1).all()
+
+
+def _round_sets(group, rng):
+    """The bisector sets F of every `_dirichlet` round about the interior
+    point and the orbit-calib centres, and random subsets of each: empty,
+    one or two bisectors, half of F, and the poles on one side of a line
+    through 0, whose hull misses 0."""
+    dom, _, _ = build_group(parse_group_spec(group))
+    sets, cell = [], fuchsian._cell
+
+    def record(F):
+        sets.append(F)
+        return cell(F)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fuchsian, "_cell", record)
+        for centre in CALIB_CENTRES:
+            orbit_ball(dom, dom.interior_point if centre is None else HPoint(*centre), 0.0)
+    subsets = []
+    for F in sets:
+        a, b, c, d = F[:, 0, 0], F[:, 0, 1], F[:, 1, 0], F[:, 1, 1]
+        u, v = rng.normal(size=2)
+        side = u * (a * a + b * b - c * c - d * d) + 2.0 * v * (a * c + b * d) > 0.0
+        pick = rng.permutation(len(F))
+        subsets += [F[:0], F[pick[:1]], F[pick[:2]], F[pick[:len(F) // 2]], F[side]]
+    return sets, subsets
+
+
+@pytest.mark.parametrize("group", DIRICHLET_GROUPS)
+def test_hull_cell_matches_clipping(group):
+    # r is finite where the clipped cell keeps no side of its box and lies in
+    # the disk; the hull's cell is then bounded, with the same faces, and the
+    # same area (relative) and squared circumradius to 1e-12
+    sets, subsets = _round_sets(group, np.random.default_rng(25))
+    assert any(fuchsian._cell(F) is not None for F in sets)
+    for F in sets + subsets:
+        V, tags = clip_cell(F)
+        r2 = (V * V).sum(axis=1).max()
+        cell = fuchsian._cell(F)
+        hull_r2 = (cell[0] ** 2).sum(axis=1).max() if cell else 1.0
+        assert (hull_r2 < 1.0) == (tags.min() >= 0 and r2 < 1.0)
+        if hull_r2 < 1.0:
+            edge = np.hypot(*(np.roll(V, -1, axis=0) - V).T)
+            hull_edge = np.hypot(*(np.roll(cell[0], -1, axis=0) - cell[0]).T)
+            assert set(tags[edge > fuchsian.CERT_TOL]) == set(cell[1][hull_edge > fuchsian.CERT_TOL])
+            area = fuchsian._cell_area(V)
+            assert abs(fuchsian._cell_area(cell[0]) - area) <= 1e-12 * area
+            assert abs(hull_r2 - r2) <= 1e-12
+
+
+@pytest.mark.parametrize("centre", [None, (0.02, 1.01)], ids=["interior", "0.02,1.01"])
+def test_surface16_ball_is_its_centre(centre):
+    dom, _, _ = build_group(parse_group_spec("surface:16"))
+    z0 = dom.interior_point if centre is None else HPoint(*centre)
+    pts, dists = orbit_ball(dom, z0, 4.0)
+    assert list(dists) == [0.0]
+    assert abs(pts[0] - complex(z0.x, z0.y)) <= 1e-12
