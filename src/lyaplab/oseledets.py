@@ -97,29 +97,46 @@ def code_samples(dom, config):
 
 
 class CocycleAccumulator:
-    """Orthonormal frames of a batch of lanes + accumulated log R diagonals.
-    flush(lanes), lanes a slice or an index array, re-orthonormalizes them
-    by a QR, keeps Q as LAPACK returns it, adds log |diag R| and returns the
-    lanes that degenerated, their frames zeroed.  QR is sign-equivariant,
-    QR(F S) = (Q, R S) for S = diag(+-1), and R's diagonal is real for
-    complex frames too, so no |r_ii| depends on the signs of Q's columns."""
+    """Orthonormal frames of a batch of lanes + accumulated log R diagonals."""
 
     def __init__(self, lanes, n, complex_field=False):
         self.frames = np.zeros((lanes, n, n), dtype=complex if complex_field else float)
         self.frames[:, np.arange(n), np.arange(n)] = 1.0
         self.log_diag = np.zeros((lanes, n))
 
-    def flush(self, lanes):
-        q, r = np.linalg.qr(self.frames[lanes])
-        d, bad = np.abs(np.diagonal(r, axis1=1, axis2=2)), np.empty(0, dtype=np.intp)
-        if not (0.0 < d.min(initial=1.0) and d.max(initial=0.0) < math.inf):
-            # set the degenerate lanes aside
-            ok = np.all(np.isfinite(d) & (d != 0.0), axis=1)
+    def flush(self, lanes, log_det):
+        """Re-orthonormalize lanes (a slice or an index array), whose frames
+        have log|det| log_det, by a QR; add log |diag R| and return the lanes
+        that degenerated (an |r_ii| outside (0, inf)), their frames zeroed.
+        At rank 2 the QR is closed form (Dieci, Russell & Van Vleck, 1997):
+        for (a, c) the frame's first column and r11 = hypot(|a|, |c|),
+        Q = [[a, -c*], [c, a*]] / r11 is unitary with det 1, and log|r22| =
+        log_det - log r11, never a cancelling ad - bc.  At rank 3 and up Q is
+        kept as LAPACK returns it and log_det is not read.  No later |r_ii|
+        depends on the signs or phases of Q's columns: at rank 2 they see
+        only the span of Q's first column and |det Q| = 1, and LAPACK's QR
+        is sign-equivariant, QR(F S) = (Q, R S) for S = diag(+-1), with a
+        real diagonal R for complex frames."""
+        frames, bad = self.frames[lanes], np.empty(0, dtype=np.intp)
+        with np.errstate(divide="ignore", invalid="ignore"):  # degenerate lanes: set aside
+            if frames.shape[1] == 2:
+                r11 = np.hypot(abs(frames[:, 0, 0]), abs(frames[:, 1, 0]))
+                q = np.empty_like(frames)
+                q[:, :, 0] = frames[:, :, 0] / r11[:, None]
+                q[:, 0, 1], q[:, 1, 1] = -q[:, 1, 0].conj(), q[:, 0, 0].conj()
+                log = np.empty((len(q), 2))
+                np.subtract(log_det, np.log(r11, out=log[:, 0]), out=log[:, 1])
+            else:
+                q, r = np.linalg.qr(frames)
+                log = np.log(np.abs(np.diagonal(r, axis1=1, axis2=2)))
+            degenerate = not math.isfinite(log.sum())  # some |r_ii| outside (0, inf)
+        if degenerate:
+            ok = np.isfinite(log).all(axis=1)
             lanes = np.arange(len(self.frames))[lanes]
             self.frames[lanes[~ok]] = 0.0
-            q, d, lanes, bad = q[ok], d[ok], lanes[ok], lanes[~ok]
+            q, log, lanes, bad = q[ok], log[ok], lanes[ok], lanes[~ok]
         self.frames[lanes] = q
-        self.log_diag[lanes] += np.log(d)
+        self.log_diag[lanes] += log
         return bad
 
 
@@ -145,7 +162,9 @@ def qr_interval(rep):
     prod sigma_min(g_i), so its weakest direction carries a relative error
     of at most eps * e^(q c) <= eps * e^QR_BUDGET (the QR scheme of
     Benettin, Galgani, Giorgilli & Strelcyn, 1980).  When c > QR_BUDGET not
-    even q = 1 certifies it, and rep is unresolved."""
+    even q = 1 certifies it, and rep is unresolved.  The rule is the same
+    at rank 2, where flush takes |r22| from each window's exact log|det|,
+    so that there it guards the top direction alone."""
     return _intervals(_images(rep)[None], None)[0]
 
 
@@ -180,15 +199,17 @@ def cocycle(reps, batch, config):
     count and scalar field.  Each runs at its own QR interval q, from
     qr_interval capped by config.qr_interval, and the reps of one q run
     fused: lane (r, i) multiplies rep r's images along lane i of batch, one
-    QR window of q steps at a time (see _lockstep).  Each lane's log R
-    diagonal counts a QR every q of its own steps, counted from the end of
-    its burn_in (log increments up to there, an O(1/T) frame-alignment bias,
-    are discarded), and one after its last step.  A lane's values depend
-    neither on its batch nor on the other reps."""
+    QR window of q steps at a time (see _lockstep); log|det| of each image
+    is tabled once for the rank-2 flush, exactly 0 for a unit_det rep.
+    Each lane's log R diagonal counts a QR every q of its own steps, counted
+    from the end of its burn_in (log increments up to there, an O(1/T)
+    frame-alignment bias, are discarded), and one after its last step.  A
+    lane's values depend neither on its batch nor on the other reps."""
     n, m, field = reps[0].n, reps[0].num_generators, reps[0].is_complex
     if any((rep.n, rep.num_generators, rep.is_complex) != (n, m, field) for rep in reps):
         raise ValueError("fused representations differ in size or scalar field")
     table = np.stack([_images(rep) for rep in reps]).astype(complex if field else float)
+    log_dets = np.where([[rep.unit_det] for rep in reps], 0.0, np.linalg.slogdet(table)[1])
     schedule = _intervals(table, config.qr_interval)
     chunk = max(1, FRAME_BUDGET // (n * n * table.itemsize))
     rows, failures = [[] for _ in reps], [[] for _ in reps]
@@ -196,13 +217,13 @@ def cocycle(reps, batch, config):
         group = [r for r, (qr, _) in enumerate(schedule) if qr == q]
         sub, lanes = table[group], len(group) * len(batch.index)
         for lo in range(0, lanes, chunk):
-            _lockstep(sub, batch, np.arange(lo, min(lo + chunk, lanes)), config, q,
-                      [rows[r] for r in group], [failures[r] for r in group])
+            _lockstep(sub, log_dets[group], batch, np.arange(lo, min(lo + chunk, lanes)),
+                      config, q, [rows[r] for r in group], [failures[r] for r in group])
     return [(np.array(r).reshape(len(r), n), f, why)
             for r, f, (_, why) in zip(rows, failures, schedule)]
 
 
-def _lockstep(table, batch, part, config, q, rows, failures):
+def _lockstep(table, log_dets, batch, part, config, q, rows, failures):
     """Run the fused lanes part (lane r·len(batch.index) + i is lane i of
     batch under rep r); append their rows and failures to those of rep r.
 
@@ -214,7 +235,9 @@ def _lockstep(table, batch, part, config, q, rows, failures):
     of every window and lane are gathered at a time and folded into one
     product per window and lane by q - 1 batched matmuls, then each window
     is one matmul of the frames and one flush of every live lane, all lanes
-    until one degenerates (a flush zeroes a failed frame).  A lane before
+    until one degenerates (a flush zeroes a failed frame), given the
+    window's log|det|, the sum of log_dets (table's, by row) over its steps:
+    the frames it meets are unitary, so that is theirs after the matmul.  A lane before
     its start holds the identity, whose flush is exact (Q = R = I, log 0),
     and its log is read at the window of its last step: so it counts the
     flushes at its own steps burn + m·q (at burn the burn-in logs are taken)
@@ -243,7 +266,7 @@ def _lockstep(table, batch, part, config, q, rows, failures):
     # rows of the flattened table, (windows, q, lanes)
     windows = (steps[:, column] + rep_of * table.shape[1]).reshape(-1, q, len(part))
     n, field = table.shape[2], table.dtype == complex
-    flat = table.reshape(-1, n, n)
+    flat, flat_dets = table.reshape(-1, n, n), log_dets.reshape(-1)
     if field:
         flat = np.block([[flat.real, -flat.imag], [flat.imag, flat.real]])
     acc = CocycleAccumulator(len(part), n, field)
@@ -256,16 +279,17 @@ def _lockstep(table, batch, part, config, q, rows, failures):
     block = max(1, FRAME_BUDGET // (3 * len(part) * flat[0].nbytes))
     for w0 in range(0, len(windows), block):
         idx = windows[w0:w0 + block]
+        dets = flat_dets[idx].sum(axis=1)  # (windows, lanes) log|det| of each window
         prods = flat[idx[:, 0]]  # (windows, lanes, n, n), 2n x 2n real if complex
         for i in range(1, q):
             prods = flat[idx[:, i]] @ prods
         if field:  # read the complex products back
             real, prods = prods, np.empty((*prods.shape[:2], n, n), dtype=complex)
             prods.real, prods.imag = real[..., :n, :n], real[..., n:, :n]
-        for w, prod in enumerate(prods, w0):
+        for w, (prod, det) in enumerate(zip(prods, dets), w0):
             np.matmul(prod, acc.frames, out=spare)  # out=frames would copy them first
             acc.frames, spare = spare, acc.frames
-            bad = acc.flush(live)
+            bad = acc.flush(live, det[live])
             if len(bad):
                 step = np.minimum((w + 1) * q - off[bad], lengths[bad])
                 failed.update(zip(bad.tolist(), step.tolist()))

@@ -4,12 +4,20 @@ perfbench/tracing.py `install()` replaces (owner, attribute) pairs by
 timing wrappers; a renamed or deleted one makes `--trace 1` read 0 or
 fail.  The pairs are read from the source with ast, so the benchmark code
 is not imported and nothing gets wrapped here.
+
+The `oseledets.flush` span reads as the QR time; a tripwire below checks,
+by counting calls rather than timing them, which flushes run LAPACK.
 """
 
 import ast
 import importlib
 import inspect
 from pathlib import Path
+
+import numpy as np
+import pytest
+
+from lyaplab import fuchsian, linrep, oseledets
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -50,6 +58,43 @@ def test_every_traced_seam_resolves():
 
 def test_crossings_seam_takes_perturb_log():
     # wrap_crossings calls the wrapped iter_crossings with perturb_log=
-    from lyaplab import oseledets
-
     assert "perturb_log" in inspect.signature(oseledets.iter_crossings).parameters
+
+
+def _qr_calls(monkeypatch, reps, dom):
+    """(np.linalg.qr calls, flushes) of one cocycle of reps along a short coding."""
+    calls = {"qr": 0, "flush": 0}
+    qr, flush = np.linalg.qr, oseledets.CocycleAccumulator.flush
+
+    def counted_qr(*args, **kwargs):
+        calls["qr"] += 1
+        return qr(*args, **kwargs)
+
+    def counted_flush(acc, lanes, log_det):
+        calls["flush"] += 1
+        return flush(acc, lanes, log_det)
+
+    monkeypatch.setattr(np.linalg, "qr", counted_qr)
+    monkeypatch.setattr(oseledets.CocycleAccumulator, "flush", counted_flush)
+    config = oseledets.RunConfig(T=60.0, samples=3, seed=5)
+    out = oseledets.cocycle(reps, oseledets.code_samples(dom, config), config)
+    assert all(len(rows) == 3 for rows, _, _ in out)
+    return calls["qr"], calls["flush"]
+
+
+# a rank-2 spectrum that fell back to LAPACK would hide in the benchmark's
+# noise, while the qr_s span still counted its flushes
+@pytest.mark.parametrize("bends", [(0.0,), (0.5j,), (0.5j, 1j, 1.5j)],
+                         ids=["real", "complex", "fused"])
+def test_rank2_cocycle_calls_no_lapack_qr(genus2, fuchs_g2, monkeypatch, bends):
+    split = fuchsian.BendingSplit.surface_standard(2)
+    reps = [fuchsian.bend_representation(fuchs_g2, split, s) for s in bends]
+    assert [rep.is_complex for rep in reps] == [s != 0.0 for s in bends]
+    qr, flushes = _qr_calls(monkeypatch, reps, genus2[0])
+    assert qr == 0 and flushes > 0
+
+
+def test_rank3_cocycle_one_lapack_qr_per_window(genus2, fuchs_g2, monkeypatch):
+    # one flush per window (see test_lanes_share_qr_calls)
+    qr, flushes = _qr_calls(monkeypatch, [linrep.sym_power(fuchs_g2, 2)], genus2[0])
+    assert qr == flushes > 0

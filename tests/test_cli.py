@@ -450,9 +450,10 @@ CONFIG_CASES = [
 ]
 CONFIG_BASE = {
     "spectrum": ["--time", "40", "--samples", "3", "--seed", "2"],
-    # a cap of 1 against one past the rule's q = 8 on surface:2; on
-    # triangle:3,3,4 the printed digits do not tell them apart
-    "qr-interval": ["--group", "surface:2", "--time", "40", "--samples", "3", "--seed", "2"],
+    # a cap of 1 against one past the rule's q = 4 for Sym^2 on surface:2; a
+    # rank-2 row prints the same digits at every q
+    "qr-interval": ["--group", "surface:2", "--transform", "sym:2", "--time", "40",
+                    "--samples", "3", "--seed", "2"],
     "sweep": ["--grid", "0,0.5", "--time", "40", "--samples", "3", "--seed", "2"],
     "err": ["--dev", "veronese:3", "--covector", "1 0 1", "--tmax", "8",
             "--grid-nodes", "60"],

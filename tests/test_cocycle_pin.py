@@ -51,7 +51,16 @@ to be folded in real arithmetic, A + iB as [[A, -B], [B, A]], each step
 gathered on its own: its rows moved by at most 3.7e-11 relative, with the
 same (no) failures, and the real rows kept their bits.
 `lockstep_complex_fold`, the complex matmul fold, is kept below as the
-oracle of that move.
+oracle of that move.  Every rank-2 configuration was recorded a tenth
+time when `CocycleAccumulator.flush` came to take the rank-2 QR in closed
+form, Q from the frame's first column and log|r22| from each window's
+exact log|det|.  Each was first run over 64 samples under both flushes:
+lambda1 moved by rounding, at most 4.7e-15 a sample (real-bend), and
+lambda2 became -lambda1 exactly, which moved it by at most 1.1e-13 a
+sample on the triangle group and 9.5e-10 on imag-bend-triple; no mean
+moved by more than 1e-8 combined stderr, and the failures were equal (none).
+sym3-q3-burn37, at rank 4, kept its bits.  `flush_lapack`, the LAPACK
+flush, is kept below as the oracle of that move.
 
 Each configuration runs `oseledets.cocycle` on a fresh coding and compares
 every exponent row as `float.hex` strings, together with the trace and
@@ -83,7 +92,7 @@ def _bent(values):
     return [fuchsian.bend_representation(rep, split, s) for s in values]
 
 
-def lockstep_per_crossing(table, batch, part, config, q, rows, failures):
+def lockstep_per_crossing(table, log_dets, batch, part, config, q, rows, failures):
     """The per-crossing lockstep that `oseledets._lockstep` replaced, kept
     as its oracle.  Run the fused lanes part (lane r·len(batch.index) + i is
     lane i of batch under rep r); append their rows and failures to those of
@@ -96,7 +105,8 @@ def lockstep_per_crossing(table, batch, part, config, q, rows, failures):
     failure (a flush zeroes a failed frame) it is never read.  The live
     lanes are flushed every q steps counted from settle (so also at settle,
     where the burn-in logs are taken), and a lane ending between two of
-    those flushes at its last step."""
+    those flushes at its last step.  Each flush is given the log|det| the
+    lane's images have gathered since its last one (log_dets are table's)."""
     samples = len(batch.index)
     rep_of, lane_of = np.divmod(part, samples)
     times = [batch.times[i] for i in lane_of]
@@ -111,20 +121,23 @@ def lockstep_per_crossing(table, batch, part, config, q, rows, failures):
     steps = np.array([np.pad(batch.gens[i], (o, width - e))
                       for i, o, e in zip(lane_of[:samples], off, ends)]).T + table.shape[1] // 2
     idx = steps[:, column] + rep_of * table.shape[1]  # rows of the flattened table
-    flat = table.reshape(-1, *table.shape[2:])
+    flat, flat_dets = table.reshape(-1, *table.shape[2:]), log_dets.reshape(-1)
     acc = oseledets.CocycleAccumulator(len(part), table.shape[2], table.dtype == complex)
     base_log, failed, spare = np.zeros_like(acc.log_diag), {}, np.empty_like(acc.frames)
     changes, alive = set(off.tolist()) | set(ends.tolist()), lengths > 0
+    pending = np.zeros(len(part))  # each lane's log|det| since its last flush
     for j in range(width):
         np.matmul(flat[idx[j]], acc.frames, out=spare)  # out=frames would copy them first
         acc.frames, spare = spare, acc.frames
+        pending += flat_dets[idx[j]]
         if j in changes:
             live = np.flatnonzero(alive & (off <= j) & (j < ends))
         if (j + 1 - settle) % q == 0:
             due = live
         else:  # lanes ending between two scheduled flushes; every end is in changes
             due = live[ends[live] == j + 1] if j + 1 in changes else live[:0]
-        bad = acc.flush(due) if len(due) else due
+        bad = acc.flush(due, pending[due]) if len(due) else due
+        pending[due] = 0.0
         if len(bad):
             failed.update(zip(bad.tolist(), (j + 1 - off[bad]).tolist()))
             alive[bad] = False
@@ -146,10 +159,11 @@ def lockstep_per_crossing(table, batch, part, config, q, rows, failures):
         rows[r].append(2.0 * lam if config.normalization == "minus4" else lam)
 
 
-def flush_positive_diagonal(acc, lanes):
+def flush_positive_diagonal(acc, lanes, log_det):
     """The sign-normalizing `CocycleAccumulator.flush` that the bare-QR one
     replaced, kept as its oracle: it turns each Q's columns so that R has a
-    positive diagonal, Q * (diag R / |diag R|), before storing it."""
+    positive diagonal, Q * (diag R / |diag R|), before storing it; it
+    reads no log_det."""
     lanes = np.arange(len(acc.frames))[lanes]
     if not len(lanes):
         return lanes
@@ -165,7 +179,24 @@ def flush_positive_diagonal(acc, lanes):
     return bad
 
 
-def lockstep_complex_fold(table, batch, part, config, q, rows, failures):
+def flush_lapack(acc, lanes, log_det):
+    """The LAPACK `CocycleAccumulator.flush` of every rank that the rank-2
+    closed form replaced, kept as its oracle: Q is stored as LAPACK returns
+    it and log |diag R| added; it reads no log_det."""
+    q, r = np.linalg.qr(acc.frames[lanes])
+    d, bad = np.abs(np.diagonal(r, axis1=1, axis2=2)), np.empty(0, dtype=np.intp)
+    if not (0.0 < d.min(initial=1.0) and d.max(initial=0.0) < math.inf):
+        # set the degenerate lanes aside
+        ok = np.all(np.isfinite(d) & (d != 0.0), axis=1)
+        lanes = np.arange(len(acc.frames))[lanes]
+        acc.frames[lanes[~ok]] = 0.0
+        q, d, lanes, bad = q[ok], d[ok], lanes[ok], lanes[~ok]
+    acc.frames[lanes] = q
+    acc.log_diag[lanes] += np.log(d)
+    return bad
+
+
+def lockstep_complex_fold(table, log_dets, batch, part, config, q, rows, failures):
     """The windowed lockstep before complex windows folded in real
     arithmetic, kept as the oracle of that move: every window folds in the
     table's own scalar field, from images gathered a whole block at a time.
@@ -180,11 +211,12 @@ def lockstep_complex_fold(table, batch, part, config, q, rows, failures):
     folded into one product per window and lane by q - 1 batched matmuls,
     then each window is one matmul of the frames and one flush of every
     live lane, all lanes until one degenerates (a flush zeroes a failed
-    frame).  A lane before its start holds the identity, whose flush is
-    exact (Q = R = I, log 0), and its log is read at the window of its last
-    step: so it counts the flushes at its own steps burn + m·q (at burn the
-    burn-in logs are taken) and at the window end after its last step.  A
-    block holds at most FRAME_BUDGET bytes of images, or one window."""
+    frame), given the window's log|det| (log_dets are table's).  A lane
+    before its start holds the identity, whose flush is exact (Q = R = I,
+    log 0), and its log is read at the window of its last step: so it
+    counts the flushes at its own steps burn + m·q (at burn the burn-in logs
+    are taken) and at the window end after its last step.  A block holds at
+    most FRAME_BUDGET bytes of images, or one window."""
     samples = len(batch.index)
     rep_of, lane_of = np.divmod(part, samples)
     times = [batch.times[i] for i in lane_of]
@@ -200,7 +232,7 @@ def lockstep_complex_fold(table, batch, part, config, q, rows, failures):
                       for i, o, e in zip(lane_of[:samples], off, ends)]).T + table.shape[1] // 2
     # rows of the flattened table, (windows, q, lanes)
     windows = (steps[:, column] + rep_of * table.shape[1]).reshape(-1, q, len(part))
-    flat = table.reshape(-1, *table.shape[2:])
+    flat, flat_dets = table.reshape(-1, *table.shape[2:]), log_dets.reshape(-1)
     acc = oseledets.CocycleAccumulator(len(part), table.shape[2], table.dtype == complex)
     base_log, failed, spare = np.zeros_like(acc.log_diag), {}, np.empty_like(acc.frames)
     final = np.zeros_like(acc.log_diag)  # each lane's log at its last window
@@ -211,13 +243,14 @@ def lockstep_complex_fold(table, batch, part, config, q, rows, failures):
     block = max(1, oseledets.FRAME_BUDGET // (q * acc.frames.nbytes))
     for w0 in range(0, len(windows), block):
         images = flat[windows[w0:w0 + block]]  # (windows, q, lanes, n, n)
+        dets = flat_dets[windows[w0:w0 + block]].sum(axis=1)  # (windows, lanes)
         prods = images[:, 0]
         for i in range(1, q):
             prods = images[:, i] @ prods
-        for w, prod in enumerate(prods, w0):
+        for w, (prod, det) in enumerate(zip(prods, dets), w0):
             np.matmul(prod, acc.frames, out=spare)  # out=frames would copy them first
             acc.frames, spare = spare, acc.frames
-            bad = acc.flush(live)
+            bad = acc.flush(live, det[live])
             if len(bad):
                 step = np.minimum((w + 1) * q - off[bad], lengths[bad])
                 failed.update(zip(bad.tolist(), step.tolist()))
@@ -300,62 +333,62 @@ def _record(name):
 PINS = {
     "burn0-minus1":
         ([],
-         [([["0x1.ed0fca7c41a49p-2", "-0x1.ed0fca7c41abcp-2"],
-            ["0x1.000dd7b841c79p-1", "-0x1.000dd7b841c13p-1"],
-            ["0x1.fbcd7744345acp-2", "-0x1.fbcd77443450ep-2"],
-            ["0x1.fa4cccda27ea7p-2", "-0x1.fa4cccda27e74p-2"]],
+         [([["0x1.ed0fca7c41a49p-2", "-0x1.ed0fca7c41a49p-2"],
+            ["0x1.000dd7b841c79p-1", "-0x1.000dd7b841c79p-1"],
+            ["0x1.fbcd7744345acp-2", "-0x1.fbcd7744345acp-2"],
+            ["0x1.fa4cccda27ea7p-2", "-0x1.fa4cccda27ea7p-2"]],
            [])]),
     "c1-seed4200":
         ([],
-         [([["0x1.ffe94a1b7b4cep-1", "-0x1.ffe94a1b7b4a7p-1"],
-            ["0x1.fffc392cba386p-1", "-0x1.fffc392cba3e7p-1"],
-            ["0x1.ff9a70b07807ap-1", "-0x1.ff9a70b077fcbp-1"],
-            ["0x1.001058b1d0520p+0", "-0x1.001058b1d0535p+0"]],
+         [([["0x1.ffe94a1b7b4cdp-1", "-0x1.ffe94a1b7b4cdp-1"],
+            ["0x1.fffc392cba385p-1", "-0x1.fffc392cba385p-1"],
+            ["0x1.ff9a70b07807bp-1", "-0x1.ff9a70b07807bp-1"],
+            ["0x1.001058b1d0520p+0", "-0x1.001058b1d0520p+0"]],
            [])]),
     "imag-bend-triple":
         ([],
-         [([["0x1.ebcd8f40f39e4p-1", "-0x1.ebcd8f40f0967p-1"],
-            ["0x1.ddb7abbb3a69dp-1", "-0x1.ddb7abbb4dad8p-1"],
-            ["0x1.ebb9865c9a29bp-1", "-0x1.ebb9865c90ca0p-1"],
-            ["0x1.ef57830f3608bp-1", "-0x1.ef57830f6ebfep-1"]],
+         [([["0x1.ebcd8f40f39e4p-1", "-0x1.ebcd8f40f39e4p-1"],
+            ["0x1.ddb7abbb3a69dp-1", "-0x1.ddb7abbb3a69dp-1"],
+            ["0x1.ebb9865c9a29bp-1", "-0x1.ebb9865c9a29bp-1"],
+            ["0x1.ef57830f3608bp-1", "-0x1.ef57830f3608bp-1"]],
            []),
-          ([["0x1.a3a44ccd4119bp-1", "-0x1.a3a44ccd37342p-1"],
-            ["0x1.6875f7786fed7p-1", "-0x1.6875f77873900p-1"],
-            ["0x1.9ecba81670c08p-1", "-0x1.9ecba8166ee22p-1"],
-            ["0x1.af5204322ac76p-1", "-0x1.af5204323b707p-1"]],
+          ([["0x1.a3a44ccd4119cp-1", "-0x1.a3a44ccd4119cp-1"],
+            ["0x1.6875f7786fed7p-1", "-0x1.6875f7786fed7p-1"],
+            ["0x1.9ecba81670c08p-1", "-0x1.9ecba81670c08p-1"],
+            ["0x1.af5204322ac76p-1", "-0x1.af5204322ac76p-1"]],
            []),
-          ([["0x1.8c9ff892b7cf5p-1", "-0x1.8c9ff892bc9d8p-1"],
-            ["0x1.3496e735a44b4p-1", "-0x1.3496e735a4778p-1"],
-            ["0x1.7eadb0a383b8ap-1", "-0x1.7eadb0a38515bp-1"],
-            ["0x1.93b443a3811f8p-1", "-0x1.93b443a385737p-1"]],
+          ([["0x1.8c9ff892b7cf5p-1", "-0x1.8c9ff892b7cf5p-1"],
+            ["0x1.3496e735a44b4p-1", "-0x1.3496e735a44b4p-1"],
+            ["0x1.7eadb0a383b89p-1", "-0x1.7eadb0a383b89p-1"],
+            ["0x1.93b443a3811fap-1", "-0x1.93b443a3811fap-1"]],
            [])]),
     "q1":
         ([],
-         [([["0x1.fcfd44fa7a233p-1", "-0x1.fcfd44fa7a22fp-1"],
-            ["0x1.00ff5e645dd15p+0", "-0x1.00ff5e645dd16p+0"],
-            ["0x1.fddf5c77176f8p-1", "-0x1.fddf5c77176f4p-1"],
-            ["0x1.00a945ba45961p+0", "-0x1.00a945ba45960p+0"]],
+         [([["0x1.fcfd44fa7a22fp-1", "-0x1.fcfd44fa7a22fp-1"],
+            ["0x1.00ff5e645dd15p+0", "-0x1.00ff5e645dd15p+0"],
+            ["0x1.fddf5c77176f8p-1", "-0x1.fddf5c77176f8p-1"],
+            ["0x1.00a945ba45961p+0", "-0x1.00a945ba45961p+0"]],
            [])]),
     "q16":
         ([],
-         [([["0x1.ffd8223ac8935p-1", "-0x1.ffd8223ac8926p-1"],
-            ["0x1.00e0b69d3db8ep+0", "-0x1.00e0b69d3dba2p+0"],
-            ["0x1.00e266364d3bap+0", "-0x1.00e266364d3bep+0"],
-            ["0x1.ff2f49940467ap-1", "-0x1.ff2f499404602p-1"]],
+         [([["0x1.ffd8223ac8935p-1", "-0x1.ffd8223ac8935p-1"],
+            ["0x1.00e0b69d3db8fp+0", "-0x1.00e0b69d3db8fp+0"],
+            ["0x1.00e266364d3bap+0", "-0x1.00e266364d3bap+0"],
+            ["0x1.ff2f49940467ap-1", "-0x1.ff2f49940467ap-1"]],
            [])]),
     "random-base":
         ([],
-         [([["0x1.ffc389eb81f5fp-1", "-0x1.ffc389eb82094p-1"],
-            ["0x1.ffdd90bfbd57ap-1", "-0x1.ffdd90bfbd591p-1"],
-            ["0x1.003673ed7e94ep+0", "-0x1.003673ed7ea7cp+0"],
-            ["0x1.fe4fc3b9368bfp-1", "-0x1.fe4fc3b9367e5p-1"]],
+         [([["0x1.ffc389eb81f5fp-1", "-0x1.ffc389eb81f5fp-1"],
+            ["0x1.ffdd90bfbd578p-1", "-0x1.ffdd90bfbd578p-1"],
+            ["0x1.003673ed7e94ep+0", "-0x1.003673ed7e94ep+0"],
+            ["0x1.fe4fc3b9368bfp-1", "-0x1.fe4fc3b9368bfp-1"]],
            [])]),
     "real-bend":
         ([],
-         [([["0x1.721b583b1ef97p+0", "-0x1.721b583af3cfep+0"],
-            ["0x1.56ce020782e73p+0", "-0x1.56ce02078398fp+0"],
-            ["0x1.2b69e6c474408p+0", "-0x1.2b69e6c4747b4p+0"],
-            ["0x1.6461c1b28f5ddp+0", "-0x1.6461c1b28f46bp+0"]],
+         [([["0x1.721b583b1ef99p+0", "-0x1.721b583b1ef99p+0"],
+            ["0x1.56ce020782e70p+0", "-0x1.56ce020782e70p+0"],
+            ["0x1.2b69e6c47440ap+0", "-0x1.2b69e6c47440ap+0"],
+            ["0x1.6461c1b28f5dcp+0", "-0x1.6461c1b28f5dcp+0"]],
            [])]),
     "sym3-q3-burn37":
         ([],
@@ -397,12 +430,39 @@ def test_windowed_lockstep_matches_per_crossing_oracle(name, monkeypatch):
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_closed_form_matches_lapack_oracle(name, monkeypatch):
+    """The rank-2 closed form keeps the failures of the LAPACK flush and
+    its lambda1 up to rounding: 1e-12 on the triangle group, 1e-9 relative
+    on the bent surfaces; lambda2 is -lambda1 exactly, since every rank-2
+    representation here has unit determinant.  Rank 4 runs LAPACK either
+    way, bit for bit."""
+    batch, closed = _run(name)
+    monkeypatch.setattr(oseledets.CocycleAccumulator, "flush", flush_lapack)
+    oracle_batch, oracle = _run(name)
+    assert batch.failures == oracle_batch.failures
+    for rep, (rows, lost, _), (want, want_lost, _) in zip(_setup(name)[1], closed, oracle,
+                                                          strict=True):
+        assert lost == want_lost
+        assert rows.shape == want.shape
+        if rep.n > 2:
+            assert np.array_equal(rows, want)
+            continue
+        assert rep.unit_det and np.array_equal(rows[:, 1], -rows[:, 0])
+        if CONFIGS[name][0] == "triangle:3,3,4":
+            assert np.abs(rows[:, 0] - want[:, 0]).max() <= 1e-12
+        else:
+            assert np.all(np.abs(rows[:, 0] - want[:, 0]) <= 1e-9 * np.abs(want[:, 0]))
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_bare_qr_matches_positive_diagonal_oracle(name, monkeypatch):
     """QR is sign-equivariant, so storing Q as LAPACK returns it keeps every
     |r_ii| of the positive-diagonal flush: the rows agree to 1e-12 on the
     triangle group and to 1e-9 relative on the bent surfaces, where the
     complex diag R / |diag R| of the oracle is an ulp off +-1 at times, and
-    the failures are equal."""
+    the failures are equal.  At rank 2 the bare-QR flush is now the oracle
+    flush_lapack."""
+    monkeypatch.setattr(oseledets.CocycleAccumulator, "flush", flush_lapack)
     batch, bare = _run(name)
     monkeypatch.setattr(oseledets.CocycleAccumulator, "flush", flush_positive_diagonal)
     oracle_batch, oracle = _run(name)
@@ -449,7 +509,7 @@ class _SingularRep:
     """Generator 2 maps every frame to zero, so lanes that cross it
     degenerate; generator 1 is invertible."""
 
-    n, is_complex, num_generators, label = 2, False, 2, "singular"
+    n, is_complex, num_generators, label, unit_det = 2, False, 2, "singular", False
 
     def generator_image(self, g):
         return np.diag([2.0, 0.5]) if abs(g) == 1 else np.zeros((2, 2))
