@@ -104,31 +104,15 @@ class CocycleAccumulator:
         self.frames[:, np.arange(n), np.arange(n)] = 1.0
         self.log_diag = np.zeros((lanes, n))
 
-    def flush(self, lanes, log_det):
-        """Re-orthonormalize lanes (a slice or an index array), whose frames
-        have log|det| log_det, by a QR; add log |diag R| and return the lanes
-        that degenerated (an |r_ii| outside (0, inf)), their frames zeroed.
-        At rank 2 the QR is closed form (Dieci, Russell & Van Vleck, 1997):
-        for (a, c) the frame's first column and r11 = hypot(|a|, |c|),
-        Q = [[a, -c*], [c, a*]] / r11 is unitary with det 1, and log|r22| =
-        log_det - log r11, never a cancelling ad - bc.  At rank 3 and up Q is
-        kept as LAPACK returns it and log_det is not read.  No later |r_ii|
-        depends on the signs or phases of Q's columns: at rank 2 they see
-        only the span of Q's first column and |det Q| = 1, and LAPACK's QR
-        is sign-equivariant, QR(F S) = (Q, R S) for S = diag(+-1), with a
-        real diagonal R for complex frames."""
+    def flush(self, lanes):
+        """Re-orthonormalize lanes (a slice or an index array) by a QR, add
+        log |diag R| and return the lanes that degenerated (an |r_ii| outside
+        (0, inf)), their frames zeroed.  Q is kept as LAPACK returns it: QR is
+        sign-equivariant, so no later |r_ii| depends on its columns' signs."""
         frames, bad = self.frames[lanes], np.empty(0, dtype=np.intp)
         with np.errstate(divide="ignore", invalid="ignore"):  # degenerate lanes: set aside
-            if frames.shape[1] == 2:
-                r11 = np.hypot(abs(frames[:, 0, 0]), abs(frames[:, 1, 0]))
-                q = np.empty_like(frames)
-                q[:, :, 0] = frames[:, :, 0] / r11[:, None]
-                q[:, 0, 1], q[:, 1, 1] = -q[:, 1, 0].conj(), q[:, 0, 0].conj()
-                log = np.empty((len(q), 2))
-                np.subtract(log_det, np.log(r11, out=log[:, 0]), out=log[:, 1])
-            else:
-                q, r = np.linalg.qr(frames)
-                log = np.log(np.abs(np.diagonal(r, axis1=1, axis2=2)))
+            q, r = np.linalg.qr(frames)
+            log = np.log(np.abs(np.diagonal(r, axis1=1, axis2=2)))
             degenerate = not math.isfinite(log.sum())  # some |r_ii| outside (0, inf)
         if degenerate:
             ok = np.isfinite(log).all(axis=1)
@@ -138,6 +122,27 @@ class CocycleAccumulator:
         self.frames[lanes] = q
         self.log_diag[lanes] += log
         return bad
+
+
+def _scale(m, e):
+    """m / 2^k per matrix of the stack m, for k putting its largest real or
+    imaginary |entry| in [1, 2) (exact; the identity stays); add k to e."""
+    x = m.reshape(*m.shape[:-2], m.shape[-2] * m.shape[-1]).view(float)
+    k = np.frexp(np.abs(x).max(axis=-1))[1] - 1
+    e += k.reshape(-1, len(e)).sum(axis=0)
+    return np.ldexp(x, -k[..., None]).view(m.dtype).reshape(m.shape)
+
+
+def _push(counter, m, key, e):
+    """Merge leaves m, the first of index key, into counter (counter[k]: the level-k
+    node waiting for its later sibling); nodes 2j, 2j + 1 merge as 2j + 1 @ 2j, scaled."""
+    m, level = _scale(m, e), 0
+    while len(m):
+        if key % 2:  # the first node closes its pair
+            m, key = np.concatenate([counter.pop(level)[None], m]), key - 1
+        if len(m) % 2:
+            counter[level], m = m[-1], m[:-1]
+        m, key, level = _scale(m[1::2] @ m[::2], e), key // 2, level + 1
 
 
 def _images(rep):
@@ -162,9 +167,8 @@ def qr_interval(rep):
     prod sigma_min(g_i), so its weakest direction carries a relative error
     of at most eps * e^(q c) <= eps * e^QR_BUDGET (the QR scheme of
     Benettin, Galgani, Giorgilli & Strelcyn, 1980).  When c > QR_BUDGET not
-    even q = 1 certifies it, and rep is unresolved.  The rule is the same
-    at rank 2, where flush takes |r22| from each window's exact log|det|,
-    so that there it guards the top direction alone."""
+    even q = 1 certifies it, and rep is unresolved.  The rule is the same at
+    rank 2, where it guards lambda1's windows alone (lambda2 is log|det|'s)."""
     return _intervals(_images(rep)[None], None)[0]
 
 
@@ -184,7 +188,8 @@ def _intervals(table, cap):
                 math.inf if cap is None else cap)
         out.append((max(1, q), "" if c <= QR_BUDGET else (
             f"spectrum unresolved: a generator image has log cond {c:.4g}, past the QR "
-            f"budget {QR_BUDGET:g}, so no QR interval resolves its weakest exponents")))
+            f"budget {QR_BUDGET:g}, so no QR interval resolves " + ("the windows of its top "
+            "exponent" if table.shape[-1] == 2 else "its weakest exponents"))))
     return out
 
 
@@ -200,11 +205,11 @@ def cocycle(reps, batch, config):
     qr_interval capped by config.qr_interval, and the reps of one q run
     fused: lane (r, i) multiplies rep r's images along lane i of batch, one
     QR window of q steps at a time (see _lockstep); log|det| of each image
-    is tabled once for the rank-2 flush, exactly 0 for a unit_det rep.
-    Each lane's log R diagonal counts a QR every q of its own steps, counted
-    from the end of its burn_in (log increments up to there, an O(1/T)
-    frame-alignment bias, are discarded), and one after its last step.  A
-    lane's values depend neither on its batch nor on the other reps."""
+    is tabled once for rank 2, exactly 0 for a unit_det rep.  Each lane's
+    log counts from the end of its burn_in (log increments up to there, an
+    O(1/T) frame-alignment bias, are discarded), at rank 3 and up a QR every
+    q of its own steps and one after its last.  A lane's values depend
+    neither on its batch nor on the other reps."""
     n, m, field = reps[0].n, reps[0].num_generators, reps[0].is_complex
     if any((rep.n, rep.num_generators, rep.is_complex) != (n, m, field) for rep in reps):
         raise ValueError("fused representations differ in size or scalar field")
@@ -230,26 +235,28 @@ def _lockstep(table, log_dets, batch, part, config, q, rows, failures):
     Lane k takes its own step j at global step off[k] + j, with off chosen
     so that every burn-in ends at the same global step settle, a multiple of
     q.  Before its start and after its end a lane multiplies image 0, the
-    identity, which leaves its frame exactly as it is.  The global steps run
-    in windows [wq, wq + q): for a block of windows, the images of one step
-    of every window and lane are gathered at a time and folded into one
-    product per window and lane by q - 1 batched matmuls, then each window
-    is one matmul of the frames and one flush of every live lane, all lanes
-    until one degenerates (a flush zeroes a failed frame), given the
-    window's log|det|, the sum of log_dets (table's, by row) over its steps:
-    the frames it meets are unitary, so that is theirs after the matmul.  A lane before
-    its start holds the identity, whose flush is exact (Q = R = I, log 0),
-    and its log is read at the window of its last step: so it counts the
-    flushes at its own steps burn + m·q (at burn the burn-in logs are taken)
-    and at the window end after its last step.
+    identity.  The global steps run in windows [wq, wq + q): for a block of
+    windows, the images of one step of every window and lane are gathered
+    at a time and folded into one product per window and lane by q - 1
+    batched matmuls.  Complex images fold in real arithmetic: A + iB maps to
+    [[A, -B], [B, A]], a ring homomorphism, read back as its top-left block
+    plus i times its bottom-left block; each real entry is a length-2n dot
+    product over the magnitudes of the complex one, so the QR_BUDGET bound
+    stands.  A block holds the running products, one gathered step and their
+    product, at most FRAME_BUDGET bytes, or one window.
 
-    Complex images fold in real arithmetic: A + iB maps to [[A, -B], [B, A]],
-    a ring homomorphism, so the real fold is the map of the complex one,
-    read back as its top-left block plus i times its bottom-left block.
-    Each real entry is a length-2n dot product over the magnitudes of the
-    complex one, so the QR_BUDGET bound stands.  A block holds the running
-    products, one gathered step and their product, at most FRAME_BUDGET
-    bytes, or one window."""
+    At rank 2 lambda1 is the growth of one vector, lambda1 + lambda2 that of
+    log|det| (Dieci, Russell & Van Vleck, 1997): a lane's windows after
+    settle, and before it counted back from settle, are the leaves of two
+    pairwise product trees (_push), its own up to identities that change no
+    bit.  For u the first column of the earlier root and P the later, lambda1
+    logs log(|P u| / |u|), lambda2 the later windows' log|det| (log_dets,
+    table's by row) less that; a lane fails at a window of log|det| not finite.
+
+    At rank 3 and up each window is one matmul of the frames and one flush
+    of every live lane (a flush zeroes a failed frame).  A lane before its
+    start holds the identity, whose flush is exact, and its log is read at
+    the window of its last step."""
     samples = len(batch.index)
     rep_of, lane_of = np.divmod(part, samples)
     times = [batch.times[i] for i in lane_of]
@@ -269,27 +276,42 @@ def _lockstep(table, log_dets, batch, part, config, q, rows, failures):
     flat, flat_dets = table.reshape(-1, n, n), log_dets.reshape(-1)
     if field:
         flat = np.block([[flat.real, -flat.imag], [flat.imag, flat.real]])
-    acc = CocycleAccumulator(len(part), n, field)
-    base_log, failed, spare = np.zeros_like(acc.log_diag), {}, np.empty_like(acc.frames)
-    final = np.zeros_like(acc.log_diag)  # each lane's log at its last window
-    closing = {}  # window: the lanes whose last step falls in it
-    for lane, w in enumerate(((ends - 1) // q).tolist()):
-        closing.setdefault(w, []).append(lane)
-    live = slice(None)  # every lane, until one degenerates
+    failed, pre_windows = {}, int(settle) // q
+    if n == 2:  # the earlier tree's leaves count back from settle: pad it in front
+        eye = np.tile(np.eye(2, dtype=table.dtype), (len(part), 1, 1))
+        pad = (1 << pre_windows.bit_length()) - pre_windows  # to 2^k leaves
+        pre, post = {k: eye for k in range(pad.bit_length()) if pad >> k & 1}, {}
+        log_det, exps = np.zeros(len(part)), np.zeros(len(part), int)  # of the later tree
+    else:
+        acc = CocycleAccumulator(len(part), n, field)
+        base_log, spare = np.zeros_like(acc.log_diag), np.empty_like(acc.frames)
+        final = np.zeros_like(acc.log_diag)  # each lane's log at its last window
+        closing = {}  # window: the lanes whose last step falls in it
+        for lane, w in enumerate(((ends - 1) // q).tolist()):
+            closing.setdefault(w, []).append(lane)
+        live = slice(None)  # every lane, until one degenerates
     block = max(1, FRAME_BUDGET // (3 * len(part) * flat[0].nbytes))
     for w0 in range(0, len(windows), block):
         idx = windows[w0:w0 + block]
-        dets = flat_dets[idx].sum(axis=1)  # (windows, lanes) log|det| of each window
         prods = flat[idx[:, 0]]  # (windows, lanes, n, n), 2n x 2n real if complex
         for i in range(1, q):
             prods = flat[idx[:, i]] @ prods
         if field:  # read the complex products back
             real, prods = prods, np.empty((*prods.shape[:2], n, n), dtype=complex)
             prods.real, prods.imag = real[..., :n, :n], real[..., n:, :n]
-        for w, (prod, det) in enumerate(zip(prods, dets), w0):
+        if n == 2:
+            dets = flat_dets[idx].sum(axis=1)  # (windows, lanes) log|det| of each window
+            for w, lane in zip(*np.nonzero(~np.isfinite(dets))):  # in window order
+                failed.setdefault(int(lane), min((w0 + w + 1) * q - off[lane], lengths[lane]))
+            cut = max(0, pre_windows - w0)
+            _push(pre, prods[:cut], pad + w0, np.zeros(len(part), int))
+            _push(post, prods[cut:], max(0, w0 - pre_windows), exps)
+            log_det = np.add.accumulate(np.concatenate([log_det[None], dets[cut:]]))[-1]
+            continue
+        for w, prod in enumerate(prods, w0):
             np.matmul(prod, acc.frames, out=spare)  # out=frames would copy them first
             acc.frames, spare = spare, acc.frames
-            bad = acc.flush(live, det[live])
+            bad = acc.flush(live)
             if len(bad):
                 step = np.minimum((w + 1) * q - off[bad], lengths[bad])
                 failed.update(zip(bad.tolist(), step.tolist()))
@@ -298,6 +320,14 @@ def _lockstep(table, log_dets, batch, part, config, q, rows, failures):
                 base_log = acc.log_diag.copy()
             if w in closing:
                 final[closing[w]] = acc.log_diag[closing[w]]
+    if n == 2:
+        (u,), p = pre.values(), eye  # the earlier tree ends in its root
+        for level in sorted(post):  # the later one is padded with identities to 2^k leaves
+            p = _scale(p @ post[level], exps)
+        with np.errstate(divide="ignore", invalid="ignore"):  # failed lanes: not read
+            top = np.log(np.hypot(*abs(p @ u[:, :, :1])[..., 0].T) / np.hypot(*abs(u[..., 0]).T))
+            top += exps * math.log(2.0)
+            final, base_log = np.stack([top, log_det - top], axis=1), np.zeros((len(part), 2))
     for lane, (r, i, t) in enumerate(zip(rep_of, lane_of, times)):
         if lane in failed:
             exc = NumericCocycleError(f"cocycle frame degenerated at step {failed[lane]}")

@@ -270,13 +270,13 @@ class TestSweepCommand:
                                              ("real", [False, False, False])])
     def test_real_rep_never_promoted(self, tmp_path, monkeypatch, axis, fields):
         built = []
+        real = oseledets._lockstep
 
-        class Recording(oseledets.CocycleAccumulator):
-            def __init__(self, lanes, n, complex_field=False):
-                built.append(complex_field)
-                super().__init__(lanes, n, complex_field)
+        def recording(table, *args):
+            built.append(table.dtype == complex)
+            return real(table, *args)
 
-        monkeypatch.setattr(oseledets, "CocycleAccumulator", Recording)
+        monkeypatch.setattr(oseledets, "_lockstep", recording)
         assert run_cli(["sweep", "--group", "surface:2", "--axis", axis,
                         "--grid", "0,0.5,1", "--time", "60", "--samples", "4",
                         "--seed", "4", "--out", str(tmp_path / "s.csv")]) == 0

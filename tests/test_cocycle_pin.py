@@ -60,7 +60,19 @@ lambda2 became -lambda1 exactly, which moved it by at most 1.1e-13 a
 sample on the triangle group and 9.5e-10 on imag-bend-triple; no mean
 moved by more than 1e-8 combined stderr, and the failures were equal (none).
 sym3-q3-burn37, at rank 4, kept its bits.  `flush_lapack`, the LAPACK
-flush, is kept below as the oracle of that move.
+flush, is kept below as the oracle of that move.  Every rank-2
+configuration was recorded an eleventh time when `oseledets._lockstep`
+stopped carrying rank-2 frames: each lane's window products are reduced by
+two pairwise product trees, before and after its burn-in end, every node
+scaled by an exact power of two; lambda1 is the later root's growth of the
+earlier root's first column and lambda2 the windows' log|det| less it.
+Each was first run over 64 samples against the windowed lockstep with the
+closed-form flush (`lockstep_windowed` below, the oracle of that move; the
+older oracles run on its `OracleAccumulator` too): the rows moved by at
+most 7.8e-16 a sample on the triangle group, 1.7e-15 on the imaginary
+bends and 3.2e-14 on real-bend (q = 3, lambda1 about 1.5); no mean moved
+by more than 1.3e-12 combined stderr, lambda2 stayed -lambda1 exactly and
+the failures were equal (none).  sym3-q3-burn37, at rank 4, kept its bits.
 
 Each configuration runs `oseledets.cocycle` on a fresh coding and compares
 every exponent row as `float.hex` strings, together with the trace and
@@ -78,6 +90,7 @@ import pytest
 
 from lyaplab import fuchsian, linrep, oseledets
 from lyaplab.oseledets import RunConfig, code_samples, cocycle
+from test_oseledets import _SteadyRep, _StubRep
 
 
 @functools.lru_cache(maxsize=None)
@@ -90,6 +103,126 @@ def _bent(values):
     _, rep = _group("surface:2")
     split = fuchsian.BendingSplit.surface_standard(2)
     return [fuchsian.bend_representation(rep, split, s) for s in values]
+
+
+def flush_closed_form(acc, lanes, log_det):
+    """The `CocycleAccumulator.flush` that the rank-2 product tree replaced,
+    kept as the flush of the oracles below.  Re-orthonormalize lanes (a
+    slice or an index array), whose frames have log|det| log_det, by a QR;
+    add log |diag R| and return the lanes that degenerated (an |r_ii|
+    outside (0, inf)), their frames zeroed.  At rank 2 the QR is closed form
+    (Dieci, Russell & Van Vleck, 1997): for (a, c) the frame's first column
+    and r11 = hypot(|a|, |c|), Q = [[a, -c*], [c, a*]] / r11 is unitary with
+    det 1, and log|r22| = log_det - log r11.  At rank 3 and up Q is kept as
+    LAPACK returns it and log_det is not read."""
+    frames, bad = acc.frames[lanes], np.empty(0, dtype=np.intp)
+    with np.errstate(divide="ignore", invalid="ignore"):  # degenerate lanes: set aside
+        if frames.shape[1] == 2:
+            r11 = np.hypot(abs(frames[:, 0, 0]), abs(frames[:, 1, 0]))
+            q = np.empty_like(frames)
+            q[:, :, 0] = frames[:, :, 0] / r11[:, None]
+            q[:, 0, 1], q[:, 1, 1] = -q[:, 1, 0].conj(), q[:, 0, 0].conj()
+            log = np.empty((len(q), 2))
+            np.subtract(log_det, np.log(r11, out=log[:, 0]), out=log[:, 1])
+        else:
+            q, r = np.linalg.qr(frames)
+            log = np.log(np.abs(np.diagonal(r, axis1=1, axis2=2)))
+        degenerate = not math.isfinite(log.sum())  # some |r_ii| outside (0, inf)
+    if degenerate:
+        ok = np.isfinite(log).all(axis=1)
+        lanes = np.arange(len(acc.frames))[lanes]
+        acc.frames[lanes[~ok]] = 0.0
+        q, log, lanes, bad = q[ok], log[ok], lanes[ok], lanes[~ok]
+    acc.frames[lanes] = q
+    acc.log_diag[lanes] += log
+    return bad
+
+
+class OracleAccumulator(oseledets.CocycleAccumulator):
+    """The frames of the oracle locksteps: their flush takes each window's
+    log|det|, as `CocycleAccumulator.flush` did before the product tree."""
+
+    flush = flush_closed_form
+
+
+def lockstep_windowed(table, log_dets, batch, part, config, q, rows, failures):
+    """The windowed lockstep that the rank-2 product tree replaced, kept as
+    its oracle; at rank 3 and up `oseledets._lockstep` still runs it, bit
+    for bit.  Run the fused lanes part (lane r·len(batch.index) + i is lane
+    i of batch under rep r); append their rows and failures to those of rep
+    r.
+
+    Lane k takes its own step j at global step off[k] + j, with off chosen
+    so that every burn-in ends at the same global step settle, a multiple of
+    q.  Before its start and after its end a lane multiplies image 0, the
+    identity, which leaves its frame exactly as it is.  The global steps run
+    in windows [wq, wq + q): for a block of windows, the images of one step
+    of every window and lane are gathered at a time and folded into one
+    product per window and lane by q - 1 batched matmuls (complex images in
+    real arithmetic, A + iB as [[A, -B], [B, A]]), then each window is one
+    matmul of the frames and one flush of every live lane, all lanes until
+    one degenerates (a flush zeroes a failed frame), given the window's
+    log|det|, the sum of log_dets (table's, by row) over its steps.  A lane
+    before its start holds the identity, whose flush is exact, and its log
+    is read at the window of its last step."""
+    samples = len(batch.index)
+    rep_of, lane_of = np.divmod(part, samples)
+    times = [batch.times[i] for i in lane_of]
+    lengths = np.array([len(t) for t in times], dtype=np.int64)
+    burn = np.array([np.searchsorted(t, config.burn_in, "right") for t in times])
+    settle = -(-burn.max(initial=0) // q) * q  # global step at which every burn-in ends
+    off = settle - burn
+    ends = off + lengths
+    width = -(-ends.max(initial=0) // q) * q
+    # lanes k and k + samples of part follow one sample and share its coding column
+    column = np.arange(len(part)) % samples
+    steps = np.array([np.pad(batch.gens[i], (o, width - e))
+                      for i, o, e in zip(lane_of[:samples], off, ends)]).T + table.shape[1] // 2
+    # rows of the flattened table, (windows, q, lanes)
+    windows = (steps[:, column] + rep_of * table.shape[1]).reshape(-1, q, len(part))
+    n, field = table.shape[2], table.dtype == complex
+    flat, flat_dets = table.reshape(-1, n, n), log_dets.reshape(-1)
+    if field:
+        flat = np.block([[flat.real, -flat.imag], [flat.imag, flat.real]])
+    acc = OracleAccumulator(len(part), n, field)
+    base_log, failed, spare = np.zeros_like(acc.log_diag), {}, np.empty_like(acc.frames)
+    final = np.zeros_like(acc.log_diag)  # each lane's log at its last window
+    closing = {}  # window: the lanes whose last step falls in it
+    for lane, w in enumerate(((ends - 1) // q).tolist()):
+        closing.setdefault(w, []).append(lane)
+    live = slice(None)  # every lane, until one degenerates
+    block = max(1, oseledets.FRAME_BUDGET // (3 * len(part) * flat[0].nbytes))
+    for w0 in range(0, len(windows), block):
+        idx = windows[w0:w0 + block]
+        dets = flat_dets[idx].sum(axis=1)  # (windows, lanes) log|det| of each window
+        prods = flat[idx[:, 0]]  # (windows, lanes, n, n), 2n x 2n real if complex
+        for i in range(1, q):
+            prods = flat[idx[:, i]] @ prods
+        if field:  # read the complex products back
+            real, prods = prods, np.empty((*prods.shape[:2], n, n), dtype=complex)
+            prods.real, prods.imag = real[..., :n, :n], real[..., n:, :n]
+        for w, (prod, det) in enumerate(zip(prods, dets), w0):
+            np.matmul(prod, acc.frames, out=spare)  # out=frames would copy them first
+            acc.frames, spare = spare, acc.frames
+            bad = acc.flush(live, det[live])
+            if len(bad):
+                step = np.minimum((w + 1) * q - off[bad], lengths[bad])
+                failed.update(zip(bad.tolist(), step.tolist()))
+                live = np.setdiff1d(np.arange(len(part))[live], bad)
+            if (w + 1) * q == settle:
+                base_log = acc.log_diag.copy()
+            if w in closing:
+                final[closing[w]] = acc.log_diag[closing[w]]
+    for lane, (r, i, t) in enumerate(zip(rep_of, lane_of, times)):
+        if lane in failed:
+            exc = oseledets.NumericCocycleError(f"cocycle frame degenerated at step {failed[lane]}")
+            failures[r].append((batch.index[i], repr(exc)))
+            continue
+        log = np.sort(final[lane] - base_log[lane])[::-1]
+        t0 = np.append(0.0, t)  # crossing epochs from the start
+        span = t0[-1] - t0[burn[lane]] if config.burn_in > 0.0 else config.T
+        lam = log / span if span > 0.0 else np.zeros(len(log))
+        rows[r].append(2.0 * lam if config.normalization == "minus4" else lam)
 
 
 def lockstep_per_crossing(table, log_dets, batch, part, config, q, rows, failures):
@@ -122,7 +255,7 @@ def lockstep_per_crossing(table, log_dets, batch, part, config, q, rows, failure
                       for i, o, e in zip(lane_of[:samples], off, ends)]).T + table.shape[1] // 2
     idx = steps[:, column] + rep_of * table.shape[1]  # rows of the flattened table
     flat, flat_dets = table.reshape(-1, *table.shape[2:]), log_dets.reshape(-1)
-    acc = oseledets.CocycleAccumulator(len(part), table.shape[2], table.dtype == complex)
+    acc = OracleAccumulator(len(part), table.shape[2], table.dtype == complex)
     base_log, failed, spare = np.zeros_like(acc.log_diag), {}, np.empty_like(acc.frames)
     changes, alive = set(off.tolist()) | set(ends.tolist()), lengths > 0
     pending = np.zeros(len(part))  # each lane's log|det| since its last flush
@@ -233,7 +366,7 @@ def lockstep_complex_fold(table, log_dets, batch, part, config, q, rows, failure
     # rows of the flattened table, (windows, q, lanes)
     windows = (steps[:, column] + rep_of * table.shape[1]).reshape(-1, q, len(part))
     flat, flat_dets = table.reshape(-1, *table.shape[2:]), log_dets.reshape(-1)
-    acc = oseledets.CocycleAccumulator(len(part), table.shape[2], table.dtype == complex)
+    acc = OracleAccumulator(len(part), table.shape[2], table.dtype == complex)
     base_log, failed, spare = np.zeros_like(acc.log_diag), {}, np.empty_like(acc.frames)
     final = np.zeros_like(acc.log_diag)  # each lane's log at its last window
     closing = {}  # window: the lanes whose last step falls in it
@@ -307,9 +440,21 @@ FOLDED = {
 }
 
 
+def _scaled(rep):
+    """rep's generators times 1 + g/10: no relation holds, but log|det| != 0."""
+    return linrep.Representation(2, "real", [(1.0 + 0.1 * g) * rep.generator_image(g)
+                                             for g in range(1, rep.num_generators + 1)],
+                                 (), "scaled")
+
+
+# a rank-2 configuration whose lambda2 reads the windows' log|det|
+SCALED = {"scaled-det": ("triangle:3,3,4", lambda rep: [_scaled(rep)],
+                         dict(T=150.0, samples=4, seed=58, burn_in=20.0))}
+
+
 def _setup(name):
     """(domain, representations, RunConfig) of configuration name."""
-    spec, reps, kwargs = {**CONFIGS, **FOLDED}[name][:3]
+    spec, reps, kwargs = {**CONFIGS, **FOLDED, **SCALED}[name][:3]
     dom, rep = _group(spec)
     return dom, reps(rep), RunConfig(**kwargs)
 
@@ -333,62 +478,62 @@ def _record(name):
 PINS = {
     "burn0-minus1":
         ([],
-         [([["0x1.ed0fca7c41a49p-2", "-0x1.ed0fca7c41a49p-2"],
-            ["0x1.000dd7b841c79p-1", "-0x1.000dd7b841c79p-1"],
+         [([["0x1.ed0fca7c41a4bp-2", "-0x1.ed0fca7c41a4bp-2"],
+            ["0x1.000dd7b841c78p-1", "-0x1.000dd7b841c78p-1"],
             ["0x1.fbcd7744345acp-2", "-0x1.fbcd7744345acp-2"],
-            ["0x1.fa4cccda27ea7p-2", "-0x1.fa4cccda27ea7p-2"]],
+            ["0x1.fa4cccda27ea9p-2", "-0x1.fa4cccda27ea9p-2"]],
            [])]),
     "c1-seed4200":
         ([],
-         [([["0x1.ffe94a1b7b4cdp-1", "-0x1.ffe94a1b7b4cdp-1"],
-            ["0x1.fffc392cba385p-1", "-0x1.fffc392cba385p-1"],
+         [([["0x1.ffe94a1b7b4c6p-1", "-0x1.ffe94a1b7b4c6p-1"],
+            ["0x1.fffc392cba389p-1", "-0x1.fffc392cba389p-1"],
             ["0x1.ff9a70b07807bp-1", "-0x1.ff9a70b07807bp-1"],
-            ["0x1.001058b1d0520p+0", "-0x1.001058b1d0520p+0"]],
+            ["0x1.001058b1d051fp+0", "-0x1.001058b1d051fp+0"]],
            [])]),
     "imag-bend-triple":
         ([],
-         [([["0x1.ebcd8f40f39e4p-1", "-0x1.ebcd8f40f39e4p-1"],
-            ["0x1.ddb7abbb3a69dp-1", "-0x1.ddb7abbb3a69dp-1"],
+         [([["0x1.ebcd8f40f39e6p-1", "-0x1.ebcd8f40f39e6p-1"],
+            ["0x1.ddb7abbb3a69cp-1", "-0x1.ddb7abbb3a69cp-1"],
             ["0x1.ebb9865c9a29bp-1", "-0x1.ebb9865c9a29bp-1"],
-            ["0x1.ef57830f3608bp-1", "-0x1.ef57830f3608bp-1"]],
+            ["0x1.ef57830f3608dp-1", "-0x1.ef57830f3608dp-1"]],
            []),
           ([["0x1.a3a44ccd4119cp-1", "-0x1.a3a44ccd4119cp-1"],
             ["0x1.6875f7786fed7p-1", "-0x1.6875f7786fed7p-1"],
-            ["0x1.9ecba81670c08p-1", "-0x1.9ecba81670c08p-1"],
-            ["0x1.af5204322ac76p-1", "-0x1.af5204322ac76p-1"]],
+            ["0x1.9ecba81670c09p-1", "-0x1.9ecba81670c09p-1"],
+            ["0x1.af5204322ac77p-1", "-0x1.af5204322ac77p-1"]],
            []),
-          ([["0x1.8c9ff892b7cf5p-1", "-0x1.8c9ff892b7cf5p-1"],
+          ([["0x1.8c9ff892b7cf4p-1", "-0x1.8c9ff892b7cf4p-1"],
             ["0x1.3496e735a44b4p-1", "-0x1.3496e735a44b4p-1"],
-            ["0x1.7eadb0a383b89p-1", "-0x1.7eadb0a383b89p-1"],
-            ["0x1.93b443a3811fap-1", "-0x1.93b443a3811fap-1"]],
+            ["0x1.7eadb0a383b8ap-1", "-0x1.7eadb0a383b8ap-1"],
+            ["0x1.93b443a3811f8p-1", "-0x1.93b443a3811f8p-1"]],
            [])]),
     "q1":
         ([],
-         [([["0x1.fcfd44fa7a22fp-1", "-0x1.fcfd44fa7a22fp-1"],
-            ["0x1.00ff5e645dd15p+0", "-0x1.00ff5e645dd15p+0"],
-            ["0x1.fddf5c77176f8p-1", "-0x1.fddf5c77176f8p-1"],
-            ["0x1.00a945ba45961p+0", "-0x1.00a945ba45961p+0"]],
+         [([["0x1.fcfd44fa7a231p-1", "-0x1.fcfd44fa7a231p-1"],
+            ["0x1.00ff5e645dd14p+0", "-0x1.00ff5e645dd14p+0"],
+            ["0x1.fddf5c77176f6p-1", "-0x1.fddf5c77176f6p-1"],
+            ["0x1.00a945ba4595fp+0", "-0x1.00a945ba4595fp+0"]],
            [])]),
     "q16":
         ([],
          [([["0x1.ffd8223ac8935p-1", "-0x1.ffd8223ac8935p-1"],
-            ["0x1.00e0b69d3db8fp+0", "-0x1.00e0b69d3db8fp+0"],
+            ["0x1.00e0b69d3db8ep+0", "-0x1.00e0b69d3db8ep+0"],
             ["0x1.00e266364d3bap+0", "-0x1.00e266364d3bap+0"],
-            ["0x1.ff2f49940467ap-1", "-0x1.ff2f49940467ap-1"]],
+            ["0x1.ff2f49940467ep-1", "-0x1.ff2f49940467ep-1"]],
            [])]),
     "random-base":
         ([],
          [([["0x1.ffc389eb81f5fp-1", "-0x1.ffc389eb81f5fp-1"],
-            ["0x1.ffdd90bfbd578p-1", "-0x1.ffdd90bfbd578p-1"],
-            ["0x1.003673ed7e94ep+0", "-0x1.003673ed7e94ep+0"],
+            ["0x1.ffdd90bfbd57ap-1", "-0x1.ffdd90bfbd57ap-1"],
+            ["0x1.003673ed7e94dp+0", "-0x1.003673ed7e94dp+0"],
             ["0x1.fe4fc3b9368bfp-1", "-0x1.fe4fc3b9368bfp-1"]],
            [])]),
     "real-bend":
         ([],
          [([["0x1.721b583b1ef99p+0", "-0x1.721b583b1ef99p+0"],
-            ["0x1.56ce020782e70p+0", "-0x1.56ce020782e70p+0"],
-            ["0x1.2b69e6c47440ap+0", "-0x1.2b69e6c47440ap+0"],
-            ["0x1.6461c1b28f5dcp+0", "-0x1.6461c1b28f5dcp+0"]],
+            ["0x1.56ce020782e67p+0", "-0x1.56ce020782e67p+0"],
+            ["0x1.2b69e6c474499p+0", "-0x1.2b69e6c474499p+0"],
+            ["0x1.6461c1b28f5dep+0", "-0x1.6461c1b28f5dep+0"]],
            [])]),
     "sym3-q3-burn37":
         ([],
@@ -411,10 +556,11 @@ def test_rows_bit_identical(name):
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_windowed_lockstep_matches_per_crossing_oracle(name, monkeypatch):
-    """The windowed lockstep only reassociates each window's product, so it
-    keeps the failures of the per-crossing one and its rows up to rounding:
-    1e-12 on the triangle group, a tenth of a stderr on the bent surfaces,
-    whose products are far worse conditioned."""
+    """The windowed lockstep, and at rank 2 its product tree, only
+    reassociate the per-crossing product, so they keep the failures of the
+    per-crossing lockstep and its rows up to rounding: 1e-12 on the
+    triangle group, a tenth of a stderr on the bent surfaces, whose products
+    are far worse conditioned."""
     batch, windowed = _run(name)
     monkeypatch.setattr(oseledets, "_lockstep", lockstep_per_crossing)
     oracle_batch, oracle = _run(name)
@@ -431,13 +577,15 @@ def test_windowed_lockstep_matches_per_crossing_oracle(name, monkeypatch):
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_closed_form_matches_lapack_oracle(name, monkeypatch):
-    """The rank-2 closed form keeps the failures of the LAPACK flush and
-    its lambda1 up to rounding: 1e-12 on the triangle group, 1e-9 relative
-    on the bent surfaces; lambda2 is -lambda1 exactly, since every rank-2
+    """The rank-2 product tree, like the closed-form flush before it, keeps
+    the failures of the windowed lockstep with the LAPACK flush and its
+    lambda1 up to rounding: 1e-12 on the triangle group, 1e-9 relative on
+    the bent surfaces; lambda2 is -lambda1 exactly, since every rank-2
     representation here has unit determinant.  Rank 4 runs LAPACK either
     way, bit for bit."""
     batch, closed = _run(name)
-    monkeypatch.setattr(oseledets.CocycleAccumulator, "flush", flush_lapack)
+    monkeypatch.setattr(oseledets, "_lockstep", lockstep_windowed)
+    monkeypatch.setattr(OracleAccumulator, "flush", flush_lapack)
     oracle_batch, oracle = _run(name)
     assert batch.failures == oracle_batch.failures
     for rep, (rows, lost, _), (want, want_lost, _) in zip(_setup(name)[1], closed, oracle,
@@ -460,11 +608,12 @@ def test_bare_qr_matches_positive_diagonal_oracle(name, monkeypatch):
     |r_ii| of the positive-diagonal flush: the rows agree to 1e-12 on the
     triangle group and to 1e-9 relative on the bent surfaces, where the
     complex diag R / |diag R| of the oracle is an ulp off +-1 at times, and
-    the failures are equal.  At rank 2 the bare-QR flush is now the oracle
-    flush_lapack."""
-    monkeypatch.setattr(oseledets.CocycleAccumulator, "flush", flush_lapack)
+    the failures are equal.  Both run the windowed lockstep, whose rank-2
+    bare-QR flush is the oracle flush_lapack."""
+    monkeypatch.setattr(oseledets, "_lockstep", lockstep_windowed)
+    monkeypatch.setattr(OracleAccumulator, "flush", flush_lapack)
     batch, bare = _run(name)
-    monkeypatch.setattr(oseledets.CocycleAccumulator, "flush", flush_positive_diagonal)
+    monkeypatch.setattr(OracleAccumulator, "flush", flush_positive_diagonal)
     oracle_batch, oracle = _run(name)
     assert batch.failures == oracle_batch.failures
     for (rows, lost, _), (want, want_lost, _) in zip(bare, oracle, strict=True):
@@ -478,16 +627,18 @@ def test_bare_qr_matches_positive_diagonal_oracle(name, monkeypatch):
 
 @pytest.mark.parametrize("name", sorted(CONFIGS) + sorted(FOLDED))
 def test_real_fold_matches_complex_fold_oracle(name, monkeypatch):
-    """Real tables keep the bits of the complex matmul fold, and the failures
-    are equal.  Complex ones fold in real arithmetic, which moves their rows
-    by rounding: on the triangle group, where the unitary cube's finite
-    image has every exponent 0 and the rows are rounding noise, by at most
-    1e-12; on the bent surfaces by at most 1e-9 of each row's largest
-    exponent, or the bound FOLDED names.  Sym^2 of a bend runs at q = 4 and
-    its weakest exponents carry the most rounding of its window products:
-    the complex fold itself is up to 3.3e-9 of a row's largest away from a
-    fold in long double (seeds 0-9 at T = 300), so two double folds can
-    only be asked to agree to 1e-8 there."""
+    """In the windowed lockstep (at rank 3 and up `_lockstep` itself, see
+    test_tree_matches_windowed_oracle), real tables keep the bits of the
+    complex matmul fold, and the failures are equal.  Complex ones fold in
+    real arithmetic, which moves their rows by rounding: on the triangle
+    group, where the unitary cube's finite image has every exponent 0 and
+    the rows are rounding noise, by at most 1e-12; on the bent surfaces by
+    at most 1e-9 of each row's largest exponent, or the bound FOLDED names.
+    Sym^2 of a bend runs at q = 4 and its weakest exponents carry the most
+    rounding of its window products: the complex fold itself is up to
+    3.3e-9 of a row's largest away from a fold in long double (seeds 0-9 at
+    T = 300), so two double folds can only be asked to agree to 1e-8 there."""
+    monkeypatch.setattr(oseledets, "_lockstep", lockstep_windowed)
     batch, folded = _run(name)
     monkeypatch.setattr(oseledets, "_lockstep", lockstep_complex_fold)
     oracle_batch, oracle = _run(name)
@@ -503,6 +654,27 @@ def test_real_fold_matches_complex_fold_oracle(name, monkeypatch):
             assert np.abs(rows - want).max() <= 1e-12
         else:
             assert np.all(np.abs(rows - want) <= tol * np.abs(want).max(axis=1, keepdims=True))
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS) + sorted(FOLDED) + sorted(SCALED))
+def test_tree_matches_windowed_oracle(name, monkeypatch):
+    """The rank-2 product tree only reassociates the windowed lockstep's
+    product of each lane and reads lambda2 off the windows' log|det|, as its
+    closed-form flush did: the failures are equal and every rank-2 row agrees
+    within 1e-13 absolute.  Rank 3 and up run the windowed lockstep itself,
+    bit for bit."""
+    batch, tree = _run(name)
+    monkeypatch.setattr(oseledets, "_lockstep", lockstep_windowed)
+    oracle_batch, oracle = _run(name)
+    assert batch.failures == oracle_batch.failures
+    for rep, (rows, lost, _), (want, want_lost, _) in zip(_setup(name)[1], tree, oracle,
+                                                          strict=True):
+        assert lost == want_lost
+        assert rows.shape == want.shape
+        if rep.n > 2:
+            assert np.array_equal(rows, want)
+        else:
+            assert np.abs(rows - want).max() <= 1e-13
 
 
 class _SingularRep:
@@ -535,3 +707,29 @@ def test_degenerate_steps_match_per_crossing_oracle(q, burn_in, monkeypatch):
     assert [i for i, _ in lost] == [1, 2]
     assert lost == want_lost
     assert np.abs(rows - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("q", [1, 3, 4, 5])
+@pytest.mark.parametrize("burn_in", [0.0, 2.5, 5.5])
+def test_degenerate_lanes_match_windowed_oracle(q, burn_in, monkeypatch):
+    # the lanes of test_degenerate_steps_match_per_crossing_oracle, and those
+    # of test_oseledets' fused _StubRep between two _SteadyReps, which
+    # degenerate at their crossings 3 and 1
+    cases = [([_SingularRep()], (np.arange(1.0, 13.0), np.arange(1.0, 11.0), np.arange(1.0, 8.0)),
+              (np.full(12, 1), np.array([1, 1, 2] + [1] * 7), np.array([1] * 5 + [2, 1]))),
+             ([_SteadyRep(), _StubRep(), _SteadyRep()], (np.arange(1.0, 13.0),) * 3,
+              (np.full(12, 1), np.array([1, 1, 2] + [1] * 9), np.array([2, -1] * 6)))]
+    config = RunConfig(T=12.0, samples=3, seed=0, burn_in=burn_in, qr_interval=q)
+    monkeypatch.setattr(oseledets, "_intervals",
+                        lambda table, cap: [(cap, "unresolved")] * len(table))
+    for reps, times, gens in cases:
+        batch = oseledets.CodingBatch((0, 1, 2), times, gens)
+        tree = cocycle(reps, batch, config)
+        with monkeypatch.context() as patch:
+            patch.setattr(oseledets, "_lockstep", lockstep_windowed)
+            oracle = cocycle(reps, batch, config)
+        assert any(lost for _, lost, _ in tree)
+        for (rows, lost, _), (want, want_lost, _) in zip(tree, oracle, strict=True):
+            assert lost == want_lost
+            assert rows.shape == want.shape
+            assert np.abs(rows - want).max(initial=0.0) <= 1e-13

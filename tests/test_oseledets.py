@@ -111,9 +111,9 @@ class TestAccumulator:
         assert np.isfinite(lam).all()
         assert np.allclose(lam, [40 * math.log(10.0), 40 * math.log(10.0)])
 
-    # the two invariants on which the lockstep's flush of every lane at every
-    # window keeps the bits of flushing each lane only while its steps run,
-    # with Q's columns turned to a positive R diagonal
+    # the two invariants on which the rank-3-and-up lockstep's flush of every
+    # lane at every window keeps the bits of flushing each lane only while its
+    # steps run, with Q's columns turned to a positive R diagonal
 
     @pytest.mark.parametrize("complex_field", [False, True])
     @pytest.mark.parametrize("n", [2, 4])
@@ -122,7 +122,7 @@ class TestAccumulator:
         acc = CocycleAccumulator(3, n, complex_field)
         identity = acc.frames.copy()
         for lanes in (slice(None), np.array([0, 2])):
-            assert len(acc.flush(lanes, np.zeros(3)[lanes])) == 0
+            assert len(acc.flush(lanes)) == 0
             assert np.array_equal(acc.frames, identity)
             assert np.array_equal(acc.log_diag, np.zeros((3, n)))
             assert not np.signbit(acc.log_diag).any()
@@ -146,19 +146,20 @@ class TestAccumulator:
 
     @pytest.fixture
     def flushed_max(self, monkeypatch):
-        """The largest |entry| of each frame stack handed to a flush."""
+        """The largest |entry| of each product stack the rank-2 tree scales,
+        its window products among them."""
         largest = []
-        real = CocycleAccumulator.flush
-        monkeypatch.setattr(CocycleAccumulator, "flush", lambda acc, lanes, log_det: (
-            largest.append(np.abs(acc.frames[lanes]).max()) or real(acc, lanes, log_det)))
+        real = oseledets._scale
+        monkeypatch.setattr(oseledets, "_scale", lambda m, e: (
+            largest.append(np.abs(m).max(initial=0.0)) or real(m, e)))
         return largest
 
     def test_diagonal_flushed_below_overflow(self, flushed_max):
-        # the QR interval is shortened a priori (here to 2), so no frame
-        # reaches FRAME_OVERFLOW before its flush
+        # the QR interval is shortened a priori (here to 2), so no window
+        # product reaches FRAME_OVERFLOW before the tree scales it
         lam = walk_rates(single_matrix_rep(1e40 * np.eye(2)), [1] * 20, qr_interval=8)
         assert np.allclose(lam, [40 * math.log(10.0), 40 * math.log(10.0)])
-        assert max(flushed_max) < oseledets.FRAME_OVERFLOW
+        assert 1e80 <= max(flushed_max) < oseledets.FRAME_OVERFLOW
 
     def test_bend_flushed_below_overflow(self, genus2, fuchs_g2, flushed_max):
         bent = fuchsian.bend_representation(
@@ -169,84 +170,9 @@ class TestAccumulator:
         assert max(flushed_max) < oseledets.FRAME_OVERFLOW
 
 
-def _flushed(frames, log_det):
-    """(accumulator, bad lanes) after one flush of a copy of frames."""
-    acc = CocycleAccumulator(len(frames), frames.shape[1], np.iscomplexobj(frames))
-    acc.frames[...] = frames
-    return acc, acc.flush(slice(None), log_det)
-
-
-class TestRank2Flush:
-    """The closed-form rank-2 flush against np.linalg.qr (LAPACK)."""
-
-    @staticmethod
-    def stack(complex_field, lanes=256):
-        rng = np.random.default_rng([7, complex_field])
-        frames = rng.normal(size=(lanes, 2, 2)) * np.exp(rng.uniform(-20, 20, (lanes, 1, 1)))
-        if complex_field:
-            frames = frames + 1j * rng.normal(size=(lanes, 2, 2))
-        return frames
-
-    @pytest.mark.parametrize("complex_field", [False, True])
-    def test_agrees_with_lapack(self, complex_field):
-        frames = self.stack(complex_field)
-        q, r = np.linalg.qr(frames)
-        acc, bad = _flushed(frames, np.linalg.slogdet(frames)[1])
-        assert len(bad) == 0
-        # |r11| to 1e-15 relative, read through its log: plus an ulp of each log
-        log_r11 = np.log(np.abs(r[:, 0, 0]))
-        assert np.all(np.abs(acc.log_diag[:, 0] - log_r11)
-                      <= 1e-15 + 2.0 * np.spacing(np.abs(log_r11)))
-        # Q unitary with det 1
-        qhq = np.conj(np.swapaxes(acc.frames, 1, 2)) @ acc.frames
-        assert np.abs(qhq - np.eye(2)).max() <= 1e-15
-        assert np.abs(np.linalg.det(acc.frames) - 1.0).max() <= 1e-15
-        # its first column is LAPACK's times a unit factor u
-        u = np.sum(np.conj(q[:, :, 0]) * acc.frames[:, :, 0], axis=1)
-        assert np.abs(np.abs(u) - 1.0).max() <= 1e-15
-        assert np.abs(acc.frames[:, :, 0] - u[:, None] * q[:, :, 0]).max() <= 1e-15
-
-    @pytest.mark.parametrize("complex_field", [False, True])
-    def test_degenerate_lanes_as_lapack(self, complex_field):
-        frames = self.stack(complex_field, lanes=9)
-        frames[1, :, 0] = 0.0  # zero first column
-        frames[3, :, 1] = 0.0  # zero second column: log|det| -inf
-        frames[4, 0, 0] = math.inf
-        frames[5, 1, 1] = math.nan
-        frames[7, 0, 1] = -math.inf
-        with np.errstate(invalid="ignore"):
-            log_det = np.linalg.slogdet(frames)[1]
-            d = np.abs(np.diagonal(np.linalg.qr(frames)[1], axis1=1, axis2=2))
-        lapack_bad = np.flatnonzero(~np.all(np.isfinite(d) & (d != 0.0), axis=1))
-        assert lapack_bad.tolist() == [1, 3, 4, 5, 7]
-        acc, bad = _flushed(frames, log_det)
-        assert bad.tolist() == lapack_bad.tolist()
-        assert not acc.frames[bad].any() and not acc.log_diag[bad].any()
-        ok = np.setdiff1d(np.arange(9), bad)
-        assert np.isfinite(acc.log_diag[ok]).all()
-        # a window whose images are singular: log|det| -inf, whatever the frame
-        acc, bad = _flushed(frames[ok], np.where(np.arange(len(ok)) == 2, -math.inf, 0.0))
-        assert bad.tolist() == [2] and not acc.frames[2].any()
-
-    def test_r22_from_the_determinant_to_50_digits(self):
-        mpmath = pytest.importorskip("mpmath")
-        # cond ~ e^20: singular values e^10 and e^-10 between two rotations
-        rot = lambda t: np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
-        frame = rot(0.3) @ np.diag([math.exp(10.0), math.exp(-10.0)]) @ rot(1.1)
-        assert np.linalg.cond(frame) > math.exp(19.9)
-        with mpmath.workdps(50):
-            a, b, c, d = (mpmath.mpf(float(v)) for v in frame.ravel())
-            det = abs(a * d - b * c)  # exact for float entries at 50 digits
-            log_r22 = float(mpmath.log(det / mpmath.sqrt(a * a + c * c)))
-            log_det = float(mpmath.log(det))
-        acc, bad = _flushed(frame[None], np.array([log_det]))
-        assert len(bad) == 0
-        assert abs(acc.log_diag[0, 1] - log_r22) <= 1e-14
-
-
 def test_sym3_functorial_across_qr_paths(genus2, fuchs_g2):
     """On one coding, lane by lane, Sym^3 rho (rank 4, LAPACK) has exponents
-    (3 - 2i) lambda1(rho) (rank 2, closed form) up to the O(1/T) difference
+    (3 - 2i) lambda1(rho) (rank 2, product tree) up to the O(1/T) difference
     of their frames' alignment: at T = 500 the largest deviation measured
     over rho and its bends 0.4i, i and 1.6i was 1.93e-3 here and 2.03e-3
     over seeds 0-12 (16 samples each); the bound is about twice that."""
@@ -369,22 +295,24 @@ class TestBatchedCocycle:
         assert np.array_equal(chunked.sample_values, full.sample_values)
 
     def test_lanes_share_qr_calls(self, tri334, fuchs334, monkeypatch):
+        # rank 3: at rank 2 no frame is flushed (see TestRank2Tree)
         dom, _, _ = tri334
+        rep = sym_power(fuchs334, 2)
         cfg = RunConfig(T=120.0, samples=4, seed=6, burn_in=12.0)
         coding = code_samples(dom, cfg)
         burns = [int(np.searchsorted(t, cfg.burn_in, "right")) for t in coding.times]
         assert len(coding.index) == 4 and len(set(burns)) > 1
         calls = []
         real = CocycleAccumulator.flush
-        monkeypatch.setattr(CocycleAccumulator, "flush", lambda acc, lanes, log_det: (
-            calls.append(lanes) or real(acc, lanes, log_det)))
-        [(rows, failures, _)] = cocycle([fuchs334], coding, cfg)
+        monkeypatch.setattr(CocycleAccumulator, "flush", lambda acc, lanes: (
+            calls.append(lanes) or real(acc, lanes)))
+        [(rows, failures, _)] = cocycle([rep], coding, cfg)
         assert failures == []
         # the windows are the global steps [wq, wq + q), with every burn-in
         # ending at the first window end past the longest: one flush per
         # window that some lane's steps meet
-        q, _ = oseledets.qr_interval(fuchs334)
-        assert q == 19
+        q, _ = oseledets.qr_interval(rep)
+        assert q == 9
         settle = -(-max(burns) // q) * q
         windows = set()
         for burn, t in zip(burns, coding.times):
@@ -394,7 +322,7 @@ class TestBatchedCocycle:
         for lane in range(4):
             one = CodingBatch(coding.index[lane:lane + 1], coding.times[lane:lane + 1],
                               coding.gens[lane:lane + 1], coding.key)
-            assert np.array_equal(cocycle([fuchs334], one, cfg)[0][0], rows[lane:lane + 1])
+            assert np.array_equal(cocycle([rep], one, cfg)[0][0], rows[lane:lane + 1])
 
     def test_awkward_schedule_lane_alone_bit_identical(self, genus2, fuchs_g2, monkeypatch):
         # q = 3 with a burn-in of 37: the settle step is padded up to a window
@@ -432,6 +360,41 @@ class TestBatchedCocycle:
         coding = code_samples(dom, RunConfig(T=100.0, samples=4, seed=1))
         with pytest.raises(ValueError):
             estimate_spectrum(dom, fuchs334, RunConfig(T=100.0, samples=4, seed=2), coding)
+
+
+class TestRank2Tree:
+    def test_lane_bits_alone_beside_others_and_per_window(self, tri334, fuchs334, monkeypatch):
+        # a rank-2 lane's trees are keyed from its own burn-in end, so its row
+        # keeps its bits alone, beside lanes whose burn-ins (at q = 2, in
+        # windows) are longer and shorter, and with one window per block.  The
+        # scaled rep has det != 1, so its post-settle log|det| sums count as
+        # well; the rotations' rows are rounding noise, which any other
+        # association of a lane's product moves.
+        dom, _, _ = tri334
+        m = fuchs334.num_generators
+        scaled = Representation(2, "real", [(1.0 + 0.1 * g) * fuchs334.generator_image(g)
+                                            for g in range(1, m + 1)], (), "scaled")
+        rotations = Representation(2, "real", [[[math.cos(g), -math.sin(g)],
+                                                [math.sin(g), math.cos(g)]]
+                                               for g in range(1, m + 1)], (), "rotations")
+        reps = [fuchs334, scaled, rotations]
+        cfg = RunConfig(T=150.0, samples=5, seed=14, qr_interval=2, burn_in=30.0)
+        coding = code_samples(dom, cfg)
+        burns = [int(np.searchsorted(t, cfg.burn_in, "right")) for t in coding.times]
+        lane = sorted(range(5), key=burns.__getitem__)[2]
+        windows = [-(-b // cfg.qr_interval) for b in burns]
+        assert len(coding.index) == 5 and min(windows) < windows[lane] < max(windows)
+        one = CodingBatch(coding.index[lane:lane + 1], coding.times[lane:lane + 1],
+                          coding.gens[lane:lane + 1], coding.key)
+        fused = cocycle(reps, coding, cfg)
+        # every lane in one chunk, one window per block
+        monkeypatch.setattr(oseledets, "FRAME_BUDGET", len(reps) * 5 * 2 * 2 * 8)
+        per_window = cocycle(reps, coding, cfg)
+        for rep, (rows, lost, _), (blocked, _, _) in zip(reps, fused, per_window):
+            [(alone, alone_lost, _)] = cocycle([rep], one, cfg)
+            assert lost == alone_lost == []
+            assert rows[lane].tobytes() == alone[0].tobytes() == blocked[lane].tobytes()
+        assert fused[1][0].sum(axis=1).all()  # lambda1 + lambda2 != 0
 
 
 class _SteadyRep(_StubRep):
