@@ -217,9 +217,9 @@ def cmd_spectrum(ns):
 
 
 def cmd_sweep(ns):
-    """Bend every grid point, then run each scalar field's points as one
-    fused cocycle over geodesics coded once; failed and unresolved points
-    become failed rows."""
+    """Bend the whole grid in one call, then run each scalar field's points
+    as one fused cocycle over geodesics coded once; refused and unresolved
+    points become failed rows."""
     run = _run_config(ns)
     if ns.axis not in ("real", "imag"):  # a config value skips argparse's choices
         raise Refusal("sweep axis must be real|imag")
@@ -232,15 +232,14 @@ def cmd_sweep(ns):
         raise Refusal("sweep needs a rank-2 base representation")
     split = _bend_split_for(rep, spec)
     coding = oseledets.code_samples(dom, run)  # shared by all points
+    values = [complex(0.0, v) if ns.axis == "imag" else complex(v, 0.0) for v in grid]
     rows, fields = [], {}  # fields: is_complex -> [(grid position, bent rep)]
-    for k, v in enumerate(grid):
-        s = complex(0.0, v) if ns.axis == "imag" else complex(v, 0.0)
-        try:
-            bent = rep if s == 0 else fuchsian.bend_representation(rep, split, s)
+    for k, (v, bent) in enumerate(zip(grid, fuchsian.bend_representations(rep, split, values))):
+        if isinstance(bent, Exception):
+            rows.append((v, math.nan, math.nan, f"failed:{type(bent).__name__}"))
+        else:
             fields.setdefault(bent.is_complex, []).append((k, bent))
             rows.append(None)
-        except (fuchsian.DegenerateBendingError, linrep.RepresentationError) as exc:
-            rows.append((v, math.nan, math.nan, f"failed:{type(exc).__name__}"))
     for group in fields.values():  # a real rep is never promoted to complex
         ests = oseledets.estimate_spectra(dom, [r for _, r in group], run, coding)
         for (k, _), est in zip(group, ests):

@@ -702,49 +702,61 @@ class BendingSplit:
 
 
 def bend_representation(rep, split, s):
-    """Conjugate the moving side of an amalgam by exp(s X), X spanning the
-    centralizer of the splitting curve's holonomy (trace-free normalized).
+    """The bend of rep by s (see bend_representations), or the refusal raised."""
+    (out,) = bend_representations(rep, split, [s])
+    if isinstance(out, Exception):
+        raise out
+    return out
 
-    s real twists along the curve; s imaginary bends into PSL(2, C).
-    """
+
+def bend_representations(rep, split, values):
+    """Conjugate the moving side of an amalgam by exp(s X) for each s of
+    values, X spanning the centralizer of the splitting curve's holonomy
+    (trace-free normalized), from one eigensplit of the curve and with one
+    stacked relation gate per scalar field.  Per value: the bent rep (rep
+    at s = 0) or the DegenerateBendingError or RepresentationError refusing
+    it.  s real twists along the curve; s imaginary bends into PSL(2, C)."""
     if rep.n != 2:
         raise ValueError("bending is defined for rank-2 representations")
-    if s == 0:
-        return rep
+    out = [rep if s == 0 else None for s in values]
+    if all(s == 0 for s in values):
+        return out
     M = linrep.eval_word(rep, split.curve)
     tr = M[0, 0] + M[1, 1]
-    disc = tr * tr - 4.0
-    if abs(disc) < 1e-8:
-        raise DegenerateBendingError("splitting curve is parabolic")
+    if abs(tr * tr - 4.0) < 1e-8:
+        return [DegenerateBendingError("splitting curve is parabolic") if o is None else o
+                for o in out]
     _, P = np.linalg.eig(M)
     if np.linalg.cond(P) > 1e8:
-        raise DegenerateBendingError("centralizer eigenbasis ill-conditioned")
+        return [DegenerateBendingError("centralizer eigenbasis ill-conditioned")
+                if o is None else o for o in out]
     Pinv = np.linalg.inv(P)
-    X = P @ np.diag([1.0, -1.0]) @ Pinv  # trace-free normalized
-    # conjugation by exp(sX) done entrywise in the eigenbasis: exact scaling
-    # by e^(+-2s), no cancellation even for large |Re s|
-    scale = np.array([[1.0, np.exp(2.0 * s)], [np.exp(-2.0 * s), 1.0]])
-    new_gens = []
-    complex_out = rep.field == "complex" or abs(complex(s).imag) > 0 or np.iscomplexobj(X)
-    for i, g in enumerate(rep.generators, start=1):
-        if i in split.moving:
-            h = P @ ((Pinv @ g @ P) * scale) @ Pinv
-        else:
-            h = np.asarray(g, dtype=complex)
-        new_gens.append(h if complex_out else np.real_if_close(h, tol=1e6))
-    out = linrep.Representation(
-        n=2,
-        field="complex" if complex_out else "real",
-        generators=new_gens,
-        relations=rep.relations,
-        label=f"{rep.label}|bend:{complex(s).real:g},{complex(s).imag:g}",
-        projective_flag=rep.projective_flag,
-        unit_det=rep.unit_det,
-    )
-    report = linrep.check_relations(out)
-    if not report.holds():
-        raise DegenerateBendingError(
-            f"bent relations fail: residual {report.max_residual:.2e} "
-            f"(relative {report.max_relative:.2e})"
-        )
+    complex_rep = rep.field == "complex" or np.iscomplexobj(P)  # as X = P diag(1, -1) P^-1
+    core = {i: Pinv @ g @ P for i, g in enumerate(rep.generators, start=1) if i in split.moving}
+    fields = {}  # is_complex -> positions of its bent reps
+    for k, s in enumerate(values):
+        if out[k] is not None:
+            continue
+        # conjugation by exp(sX) done entrywise in the eigenbasis: exact
+        # scaling by e^(+-2s), no cancellation even for large |Re s|
+        scale = np.array([[1.0, np.exp(2.0 * s)], [np.exp(-2.0 * s), 1.0]])
+        complex_out = complex_rep or abs(complex(s).imag) > 0
+        new_gens = [P @ (core[i] * scale) @ Pinv if i in core else np.asarray(g, dtype=complex)
+                    for i, g in enumerate(rep.generators, start=1)]
+        if not complex_out:
+            new_gens = [np.real_if_close(h, tol=1e6) for h in new_gens]
+        try:
+            out[k] = linrep.Representation(
+                2, "complex" if complex_out else "real", new_gens, rep.relations,
+                f"{rep.label}|bend:{complex(s).real:g},{complex(s).imag:g}",
+                rep.projective_flag, rep.unit_det)
+            fields.setdefault(complex_out, []).append(k)
+        except linrep.RepresentationError as exc:
+            out[k] = exc
+    for ks in fields.values():
+        for k, report in zip(ks, linrep.relation_reports([out[k] for k in ks])):
+            if not report.holds():
+                out[k] = DegenerateBendingError(
+                    f"bent relations fail: residual {report.max_residual:.2e} "
+                    f"(relative {report.max_relative:.2e})")
     return out

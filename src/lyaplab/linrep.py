@@ -43,42 +43,49 @@ class Representation:
     def __post_init__(self):
         if self.field not in ("real", "complex"):
             raise RepresentationError(f"bad field {self.field!r}")
-        gens, invs = [], []
-        for i, g in enumerate(self.generators, start=1):
-            m = np.array(g, dtype=complex if self.field == "complex" else float)
-            if m.shape != (self.n, self.n):
-                raise RepresentationError(f"generator shape {m.shape} != n={self.n}")
-            if not np.all(np.isfinite(m.view(float))):
-                raise RepresentationError("non-finite generator entries")
-            # float64 cannot resolve det = ad - bc against entries >> 1e7
-            # (large-twist bends); the gate certifies the moderate range only
-            if np.abs(m).max() <= 1e7:
-                det = abs(np.linalg.det(m))
-                if not (DET_MIN <= det <= DET_MAX):
-                    raise RepresentationError(
-                        f"generator determinant {det:g} out of range"
-                    )
-                # the float det of M carries cancellation noise ~ |M|^2 eps
-                det_tol = max(1e-9, 32 * np.finfo(float).eps * np.abs(m).max() ** 2)
-                if self.unit_det and abs(det - 1.0) > det_tol:
-                    raise RepresentationError(f"determinant {det:g} != 1")
-            if self.unit_det and self.n == 2:
-                # adjugate inverse: entrywise exact even at extreme entry scales
-                inv = np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]])
-            else:
-                try:
-                    inv = np.linalg.inv(m)
-                except np.linalg.LinAlgError:  # entries past the det gate (Sym^k of a twist)
-                    raise RepresentationError(
-                        f"generator {i} of {self.label or 'the representation'} "
-                        "is singular in float64") from None
-            m.setflags(write=False)
-            inv.setflags(write=False)
-            gens.append(m)
-            invs.append(inv)
-        object.__setattr__(self, "generators", tuple(gens))
+        n, gens, dtype = self.n, self.generators, complex if self.field == "complex" else float
+        # every check runs once on the whole stack; the first generator that
+        # fails reports its first failed check, as a loop over them would
+        shaped = next((i for i, g in enumerate(gens) if np.shape(g) != (n, n)), len(gens))
+        stack = np.array(gens[:shaped], dtype=dtype).reshape(shaped, n, n)
+        with np.errstate(all="ignore"):
+            finite = np.isfinite(stack.view(float)).all(axis=(1, 2))
+            top = np.abs(stack).max(axis=(1, 2), initial=0.0)
+            det = np.abs(np.linalg.det(stack))
+            # the float det of M carries cancellation noise ~ |M|^2 eps
+            det_tol = np.maximum(1e-9, 32 * np.finfo(float).eps * top**2)
+        # float64 cannot resolve det = ad - bc against entries >> 1e7
+        # (large-twist bends); the gate certifies the moderate range only
+        gated = finite & (top <= 1e7)
+        faults = np.array([~finite, gated & ~((DET_MIN <= det) & (det <= DET_MAX)),
+                           gated & self.unit_det & (np.abs(det - 1.0) > det_tol)])
+        first = int(faults.any(axis=0).argmax()) if faults.any() else shaped
+        passed = stack[:first]
+        if self.unit_det and n == 2:
+            # adjugate inverse: entrywise exact even at extreme entry scales
+            inv = np.stack([passed[:, 1, 1], -passed[:, 0, 1], -passed[:, 1, 0],
+                            passed[:, 0, 0]], axis=-1).reshape(first, 2, 2)
+        else:
+            try:
+                inv = np.linalg.inv(passed)
+            except np.linalg.LinAlgError:  # entries past the det gate (Sym^k of a twist)
+                # slogdet's sign is 0 exactly where inv's LU meets a zero pivot
+                i = 1 + int(np.argmax(np.linalg.slogdet(passed)[0] == 0))
+                raise RepresentationError(
+                    f"generator {i} of {self.label or 'the representation'} "
+                    "is singular in float64") from None
+        if first < shaped:
+            why = faults[:, first].argmax()
+            raise RepresentationError(("non-finite generator entries",
+                                       f"generator determinant {det[first]:g} out of range",
+                                       f"determinant {det[first]:g} != 1")[why])
+        if shaped < len(gens):
+            raise RepresentationError(f"generator shape {np.shape(gens[shaped])} != n={n}")
+        stack.setflags(write=False)
+        inv.setflags(write=False)
+        object.__setattr__(self, "generators", tuple(stack))
         object.__setattr__(self, "relations", tuple(tuple(w) for w in self.relations))
-        object.__setattr__(self, "_inverses", tuple(invs))
+        object.__setattr__(self, "_inverses", tuple(inv))
 
     @property
     def num_generators(self):
@@ -120,44 +127,46 @@ class RelationReport:
 
 
 def check_relations(rep):
-    """Frobenius residual min over sign of |eval(w) -+ I| per relation.
+    """The RelationReport of one representation (see relation_reports)."""
+    return relation_reports([rep])[0]
+
+
+def relation_reports(reps):
+    """Frobenius residual min over sign of |eval(w) -+ I| per relation of
+    each of reps (one n, field, relations and projective_flag), all at once.
 
     Sign minimization only applies when projective_flag is set.  Alongside
-    the absolute residual the report carries a backward-stability measure:
+    the absolute residual each report carries a backward-stability measure:
     the residual divided by the largest intermediate prefix norm, which
     stays at rounding level for any float realization of a true relation
     even when conjugated generators have huge entries.  A product that
     overflows gets an infinite residual on both measures.
     """
-    eye = np.eye(rep.n)
-    dtype = complex if rep.is_complex else float
-    max_res = max_rel = 0.0
+    if len({(r.n, r.field, r.relations, r.projective_flag) for r in reps}) != 1:
+        raise ValueError("stacked relation checks need one n, field, relations and sign rule")
+    head = reps[0]
+    gens = np.array([r.generators for r in reps]).swapaxes(0, 1)
+    invs = np.array([r._inverses for r in reps]).swapaxes(0, 1)
+    eye = np.broadcast_to(np.eye(head.n, dtype=gens.dtype), (len(reps), head.n, head.n))
+    signs = np.array([eye, -eye] if head.projective_flag else [eye])
+    max_res = max_rel = np.zeros(len(reps))
     # an overflowed product is reported as an infinite residual below, so
     # numpy's overflow warnings would only repeat it on stderr
     with np.errstate(over="ignore", invalid="ignore"):
-        for w in rep.relations:
-            prefixes = [np.eye(rep.n, dtype=dtype)]
-            for s in w:
-                prefixes.append(prefixes[-1] @ rep.generator_image(s))
-            suffix_scale = [1.0]
-            m = np.eye(rep.n, dtype=dtype)
-            for s in reversed(w):
-                m = rep.generator_image(s) @ m
-                suffix_scale.append(max(1.0, np.abs(m).max()))
-            suffix_scale.reverse()
+        for w in head.relations:
+            images = [gens[s - 1] if s > 0 else invs[-s - 1] for s in w]
+            prefixes, suffixes = [eye], [eye]
+            for g, h in zip(images, reversed(images)):
+                prefixes.append(prefixes[-1] @ g)
+                suffixes.append(h @ suffixes[-1])
             # a backward-stable product has |prod - I| <~ eps * max_i |prefix_i||suffix_i|
-            scale = max(
-                max(1.0, np.abs(p).max()) * ss for p, ss in zip(prefixes, suffix_scale)
-            )
-            m = prefixes[-1]
-            res = np.linalg.norm(m - eye)
-            if rep.projective_flag:
-                res = min(res, np.linalg.norm(m + eye))
-            if not math.isfinite(res):
-                res = math.inf  # overflowed: inf / inf would be a NaN that max() drops
-            max_res = max(max_res, res)
-            max_rel = max(max_rel, res / scale if res < math.inf else res)
-    return RelationReport(max_res, max_rel)
+            tops = np.fmax(1.0, np.abs(np.array(prefixes + suffixes[::-1])).max(axis=(2, 3)))
+            scale = (tops[:len(w) + 1] * tops[len(w) + 1:]).max(axis=0)
+            res = np.linalg.norm(prefixes[-1] - signs, axis=(2, 3)).min(axis=0)
+            res[~np.isfinite(res)] = np.inf  # overflowed: inf / inf would be a NaN
+            max_res = np.maximum(max_res, res)
+            max_rel = np.maximum(max_rel, np.where(res < np.inf, res / scale, res))
+    return [RelationReport(float(a), float(b)) for a, b in zip(max_res, max_rel)]
 
 
 # ---------------------------------------------------------------------------

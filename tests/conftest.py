@@ -341,6 +341,84 @@ def generator_dirichlet(S, R, area):
     raise fuchsian.ResourceError("Dirichlet domain not certified: its cell misses the orbifold area")
 
 
+def per_rep_check_relations(rep):
+    """The per-representation relation gate that `linrep.relation_reports`
+    replaced, kept as its oracle: each relator's prefix and suffix products
+    of one rep in a Python loop of 2-D products, the scale and residual
+    reduced per product."""
+    eye = np.eye(rep.n)
+    dtype = complex if rep.is_complex else float
+    max_res = max_rel = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for w in rep.relations:
+            prefixes = [np.eye(rep.n, dtype=dtype)]
+            for s in w:
+                prefixes.append(prefixes[-1] @ rep.generator_image(s))
+            suffix_scale = [1.0]
+            m = np.eye(rep.n, dtype=dtype)
+            for s in reversed(w):
+                m = rep.generator_image(s) @ m
+                suffix_scale.append(max(1.0, np.abs(m).max()))
+            suffix_scale.reverse()
+            scale = max(
+                max(1.0, np.abs(p).max()) * ss for p, ss in zip(prefixes, suffix_scale)
+            )
+            m = prefixes[-1]
+            res = np.linalg.norm(m - eye)
+            if rep.projective_flag:
+                res = min(res, np.linalg.norm(m + eye))
+            if not math.isfinite(res):
+                res = math.inf
+            max_res = max(max_res, res)
+            max_rel = max(max_rel, res / scale if res < math.inf else res)
+    return linrep.RelationReport(max_res, max_rel)
+
+
+def per_value_bend(rep, split, s):
+    """The one-value bend that `fuchsian.bend_representations` replaced,
+    kept as its oracle: the curve's eigensplit is made anew for each s, and
+    the bent rep is gated by `per_rep_check_relations`."""
+    if rep.n != 2:
+        raise ValueError("bending is defined for rank-2 representations")
+    if s == 0:
+        return rep
+    M = linrep.eval_word(rep, split.curve)
+    tr = M[0, 0] + M[1, 1]
+    disc = tr * tr - 4.0
+    if abs(disc) < 1e-8:
+        raise fuchsian.DegenerateBendingError("splitting curve is parabolic")
+    _, P = np.linalg.eig(M)
+    if np.linalg.cond(P) > 1e8:
+        raise fuchsian.DegenerateBendingError("centralizer eigenbasis ill-conditioned")
+    Pinv = np.linalg.inv(P)
+    X = P @ np.diag([1.0, -1.0]) @ Pinv
+    scale = np.array([[1.0, np.exp(2.0 * s)], [np.exp(-2.0 * s), 1.0]])
+    new_gens = []
+    complex_out = rep.field == "complex" or abs(complex(s).imag) > 0 or np.iscomplexobj(X)
+    for i, g in enumerate(rep.generators, start=1):
+        if i in split.moving:
+            h = P @ ((Pinv @ g @ P) * scale) @ Pinv
+        else:
+            h = np.asarray(g, dtype=complex)
+        new_gens.append(h if complex_out else np.real_if_close(h, tol=1e6))
+    out = linrep.Representation(
+        n=2,
+        field="complex" if complex_out else "real",
+        generators=new_gens,
+        relations=rep.relations,
+        label=f"{rep.label}|bend:{complex(s).real:g},{complex(s).imag:g}",
+        projective_flag=rep.projective_flag,
+        unit_det=rep.unit_det,
+    )
+    report = per_rep_check_relations(out)
+    if not report.holds():
+        raise fuchsian.DegenerateBendingError(
+            f"bent relations fail: residual {report.max_residual:.2e} "
+            f"(relative {report.max_relative:.2e})"
+        )
+    return out
+
+
 def deriv_arg(m, z):
     """arg of the derivative 1/(cz+d)^2 of the Mobius map m at z; it rotates
     tangent angles."""

@@ -264,6 +264,37 @@ class TestSweepCommand:
             assert run_cli(args + ["--out", str(chunked)]) == 0
             assert chunked.read_bytes() == fused.read_bytes()
 
+    # bytes and exit codes recorded before the grid was bent in one call; the
+    # real grid has ok, unresolved, relation-gate and validation rows
+    @pytest.mark.parametrize("axis,grid,csv", [
+        ("real", "-16,-8,-1,0,0.5,2,8,16,60,400",
+         "parameter,lambda1,stderr,status\n"
+         "-16,nan,nan,failed:unresolved\n"
+         "-8,nan,nan,failed:unresolved\n"
+         "-1,1.05642365901,0.0594287309838,ok\n"
+         "0,0.996802094959,0.00333490198186,ok\n"
+         "0.5,1.06492201052,0.0108464043727,ok\n"
+         "2,1.53528333819,0.0349582085198,ok\n"
+         "8,nan,nan,failed:unresolved\n"
+         "16,nan,nan,failed:unresolved\n"
+         "60,nan,nan,failed:DegenerateBendingError\n"
+         "400,nan,nan,failed:RepresentationError\n"),
+        ("imag", "0:3:7",
+         "parameter,lambda1,stderr,status\n"
+         "0,0.996802094959,0.00333490198186,ok\n"
+         "0.5,0.958203316742,0.00191933272465,ok\n"
+         "1,0.823290496362,0.0212590019016,ok\n"
+         "1.5,0.617114442815,0.0162695364271,ok\n"
+         "2,0.753452233132,0.0326550169213,ok\n"
+         "2.5,0.931961021646,0.00530404837619,ok\n"
+         "3,0.993793492549,0.00294153643016,ok\n"),
+    ], ids=["real", "imag"])
+    def test_pinned_sweep_csv(self, tmp_path, axis, grid, csv):
+        out = tmp_path / "sweep.csv"
+        assert run_cli(["sweep", "--group", "surface:2", "--axis", axis, f"--grid={grid}",
+                        "--time", "60", "--samples", "4", "--out", str(out)]) == 0
+        assert out.read_bytes() == csv.encode()
+
     # one chunk per scalar field and QR interval: the real twists 0, 0.5 and
     # 1 run at q = 8, 6 and 4
     @pytest.mark.parametrize("axis,fields", [("imag", [False, True]),

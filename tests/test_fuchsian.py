@@ -27,11 +27,13 @@ from lyaplab.hypgeo import (
     geodesic_flow,
     hyp_dist,
 )
-from lyaplab.linrep import Representation, check_relations, eval_word, uniformizing_rep
+from lyaplab.linrep import (Representation, RepresentationError, check_relations, eval_word,
+                            relation_reports, uniformizing_rep)
 from lyaplab.oseledets import RunConfig, _sample_base, code_samples
 
 from conftest import (coding, deriv_arg, greedy_pull_back, hyperboloid_crossings, mobius_of_word,
-                      scalar_walk_crossings, stack_descend)
+                      per_rep_check_relations, per_value_bend, scalar_walk_crossings,
+                      stack_descend)
 
 BUILTIN = ("triangle:3,3,4", "triangle:2,3,7", "surface:2", "surface:3")
 PULL_BACK_GROUPS = ("triangle:3,3,4", "triangle:2,3,7", "surface:2", "surface:8")
@@ -703,3 +705,80 @@ class TestBending:
     def test_bad_split_rejected(self, fuchs_g2):
         with pytest.raises(DegenerateBendingError):
             bend_representation(fuchs_g2, BendingSplit(frozenset({3}), (1, 2, -1, -2)), 1.0)
+
+
+def _per_value_outcomes(rep, split, values):
+    out = []
+    for s in values:
+        try:
+            out.append(per_value_bend(rep, split, s))
+        except (DegenerateBendingError, RepresentationError) as exc:
+            out.append(exc)
+    return out
+
+
+def _assert_bends_match_oracle(rep, split, values):
+    """bend_representations against the per-value oracle: bent generators
+    and inverses bit-identical, refusals of one type and message, and the
+    stacked and one-rep relation gates within 1e-12 relative of the
+    oracle's gate, with its verdict."""
+    got = fuchsian.bend_representations(rep, split, values)
+    want = _per_value_outcomes(rep, split, values)
+    assert len(got) == len(values)
+    bent = []
+    for s, g, w in zip(values, got, want):
+        if isinstance(w, Exception):
+            assert (type(g), str(g)) == (type(w), str(w)), s
+            continue
+        assert (g is rep) == (w is rep) == (s == 0)
+        assert (g.field, g.label, g.unit_det, g.projective_flag, g.relations) == \
+            (w.field, w.label, w.unit_det, w.projective_flag, w.relations)
+        for a, b in zip(g.generators + g._inverses, w.generators + w._inverses):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), s
+        bent.append(g)
+    for field in {r.field for r in bent}:
+        reps = [r for r in bent if r.field == field]
+        for r, stacked in zip(reps, relation_reports(reps)):
+            oracle = per_rep_check_relations(r)
+            for report in (stacked, check_relations(r)):
+                assert report.holds() == oracle.holds()
+                assert math.isclose(report.max_residual, oracle.max_residual, rel_tol=1e-12)
+                assert math.isclose(report.max_relative, oracle.max_relative, rel_tol=1e-12)
+    return want
+
+
+REAL_BENDS = (-16.0, -8.0, -1.0, 0.0, 0.5, 2.0, 8.0, 16.0, 60.0, 400.0)
+
+
+class TestBendOracle:
+    def test_imaginary_grid(self, fuchs_g2):
+        values = [complex(0.0, v) for v in np.linspace(0.0, 3.0, 13)]
+        want = _assert_bends_match_oracle(fuchs_g2, BendingSplit.genus2_standard(), values)
+        assert not any(isinstance(w, Exception) for w in want)
+
+    @pytest.mark.parametrize("as_complex", [True, False], ids=["complex", "float"])
+    def test_real_grid(self, fuchs_g2, as_complex):
+        values = [complex(v, 0.0) if as_complex else v for v in REAL_BENDS]
+        want = _assert_bends_match_oracle(fuchs_g2, BendingSplit.genus2_standard(), values)
+        refused = {v: (type(w).__name__, str(w)) for v, w in zip(REAL_BENDS, want)
+                   if isinstance(w, Exception)}
+        assert refused == {
+            60.0: ("DegenerateBendingError", "bent relations fail: residual inf (relative inf)"),
+            400.0: ("RepresentationError", "non-finite generator entries"),
+        }
+
+    def test_parabolic_curve(self):
+        rep = Representation(
+            2, "real",
+            [np.array([[1.0, 1.0], [0.0, 1.0]]), np.array([[1.0, 0.0], [1.0, 1.0]])],
+            (), "parabolic-test", unit_det=True,
+        )
+        want = _assert_bends_match_oracle(rep, BendingSplit(frozenset({2}), (1,)),
+                                          [0.0, 0.5, 1j, complex(-2.0, 0.5)])
+        assert want[0] is rep
+        assert all(str(w) == "splitting curve is parabolic" for w in want[1:])
+
+    def test_split_that_breaks_relations(self, fuchs_g2):
+        want = _assert_bends_match_oracle(
+            fuchs_g2, BendingSplit(frozenset({3}), (1, 2, -1, -2)), [1.0, 0.0, 0.5j, 2j])
+        assert [isinstance(w, DegenerateBendingError) for w in want] == [True, False, True, True]

@@ -16,6 +16,7 @@ from lyaplab.linrep import (
     format_rep_text,
     load_rep,
     parse_rep_text,
+    relation_reports,
     sym_monomials,
     sym_power,
     trivial_rep,
@@ -23,7 +24,7 @@ from lyaplab.linrep import (
     uniformizing_rep,
 )
 
-from conftest import random_sl2, save_rep
+from conftest import per_rep_check_relations, random_sl2, save_rep
 
 
 def sl2_pair(seed):
@@ -104,6 +105,37 @@ class TestCheckRelations:
         twisted = Representation(2, "real", [g], ((1, 1, 1),), projective_flag=True)
         report = check_relations(twisted)
         assert report.max_residual > 1e-6 and report.holds()
+
+    def test_stacked_matches_per_rep_oracle(self, fuchs334, tri334):
+        _, gens, rels = tri334
+        g = np.array(fuchs334.generators[0])
+        g[0, 0] += 1e-3
+        bad = Representation(2, "real", [g, *fuchs334.generators[1:]], rels, "bad",
+                             projective_flag=True)
+        t = 2 * math.pi / 3
+        rot = np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
+        spin = [Representation(2, "real", [np.diag([a, 1 / a]) @ rot @ np.diag([1 / a, a])],
+                               ((1, 1, 1),), projective_flag=True) for a in (1.0, 1e4, 1e8)]
+        with np.errstate(over="ignore"):
+            spin.append(Representation(2, "real", [np.diag([1e200, 1e-200])], ((1, 1, 1),),
+                                       projective_flag=True))
+        stacks = [[fuchs334, bad], [trivial_rep(2, len(gens), rels)], spin,
+                  [sym_power(fuchs334, 3), sym_power(bad, 3)], [unitary_cube_rep()],
+                  [Representation(2, "real", [-np.eye(2)], ((1,),))]]
+        for reps in stacks:
+            for rep, report in zip(reps, relation_reports(reps)):
+                for got in (report, check_relations(rep)):
+                    want = per_rep_check_relations(rep)
+                    assert got.holds() == want.holds()
+                    assert math.isclose(got.max_residual, want.max_residual, rel_tol=1e-12)
+                    assert math.isclose(got.max_relative, want.max_relative, rel_tol=1e-12)
+        assert [r.holds() for r in relation_reports(spin)] == [True, True, True, False]
+
+    def test_stacked_refuses_reps_of_other_relations(self, fuchs334):
+        other = Representation(2, "real", fuchs334.generators, fuchs334.relations[:1],
+                               projective_flag=True)
+        with pytest.raises(ValueError):
+            relation_reports([fuchs334, other])
 
     def test_overflowed_relation_fails_gate(self):
         # g^2 overflows: inf residual, and inf / inf must not pass as 0
@@ -281,3 +313,38 @@ class TestValidation:
     def test_nonfinite_rejected(self):
         with pytest.raises(RepresentationError):
             Representation(2, "real", [np.array([[np.inf, 0], [0, 1.0]])], ())
+
+
+# a good generator, then one of each fault, in the order they are checked
+_GOOD = np.eye(2)
+_NONFINITE = np.array([[np.nan, 0.0], [0.0, 1.0]])
+_DET_RANGE = np.diag([1e4, 1e3])
+_DET_NOT_1 = np.diag([2.0, 1.0])
+
+
+@pytest.mark.parametrize("n, gens, unit_det, message", [
+    (2, [_GOOD, np.eye(3)], False, "generator shape (3, 3) != n=2"),
+    (2, [_GOOD, [1.0, 2.0]], False, "generator shape (2,) != n=2"),
+    (2, [_GOOD, _NONFINITE], False, "non-finite generator entries"),
+    (2, [_DET_RANGE], False, "generator determinant 1e+07 out of range"),
+    (2, [_GOOD, _DET_NOT_1], True, "determinant 2 != 1"),
+    (3, [np.eye(3), [[1e8, 1e8, 0.0], [1e8, 1e8, 0.0], [0.0, 0.0, 1.0]]], False,
+     "generator 2 of the representation is singular in float64"),
+    # two faulty generators: the first one reports its first failed check
+    (2, [_DET_RANGE, _NONFINITE], False, "generator determinant 1e+07 out of range"),
+    (2, [_NONFINITE, _DET_RANGE], False, "non-finite generator entries"),
+    (2, [_DET_NOT_1, np.eye(3)], True, "determinant 2 != 1"),
+    (2, [np.eye(3), _NONFINITE], False, "generator shape (3, 3) != n=2"),
+    (2, [_DET_RANGE, _DET_NOT_1], True, "generator determinant 1e+07 out of range"),
+    (3, [[[1e8, 1e8, 0.0], [1e8, 1e8, 0.0], [0.0, 0.0, 1.0]], np.full((3, 3), np.inf)], False,
+     "generator 1 of the representation is singular in float64"),
+    (3, [np.full((3, 3), np.inf), [[1e8, 1e8, 0.0], [1e8, 1e8, 0.0], [0.0, 0.0, 1.0]]], False,
+     "non-finite generator entries"),
+], ids=["shape", "flat-shape", "nonfinite", "det-range", "det-not-1", "singular",
+        "range-then-nonfinite", "nonfinite-then-range", "det-not-1-then-shape",
+        "shape-then-nonfinite", "range-then-not-1", "singular-then-nonfinite",
+        "nonfinite-then-singular"])
+def test_validation_message_names_the_first_failing_generator(n, gens, unit_det, message):
+    with pytest.raises(RepresentationError) as exc:
+        Representation(n, "real", gens, (), unit_det=unit_det)
+    assert str(exc.value) == message

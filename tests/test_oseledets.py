@@ -464,10 +464,11 @@ class TestFusedReps:
                 "--time", "60", "--samples", "4", "--seed", "4"]
         clean, patched = tmp_path / "clean.csv", tmp_path / "patched.csv"
         assert cli.main(args + ["--out", str(clean)]) == 0
-        real = cli.fuchsian.bend_representation
-        monkeypatch.setattr(cli.fuchsian, "bend_representation",
-                            lambda rep, split, s: _DeadSurfaceRep() if s == 2 else
-                            real(rep, split, s))
+        real = cli.fuchsian.bend_representations
+        monkeypatch.setattr(cli.fuchsian, "bend_representations",
+                            lambda rep, split, values: [
+                                _DeadSurfaceRep() if s == 2 else bent
+                                for s, bent in zip(values, real(rep, split, values))])
         assert cli.main(args + ["--out", str(patched)]) == 0
         want = clean.read_text().splitlines()
         got = patched.read_text().splitlines()
