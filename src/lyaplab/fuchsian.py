@@ -41,11 +41,7 @@ _CHUNK_MAX = 4096     # cap on a tracer chunk, which bounds its temporary lists
 
 
 class ResourceError(RuntimeError):
-    """Refusal in place of a truncated or uncertified result (see partial)."""
-
-    def __init__(self, msg, partial=None):
-        super().__init__(msg)
-        self.partial = partial
+    """Refusal in place of a truncated or unsettled result."""
 
 
 class DegenerateBendingError(ValueError):
@@ -469,11 +465,12 @@ def iter_crossings(dom, ut, T, perturb_log=None):
 # orbit enumeration
 #
 # Reverse search (Avis & Fukuda 1996) over the face pairings S_D of the
-# Dirichlet domain D about z0 (Voight, JTNB 2009).  The geodesic from g.z0 to
-# z0 leaves g.D through a face shared with g.s.D, s in S_D, at a point
-# equidistant from g.z0 and g.s.z0, so g.s is strictly closer to z0 unless z0
-# is a cone point.  Keeping g.s only when g is its least S_D-neighbour yields
-# each element once, with no seen-set.  In the frame z0 = i, cosh d = |g|_F^2/2.
+# Dirichlet domain D about c (Voight, JTNB 2009): the polygon, about its
+# interior point.  The geodesic from g.c to c leaves g.D through a face
+# shared with g.s.D, s in S_D, at a point equidistant from g.c and g.s.c, so
+# g.s is strictly closer to c.  Keeping g.s only when g is its least
+# S_D-neighbour yields each element once, with no seen-set.  In the frame
+# c = i, cosh d = |g|_F^2/2; a ball about another centre is filtered from it.
 #
 # A level of the search is a (4, N) array of the entries a, b, c, d of its
 # elements.  The norms it tests are linear in a parent's Gram entries
@@ -483,9 +480,8 @@ def iter_crossings(dom, ut, T, perturb_log=None):
 # weights w(s_k s_j).  Each test reduces over j, an axis contiguous over N,
 # and entries are formed only for the children kept.
 
-ORBIT_MAX_POINTS = 6_000_000  # cap on a ball; past it ResourceError (partial)
+ORBIT_MAX_POINTS = 6_000_000  # cap on the elements a ball's search enumerates
 TIE_BAND = 1e-11  # neighbour norms this close (relative) tie; lower index wins
-CERT_TOL = 1e-9  # relative area tolerance of a Dirichlet cell; least face length
 
 
 @dataclass(frozen=True)
@@ -522,11 +518,12 @@ def _norm_weights(M):
 
 def _descend(S, limit):
     """Reverse search over the pairings S (closed under inverses), yielding
-    (elements g with |g|_F^2 <= limit as (4, N) entries, their norms) per
-    block of parents.  g.s is kept when g is its least S-neighbour (norms
-    within TIE_BAND tie, the lower index wins; a gap too near the band
-    raises).  S are certified Dirichlet faces, so a candidate with no
-    strictly closer neighbour (a cone point or a descent tie) raises too.
+    the elements g with |g|_F^2 <= limit, as (4, N) entries, per block of
+    parents.  g.s is kept when g is its least S-neighbour (norms within
+    TIE_BAND tie, the lower index wins; a gap too near the band raises).
+    S are certified Dirichlet faces, so a candidate with no strictly closer
+    neighbour (a cone point or a descent tie) raises too, and so does a
+    search past ORBIT_MAX_POINTS elements.
 
     A block's (k, j, N) neighbour norms, at most 2^17 of them so that they
     stay in a core's cache, come from one product with the parents' Gram
@@ -541,7 +538,7 @@ def _descend(S, limit):
     R[:, :2, :2] = R[:, 2:, 2:] = np.swapaxes(S, 1, 2)
     earlier = np.arange(m) < inv[:, None]  # [k, j]: j wins a tie over k's back step
     front, gen, total, step = np.eye(2).reshape(4, 1), np.array([-1]), 1, max(1, 2**17 // m**2)
-    yield front, np.array([2.0])
+    yield front
     while front.shape[1]:
         nxt = []
         for i in range(0, front.shape[1], step):
@@ -568,112 +565,57 @@ def _descend(S, limit):
             kids = np.concatenate(kids, axis=1) if kids else par[:, :0]
             nxt.append((kids, np.repeat(np.arange(m), np.count_nonzero(keep, axis=1))))
             total += kids.shape[1]
-            yield kids, norms[keep]
+            yield kids
         front, gen = np.concatenate([k for k, _ in nxt], axis=1), np.concatenate([g for _, g in nxt])
 
 
-def _cell(F):
-    """Klein-model polygon about i cut out by the bisectors qx X + qy Y <= rhs
-    of i and g.i, g in F: (vertices, the index in F of each edge's bisector),
-    or None where it is unbounded.  rhs > 0 off a cone point, so the cell is
-    the polar of the convex hull of the poles p_g = (qx, qy) / rhs (Andrew's
-    monotone chain): consecutive hull points meet at a vertex, and the next
-    one bounds its edge.  It is bounded when the hull surrounds 0."""
-    a, b, c, d = F[:, 0, 0], F[:, 0, 1], F[:, 1, 0], F[:, 1, 1]
-    rhs = 0.5 * (a * a + b * b + c * c + d * d) - 1.0
-    P = np.column_stack([0.5 * (a * a + b * b - c * c - d * d), a * c + b * d]) / rhs[:, None]
-    order = np.lexsort((P[:, 1], P[:, 0]))
-    pts, hull = P[order].tolist(), []
-    for chain in (range(len(pts)), range(len(pts) - 1, -1, -1)):  # lower, then upper
-        start = len(hull)
-        for i in chain:
-            x, y = pts[i]
-            while len(hull) >= start + 2:
-                (x0, y0), (x1, y1) = pts[hull[-2]], pts[hull[-1]]
-                if (x1 - x0) * (y - y0) - (y1 - y0) * (x - x0) > 0.0:
-                    break
-                hull.pop()
-            hull.append(i)
-        del hull[-1:]  # the chain's last point starts the next chain
-    H, Hn = P[order[hull]], P[np.roll(order[hull], -1)]
-    det = H[:, 0] * Hn[:, 1] - H[:, 1] * Hn[:, 0]  # > 0 on every edge: 0 is inside
-    if len(hull) < 3 or det.min() <= 0.0:
-        return None
-    V = np.column_stack([Hn[:, 1] - H[:, 1], H[:, 0] - Hn[:, 0]]) / det[:, None]
-    return V, np.roll(order[hull], -1)
-
-
-def _cell_area(V):
-    """Area of a Klein polygon star-shaped about 0, as the fan of triangles
-    (o, p, q) with tan(A/2) = det(o, p, q) / (1 + cosh op + cosh pq + cosh qo)."""
-    p = np.column_stack([np.ones(len(V)), V]) / np.sqrt(1.0 - (V * V).sum(axis=1))[:, None]
-    q = np.roll(p, -1, axis=0)
-    det = p[:, 1] * q[:, 2] - p[:, 2] * q[:, 1]
-    cosh_pq = p[:, 0] * q[:, 0] - p[:, 1] * q[:, 1] - p[:, 2] * q[:, 2]
-    return float(np.sum(2.0 * np.arctan2(np.abs(det), 1.0 + p[:, 0] + q[:, 0] + cosh_pq)))
-
-
-def _dirichlet(S, R, area, Q, delta):
-    """Face pairings of the Dirichlet domain about Q.i (as Q^-1 g Q), from
-    searches over the faces S of the one about i (delta = d(i, Q.i); R bounds
-    the circumradius).  The bootstrap ball of radius rho grows until rho >= 2r,
-    r the circumradius (inf if unbounded) of the cell its bisectors cut out (a
-    complete ball then misses no face), and the cell must have the orbifold area."""
-    rho = R
-    for _ in range(8):
-        ball = [g for g, _ in _descend(S, 2.0 * math.cosh(rho + 2.0 * delta))][1:]
-        F = _inverse(Q) @ np.concatenate(ball, axis=1).T.reshape(-1, 2, 2) @ Q
-        nF = (F * F).sum(axis=(1, 2))
-        if np.any(nF <= 2.0 * (1.0 + 10.0 * TIE_BAND)):
+def _orbit_bfs(pairings, frame, K, t_max):
+    """The orbit ball of q = K.i over the faces (pairings) of the Dirichlet
+    domain about i.  With delta = d(i, q), one search to t_max + 2 delta
+    holds it (triangle inequality), and g is kept when h = K^-1 g K has
+    |h|_F^2 <= 2 cosh t_max, a quadratic form in g's entries; h is formed
+    for the kept g only.  At delta = 0 (K = I) the search is the ball and
+    h = g.  Distances 2 asinh(sqrt((a - d)^2 + (b + c)^2) / 2) of h's
+    entries have no cancellation; points are (frame @ h).i.  A kept h != I
+    with (a - d)^2 + (b + c)^2 <= 20 TIE_BAND fixes q: a cone point."""
+    L = np.kron(_inverse(K), K.T)  # g's row-major entries to h's
+    limit = 2.0 * max(math.cosh(t_max), 1.0 + 10.0 * TIE_BAND)  # keeps an h fixing q at t_max ~ 0
+    delta = 2.0 * math.asinh(0.5 * math.hypot(K[0, 0] - K[1, 1], K[0, 1] + K[1, 0]))
+    blocks = _descend(pairings, 2.0 * math.cosh(t_max + 2.0 * delta))
+    next(blocks)  # the identity, the centre itself
+    (p, q), (r, s) = frame
+    pts, dists = [np.array([(p * r + q * s + 1j) / (r * r + s * s)])], [np.zeros(1)]
+    for g in blocks:
+        if delta:
+            g = L @ np.compress((g * (L.T @ L @ g)).sum(axis=0) <= limit, g, axis=1)
+        a, b, c, d = g
+        x = (a - d) ** 2 + (b + c) ** 2  # |h|_F^2 - 2 = 4 sinh^2(d(q, h.q) / 2)
+        if np.any(x <= 20.0 * TIE_BAND):
             raise ResourceError("the orbit centre is a cone point")
-        F = F[nF <= 2.0 * math.cosh(rho)]
-        cell = _cell(F)
-        r2 = (cell[0] ** 2).sum(axis=1).max() if cell else 1.0
-        r = math.atanh(math.sqrt(r2)) if r2 < 1.0 else math.inf
-        if rho >= 2.0 * r and abs(_cell_area(cell[0]) - area) <= CERT_TOL * area:
-            V, tags = cell
-            edge = np.hypot(*(np.roll(V, -1, axis=0) - V).T)
-            return _distinct(F[np.unique(tags[edge > CERT_TOL])])
-        # an unbounded cell creeps by 1.25 instead of jumping to 2R: that jump's
-        # search about a centre near a vertex of surface:8 passes ORBIT_MAX_POINTS
-        rho = max(rho, 2.0 * min(r, R) + 1e-6) if r < math.inf else min(1.25 * rho, 2.0 * R)
-    raise ResourceError("Dirichlet domain not certified: its cell misses the orbifold area")
-
-
-def _orbit_bfs(pairings, frame, t_max):
-    """The orbit ball over Dirichlet face pairings; points (frame @ g).i,
-    from the entries of the elements g."""
-    pts, dists, ((p, q), (r, s)) = [], [], frame
-    for (a, b, c, d), norms in _descend(pairings, 2.0 * math.cosh(t_max)):
-        u, v = r * a + s * c, r * b + s * d  # the bottom row of frame @ g
+        u, v = r * a + s * c, r * b + s * d  # the bottom row of frame @ h
         pts.append(((p * a + q * c) * u + (p * b + q * d) * v + 1j) / (u * u + v * v))
-        dists.append(np.arccosh(np.maximum(0.5 * norms, 1.0)))
-        if sum(map(len, dists)) > ORBIT_MAX_POINTS:
-            raise ResourceError(f"orbit ball exceeds {ORBIT_MAX_POINTS} points",
-                                partial=(np.concatenate(pts), np.concatenate(dists)))
+        dists.append(2.0 * np.arcsinh(0.5 * np.sqrt(x)))
     return OrbitBall(points=np.concatenate(pts), dists=np.concatenate(dists))
 
 
 def orbit_ball(dom, z0, t_max):
     """(points, dists) arrays for the orbit points with d(z0, g z0) <= t_max.
 
-    z0 is pulled back into the polygon along the geodesic traced to it from
-    the interior point c (pull_back; the distances stay), and the pairings
-    crossed frame its orbit.  The polygon's distinct pairings are the faces
-    of the Dirichlet domain about c (dirichlet_defect, checked at build); one
-    certification about z0 bootstraps from them.  Refuses (ResourceError) a
-    cone point, a tie or local minimum of a search, an uncertified domain and
-    a ball past ORBIT_MAX_POINTS."""
+    z0 is pulled back to q in the polygon along the geodesic traced to it
+    from the interior point c (pull_back; the distances stay), and the
+    pairings crossed frame its orbit.  The polygon's distinct pairings are
+    the faces of the Dirichlet domain about c (dirichlet_defect, checked at
+    build), so the ball is one search about c, filtered by the distance to
+    q (_orbit_bfs).  Refuses (ResourceError) a cone point, a tie or local
+    minimum of the search and a search past ORBIT_MAX_POINTS elements."""
     if not 0.0 <= t_max <= 18.0:
         raise ValueError("orbit enumeration supports radii in [0, 18]")
     c, (q, word) = dom.interior_point, pull_back(dom, z0)
-    Mc, Mq = Mobius.to_point(c).mat, Mobius.to_point(q).mat
-    pairing = {p.word[0]: p.mobius.mat for p in dom.pairings}
+    Mc, pairing = Mobius.to_point(c).mat, {p.word[0]: p.mobius.mat for p in dom.pairings}
     Sc = _distinct(np.array([_inverse(Mc) @ g @ Mc for g in pairing.values()]))
-    reach = max(hyp_dist(q, v) for v in dom.vertices)
-    Sq = _dirichlet(Sc, reach, dom.area, _inverse(Mc) @ Mq, hyp_dist(c, q))
+    K = Mobius.to_point(HPoint((q.x - c.x) / c.y, q.y / c.y)).mat  # Mc^-1 Mq, I at q = c
     frame = functools.reduce(np.matmul, [pairing[g] for g in word], np.eye(2))
-    ball = _orbit_bfs(Sq, frame @ Mq, t_max)
+    ball = _orbit_bfs(Sc, frame @ Mobius.to_point(q).mat, K, t_max)
     return ball.points, ball.dists
 
 
@@ -737,12 +679,13 @@ def bend_representations(rep, split, values):
     for k, s in enumerate(values):
         if out[k] is not None:
             continue
-        # conjugation by exp(sX) done entrywise in the eigenbasis: exact
-        # scaling by e^(+-2s), no cancellation even for large |Re s|
-        scale = np.array([[1.0, np.exp(2.0 * s)], [np.exp(-2.0 * s), 1.0]])
+        # conjugation by exp(sX) entrywise in the eigenbasis: exact scaling by
+        # e^(+-2s), no cancellation for large |Re s|; validation refuses overflow
+        with np.errstate(over="ignore", invalid="ignore"):
+            scale = np.array([[1.0, np.exp(2.0 * s)], [np.exp(-2.0 * s), 1.0]])
+            new_gens = [P @ (core[i] * scale) @ Pinv if i in core else np.asarray(g, dtype=complex)
+                        for i, g in enumerate(rep.generators, start=1)]
         complex_out = complex_rep or abs(complex(s).imag) > 0
-        new_gens = [P @ (core[i] * scale) @ Pinv if i in core else np.asarray(g, dtype=complex)
-                    for i, g in enumerate(rep.generators, start=1)]
         if not complex_out:
             new_gens = [np.real_if_close(h, tol=1e6) for h in new_gens]
         try:

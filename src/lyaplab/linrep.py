@@ -47,9 +47,10 @@ class Representation:
         # every check runs once on the whole stack; the first generator that
         # fails reports its first failed check, as a loop over them would
         shaped = next((i for i, g in enumerate(gens) if np.shape(g) != (n, n)), len(gens))
-        stack = np.array(gens[:shaped], dtype=dtype).reshape(shaped, n, n)
+        stack = np.array(gens[:shaped]).reshape(shaped, n, n)
         with np.errstate(all="ignore"):
-            finite = np.isfinite(stack.view(float)).all(axis=(1, 2))
+            finite = np.isfinite(stack).all(axis=(1, 2))  # both parts, before the cast
+            stack = (stack if dtype is complex else stack.real).astype(dtype)
             top = np.abs(stack).max(axis=(1, 2), initial=0.0)
             det = np.abs(np.linalg.det(stack))
             # the float det of M carries cancellation noise ~ |M|^2 eps

@@ -1,4 +1,5 @@
 import cmath
+import functools
 import math
 from types import SimpleNamespace
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from lyaplab import fuchsian, linrep
-from lyaplab.hypgeo import hyp_dist
+from lyaplab.hypgeo import Mobius, hyp_dist
 
 
 @pytest.fixture(scope="session")
@@ -33,8 +34,6 @@ def fuchs_g2(genus2):
 
 
 def mobius_of_word(gens, word):
-    from lyaplab.hypgeo import Mobius
-
     m = Mobius.identity()
     for s in word:
         g = gens[abs(s) - 1]
@@ -268,8 +267,10 @@ def stack_descend(S, limit):
 
 
 def stack_orbit_bfs(pairings, frame, t_max):
-    """`fuchsian._orbit_bfs` over stack_descend: points (frame @ g).i and
-    their distances, as an OrbitBall."""
+    """The orbit ball over the faces of the Dirichlet domain about its own
+    centre, as `fuchsian._orbit_bfs` counted it before the filter, over
+    stack_descend: points (frame @ g).i and their distances, as an
+    OrbitBall."""
     pts, dists = [], []
     for g, norms, minima in stack_descend(pairings, 2.0 * math.cosh(t_max)):
         if len(minima):
@@ -281,12 +282,48 @@ def stack_orbit_bfs(pairings, frame, t_max):
     return fuchsian.OrbitBall(points=np.concatenate(pts), dists=np.concatenate(dists))
 
 
+def bfs_inputs(dom, z0):
+    """The pairings, frame and centre map K that orbit_ball hands to
+    fuchsian._orbit_bfs for the centre z0."""
+    seen = []
+
+    def record(pairings, frame, K, t_max):
+        seen.append((pairings, frame, K))
+        return fuchsian.OrbitBall(points=np.array([z0.z]), dists=np.zeros(1))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fuchsian, "_orbit_bfs", record)
+        fuchsian.orbit_ball(dom, z0, 0.0)
+    return seen[0]
+
+
+def stack_ball_about_c(dom, z0, t_max):
+    """The orbit ball of z0 from matrices and points, as an OrbitBall: the
+    stack search over the polygon's distinct pairings about its interior
+    point c to t_max + 2 d(c, q), q the pulled-back centre; g is kept where
+    hyp_dist's formula puts g.q within t_max of q, and the point is
+    frame.g.q, frame the word pull_back returns."""
+    c, (q, word) = dom.interior_point, fuchsian.pull_back(dom, z0)
+    Mc, pairing = Mobius.to_point(c).mat, {p.word[0]: p.mobius.mat for p in dom.pairings}
+    Sc = fuchsian._distinct(np.array([fuchsian._inverse(Mc) @ g @ Mc for g in pairing.values()]))
+    levels = list(stack_descend(Sc, 2.0 * math.cosh(t_max + 2.0 * hyp_dist(c, q))))
+    assert not any(len(m) for _, _, m in levels)
+    g = Mc @ np.concatenate([x for x, _, _ in levels]) @ fuchsian._inverse(Mc)
+    gq = (g[:, 0, 0] * q.z + g[:, 0, 1]) / (g[:, 1, 0] * q.z + g[:, 1, 1])
+    dists = 2.0 * np.arcsinh(np.abs(gq - q.z) / (2.0 * np.sqrt(gq.imag * q.y)))
+    (a, b), (cc, d) = functools.reduce(np.matmul, [pairing[w] for w in word], np.eye(2))
+    pts = (a * gq + b) / (cc * gq + d)
+    keep = dists <= t_max
+    return fuchsian.OrbitBall(points=pts[keep], dists=dists[keep])
+
+
 def clip_cell(F):
     """The half-plane clipping that the convex-hull polar `fuchsian._cell`
-    replaced, kept as its oracle: the Klein-model polygon about i cut out by
-    the bisectors of i and g.i, g in F, from the box |X|, |Y| <= 2, nearest
-    bisector first; vertices, and the index in F of each edge's bisector
-    (-1: a side of the box, so the cell is unbounded)."""
+    replaced, kept as the cell of the certification oracles below: the
+    Klein-model polygon about i cut out by the bisectors of i and g.i, g in
+    F, from the box |X|, |Y| <= 2, nearest bisector first; vertices, and the
+    index in F of each edge's bisector (-1: a side of the box, so the cell
+    is unbounded)."""
     a, b, c, d = F[:, 0, 0], F[:, 0, 1], F[:, 1, 0], F[:, 1, 1]
     qx, qy = 0.5 * (a * a + b * b - c * c - d * d), a * c + b * d
     rhs = 0.5 * (a * a + b * b + c * c + d * d) - 1.0  # qx X + qy Y <= rhs
@@ -308,15 +345,70 @@ def clip_cell(F):
     return np.array([v for v, _ in poly]), np.array([t for _, t in poly])
 
 
+CERT_TOL = 1e-9  # relative area tolerance of a Dirichlet cell; least face length
+
+
+def cell_area(V):
+    """Area of a Klein polygon star-shaped about 0, as the fan of triangles
+    (o, p, q) with tan(A/2) = det(o, p, q) / (1 + cosh op + cosh pq + cosh qo)."""
+    p = np.column_stack([np.ones(len(V)), V]) / np.sqrt(1.0 - (V * V).sum(axis=1))[:, None]
+    q = np.roll(p, -1, axis=0)
+    det = p[:, 1] * q[:, 2] - p[:, 2] * q[:, 1]
+    cosh_pq = p[:, 0] * q[:, 0] - p[:, 1] * q[:, 1] - p[:, 2] * q[:, 2]
+    return float(np.sum(2.0 * np.arctan2(np.abs(det), 1.0 + p[:, 0] + q[:, 0] + cosh_pq)))
+
+
+def _clipped_faces(F):
+    """The cell that the bisectors of F cut out (clip_cell): its distinct
+    face pairings, its circumradius (inf if unbounded) and its area."""
+    V, tags = clip_cell(F)
+    r2 = (V * V).sum(axis=1).max()
+    edge = np.hypot(*(np.roll(V, -1, axis=0) - V).T)
+    faces = fuchsian._distinct(F[np.unique(tags[(edge > CERT_TOL) & (tags >= 0)])])
+    if tags.min() < 0 or r2 >= 1.0:
+        return faces, math.inf, math.nan
+    return faces, math.atanh(math.sqrt(r2)), cell_area(V)
+
+
+def _ball_bisectors(F, rho):
+    """The elements of F within rho of i, refusing a centre that one fixes."""
+    nF = (F * F).sum(axis=(1, 2))
+    if np.any(nF <= 2.0 * (1.0 + 10.0 * fuchsian.TIE_BAND)):
+        raise fuchsian.ResourceError("the orbit centre is a cone point")
+    return F[nF <= 2.0 * math.cosh(rho)]
+
+
+def certified_dirichlet(S, R, area, Q, delta):
+    """The per-ball certification (`fuchsian._dirichlet`) that the filtered
+    search about the interior point replaced, kept as its oracle over the
+    stack search and the clipped cell: face pairings of the Dirichlet domain
+    about Q.i (as Q^-1 g Q), from searches over the faces S of the one about
+    i (delta = d(i, Q.i); R bounds the circumradius).  The bootstrap ball of
+    radius rho grows until rho >= 2r, r the circumradius of the cell its
+    bisectors cut out (a complete ball then misses no face), and the cell
+    must have the orbifold area."""
+    rho = R
+    for _ in range(8):
+        levels = list(stack_descend(S, 2.0 * math.cosh(rho + 2.0 * delta)))
+        if any(len(m) for _, _, m in levels):
+            raise fuchsian.ResourceError("orbit descent: an element has no strictly closer neighbour")
+        F = fuchsian._inverse(Q) @ np.concatenate([g for g, _, _ in levels[1:]]) @ Q
+        faces, r, cell = _clipped_faces(_ball_bisectors(F, rho))
+        if rho >= 2.0 * r and abs(cell - area) <= CERT_TOL * area:
+            return faces
+        rho = max(rho, 2.0 * min(r, R) + 1e-6) if r < math.inf else min(1.25 * rho, 2.0 * R)
+    raise fuchsian.ResourceError("Dirichlet domain not certified: its cell misses the orbifold area")
+
+
 def generator_dirichlet(S, R, area):
     """The generator mode that `fuchsian._dirichlet` dropped when the build
     began to certify the polygon as the Dirichlet domain about its interior
     point, kept as the oracle of that certificate: face pairings of the
     Dirichlet domain about i, grown from the generators S (conjugated to i;
     R bounds the circumradius).  Each round closes S under inverses and
-    certifies the cell of a search ball as `_dirichlet` did, over the stack
-    search and the clipped cell, which keep the local minima and the box;
-    S gains the round's faces and local minima."""
+    certifies the cell of a search ball as certified_dirichlet does, over
+    the stack search and the clipped cell, which keep the local minima and
+    the box; S gains the round's faces and local minima."""
     rho = R
     for _ in range(8):
         S = fuchsian._distinct(np.concatenate([S, fuchsian._inverse(S)]))
@@ -324,17 +416,8 @@ def generator_dirichlet(S, R, area):
         minima = np.concatenate([m for _, _, m in levels])
         ball = np.concatenate([g for g, _, _ in levels[1:]])
         F = np.concatenate([ball, minima, fuchsian._inverse(minima)])
-        nF = (F * F).sum(axis=(1, 2))
-        if np.any(nF <= 2.0 * (1.0 + 10.0 * fuchsian.TIE_BAND)):
-            raise fuchsian.ResourceError("the orbit centre is a cone point")
-        F = F[nF <= 2.0 * math.cosh(rho)]
-        V, tags = clip_cell(F)
-        edge = np.hypot(*(np.roll(V, -1, axis=0) - V).T)
-        faces = fuchsian._distinct(F[np.unique(tags[(edge > fuchsian.CERT_TOL) & (tags >= 0)])])
-        r2 = (V * V).sum(axis=1).max()
-        r = math.atanh(math.sqrt(r2)) if tags.min() >= 0 and r2 < 1.0 else math.inf
-        if (rho >= 2.0 * r and not len(minima)
-                and abs(fuchsian._cell_area(V) - area) <= fuchsian.CERT_TOL * area):
+        faces, r, cell = _clipped_faces(_ball_bisectors(F, rho))
+        if rho >= 2.0 * r and not len(minima) and abs(cell - area) <= CERT_TOL * area:
             return faces
         S = np.concatenate([S, faces, minima])
         rho = max(rho, 2.0 * min(r, R) + 1e-6) if r < math.inf else min(1.25 * rho, 2.0 * R)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import subprocess
@@ -157,6 +158,17 @@ class TestRepresentationRefusals:
         assert proc.returncode == 2
         assert proc.stderr.splitlines() == [
             "lyaplab: refused: relation check failed: residual inf (relative inf)"]
+
+    def test_overflowing_twist_refusal_is_the_only_stderr_line(self):
+        # e^(2s) overflows at s = 400; no numpy warning precedes the refusal
+        src = str(Path(lyaplab.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "lyaplab.cli", "spectrum", "--group", "surface:2",
+             "--transform", "bend:400,0"],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 2
+        assert proc.stderr == "lyaplab: invalid input: non-finite generator entries\n"
 
     @pytest.mark.parametrize("command", [
         ["spectrum", "--time", "50", "--samples", "2", "--seed", "1"],
@@ -412,6 +424,26 @@ class TestOrbitCountCommand:
         assert run_cli(["orbit-count", "--tmax", "8", "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("lyaplab: refused: orbit ball exceeds 1000")
         assert not out.exists()
+
+    # sha256 of the CSV, recorded while every ball certified its own
+    # Dirichlet domain: orbit-calib's four command lines and an off-centre
+    # t = 12 ball
+    @pytest.mark.parametrize("args, digest", [
+        (["--group", "triangle:3,3,4", "--tmax", "8"],
+         "de0bd692380a61605a0132712ca8123475509be3f68c98fd4998f1ed9c8e0bba"),
+        (["--group", "triangle:3,3,4", "--tmax", "8", "--center=0.1,1.2"],
+         "454766fc624bf6fd0d33286c63cbda05a3bfb5c4dae171b49a55021fe0874aaa"),
+        (["--group", "triangle:3,3,4", "--tmax", "8", "--center=0.3,1.5"],
+         "402fa85f9761acb9ef246fe28b51599b4fc516c87ba654b660603ab087f404be"),
+        (["--group", "triangle:3,3,4", "--tmax", "8", "--center=0.2,2.0"],
+         "214dd5c990dc0f54e83d23b4b25c9691a974c18fa25838db8b4901b171a0bd9a"),
+        (["--center=0.3,1.5", "--tmax", "12"],
+         "be5049d35eb9b5acf0a38bcce9eca9096dadabc879f7b6dfb6b36f97d519fa25"),
+    ], ids=["interior@8", "0.1,1.2@8", "0.3,1.5@8", "0.2,2.0@8", "0.3,1.5@12"])
+    def test_pinned_count_csv(self, tmp_path, args, digest):
+        out = tmp_path / "orbit.csv"
+        assert run_cli(["orbit-count", *args, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_cone_point_center_refused(self, capsys):
         # (0, 1) is the order-3 vertex of triangle:3,3,4: its stabilizer

@@ -1,4 +1,3 @@
-import copy
 import dataclasses
 import math
 
@@ -31,9 +30,9 @@ from lyaplab.linrep import (Representation, RepresentationError, check_relations
                             relation_reports, uniformizing_rep)
 from lyaplab.oseledets import RunConfig, _sample_base, code_samples
 
-from conftest import (coding, deriv_arg, greedy_pull_back, hyperboloid_crossings, mobius_of_word,
-                      per_rep_check_relations, per_value_bend, scalar_walk_crossings,
-                      stack_descend)
+from conftest import (bfs_inputs, coding, deriv_arg, greedy_pull_back, hyperboloid_crossings,
+                      mobius_of_word, per_rep_check_relations, per_value_bend,
+                      scalar_walk_crossings, stack_descend)
 
 BUILTIN = ("triangle:3,3,4", "triangle:2,3,7", "surface:2", "surface:3")
 PULL_BACK_GROUPS = ("triangle:3,3,4", "triangle:2,3,7", "surface:2", "surface:8")
@@ -522,21 +521,6 @@ def _trace(trace, dom, ut, T):
     return out, None
 
 
-def _bfs_inputs(dom, z0):
-    """The Dirichlet face pairings and the frame that orbit_ball hands to
-    _orbit_bfs for the centre z0."""
-    seen = []
-
-    def record(pairings, frame, t_max):
-        seen.append((pairings, frame))
-        return fuchsian.OrbitBall(points=np.array([z0.z]), dists=np.zeros(1))
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fuchsian, "_orbit_bfs", record)
-        orbit_ball(dom, z0, 0.0)
-    return seen[0]
-
-
 class TestOrbit:
     def test_tmax_zero(self, tri334):
         dom, _, _ = tri334
@@ -566,11 +550,13 @@ class TestOrbit:
     @pytest.mark.parametrize("k", [0, 1, 2, 3])
     def test_cone_point_refused(self, tri334, k):
         # every vertex of the (3,3,4) quadrilateral is a cone point; moved
-        # by a generator, it must still be refused, never counted |Stab| times
+        # by a generator, it must still be refused, never counted |Stab| times,
+        # also by a ball of radius 0
         dom, gens, _ = tri334
         v = gens[1].apply(dom.vertices[k])
-        with pytest.raises(ResourceError, match="cone point"):
-            orbit_ball(dom, v, 4.0)
+        for t_max in (4.0, 0.0):
+            with pytest.raises(ResourceError, match="cone point"):
+                orbit_ball(dom, v, t_max)
 
     def test_near_cone_point_counts(self, tri334):
         dom, _, _ = tri334
@@ -580,22 +566,20 @@ class TestOrbit:
         ratio = len(pts) * (math.pi / 6) / ball_volume(6.0)
         assert 0.9 <= ratio <= 1.1
 
-    def test_wrong_area_refused(self, tri334):
-        # the Dirichlet cell's area certifies its faces: a domain claiming
-        # twice the orbifold area can never be matched
+    @pytest.mark.parametrize("centre", [None, (0.05, 1.3)], ids=["interior", "off-centre"])
+    def test_truncation_refused(self, tri334, monkeypatch, centre):
+        # the cap counts the elements the search enumerates: all of them kept
+        # at the interior point, more than the kept ones off it
         dom, _, _ = tri334
-        fake = copy.copy(dom)
-        fake.area = 2.0 * dom.area
-        with pytest.raises(ResourceError, match="not certified"):
-            orbit_ball(fake, dom.interior_point, 4.0)
-
-    def test_truncation_keeps_partial_counts(self, tri334, monkeypatch):
-        dom, _, _ = tri334
-        monkeypatch.setattr(fuchsian, "ORBIT_MAX_POINTS", 1000)
-        with pytest.raises(ResourceError) as info:
-            orbit_ball(dom, dom.interior_point, 8.0)
-        pts, dists = info.value.partial
-        assert 1000 < len(pts) == len(dists) < 17813 and np.all(dists <= 8.0)
+        z0 = dom.interior_point if centre is None else HPoint(*centre)
+        kept = len(orbit_ball(dom, z0, 6.0)[0])
+        cap = kept if centre else kept - 1
+        monkeypatch.setattr(fuchsian, "ORBIT_MAX_POINTS", cap)
+        with pytest.raises(ResourceError, match=f"orbit ball exceeds {cap} points"):
+            orbit_ball(dom, z0, 6.0)
+        if centre is None:
+            monkeypatch.setattr(fuchsian, "ORBIT_MAX_POINTS", kept)
+            assert len(orbit_ball(dom, z0, 6.0)[0]) == kept
 
     def test_off_center_base_point(self, tri334):
         dom, _, _ = tri334
@@ -614,43 +598,35 @@ class TestOrbit:
 
     @pytest.mark.parametrize("group, centre", [("triangle:3,3,4", (0.3, 0.9)),
                                                ("surface:2", (0.1, 1.1))])
-    def test_polygon_pairings_strand_elements(self, group, centre, monkeypatch):
+    def test_polygon_pairings_strand_elements(self, group, centre):
         # about these centres the polygon's pairings are not the Dirichlet
         # faces, and descent over them meets elements with no closer neighbour
         dom, _, _ = build_group(parse_group_spec(group))
         frame = Mobius.to_point(HPoint(*centre)).mat
         S = np.array([fuchsian._inverse(frame) @ p.mobius.mat @ frame for p in dom.pairings])
         with pytest.raises(ResourceError, match="no strictly closer neighbour"):
-            fuchsian._orbit_bfs(S, frame, 8.0)
-        # a certification over them refuses in the round whose search first
-        # meets such an element, not as uncertified after its 8 rounds
-        searches, descend = [], fuchsian._descend
-        monkeypatch.setattr(fuchsian, "_descend", lambda *a: searches.append(a) or descend(*a))
-        reach = max(hyp_dist(HPoint(*centre), v) for v in dom.vertices)
-        with pytest.raises(ResourceError, match="no strictly closer neighbour"):
-            fuchsian._dirichlet(S, reach, dom.area, np.eye(2), 0.0)
-        assert len(searches) < 8
+            fuchsian._orbit_bfs(S, frame, np.eye(2), 8.0)
 
     def test_pairings_without_inverses_refused(self, tri334):
         _, gens, _ = tri334
         with pytest.raises(ResourceError, match="not closed under inverses"):
-            fuchsian._orbit_bfs(np.array([g.mat for g in gens]), np.eye(2), 4.0)
+            fuchsian._orbit_bfs(np.array([g.mat for g in gens]), np.eye(2), np.eye(2), 4.0)
 
     def test_tie_gap_above_the_band_refused(self, tri334, monkeypatch):
         # the interior point lies on the polygon's mirror axis, so neighbour
         # norms tie in mirror pairs up to rounding; a band of half the largest
         # such gap leaves that gap in (band, 10 band], which no rule settles
         dom, _, _ = tri334
-        S, frame = _bfs_inputs(dom, dom.interior_point)
+        S, frame, K = bfs_inputs(dom, dom.interior_point)
         g = np.concatenate([x for x, _, _ in stack_descend(S, 2.0 * math.cosh(4.0))])
         norms = ((g[:, None] @ S[None]) ** 2).sum(axis=(2, 3))
         rel = norms / norms.min(axis=1, keepdims=True) - 1.0
         gaps = rel[(rel > 0.0) & (rel <= fuchsian.TIE_BAND)]
         assert len(gaps) and gaps.max() < 1e-13  # inexact ties, at rounding level
-        assert len(fuchsian._orbit_bfs(S, frame, 4.0).points) == len(g)
+        assert len(fuchsian._orbit_bfs(S, frame, K, 4.0).points) == len(g)
         monkeypatch.setattr(fuchsian, "TIE_BAND", gaps.max() / 2.0)
         with pytest.raises(ResourceError, match="tie the band cannot settle"):
-            fuchsian._orbit_bfs(S, frame, 4.0)
+            fuchsian._orbit_bfs(S, frame, K, 4.0)
 
     def test_mirror_ties_count_once(self, tri334):
         dom, _, _ = tri334

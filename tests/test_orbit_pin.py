@@ -9,17 +9,18 @@ surface:2 (0.1, 1.1)), and the off-polygon centre (2.0, 0.5), where the
 old default margin (diameter + 0.25) missed 490 of the 2,584 points.
 
 The same centres, and the four centres of the orbit-calib benchmark at
-t = 10, also check the entry-array reverse search against the stack-based
-one it replaced (conftest.stack_descend): the same points and distances,
-and the same Dirichlet face pairings.  On triangle and surface groups the
-polygon's distinct pairings, which start every ball, are the faces that
-the generator-grown bootstrap (conftest.generator_dirichlet) certifies.
-The convex-hull cell of a certification agrees with the clipped cell it
-replaced (conftest.clip_cell) on every bisector set those certifications
-cut and on random subsets of them.
+t = 10, also check the ball filtered from one search about the interior
+point against the certification it replaced: the stack-based search
+(conftest.stack_descend) over the faces of the Dirichlet domain about the
+pulled-back centre, which conftest.certified_dirichlet certifies with the
+clipped cell (conftest.clip_cell).  Those are the same points and
+distances.  On triangle and surface groups the polygon's distinct
+pairings, which start every ball, are the faces that the generator-grown
+bootstrap (conftest.generator_dirichlet) certifies.  Three balls that the
+certification counted slowly or refused (a far centre and a near-vertex
+one on surface:8, the centre of surface:32) are pinned against the stack
+search about the interior point, and checked for covariance.
 """
-
-import math
 
 import numpy as np
 import pytest
@@ -27,10 +28,11 @@ from scipy.spatial import cKDTree
 
 from lyaplab import fuchsian
 from lyaplab.errterm import count_in_balls
-from lyaplab.fuchsian import build_group, orbit_ball, parse_group_spec
+from lyaplab.fuchsian import build_group, orbit_ball, parse_group_spec, pull_back
 from lyaplab.hypgeo import HPoint, Mobius, hyp_dist
 
-from conftest import clip_cell, generator_dirichlet, stack_descend, stack_orbit_bfs
+from conftest import (bfs_inputs, certified_dirichlet, generator_dirichlet, stack_ball_about_c,
+                      stack_orbit_bfs)
 
 PINNED = [
     ("triangle:3,3,4", None, 8.0,
@@ -95,48 +97,56 @@ ORACLE_CASES = ([(g, c, t) for g, c, t, _ in PINNED]
                 + [("surface:8", None, 4.0), ("surface:8", (0.1, 1.05), 5.0)])
 
 
-def _entries(levels):
-    """stack_descend's levels in _descend's layout: (4, N) entries a, b, c, d
-    and norms, refusing a local minimum as _descend does."""
-    for g, norms, minima in levels:
-        if len(minima):
-            raise fuchsian.ResourceError(
-                "orbit descent: an element has no strictly closer neighbour")
-        yield g.reshape(-1, 4).T, norms
+def _assert_same_ball(pts, dists, oracle):
+    """The same count, sorted distances within 1e-12, and the points matched
+    one to one."""
+    assert len(dists) == len(oracle.dists)
+    assert np.abs(np.sort(dists) - np.sort(oracle.dists)).max() <= 1e-12
+    gap, match = cKDTree(np.column_stack([oracle.points.real, oracle.points.imag])).query(
+        np.column_stack([pts.real, pts.imag]))
+    assert np.all(gap <= 1e-9 * np.abs(pts))
+    assert len(np.unique(match)) == len(match)
 
 
 @pytest.mark.parametrize("group, centre, t_max", ORACLE_CASES,
                          ids=[f"{g}@{c or 'interior'}@{t:g}" for g, c, t in ORACLE_CASES])
-def test_matches_stack_oracle(group, centre, t_max, monkeypatch):
+def test_matches_stack_oracle(group, centre, t_max):
+    # the ball over the certified faces about the pulled-back centre q
     dom, _, _ = build_group(parse_group_spec(group))
     z0 = dom.interior_point if centre is None else HPoint(*centre)
-    bfs, dirichlet, balls, domains = fuchsian._orbit_bfs, fuchsian._dirichlet, [], []
+    pts, dists = orbit_ball(dom, z0, t_max)
+    Sc, frame, K = bfs_inputs(dom, z0)
+    q, _ = pull_back(dom, z0)
+    reach = max(hyp_dist(q, v) for v in dom.vertices)
+    faces = certified_dirichlet(Sc, reach, dom.area, K, hyp_dist(dom.interior_point, q))
+    _assert_same_ball(pts, dists, stack_orbit_bfs(faces, frame, t_max))
 
-    def both_balls(pairings, frame, t):
-        balls.append((bfs(pairings, frame, t), stack_orbit_bfs(pairings, frame, t)))
-        return balls[-1][0]
 
-    def record_domain(*args):
-        domains.append((args, dirichlet(*args)))
-        return domains[-1][1]
+HARD_BALLS = [("surface:8", (-14.975, 0.098), 6.0, 23),
+              ("surface:8", (0.9929451792114469, 0.10967918198129933), 4.0, 7),
+              ("surface:32", None, 4.0, 1)]
 
-    monkeypatch.setattr(fuchsian, "_orbit_bfs", both_balls)
-    monkeypatch.setattr(fuchsian, "_dirichlet", record_domain)
-    orbit_ball(dom, z0, t_max)
-    (ball, oracle), = balls
-    assert len(ball.dists) == len(oracle.dists)
-    assert np.abs(np.sort(ball.dists) - np.sort(oracle.dists)).max() <= 1e-12
-    gap, match = cKDTree(np.column_stack([oracle.points.real, oracle.points.imag])).query(
-        np.column_stack([ball.points.real, ball.points.imag]))
-    assert np.all(gap <= 1e-9 * np.abs(ball.points))
-    assert len(np.unique(match)) == len(match)
-    # the same face pairings, as sets of elements of PSL(2, R), from the same inputs
-    monkeypatch.setattr(fuchsian, "_descend", lambda S, limit: _entries(stack_descend(S, limit)))
-    # one certified domain per ball, about the pulled-back centre
-    (args, faces), = domains
-    expect = dirichlet(*args)
-    assert len(faces) == len(expect)
-    assert fuchsian._matches(expect, faces).any(axis=1).all()
+
+@pytest.mark.parametrize("group, centre, t_max, count", HARD_BALLS,
+                         ids=[f"{g}@{c or 'interior'}@{t:g}" for g, c, t, _ in HARD_BALLS])
+def test_balls_the_certification_could_not_count(group, centre, t_max, count):
+    # the certification refused the far centre (the cap) and surface:32 (a
+    # tie) and counted the near-vertex ball slowly.  Moved by a generator, a
+    # centre keeps its ball: the distances move by at most twice the
+    # distance between the pulled-back centres, the rounding of the moved
+    # point (up to 7e-11 for the far centre, whose images lie at y ~ 1e-6),
+    # plus 1e-12
+    dom, gens, _ = build_group(parse_group_spec(group))
+    z0 = dom.interior_point if centre is None else HPoint(*centre)
+    pts, dists = orbit_ball(dom, z0, t_max)
+    assert len(pts) == count
+    _assert_same_ball(pts, dists, stack_ball_about_c(dom, z0, t_max))
+    q = pull_back(dom, z0)[0]
+    for g in gens:
+        moved = orbit_ball(dom, g.apply(z0), t_max)[1]
+        shift = hyp_dist(q, pull_back(dom, g.apply(z0))[0])
+        assert len(moved) == count
+        assert np.abs(np.sort(moved) - np.sort(dists)).max() <= 1e-12 + 2.0 * shift
 
 
 DIRICHLET_GROUPS = ["triangle:3,3,4", "triangle:2,3,7", "triangle:2,4,5", "triangle:4,4,4",
@@ -159,54 +169,6 @@ def test_pairings_are_the_generator_grown_faces(group):
     expect = generator_dirichlet(about_c([g.mat for g in gens]), reach, dom.area)
     assert len(faces) == len(expect) == len(pairings) - group.startswith("triangle:2,")
     assert fuchsian._matches(expect, faces).any(axis=1).all()
-
-
-def _round_sets(group, rng):
-    """The bisector sets F of every `_dirichlet` round about the interior
-    point and the orbit-calib centres, and random subsets of each: empty,
-    one or two bisectors, half of F, and the poles on one side of a line
-    through 0, whose hull misses 0."""
-    dom, _, _ = build_group(parse_group_spec(group))
-    sets, cell = [], fuchsian._cell
-
-    def record(F):
-        sets.append(F)
-        return cell(F)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fuchsian, "_cell", record)
-        for centre in CALIB_CENTRES:
-            orbit_ball(dom, dom.interior_point if centre is None else HPoint(*centre), 0.0)
-    subsets = []
-    for F in sets:
-        a, b, c, d = F[:, 0, 0], F[:, 0, 1], F[:, 1, 0], F[:, 1, 1]
-        u, v = rng.normal(size=2)
-        side = u * (a * a + b * b - c * c - d * d) + 2.0 * v * (a * c + b * d) > 0.0
-        pick = rng.permutation(len(F))
-        subsets += [F[:0], F[pick[:1]], F[pick[:2]], F[pick[:len(F) // 2]], F[side]]
-    return sets, subsets
-
-
-@pytest.mark.parametrize("group", DIRICHLET_GROUPS)
-def test_hull_cell_matches_clipping(group):
-    # r is finite where the clipped cell keeps no side of its box and lies in
-    # the disk; the hull's cell is then bounded, with the same faces, and the
-    # same area (relative) and squared circumradius to 1e-12
-    sets, subsets = _round_sets(group, np.random.default_rng(25))
-    assert any(fuchsian._cell(F) is not None for F in sets)
-    for F in sets + subsets:
-        V, tags = clip_cell(F)
-        r2 = (V * V).sum(axis=1).max()
-        cell = fuchsian._cell(F)
-        hull_r2 = (cell[0] ** 2).sum(axis=1).max() if cell else 1.0
-        assert (hull_r2 < 1.0) == (tags.min() >= 0 and r2 < 1.0)
-        if hull_r2 < 1.0:
-            edge = np.hypot(*(np.roll(V, -1, axis=0) - V).T)
-            hull_edge = np.hypot(*(np.roll(cell[0], -1, axis=0) - cell[0]).T)
-            assert set(tags[edge > fuchsian.CERT_TOL]) == set(cell[1][hull_edge > fuchsian.CERT_TOL])
-            area = fuchsian._cell_area(V)
-            assert abs(fuchsian._cell_area(cell[0]) - area) <= 1e-12 * area
-            assert abs(hull_r2 - r2) <= 1e-12
 
 
 @pytest.mark.parametrize("centre", [None, (0.02, 1.01)], ids=["interior", "0.02,1.01"])
