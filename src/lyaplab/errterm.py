@@ -183,13 +183,10 @@ def sum_rule_check(spectrum, degree_ratio, err, k=1):
 
 def count_csv(cf, est):
     """CSV rows t,count,count_over_vol,running_err plus a comment summary."""
-    tt = cf.t
     _, g, running = running_err(cf)
     lines = ["t,count,count_over_vol,running_err"]
-    for i in range(len(tt)):
-        lines.append(
-            f"{tt[i]:.12g},{int(cf.counts[i])},{g[i]:.12g},{running[i]:.12g}"
-        )
+    for t, c, gi, r in zip(cf.t.tolist(), cf.counts.tolist(), g.tolist(), running.tolist()):
+        lines.append(f"{t:.12g},{c},{gi:.12g},{r:.12g}")
     tails = " ".join(f"tail_{tp:g}={tv:.12g}" for tp, tv in est.tail_estimates)
     lines.append(
         f"# err={est.value:.12g} {tails} converged={int(est.converged_flag)} "

@@ -145,10 +145,12 @@ def _push(counter, m, key, e):
         m, key, level = _scale(m[1::2] @ m[::2], e), key // 2, level + 1
 
 
-def _images(rep):
-    """The signed generator images of rep, image m + g of g (image m the identity)."""
-    m = rep.num_generators
-    return np.stack([rep.generator_image(g) if g else np.eye(rep.n) for g in range(-m, m + 1)])
+def _images(reps):
+    """The signed generator images of reps, one stack: image m + g of rep r
+    at [r, m + g] (image m the identity)."""
+    m, eye = reps[0].num_generators, np.eye(reps[0].n)
+    return np.array([[rep.generator_image(g) if g else eye for g in range(-m, m + 1)]
+                     for rep in reps])
 
 
 def qr_interval(rep):
@@ -169,7 +171,7 @@ def qr_interval(rep):
     Benettin, Galgani, Giorgilli & Strelcyn, 1980).  When c > QR_BUDGET not
     even q = 1 certifies it, and rep is unresolved.  The rule is the same at
     rank 2, where it guards lambda1's windows alone (lambda2 is log|det|'s)."""
-    return _intervals(_images(rep)[None], None)[0]
+    return _intervals(_images([rep]), None)[0]
 
 
 def _intervals(table, cap):
@@ -204,7 +206,8 @@ def cocycle(reps, batch, config):
     count and scalar field.  Each runs at its own QR interval q, from
     qr_interval capped by config.qr_interval, and the reps of one q run
     fused: lane (r, i) multiplies rep r's images along lane i of batch, one
-    QR window of q steps at a time (see _lockstep); log|det| of each image
+    QR window of q steps at a time (see _lockstep; complex images multiply
+    in a real fold, read back only at rank 3 and up); log|det| of each image
     is tabled once for rank 2, exactly 0 for a unit_det rep.  Each lane's
     log counts from the end of its burn_in (log increments up to there, an
     O(1/T) frame-alignment bias, are discarded), at rank 3 and up a QR every
@@ -213,7 +216,7 @@ def cocycle(reps, batch, config):
     n, m, field = reps[0].n, reps[0].num_generators, reps[0].is_complex
     if any((rep.n, rep.num_generators, rep.is_complex) != (n, m, field) for rep in reps):
         raise ValueError("fused representations differ in size or scalar field")
-    table = np.stack([_images(rep) for rep in reps]).astype(complex if field else float)
+    table = _images(reps).astype(complex if field else float)
     log_dets = np.where([[rep.unit_det] for rep in reps], 0.0, np.linalg.slogdet(table)[1])
     schedule = _intervals(table, config.qr_interval)
     chunk = max(1, FRAME_BUDGET // (n * n * table.itemsize))
@@ -239,46 +242,56 @@ def _lockstep(table, log_dets, batch, part, config, q, rows, failures):
     windows, the images of one step of every window and lane are gathered
     at a time and folded into one product per window and lane by q - 1
     batched matmuls.  Complex images fold in real arithmetic: A + iB maps to
-    [[A, -B], [B, A]], a ring homomorphism, read back as its top-left block
-    plus i times its bottom-left block; each real entry is a length-2n dot
-    product over the magnitudes of the complex one, so the QR_BUDGET bound
-    stands.  A block holds the running products, one gathered step and their
-    product, at most FRAME_BUDGET bytes, or one window.
+    [[A, -B], [B, A]], a ring homomorphism; each real entry is a length-2n
+    dot product over the magnitudes of the complex one, so the QR_BUDGET
+    bound stands.  A block holds the running products, one gathered step
+    and their product, at most FRAME_BUDGET bytes, or one window.
 
     At rank 2 lambda1 is the growth of one vector, lambda1 + lambda2 that of
     log|det| (Dieci, Russell & Van Vleck, 1997): a lane's windows after
     settle, and before it counted back from settle, are the leaves of two
-    pairwise product trees (_push), its own up to identities that change no
-    bit.  For u the first column of the earlier root and P the later, lambda1
-    logs log(|P u| / |u|), lambda2 the later windows' log|det| (log_dets,
-    table's by row) less that; a lane fails at a window of log|det| not finite.
+    pairwise product trees (_push), folded if complex, its own up to
+    identities that change no bit.  For u the first column of the earlier
+    root and P the later, lambda1 logs log(|P u| / |u|) (a fold's first
+    column is u's real part over its imaginary part), lambda2 the later
+    windows' log|det| (log_dets, table's by row) less that; a lane fails at
+    a window of log|det| not finite.
 
-    At rank 3 and up each window is one matmul of the frames and one flush
-    of every live lane (a flush zeroes a failed frame).  A lane before its
-    start holds the identity, whose flush is exact, and its log is read at
-    the window of its last step."""
+    At rank 3 and up each window product is read back from its fold, as its
+    top-left block plus i times its bottom-left, for one matmul of the
+    frames and one flush of every live lane (a flush zeroes a failed frame).
+    A lane before its start holds the identity, whose flush is exact, and its
+    log is read at the window of its last step."""
     samples = len(batch.index)
     rep_of, lane_of = np.divmod(part, samples)
-    times = [batch.times[i] for i in lane_of]
+    # lanes k and k + samples of part follow one sample and share its coding
+    # column: what depends on the coding alone is taken once per column
+    column = np.arange(len(part)) % samples
+    own = lane_of[:samples].tolist()  # the sample of each column
+    times = [batch.times[i] for i in own]
     lengths = np.array([len(t) for t in times], dtype=np.int64)
     burn = np.array([np.searchsorted(t, config.burn_in, "right") for t in times])
+    # both span ends at crossing epochs: the log accrues only at crossings,
+    # so a span ending mid-gap would bias the rate by the mean residual gap
+    epochs = [np.append(0.0, t) for t in times]  # crossing epochs from the start
+    span = (np.array([e[-1] - e[b] for e, b in zip(epochs, burn.tolist())])
+            if config.burn_in > 0.0 else np.full(len(times), config.T))
     settle = -(-burn.max(initial=0) // q) * q  # global step at which every burn-in ends
     off = settle - burn
     ends = off + lengths
     width = -(-ends.max(initial=0) // q) * q
-    # lanes k and k + samples of part follow one sample and share its coding column
-    column = np.arange(len(part)) % samples
     steps = np.array([np.pad(batch.gens[i], (o, width - e))
-                      for i, o, e in zip(lane_of[:samples], off, ends)]).T + table.shape[1] // 2
+                      for i, o, e in zip(own, off, ends)]).T + table.shape[1] // 2
     # rows of the flattened table, (windows, q, lanes)
     windows = (steps[:, column] + rep_of * table.shape[1]).reshape(-1, q, len(part))
+    off, ends, lengths = off[column], ends[column], lengths[column]  # per lane from here
     n, field = table.shape[2], table.dtype == complex
     flat, flat_dets = table.reshape(-1, n, n), log_dets.reshape(-1)
     if field:
         flat = np.block([[flat.real, -flat.imag], [flat.imag, flat.real]])
     failed, pre_windows = {}, int(settle) // q
     if n == 2:  # the earlier tree's leaves count back from settle: pad it in front
-        eye = np.tile(np.eye(2, dtype=table.dtype), (len(part), 1, 1))
+        eye = np.tile(np.eye(len(flat[0])), (len(part), 1, 1))
         pad = (1 << pre_windows.bit_length()) - pre_windows  # to 2^k leaves
         pre, post = {k: eye for k in range(pad.bit_length()) if pad >> k & 1}, {}
         log_det, exps = np.zeros(len(part)), np.zeros(len(part), int)  # of the later tree
@@ -296,9 +309,6 @@ def _lockstep(table, log_dets, batch, part, config, q, rows, failures):
         prods = flat[idx[:, 0]]  # (windows, lanes, n, n), 2n x 2n real if complex
         for i in range(1, q):
             prods = flat[idx[:, i]] @ prods
-        if field:  # read the complex products back
-            real, prods = prods, np.empty((*prods.shape[:2], n, n), dtype=complex)
-            prods.real, prods.imag = real[..., :n, :n], real[..., n:, :n]
         if n == 2:
             dets = flat_dets[idx].sum(axis=1)  # (windows, lanes) log|det| of each window
             for w, lane in zip(*np.nonzero(~np.isfinite(dets))):  # in window order
@@ -308,6 +318,9 @@ def _lockstep(table, log_dets, batch, part, config, q, rows, failures):
             _push(post, prods[cut:], max(0, w0 - pre_windows), exps)
             log_det = np.add.accumulate(np.concatenate([log_det[None], dets[cut:]]))[-1]
             continue
+        if field:  # read the complex products back
+            real, prods = prods, np.empty((*prods.shape[:2], n, n), dtype=complex)
+            prods.real, prods.imag = real[..., :n, :n], real[..., n:, :n]
         for w, prod in enumerate(prods, w0):
             np.matmul(prod, acc.frames, out=spare)  # out=frames would copy them first
             acc.frames, spare = spare, acc.frames
@@ -325,22 +338,22 @@ def _lockstep(table, log_dets, batch, part, config, q, rows, failures):
         for level in sorted(post):  # the later one is padded with identities to 2^k leaves
             p = _scale(p @ post[level], exps)
         with np.errstate(divide="ignore", invalid="ignore"):  # failed lanes: not read
-            top = np.log(np.hypot(*abs(p @ u[:, :, :1])[..., 0].T) / np.hypot(*abs(u[..., 0]).T))
+            top = np.log(np.hypot.reduce(p @ u[:, :, :1], axis=1)[:, 0]
+                         / np.hypot.reduce(u[:, :, 0], axis=1))
             top += exps * math.log(2.0)
-            final, base_log = np.stack([top, log_det - top], axis=1), np.zeros((len(part), 2))
-    for lane, (r, i, t) in enumerate(zip(rep_of, lane_of, times)):
-        if lane in failed:
-            exc = NumericCocycleError(f"cocycle frame degenerated at step {failed[lane]}")
-            failures[r].append((batch.index[i], repr(exc)))
-            continue
-        log = np.sort(final[lane] - base_log[lane])[::-1]
-        # both window ends at crossing epochs: the log accrues only at
-        # crossings, so pairing it with a time span ending mid-gap would
-        # bias the rate by the mean residual gap over T
-        t0 = np.append(0.0, t)  # crossing epochs from the start
-        span = t0[-1] - t0[burn[lane]] if config.burn_in > 0.0 else config.T
-        lam = log / span if span > 0.0 else np.zeros(len(log))
-        rows[r].append(2.0 * lam if config.normalization == "minus4" else lam)
+            final, base_log = np.stack([top, log_det - top], axis=1), 0.0
+    span = span[column, None]
+    lam = np.divide(np.sort(final - base_log)[:, ::-1], span,
+                    out=np.zeros_like(final), where=span > 0.0)
+    if config.normalization == "minus4":
+        lam = 2.0 * lam
+    for lane, step in sorted(failed.items()):
+        exc = NumericCocycleError(f"cocycle frame degenerated at step {step}")
+        failures[rep_of[lane]].append((batch.index[lane_of[lane]], repr(exc)))
+    kept = np.ones(len(part), bool)
+    kept[list(failed)] = False
+    for r, row in zip(rep_of[kept].tolist(), lam[kept]):
+        rows[r].append(row)
 
 
 @dataclass(frozen=True)

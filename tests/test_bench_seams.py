@@ -95,6 +95,25 @@ def test_rank2_cocycle_calls_no_lapack_qr(genus2, fuchs_g2, monkeypatch, bends):
     assert qr == flushes == 0
 
 
+# complex rank-2 lanes stay in the real fold A + iB -> [[A, -B], [B, A]]
+# through the product trees: numpy's complex matmul of their 2 x 2 stacks
+# measured 7x slower per product than the fold's real one
+def test_rank2_complex_trees_stay_real(genus2, fuchs_g2, monkeypatch):
+    split = fuchsian.BendingSplit.surface_standard(2)
+    reps = [fuchsian.bend_representation(fuchs_g2, split, s) for s in (0.5j, 1j, 1.5j)]
+    dtypes, scale = [], oseledets._scale
+
+    def recorded(m, e):
+        dtypes.append(m.dtype)
+        return scale(m, e)
+
+    monkeypatch.setattr(oseledets, "_scale", recorded)
+    config = oseledets.RunConfig(T=60.0, samples=3, seed=5)
+    out = oseledets.cocycle(reps, oseledets.code_samples(genus2[0], config), config)
+    assert all(len(rows) == 3 for rows, _, _ in out)
+    assert dtypes and set(dtypes) == {np.dtype(np.float64)}
+
+
 def test_rank3_cocycle_one_lapack_qr_per_window(genus2, fuchs_g2, monkeypatch):
     # one flush per window (see test_lanes_share_qr_calls)
     qr, flushes = _qr_calls(monkeypatch, [linrep.sym_power(fuchs_g2, 2)], genus2[0])

@@ -307,6 +307,21 @@ class TestSweepCommand:
                         "--time", "60", "--samples", "4", "--out", str(out)]) == 0
         assert out.read_bytes() == csv.encode()
 
+    # sha256 of the CSV of sweep-bend's four command lines, recorded while
+    # complex rank-2 product trees multiplied complex 2 x 2 stacks
+    @pytest.mark.parametrize("seed, digest", [
+        (900, "c9bd62caae408af6acef6f43133f359682d3b1d4735bd4be6aed4b8948ce32ed"),
+        (901, "6ea4f16712c0b921042a1be444ad15e807641052085c4ce9cc2040a3cbb47877"),
+        (902, "c97758c59ca1b1907b95fd4b2e8c60a271bb77118f55ca3fbe9a2923ff829c03"),
+        (903, "07b0a351e0351313de59af4ee6b13c4889fca0b50f5766e8b6d5657d569a0a2d"),
+    ])
+    def test_pinned_bench_sweep_csv(self, tmp_path, seed, digest):
+        out = tmp_path / "sweep.csv"
+        assert run_cli(["sweep", "--group", "surface:2", "--axis", "imag", "--grid", "0:2:11",
+                        "--time", "500", "--samples", "4", "--seed", str(seed),
+                        "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
     # one chunk per scalar field and QR interval: the real twists 0, 0.5 and
     # 1 run at q = 8, 6 and 4
     @pytest.mark.parametrize("axis,fields", [("imag", [False, True]),

@@ -175,19 +175,33 @@ def test_sym3_functorial_across_qr_paths(genus2, fuchs_g2):
     (3 - 2i) lambda1(rho) (rank 2, product tree) up to the O(1/T) difference
     of their frames' alignment: at T = 500 the largest deviation measured
     over rho and its bends 0.4i, i and 1.6i was 1.93e-3 here and 2.03e-3
-    over seeds 0-12 (16 samples each); the bound is about twice that."""
+    over seeds 0-12 (16 samples each); the bound is about twice that.
+
+    Fused, as a sweep runs them, the three bends share one cocycle call
+    (complex rank 2, folded through the product trees), and so do their
+    Sym^2 (rank 3) and their Sym^3 (rank 4, complex windows read back from
+    the fold for LAPACK): each lane of bend s has Sym^k exponents
+    (k - 2i) lambda1(s), measured within 1.52e-3 for Sym^2 and 2.02e-3 for
+    Sym^3 over seeds 0-12; the bounds 3e-3 and 4e-3 are about twice that."""
     split = fuchsian.BendingSplit.surface_standard(2)
-    reps = [fuchs_g2] + [fuchsian.bend_representation(fuchs_g2, split, s)
-                         for s in (0.4j, 1j, 1.6j)]
+    bends = [fuchsian.bend_representation(fuchs_g2, split, s) for s in (0.4j, 1j, 1.6j)]
     cfg = RunConfig(T=500.0, samples=16, seed=3)
     batch = code_samples(genus2[0], cfg)
-    for rep in reps:
+    for rep in [fuchs_g2] + bends:
         [(rows, lost, why)] = cocycle([rep], batch, cfg)
         [(sym, sym_lost, sym_why)] = cocycle([sym_power(rep, 3)], batch, cfg)
         assert lost == sym_lost == [] and why == sym_why == ""
         assert rows.shape == (16, 2) and sym.shape == (16, 4)
         assert np.array_equal(rows[:, 1], -rows[:, 0])
         assert np.abs(sym - np.outer(rows[:, 0], [3, 1, -1, -3])).max() <= 4e-3
+    fused = cocycle(bends, batch, cfg)
+    for k, bound in ((2, 3e-3), (3, 4e-3)):
+        syms = cocycle([sym_power(rep, k) for rep in bends], batch, cfg)
+        for (rows, lost, why), (sym, sym_lost, sym_why) in zip(fused, syms, strict=True):
+            assert lost == sym_lost == [] and why == sym_why == ""
+            assert rows.shape == (16, 2) and sym.shape == (16, k + 1)
+            assert np.array_equal(rows[:, 1], -rows[:, 0])
+            assert np.abs(sym - np.outer(rows[:, 0], np.arange(k, -k - 1, -2))).max() <= bound
 
 
 class TestRunSample:
