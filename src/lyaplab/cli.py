@@ -55,14 +55,10 @@ def resolve_rep(source, group_bundle):
     cube = source == "builtin:unitary-cube"
     rep = linrep.unitary_cube_rep() if cube else linrep.load_rep(source)
     if rep.num_generators != len(gens):
-        raise Refusal(
-            f"{source} has {rep.num_generators} generators; the group has {len(gens)}"
-        )
+        raise Refusal(f"{source} has {rep.num_generators} generators; the group has {len(gens)}")
     if cube and rels and tuple(tuple(w) for w in rels) != rep.relations:
-        rep = linrep.Representation(
-            rep.n, rep.field, rep.generators, rels, rep.label,
-            rep.projective_flag, rep.unit_det,
-        )
+        rep = linrep.Representation(rep.n, rep.field, rep.generators, rels, rep.label,
+                                    rep.projective_flag, rep.unit_det)
     return rep
 
 
@@ -95,20 +91,16 @@ def _bend_split_for(rep, group_spec):
     if rep.n != 2:
         raise Refusal("bend transform needs a rank-2 representation")
     if group_spec.kind != "surface":
-        raise Refusal(
-            "bend transform needs a surface group (no canonical amalgam "
-            "for triangle groups); supply surface:g"
-        )
+        raise Refusal("bend transform needs a surface group (no canonical amalgam "
+                      "for triangle groups); supply surface:g")
     return fuchsian.BendingSplit.surface_standard(group_spec.params[0])
 
 
 def _gate_relations(rep):
     report = linrep.check_relations(rep)
     if not report.holds():
-        raise Refusal(
-            f"relation check failed: residual {report.max_residual:.3e} "
-            f"(relative {report.max_relative:.3e})"
-        )
+        raise Refusal(f"relation check failed: residual {report.max_residual:.3e} "
+                      f"(relative {report.max_relative:.3e})")
     return report
 
 
@@ -162,26 +154,18 @@ def svg_line_plot(series, title, xlabel, ylabel):
     for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
         xv = x0 + frac * (x1 - x0)
         yv = y0 + frac * (y1 - y0)
-        parts.append(
-            f'<text x="{sx(xv):.1f}" y="{height-pad+16}" text-anchor="middle" '
-            f'font-size="10">{xv:.4g}</text>'
-        )
-        parts.append(
-            f'<text x="{pad-6}" y="{sy(yv)+3:.1f}" text-anchor="end" '
-            f'font-size="10">{yv:.4g}</text>'
-        )
+        parts.append(f'<text x="{sx(xv):.1f}" y="{height-pad+16}" text-anchor="middle" '
+                     f'font-size="10">{xv:.4g}</text>')
+        parts.append(f'<text x="{pad-6}" y="{sy(yv)+3:.1f}" text-anchor="end" '
+                     f'font-size="10">{yv:.4g}</text>')
     for xs, ys, color, marker in series:
         pts = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys))
-        parts.append(
-            f'<polyline points="{pts}" fill="none" stroke="{color}" '
-            'stroke-width="1.5"/>'
-        )
+        parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" '
+                     'stroke-width="1.5"/>')
         if marker:
             for x, y in zip(xs, ys):
-                parts.append(
-                    f'<circle cx="{sx(x):.2f}" cy="{sy(y):.2f}" r="2.5" '
-                    f'fill="{color}"/>'
-                )
+                parts.append(f'<circle cx="{sx(x):.2f}" cy="{sy(y):.2f}" r="2.5" '
+                             f'fill="{color}"/>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
@@ -287,8 +271,7 @@ def _parse_center(text):
 def cmd_err(ns):
     kind = "veronese:2" if ns.dev == "identity" else ns.dev
     if not kind.startswith("veronese:"):
-        raise Refusal(
-            f"dev kind {ns.dev!r} unsupported (use identity | veronese:n)")
+        raise Refusal(f"dev kind {ns.dev!r} unsupported (use identity | veronese:n)")
     dev = devmaps.veronese_dev(int(kind.split(":")[1]))
     if ns.covector is None:
         raise Refusal("err needs --covector")
@@ -339,11 +322,8 @@ def cmd_rep(ns):
     _, _, rep = _resolve(ns)
     report = _gate_relations(rep) if ns.check else linrep.check_relations(rep)
     _write_text(ns.out, linrep.format_rep_text(rep))
-    sys.stderr.write(
-        f"relations: max residual {report.max_residual:.3e} "
-        f"(relative {report.max_relative:.3e}); classify: "
-        f"{linrep.classify(rep)}\n"
-    )
+    sys.stderr.write(f"relations: max residual {report.max_residual:.3e} "
+                     f"(relative {report.max_relative:.3e}); classify: {linrep.classify(rep)}\n")
     return 0
 
 
@@ -370,9 +350,8 @@ def _selftest_suites():
         worst = 0.0
         for _ in range(200):
             m, z, w = rand_mobius(), rand_point(), rand_point()
-            worst = max(worst, abs(
-                hypgeo.hyp_dist(m.apply(z), m.apply(w)) - hypgeo.hyp_dist(z, w)
-            ))
+            worst = max(worst, abs(hypgeo.hyp_dist(m.apply(z), m.apply(w))
+                                   - hypgeo.hyp_dist(z, w)))
         return worst < 1e-10, f"max distance distortion {worst:.2e}"
 
     def suite_group_law():
@@ -410,21 +389,21 @@ def _selftest_suites():
         # whole segment; that state is the flow's, pushed by the crossed
         # pairings g_k ... g_1
         ut = hypgeo.UnitTangent(dom3.interior_point, 0.8346)
-        both = list(fuchsian.iter_crossings(dom3, ut, 13.0))
-        k = sum(t <= 6.0 for t, _ in both) - 1  # the last crossing by t = 6
+        times, gens = fuchsian.trace_geodesic(dom3, ut, 13.0)
+        k = int(np.count_nonzero(times <= 6.0)) - 1  # the last crossing by t = 6
         pairing = {p.word[0]: p.mobius for p in dom3.pairings}
         m = hypgeo.Mobius.identity()
-        for _, g in both[:k + 1]:
+        for g in gens[:k + 1].tolist():
             m = pairing[g] @ m
-        t0 = both[k][0]
+        t0 = float(times[k])
         end = hypgeo.geodesic_flow(ut, t0)
         c, d = m.mat[1]
         start = hypgeo.UnitTangent(m.apply(end.base),
                                    end.angle - 2.0 * cmath.phase(c * end.base.z + d))
-        rest = list(fuchsian.iter_crossings(dom3, start, 13.0 - t0))
-        gens_match = [g for _, g in rest] == [g for _, g in both[k + 1:]]
-        dt = (max((abs(t0 + t - u) for (t, _), (u, _) in zip(rest, both[k + 1:])),
-                  default=0.0) if gens_match else math.inf)
+        rest, rest_gens = fuchsian.trace_geodesic(dom3, start, 13.0 - t0)
+        gens_match = np.array_equal(rest_gens, gens[k + 1:])
+        dt = (float(np.abs(t0 + rest - times[k + 1:]).max(initial=0.0)) if gens_match
+              else math.inf)
         return gens_match and dt < 1e-7, f"concatenation defect {dt:.2e}"
 
     def suite_homomorphism():
@@ -466,11 +445,8 @@ def _selftest_suites():
         return spread <= max(bound, 1e-9), f"spread {spread:.2e} vs 3se {bound:.2e}"
 
     def suite_seed_determinism():
-        runs = [
-            oseledets.spectrum_csv(oseledets.estimate_spectrum(
-                dom3, rep3, oseledets.RunConfig(T=100.0, samples=4, seed=123)))
-            for _ in range(2)
-        ]
+        runs = [oseledets.spectrum_csv(oseledets.estimate_spectrum(
+            dom3, rep3, oseledets.RunConfig(T=100.0, samples=4, seed=123))) for _ in range(2)]
         return runs[0] == runs[1], "CSV outputs differ" if runs[0] != runs[1] else "byte-identical"
 
     def suite_unitary_zero():

@@ -9,11 +9,10 @@ representation at lambda_1 = 1.
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
-from .fuchsian import iter_crossings
+from .fuchsian import trace_geodesic
 from .hypgeo import HPoint, UnitTangent
 
 # the two a-priori bounds of a representation's QR interval (see qr_interval)
@@ -59,7 +58,8 @@ class RunConfig:
 class CodingBatch:
     """Side crossings of the sample geodesics of one run: lane i codes
     sample index[i], with crossing times times[i] in (0, T] and the signed
-    generators gens[i] applied there.  The coding depends only on the curve
+    generators gens[i] applied there, the float64 and int64 arrays of
+    fuchsian.trace_geodesic as it returned them.  The coding depends only on the curve
     and key = (T, samples, seed, random_base), never on the representation.
     failures holds (sample index, exception repr) of each failed trace.
     """
@@ -83,15 +83,14 @@ def code_samples(dom, config):
         rng = np.random.default_rng([config.seed, i])
         angle = rng.uniform(0.0, 2.0 * math.pi)
         base = _sample_base(dom, rng) if config.random_base else dom.interior_point
-        try:  # the (time, generator) stream, flattened
-            tg = np.fromiter(chain.from_iterable(
-                iter_crossings(dom, UnitTangent(base, angle), config.T)), dtype=float)
+        try:
+            t, g = trace_geodesic(dom, UnitTangent(base, angle), config.T)
         except (ArithmeticError, RuntimeError) as exc:  # keep sampling
             failures.append((i, repr(exc)))
             continue
         index.append(i)
-        times.append(tg[0::2].copy())
-        gens.append(tg[1::2].astype(np.int64))
+        times.append(t)
+        gens.append(g)
     return CodingBatch(tuple(index), tuple(times), tuple(gens),
                        _coding_key(config), tuple(failures))
 
@@ -125,24 +124,28 @@ class CocycleAccumulator:
 
 
 def _scale(m, e):
-    """m / 2^k per matrix of the stack m, for k putting its largest real or
-    imaginary |entry| in [1, 2) (exact; the identity stays); add k to e."""
+    """m / 2^k per matrix of the stack m, in place, for k putting its largest
+    real or imaginary |entry| in [1, 2) (exact; the identity stays); add k to e."""
     x = m.reshape(*m.shape[:-2], m.shape[-2] * m.shape[-1]).view(float)
-    k = np.frexp(np.abs(x).max(axis=-1))[1] - 1
+    k = np.frexp(np.maximum(x.max(axis=-1), -x.min(axis=-1)))[1] - 1
     e += k.reshape(-1, len(e)).sum(axis=0)
-    return np.ldexp(x, -k[..., None]).view(m.dtype).reshape(m.shape)
+    return np.ldexp(x, -k[..., None], out=x).view(m.dtype).reshape(m.shape)
 
 
-def _push(counter, m, key, e):
+def _push(counter, m, key, e, work):
     """Merge leaves m, the first of index key, into counter (counter[k]: the level-k
-    node waiting for its later sibling); nodes 2j, 2j + 1 merge as 2j + 1 @ 2j, scaled."""
-    m, level = _scale(m, e), 0
+    node waiting for its later sibling); nodes 2j, 2j + 1 merge as 2j + 1 @ 2j, scaled, in
+    place in m, then in the two buffers of work by turns (room for len(m) + 1 nodes each);
+    counter keeps copies."""
+    m, level, free = _scale(m, e), 0, 0
     while len(m):
         if key % 2:  # the first node closes its pair
-            m, key = np.concatenate([counter.pop(level)[None], m]), key - 1
+            m = np.concatenate([counter.pop(level)[None], m], out=work[free][:len(m) + 1])
+            key, free = key - 1, 1 - free
         if len(m) % 2:
-            counter[level], m = m[-1], m[:-1]
-        m, key, level = _scale(m[1::2] @ m[::2], e), key // 2, level + 1
+            counter[level], m = m[-1].copy(), m[:-1]
+        m = np.matmul(m[1::2], m[::2], out=work[free][:len(m) // 2])
+        m, key, level, free = _scale(m, e), key // 2, level + 1, 1 - free
 
 
 def _images(reps):
@@ -245,7 +248,8 @@ def _lockstep(table, log_dets, batch, part, config, q, rows, failures):
     [[A, -B], [B, A]], a ring homomorphism; each real entry is a length-2n
     dot product over the magnitudes of the complex one, so the QR_BUDGET
     bound stands.  A block holds the running products, one gathered step
-    and their product, at most FRAME_BUDGET bytes, or one window.
+    and their product, at most FRAME_BUDGET bytes, or one window, in three
+    buffers that every block reuses.
 
     At rank 2 lambda1 is the growth of one vector, lambda1 + lambda2 that of
     log|det| (Dieci, Russell & Van Vleck, 1997): a lane's windows after
@@ -282,8 +286,9 @@ def _lockstep(table, log_dets, batch, part, config, q, rows, failures):
     width = -(-ends.max(initial=0) // q) * q
     steps = np.array([np.pad(batch.gens[i], (o, width - e))
                       for i, o, e in zip(own, off, ends)]).T + table.shape[1] // 2
-    # rows of the flattened table, (windows, q, lanes)
-    windows = (steps[:, column] + rep_of * table.shape[1]).reshape(-1, q, len(part))
+    # rows of the flattened table, (windows, q, lanes); int32 halves the index
+    windows = (steps[:, column] + rep_of * table.shape[1]).astype(np.int32)
+    windows = windows.reshape(-1, q, len(part))
     off, ends, lengths = off[column], ends[column], lengths[column]  # per lane from here
     n, field = table.shape[2], table.dtype == complex
     flat, flat_dets = table.reshape(-1, n, n), log_dets.reshape(-1)
@@ -294,36 +299,44 @@ def _lockstep(table, log_dets, batch, part, config, q, rows, failures):
         eye = np.tile(np.eye(len(flat[0])), (len(part), 1, 1))
         pad = (1 << pre_windows.bit_length()) - pre_windows  # to 2^k leaves
         pre, post = {k: eye for k in range(pad.bit_length()) if pad >> k & 1}, {}
-        log_det, exps = np.zeros(len(part)), np.zeros(len(part), int)  # of the later tree
+        exps = np.zeros(len(part), int)  # of the later tree
+        dets = flat_dets[windows].sum(axis=1)  # (windows, lanes) log|det| of each window
+        for w, lane in zip(*np.nonzero(~np.isfinite(dets))):  # in window order
+            failed.setdefault(int(lane), min((w + 1) * q - off[lane], lengths[lane]))
+        log_det = np.add.accumulate(np.concatenate([np.zeros((1, len(part))),
+                                                    dets[pre_windows:]]))[-1]
     else:
         acc = CocycleAccumulator(len(part), n, field)
-        base_log, spare = np.zeros_like(acc.log_diag), np.empty_like(acc.frames)
+        base_log, frames = np.zeros_like(acc.log_diag), np.empty_like(acc.frames)
         final = np.zeros_like(acc.log_diag)  # each lane's log at its last window
         closing = {}  # window: the lanes whose last step falls in it
         for lane, w in enumerate(((ends - 1) // q).tolist()):
             closing.setdefault(w, []).append(lane)
         live = slice(None)  # every lane, until one degenerates
     block = max(1, FRAME_BUDGET // (3 * len(part) * flat[0].nbytes))
+    # the running products, a gathered step and their product, then the trees' upper
+    # levels: no view may outlive a block.  The rows are in range; clip does not buffer
+    bufs = list(np.empty((3, min(block, len(windows)) + 1, len(part), *flat.shape[1:])))
     for w0 in range(0, len(windows), block):
         idx = windows[w0:w0 + block]
-        prods = flat[idx[:, 0]]  # (windows, lanes, n, n), 2n x 2n real if complex
+        prods, gathered, spare = (buf[:len(idx)] for buf in bufs)  # (windows, lanes, n, n)
+        np.take(flat, idx[:, 0], axis=0, out=prods, mode="clip")
         for i in range(1, q):
-            prods = flat[idx[:, i]] @ prods
+            np.matmul(np.take(flat, idx[:, i], axis=0, out=gathered, mode="clip"), prods,
+                      out=spare)
+            prods, spare = spare, prods
+            bufs[0], bufs[2] = bufs[2], bufs[0]
         if n == 2:
-            dets = flat_dets[idx].sum(axis=1)  # (windows, lanes) log|det| of each window
-            for w, lane in zip(*np.nonzero(~np.isfinite(dets))):  # in window order
-                failed.setdefault(int(lane), min((w0 + w + 1) * q - off[lane], lengths[lane]))
             cut = max(0, pre_windows - w0)
-            _push(pre, prods[:cut], pad + w0, np.zeros(len(part), int))
-            _push(post, prods[cut:], max(0, w0 - pre_windows), exps)
-            log_det = np.add.accumulate(np.concatenate([log_det[None], dets[cut:]]))[-1]
+            _push(pre, prods[:cut], pad + w0, np.zeros(len(part), int), bufs[1:])
+            _push(post, prods[cut:], max(0, w0 - pre_windows), exps, bufs[1:])
             continue
         if field:  # read the complex products back
             real, prods = prods, np.empty((*prods.shape[:2], n, n), dtype=complex)
             prods.real, prods.imag = real[..., :n, :n], real[..., n:, :n]
         for w, prod in enumerate(prods, w0):
-            np.matmul(prod, acc.frames, out=spare)  # out=frames would copy them first
-            acc.frames, spare = spare, acc.frames
+            np.matmul(prod, acc.frames, out=frames)  # out=acc.frames would copy them first
+            acc.frames, frames = frames, acc.frames
             bad = acc.flush(live)
             if len(bad):
                 step = np.minimum((w + 1) * q - off[bad], lengths[bad])

@@ -54,16 +54,11 @@ def random_sl2(rng):
 
 
 def coding(dom, ut, T):
-    """The crossings of the geodesic from ut up to time T, collected from
-    fuchsian.iter_crossings: times, signed generators and the number of
-    direction perturbations."""
-    perturbs = []
-    out = list(fuchsian.iter_crossings(dom, ut, T, perturb_log=perturbs))
-    return SimpleNamespace(
-        times=np.array([t for t, _ in out], dtype=float),
-        gens=np.array([g for _, g in out], dtype=np.int64),
-        perturbations=len(perturbs),
-    )
+    """The crossings of the geodesic from ut up to time T, from
+    fuchsian.trace_geodesic: times, signed generators and the number of
+    direction perturbations, which the vertex-sign walk never makes."""
+    times, gens = fuchsian.trace_geodesic(dom, ut, T)
+    return SimpleNamespace(times=times, gens=gens, perturbations=0)
 
 
 def _scalar_walk_sides(dom):
@@ -83,9 +78,9 @@ def _scalar_walk_sides(dom):
 
 def scalar_walk_crossings(dom, ut, T):
     """The one-pass vertex-sign walk that the two-pass walk of
-    `fuchsian.iter_crossings` replaced, kept as its oracle: it computes each
+    `fuchsian.trace_geodesic` replaced, kept as its oracle: it computes each
     crossing's time as it walks, one crossing at a time, and the two must
-    yield the same (time, signed generator) pairs bit for bit."""
+    give the same (time, signed generator) pairs bit for bit."""
     _cross = fuchsian._cross
     _lift = fuchsian._lift
     ResourceError = fuchsian.ResourceError
@@ -132,7 +127,7 @@ def scalar_walk_crossings(dom, ut, T):
 
 def hyperboloid_crossings(dom, ut, T):
     """The hyperboloid tracer that the vertex-sign walk of
-    `fuchsian.iter_crossings` replaced, kept as its oracle; it yields the
+    `fuchsian.trace_geodesic` replaced, kept as its oracle; it yields the
     same (time, signed generator) pairs.
 
     The geodesic runs as P(t) = P cosh t + V sinh t.  Along it a side k's
@@ -475,15 +470,17 @@ def per_value_bend(rep, split, s):
         raise fuchsian.DegenerateBendingError("centralizer eigenbasis ill-conditioned")
     Pinv = np.linalg.inv(P)
     X = P @ np.diag([1.0, -1.0]) @ Pinv
-    scale = np.array([[1.0, np.exp(2.0 * s)], [np.exp(-2.0 * s), 1.0]])
     new_gens = []
     complex_out = rep.field == "complex" or abs(complex(s).imag) > 0 or np.iscomplexobj(X)
-    for i, g in enumerate(rep.generators, start=1):
-        if i in split.moving:
-            h = P @ ((Pinv @ g @ P) * scale) @ Pinv
-        else:
-            h = np.asarray(g, dtype=complex)
-        new_gens.append(h if complex_out else np.real_if_close(h, tol=1e6))
+    # a large twist overflows here, as in bend_representations; the gate refuses it
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = np.array([[1.0, np.exp(2.0 * s)], [np.exp(-2.0 * s), 1.0]])
+        for i, g in enumerate(rep.generators, start=1):
+            if i in split.moving:
+                h = P @ ((Pinv @ g @ P) * scale) @ Pinv
+            else:
+                h = np.asarray(g, dtype=complex)
+            new_gens.append(h if complex_out else np.real_if_close(h, tol=1e6))
     out = linrep.Representation(
         n=2,
         field="complex" if complex_out else "real",

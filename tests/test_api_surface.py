@@ -27,9 +27,6 @@ EXEMPT = {
 
 # defaulted parameters that no call of the package or the benchmark names
 EXEMPT_PARAMS = {
-    # perfbench/tracing.py's wrap_crossings passes it to the wrapped tracer,
-    # a call of the name fn that the lint cannot tie to iter_crossings
-    "fuchsian.iter_crossings(perturb_log)",
     # sum_rule_check is an exempt entry point (above); C7 passes k = 2 for Sym^2
     "errterm.sum_rule_check(k)",
 }

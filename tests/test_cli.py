@@ -247,13 +247,13 @@ class TestSweepCommand:
         assert rows[1] == ["16", "nan", "nan", "failed:unresolved"]
 
     def test_each_geodesic_traced_once(self, tmp_path, monkeypatch):
-        real, traced = oseledets.iter_crossings, []
+        real, traced = oseledets.trace_geodesic, []
 
-        def counting(dom, ut, T, **kw):
+        def counting(dom, ut, T):
             traced.append(ut)
-            return real(dom, ut, T, **kw)
+            return real(dom, ut, T)
 
-        monkeypatch.setattr(oseledets, "iter_crossings", counting)
+        monkeypatch.setattr(oseledets, "trace_geodesic", counting)
         assert run_cli(["sweep", "--group", "surface:2", "--axis", "imag",
                         "--grid", "0:1:3", "--time", "60", "--samples", "4",
                         "--seed", "4", "--out", str(tmp_path / "s.csv")]) == 0

@@ -238,6 +238,22 @@ class TestPullBack:
             gens = coding(dom, UnitTangent(c, direction_to(c, target)), d).gens
             assert pull_back(dom, target)[1] == tuple(-g for g in gens.tolist())
 
+    def test_word_negates_the_traced_segment(self, tri334, monkeypatch):
+        # the word is read off the generator array of the one segment that
+        # pull_back traces, as Python ints
+        dom, _, _ = tri334
+        real, traced = fuchsian.trace_geodesic, []
+
+        def recording(dom, ut, T):
+            traced.append(real(dom, ut, T))
+            return traced[-1]
+
+        monkeypatch.setattr(fuchsian, "trace_geodesic", recording)
+        _, word = pull_back(dom, HPoint(2.5, 0.01))
+        [(_, gens)] = traced
+        assert len(gens) > 5
+        assert word == tuple((-gens).tolist()) and all(type(g) is int for g in word)
+
 
 class TestCoding:
     def test_short_segment_empty(self, tri334):
@@ -392,7 +408,7 @@ class TestCoding:
         for i in range(24):
             base = _sample_base(dom, rng) if i % 2 else dom.interior_point
             ut = UnitTangent(base, rng.uniform(0.0, 2.0 * math.pi))
-            walk = list(fuchsian.iter_crossings(dom, ut, 20.0))
+            walk = _pairs(dom, ut, 20.0)
             oracle = list(hyperboloid_crossings(dom, ut, 20.0))
             assert [g for _, g in walk] == [g for _, g in oracle]
             assert max(abs(t - u) for (t, _), (u, _) in zip(walk, oracle) if u <= 15.0) <= 1e-6
@@ -402,7 +418,7 @@ class TestCoding:
         for v in dom.vertices:
             ut = UnitTangent(dom.interior_point, direction_to(dom.interior_point, v))
             w, u = (mobius_of_word(gens, tuple(g for _, g in trace(dom, ut, 20.0))[::-1]).mat
-                    for trace in (fuchsian.iter_crossings, hyperboloid_crossings))
+                    for trace in (_pairs, hyperboloid_crossings))
             assert min(np.abs(w - u).max(), np.abs(w + u).max()) <= 1e-7 * np.abs(u).max()
 
     @pytest.mark.parametrize("specname", BUILTIN)
@@ -417,7 +433,7 @@ class TestCoding:
         for k in range(n):
             for i, ut in enumerate(_side_and_vertex_rays(dom, k)):
                 try:
-                    cs = list(fuchsian.iter_crossings(dom, ut, 10.0))
+                    cs = _pairs(dom, ut, 10.0)
                 except ResourceError:
                     assert i not in (2, 5), "an inward ray must code"
                     continue
@@ -435,7 +451,7 @@ class TestCoding:
 
     @pytest.mark.parametrize("specname", BUILTIN)
     def test_two_passes_match_the_scalar_walk(self, specname):
-        # the chunked walk yields the scalar walk's pairs bit for bit, and
+        # the chunked walk gives the scalar walk's pairs bit for bit, and
         # refuses where it refuses: random geodesics, half from random
         # bases, rays through the vertices (whose corner crossings of
         # length 0 can outrun the first chunk's estimate), and the rays from
@@ -452,10 +468,10 @@ class TestCoding:
                    for ut in _side_and_vertex_rays(dom, k)]
         for ut, T in traces:
             oracle = _trace(scalar_walk_crossings, dom, ut, T)
-            assert _trace(fuchsian.iter_crossings, dom, ut, T) == oracle
+            assert _trace(_pairs, dom, ut, T) == oracle
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(fuchsian, "_CHUNK_MAX", 7)
-                assert _trace(fuchsian.iter_crossings, dom, ut, T) == oracle
+                assert _trace(_pairs, dom, ut, T) == oracle
 
     @pytest.mark.parametrize("specname", BUILTIN)
     def test_shorter_codings_are_prefixes(self, specname):
@@ -466,23 +482,27 @@ class TestCoding:
         for i in range(6):
             ut = UnitTangent(_sample_base(dom, rng) if i % 2 else dom.interior_point,
                              rng.uniform(0.0, 2.0 * math.pi))
-            full = list(fuchsian.iter_crossings(dom, ut, 300.0))
+            full = _pairs(dom, ut, 300.0)
             for T in (0.01, 1.0, 37.5, 150.0):
-                part = list(fuchsian.iter_crossings(dom, ut, T))
+                part = _pairs(dom, ut, T)
                 assert part == full[:len(part)]
                 assert len(part) == len(full) or full[len(part)][0] > T - 1e-9
 
     def test_crossing_budget_refuses_after_the_scalar_walks_crossings(self):
         # an inradius this large leaves a budget of 64 crossings, fewer than
-        # T = 100 needs: both walks yield the same 64 crossings, then refuse
+        # T = 100 needs: the scalar walk yields 64 crossings, then refuses,
+        # and the array walk refuses alike, at a chunk of 7 as well
         dom, _, _ = build_group(GroupSpec.triangle(3, 3, 4))
         dom.inradius = 1e6
         assert int(64 + 16.0 * 100.0 / dom.inradius) == 64
         ut = UnitTangent(dom.interior_point, 0.7)
-        walk = _trace(fuchsian.iter_crossings, dom, ut, 100.0)
-        assert walk == _trace(scalar_walk_crossings, dom, ut, 100.0)
-        assert len(walk[0]) == 64
-        assert walk[1] == "crossing budget exceeded (tracing runaway)"
+        oracle = _trace(scalar_walk_crossings, dom, ut, 100.0)
+        assert len(oracle[0]) == 64
+        assert oracle[1] == "crossing budget exceeded (tracing runaway)"
+        assert _trace(_pairs, dom, ut, 100.0) == ([], oracle[1])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fuchsian, "_CHUNK_MAX", 7)
+            assert _trace(_pairs, dom, ut, 100.0) == ([], oracle[1])
         batch = code_samples(dom, RunConfig(T=100.0, samples=2, seed=5))
         assert batch.index == ()
         assert [i for i, _ in batch.failures] == [0, 1]
@@ -509,8 +529,14 @@ def _side_and_vertex_rays(dom, k):
                    UnitTangent(a, inward + math.pi)]
 
 
+def _pairs(dom, ut, T):
+    """fuchsian.trace_geodesic's crossings as (time, signed generator) pairs."""
+    times, gens = fuchsian.trace_geodesic(dom, ut, T)
+    return list(zip(times.tolist(), gens.tolist()))
+
+
 def _trace(trace, dom, ut, T):
-    """The crossings a tracer yields before it returns or refuses, and its
+    """The crossings a tracer gives before it returns or refuses, and its
     refusal's message (None when it returns)."""
     out = []
     try:

@@ -6,7 +6,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad, solve_ivp
 
-from lyaplab.fuchsian import FundamentalDomain, ResourceError, SidePairing, iter_crossings
+from lyaplab.fuchsian import FundamentalDomain, ResourceError, SidePairing, trace_geodesic
 from lyaplab.hypgeo import (
     HPoint,
     Mobius,
@@ -241,8 +241,8 @@ def exit_of(ut, dom):
     """The first crossing (time, side index) of the ray from ut with the
     polygon dom, whose pairings are the identity, so the state there is
     geodesic_flow(ut, time)."""
-    t, gen = next(iter_crossings(dom, ut, 10.0))
-    return t, gen - 1
+    times, gens = trace_geodesic(dom, ut, 10.0)
+    return float(times[0]), int(gens[0]) - 1
 
 
 class TestCrossing:

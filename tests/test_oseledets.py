@@ -245,16 +245,16 @@ class TestBatchedCocycle:
         cfg = RunConfig(T=100.0, samples=5, seed=4)
         full = estimate_spectrum(dom, fuchs334, cfg)
         assert full.failures == ()
-        real = oseledets.iter_crossings
+        real = oseledets.trace_geodesic
         calls = []
 
-        def failing_third(dom, ut, T, **kw):
+        def failing_third(dom, ut, T):
             calls.append(ut)
             if len(calls) == 3:
                 raise fuchsian.ResourceError("injected")
-            return real(dom, ut, T, **kw)
+            return real(dom, ut, T)
 
-        monkeypatch.setattr(oseledets, "iter_crossings", failing_third)
+        monkeypatch.setattr(oseledets, "trace_geodesic", failing_third)
         est = estimate_spectrum(dom, fuchs334, cfg)
         assert est.samples == 4
         assert [i for i, _ in est.failures] == [2]
@@ -279,6 +279,32 @@ class TestBatchedCocycle:
             assert len(times) > 0
             assert times.tolist() == want.times.tolist()
             assert gens.tolist() == want.gens.tolist()
+
+    def test_coding_arrays_stored_as_traced(self, tri334, monkeypatch):
+        # code_samples keeps each trace's arrays, with no copy: float64
+        # times and int64 generators, C-contiguous; chunks of 7 give the
+        # same arrays bit for bit
+        dom, _, _ = tri334
+        cfg = RunConfig(T=200.0, samples=4, seed=8, random_base=True)
+        real, traced = oseledets.trace_geodesic, []
+
+        def recording(dom, ut, T):
+            traced.append(real(dom, ut, T))
+            return traced[-1]
+
+        monkeypatch.setattr(oseledets, "trace_geodesic", recording)
+        batch = code_samples(dom, cfg)
+        assert batch.index == (0, 1, 2, 3) and len(traced) == 4
+        for (t, g), times, gens in zip(traced, batch.times, batch.gens):
+            assert times is t and gens is g
+            assert times.dtype == np.float64 and gens.dtype == np.int64
+            assert times.flags.c_contiguous and gens.flags.c_contiguous
+            assert len(times) > 7
+        monkeypatch.setattr(fuchsian, "_CHUNK_MAX", 7)
+        chunked = code_samples(dom, cfg)
+        assert chunked.index == batch.index
+        for a, b in zip(batch.times + batch.gens, chunked.times + chunked.gens):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
     def test_csv_independent_of_lane_chunking(self, tmp_path, monkeypatch):
         args = ["spectrum", "--group", "triangle:3,3,4", "--time", "120",
