@@ -284,12 +284,14 @@ def cmd_err(ns):
 
 
 def _err_grid(t_max, nodes):
-    """Denser nodes at small radii where the integrand varies fastest."""
+    """Denser nodes at small radii where the integrand varies fastest; a
+    non-finite t_max leaves non-finite nodes, which CountFunction refuses."""
     n1 = max(50, nodes // 2)
     head = np.linspace(0.25, min(12.0, t_max), n1)
     if t_max <= 12.0:
         return head
-    tail = np.linspace(min(12.0, t_max), t_max, max(50, nodes - n1) + 1)[1:]
+    with np.errstate(invalid="ignore"):  # t_max = inf: 0 * inf in linspace
+        tail = np.linspace(min(12.0, t_max), t_max, max(50, nodes - n1) + 1)[1:]
     return np.concatenate([head, tail])
 
 

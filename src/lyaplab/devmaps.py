@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hypgeo import HPoint, hyp_dist
+from .hypgeo import HPoint
 # not called here; the benchmark times linrep.sym_power under this name too
 from .linrep import sym_power  # noqa: F401
 
@@ -202,16 +202,13 @@ def _dedupe_points(pts):
     return out
 
 
-def bad_locus_points(dev, u, ball):
-    """Zeros of <u, dev(.)> in the closed ball, without multiplicity.
+def bad_locus_points(dev, u):
+    """Zeros of <u, dev(.)> in H, without multiplicity.
 
     dev is a Veronese curve, whose pairing is a polynomial with closed-form
-    roots.  A hair of slack (1e-6 in radius) is kept so boundary grazers
-    survive to the counting stage, which classifies them into the
-    uncertainty band.
+    roots.  Every zero is returned; the counter places each one against
+    its radii and boundary band.
     """
     coeffs = np.trim_zeros(pairing_poly_coeffs(dev, u), "f")
     roots = np.roots(coeffs) if len(coeffs) > 1 else ()
-    zeros = _dedupe_points([z for z in roots if z.imag > 1e-10 * max(1.0, abs(z.real))])
-    return [z for z in zeros
-            if hyp_dist(ball.center, HPoint(z.real, z.imag)) <= ball.radius_t + 1e-6]
+    return _dedupe_points([z for z in roots if z.imag > 1e-10 * max(1.0, abs(z.real))])

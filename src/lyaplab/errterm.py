@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from .devmaps import Covector, bad_locus_points
-from .hypgeo import BallSpec, HPoint, ball_volume, hyp_dist
+from .hypgeo import HPoint, ball_volume, hyp_dist
 
 MIN_NODES = 50  # grid nodes an err estimate needs at or below T_max
 BOUNDARY_TOL = 1e-9  # a count's boundary band: |d - t| within it is flagged
@@ -40,9 +40,11 @@ class CountFunction:
     def __post_init__(self):
         t = np.asarray(self.t, dtype=float)
         c = np.asarray(self.counts, dtype=np.int64)
+        if not (len(t) and np.isfinite(t).all()):
+            raise ValueError("t grid must be nonempty and finite")
         if len(t) != len(c):
             raise ValueError("grid/count length mismatch")
-        if len(t) and (t[0] <= 0 or np.any(np.diff(t) <= 0)):
+        if t[0] <= 0 or np.any(np.diff(t) <= 0):
             raise ValueError("t grid must be strictly increasing and positive")
         if np.any(np.diff(c) < 0):
             raise ValueError("counts must be nondecreasing in t")
@@ -53,35 +55,21 @@ class CountFunction:
         )
 
 
-def _point_distances(points, center):
-    out = []
-    for p in points:
-        z = p.z if isinstance(p, HPoint) else complex(p)
-        out.append(hyp_dist(center, HPoint(z.real, z.imag)))
-    return np.sort(np.asarray(out))
-
-
 def count_in_balls(source, center, t_grid):
     """Per-radius bad-locus counts.
 
-    source is either an explicit point collection (anything iterable of
-    complex/HPoint, or a (points, dists) pair from orbit_ball), or a
-    (developing map, covector) pair, whose points bad_locus_points finds.
+    source is the (points, dists) pair of orbit_ball, or a (developing
+    map, covector) pair, whose zeros in H bad_locus_points finds.
     Boundary rule: at radius t a point at distance d is counted when
     d <= t + BOUNDARY_TOL, and flagged uncertain when |d - t| <= BOUNDARY_TOL
     (d in (t - tol, t + tol]); so a point in (t, t + tol] is counted and
     flagged uncertain.
     """
     t_grid = np.asarray(t_grid, dtype=float)
-    if isinstance(source, tuple) and len(source) == 2 and isinstance(source[1], Covector):
-        dev, u = source
-        ball = BallSpec(center, float(t_grid[-1]) + BOUNDARY_TOL)
-        pts = bad_locus_points(dev, u, ball)
-        dists = _point_distances(pts, center)
-    elif isinstance(source, tuple) and len(source) == 2:
-        dists = np.sort(np.asarray(source[1], dtype=float))
-    else:
-        dists = _point_distances(list(source), center)
+    dists = source[1]
+    if isinstance(dists, Covector):
+        dists = [hyp_dist(center, HPoint(z.real, z.imag)) for z in bad_locus_points(*source)]
+    dists = np.sort(np.asarray(dists, dtype=float))
     counts = np.searchsorted(dists, t_grid + BOUNDARY_TOL, side="right")
     lo = np.searchsorted(dists, t_grid - BOUNDARY_TOL, side="right")
     return CountFunction(t=t_grid, counts=counts, uncertain=counts - lo)

@@ -79,11 +79,6 @@ class GroupSpec:
     def surface(g):
         return GroupSpec("surface", (g,))
 
-    def __str__(self):
-        if self.kind == "triangle":
-            return "triangle:%d,%d,%d" % self.params
-        return "surface:%d" % self.params
-
 
 def parse_group_spec(text):
     """Parse 'triangle:p,q,r' or 'surface:g'."""
@@ -143,7 +138,7 @@ class FundamentalDomain:
         table = []
         for k, p in enumerate(self.pairings):
             u, v, j = lifts[k], lifts[(k + 1) % n], p.partner
-            walk[k] += [*_so21(_inverse(p.mobius.mat)).ravel().tolist(), k,
+            walk[k] += [*_so21(linrep.adjugate(p.mobius.mat)).ravel().tolist(), k,
                         tuple((*lifts[(j + i) % n], walk[(j + i - 1) % n]) for i in range(2, n)),
                         walk[j - 1]]
             table.append([*u, *v, 2.0 * (u[0] * v[0] - u[1] * v[1] - u[2] * v[2]),
@@ -496,10 +491,6 @@ class OrbitBall:
     dists: np.ndarray
 
 
-def _inverse(g):
-    return np.stack([g[..., 1, 1], -g[..., 0, 1], -g[..., 1, 0], g[..., 0, 0]], -1).reshape(g.shape)
-
-
 def _matches(S, g):
     """[..., i]: whether S[i] equals g, or each matrix of a stack g, as
     elements of PSL(2, R)."""
@@ -533,7 +524,7 @@ def _descend(S, limit):
     stay in a core's cache, come from one product with the parents' Gram
     entries; its children are grouped by generator, and the identity
     comes first."""
-    m, hit = len(S), _matches(S, _inverse(S))
+    m, hit = len(S), _matches(S, linrep.adjugate(S))
     if not hit.any(axis=1).all():
         raise ResourceError("orbit pairings are not closed under inverses")
     inv = np.argmax(hit, axis=1)
@@ -582,7 +573,7 @@ def _orbit_bfs(pairings, frame, K, t_max):
     h = g.  Distances 2 asinh(sqrt((a - d)^2 + (b + c)^2) / 2) of h's
     entries have no cancellation; points are (frame @ h).i.  A kept h != I
     with (a - d)^2 + (b + c)^2 <= 20 TIE_BAND fixes q: a cone point."""
-    L = np.kron(_inverse(K), K.T)  # g's row-major entries to h's
+    L = np.kron(linrep.adjugate(K), K.T)  # g's row-major entries to h's
     limit = 2.0 * max(math.cosh(t_max), 1.0 + 10.0 * TIE_BAND)  # keeps an h fixing q at t_max ~ 0
     delta = 2.0 * math.asinh(0.5 * math.hypot(K[0, 0] - K[1, 1], K[0, 1] + K[1, 0]))
     blocks = _descend(pairings, 2.0 * math.cosh(t_max + 2.0 * delta))
@@ -616,7 +607,7 @@ def orbit_ball(dom, z0, t_max):
         raise ValueError("orbit enumeration supports radii in [0, 18]")
     c, (q, word) = dom.interior_point, pull_back(dom, z0)
     Mc, pairing = Mobius.to_point(c).mat, {p.word[0]: p.mobius.mat for p in dom.pairings}
-    Sc = _distinct(np.array([_inverse(Mc) @ g @ Mc for g in pairing.values()]))
+    Sc = _distinct(np.array([linrep.adjugate(Mc) @ g @ Mc for g in pairing.values()]))
     K = Mobius.to_point(HPoint((q.x - c.x) / c.y, q.y / c.y)).mat  # Mc^-1 Mq, I at q = c
     frame = functools.reduce(np.matmul, [pairing[g] for g in word], np.eye(2))
     ball = _orbit_bfs(Sc, frame @ Mobius.to_point(q).mat, K, t_max)

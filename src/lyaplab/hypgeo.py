@@ -1,4 +1,4 @@
-"""Upper half-plane geometry: points, isometries, geodesics, flow, balls.
+"""Upper half-plane geometry: points, real Mobius maps, geodesics, flow.
 
 Everything here is in curvature -1 units (metric |dz|/y).  A geodesic is
 the image of the imaginary axis t -> i e^t under the isometry that aligns
@@ -59,25 +59,22 @@ class UnitTangent:
 
 
 def _normalize_sl2(mat):
-    m = np.asarray(mat)
+    m = np.asarray(mat, dtype=float)
     if m.shape != (2, 2):
         raise ValueError("Mobius needs a 2x2 matrix")
-    if not np.iscomplexobj(m):
-        m = m.astype(float)
     det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
     if abs(det) < 1e-100:
         raise NumericDegeneracyError("singular matrix")
-    if not np.iscomplexobj(m) and det.real < 0:
+    if det < 0:
         raise ValueError("negative determinant: orientation-reversing")
-    m = m / np.sqrt(complex(det)) if np.iscomplexobj(m) else m / math.sqrt(det)
-    m = np.real_if_close(m, tol=1)
+    m = m / math.sqrt(det)
     m.setflags(write=False)
     return m
 
 
 @dataclass(frozen=True, eq=False)
 class Mobius:
-    """Element of PSL(2, R) (or PSL(2, C)) acting on the half-plane.
+    """Element of PSL(2, R) acting on the half-plane.
 
     Stored as a unit-determinant matrix; the determinant is re-scaled to 1
     after every composition to suppress drift.
@@ -171,18 +168,6 @@ def ball_volume(t):
         return 4.0 * math.pi * math.sinh(t / 2.0) ** 2
     except OverflowError:
         return math.inf
-
-
-@dataclass(frozen=True)
-class BallSpec:
-    """Hyperbolic disk D_t(center), radius in curvature -1 arc length."""
-
-    center: HPoint
-    radius_t: float
-
-    def __post_init__(self):
-        if self.radius_t < 0:
-            raise ValueError("ball radius must be nonnegative")
 
 
 def direction_to(p, q):

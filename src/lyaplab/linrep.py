@@ -23,6 +23,12 @@ class RepresentationError(ValueError):
     pass
 
 
+def adjugate(g):
+    """The adjugate of a 2x2 matrix or of a stack of them: the inverse at
+    unit determinant, entrywise exact even at extreme entry scales."""
+    return np.stack([g[..., 1, 1], -g[..., 0, 1], -g[..., 1, 0], g[..., 0, 0]], -1).reshape(g.shape)
+
+
 @dataclass(frozen=True, eq=False)
 class Representation:
     """Generator images plus the abstract group's relation words.
@@ -63,9 +69,7 @@ class Representation:
         first = int(faults.any(axis=0).argmax()) if faults.any() else shaped
         passed = stack[:first]
         if self.unit_det and n == 2:
-            # adjugate inverse: entrywise exact even at extreme entry scales
-            inv = np.stack([passed[:, 1, 1], -passed[:, 0, 1], -passed[:, 1, 0],
-                            passed[:, 0, 0]], axis=-1).reshape(first, 2, 2)
+            inv = adjugate(passed)
         else:
             try:
                 inv = np.linalg.inv(passed)
@@ -177,17 +181,8 @@ def relation_reports(reps):
 def sym_monomials(n, k):
     """Degree-k exponent vectors over n variables, lexicographic highest
     first (so rank-2 Sym^2 reads x^2, xy, y^2)."""
-    out = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            out.append(prefix + (remaining,))
-            return
-        for e in range(remaining, -1, -1):
-            rec(prefix + (e,), remaining - e, slots - 1)
-
-    rec((), k, n)
-    return out
+    return [tuple(c.count(i) for i in range(n))
+            for c in itertools.combinations_with_replacement(range(n), k)]
 
 
 def _sym_matrix(a, k):
@@ -352,8 +347,7 @@ def classify(rep):
 
 def uniformizing_rep(mobius_generators, relations, label="fuchsian"):
     """The rank-2 real representation given by the group's own matrices."""
-    gens = [np.asarray(np.real_if_close(m.mat, tol=100), dtype=float)
-            for m in mobius_generators]
+    gens = [m.mat for m in mobius_generators]
     return Representation(2, "real", gens, relations, label,
                           projective_flag=True, unit_det=True)
 
@@ -376,24 +370,18 @@ def _su2_rotation(axis, theta):
 def unitary_cube_rep():
     """Finite-image SU(2) representation of the (3,3,4) triangle group.
 
-    a, b are lifted order-3 rotations about cube diagonals and c = (ab)^-1
-    squares to -I, so a^3 = b^3 = -I, c^4 = I, abc = I: all relations close
-    up to sign and the image is finite (binary octahedral subgroup), hence
-    the norm is preserved and the Lyapunov spectrum is forced to zero.
+    a, b are lifted order-3 rotations about the cube diagonals (1, 1, 1)
+    and (1, -1, -1), by 2 pi/3 and -2 pi/3, and c = (ab)^-1 squares to -I,
+    so a^3 = b^3 = -I, c^4 = I, abc = I: all relations close up to sign and
+    the image is finite (binary octahedral subgroup), hence the norm is
+    preserved and the Lyapunov spectrum is forced to zero.
     """
     rels = ((1,) * 3, (2,) * 3, (3,) * 4, (1, 2, 3))  # a^3, b^3, c^4, abc
-    diag1 = (1.0, 1.0, 1.0)
-    a = _su2_rotation(diag1, 2 * math.pi / 3)
-    for axis in [(1, -1, -1), (-1, 1, -1), (-1, -1, 1), (1, 1, -1), (1, -1, 1), (-1, 1, 1)]:
-        for sgn in (1, -1):
-            b = _su2_rotation(axis, sgn * 2 * math.pi / 3)
-            c = np.linalg.inv(a @ b)
-            if abs(np.trace(c)) < 1e-12:  # order-2 rotation: c^2 = -I
-                rep = Representation(2, "complex", [a, b, c], rels, "unitary-cube",
-                                     projective_flag=True, unit_det=True)
-                if check_relations(rep).holds():
-                    return rep
-    raise AssertionError("no unitary (3,3,4) triple found")
+    a = _su2_rotation((1.0, 1.0, 1.0), 2 * math.pi / 3)
+    b = _su2_rotation((1, -1, -1), -2 * math.pi / 3)
+    c = np.linalg.inv(a @ b)
+    return Representation(2, "complex", [a, b, c], rels, "unitary-cube",
+                          projective_flag=True, unit_det=True)
 
 
 # ---------------------------------------------------------------------------

@@ -40,8 +40,8 @@ class RunConfig:
     burn_in: float = None  # None: min(50, T/10); frame-alignment transient
 
     def __post_init__(self):
-        if self.T <= 0:
-            raise ValueError("T must be positive")
+        if not 0 < self.T < math.inf:
+            raise ValueError("T must be positive and finite")
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
         if self.qr_interval is not None and self.qr_interval < 1:

@@ -55,10 +55,9 @@ def random_sl2(rng):
 
 def coding(dom, ut, T):
     """The crossings of the geodesic from ut up to time T, from
-    fuchsian.trace_geodesic: times, signed generators and the number of
-    direction perturbations, which the vertex-sign walk never makes."""
+    fuchsian.trace_geodesic: times and signed generators."""
     times, gens = fuchsian.trace_geodesic(dom, ut, T)
-    return SimpleNamespace(times=times, gens=gens, perturbations=0)
+    return SimpleNamespace(times=times, gens=gens)
 
 
 def _scalar_walk_sides(dom):
@@ -68,7 +67,7 @@ def _scalar_walk_sides(dom):
     side j - 1."""
     lifts, n, sides = dom._lifts, len(dom._lifts), [[] for _ in dom.pairings]
     for k, p in enumerate(dom.pairings):
-        u, v, j, inverse = lifts[k], lifts[(k + 1) % n], p.partner, fuchsian._inverse(p.mobius.mat)
+        u, v, j, inverse = lifts[k], lifts[(k + 1) % n], p.partner, linrep.adjugate(p.mobius.mat)
         sides[k] += [*u, *v, 2.0 * (u[0] * v[0] - u[1] * v[1] - u[2] * v[2]),
                      *fuchsian._so21(inverse).ravel().tolist(), p.word[0], *lifts[(j + 1) % n],
                      *lifts[j], tuple((*lifts[(j + i) % n], sides[(j + i - 1) % n])
@@ -229,7 +228,7 @@ def stack_descend(S, limit):
     oracle: levels are (N, 2, 2) stacks, every candidate child is formed as
     a matrix product, and its neighbour norms are read off that product.
     It yields (elements, norms, local minima) under the same rules."""
-    hit = fuchsian._matches(S, fuchsian._inverse(S))
+    hit = fuchsian._matches(S, linrep.adjugate(S))
     if not hit.any(axis=1).all():
         raise fuchsian.ResourceError("orbit pairings are not closed under inverses")
     inv = np.argmax(hit, axis=1)
@@ -300,10 +299,10 @@ def stack_ball_about_c(dom, z0, t_max):
     frame.g.q, frame the word pull_back returns."""
     c, (q, word) = dom.interior_point, fuchsian.pull_back(dom, z0)
     Mc, pairing = Mobius.to_point(c).mat, {p.word[0]: p.mobius.mat for p in dom.pairings}
-    Sc = fuchsian._distinct(np.array([fuchsian._inverse(Mc) @ g @ Mc for g in pairing.values()]))
+    Sc = fuchsian._distinct(np.array([linrep.adjugate(Mc) @ g @ Mc for g in pairing.values()]))
     levels = list(stack_descend(Sc, 2.0 * math.cosh(t_max + 2.0 * hyp_dist(c, q))))
     assert not any(len(m) for _, _, m in levels)
-    g = Mc @ np.concatenate([x for x, _, _ in levels]) @ fuchsian._inverse(Mc)
+    g = Mc @ np.concatenate([x for x, _, _ in levels]) @ linrep.adjugate(Mc)
     gq = (g[:, 0, 0] * q.z + g[:, 0, 1]) / (g[:, 1, 0] * q.z + g[:, 1, 1])
     dists = 2.0 * np.arcsinh(np.abs(gq - q.z) / (2.0 * np.sqrt(gq.imag * q.y)))
     (a, b), (cc, d) = functools.reduce(np.matmul, [pairing[w] for w in word], np.eye(2))
@@ -387,7 +386,7 @@ def certified_dirichlet(S, R, area, Q, delta):
         levels = list(stack_descend(S, 2.0 * math.cosh(rho + 2.0 * delta)))
         if any(len(m) for _, _, m in levels):
             raise fuchsian.ResourceError("orbit descent: an element has no strictly closer neighbour")
-        F = fuchsian._inverse(Q) @ np.concatenate([g for g, _, _ in levels[1:]]) @ Q
+        F = linrep.adjugate(Q) @ np.concatenate([g for g, _, _ in levels[1:]]) @ Q
         faces, r, cell = _clipped_faces(_ball_bisectors(F, rho))
         if rho >= 2.0 * r and abs(cell - area) <= CERT_TOL * area:
             return faces
@@ -406,11 +405,11 @@ def generator_dirichlet(S, R, area):
     the box; S gains the round's faces and local minima."""
     rho = R
     for _ in range(8):
-        S = fuchsian._distinct(np.concatenate([S, fuchsian._inverse(S)]))
+        S = fuchsian._distinct(np.concatenate([S, linrep.adjugate(S)]))
         levels = list(stack_descend(S, 2.0 * math.cosh(rho)))
         minima = np.concatenate([m for _, _, m in levels])
         ball = np.concatenate([g for g, _, _ in levels[1:]])
-        F = np.concatenate([ball, minima, fuchsian._inverse(minima)])
+        F = np.concatenate([ball, minima, linrep.adjugate(minima)])
         faces, r, cell = _clipped_faces(_ball_bisectors(F, rho))
         if rho >= 2.0 * r and not len(minima) and abs(cell - area) <= CERT_TOL * area:
             return faces

@@ -1,7 +1,8 @@
 """Every public top-level function or class of the package, and every
 public method of a public class, has a caller; every public class is put to
-work outside the tests; every defaulted parameter is passed by some call of
-the package or the benchmark, since a knob only the tests turn is a constant.
+work outside the tests; every defaulted parameter, and every defaulted
+field of a dataclass, is passed by some call of the package or the
+benchmark, since a knob only the tests turn is a constant.
 
 A name defined in src/lyaplab counts as used when the package names it
 outside its own definition, when the benchmark (perfbench/*.py) names it, or
@@ -29,6 +30,9 @@ EXEMPT = {
 EXEMPT_PARAMS = {
     # sum_rule_check is an exempt entry point (above); C7 passes k = 2 for Sym^2
     "errterm.sum_rule_check(k)",
+    # the package always derives it, min(50, T/10); oracle tests pin the
+    # transient (0 among them, which runs _lockstep's span = T branch)
+    "oseledets.RunConfig(burn_in)",
 }
 
 
@@ -139,8 +143,10 @@ def test_every_public_class_is_put_to_work():
 def _defaulted_params():
     """(module.def, parameter, called name, positional index or None) of
     every defaulted parameter of a top-level function or of a method of a
-    top-level class; nested closures are not read.  The index skips self
-    or cls, and a constructor is called by its class name."""
+    top-level class, and of every defaulted field of a top-level dataclass
+    (module.Class, positional in field order); nested closures are not
+    read.  The index skips self or cls, and a constructor is called by its
+    class name."""
     out = []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
@@ -148,6 +154,10 @@ def _defaulted_params():
             if isinstance(node, ast.FunctionDef):
                 fns.append((node.name, node, node.name, 0))
             elif isinstance(node, ast.ClassDef):
+                if any("dataclass" in _names(d) for d in node.decorator_list):
+                    fields = [f for f in node.body if isinstance(f, ast.AnnAssign)]
+                    out += [(f"{path.stem}.{node.name}", f.target.id, node.name, i)
+                            for i, f in enumerate(fields) if f.value is not None]
                 for item in node.body:
                     if isinstance(item, ast.FunctionDef):
                         static = any(getattr(d, "id", None) == "staticmethod"

@@ -604,6 +604,24 @@ class TestCommandLineRefusals:
         assert len(err) == 1 and err[0].startswith("lyaplab: refused: ")
         assert why in err[0]
 
+    @pytest.mark.parametrize("args,why", [
+        (["orbit-count", "--tmax", "3", "--grid-nodes", "0"], "t grid must be nonempty and finite"),
+        (["err", "--covector", "1 0", "--tmax", "nan"], "t grid must be nonempty and finite"),
+        (["err", "--covector", "1 0", "--tmax", "inf"], "t grid must be nonempty and finite"),
+        (["err", "--covector", "1 0", "--tmax", "-1"],
+         "t grid must be strictly increasing and positive"),
+        (["spectrum", "--time", "nan"], "T must be positive and finite"),
+        (["spectrum", "--time", "inf"], "T must be positive and finite"),
+        (["sweep", "--time", "inf"], "T must be positive and finite"),
+    ])
+    def test_empty_or_non_finite_input_is_one_invalid_input_line(self, capsys, args, why):
+        # refused before any output; RuntimeWarnings are errors under pytest,
+        # so an inf that reached numpy arithmetic would fail here
+        assert run_cli(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"lyaplab: invalid input: {why}"]
+
     def test_float_singular_image_is_invalid_input(self, capsys):
         # sym:3 of a twist has images conditioned past 1/eps, which
         # numpy's inverse finds exactly singular

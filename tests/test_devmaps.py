@@ -12,7 +12,7 @@ from lyaplab.devmaps import (
     veronese_dev,
 )
 from lyaplab.errterm import count_in_balls
-from lyaplab.hypgeo import BallSpec, HPoint, UnitTangent, geodesic_flow
+from lyaplab.hypgeo import HPoint, UnitTangent, geodesic_flow
 from lyaplab.linrep import sym_power
 
 
@@ -72,10 +72,6 @@ class TestCovector:
         with pytest.raises(ValueError):
             Covector((0.0, 0.0))
 
-    def test_query_validation(self):
-        with pytest.raises(ValueError):
-            BallSpec(HPoint(0, 1), -1.0)
-
 
 class TestIdentityDev:
     def test_value_at_i(self):
@@ -98,7 +94,7 @@ class TestIdentityDev:
         w = 0.3 + 1.4j
         u = Covector((1.0, -w))
         assert counts(dev, u, HPoint(0, 1), (3.0,)) == [1]
-        points = bad_locus_points(dev, u, BallSpec(HPoint(0, 1), 3.0))
+        points = bad_locus_points(dev, u)
         assert abs(points[0] - w) < 1e-12
 
 

@@ -17,7 +17,7 @@ from lyaplab.errterm import (
     sum_rule_check,
 )
 from lyaplab.fuchsian import orbit_ball
-from lyaplab.hypgeo import HPoint, UnitTangent, geodesic_flow
+from lyaplab.hypgeo import HPoint, UnitTangent, geodesic_flow, hyp_dist
 from lyaplab.linrep import trivial_rep
 from lyaplab.oseledets import RunConfig, estimate_spectrum
 
@@ -34,7 +34,7 @@ class TestCountFunction:
     def test_empty_point_set(self, tri334):
         dom, _, _ = tri334
         grid = np.linspace(0.3, 20.0, 100)
-        cf = count_in_balls([], dom.interior_point, grid)
+        cf = count_in_balls(((), ()), dom.interior_point, grid)
         assert (cf.counts == 0).all()
 
     def test_single_point_step(self, tri334):
@@ -42,7 +42,7 @@ class TestCountFunction:
         center = dom.interior_point
         p = geodesic_flow(UnitTangent(center, 0.4), 1.5).base
         grid = np.linspace(0.3, 5.0, 100)
-        cf = count_in_balls([p], center, grid)
+        cf = count_in_balls(([p.z], [hyp_dist(center, p)]), center, grid)
         i = np.searchsorted(grid, 1.5)
         assert cf.counts[i - 1] == 0 and cf.counts[i] == 1
         assert cf.counts[-1] == 1
@@ -53,7 +53,8 @@ class TestCountFunction:
         dom, _, _ = tri334
         grid = np.linspace(0.3, 5.0, 80)
         pts, dists = orbit_ball(dom, dom.interior_point, 5.0)
-        cf1 = count_in_balls(list(pts), dom.interior_point, grid)
+        afresh = [hyp_dist(dom.interior_point, HPoint(z.real, z.imag)) for z in pts]
+        cf1 = count_in_balls((pts, afresh), dom.interior_point, grid)
         cf2 = count_in_balls((pts, dists), dom.interior_point, grid)
         assert (cf1.counts == cf2.counts).all()
         assert cf1.counts[-1] == len(pts)
@@ -65,6 +66,12 @@ class TestCountFunction:
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             CountFunction(np.array([0.0, 1.0]), np.array([0, 0]), np.array([0, 0]))
+
+    @pytest.mark.parametrize("t", [[], [0.5, math.nan], [0.5, math.inf], [math.nan]])
+    def test_empty_or_non_finite_grid_refused(self, t):
+        zeros = np.zeros(len(t), dtype=np.int64)
+        with pytest.raises(ValueError, match="t grid must be nonempty and finite"):
+            CountFunction(np.array(t), zeros, zeros)
 
 
 class TestErrEstimate:
@@ -126,14 +133,14 @@ class TestErrEstimate:
     def test_resolution_error(self, tri334):
         dom, _, _ = tri334
         grid = np.linspace(0.3, 20.0, 20)
-        cf = count_in_balls([], dom.interior_point, grid)
+        cf = count_in_balls(((), ()), dom.interior_point, grid)
         with pytest.raises(ResolutionError):
             err_estimate(cf, 20.0)
 
     def test_grid_must_reach_tmax(self, tri334):
         dom, _, _ = tri334
         grid = np.linspace(0.3, 5.0, 100)
-        cf = count_in_balls([], dom.interior_point, grid)
+        cf = count_in_balls(((), ()), dom.interior_point, grid)
         with pytest.raises(ResolutionError):
             err_estimate(cf, 10.0)
 
@@ -154,7 +161,7 @@ class TestSumRule:
         spec = estimate_spectrum(dom, trivial_rep(2, len(gens), rels),
                                  RunConfig(T=100.0, samples=4, seed=2))
         grid = np.linspace(0.3, 20.0, 100)
-        est = err_estimate(count_in_balls([], dom.interior_point, grid), 20.0)
+        est = err_estimate(count_in_balls(((), ()), dom.interior_point, grid), 20.0)
         rep = sum_rule_check(spec, 0, est, k=1)
         assert rep.lhs == 0.0 and rep.rhs == 0.0
 
@@ -162,7 +169,7 @@ class TestSumRule:
         dom, _, _ = tri334
         spec = estimate_spectrum(dom, fuchs334, RunConfig(T=600.0, samples=24, seed=31))
         grid = np.linspace(0.3, 20.0, 100)
-        est = err_estimate(count_in_balls([], dom.interior_point, grid), 20.0)
+        est = err_estimate(count_in_balls(((), ()), dom.interior_point, grid), 20.0)
         report = sum_rule_check(spec, 1, est, k=1)
         assert report.sigma_units < 3.0
 
@@ -172,7 +179,7 @@ class TestSumRule:
                                  RunConfig(T=100.0, samples=4, seed=2,
                                            normalization="minus1"))
         grid = np.linspace(0.3, 20.0, 60)
-        est = err_estimate(count_in_balls([], dom.interior_point, grid), 20.0)
+        est = err_estimate(count_in_balls(((), ()), dom.interior_point, grid), 20.0)
         with pytest.raises(ConfigurationError):
             sum_rule_check(spec, 1, est, k=1)
 
@@ -181,7 +188,7 @@ class TestCsv:
     def test_schema_and_summary(self, tri334):
         dom, _, _ = tri334
         grid = np.linspace(0.3, 20.0, 60)
-        cf = count_in_balls([], dom.interior_point, grid)
+        cf = count_in_balls(((), ()), dom.interior_point, grid)
         est = err_estimate(cf, 20.0)
         text = count_csv(cf, est)
         lines = text.strip().split("\n")

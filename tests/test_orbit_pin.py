@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
-from lyaplab import fuchsian
+from lyaplab import fuchsian, linrep
 from lyaplab.errterm import count_in_balls
 from lyaplab.fuchsian import build_group, orbit_ball, parse_group_spec, pull_back
 from lyaplab.hypgeo import HPoint, Mobius, hyp_dist
@@ -161,7 +161,7 @@ def test_pairings_are_the_generator_grown_faces(group):
     frame = Mobius.to_point(dom.interior_point).mat
 
     def about_c(mats):
-        return np.array([fuchsian._inverse(frame) @ g @ frame for g in mats])
+        return np.array([linrep.adjugate(frame) @ g @ frame for g in mats])
 
     pairings = about_c([p.mobius.mat for p in dom.pairings])
     faces = fuchsian._distinct(pairings)
