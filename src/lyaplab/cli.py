@@ -284,8 +284,11 @@ def cmd_err(ns):
 
 
 def _err_grid(t_max, nodes):
-    """Denser nodes at small radii where the integrand varies fastest; a
-    non-finite t_max leaves non-finite nodes, which CountFunction refuses."""
+    """Denser nodes at small radii where the integrand varies fastest, at
+    least 50 on each side of t = 12; a non-finite t_max leaves non-finite
+    nodes, which CountFunction refuses."""
+    if nodes < 1:
+        raise ValueError("grid nodes must be >= 1")
     n1 = max(50, nodes // 2)
     head = np.linspace(0.25, min(12.0, t_max), n1)
     if t_max <= 12.0:
@@ -557,10 +560,10 @@ def build_parser():
         sp.add_argument("--random-base", type=int, default=0,
                         help="1: sample base points uniformly in the domain")
 
-    def add_count(sp, tmax, nodes, center, center_help):
+    def add_count(sp, tmax, nodes, center, center_help, nodes_help="t grid nodes"):
         sp.add_argument("--center", default=center, help=center_help)
         sp.add_argument("--tmax", type=float, default=tmax)
-        sp.add_argument("--grid-nodes", type=int, default=nodes)
+        sp.add_argument("--grid-nodes", type=int, default=nodes, help=nodes_help)
 
     add_run(add_parser("spectrum", cmd_spectrum, "estimate a Lyapunov spectrum"))
 
@@ -572,7 +575,8 @@ def build_parser():
     sp = add_parser("err", cmd_err, "error-term estimate for a developing map", group=None)
     sp.add_argument("--dev", default="identity", help="identity | veronese:n")
     sp.add_argument("--covector", help="homogeneous coords, e.g. '1 0 1'")
-    add_count(sp, 20.0, 400, "0,2", "x,y of the ball center")
+    add_count(sp, 20.0, 400, "0,2", "x,y of the ball center",
+              "t grid nodes (at least 1); at least 50 are used on each side of t = 12")
 
     sp = add_parser("orbit-count", cmd_orbit_count, "orbit-counting calibration mode")
     add_count(sp, 12.0, 240, None, "x,y (default: domain interior point)")

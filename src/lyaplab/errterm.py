@@ -10,7 +10,6 @@ pi/covolume pins down).
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -152,6 +151,8 @@ def sum_rule_check(spectrum, degree_ratio, err, k=1):
         raise ConfigurationError(
             f"sum rule needs a minus4 spectrum, got {spectrum.normalization_tag!r}"
         )
+    from fractions import Fraction  # only here: it imports decimal, ~2 ms and 0.45 MB
+
     ratio = float(Fraction(degree_ratio))
     lhs = float(np.sum(spectrum.values[:k]))
     if spectrum.sample_values is not None:

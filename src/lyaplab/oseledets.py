@@ -7,7 +7,9 @@ of curvature -4 halves lengths), which puts the uniformizing rank-2
 representation at lambda_1 = 1.
 """
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,6 +21,8 @@ from .hypgeo import HPoint, UnitTangent
 FRAME_OVERFLOW = 1e120  # no frame entry reaches it, whatever the determinant
 QR_BUDGET = 25.0  # log cond of a window product: eps * e^25 ~ 1.6e-5 relative error
 FRAME_BUDGET = 1 << 25  # bytes of one chunk's frame stack (lanes, n, n) and of a block's fold arrays
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341  # PCG64's LCG multiplier
 
 
 class NumericCocycleError(ArithmeticError):
@@ -75,12 +79,54 @@ def _coding_key(config):
     return (config.T, config.samples, config.seed, config.random_base)
 
 
+class _Stream:
+    """numpy's default_rng(entropy).uniform stream bit for bit, without numpy.random:
+    SeedSequence mixes the entropy's 32-bit words into 4, whose generate_state(4, uint64)
+    seeds PCG64 (O'Neill, 2014); a draw maps its XSL-RR output to a 53-bit double."""
+
+    def __init__(self, entropy):
+        words = []
+        for v in entropy:  # each entry low word first, at least one word
+            if not hasattr(type(v), "__index__"):
+                raise TypeError("seed must be integer")
+            if (v := operator.index(v)) < 0:
+                raise ValueError("expected non-negative integer")
+            words += [v >> k & _M32 for k in range(0, max(1, v.bit_length()), 32)]
+        h = 0x43B0D7E5
+
+        def hashmix(v, mult=0x931E8875):
+            nonlocal h
+            v = (v ^ h) * (h := h * mult & _M32) & _M32
+            return v ^ v >> 16
+
+        def mix(d, v):  # fold hashmix(v) into pool word d
+            r = (0xCA01F9DD * pool[d] - 0x4973F715 * hashmix(v)) & _M32
+            pool[d] = r ^ r >> 16
+
+        pool = [hashmix(w) for w in (words + [0, 0, 0])[:4]]
+        for s, d in itertools.permutations(range(4), 2):
+            mix(d, pool[s])
+        for w, d in itertools.product(words[4:], range(4)):
+            mix(d, w)
+        h = 0x8B51F9DD
+        out = [hashmix(v, 0x58F38DED) for v in pool + pool]  # generate_state, low word first
+        s0, s1, s2, s3 = (lo | hi << 32 for lo, hi in zip(out[::2], out[1::2]))
+        self.inc = ((s2 << 64 | s3) << 1 | 1) & _M128
+        self.state = ((self.inc + (s0 << 64 | s1)) * _PCG_MULT + self.inc) & _M128
+
+    def uniform(self, lo, hi):
+        self.state = s = (self.state * _PCG_MULT + self.inc) & _M128
+        x, r = (s >> 64 ^ s) & _M64, s >> 122
+        return lo + (hi - lo) * ((((x >> r | x << 64 - r) & _M64) >> 11) * 2.0 ** -53)
+
+
 def code_samples(dom, config):
     """Trace the geodesic of every sample of config into a CodingBatch;
-    sample i starts from default_rng([seed, i]), whatever the batching."""
+    sample i draws from numpy's default_rng([seed, i]).uniform stream, as
+    _Stream reproduces it, whatever the batching."""
     index, times, gens, failures = [], [], [], []
     for i in range(config.samples):
-        rng = np.random.default_rng([config.seed, i])
+        rng = _Stream((config.seed, i))
         angle = rng.uniform(0.0, 2.0 * math.pi)
         base = _sample_base(dom, rng) if config.random_base else dom.interior_point
         try:

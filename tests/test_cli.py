@@ -587,6 +587,29 @@ class TestConfigFile:
         assert captured.err.startswith("lyaplab: refused: unknown config key 'qr_interval'")
 
 
+class TestFreshInterpreter:
+    def test_runs_leave_numpy_random_unimported(self):
+        # sample directions come from oseledets' own copy of numpy's stream;
+        # pytest itself loads numpy.random, so this needs a fresh interpreter
+        src = str(Path(lyaplab.__file__).resolve().parents[1])
+        script = (
+            "import contextlib, io, sys\n"
+            "from lyaplab import cli\n"
+            "for args in [['spectrum', '--time', '30', '--samples', '3'],\n"
+            "             ['spectrum', '--time', '30', '--samples', '3', '--random-base', '1'],\n"
+            "             ['sweep', '--time', '30', '--samples', '2', '--grid', '0,0.5'],\n"
+            "             ['orbit-count', '--tmax', '4', '--grid-nodes', '60'],\n"
+            "             ['err', '--covector', '1 0', '--tmax', '5']]:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert cli.main(args) == 0, args\n"
+            "print(sorted(m for m in ('numpy.random', 'fractions') if m in sys.modules))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              timeout=120, env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
+
 class TestCommandLineRefusals:
     @pytest.mark.parametrize("args,why", [
         (["spectrum", "--samples", "1", "--time", "20"], "successful samples"),
@@ -617,6 +640,22 @@ class TestCommandLineRefusals:
     def test_empty_or_non_finite_input_is_one_invalid_input_line(self, capsys, args, why):
         # refused before any output; RuntimeWarnings are errors under pytest,
         # so an inf that reached numpy arithmetic would fail here
+        assert run_cli(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"lyaplab: invalid input: {why}"]
+
+    @pytest.mark.parametrize("args,why", [
+        (["spectrum", "--seed", "-1", "--time", "20", "--samples", "2"],
+         "expected non-negative integer"),
+        (["sweep", "--seed", "-1", "--time", "20", "--samples", "2", "--grid", "0,1"],
+         "expected non-negative integer"),
+        (["err", "--covector", "1 0", "--tmax", "5", "--grid-nodes", "0"],
+         "grid nodes must be >= 1"),
+        (["err", "--covector", "1 0", "--tmax", "5", "--grid-nodes", "-5"],
+         "grid nodes must be >= 1"),
+    ])
+    def test_negative_seed_or_too_few_nodes_is_one_invalid_input_line(self, capsys, args, why):
         assert run_cli(args) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

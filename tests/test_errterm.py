@@ -19,7 +19,7 @@ from lyaplab.errterm import (
 from lyaplab.fuchsian import orbit_ball
 from lyaplab.hypgeo import HPoint, UnitTangent, geodesic_flow, hyp_dist
 from lyaplab.linrep import trivial_rep
-from lyaplab.oseledets import RunConfig, estimate_spectrum
+from lyaplab.oseledets import RunConfig, SpectrumEstimate, estimate_spectrum
 
 COVOL_334 = math.pi / 6
 
@@ -164,6 +164,15 @@ class TestSumRule:
         est = err_estimate(count_in_balls(((), ()), dom.interior_point, grid), 20.0)
         rep = sum_rule_check(spec, 0, est, k=1)
         assert rep.lhs == 0.0 and rep.rhs == 0.0
+
+    @pytest.mark.parametrize("ratio,want", [(1, 1.0), (2, 2.0), ("1/2", 0.5)])
+    def test_degree_ratio_read_as_an_exact_rational(self, tri334, ratio, want):
+        dom, _, _ = tri334
+        spec = SpectrumEstimate(np.array([want, -want]), np.zeros(2), 4, "minus4")
+        grid = np.linspace(0.3, 20.0, 60)
+        est = err_estimate(count_in_balls(((), ()), dom.interior_point, grid), 20.0)
+        report = sum_rule_check(spec, ratio, est, k=1)
+        assert report.rhs == want and report.discrepancy == 0.0 and report.sigma_units == 0.0
 
     def test_fuchsian_point(self, tri334, fuchs334):
         dom, _, _ = tri334

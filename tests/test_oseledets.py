@@ -218,6 +218,44 @@ class TestRunSample:
         assert abs(lam[1] + 1.0) < 0.05
 
 
+class TestSampleStream:
+    """oseledets._Stream against its oracle, numpy's default_rng([seed, i]):
+    the same double at every draw, the same refusals."""
+
+    # seed entries of 1, 1, 2, 3 and 5 32-bit words; indices of 1 to 3 words
+    SEEDS = [0, 2**32 - 1, 2**32 + 7, 2**64 + 5, 2**130 + 11]
+    INDICES = [0, 1, 63, 2**32 + 3, 2**70 + 1]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_same_doubles_as_numpy(self, seed):
+        # the direction, then _sample_base's rejection loop: bounds change
+        # from draw to draw on one stream
+        bounds = [(0.0, 2.0 * math.pi)] + [(-0.75, 1.25), (0.0, 1.0)] * 3 + [(3.5, 3.5)]
+        for i in self.INDICES:
+            mine, numpy_rng = oseledets._Stream((seed, i)), np.random.default_rng([seed, i])
+            for lo, hi in bounds:
+                got, want = mine.uniform(lo, hi), numpy_rng.uniform(lo, hi)
+                assert type(got) is float and got == want, (seed, i, lo, hi)
+
+    def test_sample_base_same_point_either_stream(self, tri334):
+        # _sample_base only calls .uniform(lo, hi), so numpy's Generator
+        # stays an oracle for it
+        dom, _, _ = tri334
+        for i in range(8):
+            assert (oseledets._sample_base(dom, oseledets._Stream((5, i)))
+                    == oseledets._sample_base(dom, np.random.default_rng([5, i])))
+
+    @pytest.mark.parametrize("entropy,error", [
+        ((-1, 0), ValueError), ((3, -2), ValueError),
+        ((1.5, 0), TypeError), ((2, 0.0), TypeError),
+    ])
+    def test_same_refusal_as_numpy(self, entropy, error):
+        with pytest.raises(error) as want:
+            np.random.default_rng(list(entropy))
+        with pytest.raises(error, match=f"^{want.value}$"):
+            oseledets._Stream(entropy)
+
+
 class _StubRep:
     """Two generators; the second maps every frame to zero (never a valid
     Representation, so it stands in for a frame that degenerates)."""
