@@ -1,45 +1,21 @@
 """Batch experiment front end: `lyaplab spectrum|sweep|err|orbit-count|rep|selftest`.
 
-Exit codes: 0 success, 1 selftest failure, 2 validation refusal, 3 I/O
-error.  All CSV output is a deterministic function of the command line
-(seeds included); SVG plots are pure functions of the CSV content.
+Exit codes: 0 success, 1 selftest failure, 2 validation refusal or usage
+error, 3 I/O error.  All CSV output is a deterministic function of the command
+line (seeds included); SVG plots are pure functions of the CSV content.
 """
 
-import argparse
-import cmath
-import functools
 import math
 import sys
+import types
 
 import numpy as np
 
 from . import devmaps, errterm, fuchsian, hypgeo, linrep, oseledets
 
-# keys a --config file may set, spelled as the options
-CONFIG_KEYS = (
-    "group", "rep", "time", "samples", "seed", "qr-interval", "normalization",
-    "random-base", "axis", "grid", "dev", "covector", "center", "tmax", "grid-nodes",
-)
-
 
 class Refusal(Exception):
     """Validation refusal (exit code 2)."""
-
-
-def _load_config(path):
-    with open(path) as fh:
-        lines = [line.strip() for line in fh]
-    pairs = (line.partition("=") for line in lines if line and not line.startswith("#"))
-    return {key.strip(): val.strip() for key, _, val in pairs}
-
-
-def _config_defaults(ns, config):
-    """The option defaults a config file sets; a subcommand reads only the
-    keys of its own options."""
-    unknown = [key for key in config if key not in CONFIG_KEYS]
-    if unknown:
-        raise Refusal(f"unknown config key {unknown[0]!r} in {ns.config}")
-    return {key.replace("-", "_"): val for key, val in config.items()}
 
 
 def resolve_rep(source, group_bundle):
@@ -205,8 +181,6 @@ def cmd_sweep(ns):
     as one fused cocycle over geodesics coded once; refused and unresolved
     points become failed rows."""
     run = _run_config(ns)
-    if ns.axis not in ("real", "imag"):  # a config value skips argparse's choices
-        raise Refusal("sweep axis must be real|imag")
     grid = _parse_grid(ns.grid)
     if not grid or not all(math.isfinite(v) for v in grid):
         raise Refusal("sweep grid must be nonempty and finite")
@@ -315,6 +289,8 @@ def _write_err_outputs(ns, cf):
 
 
 def cmd_orbit_count(ns):
+    if ns.grid_nodes < 1:  # np.linspace would word it otherwise
+        raise ValueError("grid nodes must be >= 1")
     dom, _, _ = fuchsian.build_group(fuchsian.parse_group_spec(ns.group))
     center = dom.interior_point if ns.center is None else _parse_center(ns.center)
     pts, dists = fuchsian.orbit_ball(dom, center, ns.tmax)
@@ -332,175 +308,11 @@ def cmd_rep(ns):
     return 0
 
 
-# ---------------------------------------------------------------------------
-# selftest
-
-
-def _selftest_suites():
-    rng = np.random.default_rng(20240901)
-    dom3, gens3, rels3 = fuchsian.build_group(fuchsian.GroupSpec.triangle(3, 3, 4))
-    dom2, gens2, rels2 = fuchsian.build_group(fuchsian.GroupSpec.surface(2))
-    rep3 = linrep.uniformizing_rep(gens3, rels3, "fuchsian")
-    rep2 = linrep.uniformizing_rep(gens2, rels2, "fuchsian-g2")
-
-    def rand_mobius():
-        g = gens3[int(rng.integers(0, 3))]
-        h = gens2[int(rng.integers(0, 4))]
-        return g @ h
-
-    def rand_point():
-        return hypgeo.HPoint(float(rng.uniform(-2, 2)), float(rng.uniform(0.2, 3)))
-
-    def suite_isometry():
-        worst = 0.0
-        for _ in range(200):
-            m, z, w = rand_mobius(), rand_point(), rand_point()
-            worst = max(worst, abs(hypgeo.hyp_dist(m.apply(z), m.apply(w))
-                                   - hypgeo.hyp_dist(z, w)))
-        return worst < 1e-10, f"max distance distortion {worst:.2e}"
-
-    def suite_group_law():
-        worst = 0.0
-        for _ in range(200):
-            m1, m2, z = rand_mobius(), rand_mobius(), rand_point()
-            lhs = (m1 @ m2).apply(z)
-            rhs = m1.apply(m2.apply(z))
-            worst = max(worst, abs(lhs.z - rhs.z))
-        return worst < 1e-10, f"max composition mismatch {worst:.2e}"
-
-    def suite_flow():
-        worst = 0.0
-        for _ in range(100):
-            ut = hypgeo.UnitTangent(rand_point(), float(rng.uniform(0, 2 * math.pi)))
-            s, t = float(rng.uniform(0.1, 2.5)), float(rng.uniform(0.1, 2.5))
-            a = hypgeo.geodesic_flow(hypgeo.geodesic_flow(ut, t), s)
-            b = hypgeo.geodesic_flow(ut, s + t)
-            worst = max(worst, abs(a.base.z - b.base.z),
-                        abs(hypgeo.hyp_dist(ut.base, b.base) - (s + t)))
-        return worst < 1e-9, f"max flow defect {worst:.2e}"
-
-    def suite_relations():
-        reports = [linrep.check_relations(r) for r in (rep3, rep2, linrep.unitary_cube_rep())]
-        worst = max(r.max_relative for r in reports)
-        return all(r.holds() for r in reports), f"max relative residual {worst:.2e}"
-
-    def suite_pairing():
-        # the build's Dirichlet gate: each side on its bisector of c and g.c
-        worst = max(fuchsian.dirichlet_defect(dom) for dom in (dom3, dom2))
-        return worst < 1e-9, f"max pairing defect {worst:.2e}"
-
-    def suite_coding():
-        # recoding from the state at a crossing continues the coding of the
-        # whole segment; that state is the flow's, pushed by the crossed
-        # pairings g_k ... g_1
-        ut = hypgeo.UnitTangent(dom3.interior_point, 0.8346)
-        times, gens = fuchsian.trace_geodesic(dom3, ut, 13.0)
-        k = int(np.count_nonzero(times <= 6.0)) - 1  # the last crossing by t = 6
-        pairing = {p.word[0]: p.mobius for p in dom3.pairings}
-        m = hypgeo.Mobius.identity()
-        for g in gens[:k + 1].tolist():
-            m = pairing[g] @ m
-        t0 = float(times[k])
-        end = hypgeo.geodesic_flow(ut, t0)
-        c, d = m.mat[1]
-        start = hypgeo.UnitTangent(m.apply(end.base),
-                                   end.angle - 2.0 * cmath.phase(c * end.base.z + d))
-        rest, rest_gens = fuchsian.trace_geodesic(dom3, start, 13.0 - t0)
-        gens_match = np.array_equal(rest_gens, gens[k + 1:])
-        dt = (float(np.abs(t0 + rest - times[k + 1:]).max(initial=0.0)) if gens_match
-              else math.inf)
-        return gens_match and dt < 1e-7, f"concatenation defect {dt:.2e}"
-
-    def suite_homomorphism():
-        worst = 0.0
-        for _ in range(60):
-            w1 = tuple(int(rng.integers(1, 4)) * int(rng.choice((-1, 1)))
-                       for _ in range(int(rng.integers(0, 10))))
-            w2 = tuple(int(rng.integers(1, 4)) * int(rng.choice((-1, 1)))
-                       for _ in range(int(rng.integers(0, 10))))
-            lhs = linrep.eval_word(rep3, w1 + w2)
-            rhs = linrep.eval_word(rep3, w1) @ linrep.eval_word(rep3, w2)
-            worst = max(worst, float(np.abs(lhs - rhs).max()))
-        return worst < 1e-9, f"max homomorphism defect {worst:.2e}"
-
-    def suite_functorial():
-        worst = 0.0
-        for _ in range(20):
-            a = linrep.eval_word(rep3, tuple(int(rng.integers(1, 4))
-                                             for _ in range(3)))
-            b = linrep.eval_word(rep3, tuple(-int(rng.integers(1, 4))
-                                             for _ in range(3)))
-            pair = linrep.Representation(2, "real", [a, b], (), "p", unit_det=True)
-            prod = linrep.Representation(2, "real", [a @ b], (), "ab", unit_det=True)
-            for functor in (lambda r: linrep.sym_power(r, 2),
-                            lambda r: linrep.ext_power(r, 2)):
-                fp, fq = functor(pair), functor(prod)
-                worst = max(worst, float(np.abs(
-                    fq.generators[0] - fp.generators[0] @ fp.generators[1]
-                ).max()))
-        return worst < 1e-9, f"max functoriality defect {worst:.2e}"
-
-    def suite_qr_invariance():
-        configs = [oseledets.RunConfig(T=150.0, samples=8, seed=77, qr_interval=q)
-                   for q in (None, 1, 4, 16)]
-        coding = oseledets.code_samples(dom3, configs[0])
-        ests = [oseledets.estimate_spectrum(dom3, rep3, c, coding) for c in configs]
-        spread = max(abs(e.values[0] - ests[0].values[0]) for e in ests)
-        bound = 3.0 * max(math.hypot(e.stderr[0], ests[0].stderr[0]) for e in ests)
-        return spread <= max(bound, 1e-9), f"spread {spread:.2e} vs 3se {bound:.2e}"
-
-    def suite_seed_determinism():
-        runs = [oseledets.spectrum_csv(oseledets.estimate_spectrum(
-            dom3, rep3, oseledets.RunConfig(T=100.0, samples=4, seed=123))) for _ in range(2)]
-        return runs[0] == runs[1], "CSV outputs differ" if runs[0] != runs[1] else "byte-identical"
-
-    def suite_unitary_zero():
-        est = oseledets.estimate_spectrum(
-            dom3, linrep.unitary_cube_rep(),
-            oseledets.RunConfig(T=150.0, samples=8, seed=5))
-        m = float(np.abs(est.values).max())
-        return m < 0.01, f"max |lambda| {m:.2e}"
-
-    def suite_wronskian():
-        path = [complex(0, 1)]
-        state = hypgeo.UnitTangent(hypgeo.HPoint(0, 1), 0.7)
-        for _ in range(10):
-            state = hypgeo.geodesic_flow(state, 1.0)
-            path.append(state.base.z)
-        res = devmaps.ode_develop(lambda z: 0.0, devmaps.oper_identity_init(1j), path)
-        return res.wronskian_drift < 1e-8, f"drift {res.wronskian_drift:.2e}"
-
-    def suite_counting_monotone():
-        v = devmaps.veronese_dev(3)
-        u = devmaps.Covector((1.0, 0.25, 1.0))
-        grid = np.linspace(0.3, 6.0, 60)
-        cf = errterm.count_in_balls((v, u), hypgeo.HPoint(0.0, 2.0), grid)
-        mono = bool(np.all(np.diff(cf.counts) >= 0))
-        pts, dists = fuchsian.orbit_ball(dom3, dom3.interior_point, 6.0)
-        cf2 = errterm.count_in_balls((pts, dists), dom3.interior_point, grid)
-        mono2 = bool(np.all(np.diff(cf2.counts) >= 0))
-        return mono and mono2, "counts nondecreasing"
-
-    return [
-        ("hypgeo-isometry", suite_isometry),
-        ("hypgeo-group-law", suite_group_law),
-        ("hypgeo-flow", suite_flow),
-        ("relation-check", suite_relations),
-        ("pairing-consistency", suite_pairing),
-        ("coding-concatenation", suite_coding),
-        ("linrep-homomorphism", suite_homomorphism),
-        ("linrep-functoriality", suite_functorial),
-        ("qr-interval-invariance", suite_qr_invariance),
-        ("seed-determinism", suite_seed_determinism),
-        ("unitary-zero-spectrum", suite_unitary_zero),
-        ("ode-wronskian", suite_wronskian),
-        ("counting-monotonicity", suite_counting_monotone),
-    ]
-
-
 def cmd_selftest(_ns):
+    from . import selftest  # the battery is compiled by this command only
+
     failures = []
-    for name, fn in _selftest_suites():
+    for name, fn in selftest.suites():
         try:
             ok, detail = fn()
         except Exception as exc:  # a crashed suite is a failed suite
@@ -516,105 +328,128 @@ def cmd_selftest(_ns):
 
 
 # ---------------------------------------------------------------------------
+# the command line: option -> (kind, default, help), kind being its value's
+# converter, a tuple of its choices, list (repeatable) or bool (a flag)
+OPTIONS = {
+    "config": (str, None, "key=value file; flags override it"),
+    "group": (str, "triangle:3,3,4", "triangle:p,q,r or surface:g"),
+    "rep": (str, "builtin:fuchsian", "builtin:fuchsian|builtin:trivial|builtin:unitary-cube|FILE"),
+    "transform": (list, (), "sym:k | ext:k | bend:re,im (repeatable)"),
+    "time": (float, 2000.0, "flow time per sample"),
+    "samples": (int, 64, "number of sampled geodesics"),
+    "seed": (int, 1, "seed of the samples"),
+    "qr-interval": (int, None, "cap on the QR interval; none: set by conditioning"),
+    "normalization": (("minus4", "minus1"), "minus4", "minus1 halves every exponent"),
+    "random-base": (int, 0, "1: sample base points uniformly in the domain"),
+    "axis": (("real", "imag"), "imag", "the part of the bend parameter swept"),
+    "grid": (str, "0:2:11", "start:stop:npoints or comma list"),
+    "dev": (str, "identity", "identity | veronese:n"),
+    "covector": (str, None, "homogeneous coords, e.g. '1 0 1' (required)"),
+    "center": (str, None, "x,y of the ball center; none: the domain's interior point"),
+    "tmax": (float, 12.0, "largest radius t"),
+    "grid-nodes": (int, 240, "t grid nodes, at least 1 (err: at least 50 on each side of t = 12)"),
+    "out": (str, None, "output path; none: stdout"),
+    "svg": (str, None, "also write an SVG plot here"),
+    "check": (bool, False, "refuse (exit 2) when relations fail"),
+}
 
 
-def build_parser():
-    p = argparse.ArgumentParser(
-        prog="lyaplab",
-        description=(
-            "Lyapunov spectra of flat bundles over compact hyperbolic "
-            "surfaces/orbifolds, by parallel transport along the geodesic "
-            "flow.  Spectra are reported in the curvature -4 normalization "
-            "by default (the uniformizing rank-2 representation has "
-            "lambda1 = 1); --normalization minus1 divides all exponents "
-            "by 2."
-        ),
-    )
-    sub = p.add_subparsers(dest="command", required=True)
-
-    def add_parser(name, fn, text, group="triangle:3,3,4", svg=True):
-        sp = sub.add_parser(name, help=text)
-        sp.set_defaults(fn=fn, subparser=sp)
-        sp.add_argument("--config", help="key=value file; flags override it")
-        if group:
-            sp.add_argument("--group", default=group, help="triangle:p,q,r or surface:g")
-        sp.add_argument("--out", help="output path (default stdout)")
-        if svg:
-            sp.add_argument("--svg", help="also write an SVG plot here")
-        return sp
-
-    def add_rep(sp):
-        sp.add_argument("--rep", default="builtin:fuchsian",
-                        help="builtin:fuchsian|builtin:trivial|builtin:unitary-cube|FILE")
-        sp.add_argument("--transform", action="append", default=[],
-                        help="sym:k | ext:k | bend:re,im (repeatable)")
-
-    def add_run(sp):
-        add_rep(sp)
-        sp.add_argument("--time", type=float, default=2000.0, help="flow time per sample")
-        sp.add_argument("--samples", type=int, default=64)
-        sp.add_argument("--seed", type=int, default=1)
-        sp.add_argument("--qr-interval", type=int, default=None,
-                        help="cap on the QR interval (default: set by conditioning)")
-        sp.add_argument("--normalization", choices=["minus4", "minus1"], default="minus4")
-        sp.add_argument("--random-base", type=int, default=0,
-                        help="1: sample base points uniformly in the domain")
-
-    def add_count(sp, tmax, nodes, center, center_help, nodes_help="t grid nodes"):
-        sp.add_argument("--center", default=center, help=center_help)
-        sp.add_argument("--tmax", type=float, default=tmax)
-        sp.add_argument("--grid-nodes", type=int, default=nodes, help=nodes_help)
-
-    add_run(add_parser("spectrum", cmd_spectrum, "estimate a Lyapunov spectrum"))
-
-    sp = add_parser("sweep", cmd_sweep, "bending sweep of lambda1", group="surface:2")
-    add_run(sp)
-    sp.add_argument("--axis", choices=["real", "imag"], default="imag")
-    sp.add_argument("--grid", default="0:2:11", help="start:stop:npoints or comma list")
-
-    sp = add_parser("err", cmd_err, "error-term estimate for a developing map", group=None)
-    sp.add_argument("--dev", default="identity", help="identity | veronese:n")
-    sp.add_argument("--covector", help="homogeneous coords, e.g. '1 0 1'")
-    add_count(sp, 20.0, 400, "0,2", "x,y of the ball center",
-              "t grid nodes (at least 1); at least 50 are used on each side of t = 12")
-
-    sp = add_parser("orbit-count", cmd_orbit_count, "orbit-counting calibration mode")
-    add_count(sp, 12.0, 240, None, "x,y (default: domain interior point)")
-
-    sp = add_parser("rep", cmd_rep, "read/transform/write representation files", svg=False)
-    add_rep(sp)
-    sp.add_argument("--check", action="store_true",
-                    help="refuse (exit 2) when relations fail")
-
-    sp = sub.add_parser("selftest", help="run the invariant suites")
-    sp.set_defaults(fn=cmd_selftest)
-    return p
+def _table(names, **defaults):
+    """The options of a command; defaults: those it sets otherwise, by dest."""
+    return {key: (kind, defaults.get(key.replace("-", "_"), default), text)
+            for key in names.split() for kind, default, text in [OPTIONS[key]]}
 
 
-@functools.cache
-def _parser():
-    """The parser of every call, built once per process; parsing leaves it
-    unchanged, and a --config call sets its defaults on a parser of its own."""
-    return build_parser()
+_RUN = "config group rep transform time samples seed qr-interval normalization random-base"
+COMMANDS = {  # name -> (function, help, options)
+    "spectrum": (cmd_spectrum, "estimate a Lyapunov spectrum", _table(f"{_RUN} out svg")),
+    "sweep": (cmd_sweep, "bending sweep of lambda1",
+              _table(f"{_RUN} axis grid out svg", group="surface:2")),
+    "err": (cmd_err, "error-term estimate for a developing map",
+            _table("config dev covector center tmax grid-nodes out svg",
+                   center="0,2", tmax=20.0, grid_nodes=400)),
+    "orbit-count": (cmd_orbit_count, "orbit-counting calibration mode",
+                    _table("config group center tmax grid-nodes out svg")),
+    "rep": (cmd_rep, "read/transform/write representation files",
+            _table("config group rep transform out check")),
+    "selftest": (cmd_selftest, "run the invariant suites", {}),
+}
+CONFIG_KEYS = {key for key, (kind, _, _) in OPTIONS.items()  # of one value, and no file
+               if kind not in (list, bool) and key not in ("config", "out", "svg")}
+
+
+def _usage_error(text):
+    sys.stderr.write(f"lyaplab: usage error: {text}\n")
+    raise SystemExit(2)
+
+
+def _value(where, kind, raw):
+    """raw by kind, a converter or a tuple of choices; a bad value is a usage error."""
+    try:  # tuple.index raises ValueError too
+        return kind[kind.index(raw)] if isinstance(kind, tuple) else kind(raw)
+    except ValueError:
+        _usage_error(f"{where}: invalid value {raw!r} (expected "
+                     f"{' | '.join(kind) if isinstance(kind, tuple) else kind.__name__})")
+
+
+def _help(command):
+    """Print the help of lyaplab (command None) or of a command, and exit 0."""
+    rows = [(name, text) for name, (_, text, _) in COMMANDS.items()]
+    head = f"{{{','.join(COMMANDS)}}} [--option value ...]\n\n{__doc__}\ncommands:"
+    if command:
+        head = f"{command} [--option value ...]\n\n{COMMANDS[command][1]}\n\noptions:"
+        rows = [(f"--{key}" + (" {" + ",".join(kind) + "}" if isinstance(kind, tuple) else ""),
+                 f"{text} (default: {'none' if default in (None, ()) else default})")
+                for key, (kind, default, text) in COMMANDS[command][2].items()]
+    print(f"usage: lyaplab {head}", *(f"  {a:<22} {b}" for a, b in rows), sep="\n")
+    raise SystemExit(0)
+
+
+def _parse(argv):
+    """(command, {option: value}) of argv, each value converted at once: --opt value
+    or --opt=value, a value not beginning with --; -h or --help anywhere is help."""
+    command = argv[0] if argv else "none"
+    if "-h" in argv or "--help" in argv:
+        _help(command if command in COMMANDS else None)
+    if command not in COMMANDS:
+        _usage_error(f"expected a command ({', '.join(COMMANDS)}), got {command}")
+    args, given, opts = iter(argv[1:]), {}, COMMANDS[command][2]
+    for arg in args:
+        key, eq, raw = arg[2:].partition("=")
+        if not arg.startswith("--") or key not in opts or eq and opts[key][0] is bool:
+            _usage_error(f"{command} has no option {arg!r}")
+        kind = opts[key][0]
+        if kind is not bool and not eq:
+            raw = next(args, None)
+            if raw is None or raw.startswith("--"):
+                _usage_error(f"{command} --{key} needs a value")
+        given[key] = (given.get(key, ()) + (raw,) if kind is list else True if kind is bool
+                      else _value(f"{command} --{key}", kind, raw))
+    return command, given
 
 
 def main(argv=None):
-    ns = _parser().parse_args(argv)
+    command, given = _parse(sys.argv[1:] if argv is None else argv)
     config = {}
-    if getattr(ns, "config", None):
+    if given.get("config"):
         try:
-            config = _load_config(ns.config)
+            with open(given["config"]) as fh:
+                lines = [line.strip() for line in fh]
         except OSError as exc:
             sys.stderr.write(f"lyaplab: cannot read config: {exc}\n")
             return 3
+        pairs = (line.partition("=") for line in lines if line and not line.startswith("#"))
+        config = {key.strip(): val.strip() for key, _, val in pairs}
     try:
-        if config:
-            parser = build_parser()  # the config's defaults end with this call
-            ns = parser.parse_args(argv)
-            # argparse passes string defaults through each option's type
-            ns.subparser.set_defaults(**_config_defaults(ns, config))
-            ns = parser.parse_args(argv)
-        return ns.fn(ns)
+        unknown = [key for key in config if key not in CONFIG_KEYS]
+        if unknown:
+            raise Refusal(f"unknown config key {unknown[0]!r} in {given['config']}")
+        ns = types.SimpleNamespace()
+        for key, (kind, default, _) in COMMANDS[command][2].items():  # a flag wins over the file
+            if key in config and key not in given:
+                given[key] = _value(f"{given['config']}: {key}", kind, config[key])
+            setattr(ns, key.replace("-", "_"), given.get(key, default))
+        return COMMANDS[command][0](ns)
     except (Refusal, fuchsian.ResourceError, hypgeo.NumericDegeneracyError,
             oseledets.InsufficientDataError) as exc:
         sys.stderr.write(f"lyaplab: refused: {exc}\n")

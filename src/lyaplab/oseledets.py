@@ -172,10 +172,12 @@ class CocycleAccumulator:
 def _scale(m, e):
     """m / 2^k per matrix of the stack m, in place, for k putting its largest
     real or imaginary |entry| in [1, 2) (exact; the identity stays); add k to e."""
-    x = m.reshape(*m.shape[:-2], m.shape[-2] * m.shape[-1]).view(float)
-    k = np.frexp(np.maximum(x.max(axis=-1), -x.min(axis=-1)))[1] - 1
+    x = m.reshape(-1, m.shape[-2] * m.shape[-1]).view(float)  # (matrices, entries)
+    k, rows = np.empty(len(x), np.intc), max(1, 2048 // x.shape[1])
+    for i in range(0, len(x), rows):  # |x| 16 KiB at a time, not a copy of the stack
+        k[i:i + rows] = np.frexp(np.maximum.reduce(np.abs(x[i:i + rows]).T))[1] - 1
     e += k.reshape(-1, len(e)).sum(axis=0)
-    return np.ldexp(x, -k[..., None], out=x).view(m.dtype).reshape(m.shape)
+    return np.ldexp(x, -k[:, None], out=x).view(m.dtype).reshape(m.shape)
 
 
 def _push(counter, m, key, e, work):
@@ -330,8 +332,10 @@ def _lockstep(table, log_dets, batch, part, config, q, rows, failures):
     off = settle - burn
     ends = off + lengths
     width = -(-ends.max(initial=0) // q) * q
-    steps = np.array([np.pad(batch.gens[i], (o, width - e))
-                      for i, o, e in zip(own, off, ends)]).T + table.shape[1] // 2
+    steps = np.zeros((width, len(own)), np.int64)
+    for col, (i, o, e) in enumerate(zip(own, off.tolist(), ends.tolist())):
+        steps[o:e, col] = batch.gens[i]
+    steps += table.shape[1] // 2
     # rows of the flattened table, (windows, q, lanes); int32 halves the index
     windows = (steps[:, column] + rep_of * table.shape[1]).astype(np.int32)
     windows = windows.reshape(-1, q, len(part))

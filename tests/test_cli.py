@@ -586,11 +586,30 @@ class TestConfigFile:
         assert captured.out == ""
         assert captured.err.startswith("lyaplab: refused: unknown config key 'qr_interval'")
 
+    @pytest.mark.parametrize("command,key,value", [
+        ("sweep", "axis", "diag"),
+        ("spectrum", "normalization", "minus2"),
+        ("spectrum", "samples", "3.5"),
+    ])
+    def test_bad_value_is_a_usage_error(self, tmp_path, capsys, command, key, value):
+        # a file's values pass the converters and choices of the flags
+        cfg, out = tmp_path / "run.cfg", tmp_path / "never.csv"
+        cfg.write_text(f"time=40\nsamples=3\n{key} = {value}\n")
+        with pytest.raises(SystemExit) as exc:
+            run_cli([command, "--config", str(cfg), "--out", str(out)])
+        assert exc.value.code == 2 and not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"lyaplab: usage error: {cfg}: {key}: invalid value "
+                                       f"{value!r}")
+        assert len(captured.err.splitlines()) == 1
+
 
 class TestFreshInterpreter:
     def test_runs_leave_numpy_random_unimported(self):
-        # sample directions come from oseledets' own copy of numpy's stream;
-        # pytest itself loads numpy.random, so this needs a fresh interpreter
+        # sample directions come from oseledets' own copy of numpy's stream,
+        # and the command line is parsed without argparse; pytest itself loads
+        # numpy.random and argparse, so this needs a fresh interpreter
         src = str(Path(lyaplab.__file__).resolve().parents[1])
         script = (
             "import contextlib, io, sys\n"
@@ -602,7 +621,8 @@ class TestFreshInterpreter:
             "             ['err', '--covector', '1 0', '--tmax', '5']]:\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        assert cli.main(args) == 0, args\n"
-            "print(sorted(m for m in ('numpy.random', 'fractions') if m in sys.modules))\n"
+            "print(sorted(m for m in ('numpy.random', 'fractions', 'argparse', 'gettext',\n"
+            "                         'locale') if m in sys.modules))\n"
         )
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                               timeout=120, env={**os.environ, "PYTHONPATH": src})
@@ -628,7 +648,6 @@ class TestCommandLineRefusals:
         assert why in err[0]
 
     @pytest.mark.parametrize("args,why", [
-        (["orbit-count", "--tmax", "3", "--grid-nodes", "0"], "t grid must be nonempty and finite"),
         (["err", "--covector", "1 0", "--tmax", "nan"], "t grid must be nonempty and finite"),
         (["err", "--covector", "1 0", "--tmax", "inf"], "t grid must be nonempty and finite"),
         (["err", "--covector", "1 0", "--tmax", "-1"],
@@ -654,6 +673,8 @@ class TestCommandLineRefusals:
          "grid nodes must be >= 1"),
         (["err", "--covector", "1 0", "--tmax", "5", "--grid-nodes", "-5"],
          "grid nodes must be >= 1"),
+        (["orbit-count", "--tmax", "3", "--grid-nodes", "0"], "grid nodes must be >= 1"),
+        (["orbit-count", "--tmax", "3", "--grid-nodes", "-5"], "grid nodes must be >= 1"),
     ])
     def test_negative_seed_or_too_few_nodes_is_one_invalid_input_line(self, capsys, args, why):
         assert run_cli(args) == 2
@@ -670,6 +691,29 @@ class TestCommandLineRefusals:
         assert err == ["lyaplab: invalid input: generator 8 of "
                        "fuchsian|bend:2,0|sym:3 is singular in float64"]
 
+    @pytest.mark.parametrize("args,why", [
+        ([], "expected a command (spectrum, sweep, err, orbit-count, rep, selftest), got none"),
+        (["spectra"], "expected a command (spectrum, sweep, err, orbit-count, rep, selftest), "
+                      "got spectra"),
+        (["spectrum", "--bogus", "1"], "spectrum has no option '--bogus'"),
+        (["spectrum", "--samp", "3"], "spectrum has no option '--samp'"),  # no prefixes
+        (["spectrum", "samples", "3"], "spectrum has no option 'samples'"),
+        (["orbit-count", "--axis", "real"], "orbit-count has no option '--axis'"),
+        (["rep", "--check=1"], "rep has no option '--check=1'"),
+        (["spectrum", "--seed"], "spectrum --seed needs a value"),
+        (["spectrum", "--out", "--svg", "p.svg"], "spectrum --out needs a value"),
+        (["spectrum", "--samples", "3.5"], "spectrum --samples: invalid value '3.5' (expected int)"),
+        (["err", "--tmax=x"], "err --tmax: invalid value 'x' (expected float)"),
+        (["sweep", "--axis", "diag"], "sweep --axis: invalid value 'diag' (expected real | imag)"),
+    ])
+    def test_usage_error_is_one_line(self, capsys, args, why):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(args)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"lyaplab: usage error: {why}"]
+
     @pytest.mark.parametrize("args", [
         ["rep", "--time", "5"],
         ["err", "--group", "surface:2", "--covector", "1 0"],
@@ -679,3 +723,50 @@ class TestCommandLineRefusals:
         with pytest.raises(SystemExit) as exc:
             run_cli(args)
         assert exc.value.code == 2
+
+
+# every option of each command and the default its help names
+HELP_DEFAULTS = {
+    "spectrum": {
+        "config": "none", "group": "triangle:3,3,4", "rep": "builtin:fuchsian",
+        "transform": "none", "time": "2000.0", "samples": "64", "seed": "1",
+        "qr-interval": "none", "normalization": "minus4", "random-base": "0", "out": "none",
+        "svg": "none"},
+    "sweep": {
+        "config": "none", "group": "surface:2", "rep": "builtin:fuchsian", "transform": "none",
+        "time": "2000.0", "samples": "64", "seed": "1", "qr-interval": "none",
+        "normalization": "minus4", "random-base": "0", "axis": "imag", "grid": "0:2:11",
+        "out": "none", "svg": "none"},
+    "err": {
+        "config": "none", "dev": "identity", "covector": "none", "center": "0,2", "tmax": "20.0",
+        "grid-nodes": "400", "out": "none", "svg": "none"},
+    "orbit-count": {
+        "config": "none", "group": "triangle:3,3,4", "center": "none", "tmax": "12.0",
+        "grid-nodes": "240", "out": "none", "svg": "none"},
+    "rep": {
+        "config": "none", "group": "triangle:3,3,4", "rep": "builtin:fuchsian",
+        "transform": "none", "out": "none", "check": "False"},
+    "selftest": {},
+}
+
+
+class TestHelp:
+    @staticmethod
+    def help_text(args, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(args)
+        assert exc.value.code == 0
+        return capsys.readouterr().out
+
+    def test_lists_the_commands(self, capsys):
+        text = self.help_text(["--help"], capsys)
+        assert [l.split()[0] for l in text.split("commands:\n")[1].splitlines()] == list(
+            HELP_DEFAULTS)
+
+    @pytest.mark.parametrize("command", list(HELP_DEFAULTS))
+    def test_names_every_option_with_its_default(self, capsys, command):
+        text = self.help_text([command, "-h"], capsys)
+        rows = {l.split()[0]: l for l in text.splitlines() if l.startswith("  --")}
+        assert sorted(rows) == sorted(f"--{key}" for key in HELP_DEFAULTS[command])
+        for key, default in HELP_DEFAULTS[command].items():
+            assert rows[f"--{key}"].endswith(f"(default: {default})"), rows[f"--{key}"]
