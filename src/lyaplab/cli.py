@@ -153,7 +153,7 @@ def svg_line_plot(series, title, xlabel, ylabel):
 def _run_config(ns):
     return oseledets.RunConfig(
         T=ns.time, samples=ns.samples, seed=ns.seed, qr_interval=ns.qr_interval,
-        normalization=ns.normalization, random_base=bool(ns.random_base),
+        normalization=ns.normalization, random_base=ns.random_base == "1",
     )
 
 
@@ -177,9 +177,9 @@ def cmd_spectrum(ns):
 
 
 def cmd_sweep(ns):
-    """Bend the whole grid in one call, then run each scalar field's points
-    as one fused cocycle over geodesics coded once; refused and unresolved
-    points become failed rows."""
+    """Bend the whole grid in one call, then run every point that was not
+    refused in one estimate_spectra call over geodesics coded once;
+    refused and unresolved points become failed rows."""
     run = _run_config(ns)
     grid = _parse_grid(ns.grid)
     if not grid or not all(math.isfinite(v) for v in grid):
@@ -189,25 +189,19 @@ def cmd_sweep(ns):
     if rep.n != 2:
         raise Refusal("sweep needs a rank-2 base representation")
     split = _bend_split_for(rep, spec)
-    coding = oseledets.code_samples(dom, run)  # shared by all points
     values = [complex(0.0, v) if ns.axis == "imag" else complex(v, 0.0) for v in grid]
-    rows, fields = [], {}  # fields: is_complex -> [(grid position, bent rep)]
-    for k, (v, bent) in enumerate(zip(grid, fuchsian.bend_representations(rep, split, values))):
-        if isinstance(bent, Exception):
-            rows.append((v, math.nan, math.nan, f"failed:{type(bent).__name__}"))
+    bent = fuchsian.bend_representations(rep, split, values)
+    ests = iter(oseledets.estimate_spectra(
+        dom, [b for b in bent if not isinstance(b, Exception)], run))
+    rows = []
+    for v, b in zip(grid, bent):
+        est = b if isinstance(b, Exception) else next(ests)
+        if isinstance(est, Exception):  # refused, or InsufficientDataError
+            rows.append((v, math.nan, math.nan, f"failed:{type(est).__name__}"))
+        elif est.unresolved:
+            rows.append((v, math.nan, math.nan, "failed:unresolved"))
         else:
-            fields.setdefault(bent.is_complex, []).append((k, bent))
-            rows.append(None)
-    for group in fields.values():  # a real rep is never promoted to complex
-        ests = oseledets.estimate_spectra(dom, [r for _, r in group], run, coding)
-        for (k, _), est in zip(group, ests):
-            v = grid[k]
-            if isinstance(est, oseledets.InsufficientDataError):
-                rows[k] = (v, math.nan, math.nan, f"failed:{type(est).__name__}")
-            elif est.unresolved:
-                rows[k] = (v, math.nan, math.nan, "failed:unresolved")
-            else:
-                rows[k] = (v, est.values[0], est.stderr[0], "ok")
+            rows.append((v, est.values[0], est.stderr[0], "ok"))
     lines = ["parameter,lambda1,stderr,status"]
     for v, lam, se, status in rows:
         lines.append(f"{v:.12g},{lam:.12g},{se:.12g},{status}")
@@ -277,10 +271,9 @@ def _write_err_outputs(ns, cf):
     est = errterm.err_estimate(cf, ns.tmax)
     _write_text(ns.out, errterm.count_csv(cf, est))
     if ns.svg:
-        _, g, running = errterm.running_err(cf)
         svg = svg_line_plot(
-            [(list(cf.t), list(running), "steelblue", False),
-             (list(cf.t), list(math.pi * g), "gray", False)],
+            [(list(cf.t), list(cf.running), "steelblue", False),
+             (list(cf.t), list(math.pi * cf.ratio), "gray", False)],
             "running error-term estimate (blue) and instantaneous ratio (gray)",
             "t", "estimate",
         )
@@ -340,7 +333,7 @@ OPTIONS = {
     "seed": (int, 1, "seed of the samples"),
     "qr-interval": (int, None, "cap on the QR interval; none: set by conditioning"),
     "normalization": (("minus4", "minus1"), "minus4", "minus1 halves every exponent"),
-    "random-base": (int, 0, "1: sample base points uniformly in the domain"),
+    "random-base": (("0", "1"), "0", "1: sample base points uniformly in the domain"),
     "axis": (("real", "imag"), "imag", "the part of the bend parameter swept"),
     "grid": (str, "0:2:11", "start:stop:npoints or comma list"),
     "dev": (str, "identity", "identity | veronese:n"),

@@ -30,7 +30,11 @@ class ConfigurationError(ValueError):
 
 @dataclass(frozen=True)
 class CountFunction:
-    """t -> number of bad points within hyperbolic distance t of the center."""
+    """t -> number of bad points within hyperbolic distance t of the center.
+
+    At every node of t, set once here: vols, the ball volume; ratio,
+    count/vol; running, the running estimate, pi/t times the trapezoidal
+    integral of count/vol from the first node to t."""
 
     t: np.ndarray
     counts: np.ndarray
@@ -52,6 +56,12 @@ class CountFunction:
         object.__setattr__(
             self, "uncertain", np.asarray(self.uncertain, dtype=np.int64)
         )
+        vols = np.array([ball_volume(v) for v in t])
+        g = c / vols
+        running_int = np.concatenate([[0.0], np.cumsum(0.5 * (g[1:] + g[:-1]) * np.diff(t))])
+        object.__setattr__(self, "vols", vols)
+        object.__setattr__(self, "ratio", g)
+        object.__setattr__(self, "running", math.pi * running_int / t)
 
 
 def count_in_balls(source, center, t_grid):
@@ -90,18 +100,6 @@ class ErrEstimate:
     uncertainty: float = 0.0
 
 
-def running_err(cf):
-    """(ball volumes, count/vol, running estimate) at every node of cf.t;
-    the running estimate at t is pi/t times the trapezoidal integral of
-    count/vol from the first node to t."""
-    vols = np.array([ball_volume(v) for v in cf.t])
-    g = cf.counts / vols
-    running_int = np.concatenate(
-        [[0.0], np.cumsum(0.5 * (g[1:] + g[:-1]) * np.diff(cf.t))]
-    )
-    return vols, g, math.pi * running_int / cf.t
-
-
 def err_estimate(cf, T_max):
     """Trapezoidal time average of count/vol over [t0, T], times pi/T."""
     t = cf.t
@@ -111,7 +109,7 @@ def err_estimate(cf, T_max):
     if n < MIN_NODES:
         raise ResolutionError(f"only {n} grid nodes below T_max; need {MIN_NODES}")
     tt = t[:n]
-    vols, _, running = (a[:n] for a in running_err(cf))
+    vols, running = cf.vols[:n], cf.running[:n]
     tails = []
     for frac in (0.6, 0.8, 1.0):
         target = frac * T_max
@@ -172,9 +170,9 @@ def sum_rule_check(spectrum, degree_ratio, err, k=1):
 
 def count_csv(cf, est):
     """CSV rows t,count,count_over_vol,running_err plus a comment summary."""
-    _, g, running = running_err(cf)
     lines = ["t,count,count_over_vol,running_err"]
-    for t, c, gi, r in zip(cf.t.tolist(), cf.counts.tolist(), g.tolist(), running.tolist()):
+    for t, c, gi, r in zip(cf.t.tolist(), cf.counts.tolist(), cf.ratio.tolist(),
+                           cf.running.tolist()):
         lines.append(f"{t:.12g},{c},{gi:.12g},{r:.12g}")
     tails = " ".join(f"tail_{tp:g}={tv:.12g}" for tp, tv in est.tail_estimates)
     lines.append(

@@ -41,7 +41,6 @@ class RunConfig:
     qr_interval: int = None  # cap on every representation's QR interval; None: no cap
     normalization: str = "minus4"
     random_base: bool = False
-    burn_in: float = None  # None: min(50, T/10); frame-alignment transient
 
     def __post_init__(self):
         if not 0 < self.T < math.inf:
@@ -52,10 +51,11 @@ class RunConfig:
             raise ValueError("qr_interval must be >= 1")
         if self.normalization not in ("minus4", "minus1"):
             raise ValueError("normalization must be minus4|minus1")
-        if self.burn_in is None:
-            object.__setattr__(self, "burn_in", min(50.0, self.T / 10.0))
-        if not 0 <= self.burn_in < self.T:
-            raise ValueError("burn_in must lie in [0, T)")
+
+    @property
+    def burn_in(self):
+        """min(50, T/10), in (0, T): the frame-alignment transient of every lane."""
+        return min(50.0, self.T / 10.0)
 
 
 @dataclass(frozen=True)
@@ -253,33 +253,37 @@ def cocycle(reps, batch, config):
     spectrum ("" when one does; see qr_interval).
 
     Between crossings the constant norm is flat, so the cocycle is exactly
-    the product of the crossing holonomies.  The reps share size, generator
-    count and scalar field.  Each runs at its own QR interval q, from
-    qr_interval capped by config.qr_interval, and the reps of one q run
-    fused: lane (r, i) multiplies rep r's images along lane i of batch, one
-    QR window of q steps at a time (see _lockstep; complex images multiply
-    in a real fold, read back only at rank 3 and up); log|det| of each image
-    is tabled once for rank 2, exactly 0 for a unit_det rep.  Each lane's
-    log counts from the end of its burn_in (log increments up to there, an
-    O(1/T) frame-alignment bias, are discarded), at rank 3 and up a QR every
-    q of its own steps and one after its last.  A lane's values depend
-    neither on its batch nor on the other reps."""
-    n, m, field = reps[0].n, reps[0].num_generators, reps[0].is_complex
-    if any((rep.n, rep.num_generators, rep.is_complex) != (n, m, field) for rep in reps):
-        raise ValueError("fused representations differ in size or scalar field")
-    table = _images(reps).astype(complex if field else float)
-    log_dets = np.where([[rep.unit_det] for rep in reps], 0.0, np.linalg.slogdet(table)[1])
-    schedule = _intervals(table, config.qr_interval)
-    chunk = max(1, FRAME_BUDGET // (n * n * table.itemsize))
-    rows, failures = [[] for _ in reps], [[] for _ in reps]
-    for q in sorted({q for q, _ in schedule}):
-        group = [r for r, (qr, _) in enumerate(schedule) if qr == q]
-        sub, lanes = table[group], len(group) * len(batch.index)
-        for lo in range(0, lanes, chunk):
-            _lockstep(sub, log_dets[group], batch, np.arange(lo, min(lo + chunk, lanes)),
-                      config, q, [rows[r] for r in group], [failures[r] for r in group])
-    return [(np.array(r).reshape(len(r), n), f, why)
-            for r, f, (_, why) in zip(rows, failures, schedule)]
+    the product of the crossing holonomies.  The reps share size and
+    generator count; grouped by scalar field (a real rep stays real) and QR
+    interval q, from qr_interval capped by config.qr_interval, the reps of
+    one group run fused: lane (r, i) multiplies rep r's images along lane i
+    of batch, one QR window of q steps at a time (see _lockstep); log|det|
+    of each image is tabled once for rank 2, exactly 0 for a unit_det rep.
+    Each lane's log counts from the end of config.burn_in (log increments up
+    to there, an O(1/T) frame-alignment bias, are discarded), at rank 3 and
+    up a QR every q of its own steps and one after its last.  A lane's
+    values depend neither on its batch nor on the other reps."""
+    if not reps:
+        return []
+    n = reps[0].n
+    if any((rep.n, rep.num_generators) != (n, reps[0].num_generators) for rep in reps):
+        raise ValueError("fused representations differ in size or generator count")
+    rows, failures, schedule = [[] for _ in reps], [[] for _ in reps], {}
+    for field in sorted({rep.is_complex for rep in reps}):
+        members = [r for r, rep in enumerate(reps) if rep.is_complex == field]
+        table = _images([reps[r] for r in members]).astype(complex if field else float)
+        log_dets = np.where([[reps[r].unit_det] for r in members], 0.0, np.linalg.slogdet(table)[1])
+        schedule.update(zip(members, _intervals(table, config.qr_interval)))
+        chunk = max(1, FRAME_BUDGET // (n * n * table.itemsize))
+        for q in sorted({schedule[r][0] for r in members}):
+            group = [k for k, r in enumerate(members) if schedule[r][0] == q]
+            sub, lanes = table[group], len(group) * len(batch.index)
+            for lo in range(0, lanes, chunk):
+                _lockstep(sub, log_dets[group], batch, np.arange(lo, min(lo + chunk, lanes)),
+                          config, q, [rows[members[k]] for k in group],
+                          [failures[members[k]] for k in group])
+    return [(np.array(rows[r]).reshape(len(rows[r]), n), failures[r], schedule[r][1])
+            for r in range(len(reps))]
 
 
 def _lockstep(table, log_dets, batch, part, config, q, rows, failures):
@@ -311,9 +315,11 @@ def _lockstep(table, log_dets, batch, part, config, q, rows, failures):
 
     At rank 3 and up each window product is read back from its fold, as its
     top-left block plus i times its bottom-left, for one matmul of the
-    frames and one flush of every live lane (a flush zeroes a failed frame).
-    A lane before its start holds the identity, whose flush is exact, and its
-    log is read at the window of its last step."""
+    frames and one flush of the live lanes whose steps touch the window (a
+    flush zeroes a failed frame).  Before its start a lane's window products
+    are the identity, so its frame stays exactly I; after its end neither
+    its frame nor its log changes, so every log is read after the last
+    window."""
     samples = len(batch.index)
     rep_of, lane_of = np.divmod(part, samples)
     # lanes k and k + samples of part follow one sample and share its coding
@@ -326,8 +332,7 @@ def _lockstep(table, log_dets, batch, part, config, q, rows, failures):
     # both span ends at crossing epochs: the log accrues only at crossings,
     # so a span ending mid-gap would bias the rate by the mean residual gap
     epochs = [np.append(0.0, t) for t in times]  # crossing epochs from the start
-    span = (np.array([e[-1] - e[b] for e, b in zip(epochs, burn.tolist())])
-            if config.burn_in > 0.0 else np.full(len(times), config.T))
+    span = np.array([e[-1] - e[b] for e, b in zip(epochs, burn.tolist())])
     settle = -(-burn.max(initial=0) // q) * q  # global step at which every burn-in ends
     off = settle - burn
     ends = off + lengths
@@ -358,11 +363,10 @@ def _lockstep(table, log_dets, batch, part, config, q, rows, failures):
     else:
         acc = CocycleAccumulator(len(part), n, field)
         base_log, frames = np.zeros_like(acc.log_diag), np.empty_like(acc.frames)
-        final = np.zeros_like(acc.log_diag)  # each lane's log at its last window
-        closing = {}  # window: the lanes whose last step falls in it
-        for lane, w in enumerate(((ends - 1) // q).tolist()):
-            closing.setdefault(w, []).append(lane)
-        live = slice(None)  # every lane, until one degenerates
+        final = acc.log_diag  # flush adds to it in place
+        first, last = off // q, (ends - 1) // q  # the windows each lane's steps touch
+        live = np.ones(len(part), bool)  # every lane, until it degenerates
+        changes = {0, *first.tolist(), *(last + 1).tolist()}  # the windows where due changes
     block = max(1, FRAME_BUDGET // (3 * len(part) * flat[0].nbytes))
     # the running products, a gathered step and their product, then the trees' upper
     # levels: no view may outlive a block.  The rows are in range; clip does not buffer
@@ -387,15 +391,17 @@ def _lockstep(table, log_dets, batch, part, config, q, rows, failures):
         for w, prod in enumerate(prods, w0):
             np.matmul(prod, acc.frames, out=frames)  # out=acc.frames would copy them first
             acc.frames, frames = frames, acc.frames
-            bad = acc.flush(live)
+            if w in changes:
+                due = np.flatnonzero(live & (first <= w) & (w <= last))
+                due = slice(None) if len(due) == len(part) else due  # a view, not a copy
+            bad = acc.flush(due)
             if len(bad):
                 step = np.minimum((w + 1) * q - off[bad], lengths[bad])
                 failed.update(zip(bad.tolist(), step.tolist()))
-                live = np.setdiff1d(np.arange(len(part))[live], bad)
+                live[bad] = False
+                changes.add(w + 1)
             if (w + 1) * q == settle:
                 base_log = acc.log_diag.copy()
-            if w in closing:
-                final[closing[w]] = acc.log_diag[closing[w]]
     if n == 2:
         (u,), p = pre.values(), eye  # the earlier tree ends in its root
         for level in sorted(post):  # the later one is padded with identities to 2^k leaves
@@ -456,10 +462,12 @@ def _sample_base(dom, rng):
 
 
 def estimate_spectra(dom, reps, config, coding=None):
-    """Monte-Carlo spectra of reps (one size and scalar field, run fused):
-    one long geodesic per sample, averaged, along coding (the CodingBatch
-    of config, traced here when not given).  A rep left with fewer than 2
-    samples gets its InsufficientDataError in place of an estimate."""
+    """Monte-Carlo spectra of reps (of one size, fused by cocycle): one long
+    geodesic per sample, averaged, along coding (the CodingBatch of config,
+    traced here when not given and reps is not empty).  A rep left with
+    fewer than 2 samples gets its InsufficientDataError in its place."""
+    if not reps:
+        return []
     batch = code_samples(dom, config) if coding is None else coding
     if batch.key != _coding_key(config):
         raise ValueError("coding batch was traced for another run configuration")

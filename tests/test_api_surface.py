@@ -30,9 +30,6 @@ EXEMPT = {
 EXEMPT_PARAMS = {
     # sum_rule_check is an exempt entry point (above); C7 passes k = 2 for Sym^2
     "errterm.sum_rule_check(k)",
-    # the package always derives it, min(50, T/10); oracle tests pin the
-    # transient (0 among them, which runs _lockstep's span = T branch)
-    "oseledets.RunConfig(burn_in)",
 }
 
 
@@ -228,3 +225,17 @@ def test_every_relation_verdict_is_holds():
     bypasses = [f"{path.stem}:{line} {what}" for path in sorted(PACKAGE.glob("*.py"))
                 for line, what in _relation_gate_bypasses(ast.parse(path.read_text()))]
     assert not bypasses, f"relation verdicts outside RelationReport.holds(): {bypasses}"
+
+
+def test_run_config_fields_are_the_command_line():
+    """RunConfig's fields are exactly the keywords cli._run_config passes,
+    so no field is a knob that only the tests turn."""
+    tree = ast.parse((PACKAGE / "oseledets.py").read_text())
+    cls = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "RunConfig")
+    fields = [f.target.id for f in cls.body if isinstance(f, ast.AnnAssign)]
+    fn = next(n for n in ast.parse((PACKAGE / "cli.py").read_text()).body
+              if isinstance(n, ast.FunctionDef) and n.name == "_run_config")
+    (call,) = [n for n in ast.walk(fn) if isinstance(n, ast.Call)
+               and getattr(n.func, "attr", None) == "RunConfig"]
+    assert not call.args
+    assert sorted(k.arg for k in call.keywords) == sorted(fields)

@@ -322,6 +322,18 @@ class TestSweepCommand:
                         "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
+    def test_all_refused_grid_prints_failed_rows(self, tmp_path, monkeypatch):
+        # no point is left to run, so nothing is traced
+        traced = []
+        monkeypatch.setattr(oseledets, "trace_geodesic", lambda *a: traced.append(a))
+        out = tmp_path / "sweep.csv"
+        assert run_cli(["sweep", "--group", "surface:2", "--axis", "real", "--grid", "60,400",
+                        "--time", "50", "--samples", "3", "--out", str(out)]) == 0
+        assert out.read_text() == ("parameter,lambda1,stderr,status\n"
+                                   "60,nan,nan,failed:DegenerateBendingError\n"
+                                   "400,nan,nan,failed:RepresentationError\n")
+        assert traced == []
+
     # one chunk per scalar field and QR interval: the real twists 0, 0.5 and
     # 1 run at q = 8, 6 and 4
     @pytest.mark.parametrize("axis,fields", [("imag", [False, True]),
@@ -590,6 +602,7 @@ class TestConfigFile:
         ("sweep", "axis", "diag"),
         ("spectrum", "normalization", "minus2"),
         ("spectrum", "samples", "3.5"),
+        ("spectrum", "random-base", "5"),
     ])
     def test_bad_value_is_a_usage_error(self, tmp_path, capsys, command, key, value):
         # a file's values pass the converters and choices of the flags
@@ -705,6 +718,11 @@ class TestCommandLineRefusals:
         (["spectrum", "--samples", "3.5"], "spectrum --samples: invalid value '3.5' (expected int)"),
         (["err", "--tmax=x"], "err --tmax: invalid value 'x' (expected float)"),
         (["sweep", "--axis", "diag"], "sweep --axis: invalid value 'diag' (expected real | imag)"),
+        (["spectrum", "--random-base", "5"],
+         "spectrum --random-base: invalid value '5' (expected 0 | 1)"),
+        (["spectrum", "--random-base", "-1"],
+         "spectrum --random-base: invalid value '-1' (expected 0 | 1)"),
+        (["sweep", "--random-base=2"], "sweep --random-base: invalid value '2' (expected 0 | 1)"),
     ])
     def test_usage_error_is_one_line(self, capsys, args, why):
         with pytest.raises(SystemExit) as exc:

@@ -83,7 +83,16 @@ windowed oracle's, as the old tree's did; on imag-bends-n2 (ten bends,
 T = 300) the moves were at most 2.6e-15 a sample, within 1.0e-15 of the
 oracle (the old tree 1.7e-15).  No mean moved by more than 4e-14 combined
 stderr, lambda2 stayed -lambda1 exactly and the failures were equal (none).
-The real configurations and sym3-q3-burn37 kept their bits.
+The real configurations and sym3-q3-burn37 kept their bits.  Only two
+configurations were recorded a thirteenth time, with the engine unchanged,
+when `RunConfig.burn_in` stopped being a field and came always to be
+min(50, T/10): burn0-minus1 (a burn-in of 0, whose span ran to T rather
+than between crossing epochs) and sym3-q3-burn37 (37 at T = 200) set
+burn-ins that no T gives any more.  They became minus1 and sym3-q3, with
+their seeds, T, q and normalization kept, at the derived burn-ins 15 and
+20.  Their rows lie within 0.003 and 0.013 of the exact 1/2 and (3, 1, -1,
+-3), with no trace or cocycle failure, and the engine that ran the old
+configurations gives the same bits.
 
 Each configuration runs `oseledets.cocycle` on a fresh coding and compares
 every exponent row as `float.hex` strings, together with the trace and
@@ -231,7 +240,7 @@ def lockstep_windowed(table, log_dets, batch, part, config, q, rows, failures):
             continue
         log = np.sort(final[lane] - base_log[lane])[::-1]
         t0 = np.append(0.0, t)  # crossing epochs from the start
-        span = t0[-1] - t0[burn[lane]] if config.burn_in > 0.0 else config.T
+        span = t0[-1] - t0[burn[lane]]
         lam = log / span if span > 0.0 else np.zeros(len(log))
         rows[r].append(2.0 * lam if config.normalization == "minus4" else lam)
 
@@ -298,7 +307,7 @@ def lockstep_per_crossing(table, log_dets, batch, part, config, q, rows, failure
         # crossings, so pairing it with a time span ending mid-gap would
         # bias the rate by the mean residual gap over T
         t0 = np.append(0.0, t)  # crossing epochs from the start
-        span = t0[-1] - t0[burn[lane]] if config.burn_in > 0.0 else config.T
+        span = t0[-1] - t0[burn[lane]]
         lam = log / span if span > 0.0 else np.zeros(len(log))
         rows[r].append(2.0 * lam if config.normalization == "minus4" else lam)
 
@@ -413,7 +422,7 @@ def lockstep_complex_fold(table, log_dets, batch, part, config, q, rows, failure
         # crossings, so pairing it with a time span ending mid-gap would
         # bias the rate by the mean residual gap over T
         t0 = np.append(0.0, t)  # crossing epochs from the start
-        span = t0[-1] - t0[burn[lane]] if config.burn_in > 0.0 else config.T
+        span = t0[-1] - t0[burn[lane]]
         lam = log / span if span > 0.0 else np.zeros(len(log))
         rows[r].append(2.0 * lam if config.normalization == "minus4" else lam)
 
@@ -422,13 +431,13 @@ def lockstep_complex_fold(table, log_dets, batch, part, config, q, rows, failure
 CONFIGS = {
     "c1-seed4200": ("triangle:3,3,4", lambda rep: [rep],
                     dict(T=1000.0, samples=4, seed=4200)),
-    "sym3-q3-burn37": ("triangle:3,3,4", lambda rep: [linrep.sym_power(rep, 3)],
-                       dict(T=200.0, samples=4, seed=51, qr_interval=3, burn_in=37.0)),
+    "sym3-q3": ("triangle:3,3,4", lambda rep: [linrep.sym_power(rep, 3)],
+                dict(T=200.0, samples=4, seed=51, qr_interval=3)),
     "q1": ("triangle:3,3,4", lambda rep: [rep], dict(T=150.0, samples=4, seed=52, qr_interval=1)),
     "q16": ("triangle:3,3,4", lambda rep: [rep],
             dict(T=300.0, samples=4, seed=53, qr_interval=16)),
-    "burn0-minus1": ("triangle:3,3,4", lambda rep: [rep],
-                     dict(T=150.0, samples=4, seed=54, burn_in=0.0, normalization="minus1")),
+    "minus1": ("triangle:3,3,4", lambda rep: [rep],
+               dict(T=150.0, samples=4, seed=54, normalization="minus1")),
     "random-base": ("triangle:3,3,4", lambda rep: [rep],
                     dict(T=150.0, samples=4, seed=55, random_base=True)),
     "imag-bend-triple": ("surface:2", lambda rep: _bent([0.5j, 1j, 2j]),
@@ -460,7 +469,7 @@ def _scaled(rep):
 
 # a rank-2 configuration whose lambda2 reads the windows' log|det|
 SCALED = {"scaled-det": ("triangle:3,3,4", lambda rep: [_scaled(rep)],
-                         dict(T=150.0, samples=4, seed=58, burn_in=20.0))}
+                         dict(T=150.0, samples=4, seed=58))}
 
 
 def _setup(name):
@@ -487,13 +496,6 @@ def _record(name):
 
 # (trace failures, [(rows as float.hex, failures)] per rep)
 PINS = {
-    "burn0-minus1":
-        ([],
-         [([["0x1.ed0fca7c41a4bp-2", "-0x1.ed0fca7c41a4bp-2"],
-            ["0x1.000dd7b841c78p-1", "-0x1.000dd7b841c78p-1"],
-            ["0x1.fbcd7744345acp-2", "-0x1.fbcd7744345acp-2"],
-            ["0x1.fa4cccda27ea9p-2", "-0x1.fa4cccda27ea9p-2"]],
-           [])]),
     "c1-seed4200":
         ([],
          [([["0x1.ffe94a1b7b4c6p-1", "-0x1.ffe94a1b7b4c6p-1"],
@@ -517,6 +519,13 @@ PINS = {
             ["0x1.3496e735a44b5p-1", "-0x1.3496e735a44b5p-1"],
             ["0x1.7eadb0a383b8ap-1", "-0x1.7eadb0a383b8ap-1"],
             ["0x1.93b443a3811f8p-1", "-0x1.93b443a3811f8p-1"]],
+           [])]),
+    "minus1":
+        ([],
+         [([["0x1.fdd3d98b79d7ap-2", "-0x1.fdd3d98b79d7ap-2"],
+            ["0x1.ffa51a0eb4884p-2", "-0x1.ffa51a0eb4884p-2"],
+            ["0x1.fdd9520f3e35ep-2", "-0x1.fdd9520f3e35ep-2"],
+            ["0x1.017f2e70b5cb4p-1", "-0x1.017f2e70b5cb4p-1"]],
            [])]),
     "q1":
         ([],
@@ -546,16 +555,16 @@ PINS = {
             ["0x1.2b69e6c474499p+0", "-0x1.2b69e6c474499p+0"],
             ["0x1.6461c1b28f5dep+0", "-0x1.6461c1b28f5dep+0"]],
            [])]),
-    "sym3-q3-burn37":
+    "sym3-q3":
         ([],
-         [([["0x1.7fd13360e933ap+1", "0x1.fffdaf812f433p-1", "-0x1.ff77a7cf6859ep-1",
-             "-0x1.7ff2b54d5aee0p+1"],
-            ["0x1.7f586dd818e4dp+1", "0x1.fc612d0cca7e9p-1", "-0x1.003a6293ecde8p+0",
-             "-0x1.7e5387d155159p+1"],
-            ["0x1.816068894a2b3p+1", "0x1.00a36ff6f91c0p+0", "-0x1.0150e3872962bp+0",
-             "-0x1.8109aec13207fp+1"],
-            ["0x1.7ef1b39882c3bp+1", "0x1.ff98da0591846p-1", "-0x1.fd3a2df640445p-1",
-             "-0x1.7f895e9c5713ap+1"]],
+         [([["0x1.7f33259426d7ap+1", "0x1.fd618ed7830cdp-1", "-0x1.ff9ef84a7ea7fp-1",
+             "-0x1.7ea3cb3767f14p+1"],
+            ["0x1.7e6ac2beb0bf3p+1", "0x1.fdfc4061c510cp-1", "-0x1.fdb292ae09041p-1",
+             "-0x1.7e7d2e2b9fc2ap+1"],
+            ["0x1.815378102b635p+1", "0x1.008e5da8920c2p+0", "-0x1.014ee2cb0dd2dp+0",
+             "-0x1.80f3357eed800p+1"],
+            ["0x1.7e911c9e93b78p+1", "0x1.fe0909ce26d04p-1", "-0x1.fe1f62048d9a0p-1",
+             "-0x1.7e8b8690fa050p+1"]],
            [])]),
 }
 
@@ -698,15 +707,26 @@ class _SingularRep:
         return np.diag([2.0, 0.5]) if abs(g) == 1 else np.zeros((2, 2))
 
 
+class _SingularRep3(_SingularRep):
+    """_SingularRep at rank 3, whose lanes carry frames and LAPACK's QR."""
+
+    n = 3
+
+    def generator_image(self, g):
+        return np.diag([2.0, 1.0, 0.5]) if abs(g) == 1 else np.zeros((3, 3))
+
+
+# burn-ins of 1, 2 and 5 crossings, at T = 10 burn_in (burn_in is min(50, T/10))
 @pytest.mark.parametrize("q", [1, 3, 4, 5])
-@pytest.mark.parametrize("burn_in", [0.0, 2.5, 5.5])
+@pytest.mark.parametrize("burn_in", [1.2, 2.5, 5.5])
 def test_degenerate_steps_match_per_crossing_oracle(q, burn_in, monkeypatch):
     # lanes of 12, 10 and 7 crossings, the last two degenerating at their
     # crossings 3 and 6, before and inside their last window
     times = (np.arange(1.0, 13.0), np.arange(1.0, 11.0), np.arange(1.0, 8.0))
     gens = (np.full(12, 1), np.array([1, 1, 2] + [1] * 7), np.array([1] * 5 + [2, 1]))
     batch = oseledets.CodingBatch((0, 1, 2), times, gens)
-    config = RunConfig(T=12.0, samples=3, seed=0, burn_in=burn_in, qr_interval=q)
+    config = RunConfig(T=10 * burn_in, samples=3, seed=0, qr_interval=q)
+    assert config.burn_in == burn_in
     assert oseledets.qr_interval(_SingularRep())[0] == 1  # a zero image: log cond inf
     # so run at the cap itself, to degenerate inside windows of q steps
     monkeypatch.setattr(oseledets, "_intervals",
@@ -721,16 +741,17 @@ def test_degenerate_steps_match_per_crossing_oracle(q, burn_in, monkeypatch):
 
 
 @pytest.mark.parametrize("q", [1, 3, 4, 5])
-@pytest.mark.parametrize("burn_in", [0.0, 2.5, 5.5])
+@pytest.mark.parametrize("burn_in", [1.2, 2.5, 5.5])
 def test_degenerate_lanes_match_windowed_oracle(q, burn_in, monkeypatch):
-    # the lanes of test_degenerate_steps_match_per_crossing_oracle, and those
-    # of test_oseledets' fused _StubRep between two _SteadyReps, which
-    # degenerate at their crossings 3 and 1
-    cases = [([_SingularRep()], (np.arange(1.0, 13.0), np.arange(1.0, 11.0), np.arange(1.0, 8.0)),
-              (np.full(12, 1), np.array([1, 1, 2] + [1] * 7), np.array([1] * 5 + [2, 1]))),
+    # the lanes of test_degenerate_steps_match_per_crossing_oracle at ranks 2
+    # and 3, and those of test_oseledets' fused _StubRep between two
+    # _SteadyReps, which degenerate at their crossings 3 and 1
+    singular = ((np.arange(1.0, 13.0), np.arange(1.0, 11.0), np.arange(1.0, 8.0)),
+                (np.full(12, 1), np.array([1, 1, 2] + [1] * 7), np.array([1] * 5 + [2, 1])))
+    cases = [([_SingularRep()], *singular), ([_SingularRep3()], *singular),
              ([_SteadyRep(), _StubRep(), _SteadyRep()], (np.arange(1.0, 13.0),) * 3,
               (np.full(12, 1), np.array([1, 1, 2] + [1] * 9), np.array([2, -1] * 6)))]
-    config = RunConfig(T=12.0, samples=3, seed=0, burn_in=burn_in, qr_interval=q)
+    config = RunConfig(T=10 * burn_in, samples=3, seed=0, qr_interval=q)
     monkeypatch.setattr(oseledets, "_intervals",
                         lambda table, cap: [(cap, "unresolved")] * len(table))
     for reps, times, gens in cases:

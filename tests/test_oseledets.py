@@ -33,21 +33,22 @@ from conftest import coding
 
 
 def walk_rates(rep, gens, qr_interval=8):
-    """Per-step exponents of one lane multiplying the given generators."""
+    """Per-step exponents of one lane multiplying the given generators,
+    after a burn-in of a tenth of its steps."""
     k = len(gens)
     batch = CodingBatch((0,), (np.arange(1.0, k + 1),), (np.asarray(gens),))
     cfg = RunConfig(T=float(k), samples=1, seed=0, qr_interval=qr_interval,
-                    normalization="minus1", burn_in=0.0)
+                    normalization="minus1")
     [(values, failures, _)] = cocycle([rep], batch, cfg)
     assert failures == []
     return values[0]
 
 
 def geodesic_exponents(dom, rep, ut, T):
-    """Exponents along the single geodesic from ut, with no burn-in."""
+    """Exponents along the single geodesic from ut, after its burn-in."""
     c = coding(dom, ut, T)
     [(values, failures, _)] = cocycle([rep], CodingBatch((0,), (c.times,), (c.gens,)),
-                                      RunConfig(T=T, samples=1, seed=0, burn_in=0.0))
+                                      RunConfig(T=T, samples=1, seed=0))
     assert failures == []
     return values[0]
 
@@ -84,7 +85,7 @@ def random_walk_spectrum(rep, steps, samples, seed):
     batch = CodingBatch(tuple(range(samples)), (np.arange(1.0, steps + 1),) * samples,
                         tuple(np.where(s <= m, s, m - s) for s in draws))
     config = RunConfig(T=float(steps), samples=samples, seed=seed,
-                       normalization="minus1", burn_in=0.0)
+                       normalization="minus1")
     [(values, failures, _)] = cocycle([rep], batch, config)
     assert failures == []
     return SimpleNamespace(values=values.mean(axis=0), normalization_tag="per-step",
@@ -270,7 +271,7 @@ class TestBatchedCocycle:
     def test_degenerate_lane_reported_others_unchanged(self):
         times = tuple(np.arange(1.0, 13.0) for _ in range(3))
         gens = (np.full(12, 1), np.array([1, 1, 2] + [1] * 9), np.full(12, -1))
-        cfg = RunConfig(T=12.0, samples=3, seed=0, burn_in=0.0, qr_interval=4)
+        cfg = RunConfig(T=12.0, samples=3, seed=0, qr_interval=4)
         [(values, failures, _)] = cocycle([_StubRep()], CodingBatch((0, 1, 2), times, gens), cfg)
         assert [i for i, _ in failures] == [1]
         assert "NumericCocycleError" in failures[0][1]
@@ -376,39 +377,42 @@ class TestBatchedCocycle:
         # rank 3: at rank 2 no frame is flushed (see TestRank2Tree)
         dom, _, _ = tri334
         rep = sym_power(fuchs334, 2)
-        cfg = RunConfig(T=120.0, samples=4, seed=6, burn_in=12.0)
+        cfg = RunConfig(T=120.0, samples=4, seed=6)
         coding = code_samples(dom, cfg)
         burns = [int(np.searchsorted(t, cfg.burn_in, "right")) for t in coding.times]
         assert len(coding.index) == 4 and len(set(burns)) > 1
         calls = []
         real = CocycleAccumulator.flush
         monkeypatch.setattr(CocycleAccumulator, "flush", lambda acc, lanes: (
-            calls.append(lanes) or real(acc, lanes)))
+            calls.append(np.arange(len(acc.frames))[lanes]) or real(acc, lanes)))
         [(rows, failures, _)] = cocycle([rep], coding, cfg)
         assert failures == []
         # the windows are the global steps [wq, wq + q), with every burn-in
         # ending at the first window end past the longest: one flush per
-        # window that some lane's steps meet
+        # window that some lane's steps meet, of the lanes whose steps meet it
         q, _ = oseledets.qr_interval(rep)
         assert q == 9
         settle = -(-max(burns) // q) * q
-        windows = set()
+        windows, touched = set(), []
         for burn, t in zip(burns, coding.times):
             off = settle - burn
-            windows.update(range(off // q, (off + len(t) - 1) // q + 1))
+            touched.append(range(off // q, (off + len(t) - 1) // q + 1))
+            windows.update(touched[-1])
         assert len(calls) == len(windows)
+        assert len({len(w) for w in touched}) > 1
+        assert sum(map(len, calls)) == sum(map(len, touched)) < 4 * len(windows)
         for lane in range(4):
             one = CodingBatch(coding.index[lane:lane + 1], coding.times[lane:lane + 1],
                               coding.gens[lane:lane + 1], coding.key)
             assert np.array_equal(cocycle([rep], one, cfg)[0][0], rows[lane:lane + 1])
 
     def test_awkward_schedule_lane_alone_bit_identical(self, genus2, fuchs_g2, monkeypatch):
-        # q = 3 with a burn-in of 37: the settle step is padded up to a window
+        # q = 3 with a burn-in of 15: the settle step is padded up to a window
         # end and lanes end mid-window; three reps over five samples, so the
         # four-lane chunks below cut across samples
         split = fuchsian.BendingSplit.surface_standard(2)
         reps = [fuchs_g2] + [fuchsian.bend_representation(fuchs_g2, split, s) for s in (0.5, 1.0)]
-        cfg = RunConfig(T=150.0, samples=5, seed=6, qr_interval=3, burn_in=37.0)
+        cfg = RunConfig(T=150.0, samples=5, seed=6, qr_interval=3)
         coding = code_samples(genus2[0], cfg)
         burns = [int(np.searchsorted(t, cfg.burn_in, "right")) for t in coding.times]
         assert len(coding.index) == 5 and max(burns) % 3 != 0
@@ -456,7 +460,7 @@ class TestRank2Tree:
                                                 [math.sin(g), math.cos(g)]]
                                                for g in range(1, m + 1)], (), "rotations")
         reps = [fuchs334, scaled, rotations]
-        cfg = RunConfig(T=150.0, samples=5, seed=14, qr_interval=2, burn_in=30.0)
+        cfg = RunConfig(T=150.0, samples=5, seed=14, qr_interval=2)
         coding = code_samples(dom, cfg)
         burns = [int(np.searchsorted(t, cfg.burn_in, "right")) for t in coding.times]
         lane = sorted(range(5), key=burns.__getitem__)[2]
@@ -496,7 +500,7 @@ class TestFusedReps:
         times = tuple(np.arange(1.0, 13.0) for _ in range(3))
         gens = (np.full(12, 1), np.array([1, 1, 2] + [1] * 9), np.array([2, -1] * 6))
         batch = CodingBatch((0, 1, 2), times, gens)
-        cfg = RunConfig(T=12.0, samples=3, seed=0, burn_in=0.0, qr_interval=4)
+        cfg = RunConfig(T=12.0, samples=3, seed=0, qr_interval=4)
         reps = [_SteadyRep(), _StubRep(), _SteadyRep()]
         fused = cocycle(reps, batch, cfg)
         assert [[i for i, _ in lost] for _, lost, _ in fused] == [[], [1, 2], []]
@@ -531,11 +535,33 @@ class TestFusedReps:
             tracemalloc.stop()
         assert peak <= bound
 
-    def test_mixed_fields_refused(self):
-        real = Representation(2, "real", [np.eye(2)], (), "r")
-        cplx = Representation(2, "complex", [np.eye(2, dtype=complex)], (), "c")
-        with pytest.raises(ValueError):
-            cocycle([real, cplx], CodingBatch((), (), ()), RunConfig(T=1.0, samples=1, seed=0))
+    def test_mixed_fields_fused(self, genus2, fuchs_g2):
+        # tau = 0 stays real beside two imaginary bends and the unresolved
+        # real twist 8: each rep keeps its single-field rows, failures and
+        # unresolved reason bit for bit
+        split = fuchsian.BendingSplit.surface_standard(2)
+        reps = fuchsian.bend_representations(fuchs_g2, split, [0.5j, 0.0, 8.0, 1j])
+        assert [rep.is_complex for rep in reps] == [True, False, False, True]
+        cfg = RunConfig(T=100.0, samples=4, seed=7)
+        coding = code_samples(genus2[0], cfg)
+        fused = cocycle(reps, coding, cfg)
+        fields = cocycle(reps[1:3], coding, cfg), cocycle(reps[::3], coding, cfg)
+        for got, want in zip(fused, [fields[1][0], *fields[0], fields[1][1]], strict=True):
+            assert got[0].tobytes() == want[0].tobytes() and got[1:] == want[1:]
+        assert [bool(why) for _, _, why in fused] == [False, False, True, False]
+        ests = oseledets.estimate_spectra(genus2[0], reps, cfg, coding)
+        for rep, est in zip(reps, ests, strict=True):
+            alone = estimate_spectrum(genus2[0], rep, cfg, coding)
+            assert est.sample_values.tobytes() == alone.sample_values.tobytes()
+            assert (est.failures, est.unresolved) == (alone.failures, alone.unresolved)
+        with pytest.raises(ValueError):  # sizes must still agree
+            cocycle([reps[1], sym_power(reps[1], 2)], coding, cfg)
+
+    def test_no_reps_no_work(self, tri334, monkeypatch):
+        monkeypatch.setattr(oseledets, "trace_geodesic", None)  # any trace would raise
+        cfg = RunConfig(T=50.0, samples=3, seed=0)
+        assert cocycle([], CodingBatch((), (), ()), cfg) == []
+        assert oseledets.estimate_spectra(tri334[0], [], cfg) == []
 
     def test_rep_without_rows_fails_only_its_sweep_row(self, tmp_path, monkeypatch):
         args = ["sweep", "--group", "surface:2", "--axis", "real", "--grid", "0,1,2,4",
