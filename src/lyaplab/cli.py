@@ -47,9 +47,9 @@ def apply_transforms(rep, chain, group_spec):
         elif name == "ext":
             rep = linrep.ext_power(rep, int(arg))
         elif name == "bend":
-            re_s, im_s = (float(v) for v in arg.split(","))
+            value = complex(*_pair(arg, "--transform bend", "re,im"))
             split = _bend_split_for(rep, group_spec)
-            rep = fuchsian.bend_representation(rep, split, complex(re_s, im_s))
+            rep = fuchsian.bend_representation(rep, split, value)
         else:
             raise Refusal(f"unknown transform {item!r}")
     return rep
@@ -231,9 +231,13 @@ def _parse_covector(text):
     return devmaps.Covector(tuple(vals))
 
 
-def _parse_center(text):
-    cx, cy = (float(v) for v in text.split(","))
-    return hypgeo.HPoint(cx, cy)
+def _pair(text, name, form):
+    """The two numbers of text, the value of option name, written as form ('x,y')."""
+    try:
+        a, b = (float(v) for v in text.split(","))
+    except ValueError:  # a bad number, or not two of them
+        raise ValueError(f"{name} expects {form}, got {text!r}") from None
+    return a, b
 
 
 def cmd_err(ns):
@@ -246,7 +250,7 @@ def cmd_err(ns):
     u = _parse_covector(ns.covector)
     if len(u) != dev.dim:
         raise Refusal(f"covector length {len(u)} != dev dimension {dev.dim}")
-    center = _parse_center(ns.center)
+    center = hypgeo.HPoint(*_pair(ns.center, "--center", "x,y"))
     cf = errterm.count_in_balls((dev, u), center, _err_grid(ns.tmax, ns.grid_nodes))
     return _write_err_outputs(ns, cf)
 
@@ -285,7 +289,8 @@ def cmd_orbit_count(ns):
     if ns.grid_nodes < 1:  # np.linspace would word it otherwise
         raise ValueError("grid nodes must be >= 1")
     dom, _, _ = fuchsian.build_group(fuchsian.parse_group_spec(ns.group))
-    center = dom.interior_point if ns.center is None else _parse_center(ns.center)
+    center = (dom.interior_point if ns.center is None
+              else hypgeo.HPoint(*_pair(ns.center, "--center", "x,y")))
     pts, dists = fuchsian.orbit_ball(dom, center, ns.tmax)
     cf = errterm.count_in_balls((pts, dists), center,
                                 np.linspace(0.3, ns.tmax, ns.grid_nodes))
@@ -296,8 +301,10 @@ def cmd_rep(ns):
     _, _, rep = _resolve(ns)
     report = _gate_relations(rep) if ns.check else linrep.check_relations(rep)
     _write_text(ns.out, linrep.format_rep_text(rep))
-    sys.stderr.write(f"relations: max residual {report.max_residual:.3e} "
-                     f"(relative {report.max_relative:.3e}); classify: {linrep.classify(rep)}\n")
+    # a certificate, not a guess: unitary generators preserve the norm, so every exponent is 0
+    unitary = all(np.linalg.norm(g.conj().T @ g - np.eye(rep.n)) < 1e-8 for g in rep.generators)
+    sys.stderr.write(f"relations: max residual {report.max_residual:.3e} (relative "
+                     f"{report.max_relative:.3e}); unitary generators: {('no', 'yes')[unitary]}\n")
     return 0
 
 

@@ -1,5 +1,5 @@
 """Representation data and functors: word evaluation, relation checks,
-symmetric and exterior powers, unitarity/elementarity diagnostics, file I/O.
+symmetric and exterior powers, built-in representations, file I/O.
 
 Words are tuples of signed 1-based generator indices (negative = inverse)
 and evaluate to left-to-right matrix products; the empty word is the
@@ -256,89 +256,6 @@ def ext_power(rep, k):
         f"{rep.label}|ext:{k}" if rep.label else f"ext:{k}",
         rep.projective_flag, rep.unit_det,
     )
-
-
-# ---------------------------------------------------------------------------
-# classification heuristics
-
-
-def _random_words(rep, budget, rng):
-    words = []
-    for _ in range(budget):
-        ln = int(rng.integers(2, 9))  # lengths 2..8
-        w = tuple(
-            int(s) * int(rng.choice((-1, 1)))
-            for s in rng.integers(1, rep.num_generators + 1, size=ln)
-        )
-        words.append(w)
-    return words
-
-
-def _is_invariant_line(rep, v, tol):
-    v = v / np.linalg.norm(v)
-    for g in rep.generators:
-        w = g @ v
-        w = w / np.linalg.norm(w)
-        inner = abs(np.vdot(v, w))
-        if math.sqrt(max(0.0, 1.0 - inner * inner)) > tol:
-            return False
-    return True
-
-
-def classify(rep):
-    """Advisory label: unitary | reducible-suspected | elementary-suspected
-    | non-elementary-suspected.
-
-    Only 'unitary' is a certificate (generator-level check); the rest are
-    suspicions from sampled words, never a definitive call.
-    """
-    eye = np.eye(rep.n)
-    if all(np.linalg.norm(g.conj().T @ g - eye) < 1e-8 for g in rep.generators):
-        return "unitary"
-    rng = np.random.default_rng(7)
-    words = _random_words(rep, 64, rng)
-    # common invariant line among the eigenvectors of a sampled word
-    probe = eval_word(rep, words[0])
-    _, vecs = np.linalg.eig(probe)
-    for i in range(rep.n):
-        if _is_invariant_line(rep, vecs[:, i], 1e-6):
-            return "reducible-suspected"
-    ratios = []
-    for w in words:
-        m = eval_word(rep, w)
-        sv = np.linalg.svd(m, compute_uv=False)
-        ratios.append((sv[0] / sv[-1], w))
-    ratios.sort(key=lambda rw: -rw[0])
-    pinching = ratios[0][0] > 1.0 + 1e-3
-    if rep.n == 2:
-        # dihedral-type elementarity: some pinching word has a fixed pair of
-        # lines preserved (possibly swapped) by every generator; words with
-        # an odd number of swaps have off-pair eigenvectors, so several of
-        # the most-pinching candidates are tried
-        for ratio, w in ratios[:10]:
-            if ratio < 1.0 + 1e-6:
-                break
-            _, vecs = np.linalg.eig(eval_word(rep, w))
-            pair = [vecs[:, 0] / np.linalg.norm(vecs[:, 0]),
-                    vecs[:, 1] / np.linalg.norm(vecs[:, 1])]
-
-            def maps_pair(g, pair=pair):
-                for v in pair:
-                    gv = g @ v
-                    gv = gv / np.linalg.norm(gv)
-                    sines = []
-                    for u in pair:
-                        inner = abs(np.vdot(u, gv))
-                        sines.append(math.sqrt(max(0.0, 1.0 - inner * inner)))
-                    if min(sines) > 1e-6:
-                        return False
-                return True
-
-            if all(maps_pair(g) for g in rep.generators):
-                return "elementary-suspected"
-    if not pinching:
-        return "elementary-suspected"
-    return "non-elementary-suspected"
 
 
 # ---------------------------------------------------------------------------

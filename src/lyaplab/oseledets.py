@@ -249,7 +249,8 @@ def _intervals(table, cap):
 def cocycle(reps, batch, config):
     """Per representation of reps, the exponent rows (sorted nonincreasing)
     of the lanes that ran through, in lane order, (sample index, repr) of
-    those whose frame degenerated, and why no QR interval resolves its
+    those whose frame degenerated or that cross no side after the burn-in
+    (no span to take a rate over), and why no QR interval resolves its
     spectrum ("" when one does; see qr_interval).
 
     Between crossings the constant norm is flat, so the cocycle is exactly
@@ -416,11 +417,14 @@ def _lockstep(table, log_dets, batch, part, config, q, rows, failures):
                     out=np.zeros_like(final), where=span > 0.0)
     if config.normalization == "minus4":
         lam = 2.0 * lam
-    for lane, step in sorted(failed.items()):
-        exc = NumericCocycleError(f"cocycle frame degenerated at step {step}")
+    lost = dict.fromkeys(np.flatnonzero(span[:, 0] <= 0.0).tolist(), InsufficientDataError(
+        f"no side crossing after the burn-in t = {config.burn_in:g}"))  # no span: no rate
+    lost.update((lane, NumericCocycleError(f"cocycle frame degenerated at step {step}"))
+                for lane, step in failed.items())
+    for lane, exc in sorted(lost.items()):
         failures[rep_of[lane]].append((batch.index[lane_of[lane]], repr(exc)))
     kept = np.ones(len(part), bool)
-    kept[list(failed)] = False
+    kept[list(lost)] = False
     for r, row in zip(rep_of[kept].tolist(), lam[kept]):
         rows[r].append(row)
 

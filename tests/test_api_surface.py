@@ -239,3 +239,32 @@ def test_run_config_fields_are_the_command_line():
                and getattr(n.func, "attr", None) == "RunConfig"]
     assert not call.args
     assert sorted(k.arg for k in call.keywords) == sorted(fields)
+
+
+def _numpy_random_uses(tree):
+    """(line, name) of each import of numpy.random in tree and each np.random
+    or numpy.random it names."""
+    out = []
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Import):
+            names = [a.name for a in n.names]
+        elif isinstance(n, ast.ImportFrom):
+            names = [f"{n.module}.{a.name}" for a in n.names]
+        elif isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name):
+            names = [f"{n.value.id}.{n.attr}"]
+        else:
+            continue
+        out += [(n.lineno, name) for name in names
+                if name in ("np.random", "numpy.random") or name.startswith("numpy.random.")]
+    return out
+
+
+def test_numpy_random_only_in_selftest():
+    """Importing numpy.random costs a process 11-17 ms and 5.5 MB (README),
+    and no command but selftest draws from it: samples come from
+    oseledets' own copy of numpy's stream."""
+    uses = [f"{path.stem}:{line} {name}" for path in sorted(PACKAGE.glob("*.py"))
+            if path.stem != "selftest"
+            for line, name in _numpy_random_uses(ast.parse(path.read_text()))]
+    assert not uses, f"numpy.random outside selftest: {uses}"
+    assert _numpy_random_uses(ast.parse((PACKAGE / "selftest.py").read_text()))

@@ -322,6 +322,16 @@ class TestSweepCommand:
                         "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
+    def test_points_without_crossings_after_burn_in_fail(self, tmp_path):
+        # at T = 1 no geodesic crosses a side after its burn-in of 0.1: a rate
+        # over no span is no sample, so no point is left with 2 samples
+        out = tmp_path / "sweep.csv"
+        assert run_cli(["sweep", "--time", "1", "--samples", "4", "--grid", "0,0.5",
+                        "--out", str(out)]) == 0
+        assert out.read_text() == ("parameter,lambda1,stderr,status\n"
+                                   "0,nan,nan,failed:InsufficientDataError\n"
+                                   "0.5,nan,nan,failed:InsufficientDataError\n")
+
     def test_all_refused_grid_prints_failed_rows(self, tmp_path, monkeypatch):
         # no point is left to run, so nothing is traced
         traced = []
@@ -495,6 +505,25 @@ class TestRepCommand:
         lam1 = float(rows[0].split(",")[2])
         assert abs(lam1 - 2.0) < 0.2
 
+    @staticmethod
+    def certificate(args, capsys):
+        """The last clause of the stderr line of a rep run."""
+        assert run_cli(["rep", *args]) == 0
+        (line,) = capsys.readouterr().err.splitlines()
+        return line.rsplit("; ", 1)[1]
+
+    def test_unitary_cube_certified_unitary(self, capsys):
+        assert self.certificate(["--rep", "builtin:unitary-cube"], capsys) == \
+            "unitary generators: yes"
+
+    def test_trivial_file_certified_unitary(self, tmp_path, capsys):
+        path = tmp_path / "trivial3.rep"
+        save_rep(linrep.trivial_rep(3, 3), path)
+        assert self.certificate(["--rep", str(path)], capsys) == "unitary generators: yes"
+
+    def test_fuchsian_not_unitary(self, capsys):
+        assert self.certificate([], capsys) == "unitary generators: no"
+
 
 class TestSelftest:
     def test_passes(self, capsys):
@@ -631,8 +660,10 @@ class TestFreshInterpreter:
             "             ['spectrum', '--time', '30', '--samples', '3', '--random-base', '1'],\n"
             "             ['sweep', '--time', '30', '--samples', '2', '--grid', '0,0.5'],\n"
             "             ['orbit-count', '--tmax', '4', '--grid-nodes', '60'],\n"
-            "             ['err', '--covector', '1 0', '--tmax', '5']]:\n"
-            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "             ['err', '--covector', '1 0', '--tmax', '5'],\n"
+            "             ['rep', '--transform', 'sym:2']]:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()), \\\n"
+            "            contextlib.redirect_stderr(io.StringIO()):\n"
             "        assert cli.main(args) == 0, args\n"
             "print(sorted(m for m in ('numpy.random', 'fractions', 'argparse', 'gettext',\n"
             "                         'locale') if m in sys.modules))\n"
@@ -653,6 +684,11 @@ class TestCommandLineRefusals:
         (["spectrum", "--group", "surface:128"], "miss their Dirichlet bisectors"),
         # a generator image of log cond 38.9, past any QR interval's budget
         (["spectrum", "--group", "surface:2", "--transform", "bend:16,0"], "unresolved"),
+        # no geodesic crosses a side after the burn-in (0.1), so no sample has a rate
+        (["spectrum", "--group", "surface:2", "--time", "1", "--samples", "8"],
+         "only 0 successful samples; failures: [(0, \"InsufficientDataError('no side "
+         "crossing after the burn-in t = 0.1')\")"),
+        (["spectrum", "--time", "1e-300", "--samples", "2"], "no side crossing"),
     ])
     def test_exit_2_with_one_refusal_line(self, capsys, args, why):
         assert run_cli(args) == 2
@@ -694,6 +730,28 @@ class TestCommandLineRefusals:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == [f"lyaplab: invalid input: {why}"]
+
+    @pytest.mark.parametrize("args,why", [
+        (["orbit-count", "--center", "1"], "--center expects x,y, got '1'"),
+        (["orbit-count", "--center", "1,2,3"], "--center expects x,y, got '1,2,3'"),
+        (["orbit-count", "--center", "1,y"], "--center expects x,y, got '1,y'"),
+        (["err", "--covector", "1 0", "--center", "1"], "--center expects x,y, got '1'"),
+        (["spectrum", "--group", "surface:2", "--transform", "bend:1"],
+         "--transform bend expects re,im, got '1'"),
+        (["sweep", "--transform", "bend:1,2,3"], "--transform bend expects re,im, got '1,2,3'"),
+    ])
+    def test_malformed_pair_names_its_form(self, capsys, args, why):
+        assert run_cli(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"lyaplab: invalid input: {why}"]
+
+    def test_malformed_center_in_config_names_its_form(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("center=1\n")
+        assert run_cli(["orbit-count", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "lyaplab: invalid input: --center expects x,y, got '1'"]
 
     def test_float_singular_image_is_invalid_input(self, capsys):
         # sym:3 of a twist has images conditioned past 1/eps, which

@@ -9,7 +9,6 @@ from lyaplab.linrep import (
     Representation,
     RepresentationError,
     check_relations,
-    classify,
     ext_power,
     ext_subsets,
     eval_word,
@@ -218,31 +217,6 @@ class TestExtPower:
     def test_range_validation(self, fuchs334):
         with pytest.raises(ValueError):
             ext_power(fuchs334, 3)
-
-
-class TestClassify:
-    def test_unitary(self):
-        assert classify(unitary_cube_rep()) == "unitary"
-
-    def test_trivial_unitary(self):
-        assert classify(trivial_rep(3, 2)) == "unitary"
-
-    def test_reducible(self):
-        rep = Representation(
-            2, "real",
-            [np.array([[1.0, 1.0], [0.0, 1.0]]), np.array([[2.0, 1.0], [0.0, 0.5]])],
-            ())
-        assert classify(rep) == "reducible-suspected"
-
-    def test_dihedral_elementary(self):
-        rep = Representation(
-            2, "real",
-            [np.diag([2.0, 0.5]), np.array([[0.0, -1.0], [1.0, 0.0]])],
-            ())
-        assert classify(rep) == "elementary-suspected"
-
-    def test_fuchsian_nonelementary(self, fuchs334):
-        assert classify(fuchs334) == "non-elementary-suspected"
 
 
 class TestUnitaryCubeRep:

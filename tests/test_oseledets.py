@@ -279,6 +279,23 @@ class TestBatchedCocycle:
         assert none == []
         assert np.array_equal(values, alone)
 
+    def test_lane_without_crossing_after_burn_in_fails(self, genus2, fuchs_g2):
+        # at T = 2 the burn-in is 0.2, and 12 of 64 geodesics cross no side
+        # after it: such a lane has no span to take a rate over, not rate 0
+        cfg = RunConfig(T=2.0, samples=64, seed=1)
+        coding = code_samples(genus2[0], cfg)
+        idle = [i for i, t in zip(coding.index, coding.times) if not (t > cfg.burn_in).any()]
+        assert len(coding.index) == 64 and len(idle) == 12
+        [(rows, failures, _)] = cocycle([fuchs_g2], coding, cfg)
+        why = "InsufficientDataError('no side crossing after the burn-in t = 0.2')"
+        assert failures == [(i, why) for i in idle]
+        keep = [k for k, i in enumerate(coding.index) if i not in idle]
+        crossing = CodingBatch(*(tuple(f[k] for k in keep)
+                                 for f in (coding.index, coding.times, coding.gens)), coding.key)
+        [(alone, none, _)] = cocycle([fuchs_g2], crossing, cfg)
+        assert none == [] and rows.tobytes() == alone.tobytes()
+        assert estimate_spectrum(genus2[0], fuchs_g2, cfg, coding).samples == 52
+
     def test_trace_failure_in_failures(self, tri334, fuchs334, monkeypatch):
         dom, _, _ = tri334
         cfg = RunConfig(T=100.0, samples=5, seed=4)
