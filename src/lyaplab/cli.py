@@ -5,6 +5,7 @@ error, 3 I/O error.  All CSV output is a deterministic function of the command
 line (seeds included); SVG plots are pure functions of the CSV content.
 """
 
+import dataclasses
 import math
 import sys
 import types
@@ -19,10 +20,9 @@ class Refusal(Exception):
 
 
 def resolve_rep(source, group_bundle):
-    """builtin:fuchsian | builtin:trivial | builtin:unitary-cube | file path.
-
-    Refuses a representation with another generator count than the group.
-    """
+    """builtin:fuchsian | builtin:trivial | builtin:unitary-cube | file path,
+    with the group's relation words for the relation gate (a file's own are
+    not read).  Refuses another generator count than the group's."""
     dom, gens, rels = group_bundle
     if source == "builtin:fuchsian":
         return linrep.uniformizing_rep(gens, rels, "fuchsian")
@@ -32,10 +32,7 @@ def resolve_rep(source, group_bundle):
     rep = linrep.unitary_cube_rep() if cube else linrep.load_rep(source)
     if rep.num_generators != len(gens):
         raise Refusal(f"{source} has {rep.num_generators} generators; the group has {len(gens)}")
-    if cube and rels and tuple(tuple(w) for w in rels) != rep.relations:
-        rep = linrep.Representation(rep.n, rep.field, rep.generators, rels, rep.label,
-                                    rep.projective_flag, rep.unit_det)
-    return rep
+    return dataclasses.replace(rep, relations=rels)
 
 
 def apply_transforms(rep, chain, group_spec):
@@ -225,10 +222,11 @@ def _parse_grid(text):
 
 
 def _parse_covector(text):
-    vals = []
-    for tok in text.replace(",", " ").split():
-        vals.append(complex(tok.replace("i", "j")) if ("i" in tok) else float(tok))
-    return devmaps.Covector(tuple(vals))
+    try:
+        coords = tuple(complex(tok.replace("i", "j")) for tok in text.replace(",", " ").split())
+    except ValueError:  # a token that is not a number
+        raise ValueError(f"--covector expects numbers as in '1 -0.5+2i', got {text!r}") from None
+    return devmaps.Covector(coords)
 
 
 def _pair(text, name, form):
@@ -241,17 +239,22 @@ def _pair(text, name, form):
 
 
 def cmd_err(ns):
-    kind = "veronese:2" if ns.dev == "identity" else ns.dev
-    if not kind.startswith("veronese:"):
-        raise Refusal(f"dev kind {ns.dev!r} unsupported (use identity | veronese:n)")
-    dev = devmaps.veronese_dev(int(kind.split(":")[1]))
+    kind, _, arg = ns.dev.partition(":")
+    if kind != "veronese":
+        raise Refusal(f"dev kind {ns.dev!r} unsupported (use veronese:n)")
+    try:
+        n = int(arg)
+    except ValueError:
+        raise ValueError(f"--dev expects veronese:n, got {ns.dev!r}") from None
+    if n < 2:
+        raise ValueError("veronese needs n >= 2")
     if ns.covector is None:
         raise Refusal("err needs --covector")
     u = _parse_covector(ns.covector)
-    if len(u) != dev.dim:
-        raise Refusal(f"covector length {len(u)} != dev dimension {dev.dim}")
+    if len(u) != n:
+        raise Refusal(f"covector length {len(u)} != dev dimension {n}")
     center = hypgeo.HPoint(*_pair(ns.center, "--center", "x,y"))
-    cf = errterm.count_in_balls((dev, u), center, _err_grid(ns.tmax, ns.grid_nodes))
+    cf = errterm.count_in_balls((n, u), center, _err_grid(ns.tmax, ns.grid_nodes))
     return _write_err_outputs(ns, cf)
 
 
@@ -343,7 +346,7 @@ OPTIONS = {
     "random-base": (("0", "1"), "0", "1: sample base points uniformly in the domain"),
     "axis": (("real", "imag"), "imag", "the part of the bend parameter swept"),
     "grid": (str, "0:2:11", "start:stop:npoints or comma list"),
-    "dev": (str, "identity", "identity | veronese:n"),
+    "dev": (str, "veronese:2", "veronese:n, the Veronese curve with n coordinates"),
     "covector": (str, None, "homogeneous coords, e.g. '1 0 1' (required)"),
     "center": (str, None, "x,y of the ball center; none: the domain's interior point"),
     "tmax": (float, 12.0, "largest radius t"),

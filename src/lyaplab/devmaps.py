@@ -3,11 +3,12 @@
 A developing map is an equivariant holomorphic map from the half-plane to
 a projective space, given by homogeneous coordinates; pairing it with a
 covector u gives a holomorphic function whose zero set is the bad locus
-of u.  The developing maps are the Veronese curves of symmetric powers,
-whose pairings are polynomials; the identity chart on P^1 (uniformizing
-case) is the one with two coordinates.  Rank-2 opers are integrated from
-u'' + phi/2 u = 0 along paths (ode_develop); the selftest checks that
-integration's Wronskian.
+of u.  The developing maps are the Veronese curves, named by their number
+n of coordinates: z -> (C(n-1, j) z^(n-1-j))_j, the image of [z : 1]
+under Sym^(n-1), equivariant for Sym^(n-1) of the uniformizing
+representation; n = 2 is the identity chart on P^1.  Their pairings are
+polynomials.  Rank-2 opers are integrated from u'' + phi/2 u = 0 along
+paths (ode_develop); the selftest checks that integration's Wronskian.
 """
 
 import math
@@ -36,47 +37,20 @@ class Covector:
 
     def __post_init__(self):
         c = tuple(complex(v) for v in self.coords)
+        if not np.isfinite(c).all():
+            raise ValueError("covector must be finite")
         if not any(abs(v) > 0 for v in c):
             raise ValueError("covector must be nonzero")
         object.__setattr__(self, "coords", c)
-
-    def array(self):
-        return np.asarray(self.coords, dtype=complex)
 
     def __len__(self):
         return len(self.coords)
 
 
-@dataclass(frozen=True)
-class DevelopingMap:
-    """Rational normal curve of degree dim-1 in the Sym^(dim-1) monomial basis.
-
-    Coordinates are binomially weighted so the curve is exactly the image
-    of [z : 1] under the symmetric power: with e1 > e2 monomial order,
-    (z e1 + e2)^(dim-1) has coordinates C(dim-1,j) z^(dim-1-j).  For dim = 2
-    this is the identity chart.  The curve is equivariant for Sym^(dim-1)
-    of the uniformizing representation.
-    """
-
-    dim: int  # number of homogeneous coordinates
-
-    def __call__(self, z):
-        n = self.dim
-        weights = np.array([math.comb(n - 1, j) for j in range(n)], dtype=float)
-        return weights * np.power(complex(z), np.arange(n - 1, -1, -1))
-
-
-def veronese_dev(n):
-    """The Veronese curve with n coordinates."""
-    if n < 2:
-        raise ValueError("veronese needs n >= 2")
-    return DevelopingMap(n)
-
-
-def pairing_poly_coeffs(dev, u):
-    """Descending-power coefficients of the polynomial z -> <u, dev(z)>."""
-    ua, n = u.array(), dev.dim
-    return np.array([ua[j] * math.comb(n - 1, j) for j in range(n)])
+def pairing_poly_coeffs(n, u):
+    """Descending-power coefficients of z -> <u, dev(z)>, dev the Veronese
+    curve with n coordinates."""
+    return np.array([u.coords[j] * math.comb(n - 1, j) for j in range(n)])
 
 
 # ---------------------------------------------------------------------------
@@ -202,13 +176,12 @@ def _dedupe_points(pts):
     return out
 
 
-def bad_locus_points(dev, u):
-    """Zeros of <u, dev(.)> in H, without multiplicity.
-
-    dev is a Veronese curve, whose pairing is a polynomial with closed-form
-    roots.  Every zero is returned; the counter places each one against
-    its radii and boundary band.
+def bad_locus_points(n, u):
+    """Zeros of <u, dev(.)> in H, without multiplicity, for the Veronese
+    curve dev with n coordinates, whose pairing is a polynomial.  Every
+    zero is returned; the counter places each one against its radii and
+    boundary band.
     """
-    coeffs = np.trim_zeros(pairing_poly_coeffs(dev, u), "f")
+    coeffs = np.trim_zeros(pairing_poly_coeffs(n, u), "f")
     roots = np.roots(coeffs) if len(coeffs) > 1 else ()
     return _dedupe_points([z for z in roots if z.imag > 1e-10 * max(1.0, abs(z.real))])

@@ -67,8 +67,9 @@ class CountFunction:
 def count_in_balls(source, center, t_grid):
     """Per-radius bad-locus counts.
 
-    source is the (points, dists) pair of orbit_ball, or a (developing
-    map, covector) pair, whose zeros in H bad_locus_points finds.
+    source is the (points, dists) pair of orbit_ball, or an (n, covector)
+    pair, whose zeros in H bad_locus_points finds on the Veronese curve
+    with n coordinates.
     Boundary rule: at radius t a point at distance d is counted when
     d <= t + BOUNDARY_TOL, and flagged uncertain when |d - t| <= BOUNDARY_TOL
     (d in (t - tol, t + tol]); so a point in (t, t + tol] is counted and
@@ -153,11 +154,8 @@ def sum_rule_check(spectrum, degree_ratio, err, k=1):
 
     ratio = float(Fraction(degree_ratio))
     lhs = float(np.sum(spectrum.values[:k]))
-    if spectrum.sample_values is not None:
-        partial = spectrum.sample_values[:, :k].sum(axis=1)
-        se = float(partial.std(ddof=1) / math.sqrt(len(partial)))
-    else:
-        se = float(np.sqrt(np.sum(spectrum.stderr[:k] ** 2)))
+    partial = spectrum.sample_values[:, :k].sum(axis=1)
+    se = float(partial.std(ddof=1) / math.sqrt(len(partial)))
     rhs = ratio + err.value
     disc = lhs - rhs
     if se > 0:

@@ -154,8 +154,7 @@ class FundamentalDomain:
         return [n0 * p0 + n1 * p1 + n2 * p2 for n0, n1, n2 in self._normals]
 
     def contains(self, p):
-        x, y = (p.x, p.y) if isinstance(p, HPoint) else (p.real, p.imag)
-        return all(c >= -SIDE_TOL for c in self.clearances(x, y))
+        return all(c >= -SIDE_TOL for c in self.clearances(p.x, p.y))
 
     def bounding_box(self):
         """Euclidean box (x_lo, x_hi, y_lo, y_hi) of the closed polygon.
@@ -310,21 +309,20 @@ def dirichlet_defect(dom):
     return worst
 
 
-def pull_back(dom, z):
-    """Translate z into the closed fundamental domain.
+def pull_back(dom, p):
+    """Translate the HPoint p into the closed fundamental domain.
 
-    Returns (z', word) with z' in the closed domain and the word evaluating
-    (left-to-right product of generators) to the element sending z' back to
-    z.  The tracer walks the geodesic segment from the interior point to z,
-    and z goes through the pairing of each side it crosses, in crossing
+    Returns (p', word) with p' in the closed domain and the word evaluating
+    (left-to-right product of generators) to the element sending p' back to
+    p.  The tracer walks the geodesic segment from the interior point to p,
+    and p goes through the pairing of each side it crosses, in crossing
     order; the word is the negated coding of that segment.  A point at
     infinite distance is refused (ResourceError).
     """
-    p = z if isinstance(z, HPoint) else HPoint(z.real, z.imag)
     c = dom.interior_point
     d = hyp_dist(c, p)
     if not math.isfinite(d):
-        raise ResourceError(f"pull_back: {z} is at infinite distance")
+        raise ResourceError(f"pull_back: {p} is at infinite distance")
     pairing = {pair.word[0]: pair.mobius for pair in dom.pairings}
     _, crossed = trace_geodesic(dom, UnitTangent(c, direction_to(c, p)), d)
     for g in crossed.tolist():

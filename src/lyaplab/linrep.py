@@ -227,12 +227,8 @@ def sym_power(rep, k):
     )
 
 
-def ext_subsets(n, k):
-    return list(itertools.combinations(range(n), k))
-
-
 def _ext_matrix(a, k):
-    subs = ext_subsets(a.shape[0], k)
+    subs = list(itertools.combinations(range(a.shape[0]), k))
     out = np.empty((len(subs), len(subs)), dtype=a.dtype)
     for i, rows in enumerate(subs):
         for j, cols in enumerate(subs):

@@ -445,12 +445,12 @@ class SpectrumEstimate:
     stderr: np.ndarray
     samples: int
     normalization_tag: str
-    label: str = ""
-    T: float = 0.0
-    seed: int = 0
-    sample_values: np.ndarray = field(default=None, repr=False)
-    failures: tuple = ()
-    unresolved: str = ""
+    label: str
+    T: float
+    seed: int
+    sample_values: np.ndarray = field(repr=False)
+    failures: tuple
+    unresolved: str
 
 
 def _sample_base(dom, rng):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from lyaplab import cli
-from lyaplab.devmaps import Covector, veronese_dev
+from lyaplab.devmaps import Covector
 from lyaplab.errterm import count_in_balls, err_estimate, sum_rule_check
 from lyaplab.fuchsian import (
     BendingSplit,
@@ -175,11 +175,10 @@ def test_c6_error_term_calibration(bundle334):
     target = math.pi / COVOL_334
     rel = abs(est.value - target) / target
 
-    dev = veronese_dev(3)
     u = Covector((1.0, 0.0, 1.0))
     head = np.linspace(0.25, 12.0, 200)
     tail = np.linspace(12.0, 2000.0, 300)[1:]
-    cf_fin = count_in_balls((dev, u), HPoint(0.0, 2.0), np.concatenate([head, tail]))
+    cf_fin = count_in_balls((3, u), HPoint(0.0, 2.0), np.concatenate([head, tail]))
     fin = err_estimate(cf_fin, 2000.0)
     verdict(
         "C6",
@@ -196,15 +195,13 @@ def test_c7_sum_rule_at_verifiable_points(bundle334, bench1, sym2_spec):
     grid = np.linspace(0.3, 20.0, 120)
     # Fuchsian point: the identity chart misses every lower-half-plane
     # target, so the chosen covector has empty bad locus and err is exactly 0
-    dev1 = veronese_dev(2)
     u1 = Covector((1.0, -(0.4 - 1.3j)))
-    err1 = err_estimate(count_in_balls((dev1, u1), dom.interior_point, grid), 20.0)
+    err1 = err_estimate(count_in_balls((2, u1), dom.interior_point, grid), 20.0)
     r1 = sum_rule_check(bench1[0], 1, err1, k=1)
     # Sym^2 point: the degree-2 Veronese curve never meets the hyperplane of
     # its last coordinate over H, another exactly-empty bad locus
-    dev2 = veronese_dev(3)
     u2 = Covector((0.0, 0.0, 1.0))
-    err2 = err_estimate(count_in_balls((dev2, u2), dom.interior_point, grid), 20.0)
+    err2 = err_estimate(count_in_balls((3, u2), dom.interior_point, grid), 20.0)
     r2 = sum_rule_check(sym2_spec, 2, err2, k=2)
     verdict(
         "C7",

@@ -92,20 +92,34 @@ def _within(owner, name):
     return owner is not None and (owner == name or owner.startswith(name + "."))
 
 
-def test_every_public_name_has_a_caller():
+def _has_caller():
+    """module.name of every public def -> whether the package (outside that
+    def) or the benchmark names it."""
     defs, uses = _surface()
     outside = _used_outside_package()
-    unused = [f"{module}.{name}" for module, name in defs
-              if f"{module}.{name}" not in EXEMPT and _leaf(name) not in outside
-              and not any(_leaf(name) in names for owner, names in uses
-                          if not _within(owner, name))]
+    return {f"{module}.{name}": _leaf(name) in outside
+            or any(_leaf(name) in names for owner, names in uses if not _within(owner, name))
+            for module, name in defs}
+
+
+def test_every_public_name_has_a_caller():
+    unused = [name for name, used in _has_caller().items() if not used and name not in EXEMPT]
     assert not unused, f"public names only tests (or nobody) use: {unused}"
 
 
 def test_exemptions_are_defined():
-    defs, _ = _surface()
-    assert EXEMPT <= {f"{module}.{name}" for module, name in defs}
-    assert EXEMPT_PARAMS <= {f"{qual}({param})" for qual, param, _, _ in _defaulted_params()}
+    assert EXEMPT <= set(_has_caller())
+    assert EXEMPT_PARAMS <= set(_is_passed())
+
+
+def test_exemptions_are_still_needed():
+    """An exempt name that the package or the benchmark comes to use, or an
+    exempt parameter that some call comes to pass, needs no exemption: it
+    fails here until it is taken off the list."""
+    callers, passed = _has_caller(), _is_passed()
+    stale = sorted(name for name in EXEMPT if callers[name])
+    stale += sorted(param for param in EXEMPT_PARAMS if passed[param])
+    assert not stale, f"exemptions that no longer apply: {stale}"
 
 
 def _put_to_work():
@@ -192,11 +206,17 @@ def _passes(call, param, index):
         len(call.args) > index or any(isinstance(a, ast.Starred) for a in call.args))
 
 
-def test_every_defaulted_parameter_is_passed():
+def _is_passed():
+    """module.def(parameter) of every defaulted parameter -> whether some
+    call of the package or the benchmark passes it."""
     calls = _calls()
-    dead = [f"{qual}({param})" for qual, param, called, index in _defaulted_params()
-            if f"{qual}({param})" not in EXEMPT_PARAMS
-            and not any(_passes(c, param, index) for c in calls.get(called, ()))]
+    return {f"{qual}({param})": any(_passes(c, param, index) for c in calls.get(called, ()))
+            for qual, param, called, index in _defaulted_params()}
+
+
+def test_every_defaulted_parameter_is_passed():
+    dead = [param for param, passed in _is_passed().items()
+            if not passed and param not in EXEMPT_PARAMS]
     assert not dead, f"defaulted parameters no call of the package passes: {dead}"
 
 

@@ -170,6 +170,34 @@ class TestRepresentationRefusals:
         assert proc.returncode == 2
         assert proc.stderr == "lyaplab: invalid input: non-finite generator entries\n"
 
+    def test_file_relations_are_the_groups(self, tmp_path, capsys):
+        # a1, b1, a1, b1 of surface:2 represent no surface group, whatever
+        # relations (here none) the file lists
+        _, gens, _ = fuchsian.build_group(fuchsian.GroupSpec.surface(2))
+        a1, b1 = (np.array(g.mat) for g in gens[:2])
+        rep = write_rep(tmp_path / "pair.rep", [a1, b1, a1, b1], [])
+        out = tmp_path / "never.csv"
+        assert run_cli(["spectrum", "--group", "surface:2", "--rep", rep, "--time", "50",
+                        "--samples", "4", "--out", str(out)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("lyaplab: refused: relation check failed: residual ")
+        assert not out.exists()
+
+    def test_unitary_cube_file_refused_like_the_builtin(self, tmp_path, capsys):
+        # the cube's images satisfy a^3, b^3, c^4, abc but not a^2 of (2,3,7)
+        path = tmp_path / "cube.rep"
+        assert run_cli(["rep", "--rep", "builtin:unitary-cube", "--out", str(path)]) == 0
+        capsys.readouterr()
+        lines = []
+        for source in ("builtin:unitary-cube", str(path)):
+            assert run_cli(["spectrum", "--group", "triangle:2,3,7", "--rep", source,
+                            "--time", "50", "--samples", "4",
+                            "--out", str(tmp_path / "never.csv")]) == 2
+            lines += capsys.readouterr().err.splitlines()
+        assert lines[0] == lines[1]
+        assert lines[0].startswith("lyaplab: refused: relation check failed: residual 2.000e+00")
+        assert not (tmp_path / "never.csv").exists()
+
     @pytest.mark.parametrize("command", [
         ["spectrum", "--time", "50", "--samples", "2", "--seed", "1"],
         ["rep", "--check"],
@@ -398,7 +426,7 @@ class TestResolvedSpectra:
 class TestErrCommand:
     def test_identity_lower_half_zero(self, tmp_path):
         out = tmp_path / "err.csv"
-        code = run_cli(["err", "--dev", "identity", "--covector", "1 -0.5+2i",
+        code = run_cli(["err", "--dev", "veronese:2", "--covector", "1 -0.5+2i",
                         "--center", "0,1", "--tmax", "20",
                         "--grid-nodes", "120", "--out", str(out)])
         # covector [1, -w] with w = 0.5 - 2i in the lower half-plane
@@ -427,13 +455,13 @@ class TestErrCommand:
         assert float(err) > 0 and last == err
 
     def test_missing_covector_refused(self):
-        assert run_cli(["err", "--dev", "identity"]) == 2
+        assert run_cli(["err", "--dev", "veronese:2"]) == 2
 
     def test_ode_kind_refused_from_cli(self, capsys):
         assert run_cli(["err", "--dev", "ode", "--covector", "1 0"]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("lyaplab: refused: ")
-        assert "identity | veronese:n" in err[0]
+        assert err[0].endswith("(use veronese:n)")
 
 
 class TestOrbitCountCommand:
@@ -505,6 +533,25 @@ class TestRepCommand:
         lam1 = float(rows[0].split(",")[2])
         assert abs(lam1 - 2.0) < 0.2
 
+    def test_file_written_with_the_group_relations(self, tmp_path):
+        _, gens, rels = fuchsian.build_group(fuchsian.GroupSpec.triangle(3, 3, 4))
+        bare = write_rep(tmp_path / "bare.rep", [np.array(g.mat) for g in gens], [])
+        out = tmp_path / "out.rep"
+        assert run_cli(["rep", "--rep", bare, "--out", str(out)]) == 0
+        assert linrep.load_rep(out).relations == tuple(tuple(w) for w in rels)
+
+    @pytest.mark.parametrize("group", ["triangle:3,3,4", "surface:2"])
+    def test_fuchsian_file_spectrum_is_the_builtin_spectrum(self, tmp_path, group):
+        path = tmp_path / "fuchsian.rep"
+        assert run_cli(["rep", "--group", group, "--out", str(path)]) == 0
+        outs = []
+        for source in ("builtin:fuchsian", str(path)):
+            out = tmp_path / f"{len(outs)}.csv"
+            assert run_cli(["spectrum", "--group", group, "--rep", source, "--time", "100",
+                            "--samples", "4", "--out", str(out)]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
     @staticmethod
     def certificate(args, capsys):
         """The last clause of the stderr line of a rep run."""
@@ -561,7 +608,7 @@ CONFIG_CASES = [
     ("spectrum", "random-base", "1", "0"),
     ("sweep", "axis", "real", "imag"),
     ("sweep", "grid", "0:1:3", "0,0.5"),
-    ("err", "dev", "veronese:3", "identity"),
+    ("err", "dev", "veronese:3", "veronese:2"),
     ("err", "covector", "1 0 2", "1 0 1"),
     ("err", "center", "0.1,1.5", "0,2"),
     ("err", "tmax", "9", "8"),
@@ -689,6 +736,8 @@ class TestCommandLineRefusals:
          "only 0 successful samples; failures: [(0, \"InsufficientDataError('no side "
          "crossing after the burn-in t = 0.1')\")"),
         (["spectrum", "--time", "1e-300", "--samples", "2"], "no side crossing"),
+        (["err", "--dev", "identity", "--covector", "1 0"],
+         "dev kind 'identity' unsupported (use veronese:n)"),
     ])
     def test_exit_2_with_one_refusal_line(self, capsys, args, why):
         assert run_cli(args) == 2
@@ -704,6 +753,10 @@ class TestCommandLineRefusals:
         (["spectrum", "--time", "nan"], "T must be positive and finite"),
         (["spectrum", "--time", "inf"], "T must be positive and finite"),
         (["sweep", "--time", "inf"], "T must be positive and finite"),
+        (["err", "--covector", "nan 1"], "covector must be finite"),
+        (["err", "--covector", "1e400 1"], "covector must be finite"),
+        (["err", "--covector", "1 -1e400i"], "covector must be finite"),
+        (["err", "--covector", "nan 0"], "covector must be finite"),
     ])
     def test_empty_or_non_finite_input_is_one_invalid_input_line(self, capsys, args, why):
         # refused before any output; RuntimeWarnings are errors under pytest,
@@ -752,6 +805,27 @@ class TestCommandLineRefusals:
         assert run_cli(["orbit-count", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err.splitlines() == [
             "lyaplab: invalid input: --center expects x,y, got '1'"]
+
+    @pytest.mark.parametrize("key,value,why", [
+        ("dev", "veronese:x", "--dev expects veronese:n, got 'veronese:x'"),
+        ("dev", "veronese:", "--dev expects veronese:n, got 'veronese:'"),
+        ("dev", "veronese:2.5", "--dev expects veronese:n, got 'veronese:2.5'"),
+        ("dev", "veronese", "--dev expects veronese:n, got 'veronese'"),
+        ("covector", "1 x", "--covector expects numbers as in '1 -0.5+2i', got '1 x'"),
+        ("covector", "1 2+i3", "--covector expects numbers as in '1 -0.5+2i', got '1 2+i3'"),
+    ])
+    @pytest.mark.parametrize("where", ["argv", "config"])
+    def test_malformed_err_value_names_its_form(self, tmp_path, capsys, key, value, why, where):
+        values = {"covector": "1 0", key: value}
+        args = ["err", *(f"--{k}={v}" for k, v in values.items())]
+        if where == "config":
+            cfg = tmp_path / "c.cfg"
+            cfg.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+            args = ["err", "--config", str(cfg)]
+        assert run_cli(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"lyaplab: invalid input: {why}"]
 
     def test_float_singular_image_is_invalid_input(self, capsys):
         # sym:3 of a twist has images conditioned past 1/eps, which
@@ -814,7 +888,7 @@ HELP_DEFAULTS = {
         "normalization": "minus4", "random-base": "0", "axis": "imag", "grid": "0:2:11",
         "out": "none", "svg": "none"},
     "err": {
-        "config": "none", "dev": "identity", "covector": "none", "center": "0,2", "tmax": "20.0",
+        "config": "none", "dev": "veronese:2", "covector": "none", "center": "0,2", "tmax": "20.0",
         "grid-nodes": "400", "out": "none", "svg": "none"},
     "orbit-count": {
         "config": "none", "group": "triangle:3,3,4", "center": "none", "tmax": "12.0",

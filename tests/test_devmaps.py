@@ -9,7 +9,6 @@ from lyaplab.devmaps import (
     ode_develop,
     oper_identity_init,
     pairing_poly_coeffs,
-    veronese_dev,
 )
 from lyaplab.errterm import count_in_balls
 from lyaplab.hypgeo import HPoint, UnitTangent, geodesic_flow
@@ -18,6 +17,13 @@ from lyaplab.linrep import sym_power
 
 def phi_zero(z):
     return 0.0
+
+
+def veronese(n, z):
+    """The Veronese curve with n coordinates at z: C(n-1, j) z^(n-1-j), the
+    image of [z : 1] under Sym^(n-1) in the monomial basis (e1 > e2)."""
+    weights = np.array([math.comb(n - 1, j) for j in range(n)], dtype=float)
+    return weights * np.power(complex(z), np.arange(n - 1, -1, -1))
 
 
 def projective_sine(v, w):
@@ -33,15 +39,16 @@ def projective_sine(v, w):
     return min(1.0, np.linalg.norm(r) / nw)
 
 
-def equivariance_residual(dev, rep, mobius_list, samples=100, seed=0):
-    """max projective distance between s(g z) and rho(g) s(z) over samples."""
+def equivariance_residual(n, rep, mobius_list, samples=100, seed=0):
+    """max projective distance between s(g z) and rho(g) s(z) over samples,
+    s the Veronese curve with n coordinates."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(samples):
         z = complex(rng.uniform(-2, 2), rng.uniform(0.2, 3.0))
         gi = int(rng.integers(0, len(mobius_list)))
-        lhs = dev(mobius_list[gi].apply_complex(z))
-        rhs = rep.generators[gi] @ dev(z)
+        lhs = veronese(n, mobius_list[gi].apply_complex(z))
+        rhs = rep.generators[gi] @ veronese(n, z)
         worst = max(worst, projective_sine(lhs, rhs))
     return worst
 
@@ -62,9 +69,9 @@ def phi_equivariance_residual(phi, mobius_list, samples=60, seed=0):
     return worst
 
 
-def counts(dev, u, center, radii):
+def counts(n, u, center, radii):
     """count_in_balls counts at the given radii."""
-    return count_in_balls((dev, u), center, radii).counts.tolist()
+    return count_in_balls((n, u), center, radii).counts.tolist()
 
 
 class TestCovector:
@@ -75,70 +82,72 @@ class TestCovector:
 
 class TestIdentityDev:
     def test_value_at_i(self):
-        dev = veronese_dev(2)
-        v = dev(1j)
+        v = veronese(2, 1j)
         assert abs(v[0] / v[1] - 1j) < 1e-15
+        u = Covector((0.3 - 2.0j, 1.5 + 0.25j))
+        pairing = np.polyval(pairing_poly_coeffs(2, u), 1j)
+        assert abs(pairing - np.dot(u.coords, v)) < 1e-14
 
     def test_equivariance(self, tri334, fuchs334):
         dom, gens, _ = tri334
-        dev = veronese_dev(2)
-        assert equivariance_residual(dev, sym_power(fuchs334, 1), gens, samples=1000) < 1e-9
+        assert equivariance_residual(2, sym_power(fuchs334, 1), gens, samples=1000) < 1e-9
 
     def test_lower_half_plane_covector_empty(self):
-        dev = veronese_dev(2)
         u = Covector((1.0, -(0.5 - 2.0j)))  # target point in the lower half-plane
-        assert counts(dev, u, HPoint(0, 1), (0.5, 3.0, 10.0)) == [0, 0, 0]
+        assert counts(2, u, HPoint(0, 1), (0.5, 3.0, 10.0)) == [0, 0, 0]
 
     def test_upper_point_counted(self):
-        dev = veronese_dev(2)
         w = 0.3 + 1.4j
         u = Covector((1.0, -w))
-        assert counts(dev, u, HPoint(0, 1), (3.0,)) == [1]
-        points = bad_locus_points(dev, u)
+        assert counts(2, u, HPoint(0, 1), (3.0,)) == [1]
+        points = bad_locus_points(2, u)
         assert abs(points[0] - w) < 1e-12
 
 
 class TestVeroneseDev:
     def test_n2_reduces_to_identity(self):
-        v = veronese_dev(2)
         for z in (1j, 0.5 + 2j, -1 + 0.3j):
-            assert projective_sine(v(z), np.array([z, 1.0])) < 1e-15
+            assert projective_sine(veronese(2, z), np.array([z, 1.0])) < 1e-15
+        # the pairing with (z, 1) is u0 z + u1
+        u = Covector((2.0, -0.5 + 1.0j))
+        assert pairing_poly_coeffs(2, u).tolist() == list(u.coords)
 
     def test_equivariance_n3(self, tri334, fuchs334):
         dom, gens, _ = tri334
-        dev, rep = veronese_dev(3), sym_power(fuchs334, 2)
-        assert rep.n == dev.dim == 3
-        assert equivariance_residual(dev, rep, gens, samples=1000) < 1e-7
+        rep = sym_power(fuchs334, 2)
+        assert rep.n == 3
+        assert equivariance_residual(3, rep, gens, samples=1000) < 1e-7
 
     def test_polynomial_pairing(self):
-        dev = veronese_dev(3)
         u = Covector((1.0, 0.0, 1.0))
-        coeffs = pairing_poly_coeffs(dev, u)
+        coeffs = pairing_poly_coeffs(3, u)
         assert np.allclose(coeffs, [1.0, 0.0, 1.0])  # z^2 + 1
+        # the library's pairing is <u, veronese(n, z)>
+        for n in (3, 4, 6):
+            u = Covector(tuple(1.0 + 0.5j * k for k in range(n)))
+            for z in (1j, 0.5 + 2j, -1 + 0.3j):
+                assert abs(np.polyval(pairing_poly_coeffs(n, u), z)
+                           - np.dot(u.coords, veronese(n, z))) < 1e-12
 
     def test_root_enters_at_log2(self):
-        dev = veronese_dev(3)
         u = Covector((1.0, 0.0, 1.0))  # zero of z^2+1 in H: z = i
         center = HPoint(0.0, 2.0)      # d(2i, i) = log 2
         radii = (0.5, math.log(2) - 1e-3, math.log(2) + 1e-3, 4.0)
-        assert counts(dev, u, center, radii) == [0, 0, 1, 1]
+        assert counts(3, u, center, radii) == [0, 0, 1, 1]
 
     def test_boundary_flag(self):
-        dev = veronese_dev(3)
         u = Covector((1.0, 0.0, 1.0))
-        cf = count_in_balls((dev, u), HPoint(0.0, 2.0), [math.log(2.0)])
+        cf = count_in_balls((3, u), HPoint(0.0, 2.0), [math.log(2.0)])
         assert cf.uncertain.tolist() == [1]
 
     def test_counts_nested_monotone(self):
-        dev = veronese_dev(4)
         u = Covector((1.0, 0.5, -0.3, 1.0))
-        c = counts(dev, u, HPoint(0, 1), (0.5, 1.5, 3.0, 6.0, 12.0))
+        c = counts(4, u, HPoint(0, 1), (0.5, 1.5, 3.0, 6.0, 12.0))
         assert c == sorted(c)
 
     def test_covector_scale_invariance(self):
-        dev = veronese_dev(3)
-        a = counts(dev, Covector((1.0, 0.0, 1.0)), HPoint(0.0, 2.0), (2.0,))
-        b = counts(dev, Covector((3.7j, 0.0, 3.7j)), HPoint(0.0, 2.0), (2.0,))
+        a = counts(3, Covector((1.0, 0.0, 1.0)), HPoint(0.0, 2.0), (2.0,))
+        b = counts(3, Covector((3.7j, 0.0, 3.7j)), HPoint(0.0, 2.0), (2.0,))
         assert a == b
 
 

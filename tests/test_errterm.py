@@ -3,10 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lyaplab.devmaps import (
-    Covector,
-    veronese_dev,
-)
+from lyaplab.devmaps import Covector
 from lyaplab.errterm import (
     ConfigurationError,
     CountFunction,
@@ -77,22 +74,20 @@ class TestCountFunction:
 class TestErrEstimate:
     def test_empty_locus_exact_zero(self, tri334):
         dom, _, _ = tri334
-        dev = veronese_dev(2)
         u = Covector((1.0, -(0.1 - 1.0j)))
         grid = np.linspace(0.3, 20.0, 120)
-        cf = count_in_balls((dev, u), dom.interior_point, grid)
+        cf = count_in_balls((2, u), dom.interior_point, grid)
         est = err_estimate(cf, 20.0)
         assert est.value == 0.0
         assert est.converged_flag
 
     def test_finite_locus_decays_like_one_over_T(self):
-        dev = veronese_dev(3)
         u = Covector((1.0, 0.0, 1.0))
         center = HPoint(0.0, 2.0)
         head = np.linspace(0.25, 12.0, 200)
         tail = np.linspace(12.0, 2000.0, 300)[1:]
         grid = np.concatenate([head, tail])
-        cf = count_in_balls((dev, u), center, grid)
+        cf = count_in_balls((3, u), center, grid)
         est = err_estimate(cf, 2000.0)
         # one point at distance log 2: err(T) = (coth(log2 / 2) - 1) / (2T)
         exact = (1.0 / math.tanh(math.log(2.0) / 2.0) - 1.0) / (2.0 * 2000.0)
@@ -145,12 +140,11 @@ class TestErrEstimate:
             err_estimate(cf, 10.0)
 
     def test_covector_rescale_invariance(self):
-        dev = veronese_dev(3)
         grid = np.linspace(0.3, 12.0, 100)
         vals = []
         for scale in (1.0, -2.3 + 0.7j):
             u = Covector((scale * 1.0, 0.0, scale * 1.0))
-            cf = count_in_balls((dev, u), HPoint(0.0, 2.0), grid)
+            cf = count_in_balls((3, u), HPoint(0.0, 2.0), grid)
             vals.append(err_estimate(cf, 12.0).value)
         assert vals[0] == vals[1]
 
@@ -168,7 +162,9 @@ class TestSumRule:
     @pytest.mark.parametrize("ratio,want", [(1, 1.0), (2, 2.0), ("1/2", 0.5)])
     def test_degree_ratio_read_as_an_exact_rational(self, tri334, ratio, want):
         dom, _, _ = tri334
-        spec = SpectrumEstimate(np.array([want, -want]), np.zeros(2), 4, "minus4")
+        values = np.array([want, -want])
+        spec = SpectrumEstimate(values, np.zeros(2), 4, "minus4", "x", 100.0, 1,
+                                np.tile(values, (4, 1)), (), "")
         grid = np.linspace(0.3, 20.0, 60)
         est = err_estimate(count_in_balls(((), ()), dom.interior_point, grid), 20.0)
         report = sum_rule_check(spec, ratio, est, k=1)

@@ -824,7 +824,8 @@ class TestCsv:
     def test_schema(self):
         est = SpectrumEstimate(
             values=np.array([1.0, -1.0]), stderr=np.array([0.01, 0.01]),
-            samples=4, normalization_tag="minus4", label="x", T=100.0, seed=7)
+            samples=4, normalization_tag="minus4", label="x", T=100.0, seed=7,
+            sample_values=np.array([[1.0, -1.0]] * 4), failures=(), unresolved="")
         csv = spectrum_csv(est)
         lines = csv.strip().split("\n")
         assert lines[0] == "label,i,lambda,stderr,samples,T,seed,normalization"
