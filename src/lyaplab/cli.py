@@ -39,12 +39,11 @@ def apply_transforms(rep, chain, group_spec):
     """Transform chain, left to right: sym:k | ext:k | bend:re,im."""
     for item in chain:
         name, _, arg = item.partition(":")
-        if name == "sym":
-            rep = linrep.sym_power(rep, int(arg))
-        elif name == "ext":
-            rep = linrep.ext_power(rep, int(arg))
+        if name in ("sym", "ext"):
+            k = _read(item, f"--transform {name}", f"{name}:k", _index)
+            rep = linrep.sym_power(rep, k) if name == "sym" else linrep.ext_power(rep, k)
         elif name == "bend":
-            value = complex(*_pair(arg, "--transform bend", "re,im"))
+            value = complex(*_read(arg, "--transform bend", "re,im", _pair))
             split = _bend_split_for(rep, group_spec)
             rep = fuchsian.bend_representation(rep, split, value)
         else:
@@ -62,7 +61,7 @@ def _resolve(ns):
 
 def _bend_split_for(rep, group_spec):
     if rep.n != 2:
-        raise Refusal("bend transform needs a rank-2 representation")
+        raise Refusal("bending needs a rank-2 representation")
     if group_spec.kind != "surface":
         raise Refusal("bend transform needs a surface group (no canonical amalgam "
                       "for triangle groups); supply surface:g")
@@ -178,13 +177,11 @@ def cmd_sweep(ns):
     refused in one estimate_spectra call over geodesics coded once;
     refused and unresolved points become failed rows."""
     run = _run_config(ns)
-    grid = _parse_grid(ns.grid)
+    grid = _read(ns.grid, "--grid", "start:stop:npoints or a comma list", _parse_grid)
     if not grid or not all(math.isfinite(v) for v in grid):
         raise Refusal("sweep grid must be nonempty and finite")
     spec, dom, rep = _resolve(ns)
     _gate_relations(rep)
-    if rep.n != 2:
-        raise Refusal("sweep needs a rank-2 base representation")
     split = _bend_split_for(rep, spec)
     values = [complex(0.0, v) if ns.axis == "imag" else complex(v, 0.0) for v in grid]
     bent = fuchsian.bend_representations(rep, split, values)
@@ -221,39 +218,41 @@ def _parse_grid(text):
     return [float(v) for v in text.split(",")]
 
 
-def _parse_covector(text):
+def _read(text, name, form, parse):
+    """parse(text), text being the value of option name; a bad number, or
+    not as many of them as form has, is refused in the words of form."""
     try:
-        coords = tuple(complex(tok.replace("i", "j")) for tok in text.replace(",", " ").split())
-    except ValueError:  # a token that is not a number
-        raise ValueError(f"--covector expects numbers as in '1 -0.5+2i', got {text!r}") from None
-    return devmaps.Covector(coords)
-
-
-def _pair(text, name, form):
-    """The two numbers of text, the value of option name, written as form ('x,y')."""
-    try:
-        a, b = (float(v) for v in text.split(","))
-    except ValueError:  # a bad number, or not two of them
+        return parse(text)
+    except ValueError:
         raise ValueError(f"{name} expects {form}, got {text!r}") from None
+
+
+def _pair(text):
+    a, b = (float(v) for v in text.split(","))
     return a, b
+
+
+def _index(text):  # the k of kind:k
+    return int(text.partition(":")[2])
+
+
+def _numbers(text):
+    return tuple(complex(tok.replace("i", "j")) for tok in text.replace(",", " ").split())
 
 
 def cmd_err(ns):
     kind, _, arg = ns.dev.partition(":")
     if kind != "veronese":
         raise Refusal(f"dev kind {ns.dev!r} unsupported (use veronese:n)")
-    try:
-        n = int(arg)
-    except ValueError:
-        raise ValueError(f"--dev expects veronese:n, got {ns.dev!r}") from None
+    n = _read(ns.dev, "--dev", "veronese:n", _index)
     if n < 2:
         raise ValueError("veronese needs n >= 2")
     if ns.covector is None:
         raise Refusal("err needs --covector")
-    u = _parse_covector(ns.covector)
+    u = devmaps.Covector(_read(ns.covector, "--covector", "numbers as in '1 -0.5+2i'", _numbers))
     if len(u) != n:
         raise Refusal(f"covector length {len(u)} != dev dimension {n}")
-    center = hypgeo.HPoint(*_pair(ns.center, "--center", "x,y"))
+    center = hypgeo.HPoint(*_read(ns.center, "--center", "x,y", _pair))
     cf = errterm.count_in_balls((n, u), center, _err_grid(ns.tmax, ns.grid_nodes))
     return _write_err_outputs(ns, cf)
 
@@ -293,7 +292,7 @@ def cmd_orbit_count(ns):
         raise ValueError("grid nodes must be >= 1")
     dom, _, _ = fuchsian.build_group(fuchsian.parse_group_spec(ns.group))
     center = (dom.interior_point if ns.center is None
-              else hypgeo.HPoint(*_pair(ns.center, "--center", "x,y")))
+              else hypgeo.HPoint(*_read(ns.center, "--center", "x,y", _pair)))
     pts, dists = fuchsian.orbit_ball(dom, center, ns.tmax)
     cf = errterm.count_in_balls((pts, dists), center,
                                 np.linspace(0.3, ns.tmax, ns.grid_nodes))

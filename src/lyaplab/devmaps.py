@@ -11,6 +11,7 @@ polynomials.  Rank-2 opers are integrated from u'' + phi/2 u = 0 along
 paths (ode_develop); the selftest checks that integration's Wronskian.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -168,12 +169,30 @@ def oper_identity_init(z0):
 # zero counting
 
 
-def _dedupe_points(pts):
-    out = []
-    for z in pts:
-        if all(abs(z - w) > 1e-7 * max(1.0, abs(z)) for w in out):
-            out.append(complex(z))
-    return out
+def _zeros(coeffs):
+    """The distinct zeros of the polynomial with descending coefficients coeffs.
+
+    np.roots splits an m-fold zero r of p = (z - r)^m q into m roots about
+    (eps K / |q(r)|)^(1/m) from r, with K = sum_k |a_k| |r|^k.  So roots are
+    grouped, nearest pairs first, while a group's radius rho about its
+    centroid c has rho^m |q(c)| <= 256 eps K and no other root within rho.
+    Each group is one zero, placed at its centroid, which is accurate to
+    rounding.  A group so far out that K overflows is not merged.
+    """
+    roots = np.roots(coeffs)
+    label = np.arange(len(roots))
+    pairs = itertools.combinations(range(len(roots)), 2)
+    for i, j in sorted(pairs, key=lambda p: abs(roots[p[0]] - roots[p[1]])):
+        merged = np.where(label == label[j], label[i], label)
+        inside = merged == label[i]
+        c = roots[inside].mean()
+        rho, others = np.abs(roots[inside] - c).max(), np.abs(roots[~inside] - c)
+        with np.errstate(over="ignore", invalid="ignore"):  # inf or nan: not merged
+            spread = rho ** inside.sum() * abs(coeffs[0]) * others.prod()
+            noise = 256 * np.finfo(float).eps * np.polyval(np.abs(coeffs), abs(c))
+        if (others > rho).all() and spread <= noise < np.inf:
+            label = merged
+    return [complex(roots[label == g].mean()) for g in sorted(set(label.tolist()))]
 
 
 def bad_locus_points(n, u):
@@ -182,6 +201,10 @@ def bad_locus_points(n, u):
     zero is returned; the counter places each one against its radii and
     boundary band.
     """
+    # the pairing is homogeneous in u, and a power-of-two scale is exact:
+    # it keeps the binomial products finite and their leading digits normal
+    e = math.frexp(max(abs(v) for c in u.coords for v in (c.real, c.imag)))[1]
+    u = Covector(tuple(complex(math.ldexp(c.real, -e), math.ldexp(c.imag, -e)) for c in u.coords))
     coeffs = np.trim_zeros(pairing_poly_coeffs(n, u), "f")
-    roots = np.roots(coeffs) if len(coeffs) > 1 else ()
-    return _dedupe_points([z for z in roots if z.imag > 1e-10 * max(1.0, abs(z.real))])
+    zeros = _zeros(coeffs) if len(coeffs) > 1 else ()
+    return [z for z in zeros if z.imag > 1e-10 * max(1.0, abs(z.real))]

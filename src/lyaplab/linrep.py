@@ -210,21 +210,24 @@ def _sym_matrix(a, k):
     return out
 
 
+def _power(rep, k, kind, name, dim, image):
+    """The k-th power of rep by the functor whose generator images are
+    image(g, k): Sym (kind sym) or wedge (kind ext) of dimension dim."""
+    if dim > MAX_POWER_DIM:
+        raise RepresentationError(f"{name}^{k} dimension {dim} over budget {MAX_POWER_DIM}")
+    if k == 1:
+        return rep
+    tag = f"{kind}:{k}"
+    return Representation(dim, rep.field, [image(g, k) for g in rep.generators], rep.relations,
+                          f"{rep.label}|{tag}" if rep.label else tag,
+                          rep.projective_flag, rep.unit_det)
+
+
 def sym_power(rep, k):
     """Symmetric power functor; dimension binom(n+k-1, k)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    dim = math.comb(rep.n + k - 1, k)
-    if dim > MAX_POWER_DIM:
-        raise RepresentationError(f"Sym^{k} dimension {dim} over budget {MAX_POWER_DIM}")
-    if k == 1:
-        return rep
-    gens = [_sym_matrix(g, k) for g in rep.generators]
-    return Representation(
-        dim, rep.field, gens, rep.relations,
-        f"{rep.label}|sym:{k}" if rep.label else f"sym:{k}",
-        rep.projective_flag, rep.unit_det,
-    )
+    return _power(rep, k, "sym", "Sym", math.comb(rep.n + k - 1, k), _sym_matrix)
 
 
 def _ext_matrix(a, k):
@@ -241,17 +244,7 @@ def ext_power(rep, k):
     (lexicographic subset) order; wedge^n is the determinant character."""
     if not 1 <= k <= rep.n:
         raise ValueError("need 1 <= k <= n")
-    dim = math.comb(rep.n, k)
-    if dim > MAX_POWER_DIM:
-        raise RepresentationError(f"wedge^{k} dimension {dim} over budget {MAX_POWER_DIM}")
-    if k == 1:
-        return rep
-    gens = [_ext_matrix(g, k) for g in rep.generators]
-    return Representation(
-        dim, rep.field, gens, rep.relations,
-        f"{rep.label}|ext:{k}" if rep.label else f"ext:{k}",
-        rep.projective_flag, rep.unit_det,
-    )
+    return _power(rep, k, "ext", "wedge", math.comb(rep.n, k), _ext_matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -314,11 +307,7 @@ def _format_entry(v, complex_field):
 
 
 def _parse_entry(tok, complex_field):
-    if complex_field:
-        if not tok.endswith("i") and "i" not in tok:
-            return complex(float(tok))
-        return complex(tok.replace("i", "j"))
-    return float(tok)
+    return complex(tok[:-1] + "j") if complex_field and tok.endswith("i") else float(tok)
 
 
 def format_rep_text(rep):
@@ -337,57 +326,32 @@ def format_rep_text(rep):
 
 
 def parse_rep_text(text):
-    lines = text.splitlines()
-    header = None
-    idx = 0
-    for idx, ln in enumerate(lines):
-        if ln.strip():
-            header = ln.strip()
-            break
-    if header is None:
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    if not lines:
         raise RepresentationError("empty representation file")
-    m = re.match(
-        r"n=(\d+)\s+field=(real|complex)\s+projective=([01])\s+label=(.*)$", header
-    )
+    m = re.match(r"n=(0*[1-9]\d*)\s+field=(real|complex)\s+projective=([01])\s+label=(.*)$",
+                 lines[0])
     if not m:
-        raise RepresentationError(f"bad header line: {header!r}")
-    n = int(m.group(1))
-    fieldname = m.group(2)
-    projective = m.group(3) == "1"
-    label = m.group(4).strip()
-    complex_field = fieldname == "complex"
-
-    numbers = []
-    rel_lines = []
-    in_relations = False
-    for ln in lines[idx + 1 :]:
-        s = ln.strip()
-        if not s:
-            continue
-        if s == "relations:":
-            in_relations = True
-            continue
-        if in_relations:
-            rel_lines.append(s)
-        else:
-            numbers.extend(_parse_entry(tok, complex_field) for tok in s.split())
+        raise RepresentationError(f"bad header line: {lines[0]!r}")
+    n, fieldname, label = int(m.group(1)), m.group(2), m.group(4).strip()
+    split = lines.index("relations:") if "relations:" in lines else len(lines)
+    numbers = [_parse_entry(tok, fieldname == "complex")
+               for ln in lines[1:split] for tok in ln.split()]
     if len(numbers) % (n * n) != 0 or not numbers:
         raise RepresentationError(
             f"matrix data size {len(numbers)} is not a multiple of n^2={n * n}"
         )
     count = len(numbers) // (n * n)
-    dtype = complex if complex_field else float
-    gens = [
-        np.array(numbers[i * n * n : (i + 1) * n * n], dtype=dtype).reshape(n, n)
-        for i in range(count)
-    ]
-    relations = []
-    for s in rel_lines:
-        w = tuple(int(tok) for tok in s.split())
+    gens = np.array(numbers, dtype=complex if fieldname == "complex" else float)
+    words = []
+    # a repeated relations: line is skipped
+    for row in (ln.split() for ln in lines[split + 1:] if ln != "relations:"):
+        w = tuple(int(tok) for tok in row)
         if any(v == 0 or abs(v) > count for v in w):
             raise RepresentationError(f"relation {w} references missing generators")
-        relations.append(w)
-    return Representation(n, fieldname, gens, relations, label, projective)
+        words.append(w)
+    return Representation(n, fieldname, gens.reshape(count, n, n), words, label,
+                          m.group(3) == "1")
 
 
 def load_rep(path):

@@ -26,6 +26,11 @@ EXEMPT = {
     "fuchsian.BendingSplit.genus2_standard",  # acceptance tests C8a and C8b call it
 }
 
+# module-level imports that their module never reads
+EXEMPT_IMPORTS = {
+    "devmaps.sym_power",  # the benchmark times linrep.sym_power under this name too
+}
+
 # defaulted parameters that no call of the package or the benchmark names
 EXEMPT_PARAMS = {
     # sum_rule_check is an exempt entry point (above); C7 passes k = 2 for Sym^2
@@ -113,13 +118,33 @@ def test_exemptions_are_defined():
 
 
 def test_exemptions_are_still_needed():
-    """An exempt name that the package or the benchmark comes to use, or an
-    exempt parameter that some call comes to pass, needs no exemption: it
-    fails here until it is taken off the list."""
-    callers, passed = _has_caller(), _is_passed()
+    """An exempt name that the package or the benchmark comes to use, an
+    exempt parameter that some call comes to pass, or an exempt import that
+    its module comes to read or drops, needs no exemption: it fails here
+    until it is taken off the list."""
+    callers, passed, unread = _has_caller(), _is_passed(), _unread_imports()
     stale = sorted(name for name in EXEMPT if callers[name])
     stale += sorted(param for param in EXEMPT_PARAMS if passed[param])
+    stale += sorted(name for name in EXEMPT_IMPORTS if name not in unread)  # used, or gone
     assert not stale, f"exemptions that no longer apply: {stale}"
+
+
+def _unread_imports():
+    """module.name of every name that a module-level import of a package
+    module binds and that the module never reads."""
+    out = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        bound = [a.asname or a.name.split(".")[0] for node in tree.body
+                 if isinstance(node, (ast.Import, ast.ImportFrom)) for a in node.names]
+        out |= {f"{path.stem}.{name}" for name in bound if name not in read}
+    return out
+
+
+def test_every_import_is_used():
+    unread = sorted(_unread_imports() - EXEMPT_IMPORTS)
+    assert not unread, f"module-level imports their module never reads: {unread}"
 
 
 def _put_to_work():

@@ -137,6 +137,22 @@ class TestRepresentationRefusals:
                         "--out", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("text,why", [
+        ("n=0 field=real projective=0 label=x\n1.0\n",
+         "bad header line: 'n=0 field=real projective=0 label=x'"),
+        ("n=1 field=complex projective=0 label=x\n1.0\ninf\n1.0\n",
+         "non-finite generator entries"),
+        ("n=1 field=complex projective=0 label=x\n1.0\n1-infi\n1.0\n",
+         "non-finite generator entries"),
+    ], ids=["zero-rank", "inf", "imaginary-inf"])
+    def test_bad_file_is_one_invalid_input_line(self, tmp_path, capsys, text, why):
+        path = tmp_path / "bad.rep"
+        path.write_text(text)
+        assert run_cli(["spectrum", "--rep", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"lyaplab: invalid input: {why}"]
+
     def test_overflowed_relation_refused(self, tmp_path):
         big = np.diag([1e200, 1e-200])
         rep = write_rep(tmp_path / "big.rep", [big, np.eye(2), np.eye(2)], [(1, 1)])
@@ -233,6 +249,18 @@ class TestTransforms:
                         "--samples", "2", "--seed", "1",
                         "--out", str(tmp_path / "x.csv")])
         assert code == 2
+
+    @pytest.mark.parametrize("args", [
+        ["sweep", "--transform", "sym:2"],
+        ["sweep", "--group", "triangle:3,3,4", "--transform", "sym:2"],
+        ["spectrum", "--group", "surface:2", "--transform", "sym:2", "--transform", "bend:1,0"],
+    ])
+    def test_bending_needs_rank_2(self, capsys, args):
+        assert run_cli(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "lyaplab: refused: bending needs a rank-2 representation"]
 
 
 class TestSweepCommand:
@@ -453,6 +481,32 @@ class TestErrCommand:
                         "--out", str(out)]) == 0
         last, err = last_row_and_err(out.read_text())
         assert float(err) > 0 and last == err
+
+    # (dev, covector with a repeated or extreme pairing, a covector with the
+    # same zeros in H): (z+1)^2, (z+1)^4, (z+1)^11 and (z+1)^4 at 1e308 have
+    # none, (z-i)^3 and a subnormal z^2+1 have one, at i
+    @pytest.mark.parametrize("dev,covector,same", [
+        ("veronese:3", "1 1 1", "veronese:2 1 1"),
+        ("veronese:5", "1 1 1 1 1", "veronese:2 1 1"),
+        ("veronese:12", " ".join(["1"] * 12), "veronese:2 1 1"),
+        ("veronese:5", "1e308 1e308 1e308 1e308 1e308", "veronese:2 1 1"),
+        ("veronese:4", "1 -1i -1 1i", "veronese:3 1 0 1"),
+        ("veronese:3", "1e-320 0 1e-320", "veronese:3 1 0 1"),
+    ], ids=["double", "fourfold", "elevenfold", "overflow", "triple-at-i", "subnormal"])
+    def test_repeated_or_extreme_zeros_counted_once(self, tmp_path, dev, covector, same):
+        ref_dev, _, ref_covector = same.partition(" ")
+        for name, d, u in (("a", dev, covector), ("b", ref_dev, ref_covector)):
+            assert run_cli(["err", "--dev", d, "--covector", u,
+                            "--out", str(tmp_path / f"{name}.csv")]) == 0
+        assert (tmp_path / "a.csv").read_text() == (tmp_path / "b.csv").read_text()
+
+    def test_close_distinct_zeros_stay_two(self, tmp_path):
+        # (z - i)(z - i - 0.005)
+        out = tmp_path / "err.csv"
+        assert run_cli(["err", "--dev", "veronese:3", "--covector", "1 -0.0025-1i -1+0.005i",
+                        "--out", str(out)]) == 0
+        rows = [l for l in out.read_text().splitlines() if not l.startswith("#")][1:]
+        assert int(rows[-1].split(",")[1]) == 2
 
     def test_missing_covector_refused(self):
         assert run_cli(["err", "--dev", "veronese:2"]) == 2
@@ -798,6 +852,30 @@ class TestCommandLineRefusals:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == [f"lyaplab: invalid input: {why}"]
+
+    @pytest.mark.parametrize("args,why", [
+        (["spectrum", "--transform", "sym:x"], "--transform sym expects sym:k, got 'sym:x'"),
+        (["spectrum", "--transform", "sym:"], "--transform sym expects sym:k, got 'sym:'"),
+        (["spectrum", "--transform", "ext:2.5"], "--transform ext expects ext:k, got 'ext:2.5'"),
+        (["rep", "--transform", "ext:"], "--transform ext expects ext:k, got 'ext:'"),
+        *((["sweep", "--grid", grid],
+           f"--grid expects start:stop:npoints or a comma list, got '{grid}'")
+          for grid in ("0:1", "0:1:x", "0:1:-3", "a,b", "0:1:2:3")),
+    ])
+    def test_malformed_transform_or_grid_names_its_form(self, capsys, args, why):
+        assert run_cli(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"lyaplab: invalid input: {why}"]
+
+    @pytest.mark.parametrize("grid", ["0:1", "0:1:-3", "a,b"])
+    def test_malformed_grid_in_config_names_its_form(self, tmp_path, capsys, grid):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"grid = {grid}\n")
+        assert run_cli(["sweep", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"lyaplab: invalid input: --grid expects start:stop:npoints or a comma list, "
+            f"got '{grid}'"]
 
     def test_malformed_center_in_config_names_its_form(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"

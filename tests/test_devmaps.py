@@ -151,6 +151,35 @@ class TestVeroneseDev:
         assert a == b
 
 
+class TestRepeatedZeros:
+    """np.roots splits an m-fold zero into m roots about eps^(1/m) apart;
+    bad_locus_points reports it once, at the group's centroid."""
+
+    @pytest.mark.parametrize("coords,zeros", [
+        ((1, 1, 1), []),                       # (z+1)^2
+        ((1,) * 5, []),                        # (z+1)^4
+        ((1,) * 12, []),                       # (z+1)^11
+        ((1, -1j, -1, 1j), [1j]),              # (z-i)^3
+        ((1, -0.0025 - 1j, -1 + 0.005j), [1j, 0.005 + 1j]),  # two zeros 0.005 apart
+        ((1, 0, 1), [1j]),
+        ((1e-300, 1, 1), []),                  # zeros -0.5 and -2e300: too far out to group
+    ], ids=["double", "fourfold", "elevenfold", "triple-at-i", "close-pair", "simple", "far"])
+    def test_each_zero_once(self, coords, zeros):
+        points = sorted(bad_locus_points(len(coords), Covector(coords)), key=lambda z: z.real)
+        assert len(points) == len(zeros)
+        assert all(abs(p - z) < 1e-12 for p, z in zip(points, zeros))
+
+    @pytest.mark.parametrize("coords,scale", [
+        ((1.0,) * 5, 2.0**1023),         # (z+1)^4, whose binomial products overflow
+        ((1.0, 0.0, 1.0), 2.0**-1070),   # z^2 + 1 with a subnormal leading coefficient
+    ], ids=["overflow", "subnormal"])
+    def test_extreme_covector_scaled_exactly(self, coords, scale):
+        # a power-of-two multiple has the same zeros bit for bit; a
+        # RuntimeWarning is an error under pytest
+        extreme = Covector(tuple(scale * c for c in coords))
+        assert bad_locus_points(len(coords), extreme) == bad_locus_points(len(coords), Covector(coords))
+
+
 class TestOde:
     def test_flat_solutions(self):
         res = ode_develop(phi_zero, oper_identity_init(1j),

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -219,6 +220,21 @@ class TestExtPower:
             ext_power(fuchs334, 3)
 
 
+@pytest.mark.parametrize("power, tag, name, big_k, big_dim", [
+    (sym_power, "sym", "Sym", 4, 1365), (ext_power, "ext", "wedge", 6, 924)])
+def test_functors_share_labels_flags_and_budget(power, tag, name, big_k, big_dim):
+    base = Representation(2, "complex", [np.eye(2)], ((1, 1),), "base",
+                          projective_flag=True, unit_det=True)
+    assert power(base, 1) is base
+    for rep, label in ((base, f"base|{tag}:2"), (dataclasses.replace(base, label=""), f"{tag}:2")):
+        image = power(rep, 2)
+        assert (image.label, image.field, image.relations, image.projective_flag,
+                image.unit_det) == (label, "complex", ((1, 1),), True, True)
+    with pytest.raises(RepresentationError) as exc:
+        power(Representation(12, "real", [np.eye(12)], ()), big_k)
+    assert str(exc.value) == f"{name}^{big_k} dimension {big_dim} over budget 512"
+
+
 class TestUnitaryCubeRep:
     def test_relations_and_unitarity(self):
         rep = unitary_cube_rep()
@@ -268,6 +284,20 @@ class TestFileFormat:
         text = "n=2 field=real projective=0 label=x\n1.0 2.0 3.0\nrelations:\n"
         with pytest.raises(RepresentationError):
             parse_rep_text(text)
+
+    @pytest.mark.parametrize("header", ["n=0 field=real projective=0 label=x",
+                                        "n=00 field=complex projective=1 label=x"])
+    def test_zero_rank_header_refused(self, header):
+        with pytest.raises(RepresentationError) as exc:
+            parse_rep_text(f"{header}\n1.0\n")
+        assert str(exc.value) == f"bad header line: {header!r}"
+
+    def test_one_pass_reads_blank_lines_and_a_repeated_relations_line(self):
+        text = ("\n  n=01 field=complex projective=0 label=x y \n\n 2i \n"
+                "relations:\n\n1 1 -1\nrelations:\n-1\n")
+        rep = parse_rep_text(text)
+        assert (rep.n, rep.label, rep.relations) == (1, "x y", ((1, 1, -1), (-1,)))
+        assert rep.generators[0].tolist() == [[2j]]
 
     def test_format_is_line_oriented(self, fuchs334):
         text = format_rep_text(fuchs334)
