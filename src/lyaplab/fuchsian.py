@@ -461,24 +461,25 @@ def trace_geodesic(dom, ut, T):
 # ---------------------------------------------------------------------------
 # orbit enumeration
 #
-# Reverse search (Avis & Fukuda 1996) over the face pairings S_D of the
+# Reverse search (Avis & Fukuda 1996) over the face pairings of the
 # Dirichlet domain D about c (Voight, JTNB 2009): the polygon, about its
-# interior point.  The geodesic from g.c to c leaves g.D through a face
-# shared with g.s.D, s in S_D, at a point equidistant from g.c and g.s.c, so
-# g.s is strictly closer to c.  Keeping g.s only when g is its least
-# S_D-neighbour yields each element once, with no seen-set.  In the frame
-# c = i, cosh d = |g|_F^2/2; a ball about another centre is filtered from it.
+# interior point.  The geodesic parent of h != 1 is h.s^-1 when the geodesic
+# from c toward h^-1.c leaves D through the face of s (across it: s^-1.D).
+# From h.c that geodesic leaves h.D at x on the bisector of h.c and
+# h.s^-1.c, so d(c, h.s^-1.c) < d(c, x) + d(x, h.c) = d(c, h.c).  Keeping g.s
+# only when g is its geodesic parent yields each element once, with no
+# seen-set.  In the frame c = i, cosh d = |g|_F^2/2; a ball about another
+# centre is filtered from it.
 #
-# A level of the search is a (4, N) array of the entries a, b, c, d of its
-# elements.  The norms it tests are linear in a parent's Gram entries
-# G = (a^2 + c^2, ab + cd, b^2 + d^2): |g s|_F^2 = tr(g^T g s s^T) = w(s) . G,
-# so one product C @ G gives the (k, j, N) block of |g s_k s_j|_F^2, every
-# neighbour of every child of a block of parents, with the rows of C the
-# weights w(s_k s_j).  Each test reduces over j, an axis contiguous over N,
-# and entries are formed only for the children kept.
+# A level is a (4, N) array of its elements' entries a, b, c, d.  Its tests
+# are linear in a parent's Gram entries G = (a^2 + c^2, ab + cd, b^2 + d^2):
+# for h = g s, |h|_F^2 = tr(s s^T g^T g), and h^-1.i has the Minkowski
+# product tr(s N s^T g^T g) / 2 with a ray's unit normal n, N = _sym(n).
+# One product gives each child's norm and cone values; only those kept are
+# formed.
 
 ORBIT_MAX_POINTS = 6_000_000  # cap on the elements a ball's search enumerates
-TIE_BAND = 1e-11  # neighbour norms this close (relative) tie; lower index wins
+TIE_BAND = 1e-11  # cone values this close (relative) to a ray tie; the later face wins
 
 
 @dataclass(frozen=True)
@@ -497,40 +498,62 @@ def _matches(S, g):
     return err < 1e-9 * (1.0 + np.abs(g).max(axis=(-2, -1)))
 
 
-def _distinct(mats):
-    """The stack mats without repeats (as elements of PSL(2, R)), in order."""
-    return mats[~np.tril(_matches(mats, mats), -1).any(axis=1)]
+def _sym(x0, x1, x2):
+    """The matrices [[x0 + x1, x2], [x2, x0 - x1]] of vectors (as _lift's)."""
+    return np.stack([x0 + x1, x2, x2, x0 - x1], axis=-1).reshape(*np.shape(x0), 2, 2)
 
 
-def _norm_weights(M):
-    """The rows w(M) with |g M|_F^2 = w(M) . G, G the Gram entries
-    (a^2 + c^2, ab + cd, b^2 + d^2) of g = [[a, b], [c, d]], for a stack M."""
-    P = M @ np.swapaxes(M, -1, -2)
+def _weights(P):
+    """The rows w(P) with tr(P g^T g) = w(P) . G, G the Gram entries
+    (a^2 + c^2, ab + cd, b^2 + d^2) of g = [[a, b], [c, d]], for a stack of
+    symmetric P."""
     return np.stack([P[:, 0, 0], 2.0 * P[:, 0, 1], P[:, 1, 1]], axis=1)
 
 
-def _descend(S, limit):
-    """Reverse search over the pairings S (closed under inverses), yielding
-    the elements g with |g|_F^2 <= limit, as (4, N) entries, per block of
-    parents.  g.s is kept when g is its least S-neighbour (norms within
-    TIE_BAND tie, the lower index wins; a gap too near the band raises).
-    S are certified Dirichlet faces, so a candidate with no strictly closer
-    neighbour (a cone point or a descent tie) raises too, and so does a
-    search past ORBIT_MAX_POINTS elements.
+def _faces(dom, M):
+    """The polygon's distinct pairings M^-1 s M, and the lifts (seen from
+    M.i) of the vertices that start and end each one's sides: an order-2
+    pairing's two sides meet at its fixed point at an angle pi."""
+    Mi = linrep.adjugate(M)
+    S = np.array([Mi @ p.mobius.mat @ M for p in dom.pairings])
+    V = np.array(dom._lifts) @ _so21(Mi).T
+    k, same = np.arange(len(S)), _matches(S, S)
+    lo = np.where(same[k, k - 1], k - 1, k)
+    hi = np.where(same[k, (k + 1) % len(k)], k + 2, k + 1) % len(k)
+    first = ~np.tril(same, -1).any(axis=1)
+    return S[first], np.stack([V[lo], V[hi]], axis=1)[first]
 
-    A block's (k, j, N) neighbour norms, at most 2^17 of them so that they
-    stay in a core's cache, come from one product with the parents' Gram
-    entries; its children are grouped by generator, and the identity
-    comes first."""
+
+def _descend(S, ends, limit):
+    """Reverse search over the faces S (closed under inverses) of the
+    Dirichlet domain about i, yielding the elements g with |g|_F^2 <= limit,
+    as (4, N) entries, per block of parents.  g.s_k is kept when the
+    direction from i to (g s_k)^-1.i lies in face k's cone, from the ray
+    through ends[k, 0] up to the one through ends[k, 1] (vertex lifts,
+    counterclockwise).  A value within TIE_BAND of a ray (relative to
+    |g s_k|_F^2) lies on it, so the later face wins a tie; one in
+    (band, 10 band] raises, as do ends off their bisectors (checked once)
+    and a search past ORBIT_MAX_POINTS elements.
+
+    A block's (3m, N) tests, at most 2^15 values so that they stay in a
+    core's cache, are one product with its parents' Gram entries; its
+    children are grouped by face, and the identity comes first."""
     m, hit = len(S), _matches(S, linrep.adjugate(S))
     if not hit.any(axis=1).all():
         raise ResourceError("orbit pairings are not closed under inverses")
     inv = np.argmax(hit, axis=1)
-    W, C = _norm_weights(S), _norm_weights((S[:, None] @ S[None]).reshape(-1, 2, 2))
+    X0, X1, X2 = np.moveaxis(ends, -1, 0)
+    St = np.swapaxes(S, 1, 2)[:, None]
+    # |s v|_F = |v|_F at a face's ends; rounding: 9.4e-12 on surface:100
+    if np.abs(np.trace(S[:, None] @ _sym(X0, X1, X2) @ St, axis1=2, axis2=3) / (2.0 * X0) - 1.0).max() > 1e-8:
+        raise ResourceError("orbit pairings are not the Dirichlet faces of their polygon")
+    # unit normals n = (0, -X2, X1) / |(X1, X2)|, positive counterclockwise
+    rays = S[:, None] @ _sym(0.0 * X0, -X2, X1) @ St / np.hypot(X1, X2)[..., None, None]
+    T = np.concatenate([_weights(S @ St[:, 0]), _weights(rays[:, 0]), _weights(rays[:, 1])])
     R = np.zeros((m, 4, 4))  # g -> g s_k on entries: diag(s_k^T, s_k^T)
     R[:, :2, :2] = R[:, 2:, 2:] = np.swapaxes(S, 1, 2)
-    earlier = np.arange(m) < inv[:, None]  # [k, j]: j wins a tie over k's back step
-    front, gen, total, step = np.eye(2).reshape(4, 1), np.array([-1]), 1, max(1, 2**17 // m**2)
+    front, gen, total, step = np.eye(2).reshape(4, 1), np.array([-1]), 1, max(1, 2**15 // (3 * m))
+    buf = np.empty(3 * m * step)  # reused: a fresh block would be mapped anew each time
     yield front
     while front.shape[1]:
         nxt = []
@@ -538,22 +561,17 @@ def _descend(S, limit):
             par, pgen = front[:, i:i + step], gen[i:i + step]
             if total > ORBIT_MAX_POINTS:
                 raise ResourceError(f"orbit ball exceeds {ORBIT_MAX_POINTS} points")
-            a, b, c, d = par
-            G = np.stack([a * a + c * c, a * b + c * d, b * b + d * d])
-            norms = W @ G
+            (a, b, c, d), n = par, par.shape[1]
+            vals = np.matmul(T, np.stack([a * a + c * c, a * b + c * d, b * b + d * d]),
+                             out=buf[:3 * m * n].reshape(3 * m, n)).reshape(3, m, n)
+            norms, cone = vals[0], vals[1:]
             back = np.flatnonzero(pgen >= 0)
             norms[inv[pgen[back]], back] = np.inf  # the step back to the parent
-            nbr = (C @ G).reshape(m, m, -1)
-            least = nbr.min(axis=1)
-            wide = least * (1.0 + 10.0 * TIE_BAND)
-            tie = nbr <= (least * (1.0 + TIE_BAND))[:, None]
-            cand = norms <= limit
-            if np.any(((nbr <= wide[:, None]) != tie).any(axis=1) & cand):
-                raise ResourceError("orbit descent: a neighbour tie the band cannot settle")
-            strict = norms > wide
-            if np.any(cand & ~strict):
-                raise ResourceError("orbit descent: an element has no strictly closer neighbour")
-            keep = cand & tie[np.arange(m), inv] & ~(tie & earlier[..., None]).any(axis=1)
+            band, cand = TIE_BAND * norms, norms <= limit
+            keep = cand & (cone[0] >= -band) & (cone[1] < -band)
+            size = np.abs(cone, out=cone)
+            if np.any(cand & ((size > band) & (size <= 10.0 * band)).any(axis=0)):
+                raise ResourceError("orbit descent: a ray tie the band cannot settle")
             kids = [R[k] @ np.compress(keep[k], par, axis=1) for k in np.flatnonzero(keep.any(1))]
             kids = np.concatenate(kids, axis=1) if kids else par[:, :0]
             nxt.append((kids, np.repeat(np.arange(m), np.count_nonzero(keep, axis=1))))
@@ -562,19 +580,20 @@ def _descend(S, limit):
         front, gen = np.concatenate([k for k, _ in nxt], axis=1), np.concatenate([g for _, g in nxt])
 
 
-def _orbit_bfs(pairings, frame, K, t_max):
-    """The orbit ball of q = K.i over the faces (pairings) of the Dirichlet
-    domain about i.  With delta = d(i, q), one search to t_max + 2 delta
-    holds it (triangle inequality), and g is kept when h = K^-1 g K has
-    |h|_F^2 <= 2 cosh t_max, a quadratic form in g's entries; h is formed
-    for the kept g only.  At delta = 0 (K = I) the search is the ball and
-    h = g.  Distances 2 asinh(sqrt((a - d)^2 + (b + c)^2) / 2) of h's
-    entries have no cancellation; points are (frame @ h).i.  A kept h != I
-    with (a - d)^2 + (b + c)^2 <= 20 TIE_BAND fixes q: a cone point."""
+def _orbit_bfs(pairings, ends, frame, K, t_max):
+    """The orbit ball of q = K.i over the faces (pairings, ends: _faces) of
+    the Dirichlet domain about i.  With delta = d(i, q), one search to
+    t_max + 2 delta holds it (triangle inequality), and g is kept when
+    h = K^-1 g K has |h|_F^2 <= 2 cosh t_max, a quadratic form in g's
+    entries; h is formed for the kept g only.  At delta = 0 (K = I) the
+    search is the ball and h = g.  Distances 2 asinh(sqrt((a - d)^2 +
+    (b + c)^2) / 2) of h's entries have no cancellation; points are
+    (frame @ h).i.  A kept h != I with (a - d)^2 + (b + c)^2 <= 20 TIE_BAND
+    fixes q: a cone point."""
     L = np.kron(linrep.adjugate(K), K.T)  # g's row-major entries to h's
     limit = 2.0 * max(math.cosh(t_max), 1.0 + 10.0 * TIE_BAND)  # keeps an h fixing q at t_max ~ 0
     delta = 2.0 * math.asinh(0.5 * math.hypot(K[0, 0] - K[1, 1], K[0, 1] + K[1, 0]))
-    blocks = _descend(pairings, 2.0 * math.cosh(t_max + 2.0 * delta))
+    blocks = _descend(pairings, ends, 2.0 * math.cosh(t_max + 2.0 * delta))
     next(blocks)  # the identity, the centre itself
     (p, q), (r, s) = frame
     pts, dists = [np.array([(p * r + q * s + 1j) / (r * r + s * s)])], [np.zeros(1)]
@@ -596,19 +615,18 @@ def orbit_ball(dom, z0, t_max):
 
     z0 is pulled back to q in the polygon along the geodesic traced to it
     from the interior point c (pull_back; the distances stay), and the
-    pairings crossed frame its orbit.  The polygon's distinct pairings are
-    the faces of the Dirichlet domain about c (dirichlet_defect, checked at
-    build), so the ball is one search about c, filtered by the distance to
-    q (_orbit_bfs).  Refuses (ResourceError) a cone point, a tie or local
-    minimum of the search and a search past ORBIT_MAX_POINTS elements."""
+    pairings crossed frame its orbit.  The polygon's faces are those of the
+    Dirichlet domain about c (dirichlet_defect, checked at build), so the
+    ball is one search about c, filtered by the distance to q (_orbit_bfs).
+    Refuses (ResourceError) a cone point, a ray tie the search cannot settle
+    and a search past ORBIT_MAX_POINTS elements."""
     if not 0.0 <= t_max <= 18.0:
         raise ValueError("orbit enumeration supports radii in [0, 18]")
     c, (q, word) = dom.interior_point, pull_back(dom, z0)
-    Mc, pairing = Mobius.to_point(c).mat, {p.word[0]: p.mobius.mat for p in dom.pairings}
-    Sc = _distinct(np.array([linrep.adjugate(Mc) @ g @ Mc for g in pairing.values()]))
+    pairing = {p.word[0]: p.mobius.mat for p in dom.pairings}
     K = Mobius.to_point(HPoint((q.x - c.x) / c.y, q.y / c.y)).mat  # Mc^-1 Mq, I at q = c
     frame = functools.reduce(np.matmul, [pairing[g] for g in word], np.eye(2))
-    ball = _orbit_bfs(Sc, frame @ Mobius.to_point(q).mat, K, t_max)
+    ball = _orbit_bfs(*_faces(dom, Mobius.to_point(c).mat), frame @ Mobius.to_point(q).mat, K, t_max)
     return ball.points, ball.dists
 
 

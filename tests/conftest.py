@@ -216,6 +216,11 @@ def greedy_pull_back(dom, z):
     raise fuchsian.ResourceError(f"greedy pull-back did not converge from {z}")
 
 
+def distinct(mats):
+    """The stack mats without repeats (as elements of PSL(2, R)), in order."""
+    return mats[~np.tril(fuchsian._matches(mats, mats), -1).any(axis=1)]
+
+
 def _stack_gram(g):
     """Entries of g^T g for a stack g; |g s|_F^2 = tr(g^T g s s^T) is linear in them."""
     return np.stack([g[:, 0, 0] ** 2 + g[:, 1, 0] ** 2,
@@ -260,15 +265,23 @@ def stack_descend(S, limit):
         front, gen = (np.concatenate(x) for x in zip(*nxt))
 
 
-def stack_orbit_bfs(pairings, frame, t_max):
-    """The orbit ball over the faces of the Dirichlet domain about its own
-    centre, as `fuchsian._orbit_bfs` counted it before the filter, over
-    stack_descend: points (frame @ g).i and their distances, as an
-    OrbitBall."""
+def stack_orbit_bfs(pairings, frame, t_max, K=None):
+    """The orbit ball over the faces of the Dirichlet domain about i, over
+    stack_descend: points (frame @ h).i and their distances, as an
+    OrbitBall.  Without K it is the ball about i, as `fuchsian._orbit_bfs`
+    counted it before the filter.  With K it is the ball about K.i, as
+    `fuchsian._orbit_bfs` counts it now: the elements h = K^-1 g K within
+    t_max of i, g from the search to t_max + 2 d(i, K.i)."""
+    reach = 0.0 if K is None else 2.0 * math.acosh(max(1.0, 0.5 * (K * K).sum()))
     pts, dists = [], []
-    for g, norms, minima in stack_descend(pairings, 2.0 * math.cosh(t_max)):
+    for g, norms, minima in stack_descend(pairings, 2.0 * math.cosh(t_max + reach)):
         if len(minima):
             raise fuchsian.ResourceError("orbit descent: an element has no strictly closer neighbour")
+        if K is not None:
+            g = linrep.adjugate(K) @ g @ K
+            norms = (g * g).sum(axis=(1, 2))
+            keep = norms <= 2.0 * math.cosh(t_max)
+            g, norms = g[keep], norms[keep]
         m = frame @ g
         pts.append((m[:, 0, 0] * m[:, 1, 0] + m[:, 0, 1] * m[:, 1, 1] + 1j)
                    / (m[:, 1, 0] ** 2 + m[:, 1, 1] ** 2))
@@ -277,12 +290,12 @@ def stack_orbit_bfs(pairings, frame, t_max):
 
 
 def bfs_inputs(dom, z0):
-    """The pairings, frame and centre map K that orbit_ball hands to
-    fuchsian._orbit_bfs for the centre z0."""
+    """The pairings, their cones' ends, the frame and the centre map K that
+    orbit_ball hands to fuchsian._orbit_bfs for the centre z0."""
     seen = []
 
-    def record(pairings, frame, K, t_max):
-        seen.append((pairings, frame, K))
+    def record(pairings, ends, frame, K, t_max):
+        seen.append((pairings, ends, frame, K))
         return fuchsian.OrbitBall(points=np.array([z0.z]), dists=np.zeros(1))
 
     with pytest.MonkeyPatch.context() as mp:
@@ -299,7 +312,7 @@ def stack_ball_about_c(dom, z0, t_max):
     frame.g.q, frame the word pull_back returns."""
     c, (q, word) = dom.interior_point, fuchsian.pull_back(dom, z0)
     Mc, pairing = Mobius.to_point(c).mat, {p.word[0]: p.mobius.mat for p in dom.pairings}
-    Sc = fuchsian._distinct(np.array([linrep.adjugate(Mc) @ g @ Mc for g in pairing.values()]))
+    Sc = distinct(np.array([linrep.adjugate(Mc) @ g @ Mc for g in pairing.values()]))
     levels = list(stack_descend(Sc, 2.0 * math.cosh(t_max + 2.0 * hyp_dist(c, q))))
     assert not any(len(m) for _, _, m in levels)
     g = Mc @ np.concatenate([x for x, _, _ in levels]) @ linrep.adjugate(Mc)
@@ -358,7 +371,7 @@ def _clipped_faces(F):
     V, tags = clip_cell(F)
     r2 = (V * V).sum(axis=1).max()
     edge = np.hypot(*(np.roll(V, -1, axis=0) - V).T)
-    faces = fuchsian._distinct(F[np.unique(tags[(edge > CERT_TOL) & (tags >= 0)])])
+    faces = distinct(F[np.unique(tags[(edge > CERT_TOL) & (tags >= 0)])])
     if tags.min() < 0 or r2 >= 1.0:
         return faces, math.inf, math.nan
     return faces, math.atanh(math.sqrt(r2)), cell_area(V)
@@ -405,7 +418,7 @@ def generator_dirichlet(S, R, area):
     the box; S gains the round's faces and local minima."""
     rho = R
     for _ in range(8):
-        S = fuchsian._distinct(np.concatenate([S, linrep.adjugate(S)]))
+        S = distinct(np.concatenate([S, linrep.adjugate(S)]))
         levels = list(stack_descend(S, 2.0 * math.cosh(rho)))
         minima = np.concatenate([m for _, _, m in levels])
         ball = np.concatenate([g for g, _, _ in levels[1:]])

@@ -774,6 +774,24 @@ class TestFreshInterpreter:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"
 
+    @pytest.mark.parametrize("dev,covector,span", [
+        ("veronese:3", "1e-320 1 1", 320),                # a subnormal leading coefficient
+        ("veronese:4", "1e-158 1e-6i 1e-82i 1e42", 200),  # np.roots misses a zero in H
+    ], ids=["subnormal-leading", "wide"])
+    def test_wide_pairing_is_one_invalid_input_line(self, dev, covector, span):
+        # refused before np.roots, whose companion division overflowed with
+        # two RuntimeWarnings; a fresh interpreter prints what pytest's
+        # warning filter would turn into an error
+        src = str(Path(lyaplab.__file__).resolve().parents[1])
+        script = ("import sys\nfrom lyaplab import cli\n"
+                  f"sys.exit(cli.main(['err', '--dev', '{dev}', '--covector', '{covector}']))\n")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              timeout=120, env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.splitlines() == [
+            f"lyaplab: invalid input: the pairing's coefficients span {span} decades, "
+            "more than the 10 over which np.roots resolves its zeros"]
+
 
 class TestCommandLineRefusals:
     @pytest.mark.parametrize("args,why", [

@@ -162,12 +162,24 @@ class TestRepeatedZeros:
         ((1, -1j, -1, 1j), [1j]),              # (z-i)^3
         ((1, -0.0025 - 1j, -1 + 0.005j), [1j, 0.005 + 1j]),  # two zeros 0.005 apart
         ((1, 0, 1), [1j]),
-        ((1e-300, 1, 1), []),                  # zeros -0.5 and -2e300: too far out to group
-    ], ids=["double", "fourfold", "elevenfold", "triple-at-i", "close-pair", "simple", "far"])
+        ((1e-9, 1, 1), []),                    # zeros -0.5 and -2e9: 9.3 decades, inside the bound
+    ], ids=["double", "fourfold", "elevenfold", "triple-at-i", "close-pair", "simple", "near"])
     def test_each_zero_once(self, coords, zeros):
         points = sorted(bad_locus_points(len(coords), Covector(coords)), key=lambda z: z.real)
         assert len(points) == len(zeros)
         assert all(abs(p - z) < 1e-12 for p, z in zip(points, zeros))
+
+    @pytest.mark.parametrize("coords", [
+        (1e-10, 1, 1),                   # 10.3 decades, just past the bound
+        (1e-300, 1, 1),                  # zeros -0.5 and -2e300
+        (1e-320, 1, 1),                  # a subnormal leading coefficient
+        (1e-158, 1e-6j, 1e-82j, 1e42),   # np.roots misses the zero 4.08e23 (1 + i)
+    ], ids=["past-bound", "far", "subnormal-leading", "wide"])
+    def test_wide_pairing_refused(self, coords):
+        # coefficients C(n-1, j) u_j spanning more than ROOTS_DECADES are
+        # refused before np.roots, whose zeros are then decided by rounding
+        with pytest.raises(ValueError, match=r"span \d+ decades, more than the 10 "):
+            bad_locus_points(len(coords), Covector(coords))
 
     @pytest.mark.parametrize("coords,scale", [
         ((1.0,) * 5, 2.0**1023),         # (z+1)^4, whose binomial products overflow

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -606,6 +607,22 @@ class TestOrbit:
             monkeypatch.setattr(fuchsian, "ORBIT_MAX_POINTS", kept)
             assert len(orbit_ball(dom, z0, 6.0)[0]) == kept
 
+    @pytest.mark.parametrize("centre", [None, (0.2, 2.0)], ids=["interior", "0.2,2.0"])
+    def test_search_memory_bounded(self, tri334, centre):
+        # the search holds a level, the ball and one cache-sized block of
+        # cone tests; the least-neighbour block of m^2 norms per parent that
+        # it replaced peaked at 2.66 and 4.34 MB on these balls
+        dom, _, _ = tri334
+        z0 = dom.interior_point if centre is None else HPoint(*centre)
+        orbit_ball(dom, z0, 8.0)  # imports and caches outside the measurement
+        tracemalloc.start()
+        try:
+            orbit_ball(dom, z0, 8.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.0e6
+
     def test_off_center_base_point(self, tri334):
         dom, _, _ = tri334
         z0 = HPoint(0.05, 1.3)
@@ -625,33 +642,47 @@ class TestOrbit:
                                                ("surface:2", (0.1, 1.1))])
     def test_polygon_pairings_strand_elements(self, group, centre):
         # about these centres the polygon's pairings are not the Dirichlet
-        # faces, and descent over them meets elements with no closer neighbour
+        # faces, and descent over them meets elements with no closer
+        # neighbour (the least-neighbour oracle's local minima); the search
+        # refuses them once, before it descends, because the ends of the
+        # sides miss their bisectors
         dom, _, _ = build_group(parse_group_spec(group))
         frame = Mobius.to_point(HPoint(*centre)).mat
-        S = np.array([linrep.adjugate(frame) @ p.mobius.mat @ frame for p in dom.pairings])
-        with pytest.raises(ResourceError, match="no strictly closer neighbour"):
-            fuchsian._orbit_bfs(S, frame, np.eye(2), 8.0)
+        S, ends = fuchsian._faces(dom, frame)
+        assert any(len(m) for _, _, m in stack_descend(S, 2.0 * math.cosh(8.0)))
+        with pytest.raises(ResourceError, match="not the Dirichlet faces"):
+            fuchsian._orbit_bfs(S, ends, frame, np.eye(2), 8.0)
 
     def test_pairings_without_inverses_refused(self, tri334):
-        _, gens, _ = tri334
+        dom, gens, _ = tri334
+        ends = fuchsian._faces(dom, np.eye(2))[1][:len(gens)]
         with pytest.raises(ResourceError, match="not closed under inverses"):
-            fuchsian._orbit_bfs(np.array([g.mat for g in gens]), np.eye(2), np.eye(2), 4.0)
+            fuchsian._orbit_bfs(np.array([g.mat for g in gens]), ends, np.eye(2), np.eye(2), 4.0)
 
     def test_tie_gap_above_the_band_refused(self, tri334, monkeypatch):
-        # the interior point lies on the polygon's mirror axis, so neighbour
-        # norms tie in mirror pairs up to rounding; a band of half the largest
-        # such gap leaves that gap in (band, 10 band], which no rule settles
+        # the interior point lies on the polygon's mirror axis, which holds
+        # the vertices A and B, so a child h whose h^-1.i lies on the axis
+        # reads cone values of rounding level on the rays through A and B;
+        # a band of half the largest such value leaves values in
+        # (band, 10 band], which no rule settles
         dom, _, _ = tri334
-        S, frame, K = bfs_inputs(dom, dom.interior_point)
+        S, ends, frame, K = bfs_inputs(dom, dom.interior_point)
         g = np.concatenate([x for x, _, _ in stack_descend(S, 2.0 * math.cosh(4.0))])
-        norms = ((g[:, None] @ S[None]) ** 2).sum(axis=(2, 3))
-        rel = norms / norms.min(axis=1, keepdims=True) - 1.0
-        gaps = rel[(rel > 0.0) & (rel <= fuchsian.TIE_BAND)]
+        h = (g[:, None] @ S[None]).reshape(-1, 2, 2)
+        h = linrep.adjugate(h[(h * h).sum(axis=(1, 2)) <= 2.0 * math.cosh(4.0)])
+        z = (h[:, 0, 0] * 1j + h[:, 0, 1]) / (h[:, 1, 0] * 1j + h[:, 1, 1])
+        X = np.array(fuchsian._lift(z.real, z.imag))
+        vals = []
+        for v in (ends[0, 0], ends[2, 0]):  # the lifts of A and B, which start sides 0 and 2
+            assert v[2] == 0.0  # on the axis
+            vals.append(np.abs(v[2] * X[1] - v[1] * X[2]) / (abs(v[1]) * X[0]))
+        vals = np.concatenate(vals)
+        gaps = vals[(vals > 0.0) & (vals <= fuchsian.TIE_BAND)]
         assert len(gaps) and gaps.max() < 1e-13  # inexact ties, at rounding level
-        assert len(fuchsian._orbit_bfs(S, frame, K, 4.0).points) == len(g)
+        assert len(fuchsian._orbit_bfs(S, ends, frame, K, 4.0).points) == len(g)
         monkeypatch.setattr(fuchsian, "TIE_BAND", gaps.max() / 2.0)
         with pytest.raises(ResourceError, match="tie the band cannot settle"):
-            fuchsian._orbit_bfs(S, frame, K, 4.0)
+            fuchsian._orbit_bfs(S, ends, frame, K, 4.0)
 
     def test_mirror_ties_count_once(self, tri334):
         dom, _, _ = tri334

@@ -31,8 +31,8 @@ from lyaplab.errterm import count_in_balls
 from lyaplab.fuchsian import build_group, orbit_ball, parse_group_spec, pull_back
 from lyaplab.hypgeo import HPoint, Mobius, hyp_dist
 
-from conftest import (bfs_inputs, certified_dirichlet, generator_dirichlet, stack_ball_about_c,
-                      stack_orbit_bfs)
+from conftest import (bfs_inputs, certified_dirichlet, distinct, generator_dirichlet,
+                      stack_ball_about_c, stack_orbit_bfs)
 
 PINNED = [
     ("triangle:3,3,4", None, 8.0,
@@ -115,7 +115,7 @@ def test_matches_stack_oracle(group, centre, t_max):
     dom, _, _ = build_group(parse_group_spec(group))
     z0 = dom.interior_point if centre is None else HPoint(*centre)
     pts, dists = orbit_ball(dom, z0, t_max)
-    Sc, frame, K = bfs_inputs(dom, z0)
+    Sc, _, frame, K = bfs_inputs(dom, z0)
     q, _ = pull_back(dom, z0)
     reach = max(hyp_dist(q, v) for v in dom.vertices)
     faces = certified_dirichlet(Sc, reach, dom.area, K, hyp_dist(dom.interior_point, q))
@@ -164,11 +164,30 @@ def test_pairings_are_the_generator_grown_faces(group):
         return np.array([linrep.adjugate(frame) @ g @ frame for g in mats])
 
     pairings = about_c([p.mobius.mat for p in dom.pairings])
-    faces = fuchsian._distinct(pairings)
+    faces = distinct(pairings)
     reach = max(hyp_dist(dom.interior_point, v) for v in dom.vertices)
     expect = generator_dirichlet(about_c([g.mat for g in gens]), reach, dom.area)
     assert len(faces) == len(expect) == len(pairings) - group.startswith("triangle:2,")
     assert fuchsian._matches(expect, faces).any(axis=1).all()
+
+
+PARENT_CASES = ([(g, off, t) for g in DIRICHLET_GROUPS for off in (False, True) for t in (4.0, 7.0, 9.0)]
+                + [("surface:8", off, 10.0) for off in (False, True)]
+                + [("surface:32", off, 11.0) for off in (False, True)])
+
+
+@pytest.mark.parametrize("group, off, t_max", PARENT_CASES,
+                         ids=[f"{g}@{'off' if o else 'interior'}@{t:g}" for g, o, t in PARENT_CASES])
+def test_geodesic_parents_match_the_least_neighbour_search(group, off, t_max):
+    # the cone test keeps each element of the search once, as the
+    # least-neighbour search (conftest.stack_descend) does, about the
+    # interior point c and about the off-centre point c + (0.1 + 0.2i) Im c
+    dom, _, _ = build_group(parse_group_spec(group))
+    c = dom.interior_point
+    z0 = HPoint(c.x + 0.1 * c.y, 1.2 * c.y) if off else c
+    pts, dists = orbit_ball(dom, z0, t_max)
+    Sc, _, frame, K = bfs_inputs(dom, z0)
+    _assert_same_ball(pts, dists, stack_orbit_bfs(Sc, frame, t_max, K))
 
 
 @pytest.mark.parametrize("centre", [None, (0.02, 1.01)], ids=["interior", "0.02,1.01"])
