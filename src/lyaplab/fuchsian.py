@@ -1,19 +1,14 @@
 """Cocompact Fuchsian groups as geometric objects.
 
 Triangle groups D(p,q,r) and genus-g surface groups with explicit
-fundamental polygons and side pairings, the ray tracer producing the
-side-crossing coding (one call per geodesic, returning arrays of crossing
-times and signed generators) and pulling points back into the polygon, orbit
-enumeration in balls, and quasi-Fuchsian bending deformations.  The
-polygon lives on the hyperboloid model: each side is the plane of a unit
-covector, which clearances, membership and the bounding box read; the
-tracer reads the signs of the vertices' lifts, and each pairing is an
-SO(2,1) matrix.  The build certifies the polygon as the Dirichlet domain
-about its interior point, whose pairings start every orbit ball.
-
-Domains and generator data are immutable after construction; coding and
-orbit enumeration are pure functions of their inputs, so Monte-Carlo
-workers can share one domain and own their codings.
+fundamental polygons and side pairings; the ray tracer, which returns a
+geodesic's side crossings as arrays of times and signed generators and
+pulls points back into the polygon; orbit balls; and quasi-Fuchsian
+bending.  The polygon lives on the hyperboloid: a unit covector per side,
+the lifts of its vertices and an SO(2,1) matrix per pairing.  The build
+certifies it as the Dirichlet domain about its interior point, where
+orbit balls start.  Domains are immutable; coding and orbit balls are
+pure functions.
 """
 
 import functools
@@ -38,7 +33,7 @@ Word = tuple  # signed 1-based generator indices, negative = inverse
 
 SIDE_TOL = 1e-10      # side membership tolerance (sinh of distance)
 # crossings a tracer chunk walks past its expected count (see trace_geodesic)
-_CHUNK_MARGIN = 14
+_CHUNK_MARGIN = 16
 _CHUNK_MAX = 4096     # cap on a tracer chunk, which bounds its temporary lists
 
 
@@ -102,13 +97,10 @@ class SidePairing:
 
 
 class FundamentalDomain:
-    """Convex fundamental polygon with side pairings.
-
-    vertices are listed counterclockwise; side k joins vertex k to k+1 and
-    has hyperbolic length sides[k].length; pairings[k].mobius maps side k
-    onto side pairings[k].partner setwise; area is the exact orbifold area,
-    from the group signature.
-    """
+    """Convex fundamental polygon with side pairings: vertices listed
+    counterclockwise; side k, from vertex k to k+1, of hyperbolic length
+    sides[k].length; pairings[k].mobius maps side k onto side
+    pairings[k].partner setwise; area, the exact orbifold area."""
 
     def __init__(self, vertices, pairings, interior_point, area):
         self.vertices = list(vertices)
@@ -117,7 +109,7 @@ class FundamentalDomain:
         self.sides = [SimpleNamespace(length=hyp_dist(p, q)) for p, q in ends]
         self.pairings = list(pairings)
         self.interior_point = interior_point
-        # the polygon on the hyperboloid: vertex lifts and a covector per side
+        # vertex lifts, a covector per side
         self._lifts = lifts = [_lift(v.x, v.y) for v in self.vertices]
         inside, n = _lift(interior_point.x, interior_point.y), len(lifts)
         self._normals = [_unit_covector(lifts[k], lifts[(k + 1) % n], inside) for k in range(n)]
@@ -125,31 +117,41 @@ class FundamentalDomain:
 
     @functools.cached_property
     def _exits(self):
-        """The tracer's tables, built at its first call.  walk[k] is the
-        record its first pass reads at side k: L_k^-1 = J L_k^T J (the image
-        of g_k's adjugate) by rows, k, the walk (w_i, walk[i - 1]) for
-        i = j+2 .. j-1 over the partner j, and walk[j - 1].  Column k of table
-        holds what its second pass reads: w_k, w_(k+1), 2 <w_k, w_(k+1)>, and
-        the partner's w_(j+1), w_j; gens[k] is g_k.  rate is the expected
-        number of crossings per unit time, perimeter / (pi area) (Santalo,
-        Integral Geometry and Geometric Probability, 1976), which sizes the
-        chunks of the walk."""
-        lifts, n, walk = self._lifts, len(self._lifts), [[] for _ in self.pairings]
-        table = []
+        """The tracer's tables, built at its first call.  Side k's state is
+        the signs of w_b, w_k, w_(k+1): b = base[k] is k - 1, or k + 2 if
+        vertex k is straight (sides k - 1 and k share a carrier).  Past side
+        k (partner j), w_i's sign is row(i) . state, row(i) the coefficients
+        of L_k^-1 w_i in that basis, by cross products; row(j), row(j+1)
+        are (0, 0, 1), (0, 1, 0).
+        walk[k] is k, (row(i), row(base[i-1]) if i-1 is straight else None,
+        walk[i-1]) for i = j+2 .. j-1 (the first two unpacked), and those
+        last two for i = j.  table[:, k] is w_k, w_(k+1), 2 <w_k, w_(k+1)>,
+        w_(j+1), w_j; rate, perimeter / (pi area), the crossings per unit
+        time (Santalo 1976).  A pairing must carry w_k, w_(k+1) onto w_(j+1),
+        w_j."""
+        lifts, cov, table, ends = self._lifts, self._normals, [], ((0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+        n, W, walk = len(lifts), np.array(lifts).T, [[] for _ in lifts]
+        straight = [math.dist(cov[k - 1], cov[k]) <= 1e-9 * math.hypot(*cov[k]) for k in range(n)]
+        base = [(k + 2 if straight[k] else k - 1) % n for k in range(n)]
         for k, p in enumerate(self.pairings):
-            u, v, j = lifts[k], lifts[(k + 1) % n], p.partner
-            walk[k] += [*_so21(linrep.adjugate(p.mobius.mat)).ravel().tolist(), k,
-                        tuple((*lifts[(j + i) % n], walk[(j + i - 1) % n]) for i in range(2, n)),
-                        walk[j - 1]]
+            u, v, b, j = lifts[k], lifts[(k + 1) % n], lifts[base[k]], p.partner
+            dual = np.array([_cross(u, v), _cross(v, b), _cross(b, u)])
+            x = _so21(linrep.adjugate(p.mobius.mat)) @ W  # columns L_k^-1 w_i
+            row = [*map(tuple, (dual @ x / _dot(b, dual[0])).T.tolist())]
+            if math.dist(row[j], ends[1]) + math.dist(row[(j + 1) % n], ends[0]) > 1e-6:
+                raise ValueError(f"the pairing of side {k} does not carry its ends onto side {j}'s")
+            row[(j + 1) % n], row[j] = ends
+            e = [(*row[i], row[base[i - 1]] if straight[i - 1] else None, walk[i - 1]) for i in range(n)]
+            walk[k] += [k, *e[(j + 2) % n], *e[(j + 3) % n], tuple(e[(j + i) % n] for i in range(4, n)), e[j][3:]]
             table.append([*u, *v, 2.0 * (u[0] * v[0] - u[1] * v[1] - u[2] * v[2]),
                           *lifts[(j + 1) % n], *lifts[j]])
         rate = sum(side.length for side in self.sides) / (math.pi * self.area)
         gens = np.array([p.word[0] for p in self.pairings], dtype=np.int64)
-        return walk, np.array(table).T.copy(), gens, rate
+        return walk, base, np.array(table).T.copy(), gens, rate
 
     def clearances(self, x, y):
         """Signed sinh-distances n_k . lift(x, y) to each side carrier,
-        positive inside; x and y may be numpy arrays, which broadcast."""
+        positive inside; x and y may be numpy arrays."""
         p0, p1, p2 = _lift(x, y)
         return [n0 * p0 + n1 * p1 + n2 * p2 for n0, n1, n2 in self._normals]
 
@@ -157,14 +159,12 @@ class FundamentalDomain:
         return all(c >= -SIDE_TOL for c in self.clearances(p.x, p.y))
 
     def bounding_box(self):
-        """Euclidean box (x_lo, x_hi, y_lo, y_hi) of the closed polygon.
-
-        Along a carrier x is monotone and y peaks only at a circle's apex, so
-        the box is that of the vertices, raised to the apex of each side whose
-        carrier centre lies strictly between the side's end x's.  Side k's
-        carrier n_k . lift(z) = 0 is the circle of centre -n2/(n0 + n1) and
-        radius 1/|n0 + n1|, or a vertical line when n0 + n1 = 0.
-        """
+        """Euclidean box (x_lo, x_hi, y_lo, y_hi) of the closed polygon: the
+        vertices' (along a carrier x is monotone, y peaks only at an apex),
+        raised to the apex of each side whose carrier centre lies strictly
+        between its ends' x.  Side k's carrier n_k . lift(z) = 0 is the
+        circle of centre -n2/(n0 + n1), radius 1/|n0 + n1|, or a vertical
+        line if n0 + n1 = 0."""
         xs = [v.x for v in self.vertices]
         ys = [v.y for v in self.vertices]
         y_hi = max(ys)
@@ -201,13 +201,10 @@ def _axis_incenter(dom, y_lo, y_hi):
 
 
 def build_group(spec):
-    """Construct (FundamentalDomain, generators, relations) for a group spec.
-
-    Triangle groups: the doubled (p,q,r) triangle with rotation generators
-    a, b, c about its vertices and relations a^p, b^q, c^r, abc.  Surface
-    groups: the regular 4g-gon with the standard pairing and the single
-    relation [a1,b1]...[ag,bg].  Words multiply left to right.
-    """
+    """(FundamentalDomain, generators, relations) of a group spec: the
+    doubled (p,q,r) triangle, the rotations a, b, c about its vertices and
+    a^p, b^q, c^r, abc; or the regular 4g-gon, its standard pairing and
+    [a1,b1]...[ag,bg].  Words multiply left to right."""
     if spec.kind == "triangle":
         return _build_triangle(*spec.params)
     return _build_surface(*spec.params)
@@ -293,11 +290,11 @@ def _check_build(dom, gens, relations):
 
 
 def dirichlet_defect(dom):
-    """Largest sinh-distance of the ends of a side j from the bisector of
-    the interior point c and g.c, g the pairing onto side j.  At 0 the
-    polygon is the Dirichlet domain about c (Beardon 1983, 9.4) and g maps
-    its partner's carrier onto side j's; rounding reads 9.4e-10 on
-    surface:100 and 2.2e-9 on surface:128."""
+    """Largest sinh-distance of a side j's ends from the bisector of the
+    interior point c and g.c, g the pairing onto side j.  At 0 the polygon
+    is the Dirichlet domain about c (Beardon 1983, 9.4) and g maps its
+    partner's carrier onto side j's; rounding reads 9.4e-10 on surface:100
+    and 2.2e-9 on surface:128."""
     c, n, worst = dom.interior_point, len(dom._lifts), 0.0
     p = _lift(c.x, c.y)
     for pair in dom.pairings:
@@ -310,15 +307,11 @@ def dirichlet_defect(dom):
 
 
 def pull_back(dom, p):
-    """Translate the HPoint p into the closed fundamental domain.
-
-    Returns (p', word) with p' in the closed domain and the word evaluating
-    (left-to-right product of generators) to the element sending p' back to
-    p.  The tracer walks the geodesic segment from the interior point to p,
-    and p goes through the pairing of each side it crosses, in crossing
-    order; the word is the negated coding of that segment.  A point at
-    infinite distance is refused (ResourceError).
-    """
+    """(p', word): the HPoint p moved into the closed polygon, and the word
+    (a left-to-right product) of the element taking p' to p.  p goes through
+    the pairing of each side the segment traced from the interior point to
+    p crosses, in order; the word is that coding negated.  A point at
+    infinite distance is refused (ResourceError)."""
     c = dom.interior_point
     d = hyp_dist(c, p)
     if not math.isfinite(d):
@@ -368,40 +361,35 @@ def trace_geodesic(dom, ut, T):
     as float64 times and int64 signed generators, in crossing order.
 
     A vertex-sign walk.  The geodesic from P with velocity V on the
-    hyperboloid is the covector l = V x P, negative at the polygon's vertices
-    w_i to its right.  The polygon is convex, so the exit is the side k with
-    s_k < 0 <= s_(k+1) (s_i = l . w_i), at the point
+    hyperboloid is the covector l = V x P, negative at the vertices w_i to
+    its right.  The polygon is convex, so the exit is the side k with
+    s_k < 0 <= s_(k+1) (s_i = l . w_i), at
     X = (s_(k+1) w_k - s_k w_(k+1)) / sqrt(s_k^2 + s_(k+1)^2 - 2 s_k s_(k+1) <w_k, w_(k+1)>),
     2 asinh(|X - X_entry| / 2) after the entry (Minkowski <,> and norm).
-    Crossing maps l to l L_k^-1; the pairing L_k carries w_k, w_(k+1) onto
-    the partner's w_(j+1), w_j, whose signs and the entry's coefficients are
-    inherited exactly, and the walk from w_(j+1) stops at the first vertex
-    with s >= 0, w_j at the latest.  l's scale enters no sign and no X, so
-    it is never renormalized; s_k < 0 keeps X finite; a vertex of angle pi
-    is an ordinary one.  A geodesic through a vertex (s = 0 counts as left)
-    passes the corner copies around it in crossings of length 0.  The first
-    X is at asinh(-<X, V>) from P: a crossing behind P (from a start on or
-    along its exit side) comes out at t = 0.  The state at crossing k is the
-    flow's pushed by g_k ... g_1; the final partial segment is not coded.
-    A start outside the closed polygon (at SIDE_TOL) is refused.
+    Crossing maps l to l L_k^-1, which carries w_k, w_(k+1) to the partner's
+    w_(j+1), w_j: their signs and the entry's coefficients are inherited.
+    l is never formed: the walk carries three signs (dom._exits), each
+    further sign a row dotted with them, and from w_(j+1) stops at the
+    first vertex with s >= 0, w_j at the latest.  A geodesic through a
+    vertex (s = 0 counts as left) passes its corner copies in crossings of
+    length 0.  The first X is asinh(-<X, V>) from P, 0 if behind it.  The
+    state at crossing k is the flow's pushed by g_k ... g_1; the final
+    partial segment is not coded.  A start outside the closed polygon (at
+    SIDE_TOL) is refused.
 
-    No sign needs a time, so the walk runs in two passes over chunks of
-    crossings.  The first, in Python, walks the signs and records k, s_k and
-    s_(k+1) per crossing.  The second computes the chunk's X, entries, times
-    and running time with numpy, in the scalar walk's expressions and order:
-    asinh is taken per element by math.asinh, since np.arcsinh may differ
-    from libm by an ulp and by CPU, and cumsum adds in sequence, so the times
-    are those of a one-crossing-at-a-time walk bit for bit and do not depend
-    on where the chunks end.  A chunk is the expected count of the time left,
-    rate (T - t) from dom._exits, plus _CHUNK_MARGIN, at most _CHUNK_MAX; a
-    chunk that falls short of T is followed by another, and the chunks'
-    arrays are joined once.  A crossing walked past T costs about 0.7 us, a
-    further chunk about 37 us: at the count's spread (std 14.6 of 2,093 on
-    triangle:3,3,4 at T = 1000, 9.3 of 310 on surface:2 at 500) a margin of
-    14 costs least.  At most 64 + 16 T / inradius crossings are walked; past
-    that the trace is refused.
+    Two passes run over chunks of crossings.  The first, in Python, walks
+    the signs and records k, s_k, s_(k+1): 0.23 us a crossing on
+    triangle:3,3,4, 0.40 on surface:2 (x86-64, CPython 3.11).  The second
+    computes the times with numpy in the one-crossing walk's order (libm's
+    asinh per element), bit for bit wherever chunks end.  A chunk, rate
+    (T - t) + _CHUNK_MARGIN but at most _CHUNK_MAX, is followed by another
+    if it falls short of T.  A crossing walked past T costs 0.43 us (0.63 on
+    surface:2), a further chunk 33 us: at the count's spread (std 14.6 of
+    2,093 on triangle:3,3,4 at T = 1000, 9.3 of 310 on surface:2 at 500) a
+    margin of 16 costs least.  Past 64 + 16 T / inradius crossings the trace
+    is refused.
     """
-    (walks, table, gens, rate), lifts = dom._exits, dom._lifts
+    (walks, base, table, gens, rate), lifts = dom._exits, dom._lifts
     x, y, c, s = ut.base.x, ut.base.y, math.cos(ut.angle), math.sin(ut.angle)
     w, h = s / (2.0 * y), y * y - x * x  # V = dP/dt for dz/dt = y e^(i angle)
     vel = x * c + (h - 1.0) * w, x * c + (h + 1.0) * w, c - 2.0 * x * w
@@ -412,7 +400,7 @@ def trace_geodesic(dom, ut, T):
         raise ResourceError("ray tracing: no outward exit at t=0.000000")
     if not dom.contains(ut.base):  # the entry into the polygon would go uncoded
         raise ResourceError("ray tracing: the start lies outside the polygon")
-    side, s0, s1 = walks[k], signs[k], signs[k + 1]
+    side, sb, s0, s1 = walks[k], signs[base[k]], signs[k], signs[k + 1]
     r = 1.0 / math.sqrt(s0 * (s0 - float(table[6, k]) * s1) + s1 * s1)
     e = [s1 * r * u - s0 * r * v for u, v in zip(lifts[k], lifts[k + 1])]
     t_acc = math.asinh(e[1] * vel[1] + e[2] * vel[2] - e[0] * vel[0])
@@ -423,18 +411,26 @@ def trace_geodesic(dom, ut, T):
         rec = []  # k, s_k, s_(k+1) of each crossing
         put = rec.extend
         for _ in range(n):
-            m00, m01, m02, m10, m11, m12, m20, m21, m22, k, walk, last = side
+            k, r0, r1, r2, fix, nxt, t0, t1, t2, fix2, nxt2, walk, last = side
             put((k, s0, s1))
-            l0, l1, l2 = (l0 * m00 + l1 * m10 + l2 * m20, l0 * m01 + l1 * m11 + l2 * m21,
-                          l0 * m02 + l1 * m12 + l2 * m22)
-            for w0, w1, w2, nxt in walk:
-                sw = l0 * w0 + l1 * w1 + l2 * w2
+            sw = sb * r0 + s0 * r1 + s1 * r2
+            if sw >= 0.0:
+                sb, s1, side = s1 if fix is None else sb * fix[0] + s0 * fix[1] + s1 * fix[2], sw, nxt
+                continue
+            sv = sb * t0 + s0 * t1 + s1 * t2
+            if sv >= 0.0:
+                sb, s0, s1, side = s0 if fix2 is None else sb * fix2[0] + s0 * fix2[1] + s1 * fix2[2], sw, sv, nxt2
+                continue
+            p2, p1 = sw, sv  # the signs of w_(i-2), w_(i-1) as w_i is walked
+            for r0, r1, r2, fix, nxt in walk:
+                sw = sb * r0 + s0 * r1 + s1 * r2
                 if sw >= 0.0:
-                    side, s1 = nxt, sw
+                    sb, s0, s1, side = p2 if fix is None else sb * fix[0] + s0 * fix[1] + s1 * fix[2], p1, sw, nxt
                     break
-                s0 = sw
+                p2, p1 = p1, sw
             else:
-                side = last
+                fix, side = last
+                sb, s0 = p2 if fix is None else sb * fix[0] + s0 * fix[1] + s1 * fix[2], p1
         ks, s_k, s_k1 = np.fromiter(rec, float, 3 * n).reshape(n, 3).T
         ks = ks.astype(np.intp)
         cols = table.take(ks, axis=1)
@@ -463,20 +459,18 @@ def trace_geodesic(dom, ut, T):
 #
 # Reverse search (Avis & Fukuda 1996) over the face pairings of the
 # Dirichlet domain D about c (Voight, JTNB 2009): the polygon, about its
-# interior point.  The geodesic parent of h != 1 is h.s^-1 when the geodesic
-# from c toward h^-1.c leaves D through the face of s (across it: s^-1.D).
-# From h.c that geodesic leaves h.D at x on the bisector of h.c and
-# h.s^-1.c, so d(c, h.s^-1.c) < d(c, x) + d(x, h.c) = d(c, h.c).  Keeping g.s
-# only when g is its geodesic parent yields each element once, with no
-# seen-set.  In the frame c = i, cosh d = |g|_F^2/2; a ball about another
-# centre is filtered from it.
+# interior point.  h != 1 has the geodesic parent h.s^-1 if the geodesic
+# from c toward h^-1.c leaves D through the face of s: from h.c it leaves
+# h.D at x on the bisector of h.c and h.s^-1.c, so d(c, h.s^-1.c) <
+# d(c, x) + d(x, h.c) = d(c, h.c).  Keeping g.s only when g is its geodesic
+# parent yields each element once, with no seen-set.  In the frame c = i,
+# cosh d = |g|_F^2/2; a ball about another centre is filtered from it.
 #
-# A level is a (4, N) array of its elements' entries a, b, c, d.  Its tests
-# are linear in a parent's Gram entries G = (a^2 + c^2, ab + cd, b^2 + d^2):
-# for h = g s, |h|_F^2 = tr(s s^T g^T g), and h^-1.i has the Minkowski
-# product tr(s N s^T g^T g) / 2 with a ray's unit normal n, N = _sym(n).
-# One product gives each child's norm and cone values; only those kept are
-# formed.
+# A level is a (4, N) array of entries a, b, c, d.  Its tests are linear in
+# a parent's Gram entries G = (a^2 + c^2, ab + cd, b^2 + d^2): for h = g s,
+# |h|_F^2 = tr(s s^T g^T g), and h^-1.i has the Minkowski product
+# tr(s N s^T g^T g) / 2 with a ray's unit normal n, N = _sym(n); one product
+# gives each child's norm and cone values, and only kept children are formed.
 
 ORBIT_MAX_POINTS = 6_000_000  # cap on the elements a ball's search enumerates
 TIE_BAND = 1e-11  # cone values this close (relative) to a ray tie; the later face wins
@@ -526,18 +520,16 @@ def _faces(dom, M):
 
 def _descend(S, ends, limit):
     """Reverse search over the faces S (closed under inverses) of the
-    Dirichlet domain about i, yielding the elements g with |g|_F^2 <= limit,
-    as (4, N) entries, per block of parents.  g.s_k is kept when the
-    direction from i to (g s_k)^-1.i lies in face k's cone, from the ray
-    through ends[k, 0] up to the one through ends[k, 1] (vertex lifts,
-    counterclockwise).  A value within TIE_BAND of a ray (relative to
-    |g s_k|_F^2) lies on it, so the later face wins a tie; one in
-    (band, 10 band] raises, as do ends off their bisectors (checked once)
-    and a search past ORBIT_MAX_POINTS elements.
-
-    A block's (3m, N) tests, at most 2^15 values so that they stay in a
-    core's cache, are one product with its parents' Gram entries; its
-    children are grouped by face, and the identity comes first."""
+    Dirichlet domain about i, yielding the elements g with |g|_F^2 <= limit
+    as (4, N) entries, per block of parents, the identity first.  g.s_k is
+    kept when the direction from i to (g s_k)^-1.i lies in face k's cone,
+    from the ray through ends[k, 0] up to the one through ends[k, 1] (vertex
+    lifts, counterclockwise).  A value within TIE_BAND of a ray (relative to
+    |g s_k|_F^2) is on it, so the later face wins a tie; one in
+    (band, 10 band] raises, as do ends off their bisectors and a search past
+    ORBIT_MAX_POINTS elements.  A block's (3m, N) tests, at most 2^15 values
+    to stay in a core's cache, are one product with its parents' Gram
+    entries; its children are grouped by face."""
     m, hit = len(S), _matches(S, linrep.adjugate(S))
     if not hit.any(axis=1).all():
         raise ResourceError("orbit pairings are not closed under inverses")
@@ -582,19 +574,17 @@ def _descend(S, ends, limit):
 
 def _orbit_bfs(pairings, ends, frame, K, t_max):
     """The orbit ball of q = K.i over the faces (pairings, ends: _faces) of
-    the Dirichlet domain about i.  With delta = d(i, q), one search to
-    t_max + 2 delta holds it (triangle inequality), and g is kept when
-    h = K^-1 g K has |h|_F^2 <= 2 cosh t_max, a quadratic form in g's
-    entries; h is formed for the kept g only.  At delta = 0 (K = I) the
-    search is the ball and h = g.  Distances 2 asinh(sqrt((a - d)^2 +
-    (b + c)^2) / 2) of h's entries have no cancellation; points are
-    (frame @ h).i.  A kept h != I with (a - d)^2 + (b + c)^2 <= 20 TIE_BAND
-    fixes q: a cone point."""
+    the Dirichlet domain about i: one search to t_max + 2 d(i, q) holds it;
+    g is kept if h = K^-1 g K has |h|_F^2 <= 2 cosh t_max, a quadratic form
+    in g's entries (h is formed for kept g only; at K = I the search is the
+    ball and h = g).  Distances 2 asinh(sqrt((a - d)^2 + (b + c)^2) / 2) do
+    not cancel; points are (frame @ h).i.  A kept h != I with (a - d)^2 +
+    (b + c)^2 <= 20 TIE_BAND fixes q: a cone point."""
     L = np.kron(linrep.adjugate(K), K.T)  # g's row-major entries to h's
     limit = 2.0 * max(math.cosh(t_max), 1.0 + 10.0 * TIE_BAND)  # keeps an h fixing q at t_max ~ 0
     delta = 2.0 * math.asinh(0.5 * math.hypot(K[0, 0] - K[1, 1], K[0, 1] + K[1, 0]))
     blocks = _descend(pairings, ends, 2.0 * math.cosh(t_max + 2.0 * delta))
-    next(blocks)  # the identity, the centre itself
+    next(blocks)  # the identity: the centre itself
     (p, q), (r, s) = frame
     pts, dists = [np.array([(p * r + q * s + 1j) / (r * r + s * s)])], [np.zeros(1)]
     for g in blocks:
@@ -611,15 +601,13 @@ def _orbit_bfs(pairings, ends, frame, K, t_max):
 
 
 def orbit_ball(dom, z0, t_max):
-    """(points, dists) arrays for the orbit points with d(z0, g z0) <= t_max.
-
-    z0 is pulled back to q in the polygon along the geodesic traced to it
-    from the interior point c (pull_back; the distances stay), and the
-    pairings crossed frame its orbit.  The polygon's faces are those of the
-    Dirichlet domain about c (dirichlet_defect, checked at build), so the
-    ball is one search about c, filtered by the distance to q (_orbit_bfs).
-    Refuses (ResourceError) a cone point, a ray tie the search cannot settle
-    and a search past ORBIT_MAX_POINTS elements."""
+    """(points, dists) arrays of the orbit points with d(z0, g z0) <= t_max:
+    z0 is pulled back to q in the polygon (pull_back; distances stay), and
+    the pairings crossed frame its orbit.  The polygon's faces are those of
+    the Dirichlet domain about its interior point c (dirichlet_defect,
+    checked at build), so the ball is one search about c, filtered by the
+    distance to q (_orbit_bfs).  Refuses (ResourceError) a cone point, a ray
+    tie the search cannot settle and a search past ORBIT_MAX_POINTS."""
     if not 0.0 <= t_max <= 18.0:
         raise ValueError("orbit enumeration supports radii in [0, 18]")
     c, (q, word) = dom.interior_point, pull_back(dom, z0)
@@ -665,10 +653,10 @@ def bend_representation(rep, split, s):
 def bend_representations(rep, split, values):
     """Conjugate the moving side of an amalgam by exp(s X) for each s of
     values, X spanning the centralizer of the splitting curve's holonomy
-    (trace-free normalized), from one eigensplit of the curve and with one
+    (trace-free normalized), from one eigensplit of the curve, with one
     stacked relation gate per scalar field.  Per value: the bent rep (rep
     at s = 0) or the DegenerateBendingError or RepresentationError refusing
-    it.  s real twists along the curve; s imaginary bends into PSL(2, C)."""
+    it.  Real s twists along the curve; imaginary s bends into PSL(2, C)."""
     if rep.n != 2:
         raise ValueError("bending is defined for rank-2 representations")
     out = [rep if s == 0 else None for s in values]

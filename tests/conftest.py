@@ -60,30 +60,17 @@ def coding(dom, ut, T):
     return SimpleNamespace(times=times, gens=gens)
 
 
-def _scalar_walk_sides(dom):
-    """The flat per-side records of the one-pass walk: w_k, w_(k+1),
-    2 <w_k, w_(k+1)>, L_k^-1 by rows, the generator, the partner j's
-    w_(j+1), w_j, the walk (w_i, side i - 1) for i = j+2 .. j-1, and
-    side j - 1."""
-    lifts, n, sides = dom._lifts, len(dom._lifts), [[] for _ in dom.pairings]
-    for k, p in enumerate(dom.pairings):
-        u, v, j, inverse = lifts[k], lifts[(k + 1) % n], p.partner, linrep.adjugate(p.mobius.mat)
-        sides[k] += [*u, *v, 2.0 * (u[0] * v[0] - u[1] * v[1] - u[2] * v[2]),
-                     *fuchsian._so21(inverse).ravel().tolist(), p.word[0], *lifts[(j + 1) % n],
-                     *lifts[j], tuple((*lifts[(j + i) % n], sides[(j + i - 1) % n])
-                                      for i in range(2, n)), sides[j - 1]]
-    return sides
-
-
 def scalar_walk_crossings(dom, ut, T):
-    """The one-pass vertex-sign walk that the two-pass walk of
-    `fuchsian.trace_geodesic` replaced, kept as its oracle: it computes each
-    crossing's time as it walks, one crossing at a time, and the two must
-    give the same (time, signed generator) pairs bit for bit."""
+    """The one-pass sign walk, kept as the oracle of the two-pass walk of
+    `fuchsian.trace_geodesic`: it computes each crossing's time as it walks,
+    one crossing at a time, and walks every record's vertices in one loop
+    (no first-vertex shortcut), keeping each walked sign; the two must give
+    the same (time, signed generator) pairs bit for bit."""
     _cross = fuchsian._cross
     _lift = fuchsian._lift
     ResourceError = fuchsian.ResourceError
-    sides, lifts = _scalar_walk_sides(dom), dom._lifts
+    (walks, base, table, gens, _), lifts = dom._exits, dom._lifts
+    cols, gens = table.T.tolist(), gens.tolist()
     x, y, c, s = ut.base.x, ut.base.y, math.cos(ut.angle), math.sin(ut.angle)
     w, h = s / (2.0 * y), y * y - x * x  # V = dP/dt for dz/dt = y e^(i angle)
     vel = x * c + (h - 1.0) * w, x * c + (h + 1.0) * w, c - 2.0 * x * w
@@ -94,13 +81,13 @@ def scalar_walk_crossings(dom, ut, T):
         raise ResourceError("ray tracing: no outward exit at t=0.000000")
     if not dom.contains(ut.base):  # the entry into the polygon would go uncoded
         raise ResourceError("ray tracing: the start lies outside the polygon")
-    side, s0, s1 = sides[k], signs[k], signs[k + 1]
-    r = 1.0 / math.sqrt(s0 * (s0 - side[6] * s1) + s1 * s1)
+    side, sb, s0, s1 = walks[k], signs[base[k]], signs[k], signs[k + 1]
+    r = 1.0 / math.sqrt(s0 * (s0 - cols[k][6] * s1) + s1 * s1)
     e0, e1, e2 = (s1 * r * u - s0 * r * v for u, v in zip(lifts[k], lifts[k + 1]))
     t_acc = math.asinh(e1 * vel[1] + e2 * vel[2] - e0 * vel[0])
     for _ in range(int(64 + 16.0 * T / dom.inradius)):
-        (u0, u1, u2, v0, v1, v2, ck2, m00, m01, m02, m10, m11, m12, m20, m21, m22,
-         gen, p0, p1, p2, q0, q1, q2, walk, last) = side
+        k, r0, r1, r2, fix, nxt, t0, t1, t2, fix2, nxt2, walk, last = side
+        u0, u1, u2, v0, v1, v2, ck2, p0, p1, p2, q0, q1, q2 = cols[k]
         r = 1.0 / math.sqrt(s0 * (s0 - ck2 * s1) + s1 * s1)
         a, b = s1 * r, -s0 * r
         d0, d1, d2 = a * u0 + b * v0 - e0, a * u1 + b * v1 - e1, a * u2 + b * v2 - e2
@@ -109,18 +96,18 @@ def scalar_walk_crossings(dom, ut, T):
         if t > T - t_acc:
             return
         t_acc += t
-        yield (t_acc if t_acc > 0.0 else 0.0), gen
-        l0, l1, l2 = (l0 * m00 + l1 * m10 + l2 * m20, l0 * m01 + l1 * m11 + l2 * m21,
-                      l0 * m02 + l1 * m12 + l2 * m22)
+        yield (t_acc if t_acc > 0.0 else 0.0), gens[k]
         e0, e1, e2 = a * p0 + b * q0, a * p1 + b * q1, a * p2 + b * q2
-        for w0, w1, w2, nxt in walk:
-            sw = l0 * w0 + l1 * w1 + l2 * w2
+        seen = [s1, s0]  # the signs of w_j, w_(j+1), then of each walked vertex
+        for row0, row1, row2, fix, nxt in ((r0, r1, r2, fix, nxt), (t0, t1, t2, fix2, nxt2), *walk):
+            sw = sb * row0 + s0 * row1 + s1 * row2
             if sw >= 0.0:
-                side, s1 = nxt, sw
                 break
-            s0 = sw
+            seen.append(sw)
         else:
-            side = last
+            (fix, nxt), sw = last, s1
+        sb = seen[-2] if fix is None else sb * fix[0] + s0 * fix[1] + s1 * fix[2]
+        side, s0, s1 = nxt, seen[-1], sw
     raise ResourceError("crossing budget exceeded (tracing runaway)")
 
 

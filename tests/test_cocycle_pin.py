@@ -92,7 +92,14 @@ burn-ins that no T gives any more.  They became minus1 and sym3-q3, with
 their seeds, T, q and normalization kept, at the derived burn-ins 15 and
 20.  Their rows lie within 0.003 and 0.013 of the exact 1/2 and (3, 1, -1,
 -3), with no trace or cocycle failure, and the engine that ran the old
-configurations gives the same bits.
+configurations gives the same bits.  Every configuration was recorded a
+fourteenth time, with the cocycle unchanged, when the ray tracer came to
+carry three vertex signs in place of the covector: the codings part after
+t ~ 35, so every row changed (a sample's exponents by up to 0.22, on
+real-bend).  Each configuration was first run over 64 samples under both
+walks: the mean exponents agree within 0.91 combined stderr (sym3-q3; the
+others at most 0.64), and no configuration gained a trace or cocycle
+failure.
 
 Each configuration runs `oseledets.cocycle` on a fresh coding and compares
 every exponent row as `float.hex` strings, together with the trace and
@@ -498,73 +505,73 @@ def _record(name):
 PINS = {
     "c1-seed4200":
         ([],
-         [([["0x1.ffe94a1b7b4c6p-1", "-0x1.ffe94a1b7b4c6p-1"],
-            ["0x1.fffc392cba389p-1", "-0x1.fffc392cba389p-1"],
-            ["0x1.ff9a70b07807bp-1", "-0x1.ff9a70b07807bp-1"],
-            ["0x1.001058b1d051fp+0", "-0x1.001058b1d051fp+0"]],
+         [([["0x1.001cd9f504b93p+0", "-0x1.001cd9f504b93p+0"],
+            ["0x1.ffc03e3491a86p-1", "-0x1.ffc03e3491a86p-1"],
+            ["0x1.ffeecd78ee608p-1", "-0x1.ffeecd78ee608p-1"],
+            ["0x1.ffbd21ef10771p-1", "-0x1.ffbd21ef10771p-1"]],
            [])]),
     "imag-bend-triple":
         ([],
-         [([["0x1.ebcd8f40f39e6p-1", "-0x1.ebcd8f40f39e6p-1"],
-            ["0x1.ddb7abbb3a69cp-1", "-0x1.ddb7abbb3a69cp-1"],
-            ["0x1.ebb9865c9a29bp-1", "-0x1.ebb9865c9a29bp-1"],
-            ["0x1.ef57830f3608dp-1", "-0x1.ef57830f3608dp-1"]],
+         [([["0x1.e8b3cdafbb4a7p-1", "-0x1.e8b3cdafbb4a7p-1"],
+            ["0x1.e854e184cea70p-1", "-0x1.e854e184cea70p-1"],
+            ["0x1.e7a6285c16c36p-1", "-0x1.e7a6285c16c36p-1"],
+            ["0x1.e73ec14758af4p-1", "-0x1.e73ec14758af4p-1"]],
            []),
-          ([["0x1.a3a44ccd4119cp-1", "-0x1.a3a44ccd4119cp-1"],
-            ["0x1.6875f7786fed6p-1", "-0x1.6875f7786fed6p-1"],
-            ["0x1.9ecba81670c09p-1", "-0x1.9ecba81670c09p-1"],
-            ["0x1.af5204322ac77p-1", "-0x1.af5204322ac77p-1"]],
+          ([["0x1.9bcb4fd856543p-1", "-0x1.9bcb4fd856543p-1"],
+            ["0x1.98e0c4d855ca6p-1", "-0x1.98e0c4d855ca6p-1"],
+            ["0x1.971f3c953f5b3p-1", "-0x1.971f3c953f5b3p-1"],
+            ["0x1.99014f02e81c6p-1", "-0x1.99014f02e81c6p-1"]],
            []),
-          ([["0x1.8c9ff892b7cf5p-1", "-0x1.8c9ff892b7cf5p-1"],
-            ["0x1.3496e735a44b5p-1", "-0x1.3496e735a44b5p-1"],
-            ["0x1.7eadb0a383b8ap-1", "-0x1.7eadb0a383b8ap-1"],
-            ["0x1.93b443a3811f8p-1", "-0x1.93b443a3811f8p-1"]],
+          ([["0x1.825b006128eabp-1", "-0x1.825b006128eabp-1"],
+            ["0x1.76eaacd4efdbep-1", "-0x1.76eaacd4efdbep-1"],
+            ["0x1.74372df239f92p-1", "-0x1.74372df239f92p-1"],
+            ["0x1.7b4c5c15653f4p-1", "-0x1.7b4c5c15653f4p-1"]],
            [])]),
     "minus1":
         ([],
-         [([["0x1.fdd3d98b79d7ap-2", "-0x1.fdd3d98b79d7ap-2"],
-            ["0x1.ffa51a0eb4884p-2", "-0x1.ffa51a0eb4884p-2"],
-            ["0x1.fdd9520f3e35ep-2", "-0x1.fdd9520f3e35ep-2"],
-            ["0x1.017f2e70b5cb4p-1", "-0x1.017f2e70b5cb4p-1"]],
+         [([["0x1.fd7763cec57fdp-2", "-0x1.fd7763cec57fdp-2"],
+            ["0x1.002e8415f4581p-1", "-0x1.002e8415f4581p-1"],
+            ["0x1.fcb86ab4561fep-2", "-0x1.fcb86ab4561fep-2"],
+            ["0x1.00d692b76ca61p-1", "-0x1.00d692b76ca61p-1"]],
            [])]),
     "q1":
         ([],
-         [([["0x1.fcfd44fa7a231p-1", "-0x1.fcfd44fa7a231p-1"],
-            ["0x1.00ff5e645dd14p+0", "-0x1.00ff5e645dd14p+0"],
-            ["0x1.fddf5c77176f6p-1", "-0x1.fddf5c77176f6p-1"],
-            ["0x1.00a945ba4595fp+0", "-0x1.00a945ba4595fp+0"]],
+         [([["0x1.ff3e60fb6bdbcp-1", "-0x1.ff3e60fb6bdbcp-1"],
+            ["0x1.00a1677065e6ep+0", "-0x1.00a1677065e6ep+0"],
+            ["0x1.fd761762e9e0bp-1", "-0x1.fd761762e9e0bp-1"],
+            ["0x1.010b89e375afdp+0", "-0x1.010b89e375afdp+0"]],
            [])]),
     "q16":
         ([],
-         [([["0x1.ffd8223ac8935p-1", "-0x1.ffd8223ac8935p-1"],
-            ["0x1.00e0b69d3db8ep+0", "-0x1.00e0b69d3db8ep+0"],
-            ["0x1.00e266364d3bap+0", "-0x1.00e266364d3bap+0"],
-            ["0x1.ff2f49940467ep-1", "-0x1.ff2f49940467ep-1"]],
+         [([["0x1.fe9ecb66d21cep-1", "-0x1.fe9ecb66d21cep-1"],
+            ["0x1.00db4da05c9bdp+0", "-0x1.00db4da05c9bdp+0"],
+            ["0x1.0051f473c6770p+0", "-0x1.0051f473c6770p+0"],
+            ["0x1.feb85b9337743p-1", "-0x1.feb85b9337743p-1"]],
            [])]),
     "random-base":
         ([],
-         [([["0x1.ffc389eb81f5fp-1", "-0x1.ffc389eb81f5fp-1"],
-            ["0x1.ffdd90bfbd57ap-1", "-0x1.ffdd90bfbd57ap-1"],
-            ["0x1.003673ed7e94dp+0", "-0x1.003673ed7e94dp+0"],
-            ["0x1.fe4fc3b9368bfp-1", "-0x1.fe4fc3b9368bfp-1"]],
+         [([["0x1.fda9ff1df2931p-1", "-0x1.fda9ff1df2931p-1"],
+            ["0x1.ff97ebb3db177p-1", "-0x1.ff97ebb3db177p-1"],
+            ["0x1.012a99ab99022p+0", "-0x1.012a99ab99022p+0"],
+            ["0x1.015a9ca07f258p+0", "-0x1.015a9ca07f258p+0"]],
            [])]),
     "real-bend":
         ([],
-         [([["0x1.721b583b1ef99p+0", "-0x1.721b583b1ef99p+0"],
-            ["0x1.56ce020782e67p+0", "-0x1.56ce020782e67p+0"],
-            ["0x1.2b69e6c474499p+0", "-0x1.2b69e6c474499p+0"],
-            ["0x1.6461c1b28f5dep+0", "-0x1.6461c1b28f5dep+0"]],
+         [([["0x1.3ad3b9f4857f7p+0", "-0x1.3ad3b9f4857f7p+0"],
+            ["0x1.67b2bfa3042b2p+0", "-0x1.67b2bfa3042b2p+0"],
+            ["0x1.432ffcadfdd12p+0", "-0x1.432ffcadfdd12p+0"],
+            ["0x1.5986b5b31cb6cp+0", "-0x1.5986b5b31cb6cp+0"]],
            [])]),
     "sym3-q3":
         ([],
-         [([["0x1.7f33259426d7ap+1", "0x1.fd618ed7830cdp-1", "-0x1.ff9ef84a7ea7fp-1",
-             "-0x1.7ea3cb3767f14p+1"],
-            ["0x1.7e6ac2beb0bf3p+1", "0x1.fdfc4061c510cp-1", "-0x1.fdb292ae09041p-1",
-             "-0x1.7e7d2e2b9fc2ap+1"],
-            ["0x1.815378102b635p+1", "0x1.008e5da8920c2p+0", "-0x1.014ee2cb0dd2dp+0",
-             "-0x1.80f3357eed800p+1"],
-            ["0x1.7e911c9e93b78p+1", "0x1.fe0909ce26d04p-1", "-0x1.fe1f62048d9a0p-1",
-             "-0x1.7e8b8690fa050p+1"]],
+         [([["0x1.7ef9ab315a7b5p+1", "0x1.fe5f21d19f472p-1", "-0x1.feacafa017e0bp-1",
+             "-0x1.7ee647bdbc550p+1"],
+            ["0x1.7feabc8ca6f6bp+1", "0x1.ffe49d0d287f7p-1", "-0x1.ffe189445fd74p-1",
+             "-0x1.7feb817ed920dp+1"],
+            ["0x1.7f6290e9b31ddp+1", "0x1.004c5155d4dc6p+0", "-0x1.feaf316744bedp-1",
+             "-0x1.7fdced3acc5bdp+1"],
+            ["0x1.7f6b98ee8f5e0p+1", "0x1.fe45c913f7543p-1", "-0x1.003cc0f277f45p+0",
+             "-0x1.7edeaaba51392p+1"]],
            [])]),
 }
 

@@ -12,6 +12,7 @@ from lyaplab.hypgeo import (
     Mobius,
     UnitTangent,
     ball_volume,
+    direction_to,
     geodesic_flow,
     hyp_dist,
 )
@@ -232,8 +233,11 @@ def side_clearance(p, q, x, y):
 
 def polygon(*corners, inside):
     """The closed convex polygon with these counterclockwise corners, each
-    side paired to itself by the identity: enough for its first crossing."""
-    pairings = [SidePairing(k, Mobius.identity(), (k + 1,)) for k in range(len(corners))]
+    side paired to itself by the half-turn about its midpoint, which swaps
+    its ends as the tracer's pairings must: enough for its first crossing."""
+    ends = zip(corners, corners[1:] + corners[:1])
+    mids = [geodesic_flow(UnitTangent(p, direction_to(p, q)), 0.5 * hyp_dist(p, q)).base for p, q in ends]
+    pairings = [SidePairing(k, Mobius.rotation_about(m, math.pi), (k + 1,)) for k, m in enumerate(mids)]
     return FundamentalDomain(corners, pairings, inside, area=1.0)
 
 
@@ -262,6 +266,15 @@ class TestCrossing:
                       inside=HPoint(10.5, 0.75))
         with pytest.raises(ResourceError, match="no outward exit at t=0.000000"):
             exit_of(self.up, far)
+
+    def test_pairing_that_keeps_a_sides_ends_refused(self):
+        # the identity maps side k onto itself without swapping its ends, so
+        # the signs the walk inherits across it would be another side's
+        corners = HPoint(-0.3, 0.4), HPoint(0.3, 0.4), HPoint(1.2, 1.6), HPoint(-1.2, 1.6)
+        pairings = [SidePairing(k, Mobius.identity(), (k + 1,)) for k in range(4)]
+        dom = FundamentalDomain(corners, pairings, I, area=1.0)
+        with pytest.raises(ValueError, match="pairing of side 0 does not carry its ends"):
+            exit_of(self.up, dom)
 
     def test_start_on_side_flagged(self):
         # a vertical ray from i starts on the unit circle, the cap's side 2,
